@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the library's hot paths: the
 // discrete-event engine, the fluid-flow link model, chunk pipelining, the
-// strategy XML codec, the cost model and the synthesizer's solve. These are
-// host-performance numbers (how fast the *simulation and solver* run), not
-// simulated-time results — they bound how large an experiment the harness
-// can afford and correspond to the solve-time axis of Fig. 19(c).
+// cost model and the synthesizer's solve. These are host-performance numbers
+// (how fast the *simulation and solver* run), not simulated-time results —
+// they bound how large an experiment the harness can afford and correspond
+// to the solve-time axis of Fig. 19(c).
 #include <benchmark/benchmark.h>
 
 #include "baselines/backend.h"
@@ -16,7 +16,6 @@
 #include "topology/detector.h"
 #include "topology/testbeds.h"
 #include "util/rng.h"
-#include "util/xml.h"
 
 namespace adapcc {
 namespace {
@@ -65,22 +64,6 @@ void BM_EdgeChannelPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * chunks);
 }
 BENCHMARK(BM_EdgeChannelPipeline)->Arg(64)->Arg(512);
-
-void BM_StrategyXmlRoundTrip(benchmark::State& state) {
-  sim::Simulator sim;
-  topology::Cluster cluster(sim, topology::paper_testbed());
-  baselines::NcclBackend nccl(cluster);
-  std::vector<int> ranks;
-  for (int r = 0; r < cluster.world_size(); ++r) ranks.push_back(r);
-  const auto strategy =
-      nccl.plan(collective::Primitive::kAllReduce, ranks, megabytes(256));
-  for (auto _ : state) {
-    const std::string xml = strategy.to_xml();
-    const auto parsed = collective::Strategy::from_xml(xml);
-    benchmark::DoNotOptimize(parsed.subs.size());
-  }
-}
-BENCHMARK(BM_StrategyXmlRoundTrip);
 
 struct SynthWorld {
   SynthWorld() : cluster(sim, topology::paper_testbed()) {

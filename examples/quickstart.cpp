@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   }
   std::printf("all ranks consistent: %s\n", consistent ? "yes" : "NO");
 
-  // The synthesized strategy is ordinary data: inspect or persist it as XML.
+  // The synthesized strategy is ordinary data the executor runs directly.
   const auto& strategy = adapcc.strategy_for(collective::Primitive::kAllReduce, megabytes(64));
   std::printf("installed strategy: %zu parallel sub-collective(s), chunk %lld KiB\n",
               strategy.subs.size(), static_cast<long long>(strategy.subs[0].chunk_bytes / 1024));

@@ -1,10 +1,10 @@
 #include "collective/comm_graph.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
-
-#include "util/xml.h"
+#include <string_view>
 
 namespace adapcc::collective {
 
@@ -107,134 +107,98 @@ void Strategy::validate(const LogicalTopology& topo) const {
 
 namespace {
 
-std::string node_to_token(NodeId node) { return topology::to_string(node); }
-
-NodeId token_to_node(const std::string& token) {
-  if (token.starts_with("gpu")) return NodeId::gpu(std::stoi(token.substr(3)));
-  if (token.starts_with("nic")) return NodeId::nic(std::stoi(token.substr(3)));
-  throw std::runtime_error("Strategy XML: bad node token '" + token + "'");
+/// Appends ` key="value"`. Values are node tokens, numbers and the fixed
+/// origin/primitive names, so nothing needs escaping.
+void append_attribute(std::string& out, std::string_view key, std::string_view value) {
+  out += ' ';
+  out += key;
+  out += "=\"";
+  out += value;
+  out += '"';
 }
 
-std::vector<std::string> split_tokens(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(text);
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
+std::string format_double(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
 }
 
 }  // namespace
 
-std::string Strategy::to_xml() const {
-  util::XmlElement root("strategy");
-  root.set_attribute("primitive", to_string(primitive));
-  root.set_attribute("origin", origin);
+std::string Strategy::fingerprint() const {
+  // An XML-style rendering: attributes in alphabetical order, tree edges and
+  // aggregation entries sorted, childless elements self-closed, two-space
+  // indentation. The strategy cache, reprofile's graph_changed check and the
+  // benchmark digests compare these exact bytes.
   std::string ranks;
   for (const int r : participants) {
     if (!ranks.empty()) ranks += ' ';
     ranks += std::to_string(r);
   }
-  root.set_attribute("participants", ranks);
+  std::string out = "<strategy";
+  append_attribute(out, "origin", origin);
+  append_attribute(out, "participants", ranks);
+  append_attribute(out, "primitive", to_string(primitive));
+  if (subs.empty()) return out + "/>\n";
+  out += ">\n";
   for (const auto& sub : subs) {
-    auto& sub_el = root.add_child("subcollective");
-    sub_el.set_attribute("id", static_cast<long long>(sub.id));
-    sub_el.set_attribute("fraction", sub.fraction);
-    sub_el.set_attribute("chunk_bytes", static_cast<long long>(sub.chunk_bytes));
+    out += "  <subcollective";
+    append_attribute(out, "chunk_bytes", std::to_string(static_cast<long long>(sub.chunk_bytes)));
     if (sub.alltoall_concurrency != 0) {
-      sub_el.set_attribute("concurrency", static_cast<long long>(sub.alltoall_concurrency));
+      append_attribute(out, "concurrency", std::to_string(sub.alltoall_concurrency));
     }
+    append_attribute(out, "fraction", format_double(sub.fraction));
+    append_attribute(out, "id", std::to_string(sub.id));
+    std::string body;
     if (primitive == Primitive::kAllToAll) {
       for (const auto& flow : sub.flows) {
-        auto& flow_el = sub_el.add_child("flow");
-        flow_el.set_attribute("src", node_to_token(flow.src));
-        flow_el.set_attribute("dst", node_to_token(flow.dst));
+        body += "    <flow";
+        append_attribute(body, "dst", to_string(flow.dst));
+        append_attribute(body, "src", to_string(flow.src));
         std::string path;
         for (const auto& node : flow.path) {
           if (!path.empty()) path += ' ';
-          path += node_to_token(node);
+          path += to_string(node);
         }
-        flow_el.set_text(path);
+        body += path.empty() ? "/>\n" : ">" + path + "</flow>\n";
       }
     } else {
-      auto& tree_el = sub_el.add_child("tree");
-      tree_el.set_attribute("root", node_to_token(sub.tree.root));
-      // Deterministic edge order for stable fingerprints.
+      body += "    <tree";
+      append_attribute(body, "root", to_string(sub.tree.root));
       std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
                                                    sub.tree.parent.end());
       std::sort(edges.begin(), edges.end());
-      for (const auto& [child, parent] : edges) {
-        auto& edge_el = tree_el.add_child("edge");
-        edge_el.set_attribute("child", node_to_token(child));
-        edge_el.set_attribute("parent", node_to_token(parent));
+      if (edges.empty()) {
+        body += "/>\n";
+      } else {
+        body += ">\n";
+        for (const auto& [child, parent] : edges) {
+          body += "      <edge";
+          append_attribute(body, "child", to_string(child));
+          append_attribute(body, "parent", to_string(parent));
+          body += "/>\n";
+        }
+        body += "    </tree>\n";
       }
     }
     std::vector<std::pair<NodeId, bool>> aggs(sub.aggregate_at.begin(), sub.aggregate_at.end());
     std::sort(aggs.begin(), aggs.end());
     for (const auto& [node, flag] : aggs) {
-      auto& agg_el = sub_el.add_child("aggregate");
-      agg_el.set_attribute("node", node_to_token(node));
-      agg_el.set_attribute("enabled", static_cast<long long>(flag ? 1 : 0));
+      body += "    <aggregate";
+      append_attribute(body, "enabled", flag ? "1" : "0");
+      append_attribute(body, "node", to_string(node));
+      body += "/>\n";
+    }
+    if (body.empty()) {
+      out += "/>\n";
+    } else {
+      out += ">\n";
+      out += body;
+      out += "  </subcollective>\n";
     }
   }
-  return root.to_string();
-}
-
-Strategy Strategy::from_xml(const std::string& document) {
-  const auto root = util::parse_xml(document);
-  if (root->name() != "strategy") throw std::runtime_error("Strategy XML: bad root element");
-  Strategy strategy;
-  const std::string prim = root->attribute("primitive");
-  bool found = false;
-  for (const Primitive p : {Primitive::kReduce, Primitive::kBroadcast, Primitive::kAllReduce,
-                            Primitive::kAllGather, Primitive::kReduceScatter,
-                            Primitive::kAllToAll}) {
-    if (to_string(p) == prim) {
-      strategy.primitive = p;
-      found = true;
-    }
-  }
-  if (!found) throw std::runtime_error("Strategy XML: unknown primitive " + prim);
-  strategy.origin = root->attribute("origin");
-  for (const auto& token : split_tokens(root->attribute("participants"))) {
-    strategy.participants.push_back(std::stoi(token));
-  }
-  for (const auto* sub_el : root->children_named("subcollective")) {
-    SubCollective sub;
-    sub.id = static_cast<int>(sub_el->attribute_as_int("id"));
-    sub.fraction = sub_el->attribute_as_double("fraction");
-    sub.chunk_bytes = static_cast<Bytes>(sub_el->attribute_as_int("chunk_bytes"));
-    if (sub_el->has_attribute("concurrency")) {
-      sub.alltoall_concurrency = static_cast<int>(sub_el->attribute_as_int("concurrency"));
-    }
-    if (const auto* tree_el = sub_el->first_child("tree")) {
-      sub.tree.root = token_to_node(tree_el->attribute("root"));
-      for (const auto* edge_el : tree_el->children_named("edge")) {
-        sub.tree.parent[token_to_node(edge_el->attribute("child"))] =
-            token_to_node(edge_el->attribute("parent"));
-      }
-    }
-    for (const auto* flow_el : sub_el->children_named("flow")) {
-      FlowRoute flow;
-      flow.src = token_to_node(flow_el->attribute("src"));
-      flow.dst = token_to_node(flow_el->attribute("dst"));
-      for (const auto& token : split_tokens(flow_el->text())) {
-        flow.path.push_back(token_to_node(token));
-      }
-      sub.flows.push_back(std::move(flow));
-    }
-    for (const auto* agg_el : sub_el->children_named("aggregate")) {
-      sub.aggregate_at[token_to_node(agg_el->attribute("node"))] =
-          agg_el->attribute_as_int("enabled") != 0;
-    }
-    strategy.subs.push_back(std::move(sub));
-  }
-  return strategy;
-}
-
-std::string Strategy::fingerprint() const {
-  // The XML rendering is deterministic (sorted edges/aggregation entries),
-  // so it doubles as a structural fingerprint.
-  return to_xml();
+  out += "</strategy>\n";
+  return out;
 }
 
 }  // namespace adapcc::collective

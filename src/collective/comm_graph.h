@@ -6,8 +6,9 @@
 // aggregation control a_{m,g}. Reduce/Broadcast sub-collectives carry a
 // tree; AllToAll sub-collectives carry per-(src,dst) flow routes.
 //
-// Strategies serialize to/from XML, the exchange format the paper uses
-// between Controller and Communicator.
+// The paper ships strategies from Controller to Communicator as XML; here the
+// Strategy object itself is the interface, and fingerprint() is its only
+// canonical text rendering.
 #pragma once
 
 #include <optional>
@@ -85,9 +86,6 @@ struct Strategy {
   std::string origin = "adapcc";
 
   void validate(const LogicalTopology& topo) const;
-
-  std::string to_xml() const;
-  static Strategy from_xml(const std::string& document);
 
   /// Structural fingerprint: two strategies with equal fingerprints build
   /// identical graphs (used to decide whether reconstruction is needed,

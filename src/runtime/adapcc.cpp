@@ -143,9 +143,9 @@ collective::Strategy Adapcc::synthesize_cached(Primitive primitive,
                                                const std::vector<int>& participants,
                                                Bytes tensor_bytes) {
   // One lock covers lookup, solve, insert, and the report/counter updates:
-  // producer threads (submission queue / DDP hook) may request strategies
-  // while the main thread synthesizes for a collective, and the Synthesizer
-  // itself is a single instance whose parallelism lives in its task pool.
+  // producer threads may request strategies while the main thread
+  // synthesizes for a collective, and the Synthesizer itself is a single
+  // instance whose parallelism lives in its task pool.
   const std::lock_guard<std::mutex> lock(strategy_mutex_);
   StrategyCacheKey key{static_cast<int>(primitive), participants,
                        tensor_size_bucket(tensor_bytes), topology_epoch_};
@@ -208,14 +208,6 @@ relay::RelayRunResult Adapcc::allreduce_adaptive(Bytes tensor_bytes,
   if (!set_up_) setup();
   const Strategy& strategy = strategy_for(Primitive::kAllReduce, tensor_bytes);
   return relay_runner_->run_allreduce(strategy, tensor_bytes, ready_at, fill_start, dead_at);
-}
-
-relay::RelayRunResult Adapcc::allreduce_adaptive(Bytes tensor_bytes,
-                                                 relay::ControlInbox& inbox) {
-  std::map<int, Seconds> ready_at;
-  std::map<int, Seconds> fill_start;
-  inbox.fold_reports(ready_at, fill_start);
-  return allreduce_adaptive(tensor_bytes, ready_at, fill_start);
 }
 
 ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,

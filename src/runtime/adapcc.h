@@ -21,7 +21,6 @@
 
 #include "collective/executor.h"
 #include "profiler/profiler.h"
-#include "relay/control_inbox.h"
 #include "relay/relay_collective.h"
 #include "synthesizer/synthesizer.h"
 #include "telemetry/telemetry.h"
@@ -158,12 +157,6 @@ class Adapcc {
                                            const std::map<int, Seconds>& fill_start = {},
                                            const std::map<int, Seconds>& dead_at = {});
 
-  /// Same, but with the per-rank ready / fill-start reports delivered
-  /// through the coordinator's thread-safe control inbox (the path worker
-  /// RPC handler threads use): drains the inbox, folds the reports
-  /// (latest per rank wins), and runs the adaptive AllReduce.
-  relay::RelayRunResult allreduce_adaptive(Bytes tensor_bytes, relay::ControlInbox& inbox);
-
   /// Recovery orchestrator (Sec. IV-C-2): runs a collective under a
   /// watchdog and, on a mid-collective failure, excludes the crashed ranks,
   /// bumps the topology epoch (invalidating every cached strategy),
@@ -208,11 +201,10 @@ class Adapcc {
   ///
   /// Thread-safe against itself and against the collectives above: the
   /// strategy cache, the cumulative hit/miss counters, and last_synthesis()
-  /// are guarded by one mutex, so a producer thread (a submission-queue /
-  /// DDP-hook worker) may request strategies while the main thread drives
-  /// simulated collectives. Topology-mutating calls (reprofile,
-  /// exclude_workers, include_workers, init) remain main-thread-only — they
-  /// rewrite the topology the solver reads.
+  /// are guarded by one mutex, so a producer thread may request strategies
+  /// while the main thread drives simulated collectives. Topology-mutating
+  /// calls (reprofile, exclude_workers, include_workers, init) remain
+  /// main-thread-only — they rewrite the topology the solver reads.
   collective::Strategy synthesize(collective::Primitive primitive,
                                   const std::vector<int>& participants, Bytes tensor_bytes);
 

@@ -132,28 +132,4 @@ void EdgeChannel::on_link_done(std::size_t link_index, std::uint64_t chunk_id) {
   try_start(it->next_link);  // this chunk may enter the next link
 }
 
-void pipelined_transfer(Simulator& sim, std::vector<FlowLink*> path, Bytes total, Bytes chunk,
-                        std::function<void()> on_complete) {
-  if (chunk == 0) throw std::invalid_argument("pipelined_transfer: zero chunk size");
-  if (total == 0) {
-    if (on_complete) sim.schedule_after(0, std::move(on_complete));
-    return;
-  }
-  auto channel = std::make_shared<EdgeChannel>(sim, std::move(path));
-  const Bytes chunks = (total + chunk - 1) / chunk;
-  // One shared completion record instead of a per-chunk copy of the
-  // callback; the per-chunk capture is two shared_ptrs (fits inline).
-  struct State {
-    Bytes remaining;
-    std::function<void()> done;
-  };
-  auto state = std::make_shared<State>(State{chunks, std::move(on_complete)});
-  for (Bytes i = 0; i < chunks; ++i) {
-    const Bytes this_chunk = std::min<Bytes>(chunk, total - i * chunk);
-    channel->send(this_chunk, [channel, state] {
-      if (--state->remaining == 0 && state->done) state->done();
-    });
-  }
-}
-
 }  // namespace adapcc::sim

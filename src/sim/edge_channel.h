@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -95,11 +94,5 @@ class EdgeChannel {
   std::uint64_t next_chunk_id_ = 1;
   Bytes bytes_sent_ = 0;
 };
-
-/// Convenience: sends `total` bytes as ceil(total/chunk) chunks through a
-/// fresh channel and invokes `on_complete` when the last chunk arrives.
-/// The channel is kept alive internally until completion.
-void pipelined_transfer(Simulator& sim, std::vector<FlowLink*> path, Bytes total, Bytes chunk,
-                        std::function<void()> on_complete);
 
 }  // namespace adapcc::sim

@@ -74,8 +74,7 @@ const topology::LogicalEdge& profiled_edge(const LogicalTopology& topo, NodeId f
   return edge;
 }
 
-}  // namespace
-
+/// Port loads and capacities derived from `loads` and the profiled NIC mesh.
 PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads) {
   PortState ports;
   for (const auto& [key, load] : loads) {
@@ -101,6 +100,8 @@ PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads
   }
   return ports;
 }
+
+}  // namespace
 
 LinkLoads compute_link_loads(const Strategy& strategy, const std::set<int>& active_ranks) {
   LinkLoads loads;

@@ -62,9 +62,6 @@ struct PortState {
   std::unordered_map<int, double> ingress_beta;
 };
 
-/// Port loads and capacities derived from `loads` and the profiled NIC mesh.
-PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads);
-
 /// Estimated completion time of the collective (Eq. 4). Throws
 /// std::invalid_argument if the strategy references unprofiled edges.
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
@@ -81,8 +78,10 @@ Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology
 /// iteratively over the index, not by recursion), the link-load map, the
 /// shared-port state, and per-edge profiled constants with direct pointers
 /// into the load map. completion_time() is then a flat array sweep over each
-/// tree. All arithmetic replicates estimate_completion_time() operation for
-/// operation, so the two produce bit-identical costs.
+/// tree. estimate_completion_time() is a freshly built evaluator; one that
+/// has absorbed chunk-size changes and aggregation toggles must still return
+/// bit-identical costs (loads are integer-valued doubles, so the incremental
+/// updates are exact), which ADAPCC_AUDIT samples during real solves.
 class CostEvaluator {
  public:
   /// Binds to `strategy`, which must outlive the evaluator. Callers may

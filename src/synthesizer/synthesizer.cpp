@@ -205,10 +205,11 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     if (record_spans) telemetry::flush_solver_spans(pool_.take_spans(), label);
   };
 
-  // ADAPCC_AUDIT: the memoized CostEvaluator claims bit-identical parity
-  // with the one-shot estimate_completion_time. Re-derive every 5th
-  // evaluation from scratch during real solves and require exact equality —
-  // loads are integer-valued doubles, so any drift is a bug, not rounding.
+  // ADAPCC_AUDIT: an incrementally updated CostEvaluator (chunk sweeps,
+  // aggregation toggles) must match one rebuilt from scratch bit for bit —
+  // estimate_completion_time is exactly such a fresh evaluator. Rebuild every
+  // 5th evaluation during real solves and require exact equality — loads
+  // are integer-valued doubles, so any drift is a bug, not rounding.
   // The counter is atomic because evaluations run on pool lanes; which
   // samples get audited varies with scheduling, but audits only verify.
   std::atomic<std::uint64_t> audit_evals{0};
@@ -216,9 +217,9 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     if constexpr (audit::kEnabled) {
       const std::uint64_t count = audit_evals.fetch_add(1, std::memory_order_relaxed) + 1;
       if (count % 5 != 0) return;
-      const Seconds one_shot = estimate_completion_time(strategy, topo_, tensor_bytes, active);
-      ADAPCC_AUDIT_CHECK("synthesizer", memoized == one_shot,
-                         "memoized " << memoized << "s != one-shot " << one_shot
+      const Seconds rebuilt = estimate_completion_time(strategy, topo_, tensor_bytes, active);
+      ADAPCC_AUDIT_CHECK("synthesizer", memoized == rebuilt,
+                         "memoized " << memoized << "s != rebuilt " << rebuilt
                                      << "s after " << count << " evaluations");
     } else {
       static_cast<void>(strategy);

@@ -9,9 +9,10 @@
 //     free list, and generation tags all stay consistent;
 //   * comm graph — per-sub acyclicity and behavior-tuple consistency with
 //     the active set (Sec. IV-C-3 rules re-derived independently);
-//   * synthesizer — sampled CostEvaluator-vs-one-shot cost parity (the
-//     memoized evaluator claims bit-identical results; the auditor holds it
-//     to that claim during real solves).
+//   * synthesizer — sampled parity of the incrementally updated
+//     CostEvaluator against a freshly rebuilt one (the incremental updates
+//     claim bit-identical results; the auditor holds them to that claim
+//     during real solves).
 //
 // Checks compile to no-ops unless ADAPCC_AUDIT is defined, but their
 // condition expressions still compile (inside `if (false)`), so an audit

@@ -229,21 +229,5 @@ TEST_F(IntegrationTest, FullStackAllPrimitivesOnPaperTestbed) {
   }
 }
 
-TEST_F(IntegrationTest, StrategiesSurviveXmlPersistence) {
-  // A synthesized strategy can be dumped, reloaded and executed, with the
-  // reloaded copy producing identical timing (the Communicator contract).
-  build(topology::heter_testbed());
-  const auto topo = detect_and_profile();
-  synthesizer::Synthesizer synth(*cluster_, topo);
-  const auto strategy = synth.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(64));
-  const auto reloaded = Strategy::from_xml(strategy.to_xml());
-
-  collective::Executor original(*cluster_, strategy);
-  const Seconds t1 = original.run(megabytes(64)).elapsed();
-  collective::Executor parsed(*cluster_, reloaded);
-  const Seconds t2 = parsed.run(megabytes(64)).elapsed();
-  EXPECT_NEAR(t1, t2, 1e-9);
-}
-
 }  // namespace
 }  // namespace adapcc

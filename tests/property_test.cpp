@@ -4,7 +4,8 @@
 //   * behavior-tuple invariants on random trees and active sets;
 //   * byte conservation: simulated NIC traffic matches the aggregation
 //     model's predicted volumes;
-//   * strategy XML round-trip on randomized strategies;
+//   * strategy fingerprints on randomized strategies rebuilt in another
+//     hash-map order;
 //   * simulator event ordering under random schedules;
 //   * EdgeChannel FIFO + conservation under random chunk streams;
 //   * the ski-rental 2-competitive bound over a parameter grid.
@@ -17,7 +18,9 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "collective/behavior.h"
 #include "collective/builders.h"
@@ -258,7 +261,9 @@ TEST_P(ConservationProperty, ChainReduceMovesExactlyOneTensorPerInstance) {
 INSTANTIATE_TEST_SUITE_P(Scales, ConservationProperty, ::testing::Values(2, 3, 4, 6));
 
 // ---------------------------------------------------------------------------
-// Strategy XML round-trip on randomized strategies.
+// Strategy fingerprint round-trip on randomized strategies. The fingerprint
+// is the strategy's canonical XML rendering; a copy rebuilt with its hash
+// maps filled in reverse key order and rehashed must render the same text.
 // ---------------------------------------------------------------------------
 
 class XmlRoundTripProperty : public ::testing::TestWithParam<int /*seed*/> {};
@@ -298,7 +303,23 @@ TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
     }
     strategy.subs.push_back(std::move(sub));
   }
-  const auto reloaded = Strategy::from_xml(strategy.to_xml());
+
+  // Rebuild every unordered map from its entries in descending key order
+  // into a table with a different bucket count, so iteration order differs.
+  auto rebuilt_map = [](const auto& original) {
+    std::vector<std::pair<NodeId, typename std::decay_t<decltype(original)>::mapped_type>>
+        entries(original.begin(), original.end());
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& x, const auto& y) { return y.first < x.first; });
+    std::decay_t<decltype(original)> copy(original.bucket_count() * 4 + 7);
+    for (const auto& [key, value] : entries) copy.emplace(key, value);
+    return copy;
+  };
+  Strategy reloaded = strategy;
+  for (auto& sub : reloaded.subs) {
+    sub.tree.parent = rebuilt_map(sub.tree.parent);
+    sub.aggregate_at = rebuilt_map(sub.aggregate_at);
+  }
   EXPECT_EQ(reloaded.fingerprint(), strategy.fingerprint());
   EXPECT_EQ(reloaded.participants, strategy.participants);
   EXPECT_EQ(reloaded.subs.size(), strategy.subs.size());
@@ -306,6 +327,9 @@ TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
     EXPECT_EQ(reloaded.subs[m].alltoall_concurrency, strategy.subs[m].alltoall_concurrency);
     EXPECT_EQ(reloaded.subs[m].chunk_bytes, strategy.subs[m].chunk_bytes);
   }
+  // The rendering still tells strategies apart.
+  reloaded.subs.back().chunk_bytes += 512_KiB;
+  EXPECT_NE(reloaded.fingerprint(), strategy.fingerprint());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripProperty, ::testing::Range(1, 25));

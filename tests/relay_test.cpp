@@ -2,13 +2,11 @@
 
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "collective/builders.h"
 #include "collective/payload.h"
 #include "profiler/profiler.h"
-#include "relay/control_inbox.h"
 #include "relay/coordinator.h"
 #include "relay/data_loader.h"
 #include "relay/relay_collective.h"
@@ -261,66 +259,6 @@ TEST_F(RelayFixture, RpcLatencyIsMilliseconds) {
   const double p90 = util::percentile(latencies, 0.9);
   EXPECT_LT(p90, 1.5);
   EXPECT_GT(p90, 0.05);
-}
-
-// --- Control inbox (thread-safe worker-report staging) -------------------------
-
-// Real RPC handler threads post into the inbox; the TSan CI job runs these
-// tests under -fsanitize=thread to certify the locking.
-
-TEST(ControlInboxTest, ThreadedPostsFoldToLatestReportPerRank) {
-  constexpr int kRanks = 4;
-  constexpr int kReportsPerRank = 50;
-  relay::ControlInbox inbox;
-  std::vector<std::thread> workers;
-  for (int rank = 0; rank < kRanks; ++rank) {
-    workers.emplace_back([&inbox, rank] {
-      for (int i = 0; i < kReportsPerRank; ++i) {
-        // Each worker refines its own estimate; the last report must win.
-        inbox.post(rank, relay::ControlMessage::Kind::kReady, 0.1 * rank + 0.001 * i);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(inbox.pending(), static_cast<std::size_t>(kRanks * kReportsPerRank));
-
-  std::map<int, Seconds> ready_at;
-  std::map<int, Seconds> fill_start;
-  EXPECT_EQ(inbox.fold_reports(ready_at, fill_start),
-            static_cast<std::size_t>(kRanks * kReportsPerRank));
-  ASSERT_EQ(ready_at.size(), static_cast<std::size_t>(kRanks));
-  EXPECT_TRUE(fill_start.empty());
-  for (int rank = 0; rank < kRanks; ++rank) {
-    EXPECT_DOUBLE_EQ(ready_at.at(rank), 0.1 * rank + 0.001 * (kReportsPerRank - 1));
-  }
-  EXPECT_EQ(inbox.pending(), 0u);
-}
-
-TEST(ControlInboxTest, FoldRoutesKindsAndSkipsFaultSuspects) {
-  relay::ControlInbox inbox;
-  EXPECT_EQ(inbox.post(0, relay::ControlMessage::Kind::kReady, 1.0), 1u);
-  EXPECT_EQ(inbox.post(0, relay::ControlMessage::Kind::kFillStart, 0.25), 2u);
-  EXPECT_EQ(inbox.post(1, relay::ControlMessage::Kind::kFaultSuspect, 9.0), 3u);
-  EXPECT_EQ(inbox.post(0, relay::ControlMessage::Kind::kReady, 2.0), 4u);  // supersedes
-  std::map<int, Seconds> ready_at;
-  std::map<int, Seconds> fill_start;
-  EXPECT_EQ(inbox.fold_reports(ready_at, fill_start), 4u);
-  EXPECT_DOUBLE_EQ(ready_at.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(fill_start.at(0), 0.25);
-  EXPECT_FALSE(ready_at.contains(1));  // fault suspicion is not readiness
-}
-
-TEST(ControlInboxTest, CloseRejectsLatePostsAndWakesWaiters) {
-  relay::ControlInbox inbox;
-  bool woke_with_messages = true;
-  std::thread waiter(
-      [&inbox, &woke_with_messages] { woke_with_messages = inbox.wait_for_messages(); });
-  inbox.close();
-  waiter.join();
-  EXPECT_FALSE(woke_with_messages);
-  EXPECT_TRUE(inbox.closed());
-  EXPECT_EQ(inbox.post(0, relay::ControlMessage::Kind::kReady, 1.0), 0u);
-  EXPECT_EQ(inbox.pending(), 0u);
 }
 
 }  // namespace

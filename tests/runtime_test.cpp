@@ -2,11 +2,11 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "collective/payload.h"
-#include "relay/control_inbox.h"
 #include "runtime/adapcc.h"
 #include "runtime/adapcc_backend.h"
 #include "topology/testbeds.h"
@@ -107,40 +107,6 @@ TEST_F(RuntimeTest, AdaptiveAllReducePreservesSumUnderStraggler) {
   }
 }
 
-TEST_F(RuntimeTest, AdaptiveAllReduceViaControlInboxMatchesDirectMaps) {
-  // The inbox overload is the worker-RPC-thread path: reports are posted
-  // concurrently, folded latest-per-rank, then run through the same adaptive
-  // AllReduce. Its outcome must match handing the folded maps in directly.
-  build(topology::homo_testbed());
-  AdapccConfig config;
-  config.coordinator.fault_multiplier = 50.0;
-  Adapcc adapcc(*cluster_, config);
-  adapcc.init();
-  adapcc.setup();
-  const Seconds now = cluster_->simulator().now();
-
-  relay::ControlInbox inbox;
-  std::vector<std::thread> reporters;
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    reporters.emplace_back([&inbox, r, now] {
-      // A stale estimate first, then the final one — latest must win.
-      inbox.post(r, relay::ControlMessage::Kind::kReady, now + 5.0);
-      inbox.post(r, relay::ControlMessage::Kind::kReady, r == 7 ? now + 0.15 : now);
-    });
-  }
-  for (std::thread& reporter : reporters) reporter.join();
-  const auto via_inbox = adapcc.allreduce_adaptive(megabytes(128), inbox);
-  EXPECT_TRUE(via_inbox.partial);
-  EXPECT_TRUE(via_inbox.faulty.empty());
-  double expected = 0.0;
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    expected += collective::payload_value(r, 0, 0);
-  }
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    EXPECT_DOUBLE_EQ(via_inbox.final_values.at(r), expected);
-  }
-}
-
 TEST_F(RuntimeTest, ReprofileWithoutChangeSkipsReconstruction) {
   build(topology::homo_testbed());
   Adapcc adapcc(*cluster_);
@@ -208,6 +174,22 @@ TEST_F(RuntimeTest, ExcludeWorkersShrinksGroup) {
     EXPECT_DOUBLE_EQ(result.delivered.at(r)[0][0], expected);
   }
   EXPECT_FALSE(result.delivered.contains(3));
+}
+
+TEST_F(RuntimeTest, ExcludedWorkerCanRejoin) {
+  build(topology::homo_testbed());
+  Adapcc adapcc(*cluster_);
+  adapcc.init();
+  adapcc.setup();
+  adapcc.exclude_workers({3});
+  EXPECT_EQ(adapcc.participants().size(), 15u);
+  adapcc.include_workers({3});
+  EXPECT_EQ(adapcc.participants().size(), 16u);
+  const auto result = adapcc.allreduce(megabytes(32));
+  double expected = 0.0;
+  for (int r = 0; r < 16; ++r) expected += collective::payload_value(r, 0, 0);
+  for (int r = 0; r < 16; ++r) EXPECT_DOUBLE_EQ(result.delivered.at(r)[0][0], expected);
+  EXPECT_THROW(adapcc.include_workers({99}), std::invalid_argument);
 }
 
 TEST_F(RuntimeTest, RestartCostModelScalesWithWorldAndModel) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/edge_channel.h"
@@ -406,23 +408,41 @@ TEST(EdgeChannelTest, DeliveriesPreserveFifoOrder) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+// Sends `total` bytes as ceil(total/chunk) chunks through `channel` and
+// invokes `on_complete` when the last chunk arrives.
+void pipelined_send(EdgeChannel& channel, Bytes total, Bytes chunk,
+                    std::function<void()> on_complete) {
+  const Bytes chunks = (total + chunk - 1) / chunk;
+  auto remaining = std::make_shared<Bytes>(chunks);
+  for (Bytes i = 0; i < chunks; ++i) {
+    channel.send(std::min<Bytes>(chunk, total - i * chunk), [remaining, on_complete] {
+      if (--*remaining == 0) on_complete();
+    });
+  }
+}
+
 TEST(EdgeChannelTest, PipelinedTransferHelperCompletes) {
   Simulator sim;
   FlowLink link(sim, "l", 0.0, gBps(1));
+  EdgeChannel channel(sim, {&link});
   bool done = false;
-  sim::pipelined_transfer(sim, {&link}, megabytes(100), megabytes(10), [&] { done = true; });
+  pipelined_send(channel, megabytes(100), megabytes(10), [&] { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(sim.now(), 0.1, 1e-9);
+  EXPECT_EQ(channel.bytes_sent(), megabytes(100));
 }
 
 TEST(EdgeChannelTest, ZeroByteTransferCompletes) {
   Simulator sim;
   FlowLink link(sim, "l", 0.0, gBps(1));
+  EdgeChannel channel(sim, {&link});
   bool done = false;
-  sim::pipelined_transfer(sim, {&link}, 0, 1_MiB, [&] { done = true; });
+  channel.send(0, [&] { done = true; });
   sim.run();
   EXPECT_TRUE(done);
+  EXPECT_EQ(channel.chunks_in_flight(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
 TEST(EdgeChannelTest, TwoChannelsOnOneLinkShareBandwidth) {

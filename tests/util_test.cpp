@@ -6,7 +6,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
-#include "util/xml.h"
 
 namespace adapcc {
 namespace {
@@ -138,53 +137,6 @@ TEST(RngTest, ForkDecorrelates) {
 TEST(RngTest, NormalAtLeastClamps) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.normal_at_least(0.0, 10.0, 0.5), 0.5);
-}
-
-TEST(Xml, RoundTripsElementsAttributesText) {
-  util::XmlElement root("strategy");
-  root.set_attribute("primitive", std::string("allreduce"));
-  root.set_attribute("chunk_bytes", static_cast<long long>(4 * 1024 * 1024));
-  auto& flow = root.add_child("flow");
-  flow.set_attribute("src", std::string("gpu0"));
-  flow.set_attribute("beta", 1.25e-10);
-  flow.set_text("gpu0 nic0 nic1 gpu4");
-
-  const std::string doc = root.to_string();
-  const auto parsed = util::parse_xml(doc);
-  ASSERT_NE(parsed, nullptr);
-  EXPECT_EQ(parsed->name(), "strategy");
-  EXPECT_EQ(parsed->attribute("primitive"), "allreduce");
-  EXPECT_EQ(parsed->attribute_as_int("chunk_bytes"), 4 * 1024 * 1024);
-  const auto* parsed_flow = parsed->first_child("flow");
-  ASSERT_NE(parsed_flow, nullptr);
-  EXPECT_EQ(parsed_flow->attribute("src"), "gpu0");
-  EXPECT_DOUBLE_EQ(parsed_flow->attribute_as_double("beta"), 1.25e-10);
-  EXPECT_EQ(parsed_flow->text(), "gpu0 nic0 nic1 gpu4");
-}
-
-TEST(Xml, EscapesSpecialCharacters) {
-  util::XmlElement root("e");
-  root.set_attribute("v", std::string("a<b&\"c\">"));
-  root.set_text("x < y & z");
-  const auto parsed = util::parse_xml(root.to_string());
-  EXPECT_EQ(parsed->attribute("v"), "a<b&\"c\">");
-  EXPECT_EQ(parsed->text(), "x < y & z");
-}
-
-TEST(Xml, ParsesNestedStructure) {
-  const auto parsed = util::parse_xml(R"(<?xml version="1.0"?>
-    <a><b k="1"/><b k="2"><c/></b></a>)");
-  EXPECT_EQ(parsed->name(), "a");
-  const auto bs = parsed->children_named("b");
-  ASSERT_EQ(bs.size(), 2u);
-  EXPECT_EQ(bs[0]->attribute("k"), "1");
-  EXPECT_NE(bs[1]->first_child("c"), nullptr);
-}
-
-TEST(Xml, RejectsMalformedDocuments) {
-  EXPECT_THROW(util::parse_xml("<a><b></a></b>"), std::runtime_error);
-  EXPECT_THROW(util::parse_xml("<a>"), std::runtime_error);
-  EXPECT_THROW(util::parse_xml("<a/><b/>"), std::runtime_error);
 }
 
 }  // namespace

@@ -45,12 +45,16 @@ here defend that promise at the source level:
                       indexed fan-out/reduce API is what keeps parallel solves
                       bit-identical to serial ones (DESIGN.md §10). Tests may
                       spawn producer threads to drive the thread-safe surfaces
-                      (queues, inboxes, the strategy cache), but `.detach()` is
+                      (TaskPool, the strategy cache), but `.detach()` is
                       banned everywhere — a detached thread outliving its
                       owner is how use-after-scope races start. Sanctioned
                       exceptions (e.g. `std::thread::hardware_concurrency` is
                       allowed; a deliberate raw thread is not) carry a
                       `// lint:threads` waiver with a justification.
+  orphan-header       Every src/**/*.h must be #included by some file under
+                      src/ (other than its own .cpp), bench/, examples/ or
+                      perfbench/. A header only tests reach is a module
+                      nothing runs: delete it rather than keep it compiling.
 
 Usage:  python3 tools/adapcc_lint.py [--root DIR] [--list-rules]
 Exit status is non-zero when any finding is reported. A finding on line N can
@@ -108,6 +112,10 @@ THREADS_ALLOWED_PREFIXES = ("src/util/task_pool",)
 # `std::thread::hardware_concurrency` are reads, not spawns, and stay legal.
 THREAD_SPAWN_RE = re.compile(r"std::thread(?!::)")
 THREAD_DETACH_RE = re.compile(r"(?:\.|->)detach\s*\(")
+
+# orphan-header rule: where a src/ header must be included from.
+ORPHAN_RULE_USER_DIRS = ("src", "bench", "examples", "perfbench")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(?P<path>[^"]+)"', re.MULTILINE)
 
 # Parameter-name patterns that imply a unit, and the alias they require.
 UNITS_RULES = [
@@ -301,6 +309,25 @@ def check_threads(path: Path, lines: list[str], root: Path) -> list[Finding]:
     return findings
 
 
+def check_orphan_headers(root: Path) -> list[Finding]:
+    src = root / "src"
+    included_by: dict[str, set[Path]] = {}
+    for path in iter_sources(root, ORPHAN_RULE_USER_DIRS):
+        for m in INCLUDE_RE.finditer(path.read_text()):
+            included_by.setdefault(m.group("path"), set()).add(path)
+    findings = []
+    for header in iter_sources(root, SOURCE_DIRS):
+        if header.suffix != ".h":
+            continue
+        users = included_by.get(header.relative_to(src).as_posix(), set())
+        if not users - {header.with_suffix(".cpp")}:
+            findings.append(Finding(
+                "orphan-header", header, 1,
+                "header is not #included outside its own .cpp by src/, bench/, examples/ or "
+                "perfbench/: nothing but tests reaches it, so delete the module"))
+    return findings
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -311,7 +338,7 @@ def main() -> int:
 
     if args.list_rules:
         print("wall-clock unseeded-random unordered-iteration hot-path-function units-suffix "
-              "chaos threads")
+              "chaos threads orphan-header")
         return 0
 
     findings: list[Finding] = []
@@ -338,6 +365,8 @@ def main() -> int:
     for path in iter_sources(root, THREADS_RULE_DIRS):
         lines = path.read_text().splitlines()
         findings += check_threads(path, lines, root)
+
+    findings += check_orphan_headers(root)
 
     for finding in sorted(findings, key=lambda f: (str(f.path), f.line)):
         print(finding.render(root))
