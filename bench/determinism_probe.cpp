@@ -3,8 +3,12 @@
 //
 // Re-runs the Fig. 12 AllReduce scenario — every GPU configuration, all four
 // backends — and prints each run's completion time and per-rank finish times
-// with full double precision (%.17g). Two knobs perturb execution in ways
-// that must NOT change any printed number:
+// with full double precision (%.17g). A second scenario repeats the sweep
+// with staggered ready times, half the ranks filling their buffers
+// progressively (incremental fill, Sec. IV-C), so the chained fill events and
+// the GPU streams' lazily armed kernel retirements run under the same
+// perturbations. Two knobs perturb execution in ways that must NOT change
+// any printed number:
 //
 //   --tie-shuffle-seed=N   Simulator ties between same-timestamp events are
 //                          broken by a seeded bijective scramble of the
@@ -19,8 +23,8 @@
 //                          differ run to run. Any output change means a
 //                          result depends on addresses or slot numbering.
 //   --trace=PREFIX         Exports a Chrome trace per run to
-//                          PREFIX.<config>.<backend>.json; the harness diffs
-//                          the files byte-for-byte across seeds.
+//                          PREFIX.<scenario>.<config>.<backend>.json; the
+//                          harness diffs the files byte-for-byte across seeds.
 //
 // tools/determinism_check.py drives this binary across >= 5 seeds and fails
 // on any diff.
@@ -96,9 +100,21 @@ std::vector<std::vector<char>> jitter_layout(sim::Simulator& simulator, std::uin
   return ballast;
 }
 
-int run(const Options& opts) {
+/// Staggered scenario: participant i is ready (i % 4 + 1) ms after `now`,
+/// and every other participant produces its chunks progressively from `now`.
+collective::CollectiveOptions staggered_fill(const std::vector<int>& participants, Seconds now) {
+  collective::CollectiveOptions options;
+  for (std::size_t i = 0; i < participants.size(); ++i) {
+    const int rank = participants[i];
+    options.ready_at[rank] = now + milliseconds(static_cast<double>(i % 4 + 1));
+    if (i % 2 == 0) options.fill_start[rank] = now;
+  }
+  return options;
+}
+
+int run_scenario(const Options& opts, const std::string& scenario, bool staggered) {
   const Bytes tensor = megabytes(256);
-  std::printf("determinism_probe scenario=fig12 tensor_bytes=%llu\n",
+  std::printf("determinism_probe scenario=%s tensor_bytes=%llu\n", scenario.c_str(),
               static_cast<unsigned long long>(tensor));
   int config_index = 0;
   for (const auto& config : fig11_configs()) {
@@ -115,7 +131,15 @@ int run(const Options& opts) {
          std::initializer_list<baselines::Backend*>{&adapcc, &nccl, &msccl, &blink}) {
       const bool tracing = !opts.trace_prefix.empty();
       if (tracing) telemetry::enable({});
-      const auto result = backend->run(collective::Primitive::kAllReduce, participants, tensor);
+      collective::CollectiveOptions options;
+      if (staggered) {
+        // Settle set-up first (AdapCC profiles the cluster on first use) so
+        // the stagger starts when the collective does.
+        backend->plan(collective::Primitive::kAllReduce, participants, tensor);
+        options = staggered_fill(participants, world.simulator->now());
+      }
+      const auto result =
+          backend->run(collective::Primitive::kAllReduce, participants, tensor, options);
       std::printf("config=%d backend=%s elapsed=%.17g\n", config_index, backend->name().c_str(),
                   result.elapsed());
       for (const auto& [rank, finish] : result.rank_finish_time) {
@@ -123,8 +147,8 @@ int run(const Options& opts) {
                     backend->name().c_str(), rank, finish);
       }
       if (tracing) {
-        const std::string path = opts.trace_prefix + "." + std::to_string(config_index) + "." +
-                                 backend->name() + ".json";
+        const std::string path = opts.trace_prefix + "." + scenario + "." +
+                                 std::to_string(config_index) + "." + backend->name() + ".json";
         if (!telemetry::export_chrome_trace(*telemetry::get(), path)) {
           std::fprintf(stderr, "failed to write %s\n", path.c_str());
           return 1;
@@ -135,6 +159,13 @@ int run(const Options& opts) {
     ++config_index;
   }
   return 0;
+}
+
+int run(const Options& opts) {
+  if (const int status = run_scenario(opts, "fig12", /*staggered=*/false); status != 0) {
+    return status;
+  }
+  return run_scenario(opts, "staggered-fill", /*staggered=*/true);
 }
 
 }  // namespace

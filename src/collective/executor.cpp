@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <list>
 #include <stdexcept>
 
 #include "collective/behavior.h"
@@ -77,7 +78,7 @@ class Executor::Invocation {
   ~Invocation() {
     // Normal teardown happens via on_idle_ with every event drained; on the
     // abort path (and defensive destruction) pending events capturing `this`
-    // must be disarmed first.
+    // must be disarmed first (streams disarm their own).
     sim_.cancel(watchdog_event_);
     for (const sim::EventId& id : op_events_) sim_.cancel(id);
   }
@@ -117,6 +118,21 @@ class Executor::Invocation {
     telemetry::TrackId tel_track = telemetry::kInvalidTrack;  ///< lazy
   };
 
+  /// Incremental fill (Sec. IV-C) of one active rank's local chunks in one
+  /// sub. Fill times grow with the chunk index, so only the next chunk's
+  /// event is ever pending: each firing arms its successor before
+  /// delivering. The heap holds one event per filling rank and sub, not one
+  /// per chunk.
+  struct FillChain {
+    SubRun* run = nullptr;
+    NodeId node;
+    Seconds begin = 0.0;
+    Seconds end = 0.0;
+    Seconds dead = 0.0;  ///< crash time; +inf when the rank never dies
+    int next_chunk = 0;
+    std::size_t op_slot = 0;  ///< index of the chain's pending event in op_events_
+  };
+
   // --- telemetry ------------------------------------------------------------
 
   telemetry::TrackId sub_track(SubRun& run) {
@@ -140,8 +156,13 @@ class Executor::Invocation {
   telemetry::SpanId begin_send_span(SubRun& run, NodeId from, NodeId to, int chunk, Bytes bytes) {
     auto* t = telemetry::get();
     if (t == nullptr) return 0;
-    t->metrics().counter("executor.bytes_sent").add(static_cast<double>(bytes));
-    t->metrics().counter("executor.chunks_sent").add(1.0);
+    if (tel_epoch_ != telemetry::epoch()) {
+      tel_epoch_ = telemetry::epoch();
+      tel_bytes_sent_ = &t->metrics().counter("executor.bytes_sent");
+      tel_chunks_sent_ = &t->metrics().counter("executor.chunks_sent");
+    }
+    tel_bytes_sent_->add(static_cast<double>(bytes));
+    tel_chunks_sent_->add(1.0);
     return t->trace().begin_span(
         sub_track(run), "send " + topology::to_string(from) + "->" + topology::to_string(to),
         sim_.now(),
@@ -328,39 +349,53 @@ class Executor::Invocation {
         if (fill_it != options_.fill_start.end() && run.chunks > 0) {
           const Seconds end = ready_time(rank);
           const Seconds begin = std::min(std::max(sim_.now(), fill_it->second), end);
-          for (int c = 0; c < run.chunks; ++c) {
-            const Seconds when =
-                begin + (end - begin) * static_cast<double>(c + 1) /
-                            static_cast<double>(run.chunks);
-            // Mid-collective crash: chunks filled after the crash never
-            // appear (the rank contributed a prefix, then died).
-            if (when > dead) continue;
-            schedule_op(when, [this, &run, node = node, rank, c] {
-              on_reduce_input(run, node, c,
-                              ChunkMessage{payload_value(rank, run.index, c), rank_bit(rank)});
-            });
-          }
+          fills_.push_back(FillChain{&run, node, begin, end, dead, 0, op_events_.size()});
+          op_events_.emplace_back();
+          arm_fill(fills_.back());
           continue;
         }
         if (ready_time(rank) > dead) continue;  // crashed before the tensor was ready
-        schedule_op(ready_time(rank), [this, &run, node = node, rank] {
+        op_events_.push_back(schedule_op(ready_time(rank), [this, &run, node = node, rank] {
           for (int c = 0; c < run.chunks; ++c) {
             on_reduce_input(run, node, c,
                             ChunkMessage{payload_value(rank, run.index, c), rank_bit(rank)});
           }
-        });
+          op_done();
+        }));
       }
     } else if (run.broadcast_direction) {
       // Pure broadcast: the root injects its own tensor.
       const NodeId root = run.spec->tree.root;
       const int rank = root.index;
       if (ready_time(rank) > death_time(rank)) return;  // dead root: watchdog territory
-      schedule_op(ready_time(rank), [this, &run, rank] {
+      op_events_.push_back(schedule_op(ready_time(rank), [this, &run, rank] {
         for (int c = 0; c < run.chunks; ++c) {
           inject_broadcast(run, c, ChunkMessage{payload_value(rank, run.index, c), rank_bit(rank)});
         }
-      });
+        op_done();
+      }));
     }
+  }
+
+  /// Schedules the chain's next chunk, unless the rank crashes first.
+  void arm_fill(FillChain& fill) {
+    const int c = fill.next_chunk;
+    const Seconds when = fill.begin + (fill.end - fill.begin) * static_cast<double>(c + 1) /
+                                          static_cast<double>(fill.run->chunks);
+    // Mid-collective crash: chunks filled after the crash never appear (the
+    // rank contributed a prefix, then died). Fill times grow with c, so the
+    // first such chunk ends the chain.
+    if (when > fill.dead) return;
+    op_events_[fill.op_slot] = schedule_op(when, [this, &fill] { on_fill(fill); });
+  }
+
+  void on_fill(FillChain& fill) {
+    const int c = fill.next_chunk++;
+    if (fill.next_chunk < fill.run->chunks) arm_fill(fill);
+    const int rank = fill.node.index;
+    on_reduce_input(*fill.run, fill.node, c,
+                    ChunkMessage{payload_value(rank, fill.run->index, c), rank_bit(rank)});
+    op_done();
   }
 
   void launch_alltoall(SubRun& run) {
@@ -375,11 +410,12 @@ class Executor::Invocation {
       state->limit = run.spec->alltoall_concurrency > 0
                          ? static_cast<std::size_t>(run.spec->alltoall_concurrency)
                          : flows.size();
-      schedule_op(ready_time(src), [this, &run, src = src, state] {
+      op_events_.push_back(schedule_op(ready_time(src), [this, &run, src = src, state] {
         while (state->active < state->limit && state->next < state->flows.size()) {
           start_flow(run, src, state);
         }
-      });
+        op_done();
+      }));
     }
   }
 
@@ -434,25 +470,23 @@ class Executor::Invocation {
       const ChunkMessage combined = acc;
       // Aggregation kernel: only when the behavior tuple demands one.
       if (state.behavior.has_kernel && state.stream != nullptr) {
-        const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
-        const auto kind = cluster_.gpu_kind(node.index);
-        const Seconds duration =
-            topology::kernel_launch_overhead() +
-            static_cast<double>(bytes) * std::max(1, state.inputs_per_chunk - 1) /
-                topology::reduce_kernel_throughput(kind);
         ++pending_ops_;
-        state.stream->enqueue(duration, [this, &run, node, chunk, combined, duration, bytes] {
+        // Capture only what fits InlineCallback's buffer; the telemetry
+        // branch recomputes the kernel's size and duration.
+        state.stream->enqueue(kernel_seconds(run, state, chunk), [this, &run, &state, chunk,
+                                                                  combined] {
           // The stream is serialized, so the kernel ran over the `duration`
           // seconds ending now — recorded post-hoc as a complete span.
           if (auto* t = telemetry::get()) {
+            const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
+            const Seconds duration = kernel_seconds(run, state, chunk);
             t->trace().complete(
-                stream_track(run.nodes.at(node)), "reduce-kernel", sim_.now() - duration,
-                duration,
+                stream_track(state), "reduce-kernel", sim_.now() - duration, duration,
                 telemetry::kv("bytes", static_cast<double>(bytes)) + "," +
                     telemetry::kv("chunk", chunk));
             t->metrics().counter("executor.kernel_seconds").add(duration);
           }
-          emit_reduce_output(run, node, chunk, combined);
+          emit_reduce_output(run, state.id, chunk, combined);
           op_done();
         });
       } else {
@@ -462,6 +496,14 @@ class Executor::Invocation {
       // Pass-through (relay or a_{m,g} = 0): forward immediately.
       emit_reduce_output(run, node, chunk, message);
     }
+  }
+
+  /// Stream time of the aggregation kernel for `chunk` at `state`'s GPU.
+  Seconds kernel_seconds(const SubRun& run, const NodeState& state, int chunk) const {
+    const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
+    return topology::kernel_launch_overhead() +
+           static_cast<double>(bytes) * std::max(1, state.inputs_per_chunk - 1) /
+               topology::reduce_kernel_throughput(cluster_.gpu_kind(state.id.index));
   }
 
   void emit_reduce_output(SubRun& run, NodeId node, int chunk, ChunkMessage message) {
@@ -552,15 +594,12 @@ class Executor::Invocation {
     if (--outstanding_ == 0) finish();
   }
 
-  void schedule_op(Seconds when, std::function<void()> body) {
+  /// Schedules one op of this invocation; `body` ends with op_done(), like
+  /// every channel and stream callback. Callers keep the id in op_events_ so
+  /// an abort can cancel it.
+  sim::EventId schedule_op(Seconds when, sim::InlineCallback body) {
     ++pending_ops_;
-    // Ids are kept so an abort can cancel everything still pending; fired
-    // ids go stale harmlessly (generation tags).
-    op_events_.push_back(
-        sim_.schedule_at(std::max(when, sim_.now()), [this, body = std::move(body)] {
-          body();
-          op_done();
-        }));
+    return sim_.schedule_at(std::max(when, sim_.now()), std::move(body));
   }
 
   void op_done() {
@@ -675,13 +714,21 @@ class Executor::Invocation {
   bool finished_ = false;
   bool aborted_ = false;
   sim::EventId watchdog_event_{};
-  /// Every schedule_op event issued, for cancellation on abort (bounded by
-  /// ranks x chunks per invocation).
+  /// Every schedule_op event issued, for cancellation on abort: one per
+  /// launched rank and sub (a fill chain overwrites its slot as it advances);
+  /// fired ids go stale harmlessly (generation tags).
   std::vector<sim::EventId> op_events_;
+  /// Fill chains; a list so their addresses stay stable for the events and
+  /// an invocation without incremental fill allocates nothing.
+  std::list<FillChain> fills_;
   /// The on_complete_ delivery event has run; only then may on_idle_ (which
   /// destroys the invocation) be scheduled — see finish().
   bool completion_delivered_ = false;
   telemetry::SpanId tel_span_ = 0;  ///< whole-collective span
+  /// Per-send metric handles, resolved once per telemetry epoch.
+  std::uint64_t tel_epoch_ = 0;
+  telemetry::Counter* tel_bytes_sent_ = nullptr;
+  telemetry::Counter* tel_chunks_sent_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

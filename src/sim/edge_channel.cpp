@@ -5,14 +5,14 @@
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
+#include "util/audit.h"
 
 namespace adapcc::sim {
 
 EdgeChannel::EdgeChannel(Simulator& sim, std::vector<FlowLink*> path)
     : sim_(sim),
       path_(std::move(path)),
-      link_busy_(path_.size(), false),
-      active_transfer_(path_.size(), 0),
+      links_(path_.size()),
       alive_(std::make_shared<bool>(true)) {
   if (path_.empty()) throw std::invalid_argument("EdgeChannel: empty path");
   for (const auto* link : path_) {
@@ -32,16 +32,14 @@ void EdgeChannel::abort() {
   aborted_ = true;
   *alive_ = false;
   for (std::size_t i = 0; i < path_.size(); ++i) {
-    if (active_transfer_[i] != 0) {
-      path_[i]->cancel_transfer(active_transfer_[i]);
-      active_transfer_[i] = 0;
-    }
-    link_busy_[i] = false;
+    LinkState& link = links_[i];
+    if (link.active_transfer != 0) path_[i]->cancel_transfer(link.active_transfer);
+    link.active_transfer = 0;
+    link.busy = false;
   }
   // Dropping the queue destroys the undelivered chunks' callbacks (and
   // whatever resources they own) without firing them.
   chunks_.clear();
-  in_flight_ = 0;
 }
 
 Seconds EdgeChannel::path_alpha() const noexcept {
@@ -62,74 +60,93 @@ BytesPerSecond EdgeChannel::path_bandwidth() const noexcept {
   return bw;
 }
 
+bool EdgeChannel::telemetry_ready() {
+  telemetry::Telemetry* t = telemetry::get();
+  if (t == nullptr) return false;
+  if (tel_epoch_ != telemetry::epoch()) {
+    tel_epoch_ = telemetry::epoch();
+    tel_queue_depth_ = &t->metrics().histogram("channel.queue_depth");
+    tel_bytes_enqueued_ = &t->metrics().counter("channel.bytes_enqueued");
+  }
+  return true;
+}
+
 void EdgeChannel::send(Bytes bytes, DeliveryCallback on_delivered) {
   if (aborted_) throw std::logic_error("EdgeChannel: send after abort");
-  if (auto* t = telemetry::get()) {
+  if (telemetry_ready()) {
     // Queueing pressure: how many chunks of this channel are already waiting
     // or in flight when a new one is enqueued (pipeline depth).
-    t->metrics().histogram("channel.queue_depth").observe(static_cast<double>(chunks_.size()));
-    t->metrics().counter("channel.bytes_enqueued").add(static_cast<double>(bytes));
+    tel_queue_depth_->observe(static_cast<double>(chunks_.size()));
+    tel_bytes_enqueued_->add(static_cast<double>(bytes));
   }
-  chunks_.push_back(Chunk{next_chunk_id_++, bytes, std::move(on_delivered), 0, false});
-  ++in_flight_;
+  chunks_.push_back(Chunk{next_chunk_id_++, bytes, std::move(on_delivered), 0});
   try_start(0);
 }
 
+EdgeChannel::Chunk* EdgeChannel::find(std::uint64_t chunk_id) noexcept {
+  // Ids are consecutive from the front: an O(1) index, not a scan.
+  if (chunks_.empty() || chunk_id < chunks_.front().id) return nullptr;
+  const std::uint64_t offset = chunk_id - chunks_.front().id;
+  return offset < chunks_.size() ? &chunks_[static_cast<std::size_t>(offset)] : nullptr;
+}
+
 void EdgeChannel::try_start(std::size_t link_index) {
-  if (link_index >= path_.size() || link_busy_[link_index]) return;
-  // First (oldest) chunk waiting for this link; FIFO order is preserved
-  // because a later chunk can never be further along the path.
-  for (auto& chunk : chunks_) {
-    if (chunk.next_link == link_index && !chunk.on_link) {
-      chunk.on_link = true;
-      link_busy_[link_index] = true;
-      const std::uint64_t id = chunk.id;
-      // Both callbacks carry the liveness guard: after an abort (or channel
-      // destruction) a propagation-tail event already in the simulator fires
-      // harmlessly instead of dereferencing freed channel state.
-      const std::uint64_t transfer_id = path_[link_index]->start_transfer(
-          chunk.bytes,
-          /*on_delivered=*/
-          [guard = alive_, this, link_index, id] {
-            if (!*guard) return;
-            on_link_done(link_index, id);
-          },
-          /*on_served=*/
-          [guard = alive_, this, link_index] {
-            if (!*guard) return;
-            // Capacity released: the next chunk can enter this link while
-            // the current one is still propagating (latency hiding).
-            active_transfer_[link_index] = 0;
-            link_busy_[link_index] = false;
-            try_start(link_index);
-          });
-      // Chunks have non-zero size, so service always completes via a future
-      // event: on_served cannot have fired synchronously above and this
-      // assignment cannot clobber a successor chunk's id. Zero-byte sends
-      // (id 0) are left unrecorded either way.
-      if (transfer_id != 0) active_transfer_[link_index] = transfer_id;
-      return;
-    }
-  }
+  if (link_index >= path_.size() || links_[link_index].busy) return;
+  // Chunks enter each link in send order, so the only candidate is the one
+  // the link's cursor names, and only once it has reached this link (a later
+  // chunk can never be further along the path).
+  LinkState& link = links_[link_index];
+  Chunk* chunk = find(link.next_entry);
+  if (chunk == nullptr || chunk->next_link != link_index) return;
+  ++link.next_entry;
+  link.busy = true;
+  const std::uint64_t id = chunk->id;
+  // Both callbacks carry the liveness guard: after an abort (or channel
+  // destruction) a propagation-tail event already in the simulator fires
+  // harmlessly instead of dereferencing freed channel state.
+  const std::uint64_t transfer_id = path_[link_index]->start_transfer(
+      chunk->bytes,
+      /*on_delivered=*/
+      [guard = alive_, this, link_index, id] {
+        if (!*guard) return;
+        on_link_done(link_index, id);
+      },
+      /*on_served=*/
+      [guard = alive_, this, link_index] {
+        if (!*guard) return;
+        // Capacity released: the next chunk can enter this link while
+        // the current one is still propagating (latency hiding).
+        links_[link_index].active_transfer = 0;
+        links_[link_index].busy = false;
+        try_start(link_index);
+      });
+  // Chunks have non-zero size, so service always completes via a future
+  // event: on_served cannot have fired synchronously above and this
+  // assignment cannot clobber a successor chunk's id. Zero-byte sends
+  // (id 0) are left unrecorded either way.
+  if (transfer_id != 0) link.active_transfer = transfer_id;
 }
 
 void EdgeChannel::on_link_done(std::size_t link_index, std::uint64_t chunk_id) {
-  const auto it = std::find_if(chunks_.begin(), chunks_.end(),
-                               [chunk_id](const Chunk& c) { return c.id == chunk_id; });
-  if (it == chunks_.end()) throw std::logic_error("EdgeChannel: unknown chunk completed");
-  it->next_link = link_index + 1;
-  it->on_link = false;
+  Chunk* chunk = find(chunk_id);
+  if (chunk == nullptr) throw std::logic_error("EdgeChannel: unknown chunk completed");
+  chunk->next_link = link_index + 1;
 
-  if (it->next_link == path_.size()) {
-    // Fully delivered; must be the front chunk by the FIFO invariant.
-    DeliveryCallback callback = std::move(it->on_delivered);
-    bytes_sent_ += it->bytes;
-    chunks_.erase(it);
-    --in_flight_;
+  if (chunk->next_link == path_.size()) {
+    // Fully delivered. The last link serializes the chunks and delivers them
+    // in service order, so this is the front chunk — which is what keeps the
+    // remaining ids consecutive from the front.
+    ADAPCC_AUDIT_CHECK("edge_channel", chunk == &chunks_.front(),
+                       "chunk " << chunk_id << " delivered ahead of chunk "
+                                << chunks_.front().id);
+    DeliveryCallback callback = std::move(chunk->on_delivered);
+    bytes_sent_ += chunk->bytes;
+    chunks_.pop_front();
+    // The callback may destroy this channel: touch no member after it.
     if (callback) callback();
     return;
   }
-  try_start(it->next_link);  // this chunk may enter the next link
+  try_start(chunk->next_link);  // this chunk may enter the next link
 }
 
 }  // namespace adapcc::sim

@@ -15,15 +15,22 @@
 //
 // Bandwidth contention *between* channels is handled by the underlying
 // FlowLinks' processor sharing; a channel only serializes its own chunks.
+//
+// Because chunks enter every link in send order and leave the channel only
+// from the front, chunk bookkeeping is O(1): a chunk sits at deque index
+// `id - front.id`, and each link keeps a cursor naming the next chunk id to
+// enter it (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "sim/flow_link.h"
 #include "sim/simulator.h"
+#include "telemetry/fwd.h"
 #include "util/units.h"
 
 namespace adapcc::sim {
@@ -45,7 +52,7 @@ class EdgeChannel {
   /// Chunks are delivered in the order they were sent.
   void send(Bytes bytes, DeliveryCallback on_delivered);
 
-  std::size_t chunks_in_flight() const noexcept { return in_flight_; }
+  std::size_t chunks_in_flight() const noexcept { return chunks_.size(); }
   Bytes bytes_sent() const noexcept { return bytes_sent_; }
 
   /// Abort path (chaos/watchdog recovery): cancels the in-service transfer
@@ -66,33 +73,49 @@ class EdgeChannel {
     std::uint64_t id;
     Bytes bytes;
     DeliveryCallback on_delivered;
-    /// Index of the link this chunk will occupy (or occupies) next.
+    /// Index of the link this chunk occupies or waits for; path size once
+    /// it has left the last one.
     std::size_t next_link = 0;
-    /// True while the chunk is being transferred on `next_link`.
-    bool on_link = false;
   };
 
+  /// This channel's state on one link of its path.
+  struct LinkState {
+    /// Id of the next chunk to enter the link. Every earlier chunk has
+    /// already entered it, so this is the only chunk try_start checks.
+    std::uint64_t next_entry = 1;
+    /// FlowLink transfer id of the chunk in service (0 when idle) — what
+    /// abort() hands to FlowLink::cancel_transfer.
+    std::uint64_t active_transfer = 0;
+    /// Is a chunk of this channel currently on the link?
+    bool busy = false;
+  };
+
+  /// The undelivered chunk with this id, or nullptr.
+  Chunk* find(std::uint64_t chunk_id) noexcept;
   void try_start(std::size_t link_index);
   void on_link_done(std::size_t link_index, std::uint64_t chunk_id);
+  /// Re-resolves the cached metric handles when the telemetry epoch changed;
+  /// false when telemetry is disabled (same scheme as FlowLink).
+  bool telemetry_ready();
 
   Simulator& sim_;
   std::vector<FlowLink*> path_;
-  /// Chunks not yet delivered, in send order. Front chunks are further
-  /// along the path.
+  /// Chunks not yet delivered, in send order with consecutive ids. Front
+  /// chunks are further along the path.
   std::deque<Chunk> chunks_;
-  /// Per link: is a chunk of this channel currently on it?
-  std::vector<bool> link_busy_;
-  /// Per link: FlowLink transfer id of the chunk currently in service (0
-  /// when idle) — what abort() hands to FlowLink::cancel_transfer.
-  std::vector<std::uint64_t> active_transfer_;
+  /// Indexed like path_.
+  std::vector<LinkState> links_;
   /// Shared liveness flag captured by every callback handed to the links.
   /// Service/propagation events that outlive an abort (or the channel
   /// itself) check it and fall through instead of touching freed state.
   std::shared_ptr<bool> alive_;
   bool aborted_ = false;
-  std::size_t in_flight_ = 0;
   std::uint64_t next_chunk_id_ = 1;
   Bytes bytes_sent_ = 0;
+
+  std::uint64_t tel_epoch_ = 0;
+  telemetry::Histogram* tel_queue_depth_ = nullptr;
+  telemetry::Counter* tel_bytes_enqueued_ = nullptr;
 };
 
 }  // namespace adapcc::sim

@@ -504,6 +504,46 @@ TEST_F(ExecutorTest, RejectsConcurrentInvocations) {
   sim_->run();
 }
 
+TEST_F(ExecutorTest, IncrementalFillKeepsOnePendingEventPerRankAndSub) {
+  // Filling ranks release their chunks through one chained event each, so
+  // the heap right after start holds one event per rank and sub (plus
+  // slack for a watchdog), not one per chunk.
+  build({topology::a100_server("s0")});
+  std::vector<Tree> trees{
+      chain_tree({NodeId::gpu(1), NodeId::gpu(2), NodeId::gpu(3), NodeId::gpu(0)}),
+      chain_tree({NodeId::gpu(3), NodeId::gpu(0), NodeId::gpu(1), NodeId::gpu(2)})};
+  Strategy strategy = collective::multi_tree_strategy(Primitive::kAllReduce, {0, 1, 2, 3},
+                                                      std::move(trees), 1_MiB);
+  CollectiveOptions options;
+  for (const int rank : {0, 1, 2, 3}) {
+    options.fill_start[rank] = 0.0;
+    options.ready_at[rank] = milliseconds(rank + 1);
+  }
+  Executor executor(*cluster_, strategy);
+  CollectiveResult result;
+  bool done = false;
+  executor.start(128_MiB, options, [&](const CollectiveResult& r) {
+    result = r;
+    done = true;
+  });
+  EXPECT_LE(sim_->pending_events(), 4u * 2u + 1u);
+  sim_->run();
+  ASSERT_TRUE(done);
+  for (const int rank : {0, 1, 2, 3}) {
+    const auto& per_sub = result.delivered.at(rank);
+    ASSERT_EQ(per_sub.size(), 2u);
+    for (int s = 0; s < 2; ++s) {
+      const auto& chunks = per_sub[static_cast<std::size_t>(s)];
+      ASSERT_EQ(chunks.size(), 64u);  // 64 MiB per sub / 1 MiB
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        EXPECT_DOUBLE_EQ(chunks[c], expected_sum({0, 1, 2, 3}, s, static_cast<int>(c)));
+      }
+    }
+  }
+  // The last chunk of the slowest rank is ready at 4 ms.
+  EXPECT_GT(result.finished, milliseconds(4));
+}
+
 TEST_F(ExecutorTest, ResultsInvariantUnderTieShuffle) {
   // Regression pin for a use-after-free: the completion callback and the
   // invocation-destroying idle event land at the same timestamp, and a

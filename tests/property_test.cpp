@@ -364,14 +364,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty, ::testing::Range(1, 17))
 // EdgeChannel FIFO + byte conservation under random chunk streams.
 // ---------------------------------------------------------------------------
 
-class EdgeChannelProperty : public ::testing::TestWithParam<int /*seed*/> {};
+struct ChannelCase {
+  int seed;
+  int links;  ///< path length
+};
+
+// Two-link cases print as their seed alone, the names they had before the
+// path length became a parameter.
+void PrintTo(const ChannelCase& c, std::ostream* os) {
+  *os << c.seed;
+  if (c.links != 2) *os << "_" << c.links << "links";
+}
+
+std::vector<ChannelCase> channel_cases() {
+  std::vector<ChannelCase> cases;
+  for (const int links : {2, 3}) {
+    for (int seed = 1; seed <= 16; ++seed) cases.push_back({seed, links});
+  }
+  return cases;
+}
+
+class EdgeChannelProperty : public ::testing::TestWithParam<ChannelCase> {};
 
 TEST_P(EdgeChannelProperty, FifoAndConservation) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271828);
+  util::Rng rng(static_cast<std::uint64_t>(GetParam().seed) * 271828);
   sim::Simulator sim;
-  sim::FlowLink a(sim, "a", microseconds(rng.uniform(1, 20)), gbps(rng.uniform(10, 200)));
-  sim::FlowLink b(sim, "b", microseconds(rng.uniform(1, 20)), gbps(rng.uniform(10, 200)));
-  sim::EdgeChannel channel(sim, {&a, &b});
+  std::vector<std::unique_ptr<sim::FlowLink>> links;
+  std::vector<sim::FlowLink*> path;
+  for (int l = 0; l < GetParam().links; ++l) {
+    const Seconds alpha = microseconds(rng.uniform(1, 20));
+    links.push_back(std::make_unique<sim::FlowLink>(sim, std::string(1, static_cast<char>('a' + l)),
+                                                    alpha, gbps(rng.uniform(10, 200))));
+    path.push_back(links.back().get());
+  }
+  sim::EdgeChannel channel(sim, path);
   const int chunks = static_cast<int>(rng.uniform_int(1, 64));
   Bytes total = 0;
   std::vector<int> order;
@@ -384,12 +410,11 @@ TEST_P(EdgeChannelProperty, FifoAndConservation) {
   ASSERT_EQ(order.size(), static_cast<std::size_t>(chunks));
   for (int c = 0; c < chunks; ++c) EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
   EXPECT_EQ(channel.bytes_sent(), total);
-  EXPECT_EQ(a.bytes_delivered(), total);
-  EXPECT_EQ(b.bytes_delivered(), total);
+  for (const auto& link : links) EXPECT_EQ(link->bytes_delivered(), total) << link->name();
   EXPECT_EQ(channel.chunks_in_flight(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EdgeChannelProperty, ::testing::Range(1, 17));
+INSTANTIATE_TEST_SUITE_P(Seeds, EdgeChannelProperty, ::testing::ValuesIn(channel_cases()));
 
 // ---------------------------------------------------------------------------
 // Ski-rental bound over a parameter grid.

@@ -295,8 +295,6 @@ TEST(FlowLinkTest, BusyTimeTracksActivity) {
   EXPECT_NEAR(link.busy_time(), 0.1, 1e-9);
 }
 
-// --- GpuStream --------------------------------------------------------------
-
 TEST(FlowLinkTest, DueTransferCompletesDespiteClampWindowPokes) {
   // Regression pin, found by the ADAPCC_AUDIT byte-conservation checks: a
   // completion whose exact ETA underflows the kMinEta floor fires up to one
@@ -321,6 +319,8 @@ TEST(FlowLinkTest, DueTransferCompletesDespiteClampWindowPokes) {
   EXPECT_EQ(link.bytes_delivered(), 1000u);
 }
 
+// --- GpuStream --------------------------------------------------------------
+
 TEST(GpuStreamTest, OperationsSerialize) {
   Simulator sim;
   GpuStream stream(sim);
@@ -343,6 +343,49 @@ TEST(GpuStreamTest, IdleStreamStartsOpsImmediately) {
   stream.enqueue(0.5, [&] { done = sim.now(); });
   sim.run();
   EXPECT_DOUBLE_EQ(done, 1.5);
+}
+
+TEST(GpuStreamTest, KeepsOnePendingEvent) {
+  // Only the oldest unretired op holds a simulator event; the rest retire
+  // on the same busy_until chain as if each had been scheduled at enqueue.
+  Simulator sim;
+  GpuStream stream(sim);
+  constexpr int kOps = 32;
+  std::vector<Seconds> expected;
+  std::vector<Seconds> completions;
+  for (int k = 0; k < kOps; ++k) {
+    const Seconds duration = 0.25 * (1 + k % 3);
+    stream.enqueue(duration, [&] { completions.push_back(sim.now()); });
+    expected.push_back(stream.busy_until());
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  while (sim.step()) {
+    EXPECT_LE(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(completions, expected);
+  EXPECT_DOUBLE_EQ(stream.total_busy(), expected.back());
+  EXPECT_TRUE(stream.idle());
+}
+
+TEST(GpuStreamTest, CancelPendingDropsQueuedOps) {
+  Simulator sim;
+  GpuStream stream(sim);
+  int fired = 0;
+  for (int k = 0; k < 8; ++k) stream.enqueue(1.0, [&] { ++fired; });
+  sim.run_until(2.5);  // two ops retired, the third is in service
+  ASSERT_EQ(fired, 2);
+  EXPECT_EQ(sim.pending_events(), 1u);  // only the third op's retirement is armed
+  stream.cancel_pending();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_DOUBLE_EQ(stream.busy_until(), 2.5);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  // A drained stream starts the next op at now, not at the abandoned tail.
+  Seconds done = -1;
+  stream.enqueue(0.5, [&] { done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(done, 3.0);
 }
 
 // --- EdgeChannel ------------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Simulated-time determinism/race checker.
 
-Runs bench/determinism_probe (the Fig. 12 AllReduce scenario) once as the
+Runs bench/determinism_probe (the Fig. 12 AllReduce scenario, then the same
+sweep with staggered ready times and incremental buffer fill) once as the
 FIFO baseline and again under N shuffled tie-breaking seeds combined with
 randomized memory layout, then diffs every run's stdout — completion times
 and per-rank finish times printed at full double precision — and, when
