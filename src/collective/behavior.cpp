@@ -82,7 +82,7 @@ void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
     for (const NodeId child : tree.children_of(node)) {
       if (active_in_subtree(tree, child, active_ranks) > 0) ++active_precedents;
     }
-    const char* where = node.is_gpu() ? "gpu" : "nic";
+    [[maybe_unused]] const char* where = node.is_gpu() ? "gpu" : "nic";
     // isActive is a pure function of the active set — relays and NICs never
     // claim activity.
     ADAPCC_AUDIT_CHECK("comm_graph",

@@ -86,17 +86,34 @@ class Executor::Invocation {
   bool idle() const noexcept { return pending_ops_ == 0; }
 
  private:
+  struct SubRun;
+
+  /// One tree node of one sub. Per-chunk callbacks capture a NodeState*
+  /// alone (its sub, parent and children are linked here), which keeps every
+  /// capture inside InlineCallback's buffer and the hop free of map lookups.
   struct NodeState {
     NodeId id;
+    SubRun* run = nullptr;
     BehaviorTuple behavior;
     bool accumulates = false;  ///< gathers all inputs before forwarding
     int inputs_per_chunk = 0;  ///< reduce-direction messages expected per chunk
     std::vector<int> received;
     std::vector<ChunkMessage> acc;
     sim::EdgeChannel* up = nullptr;  ///< toward parent (reduce direction)
-    std::vector<std::pair<NodeId, sim::EdgeChannel*>> down;  ///< per child
+    NodeState* parent = nullptr;     ///< receiver of `up`; set with it
+    std::vector<std::pair<NodeState*, sim::EdgeChannel*>> down;  ///< per child
     sim::GpuStream* stream = nullptr;
     telemetry::TrackId tel_stream_track = telemetry::kInvalidTrack;  ///< lazy
+  };
+
+  struct FlowState;
+
+  /// One AllToAll source's flows in send order, at most `limit` in flight.
+  struct SourceQueue {
+    std::vector<FlowState*> flows;
+    std::size_t next = 0;
+    std::size_t active = 0;
+    std::size_t limit = 0;
   };
 
   struct FlowState {
@@ -104,6 +121,8 @@ class Executor::Invocation {
     std::unique_ptr<sim::EdgeChannel> channel;
     Bytes bytes = 0;
     int chunks = 0;
+    int remaining = 0;             ///< chunks not yet delivered once started
+    SourceQueue* queue = nullptr;  ///< the source's queue; set at launch
   };
 
   struct SubRun {
@@ -111,7 +130,8 @@ class Executor::Invocation {
     const SubCollective* spec = nullptr;
     Bytes bytes = 0;  ///< S_m
     int chunks = 0;   ///< number of pipelined chunks
-    std::map<NodeId, NodeState> nodes;
+    std::map<NodeId, NodeState> nodes;  ///< node addresses are stable
+    NodeState* root = nullptr;          ///< nodes[spec->tree.root]
     std::vector<FlowState> flows;
     bool reduce_direction = false;     ///< Reduce / AllReduce / ReduceScatter
     bool broadcast_direction = false;  ///< Broadcast / AllReduce / AllGather
@@ -124,8 +144,7 @@ class Executor::Invocation {
   /// delivering. The heap holds one event per filling rank and sub, not one
   /// per chunk.
   struct FillChain {
-    SubRun* run = nullptr;
-    NodeId node;
+    NodeState* node = nullptr;
     Seconds begin = 0.0;
     Seconds end = 0.0;
     Seconds dead = 0.0;  ///< crash time; +inf when the rank never dies
@@ -215,6 +234,7 @@ class Executor::Invocation {
     for (const NodeId node : tree.nodes()) {
       NodeState state;
       state.id = node;
+      state.run = &run;
       state.behavior = derive_behavior(*run.spec, strategy_.primitive, node,
                                        options_.active_ranks);
       state.accumulates = state.behavior.has_kernel || node == tree.root;
@@ -226,6 +246,7 @@ class Executor::Invocation {
       }
       run.nodes.emplace(node, std::move(state));
     }
+    run.root = &run.nodes.at(tree.root);
     // inputs_per_chunk via post-order recursion.
     compute_inputs(run, tree.root);
     // Channels.
@@ -237,13 +258,14 @@ class Executor::Invocation {
           channels_.push_back(
               std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(node, parent)));
           state.up = channels_.back().get();
+          state.parent = &run.nodes.at(parent);
         }
       }
       if (run.broadcast_direction) {
         for (const NodeId child : tree.children_of(node)) {
           channels_.push_back(
               std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(node, child)));
-          state.down.emplace_back(child, channels_.back().get());
+          state.down.emplace_back(&run.nodes.at(child), channels_.back().get());
         }
       }
     }
@@ -349,16 +371,17 @@ class Executor::Invocation {
         if (fill_it != options_.fill_start.end() && run.chunks > 0) {
           const Seconds end = ready_time(rank);
           const Seconds begin = std::min(std::max(sim_.now(), fill_it->second), end);
-          fills_.push_back(FillChain{&run, node, begin, end, dead, 0, op_events_.size()});
+          fills_.push_back(FillChain{&state, begin, end, dead, 0, op_events_.size()});
           op_events_.emplace_back();
           arm_fill(fills_.back());
           continue;
         }
         if (ready_time(rank) > dead) continue;  // crashed before the tensor was ready
-        op_events_.push_back(schedule_op(ready_time(rank), [this, &run, node = node, rank] {
-          for (int c = 0; c < run.chunks; ++c) {
-            on_reduce_input(run, node, c,
-                            ChunkMessage{payload_value(rank, run.index, c), rank_bit(rank)});
+        op_events_.push_back(schedule_op(ready_time(rank), [this, &state = state, rank] {
+          const SubRun& sub = *state.run;
+          for (int c = 0; c < sub.chunks; ++c) {
+            on_reduce_input(state, c,
+                            ChunkMessage{payload_value(rank, sub.index, c), rank_bit(rank)});
           }
           op_done();
         }));
@@ -381,20 +404,23 @@ class Executor::Invocation {
   void arm_fill(FillChain& fill) {
     const int c = fill.next_chunk;
     const Seconds when = fill.begin + (fill.end - fill.begin) * static_cast<double>(c + 1) /
-                                          static_cast<double>(fill.run->chunks);
+                                          static_cast<double>(fill.node->run->chunks);
     // Mid-collective crash: chunks filled after the crash never appear (the
     // rank contributed a prefix, then died). Fill times grow with c, so the
     // first such chunk ends the chain.
     if (when > fill.dead) return;
-    op_events_[fill.op_slot] = schedule_op(when, [this, &fill] { on_fill(fill); });
+    auto fire = [this, &fill] { on_fill(fill); };
+    static_assert(sim::InlineCallback::stores_inline<decltype(fire)>());
+    op_events_[fill.op_slot] = schedule_op(when, fire);
   }
 
   void on_fill(FillChain& fill) {
+    NodeState& state = *fill.node;
     const int c = fill.next_chunk++;
-    if (fill.next_chunk < fill.run->chunks) arm_fill(fill);
-    const int rank = fill.node.index;
-    on_reduce_input(*fill.run, fill.node, c,
-                    ChunkMessage{payload_value(rank, fill.run->index, c), rank_bit(rank)});
+    if (fill.next_chunk < state.run->chunks) arm_fill(fill);
+    const int rank = state.id.index;
+    on_reduce_input(state, c,
+                    ChunkMessage{payload_value(rank, state.run->index, c), rank_bit(rank)});
     op_done();
   }
 
@@ -405,63 +431,61 @@ class Executor::Invocation {
     for (auto& flow : run.flows) by_source[flow.route->src.index].push_back(&flow);
     for (auto& [src, flows] : by_source) {
       if (ready_time(src) > death_time(src)) continue;  // crashed source sends nothing
-      auto state = std::make_shared<SourceQueue>();
-      state->flows = flows;
-      state->limit = run.spec->alltoall_concurrency > 0
-                         ? static_cast<std::size_t>(run.spec->alltoall_concurrency)
-                         : flows.size();
-      op_events_.push_back(schedule_op(ready_time(src), [this, &run, src = src, state] {
-        while (state->active < state->limit && state->next < state->flows.size()) {
-          start_flow(run, src, state);
-        }
+      SourceQueue& queue = queues_.emplace_back();
+      queue.flows = flows;
+      queue.limit = run.spec->alltoall_concurrency > 0
+                        ? static_cast<std::size_t>(run.spec->alltoall_concurrency)
+                        : flows.size();
+      for (FlowState* flow : flows) flow->queue = &queue;
+      op_events_.push_back(schedule_op(ready_time(src), [this, &run, &queue] {
+        start_flows(run, queue);
         op_done();
       }));
     }
   }
 
-  struct SourceQueue {
-    std::vector<FlowState*> flows;
-    std::size_t next = 0;
-    std::size_t active = 0;
-    std::size_t limit = 0;
-  };
+  /// Starts the source's next flows while it is below its concurrency bound.
+  void start_flows(SubRun& run, SourceQueue& queue) {
+    while (queue.active < queue.limit && queue.next < queue.flows.size()) {
+      FlowState& flow = *queue.flows[queue.next++];
+      if (flow.chunks > 0) start_flow(run, flow);  // zero chunks: degenerate tensor
+    }
+  }
 
-  void start_flow(SubRun& run, int src, const std::shared_ptr<SourceQueue>& state) {
-    FlowState& flow = *state->flows[state->next++];
-    if (flow.chunks == 0) return;  // nothing to send (degenerate tensor)
-    ++state->active;
+  void start_flow(SubRun& run, FlowState& flow) {
+    ++flow.queue->active;
+    flow.remaining = flow.chunks;
+    const int src = flow.route->src.index;
     const int dst = flow.route->dst.index;
-    auto remaining = std::make_shared<int>(flow.chunks);
     for (int c = 0; c < flow.chunks; ++c) {
       const Bytes bytes = bytes_of_chunk(flow.bytes, run.spec->chunk_bytes, c);
       const double value = alltoall_value(src, dst, run.index, c);
       const telemetry::SpanId span =
           begin_send_span(run, flow.route->src, flow.route->dst, c, bytes);
       ++pending_ops_;
-      flow.channel->send(bytes, [this, &run, src, dst, c, value, remaining, state, span] {
+      auto on_delivered = [this, &run, &flow, c, value, span] {
         end_send_span(span);
-        result_.alltoall_received[dst][src].resize(
-            std::max<std::size_t>(result_.alltoall_received[dst][src].size(),
-                                  static_cast<std::size_t>(c) + 1),
-            std::numeric_limits<double>::quiet_NaN());
-        result_.alltoall_received[dst][src][static_cast<std::size_t>(c)] = value;
-        note_rank_activity(dst);
+        auto& received =
+            result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
+        received.resize(std::max<std::size_t>(received.size(), static_cast<std::size_t>(c) + 1),
+                        std::numeric_limits<double>::quiet_NaN());
+        received[static_cast<std::size_t>(c)] = value;
+        note_rank_activity(flow.route->dst.index);
         complete_deliverable();
-        if (--*remaining == 0) {
-          --state->active;
-          while (state->active < state->limit && state->next < state->flows.size()) {
-            start_flow(run, src, state);
-          }
+        if (--flow.remaining == 0) {
+          --flow.queue->active;
+          start_flows(run, *flow.queue);
         }
         op_done();
-      });
+      };
+      static_assert(sim::InlineCallback::stores_inline<decltype(on_delivered)>());
+      flow.channel->send(bytes, on_delivered);
     }
   }
 
   // --- reduce direction -----------------------------------------------------
 
-  void on_reduce_input(SubRun& run, NodeId node, int chunk, ChunkMessage message) {
-    NodeState& state = run.nodes.at(node);
+  void on_reduce_input(NodeState& state, int chunk, ChunkMessage message) {
     if (state.accumulates) {
       auto& acc = state.acc[static_cast<std::size_t>(chunk)];
       acc.value += message.value;
@@ -471,57 +495,65 @@ class Executor::Invocation {
       // Aggregation kernel: only when the behavior tuple demands one.
       if (state.behavior.has_kernel && state.stream != nullptr) {
         ++pending_ops_;
-        // Capture only what fits InlineCallback's buffer; the telemetry
-        // branch recomputes the kernel's size and duration.
-        state.stream->enqueue(kernel_seconds(run, state, chunk), [this, &run, &state, chunk,
-                                                                  combined] {
+        // The telemetry branch recomputes the kernel's size and duration
+        // rather than capturing them.
+        auto on_retired = [this, &state, chunk, combined] {
           // The stream is serialized, so the kernel ran over the `duration`
           // seconds ending now — recorded post-hoc as a complete span.
           if (auto* t = telemetry::get()) {
+            const SubRun& run = *state.run;
             const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
-            const Seconds duration = kernel_seconds(run, state, chunk);
+            const Seconds duration = kernel_seconds(state, chunk);
             t->trace().complete(
                 stream_track(state), "reduce-kernel", sim_.now() - duration, duration,
                 telemetry::kv("bytes", static_cast<double>(bytes)) + "," +
                     telemetry::kv("chunk", chunk));
-            t->metrics().counter("executor.kernel_seconds").add(duration);
+            if (tel_kernel_epoch_ != telemetry::epoch()) {
+              tel_kernel_epoch_ = telemetry::epoch();
+              tel_kernel_seconds_ = &t->metrics().counter("executor.kernel_seconds");
+            }
+            tel_kernel_seconds_->add(duration);
           }
-          emit_reduce_output(run, state.id, chunk, combined);
+          emit_reduce_output(state, chunk, combined);
           op_done();
-        });
+        };
+        static_assert(sim::InlineCallback::stores_inline<decltype(on_retired)>());
+        state.stream->enqueue(kernel_seconds(state, chunk), on_retired);
       } else {
-        emit_reduce_output(run, node, chunk, combined);
+        emit_reduce_output(state, chunk, combined);
       }
     } else {
       // Pass-through (relay or a_{m,g} = 0): forward immediately.
-      emit_reduce_output(run, node, chunk, message);
+      emit_reduce_output(state, chunk, message);
     }
   }
 
   /// Stream time of the aggregation kernel for `chunk` at `state`'s GPU.
-  Seconds kernel_seconds(const SubRun& run, const NodeState& state, int chunk) const {
-    const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
+  Seconds kernel_seconds(const NodeState& state, int chunk) const {
+    const Bytes bytes = bytes_of_chunk(state.run->bytes, state.run->spec->chunk_bytes, chunk);
     return topology::kernel_launch_overhead() +
            static_cast<double>(bytes) * std::max(1, state.inputs_per_chunk - 1) /
                topology::reduce_kernel_throughput(cluster_.gpu_kind(state.id.index));
   }
 
-  void emit_reduce_output(SubRun& run, NodeId node, int chunk, ChunkMessage message) {
-    NodeState& state = run.nodes.at(node);
-    if (node == run.spec->tree.root) {
+  void emit_reduce_output(NodeState& state, int chunk, ChunkMessage message) {
+    SubRun& run = *state.run;
+    if (&state == run.root) {
       on_root_chunk(run, chunk, message);
       return;
     }
     if (state.up == nullptr) return;  // behavior says no send
-    const NodeId parent = run.spec->tree.parent.at(node);
+    NodeState* parent = state.parent;
     const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
-    const telemetry::SpanId span = begin_send_span(run, node, parent, chunk, bytes);
+    const telemetry::SpanId span = begin_send_span(run, state.id, parent->id, chunk, bytes);
     ++pending_ops_;
-    state.up->send(bytes, [this, &run, parent, chunk, message, span] {
+    auto on_delivered = [this, parent, chunk, message, span] {
       end_send_span(span);
-      on_reduce_input(run, parent, chunk, message);
+      on_reduce_input(*parent, chunk, message);
       op_done();
-    });
+    };
+    static_assert(sim::InlineCallback::stores_inline<decltype(on_delivered)>());
+    state.up->send(bytes, on_delivered);
   }
 
   void on_root_chunk(SubRun& run, int chunk, ChunkMessage message) {
@@ -545,37 +577,39 @@ class Executor::Invocation {
   // --- broadcast direction ----------------------------------------------------
 
   void inject_broadcast(SubRun& run, int chunk, ChunkMessage message) {
-    forward_broadcast(run, run.spec->tree.root, chunk, message);
+    forward_broadcast(*run.root, chunk, message);
     if (strategy_.primitive == Primitive::kBroadcast ||
         strategy_.primitive == Primitive::kAllGather) {
-      const NodeId root = run.spec->tree.root;
-      record_delivery(run, root.index, chunk, message);
+      record_delivery(run, run.root->id.index, chunk, message);
     }
   }
 
-  void forward_broadcast(SubRun& run, NodeId node, int chunk, ChunkMessage message) {
-    NodeState& state = run.nodes.at(node);
+  void forward_broadcast(NodeState& state, int chunk, ChunkMessage message) {
+    SubRun& run = *state.run;
     const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
     for (auto& [child, channel] : state.down) {
-      const telemetry::SpanId span = begin_send_span(run, node, child, chunk, bytes);
+      const telemetry::SpanId span = begin_send_span(run, state.id, child->id, chunk, bytes);
       ++pending_ops_;
-      channel->send(bytes, [this, &run, child = child, chunk, message, span] {
+      auto on_delivered = [this, child = child, chunk, message, span] {
         end_send_span(span);
-        on_broadcast_arrival(run, child, chunk, message);
+        on_broadcast_arrival(*child, chunk, message);
         op_done();
-      });
+      };
+      static_assert(sim::InlineCallback::stores_inline<decltype(on_delivered)>());
+      channel->send(bytes, on_delivered);
     }
   }
 
-  void on_broadcast_arrival(SubRun& run, NodeId node, int chunk, ChunkMessage message) {
+  void on_broadcast_arrival(NodeState& state, int chunk, ChunkMessage message) {
+    const NodeId node = state.id;
     if (node.is_gpu()) {
-      record_delivery(run, node.index, chunk, message);
+      record_delivery(*state.run, node.index, chunk, message);
       if (options_.active_ranks.contains(node.index)) {
         note_rank_activity(node.index);
         complete_deliverable();
       }
     }
-    forward_broadcast(run, node, chunk, message);
+    forward_broadcast(state, chunk, message);
   }
 
   // --- bookkeeping -----------------------------------------------------------
@@ -721,6 +755,8 @@ class Executor::Invocation {
   /// Fill chains; a list so their addresses stay stable for the events and
   /// an invocation without incremental fill allocates nothing.
   std::list<FillChain> fills_;
+  /// AllToAll source queues, stable for the same reason.
+  std::list<SourceQueue> queues_;
   /// The on_complete_ delivery event has run; only then may on_idle_ (which
   /// destroys the invocation) be scheduled — see finish().
   bool completion_delivered_ = false;
@@ -729,6 +765,10 @@ class Executor::Invocation {
   std::uint64_t tel_epoch_ = 0;
   telemetry::Counter* tel_bytes_sent_ = nullptr;
   telemetry::Counter* tel_chunks_sent_ = nullptr;
+  /// Per-kernel handle, resolved on the first kernel of each epoch (an
+  /// invocation without kernels registers no kernel_seconds counter).
+  std::uint64_t tel_kernel_epoch_ = 0;
+  telemetry::Counter* tel_kernel_seconds_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -738,15 +778,23 @@ class Executor::Invocation {
 Executor::Executor(topology::Cluster& cluster, Strategy strategy)
     : cluster_(cluster), strategy_(std::move(strategy)) {}
 
-Executor::~Executor() { *alive_ = false; }
+Executor::~Executor() {
+  // An idle executor touches nothing: its token was retired with its last
+  // invocation, so it may outlive the simulator like a plain value.
+  if (invocation_ != nullptr) cluster_.simulator().retire_owner(owner_);
+}
 
 void Executor::start(Bytes tensor_bytes, CollectiveOptions options,
                      std::function<void(const CollectiveResult&)> on_complete) {
   if (invocation_ != nullptr) throw std::logic_error("Executor: invocation already in flight");
+  sim::Simulator& sim = cluster_.simulator();
+  owner_ = sim.acquire_owner();
   invocation_ = std::make_unique<Invocation>(
       cluster_, strategy_, tensor_bytes, std::move(options), std::move(on_complete),
-      /*on_idle=*/[this, alive = alive_] {
-        if (*alive) invocation_.reset();
+      /*on_idle=*/[this, sim = &sim, owner = owner_] {
+        if (!sim->owner_alive(owner)) return;
+        sim->retire_owner(owner);
+        invocation_.reset();
       });
   invocation_->start();
 }

@@ -23,6 +23,7 @@
 #include "collective/behavior.h"
 #include "collective/comm_graph.h"
 #include "collective/payload.h"
+#include "sim/simulator.h"
 #include "topology/cluster.h"
 #include "util/units.h"
 
@@ -133,9 +134,10 @@ class Executor {
   topology::Cluster& cluster_;
   Strategy strategy_;
   std::unique_ptr<Invocation> invocation_;
-  /// Guards the idle-cleanup event scheduled on the simulator: if the
+  /// Guards the idle-cleanup event of the current invocation: if the
   /// executor is destroyed first, the pending event must become a no-op.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Acquired by start(), retired when the invocation is torn down.
+  sim::OwnerToken owner_;
 };
 
 }  // namespace adapcc::collective

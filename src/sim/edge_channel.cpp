@@ -1,7 +1,6 @@
 #include "sim/edge_channel.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
@@ -10,27 +9,25 @@
 namespace adapcc::sim {
 
 EdgeChannel::EdgeChannel(Simulator& sim, std::vector<FlowLink*> path)
-    : sim_(sim),
-      path_(std::move(path)),
-      links_(path_.size()),
-      alive_(std::make_shared<bool>(true)) {
+    : sim_(sim), path_(std::move(path)), links_(path_.size()) {
   if (path_.empty()) throw std::invalid_argument("EdgeChannel: empty path");
   for (const auto* link : path_) {
     if (link == nullptr) throw std::invalid_argument("EdgeChannel: null link in path");
   }
+  owner_ = sim_.acquire_owner();
 }
 
 EdgeChannel::~EdgeChannel() {
   // Disarm any propagation-tail events still scheduled against this channel
   // (delivery callbacks fire alpha after the service phase ends and may
   // outlive the channel on the abort path).
-  *alive_ = false;
+  sim_.retire_owner(owner_);
 }
 
 void EdgeChannel::abort() {
   if (aborted_) return;
   aborted_ = true;
-  *alive_ = false;
+  sim_.retire_owner(owner_);
   for (std::size_t i = 0; i < path_.size(); ++i) {
     LinkState& link = links_[i];
     if (link.active_transfer != 0) path_[i]->cancel_transfer(link.active_transfer);
@@ -101,25 +98,26 @@ void EdgeChannel::try_start(std::size_t link_index) {
   ++link.next_entry;
   link.busy = true;
   const std::uint64_t id = chunk->id;
-  // Both callbacks carry the liveness guard: after an abort (or channel
+  // Both callbacks carry the owner token: after an abort (or channel
   // destruction) a propagation-tail event already in the simulator fires
-  // harmlessly instead of dereferencing freed channel state.
-  const std::uint64_t transfer_id = path_[link_index]->start_transfer(
-      chunk->bytes,
-      /*on_delivered=*/
-      [guard = alive_, this, link_index, id] {
-        if (!*guard) return;
-        on_link_done(link_index, id);
-      },
-      /*on_served=*/
-      [guard = alive_, this, link_index] {
-        if (!*guard) return;
-        // Capacity released: the next chunk can enter this link while
-        // the current one is still propagating (latency hiding).
-        links_[link_index].active_transfer = 0;
-        links_[link_index].busy = false;
-        try_start(link_index);
-      });
+  // harmlessly instead of dereferencing freed channel state. The captures
+  // are trivially copyable, so they move with a memcpy and need no destroy.
+  auto on_delivered = [sim = &sim_, owner = owner_, this, link_index, id] {
+    if (!sim->owner_alive(owner)) return;
+    on_link_done(link_index, id);
+  };
+  auto on_served = [sim = &sim_, owner = owner_, this, link_index] {
+    if (!sim->owner_alive(owner)) return;
+    // Capacity released: the next chunk can enter this link while the
+    // current one is still propagating (latency hiding).
+    links_[link_index].active_transfer = 0;
+    links_[link_index].busy = false;
+    try_start(link_index);
+  };
+  static_assert(InlineCallback::stores_inline<decltype(on_delivered)>());
+  static_assert(InlineCallback::stores_inline<decltype(on_served)>());
+  const std::uint64_t transfer_id =
+      path_[link_index]->start_transfer(chunk->bytes, on_delivered, on_served);
   // Chunks have non-zero size, so service always completes via a future
   // event: on_served cannot have fired synchronously above and this
   // assignment cannot clobber a successor chunk's id. Zero-byte sends

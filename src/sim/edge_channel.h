@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "sim/flow_link.h"
@@ -58,8 +57,8 @@ class EdgeChannel {
   /// Abort path (chaos/watchdog recovery): cancels the in-service transfer
   /// on every link of the path, drops all queued/in-flight chunks without
   /// delivering them, and disarms any link callbacks still scheduled in the
-  /// simulator (they become no-ops via the shared liveness guard). After
-  /// abort() the channel accepts no further sends. Idempotent.
+  /// simulator (retiring the channel's owner token makes them no-ops).
+  /// After abort() the channel accepts no further sends. Idempotent.
   void abort();
   bool aborted() const noexcept { return aborted_; }
 
@@ -105,10 +104,10 @@ class EdgeChannel {
   std::deque<Chunk> chunks_;
   /// Indexed like path_.
   std::vector<LinkState> links_;
-  /// Shared liveness flag captured by every callback handed to the links.
+  /// Liveness token captured by every callback handed to the links.
   /// Service/propagation events that outlive an abort (or the channel
   /// itself) check it and fall through instead of touching freed state.
-  std::shared_ptr<bool> alive_;
+  OwnerToken owner_;
   bool aborted_ = false;
   std::uint64_t next_chunk_id_ = 1;
   Bytes bytes_sent_ = 0;

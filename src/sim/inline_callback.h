@@ -8,7 +8,8 @@
 // every start_transfer/set_capacity. With InlineCallback those callbacks
 // live inside the event-heap slot itself, so dispatch touches no allocator.
 // Larger callables (rare: deep capture chains in tests) transparently fall
-// back to the heap.
+// back to the heap; hot-path sites static_assert stores_inline() so theirs
+// never do.
 //
 // adapcc-lint: hot-path — std::function is banned in this file (DESIGN.md §7).
 #pragma once
@@ -26,6 +27,14 @@ class InlineCallback {
   /// Inline storage size. 48 bytes fits every hot-path lambda in the tree
   /// (executor chunk completions capture ~4 pointers) and a std::function.
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// True when a callable of type F is stored in the inline buffer. Hot
+  /// paths static_assert this at the capture site, so a capture that
+  /// outgrows the buffer fails to compile instead of silently allocating.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    return fits_inline<std::decay_t<F>>();
+  }
 
   InlineCallback() noexcept = default;
   InlineCallback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)

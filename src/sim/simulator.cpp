@@ -2,6 +2,7 @@
 
 #include "sim/simulator.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -11,25 +12,52 @@ namespace adapcc::sim {
 
 namespace {
 // EventId layout: generation in the high 32 bits (always >= 1, so a valid id
-// is never 0), slot index in the low 32 bits.
+// is never 0), slot index in the low 32 bits. OwnerToken uses the same shape.
 std::uint64_t encode(std::uint32_t slot, std::uint32_t generation) {
   return (static_cast<std::uint64_t>(generation) << 32) | slot;
 }
 
-// splitmix64 finalizer: a bijection on 64-bit integers, so scrambled tie
-// keys stay unique (distinct sequences map to distinct keys) while the
-// relative order of same-timestamp events becomes seed-dependent.
-std::uint64_t scramble(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+constexpr std::uint64_t kSequenceMask = Simulator::kMaxSchedules - 1;
+
+// A bijection on 40-bit integers (xor-shift and odd-multiply rounds, each
+// invertible mod 2^40), so scrambled tie keys stay unique while the relative
+// order of same-timestamp events becomes seed-dependent. Truncating a 64-bit
+// mixer to 40 bits would not be a bijection and could collide two keys.
+std::uint64_t scramble40(std::uint64_t sequence, std::uint64_t seed) noexcept {
+  std::uint64_t x = ((sequence ^ seed) + (seed >> 24)) & kSequenceMask;
+  x ^= x >> 20;
+  x = (x * 0xbf58476d1dull) & kSequenceMask;
+  x ^= x >> 17;
+  x = (x * 0x94d049bb13ull) & kSequenceMask;
+  return x ^ (x >> 21);
 }
 }  // namespace
 
-std::uint64_t Simulator::next_tie_key() noexcept {
+std::uint64_t Simulator::next_tie() {
+  if (next_sequence_ >= kMaxSchedules) {
+    throw std::length_error("Simulator: tie-break sequence exhausted (2^40 schedules)");
+  }
   const std::uint64_t sequence = next_sequence_++;
-  return tie_seed_ == 0 ? sequence : scramble(sequence ^ tie_seed_);
+  return tie_seed_ == 0 ? sequence : scramble40(sequence, tie_seed_);
+}
+
+OwnerToken Simulator::acquire_owner() {
+  std::uint32_t index;
+  if (!owner_free_.empty()) {
+    index = owner_free_.back();
+    owner_free_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(owner_generation_.size());
+    owner_generation_.push_back(1);  // generation >= 1: the default token is never alive
+  }
+  return OwnerToken{encode(index, owner_generation_[index])};
+}
+
+void Simulator::retire_owner(OwnerToken token) noexcept {
+  if (!owner_alive(token)) return;
+  const auto index = static_cast<std::uint32_t>(token.value);
+  ++owner_generation_[index];
+  owner_free_.push_back(index);
 }
 
 std::uint32_t Simulator::acquire_slot() {
@@ -39,6 +67,9 @@ std::uint32_t Simulator::acquire_slot() {
     free_head_ = s.next_free;
     s.next_free = kNone;
     return index;
+  }
+  if (slot_count_ == kMaxPendingEvents) {
+    throw std::length_error("Simulator: more than 2^24 pending events");
   }
   if ((slot_count_ >> kSlotBlockShift) == slot_blocks_.size()) {
     slot_blocks_.push_back(std::make_unique<Slot[]>(kSlotBlockSize));
@@ -74,11 +105,11 @@ void Simulator::sift_up(std::uint32_t pos, HeapEntry entry) noexcept {
     const std::uint32_t parent = (pos - 1) / 4;
     if (!earlier(entry, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slot_pos_[heap_[pos].slot] = pos;
+    slot_pos_[heap_[pos].slot()] = pos;
     pos = parent;
   }
   heap_[pos] = entry;
-  slot_pos_[entry.slot] = pos;
+  slot_pos_[entry.slot()] = pos;
 }
 
 void Simulator::sift_down(std::uint32_t pos, HeapEntry entry) noexcept {
@@ -88,11 +119,11 @@ void Simulator::sift_down(std::uint32_t pos, HeapEntry entry) noexcept {
     const std::uint32_t best = min_child(first_child);
     if (!earlier(heap_[best], entry)) break;
     heap_[pos] = heap_[best];
-    slot_pos_[heap_[pos].slot] = pos;
+    slot_pos_[heap_[pos].slot()] = pos;
     pos = best;
   }
   heap_[pos] = entry;
-  slot_pos_[entry.slot] = pos;
+  slot_pos_[entry.slot()] = pos;
 }
 
 void Simulator::pop_root() noexcept {
@@ -106,7 +137,7 @@ void Simulator::pop_root() noexcept {
     if (first_child >= heap_size_) break;
     const std::uint32_t best = min_child(first_child);
     heap_[pos] = heap_[best];
-    slot_pos_[heap_[pos].slot] = pos;
+    slot_pos_[heap_[pos].slot()] = pos;
     pos = best;
   }
   sift_up(pos, moved);
@@ -120,22 +151,38 @@ void Simulator::heap_remove(std::uint32_t pos) noexcept {
   if (pos != last) {
     // The moved entry may need to travel either direction.
     sift_up(pos, moved);
-    sift_down(slot_pos_[moved.slot], moved);
+    sift_down(slot_pos_[moved.slot()], moved);
   }
 }
 
 EventId Simulator::schedule_at(Seconds when, EventCallback callback) {
-  if (when < now_) throw std::invalid_argument("schedule_at: time in the past");
+  if (!(when >= now_)) {
+    throw std::invalid_argument(std::isnan(when) ? "schedule_at: NaN time"
+                                             : "schedule_at: time in the past");
+  }
+  if (when == 0.0) when = 0.0;  // -0.0 would order after every positive time
+  const std::uint64_t tie = next_tie();
   const std::uint32_t index = acquire_slot();
   Slot& s = slot(index);
+  const HeapEntry entry{when, (tie << kSlotBits) | index};
   s.callback = std::move(callback);
-  pad_heap();
-  sift_up(heap_size_++, HeapEntry{when, next_tie_key(), index});
+  if (root_fired_) {
+    // Replace-top: the entry step() just fired still sits at the root;
+    // overwrite it and sink, instead of popping it and bubbling this one up.
+    root_fired_ = false;
+    sift_down(0, entry);
+  } else {
+    pad_heap();
+    sift_up(heap_size_++, entry);
+  }
   return EventId{encode(index, s.generation)};
 }
 
 EventId Simulator::schedule_after(Seconds delay, EventCallback callback) {
-  if (delay < 0) throw std::invalid_argument("schedule_after: negative delay");
+  if (!(delay >= 0)) {
+    throw std::invalid_argument(std::isnan(delay) ? "schedule_after: NaN delay"
+                                               : "schedule_after: negative delay");
+  }
   return schedule_at(now_ + delay, std::move(callback));
 }
 
@@ -146,6 +193,7 @@ void Simulator::cancel(EventId id) noexcept {
   if (index >= slot_count_) return;
   Slot& s = slot(index);
   if (s.generation != generation || slot_pos_[index] == kNone) return;  // fired or recycled
+  settle();
   heap_remove(slot_pos_[index]);
   release_slot(index);
   if constexpr (audit::kEnabled) audit_verify();
@@ -158,11 +206,16 @@ bool Simulator::reschedule(EventId id, Seconds when) {
   if (index >= slot_count_) return false;
   Slot& s = slot(index);
   if (s.generation != generation || slot_pos_[index] == kNone) return false;
-  if (when < now_) throw std::invalid_argument("reschedule: time in the past");
+  if (!(when >= now_)) {
+    throw std::invalid_argument(std::isnan(when) ? "reschedule: NaN time"
+                                             : "reschedule: time in the past");
+  }
+  if (when == 0.0) when = 0.0;
+  settle();
   const std::uint32_t pos = slot_pos_[index];
   // Fresh sequence: ties at the new time fire after events already there,
   // exactly as cancel + schedule_at would order them.
-  const HeapEntry entry{when, next_tie_key(), index};
+  const HeapEntry entry{when, (next_tie() << kSlotBits) | index};
   sift_up(pos, entry);
   sift_down(slot_pos_[index], entry);
   if constexpr (audit::kEnabled) audit_verify();
@@ -170,37 +223,40 @@ bool Simulator::reschedule(EventId id, Seconds when) {
 }
 
 void Simulator::audit_verify() const {
-  // Heap shape: every live entry orders after its parent, carries a valid
-  // slot whose position link points back at it, and the padding past the
-  // live prefix is all +inf sentinels (min_child reads it unconditionally).
+  // Heap shape: every entry orders after its parent, carries a valid slot
+  // whose position link points back at it (except a fired root, whose slot
+  // is spent), and the padding past the prefix is all sentinels (min_child
+  // reads it unconditionally).
   for (std::uint32_t pos = 0; pos < heap_size_; ++pos) {
     const HeapEntry& entry = heap_[pos];
-    ADAPCC_AUDIT_CHECK("simulator", entry.slot < slot_count_,
-                       "heap pos " << pos << " slot " << entry.slot << " of " << slot_count_);
-    ADAPCC_AUDIT_CHECK("simulator", slot_pos_[entry.slot] == pos,
-                       "slot " << entry.slot << " position link " << slot_pos_[entry.slot]
-                               << " != heap pos " << pos);
+    ADAPCC_AUDIT_CHECK("simulator", entry.slot() < slot_count_,
+                       "heap pos " << pos << " slot " << entry.slot() << " of " << slot_count_);
+    if (pos > 0 || !root_fired_) {
+      ADAPCC_AUDIT_CHECK("simulator", slot_pos_[entry.slot()] == pos,
+                         "slot " << entry.slot() << " position link " << slot_pos_[entry.slot()]
+                                 << " != heap pos " << pos);
+    }
     if (pos > 0) {
       const HeapEntry& parent = heap_[(pos - 1) / 4];
       ADAPCC_AUDIT_CHECK("simulator", !earlier(entry, parent),
                          "heap order violated at pos " << pos << " (when=" << entry.when
                                                        << " parent when=" << parent.when << ")");
     }
-    ADAPCC_AUDIT_CHECK("simulator", entry.when >= now_,
+    ADAPCC_AUDIT_CHECK("simulator", entry.when >= now_ && !std::signbit(entry.when),
                        "pending event in the past: when=" << entry.when << " now=" << now_);
   }
   for (std::size_t pos = heap_size_; pos < heap_.size(); ++pos) {
-    ADAPCC_AUDIT_CHECK("simulator", heap_[pos].slot == kSentinel.slot,
+    ADAPCC_AUDIT_CHECK("simulator", heap_[pos].key == kSentinel.key,
                        "non-sentinel padding at pos " << pos);
   }
-  // Slot table: exactly the heap's slots are live; everything else is either
-  // on the free list or awaiting release inside step().
+  // Slot table: exactly the pending entries' slots are live; everything else
+  // is either on the free list or awaiting release inside step().
   std::uint32_t live = 0;
   for (std::uint32_t index = 0; index < slot_count_; ++index) {
     if (slot_pos_[index] != kNone) ++live;
   }
-  ADAPCC_AUDIT_CHECK("simulator", live == heap_size_,
-                     live << " slots with heap positions vs heap size " << heap_size_);
+  ADAPCC_AUDIT_CHECK("simulator", live == pending_events(),
+                     live << " slots with heap positions vs " << pending_events() << " pending");
   // Free list: no cycles (bounded walk), members have no heap position, and
   // generation tags stayed >= 1 (a wrapped tag would resurrect stale ids).
   std::uint32_t free_len = 0;
@@ -218,21 +274,24 @@ void Simulator::audit_verify() const {
 }
 
 bool Simulator::step() {
+  settle();
   if (heap_size_ == 0) return false;
   const HeapEntry top = heap_[0];
+  const std::uint32_t index = top.slot();
   now_ = top.when;
-  pop_root();
-  // Mark fired before invoking so the callback sees its own id as spent
-  // (cancel is a no-op, reschedule returns false) — same contract as the
-  // old move-out-then-release order.
-  slot_pos_[top.slot] = kNone;
+  // The entry stays at the root, marked fired: the callback's first
+  // schedule_at replaces it in place, and anything else settles it first.
+  // Mark the slot fired before invoking so the callback sees its own id as
+  // spent (cancel is a no-op, reschedule returns false).
+  root_fired_ = true;
+  slot_pos_[index] = kNone;
   ++events_processed_;
-  Slot& s = slot(top.slot);
+  Slot& s = slot(index);
   // Invoke in place: slots live in stable blocks and this one cannot be
   // recycled until release_slot below, so the callback may freely schedule
   // new events without invalidating `s`.
   if (s.callback) s.callback();
-  release_slot(top.slot);
+  release_slot(index);
   return true;
 }
 
@@ -243,8 +302,9 @@ void Simulator::run() {
 
 std::size_t Simulator::run_until(Seconds deadline) {
   std::size_t processed = 0;
-  while (heap_size_ != 0 && heap_[0].when <= deadline) {
-    if (step()) ++processed;
+  for (settle(); heap_size_ != 0 && heap_[0].when <= deadline; settle()) {
+    step();
+    ++processed;
   }
   if (now_ < deadline) now_ = deadline;
   return processed;

@@ -5,20 +5,24 @@
 // Simulator instance. Events are callbacks scheduled at absolute simulated
 // times; ties are broken by insertion order so runs are deterministic.
 //
-// The queue is an indexed 4-ary min-heap: heap entries carry their sort key
-// (when, sequence) inline so comparisons stay in contiguous memory, plus the
-// index of a slab slot holding the callback. Every slot tracks its heap
-// position, so cancel() and reschedule() fix the entry in place in O(log n)
-// — no tombstones linger, pending_events() is exact, and slots are recycled
-// through a free list so schedule/cancel cycles do not grow memory.
+// The queue is an indexed 4-ary min-heap of 16-byte entries: the event time
+// plus one 64-bit key holding the tie-break sequence (high 40 bits) and the
+// index of the slab slot holding the callback (low 24 bits). Event times are
+// never negative, so (time bits, key) orders as one unsigned 128-bit number.
+// Every slot tracks its heap position, so cancel() and reschedule() fix the
+// entry in place in O(log n) — no tombstones linger, pending_events() is
+// exact, and slots are recycled through a free list so schedule/cancel
+// cycles do not grow memory. step() leaves the firing entry at the root; the
+// callback's first schedule overwrites it and sinks (replace-top), so the
+// common "fire one, schedule one" event costs one sift instead of two.
 // Callbacks are InlineCallback (small-buffer optimized), so the hot path
-// performs no heap allocation per event.
+// performs no heap allocation per event (DESIGN.md §7).
 //
 // adapcc-lint: hot-path — std::function is banned in this file (DESIGN.md §7).
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -36,15 +40,28 @@ struct EventId {
   bool valid() const noexcept { return value != 0; }
 };
 
+/// Liveness handle for an object whose callbacks may outlive it (see
+/// Simulator::acquire_owner). The default token is never alive.
+struct OwnerToken {
+  std::uint64_t value = 0;
+};
+
 class Simulator {
  public:
+  /// Most events pending at once (slot indices fill the key's low 24 bits).
+  static constexpr std::uint64_t kMaxPendingEvents = std::uint64_t{1} << 24;
+  /// Most schedule_at/reschedule calls over a simulator's lifetime (the
+  /// tie-break sequence fills the key's high 40 bits).
+  static constexpr std::uint64_t kMaxSchedules = std::uint64_t{1} << 40;
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   Seconds now() const noexcept { return now_; }
 
-  /// Schedules `callback` at absolute time `when` (must be >= now()).
+  /// Schedules `callback` at absolute time `when` (must be >= now(), not
+  /// NaN). Throws std::length_error past kMaxPendingEvents or kMaxSchedules.
   EventId schedule_at(Seconds when, EventCallback callback);
 
   /// Schedules `callback` `delay` seconds from now (delay must be >= 0).
@@ -86,28 +103,44 @@ class Simulator {
   bool step();
 
   /// Exact count of scheduled, not-yet-fired, not-cancelled events.
-  std::size_t pending_events() const noexcept { return heap_size_; }
+  std::size_t pending_events() const noexcept { return heap_size_ - (root_fired_ ? 1 : 0); }
   /// Heap entries currently live — equals pending_events(): cancelled
   /// events leave no dead entries behind (regression guard for the old
-  /// tombstone design).
-  std::size_t heap_size() const noexcept { return heap_size_; }
+  /// tombstone design), and a fired root awaiting replacement is not live.
+  std::size_t heap_size() const noexcept { return pending_events(); }
   /// Slab slots ever allocated; bounded by the peak number of concurrently
   /// pending events, not by the schedule/cancel count.
   std::size_t slot_capacity() const noexcept { return slot_count_; }
   std::uint64_t events_processed() const noexcept { return events_processed_; }
 
+  /// Liveness without reference counting. An object whose callbacks may
+  /// fire after it is gone (an aborted EdgeChannel's propagation tails, an
+  /// Executor's idle event) acquires a token, captures it with a pointer to
+  /// this simulator, and has each callback test owner_alive() first; its
+  /// abort or destructor retires the token. Tokens are plain integers, so
+  /// such captures stay trivially copyable. Retiring twice is a no-op.
+  OwnerToken acquire_owner();
+  bool owner_alive(OwnerToken token) const noexcept {
+    const auto index = static_cast<std::uint32_t>(token.value);
+    return index < owner_generation_.size() &&
+           owner_generation_[index] == static_cast<std::uint32_t>(token.value >> 32);
+  }
+  void retire_owner(OwnerToken token) noexcept;
+
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = kMaxPendingEvents - 1;
 
   struct HeapEntry {
     Seconds when;
-    std::uint64_t sequence;  ///< FIFO tie-break for equal timestamps
-    std::uint32_t slot;
+    std::uint64_t key;  ///< tie-break sequence << 24 | slot
+    std::uint32_t slot() const noexcept { return static_cast<std::uint32_t>(key & kSlotMask); }
   };
-  /// Padding value beyond the live heap prefix; loses every comparison
-  /// against a real entry, so min_child needs no bounds branches.
-  static constexpr HeapEntry kSentinel{std::numeric_limits<Seconds>::infinity(),
-                                       std::numeric_limits<std::uint64_t>::max(), 0xffffffffu};
+  /// Padding value beyond the live prefix: all-ones bits lose every
+  /// comparison against a real entry, so min_child needs no bounds branches.
+  static constexpr HeapEntry kSentinel{std::bit_cast<Seconds>(~std::uint64_t{0}),
+                                       ~std::uint64_t{0}};
   struct Slot {  // callback first: 56 + 4 + 4 = one 64-byte line per slot
     EventCallback callback;
     std::uint32_t generation = 1;
@@ -126,12 +159,14 @@ class Simulator {
     return slot_blocks_[index >> kSlotBlockShift][index & (kSlotBlockSize - 1)];
   }
 
-  /// Strict ordering on (when, sequence). Written with bitwise operators so
-  /// it compiles to flag arithmetic, not short-circuit branches — the child
-  /// comparisons in sift_down are data-dependent and would mispredict.
+  /// Strict ordering on (when, key) as one unsigned 128-bit compare. Valid
+  /// because stored times are >= +0.0 (schedule_at rejects NaN and
+  /// normalizes -0.0), where IEEE bit patterns order like the values. Keys
+  /// are unique, so any correct heap pops the same sequence.
   static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
-    return (a.when < b.when) |
-           (static_cast<int>(a.when == b.when) & static_cast<int>(a.sequence < b.sequence));
+    using U128 = unsigned __int128;
+    return ((U128{std::bit_cast<std::uint64_t>(a.when)} << 64) | a.key) <
+           ((U128{std::bit_cast<std::uint64_t>(b.when)} << 64) | b.key);
   }
 
   std::uint32_t acquire_slot();
@@ -146,18 +181,28 @@ class Simulator {
   /// Places `entry` at `pos`, sinking it while larger than its least child.
   void sift_down(std::uint32_t pos, HeapEntry entry) noexcept;
   void heap_remove(std::uint32_t pos) noexcept;
-  /// Removes the root (the hot pop in step()): sinks the hole along the
-  /// min-child path to a leaf, then bubbles the displaced last entry up from
-  /// there. Skips the per-level "done yet?" comparison of a classic
-  /// sift-down; since the last entry of a near-sorted workload belongs at
-  /// the bottom anyway, the bubble-up usually terminates immediately.
+  /// Removes the root: sinks the hole along the min-child path to a leaf,
+  /// then bubbles the displaced last entry up from there. Skips the
+  /// per-level "done yet?" comparison of a classic sift-down; since the last
+  /// entry of a near-sorted workload belongs at the bottom anyway, the
+  /// bubble-up usually terminates immediately.
   void pop_root() noexcept;
+  /// Pops the root if step() left it there fired and no schedule replaced
+  /// it. Everything that reads or restructures the heap other than
+  /// schedule_at settles first.
+  void settle() noexcept {
+    if (root_fired_) {
+      root_fired_ = false;
+      pop_root();
+    }
+  }
   /// Grows heap_ so indices [heap_size_, heap_size_+4] are readable and
-  /// keeps everything past the live prefix at the +inf sentinel.
+  /// keeps everything past the live prefix at the sentinel.
   void pad_heap();
-  /// Tie-break key for the next scheduled event: the raw FIFO sequence, or a
-  /// bijectively scrambled one under tie-shuffle (see set_tie_shuffle_seed).
-  std::uint64_t next_tie_key() noexcept;
+  /// Tie-break for the next scheduled or rescheduled event, the key's high
+  /// 40 bits: the FIFO sequence, or a bijectively scrambled one under
+  /// tie-shuffle (see set_tie_shuffle_seed).
+  std::uint64_t next_tie();
   /// ADAPCC_AUDIT hook: full heap-shape/slot-link/free-list verification,
   /// O(n); a no-op in regular builds. Called after cancel and reschedule.
   void audit_verify() const;
@@ -172,11 +217,18 @@ class Simulator {
   /// dense side array — sift operations rewrite these constantly, and a
   /// 4-byte lane stays cache-resident where the 64-byte Slot would not.
   std::vector<std::uint32_t> slot_pos_;
-  /// 4-ary min-heap. The live prefix is heap_size_ entries; the vector is
-  /// padded with +inf sentinels so min_child can always read four children.
+  /// 4-ary min-heap. The prefix is heap_size_ entries; the vector is padded
+  /// with sentinels so min_child can always read four children.
   std::vector<HeapEntry> heap_;
   std::uint32_t heap_size_ = 0;
+  /// heap_[0] is an entry step() already fired (counted in heap_size_, not
+  /// in pending_events()). The next schedule_at overwrites it in place.
+  bool root_fired_ = false;
   std::uint32_t free_head_ = kNone;
+  /// Current generation per owner index; a token is alive while its
+  /// generation matches. Retired indices are reused from owner_free_.
+  std::vector<std::uint32_t> owner_generation_;
+  std::vector<std::uint32_t> owner_free_;
 };
 
 }  // namespace adapcc::sim

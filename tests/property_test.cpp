@@ -6,7 +6,8 @@
 //     model's predicted volumes;
 //   * strategy fingerprints on randomized strategies rebuilt in another
 //     hash-map order;
-//   * simulator event ordering under random schedules;
+//   * simulator event ordering under random schedules, and the event queue
+//     against a naive (when, insertion sequence) reference;
 //   * EdgeChannel FIFO + conservation under random chunk streams;
 //   * the ski-rental 2-competitive bound over a parameter grid.
 #include <gtest/gtest.h>
@@ -359,6 +360,161 @@ TEST_P(SimulatorOrderProperty, EventsFireInNonDecreasingTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty, ::testing::Range(1, 17));
+
+// The event queue against a naive reference: random interleavings of
+// schedule_at, schedule_after, cancel and reschedule, issued both between
+// steps and from inside firing callbacks (plus one nested step()), must fire
+// in exactly the (when, insertion sequence) order a linear scan over the
+// reference's pending set predicts, with pending_events() matching the
+// reference at every callback. Under a tie-shuffle seed the order within a
+// timestamp is free, but every pending event must still fire exactly once,
+// at its time, with times non-decreasing.
+class EventQueueReference {
+ public:
+  EventQueueReference(std::uint64_t seed, std::uint64_t tie_seed)
+      : rng_(seed), shuffled_(tie_seed != 0) {
+    sim_.set_tie_shuffle_seed(tie_seed);
+  }
+
+  void run() {
+    for (int i = 0; i < 40; ++i) random_op();
+    while (sim_.pending_events() > 0 || schedules_ < kSchedules) {
+      ASSERT_EQ(sim_.pending_events(), pending_count());
+      if (sim_.pending_events() == 0) add(random_delay(), /*after=*/false);
+      if (rng_.uniform(0, 1) < 0.5) {
+        sim_.step();
+      } else {
+        sim_.run_until(sim_.now() + 0.75);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      for (auto i = rng_.uniform_int(0, 2); i > 0; --i) random_op();  // between steps
+    }
+    EXPECT_TRUE(nested_stepped_);
+    for (const Event& e : events_) {
+      EXPECT_FALSE(e.pending);
+      EXPECT_EQ(e.fired, !e.cancelled) << "event fired " << e.fired << " cancelled " << e.cancelled;
+    }
+    EXPECT_GT(fired_, kSchedules / 2);
+  }
+
+ private:
+  static constexpr int kSchedules = 600;
+
+  struct Event {
+    sim::EventId id;
+    Seconds when = 0;
+    std::uint64_t sequence = 0;
+    bool pending = true;
+    bool fired = false;
+    bool cancelled = false;
+  };
+
+  std::size_t pending_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(events_.begin(), events_.end(), [](const Event& e) { return e.pending; }));
+  }
+
+  /// Delays on a coarse grid (zero included) so same-timestamp ties are common.
+  Seconds random_delay() { return 0.25 * static_cast<double>(rng_.uniform_int(0, 4)); }
+
+  void random_op() {
+    const double dice = rng_.uniform(0, 1);
+    const bool may_grow = schedules_ < kSchedules;
+    if (dice < 0.5 && may_grow) {
+      add(random_delay(), /*after=*/rng_.uniform(0, 1) < 0.5);
+    } else if (dice < 0.65 && !events_.empty()) {
+      Event& e = events_[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(events_.size()) - 1))];
+      sim_.cancel(e.id);  // a fired or cancelled id must be a no-op
+      if (e.pending) e.cancelled = true;
+      e.pending = false;
+    } else if (dice < 0.9 && !events_.empty()) {
+      Event& e = events_[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(events_.size()) - 1))];
+      const Seconds when = sim_.now() + random_delay();
+      EXPECT_EQ(sim_.reschedule(e.id, when), e.pending);
+      if (e.pending) {
+        e.when = when;
+        e.sequence = next_sequence_++;
+      }
+    }
+  }
+
+  void add(Seconds delay, bool after) {
+    const std::size_t label = events_.size();
+    const Seconds when = sim_.now() + delay;  // the sum schedule_after forms
+    events_.push_back(Event{{}, when, next_sequence_++});
+    ++schedules_;
+    auto fire = [this, label] { on_fire(label); };
+    events_[label].id = after ? sim_.schedule_after(delay, fire) : sim_.schedule_at(when, fire);
+  }
+
+  void on_fire(std::size_t label) {
+    Event& self = events_[label];
+    ASSERT_TRUE(self.pending) << "event " << label << " fired while not pending";
+    // The reference's next event: least (when, sequence) over the pending
+    // set; under tie-shuffle only its time is determined.
+    const Event* expected = nullptr;
+    for (const Event& e : events_) {
+      if (!e.pending) continue;
+      if (expected == nullptr || e.when < expected->when ||
+          (e.when == expected->when && e.sequence < expected->sequence)) {
+        expected = &e;
+      }
+    }
+    if (shuffled_) {
+      ASSERT_EQ(self.when, expected->when) << "event " << label << " fired out of time order";
+    } else {
+      ASSERT_EQ(&self, expected) << "event " << label << " fired ahead of event "
+                                 << (expected - events_.data());
+    }
+    EXPECT_EQ(sim_.now(), self.when);
+    EXPECT_GE(sim_.now(), last_fired_at_);
+    last_fired_at_ = sim_.now();
+    self.pending = false;
+    self.fired = true;
+    ++fired_;
+    ASSERT_EQ(sim_.pending_events(), pending_count());
+    // A firing event sees its own id as spent.
+    const sim::EventId own = self.id;
+    EXPECT_FALSE(sim_.reschedule(own, sim_.now()));
+    sim_.cancel(own);
+    ASSERT_EQ(sim_.pending_events(), pending_count());
+    for (auto i = rng_.uniform_int(1, 3); i > 0; --i) random_op();
+    ASSERT_EQ(sim_.pending_events(), pending_count());
+    if (!nested_stepped_ && fired_ > 20 && sim_.pending_events() > 0) {
+      nested_stepped_ = true;
+      EXPECT_TRUE(sim_.step());
+      ASSERT_EQ(sim_.pending_events(), pending_count());
+    }
+  }
+
+  util::Rng rng_;
+  bool shuffled_;
+  sim::Simulator sim_;
+  std::vector<Event> events_;  ///< callbacks hold labels: adds may reallocate
+  std::uint64_t next_sequence_ = 1;
+  int schedules_ = 0;
+  int fired_ = 0;
+  bool nested_stepped_ = false;
+  Seconds last_fired_at_ = 0.0;
+};
+
+class EventQueueReferenceProperty : public ::testing::TestWithParam<int /*seed*/> {};
+
+TEST_P(EventQueueReferenceProperty, FifoOrderMatchesNaiveReference) {
+  EventQueueReference reference(static_cast<std::uint64_t>(GetParam()) * 7919, /*tie_seed=*/0);
+  reference.run();
+}
+
+TEST_P(EventQueueReferenceProperty, TieShuffleFiresEveryEventInTimeOrder) {
+  EventQueueReference reference(static_cast<std::uint64_t>(GetParam()) * 7919,
+                                /*tie_seed=*/0x9e3779b97f4a7c15ull ^
+                                    static_cast<std::uint64_t>(GetParam()));
+  reference.run();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueReferenceProperty, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------------
 // EdgeChannel FIFO + byte conservation under random chunk streams.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -92,6 +93,66 @@ TEST(SimulatorTest, RejectsPastScheduling) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
+}
+
+TEST(SimulatorTest, RejectsNanTimes) {
+  // A NaN time would compare false against everything and corrupt the heap
+  // order; it is rejected like a past time.
+  Simulator sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_after(nan, [] {}), std::invalid_argument);
+  const auto id = sim.schedule_at(1.0, [] {});
+  EXPECT_THROW(sim.reschedule(id, nan), std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(SimulatorTest, NegativeZeroTimeOrdersAsZero) {
+  // The heap compares time bit patterns; -0.0 must not sort after positive
+  // times.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1e-300, [&] { order.push_back(2); });
+  sim.schedule_at(-0.0, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, PendingEventsExactInsideCallbacks) {
+  // step() leaves the firing entry at the root until a schedule replaces it;
+  // it must not count as pending, and its own id is already spent.
+  Simulator sim;
+  std::vector<std::size_t> seen;
+  sim::EventId self{};
+  self = sim.schedule_at(1.0, [&] {
+    seen.push_back(sim.pending_events());  // the 2.0 event only
+    EXPECT_FALSE(sim.reschedule(self, 5.0));
+    sim.cancel(self);
+    seen.push_back(sim.pending_events());
+    sim.schedule_after(0.5, [] {});
+    seen.push_back(sim.pending_events());
+  });
+  sim.schedule_at(2.0, [] {});
+  sim.step();
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 1, 2}));
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(SimulatorTest, OwnerTokensRetireAndRecycle) {
+  Simulator sim;
+  EXPECT_FALSE(sim.owner_alive(sim::OwnerToken{}));
+  const sim::OwnerToken a = sim.acquire_owner();
+  EXPECT_TRUE(sim.owner_alive(a));
+  sim.retire_owner(a);
+  EXPECT_FALSE(sim.owner_alive(a));
+  sim.retire_owner(a);  // idempotent
+  const sim::OwnerToken b = sim.acquire_owner();  // reuses the index, new generation
+  EXPECT_TRUE(sim.owner_alive(b));
+  EXPECT_FALSE(sim.owner_alive(a));
 }
 
 TEST(SimulatorTest, ScheduleCancelCyclesStayBounded) {
@@ -486,6 +547,30 @@ TEST(EdgeChannelTest, ZeroByteTransferCompletes) {
   EXPECT_TRUE(done);
   EXPECT_EQ(channel.chunks_in_flight(), 0u);
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST(EdgeChannelTest, AbortAndDestructionDisarmPropagationTails) {
+  // A served chunk's delivery is already a simulator event when the channel
+  // aborts (or is destroyed); it must fire as a no-op.
+  Simulator sim;
+  FlowLink link(sim, "l", /*alpha=*/1e-3, gbps(100));
+  int delivered = 0;
+  {
+    EdgeChannel channel(sim, {&link});
+    channel.send(1000, [&] { ++delivered; });
+    sim.run_until(1e-4);  // served (80 ns), still propagating
+    ASSERT_EQ(sim.pending_events(), 1u);
+    channel.abort();
+    channel.abort();  // idempotent
+  }
+  {
+    EdgeChannel channel(sim, {&link});
+    channel.send(1000, [&] { ++delivered; });
+    sim.run_until(2e-4);
+    ASSERT_EQ(sim.pending_events(), 2u);  // both channels' tails
+  }
+  sim.run();
+  EXPECT_EQ(delivered, 0);
 }
 
 TEST(EdgeChannelTest, TwoChannelsOnOneLinkShareBandwidth) {

@@ -176,7 +176,7 @@ TEST(TaskPool, PoolIsReusableAfterFailedBatch) {
 double skewed_cost(std::size_t index) {
   volatile double sink = 0.0;
   const std::size_t spin = (index * 7919) % 997;
-  for (std::size_t i = 0; i < spin; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (std::size_t i = 0; i < spin; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   // Coarse costs with plenty of exact ties; the tie-break is index order.
   return static_cast<double>((index * 37) % 11) + sink * 0.0;
 }
