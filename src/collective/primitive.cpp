@@ -14,19 +14,6 @@ std::string to_string(Primitive primitive) {
   return "?";
 }
 
-double data_volume_factor(Primitive primitive, int participants) {
-  const double n = participants;
-  switch (primitive) {
-    case Primitive::kAllReduce: return 2.0 * (n - 1.0);
-    case Primitive::kAllToAll: return n;
-    case Primitive::kAllGather: return n - 1.0;
-    case Primitive::kReduceScatter: return n - 1.0;
-    case Primitive::kReduce:
-    case Primitive::kBroadcast: return 1.0;
-  }
-  return 1.0;
-}
-
 bool requires_aggregation(Primitive primitive) {
   switch (primitive) {
     case Primitive::kReduce:

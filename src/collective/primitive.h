@@ -8,8 +8,6 @@
 
 #include <string>
 
-#include "util/units.h"
-
 namespace adapcc::collective {
 
 enum class Primitive {
@@ -22,11 +20,6 @@ enum class Primitive {
 };
 
 std::string to_string(Primitive primitive);
-
-/// Total data volume a collective moves, used by the ski-rental cost
-/// estimate (Sec. IV-C-1): AllReduce moves 2(N-1) tensor sizes, AllToAll
-/// moves N, Broadcast/Reduce move 1 (per the paper's accounting).
-double data_volume_factor(Primitive primitive, int participants);
 
 /// True for primitives whose flows are aggregated along the way.
 bool requires_aggregation(Primitive primitive);

@@ -24,11 +24,4 @@ class SkiRentalPolicy {
   }
 };
 
-/// Cost estimate of a full collective: total communicated volume S divided
-/// by the aggregate bandwidth B of the communication graph (Sec. IV-C-1).
-inline Seconds collective_time_estimate(double data_volume_bytes,
-                                        BytesPerSecond aggregate_bandwidth) noexcept {
-  return aggregate_bandwidth > 0 ? data_volume_bytes / aggregate_bandwidth : 0.0;
-}
-
 }  // namespace adapcc::relay

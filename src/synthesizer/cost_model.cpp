@@ -15,44 +15,6 @@ using collective::Primitive;
 using collective::SubCollective;
 using collective::Tree;
 
-/// Messages emitted per chunk by `node` toward its parent (the N_ij^m rule
-/// for Reduce, Sec. IV-D): an aggregating node forwards one combined
-/// message; a non-aggregating node forwards everything it received plus its
-/// own contribution.
-int reduce_out_messages(const SubCollective& sub, Primitive primitive, NodeId node,
-                        const std::set<int>& active_ranks,
-                        std::unordered_map<NodeId, int>* inputs_out) {
-  int inputs = node.is_gpu() && active_ranks.contains(node.index) ? 1 : 0;
-  for (const NodeId child : sub.tree.children_of(node)) {
-    inputs += reduce_out_messages(sub, primitive, child, active_ranks, inputs_out);
-  }
-  if (inputs_out != nullptr) (*inputs_out)[node] = inputs;
-  if (inputs == 0) return 0;
-  return sub.aggregates_at(node, primitive) ? 1 : inputs;
-}
-
-void add_tree_loads(const SubCollective& sub, Primitive primitive,
-                    const std::set<int>& active_ranks, bool reduce_direction, LinkLoads& loads) {
-  if (reduce_direction) {
-    // Walk the tree once; edge (node -> parent) carries out(node) messages.
-    std::unordered_map<NodeId, int> inputs;
-    reduce_out_messages(sub, primitive, sub.tree.root, active_ranks, &inputs);
-    // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : sub.tree.parent) {
-      const int in = inputs.contains(child) ? inputs.at(child) : 0;
-      if (in == 0) continue;
-      const double out = sub.aggregates_at(child, primitive) ? 1.0 : static_cast<double>(in);
-      loads[EdgeKey{child, parent}] += out;
-    }
-  } else {
-    // Broadcast: replicas of the same data are grouped as one flow per edge.
-    // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : sub.tree.parent) {
-      loads[EdgeKey{parent, child}] += 1.0;
-    }
-  }
-}
-
 void add_flow_loads(const SubCollective& sub, LinkLoads& loads) {
   for (const auto& flow : sub.flows) {
     for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
@@ -103,30 +65,6 @@ PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads
 
 }  // namespace
 
-LinkLoads compute_link_loads(const Strategy& strategy, const std::set<int>& active_ranks) {
-  LinkLoads loads;
-  for (const auto& sub : strategy.subs) {
-    switch (strategy.primitive) {
-      case Primitive::kReduce:
-      case Primitive::kReduceScatter:
-        add_tree_loads(sub, strategy.primitive, active_ranks, /*reduce=*/true, loads);
-        break;
-      case Primitive::kBroadcast:
-      case Primitive::kAllGather:
-        add_tree_loads(sub, strategy.primitive, active_ranks, /*reduce=*/false, loads);
-        break;
-      case Primitive::kAllReduce:
-        add_tree_loads(sub, strategy.primitive, active_ranks, /*reduce=*/true, loads);
-        add_tree_loads(sub, strategy.primitive, active_ranks, /*reduce=*/false, loads);
-        break;
-      case Primitive::kAllToAll:
-        add_flow_loads(sub, loads);
-        break;
-    }
-  }
-  return loads;
-}
-
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
                                  Bytes tensor_bytes, const std::set<int>& active_ranks) {
   return CostEvaluator(strategy, topo, tensor_bytes, active_ranks).completion_time();
@@ -154,8 +92,8 @@ CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& to
 void CostEvaluator::build_sub_state(const SubCollective& sub, SubState& st) const {
   if (strategy_.primitive == Primitive::kAllToAll) return;  // flow-based, no tree
   const Tree& tree = sub.tree;
-  // Children adjacency sorted per parent — the same order (and therefore the
-  // same arithmetic) Tree::children_of produces for the recursive walks.
+  // Children adjacency sorted per parent, the order Tree::children_of
+  // returns.
   std::unordered_map<NodeId, std::vector<NodeId>> children;
   for (const auto& [child, parent] : tree.parent) children[parent].push_back(child);
   // lint:ordered — each per-parent list is sorted; visit order is irrelevant.
@@ -188,7 +126,9 @@ void CostEvaluator::build_sub_state(const SubCollective& sub, SubState& st) cons
     st.inputs[i] = own;
   }
   // Breadth-first order puts every parent before its children, so one
-  // reverse sweep evaluates the reduce_out_messages recurrence bottom-up.
+  // reverse sweep evaluates the N_ij^m rule for Reduce (Sec. IV-D) bottom-up:
+  // an aggregating node forwards one combined message per chunk; any other
+  // node forwards everything it received plus its own contribution.
   for (int i = n - 1; i >= 0; --i) {
     st.out[i] = st.inputs[i] == 0
                     ? 0
@@ -464,29 +404,6 @@ void CostEvaluator::on_aggregation_toggled(std::size_t sub_index, NodeId node) {
     st.inputs[parent] += delta;
     i = parent;
   }
-}
-
-BytesPerSecond aggregate_bandwidth(const Strategy& strategy, const LogicalTopology& topo) {
-  std::set<std::pair<NodeId, NodeId>> used;
-  for (const auto& sub : strategy.subs) {
-    // lint:ordered — inserts into an ordered std::set; iteration order irrelevant.
-    for (const auto& [child, parent] : sub.tree.parent) {
-      used.emplace(child, parent);
-    }
-    for (const auto& flow : sub.flows) {
-      for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-        used.emplace(flow.path[i], flow.path[i + 1]);
-      }
-    }
-  }
-  BytesPerSecond total = 0.0;
-  for (const auto& [from, to] : used) {
-    if (topo.has_edge(from, to)) {
-      const auto& edge = topo.edge(from, to);
-      if (edge.beta > 0) total += 1.0 / edge.beta;
-    }
-  }
-  return total;
 }
 
 double max_network_beta(const Strategy& strategy, const LogicalTopology& topo) {

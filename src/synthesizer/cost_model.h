@@ -46,9 +46,6 @@ struct EdgeKeyHash {
 /// Per-link traffic loads N_ij = sum over sub-collectives of N_ij^m (Eq. 3).
 using LinkLoads = std::unordered_map<EdgeKey, double, EdgeKeyHash>;
 
-/// Computes the link loads of the whole strategy for `tensor_bytes` total.
-LinkLoads compute_link_loads(const Strategy& strategy, const std::set<int>& active_ranks);
-
 /// Aggregate traffic loads and capacities per NIC port: network-edge
 /// bandwidth is shared at the instance's egress and ingress, not per logical
 /// edge, so three composite GPU-GPU edges into one server contend for one
@@ -166,11 +163,6 @@ class CostEvaluator {
   std::vector<SubState> subs_;
   Seconds kernel_overhead_;
 };
-
-/// Aggregate bandwidth B of the communication graph (sum of profiled
-/// bottleneck bandwidths of the edges used), the quantity the ski-rental
-/// coordinator divides data volume by (Sec. IV-C-1).
-BytesPerSecond aggregate_bandwidth(const Strategy& strategy, const LogicalTopology& topo);
 
 /// Slowest (highest-beta) network edge used by the strategy; zero when the
 /// strategy stays inside one instance. Bounds the per-tensor cost of

@@ -46,25 +46,6 @@ double geometric_mean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> samples,
-                                                     std::size_t points) {
-  std::vector<std::pair<double, double>> cdf;
-  if (samples.empty() || points == 0) return cdf;
-  std::sort(samples.begin(), samples.end());
-  cdf.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = points == 1 ? 1.0 : static_cast<double>(i) / static_cast<double>(points - 1);
-    // Same linear interpolation between order statistics as percentile();
-    // truncating to the lower sample would bias every quantile downward.
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    cdf.emplace_back(samples[lo] * (1.0 - frac) + samples[hi] * frac, q);
-  }
-  return cdf;
-}
-
 LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     throw std::invalid_argument("fit_line needs >= 2 paired samples");

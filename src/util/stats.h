@@ -1,11 +1,10 @@
 // Small statistics toolkit used by the profiler, the benches and the tests:
-// running moments, percentiles/CDFs (Figs. 3b, 19d), geometric means
+// running moments, percentiles (the CDFs of Figs. 3b, 19d), geometric means
 // (Sec. VI-C speed-up summaries) and least-squares line fitting (alpha-beta
 // regression in Sec. IV-B).
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace adapcc::util {
@@ -34,11 +33,6 @@ double percentile(std::vector<double> samples, double q);
 
 /// Geometric mean; all inputs must be positive.
 double geometric_mean(const std::vector<double>& values);
-
-/// Empirical CDF evaluated at evenly spaced sample quantiles.
-/// Returns (value, cumulative_probability) pairs suitable for plotting.
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> samples,
-                                                     std::size_t points = 100);
 
 /// Ordinary least squares fit y = intercept + slope * x.
 /// Used to recover (alpha, beta) from transfer-time measurements.

@@ -6,6 +6,8 @@
 //     model's predicted volumes;
 //   * strategy fingerprints on randomized strategies rebuilt in another
 //     hash-map order;
+//   * the cost model against a naive Eq. 1-6 reference on random and
+//     synthesized strategies;
 //   * simulator event ordering under random schedules, and the event queue
 //     against a naive (when, insertion sequence) reference;
 //   * EdgeChannel FIFO + conservation under random chunk streams;
@@ -14,9 +16,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -26,6 +31,7 @@
 #include "collective/behavior.h"
 #include "collective/builders.h"
 #include "collective/executor.h"
+#include "cost_model_reference.h"
 #include "profiler/profiler.h"
 #include "relay/ski_rental.h"
 #include "runtime/adapcc.h"
@@ -262,6 +268,49 @@ TEST_P(ConservationProperty, ChainReduceMovesExactlyOneTensorPerInstance) {
 INSTANTIATE_TEST_SUITE_P(Scales, ConservationProperty, ::testing::Values(2, 3, 4, 6));
 
 // ---------------------------------------------------------------------------
+// Random strategies, shared by the fingerprint and cost-model properties.
+// ---------------------------------------------------------------------------
+
+/// A random strategy over `ranks`: 1-4 equal sub-collectives with random
+/// chunk sizes, each either direct all-pairs flows (AllToAll) or a random
+/// tree rooted at ranks[0] with random aggregation flags.
+Strategy random_strategy(util::Rng& rng, Primitive primitive, const std::vector<int>& ranks) {
+  Strategy strategy;
+  strategy.primitive = primitive;
+  strategy.participants = ranks;
+  const int world = static_cast<int>(ranks.size());
+  const auto gpu = [&ranks](int i) { return NodeId::gpu(ranks[static_cast<std::size_t>(i)]); };
+  const int subs = static_cast<int>(rng.uniform_int(1, 4));
+  for (int m = 0; m < subs; ++m) {
+    collective::SubCollective sub;
+    sub.id = m;
+    sub.fraction = 1.0 / subs;
+    sub.chunk_bytes = static_cast<Bytes>(rng.uniform_int(1, 16)) * 512_KiB;
+    if (primitive == Primitive::kAllToAll) {
+      sub.alltoall_concurrency = static_cast<int>(rng.uniform_int(0, 4));
+      for (int a = 0; a < world; ++a) {
+        for (int b = 0; b < world; ++b) {
+          if (a == b) continue;
+          collective::FlowRoute route;
+          route.src = gpu(a);
+          route.dst = gpu(b);
+          route.path = {route.src, route.dst};
+          sub.flows.push_back(std::move(route));
+        }
+      }
+    } else {
+      sub.tree.root = gpu(0);
+      for (int n = 1; n < world; ++n) {
+        sub.tree.parent[gpu(n)] = gpu(static_cast<int>(rng.uniform_int(0, n - 1)));
+        if (rng.bernoulli(0.25)) sub.aggregate_at[gpu(n)] = rng.bernoulli(0.5);
+      }
+    }
+    strategy.subs.push_back(std::move(sub));
+  }
+  return strategy;
+}
+
+// ---------------------------------------------------------------------------
 // Strategy fingerprint round-trip on randomized strategies. The fingerprint
 // is the strategy's canonical XML rendering; a copy rebuilt with its hash
 // maps filled in reverse key order and rehashed must render the same text.
@@ -271,39 +320,12 @@ class XmlRoundTripProperty : public ::testing::TestWithParam<int /*seed*/> {};
 
 TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 977);
-  Strategy strategy;
   const bool alltoall = rng.bernoulli(0.3);
-  strategy.primitive = alltoall ? Primitive::kAllToAll : Primitive::kAllReduce;
   const int world = static_cast<int>(rng.uniform_int(2, 10));
-  for (int r = 0; r < world; ++r) strategy.participants.push_back(r);
-  const int subs = static_cast<int>(rng.uniform_int(1, 4));
-  for (int m = 0; m < subs; ++m) {
-    collective::SubCollective sub;
-    sub.id = m;
-    sub.fraction = 1.0 / subs;
-    sub.chunk_bytes = static_cast<Bytes>(rng.uniform_int(1, 16)) * 512_KiB;
-    if (alltoall) {
-      sub.alltoall_concurrency = static_cast<int>(rng.uniform_int(0, 4));
-      for (int a = 0; a < world; ++a) {
-        for (int b = 0; b < world; ++b) {
-          if (a == b) continue;
-          collective::FlowRoute route;
-          route.src = NodeId::gpu(a);
-          route.dst = NodeId::gpu(b);
-          route.path = {route.src, route.dst};
-          sub.flows.push_back(std::move(route));
-        }
-      }
-    } else {
-      sub.tree.root = NodeId::gpu(0);
-      for (int n = 1; n < world; ++n) {
-        sub.tree.parent[NodeId::gpu(n)] =
-            NodeId::gpu(static_cast<int>(rng.uniform_int(0, n - 1)));
-        if (rng.bernoulli(0.25)) sub.aggregate_at[NodeId::gpu(n)] = rng.bernoulli(0.5);
-      }
-    }
-    strategy.subs.push_back(std::move(sub));
-  }
+  std::vector<int> ranks;
+  for (int r = 0; r < world; ++r) ranks.push_back(r);
+  const Strategy strategy =
+      random_strategy(rng, alltoall ? Primitive::kAllToAll : Primitive::kAllReduce, ranks);
 
   // Rebuild every unordered map from its entries in descending key order
   // into a table with a different bucket count, so iteration order differs.
@@ -334,6 +356,142 @@ TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripProperty, ::testing::Range(1, 25));
+
+// ---------------------------------------------------------------------------
+// Cost model vs. a naive Eq. 1-6 reference (cost_model_reference.h). Random
+// strategies over all six primitives, and the synthesizer's own outputs, on
+// profiled paper and heter testbeds with random active subsets. Link loads
+// and the cost of a fresh evaluator and of one that absorbed aggregation
+// flips and chunk changes must equal the reference exactly. Where the
+// reference rejects an unprofiled edge, the evaluator must throw too.
+// ---------------------------------------------------------------------------
+
+/// Checks `evaluator` (bound to `strategy`) and a one-shot estimate against
+/// the reference. Returns false when the reference rejects the strategy.
+bool expect_matches_reference(synthesizer::CostEvaluator& evaluator, const Strategy& strategy,
+                              const topology::LogicalTopology& topo, Bytes tensor,
+                              const std::set<int>& active, const std::string& where) {
+  EXPECT_EQ(evaluator.link_loads(), cost_reference::link_loads(strategy, active)) << where;
+  Seconds want = 0.0;
+  try {
+    want = cost_reference::completion_time(strategy, topo, tensor, active);
+  } catch (const std::invalid_argument&) {
+    EXPECT_THROW(evaluator.completion_time(), std::invalid_argument) << where;
+    EXPECT_THROW(synthesizer::estimate_completion_time(strategy, topo, tensor, active),
+                 std::invalid_argument)
+        << where;
+    return false;
+  }
+  EXPECT_EQ(evaluator.completion_time(), want) << where;
+  EXPECT_EQ(synthesizer::estimate_completion_time(strategy, topo, tensor, active), want) << where;
+  return true;
+}
+
+/// Every directed edge a strategy's trees and flows touch.
+std::vector<std::pair<NodeId, NodeId>> strategy_edges(const Strategy& strategy) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const auto& sub : strategy.subs) {
+    for (const NodeId node : sub.tree.nodes()) {
+      for (const NodeId child : sub.tree.children_of(node)) {
+        edges.emplace_back(child, node);
+        edges.emplace_back(node, child);
+      }
+    }
+    for (const auto& flow : sub.flows) {
+      for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
+        edges.emplace_back(flow.path[i], flow.path[i + 1]);
+      }
+    }
+  }
+  return edges;
+}
+
+class CostModelOracleProperty : public ::testing::TestWithParam<int /*seed*/> {};
+
+TEST_P(CostModelOracleProperty, EvaluatorMatchesNaiveReference) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+  sim::Simulator sim;
+  topology::Cluster cluster(
+      sim, seed % 2 == 1 ? topology::paper_testbed() : topology::heter_testbed());
+  topology::Detector detector(cluster, util::Rng(3));
+  auto topo = topology::Detector::build_logical_topology(cluster, detector.detect());
+  profiler::Profiler profiler(cluster);
+  profiler.profile(topo);
+  synthesizer::Synthesizer synth(cluster, topo);
+
+  constexpr Primitive kPrimitives[] = {Primitive::kReduce,    Primitive::kBroadcast,
+                                       Primitive::kAllReduce, Primitive::kAllGather,
+                                       Primitive::kReduceScatter, Primitive::kAllToAll};
+  constexpr Bytes kTensors[] = {3, 100, 64_KiB, 5_MiB, 64_MiB, 256_MiB};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  int evaluated = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    // A shuffled subset of at least two ranks; the first roots every tree.
+    std::vector<int> ranks;
+    for (int r = 0; r < cluster.world_size(); ++r) ranks.push_back(r);
+    for (std::size_t i = ranks.size() - 1; i > 0; --i) std::swap(ranks[i], ranks[pick(i + 1)]);
+    ranks.resize(static_cast<std::size_t>(rng.uniform_int(2, cluster.world_size())));
+    const Primitive primitive = kPrimitives[pick(std::size(kPrimitives))];
+    const Bytes tensor = kTensors[pick(std::size(kTensors))];
+    // Odd trials score the synthesizer's own choice for these ranks.
+    Strategy strategy;
+    if (trial % 2 == 0) {
+      strategy = random_strategy(rng, primitive, ranks);
+    } else {
+      std::vector<int> sorted = ranks;
+      std::sort(sorted.begin(), sorted.end());
+      strategy = synth.synthesize(primitive, sorted, tensor);
+    }
+    std::set<int> active;  // empty = every participant
+    if (rng.bernoulli(0.7)) {
+      for (const int r : strategy.participants) {
+        if (rng.bernoulli(0.7)) active.insert(r);
+      }
+    }
+    // Now and then an edge the strategy uses loses its profile.
+    topology::LogicalTopology trial_topo = topo;
+    if (rng.bernoulli(0.25)) {
+      const auto edges = strategy_edges(strategy);
+      const auto& [from, to] = edges[pick(edges.size())];
+      if (trial_topo.has_edge(from, to)) trial_topo.mutable_edge(from, to).profiled = false;
+    }
+
+    const std::string where = "seed " + std::to_string(seed) + " trial " +
+                              std::to_string(trial) + " " + collective::to_string(primitive) +
+                              " " + std::to_string(tensor) + " B";
+    synthesizer::CostEvaluator evaluator(strategy, trial_topo, tensor, active);
+    if (expect_matches_reference(evaluator, strategy, trial_topo, tensor, active, where)) {
+      ++evaluated;
+    }
+
+    // Mutate the bound strategy the way the solver does, reporting every
+    // aggregation flip, and re-check after each step.
+    std::vector<std::pair<std::size_t, NodeId>> tree_nodes;
+    for (std::size_t si = 0; si < strategy.subs.size(); ++si) {
+      for (const NodeId node : strategy.subs[si].tree.nodes()) tree_nodes.emplace_back(si, node);
+    }
+    for (int step = 0; step < 12; ++step) {
+      if (!tree_nodes.empty() && rng.bernoulli(0.6)) {
+        const auto [si, node] = tree_nodes[pick(tree_nodes.size())];
+        auto& sub = strategy.subs[si];
+        sub.aggregate_at[node] = !sub.aggregates_at(node, strategy.primitive);
+        evaluator.on_aggregation_toggled(si, node);
+      } else {
+        strategy.subs[pick(strategy.subs.size())].chunk_bytes =
+            static_cast<Bytes>(rng.uniform_int(1, 64)) * 64_KiB;
+      }
+      expect_matches_reference(evaluator, strategy, trial_topo, tensor, active,
+                               where + " step " + std::to_string(step));
+    }
+  }
+  EXPECT_GT(evaluated, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CostModelOracleProperty, ::testing::Range(1, 17));
 
 // ---------------------------------------------------------------------------
 // Simulator ordering under random schedules.

@@ -50,17 +50,6 @@ TEST(SkiRental, TwoCompetitiveBound) {
   }
 }
 
-TEST(CollectiveTimeEstimate, VolumeOverBandwidth) {
-  EXPECT_DOUBLE_EQ(relay::collective_time_estimate(1e9, 1e10), 0.1);
-  EXPECT_DOUBLE_EQ(relay::collective_time_estimate(1e9, 0.0), 0.0);
-}
-
-TEST(DataVolumeFactors, MatchPaperFormulas) {
-  EXPECT_DOUBLE_EQ(collective::data_volume_factor(Primitive::kAllReduce, 8), 14.0);  // 2(N-1)
-  EXPECT_DOUBLE_EQ(collective::data_volume_factor(Primitive::kAllToAll, 8), 8.0);    // N
-  EXPECT_DOUBLE_EQ(collective::data_volume_factor(Primitive::kBroadcast, 8), 1.0);
-}
-
 // --- DataLoader -----------------------------------------------------------
 
 TEST(DataLoaderTest, SplitsEvenly) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "collective/builders.h"
 #include "collective/executor.h"
+#include "cost_model_reference.h"
 #include "profiler/profiler.h"
 #include "synthesizer/cost_model.h"
 #include "synthesizer/synthesizer.h"
@@ -19,7 +22,6 @@ using collective::Primitive;
 using collective::Strategy;
 using collective::SubCollective;
 using collective::Tree;
-using synthesizer::compute_link_loads;
 using synthesizer::EdgeKey;
 using synthesizer::estimate_completion_time;
 using synthesizer::Synthesizer;
@@ -42,6 +44,11 @@ class SynthesizerTest : public ::testing::Test {
     return ranks;
   }
 
+  /// Link loads as the synthesizer sees them (CostEvaluator::link_loads).
+  synthesizer::LinkLoads loads_of(const Strategy& strategy, const std::set<int>& active) const {
+    return synthesizer::CostEvaluator(strategy, topo_, megabytes(16), active).link_loads();
+  }
+
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<topology::Cluster> cluster_;
   topology::LogicalTopology topo_;
@@ -54,7 +61,7 @@ TEST_F(SynthesizerTest, LinkLoadsAggregatedReduceIsOnePerEdge) {
   Strategy strategy = collective::single_tree_strategy(
       Primitive::kReduce, {0, 1, 2, 3},
       chain_tree({NodeId::gpu(3), NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
-  const auto loads = compute_link_loads(strategy, {0, 1, 2, 3});
+  const auto loads = loads_of(strategy, {0, 1, 2, 3});
   for (const auto& [edge, load] : loads) EXPECT_DOUBLE_EQ(load, 1.0);
   EXPECT_EQ(loads.size(), 3u);
 }
@@ -67,7 +74,7 @@ TEST_F(SynthesizerTest, LinkLoadsWithoutAggregationAccumulate) {
   // Disable aggregation everywhere except the root: flows pile up.
   strategy.subs[0].aggregate_at[NodeId::gpu(1)] = false;
   strategy.subs[0].aggregate_at[NodeId::gpu(2)] = false;
-  const auto loads = compute_link_loads(strategy, {0, 1, 2, 3});
+  const auto loads = loads_of(strategy, {0, 1, 2, 3});
   EXPECT_DOUBLE_EQ(loads.at(EdgeKey{NodeId::gpu(3), NodeId::gpu(2)}), 1.0);
   EXPECT_DOUBLE_EQ(loads.at(EdgeKey{NodeId::gpu(2), NodeId::gpu(1)}), 2.0);
   EXPECT_DOUBLE_EQ(loads.at(EdgeKey{NodeId::gpu(1), NodeId::gpu(0)}), 3.0);
@@ -78,7 +85,7 @@ TEST_F(SynthesizerTest, InactiveSubtreeCarriesNoLoad) {
   Strategy strategy = collective::single_tree_strategy(
       Primitive::kReduce, {0, 1, 2, 3},
       chain_tree({NodeId::gpu(3), NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
-  const auto loads = compute_link_loads(strategy, {0, 1, 2});  // rank 3 inactive
+  const auto loads = loads_of(strategy, {0, 1, 2});  // rank 3 inactive
   EXPECT_FALSE(loads.contains(EdgeKey{NodeId::gpu(3), NodeId::gpu(2)}));
   EXPECT_TRUE(loads.contains(EdgeKey{NodeId::gpu(2), NodeId::gpu(1)}));
 }
@@ -100,15 +107,6 @@ TEST_F(SynthesizerTest, CostModelRejectsUnprofiledTopology) {
       Primitive::kReduce, {0, 1}, chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
   EXPECT_THROW(estimate_completion_time(strategy, empty_topo, megabytes(16), {}),
                std::invalid_argument);
-}
-
-TEST_F(SynthesizerTest, AggregateBandwidthSumsUsedEdges) {
-  build({topology::a100_server("s0")});
-  Strategy strategy = collective::single_tree_strategy(
-      Primitive::kReduce, {0, 1}, chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
-  const auto bw = synthesizer::aggregate_bandwidth(strategy, topo_);
-  // One NVLink edge, ~300 GB/s.
-  EXPECT_NEAR(bw, topology::nvlink_bandwidth(topology::GpuKind::kA100), 0.1 * gBps(300));
 }
 
 // --- synthesizer ---------------------------------------------------------------
@@ -306,10 +304,24 @@ TEST_F(SynthesizerTest, CostEvaluatorHonorsActiveSubset) {
   synthesizer::CostEvaluator evaluator(strategy, topo_, megabytes(64), active);
   EXPECT_EQ(evaluator.completion_time(),
             estimate_completion_time(strategy, topo_, megabytes(64), active));
-  EXPECT_EQ(evaluator.link_loads(), compute_link_loads(strategy, active));
+  EXPECT_EQ(evaluator.link_loads(), cost_reference::link_loads(strategy, active));
 }
 
 // --- deterministic parallel search -------------------------------------------
+
+/// A parallel solve must match the serial one exactly: same graph, same
+/// chunk sizes, same model cost, same number of candidates charged.
+void expect_same_solve(const Strategy& want, const synthesizer::SynthesisReport& want_report,
+                       const Strategy& got, const synthesizer::SynthesisReport& got_report,
+                       const std::string& label) {
+  EXPECT_EQ(got.fingerprint(), want.fingerprint()) << label;
+  ASSERT_EQ(got.subs.size(), want.subs.size()) << label;
+  for (std::size_t s = 0; s < got.subs.size(); ++s) {
+    EXPECT_EQ(got.subs[s].chunk_bytes, want.subs[s].chunk_bytes) << label << " sub " << s;
+  }
+  EXPECT_EQ(got_report.model_cost, want_report.model_cost) << label;
+  EXPECT_EQ(got_report.candidates_evaluated, want_report.candidates_evaluated) << label;
+}
 
 // The tentpole guarantee (DESIGN.md §10): the multi-threaded candidate
 // search must pick the bit-identical strategy — same graph, same chunk,
@@ -340,15 +352,34 @@ TEST_F(SynthesizerTest, ParallelSearchIsBitIdenticalToSerial) {
       const Strategy got = parallel.synthesize(primitive, all_ranks(), megabytes(64));
       ASSERT_EQ(parallel.solver_thread_count(), 8);
 
-      EXPECT_EQ(got.fingerprint(), want.fingerprint())
-          << name << " primitive=" << static_cast<int>(primitive);
-      ASSERT_EQ(got.subs.size(), want.subs.size());
-      for (std::size_t s = 0; s < got.subs.size(); ++s) {
-        EXPECT_EQ(got.subs[s].chunk_bytes, want.subs[s].chunk_bytes) << name << " sub " << s;
-      }
-      EXPECT_EQ(parallel.last_report().model_cost, want_report.model_cost) << name;
-      EXPECT_EQ(parallel.last_report().candidates_evaluated, want_report.candidates_evaluated)
-          << name << " primitive=" << static_cast<int>(primitive);
+      expect_same_solve(want, want_report, got, parallel.last_report(),
+                        std::string(name) + " primitive=" +
+                            std::to_string(static_cast<int>(primitive)));
+    }
+  }
+}
+
+// The same guarantee at 128 and 256 ranks, for every thread count the
+// solver is run with. A separate case so the TSan job's *ParallelSearch*
+// filter skips it: these solves are too slow under Debug+TSan.
+TEST_F(SynthesizerTest, LargeFleetSolveIsThreadCountInvariant) {
+  for (const int servers : {32, 64}) {
+    build(topology::a100_fleet(servers));
+    ASSERT_EQ(cluster_->world_size(), 4 * servers);
+    synthesizer::SynthesizerConfig serial_config;
+    serial_config.solver_threads = 1;
+    Synthesizer serial(*cluster_, topo_, serial_config);
+    const Strategy want = serial.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(256));
+    const synthesizer::SynthesisReport want_report = serial.last_report();
+    for (const int threads : {2, 4, 8}) {
+      synthesizer::SynthesizerConfig parallel_config;
+      parallel_config.solver_threads = threads;
+      Synthesizer parallel(*cluster_, topo_, parallel_config);
+      const Strategy got = parallel.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(256));
+      ASSERT_EQ(parallel.solver_thread_count(), threads);
+      expect_same_solve(want, want_report, got, parallel.last_report(),
+                        std::to_string(4 * servers) + " ranks, " + std::to_string(threads) +
+                            " threads");
     }
   }
 }

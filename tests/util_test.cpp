@@ -56,33 +56,6 @@ TEST(GeometricMean, MatchesHandComputation) {
   EXPECT_THROW(util::geometric_mean({1.0, -1.0}), std::invalid_argument);
 }
 
-TEST(EmpiricalCdf, IsMonotone) {
-  std::vector<double> samples;
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) samples.push_back(rng.uniform(0, 100));
-  const auto cdf = util::empirical_cdf(samples, 50);
-  ASSERT_EQ(cdf.size(), 50u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GE(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-TEST(EmpiricalCdf, InterpolatesLikePercentile) {
-  // Regression: quantiles between order statistics must interpolate exactly
-  // as percentile() does, not truncate down to the lower sample.
-  const std::vector<double> samples{10, 20, 30, 40};
-  const auto cdf = util::empirical_cdf(samples, 3);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 10.0);
-  EXPECT_DOUBLE_EQ(cdf[1].first, 25.0);  // truncating indexing would give 20
-  EXPECT_DOUBLE_EQ(cdf[2].first, 40.0);
-  for (const auto& [value, q] : cdf) {
-    EXPECT_DOUBLE_EQ(value, util::percentile(samples, q));
-  }
-}
-
 TEST(FitLine, RecoversExactLine) {
   // t = alpha + beta * s with alpha=5us, beta = 1/(10 GB/s).
   const double alpha = 5e-6;
