@@ -41,7 +41,7 @@ int run(int jobs) {
   // graph, and measures from an idle simulator — independent by
   // construction, so rows fan out over --jobs.
   util::TaskPool pool(jobs);
-  const std::vector<Row> rows = pool.map_indexed<Row>(chunks.size(), [&](std::size_t i, int) {
+  const std::vector<Row> rows = pool.map_indexed<Row>(chunks.size(), [&](std::size_t i) {
     World world(topology::heter_testbed());
     topology::Detector detector(*world.cluster, util::Rng(5));
     auto topo = topology::Detector::build_logical_topology(*world.cluster, detector.detect());

@@ -30,7 +30,7 @@ int run(int jobs) {
   // Three self-contained cells (each builds its own fragmented box), fanned
   // out over --jobs and printed in fixed order afterwards.
   util::TaskPool pool(jobs);
-  const std::vector<double> ms = pool.map_indexed<double>(3, [&](std::size_t i, int) {
+  const std::vector<double> ms = pool.map_indexed<double>(3, [&](std::size_t i) {
     World world({topology::interleaved_a100_server("frag")});
     std::unique_ptr<baselines::Backend> backend;
     switch (i) {

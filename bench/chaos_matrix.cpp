@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
   };
   const std::size_t relay_cells = static_cast<std::size_t>(seeds) * policies.size();
   const std::vector<RelayCell> relay_results =
-      pool.map_indexed<RelayCell>(relay_cells, [&](std::size_t cell, int) {
+      pool.map_indexed<RelayCell>(relay_cells, [&](std::size_t cell) {
         const int s = static_cast<int>(cell / policies.size());
         const std::size_t p = cell % policies.size();
         const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   // (int, not bool: std::vector<bool> packs bits, so concurrent writes to
   // adjacent indices would race.)
   const std::vector<int> determinism_results = pool.map_indexed<int>(
-      static_cast<std::size_t>(determinism_seeds), [&](std::size_t s, int) {
+      static_cast<std::size_t>(determinism_seeds), [&](std::size_t s) {
         const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
         const auto a = run_relay_cell(fault_seed, relay::WaitPolicy::kBreakEven, 7, nullptr);
         const auto b =
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
   const std::size_t resilient_cells =
       static_cast<std::size_t>(resilient_seeds) * primitives.size();
   const std::vector<int> resilient_results =
-      pool.map_indexed<int>(resilient_cells, [&](std::size_t cell, int) {
+      pool.map_indexed<int>(resilient_cells, [&](std::size_t cell) {
         const int s = static_cast<int>(cell / primitives.size());
         const auto primitive = primitives[cell % primitives.size()];
         return run_resilient_cell(42 + static_cast<std::uint64_t>(s), primitive) ? 1 : 0;

@@ -14,8 +14,7 @@ std::vector<NodeId> Tree::nodes() const {
     if (child != root) result.push_back(child);
   }
   // Root first, then ascending NodeId: callers iterate this to build
-  // channels and to order the aggregation local search, so hash-map order
-  // would leak into simulation-visible results (tie-broken toggle choices).
+  // channels, so hash-map order would leak into simulation-visible results.
   std::sort(result.begin() + 1, result.end());
   return result;
 }

@@ -117,7 +117,7 @@ std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
   // samples, so they fan out over the solver pool, collected by edge index.
   pool_.set_record_spans(telemetry::host_spans_enabled());
   std::vector<AlphaBeta> results = pool_.map_indexed<AlphaBeta>(
-      probes.size(), [&](std::size_t i, int) { return probes[i]->estimator().estimate(); });
+      probes.size(), [&](std::size_t i) { return probes[i]->estimator().estimate(); });
   if (telemetry::host_spans_enabled()) {
     telemetry::flush_solver_spans(pool_.take_spans(), "profiler/fit");
   }

@@ -36,6 +36,15 @@ const topology::LogicalEdge& profiled_edge(const LogicalTopology& topo, NodeId f
   return edge;
 }
 
+/// Tree primitives that send reduce traffic toward the root, and those that
+/// send broadcast traffic away from it (AllReduce does both).
+bool reduces(Primitive primitive) {
+  return primitive != Primitive::kBroadcast && primitive != Primitive::kAllGather;
+}
+bool broadcasts(Primitive primitive) {
+  return primitive != Primitive::kReduce && primitive != Primitive::kReduceScatter;
+}
+
 /// Port loads and capacities derived from `loads` and the profiled NIC mesh.
 PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads) {
   PortState ports;
@@ -79,18 +88,18 @@ CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& to
       kernel_overhead_(topology::kernel_launch_overhead()) {
   if (active_.empty()) active_.insert(strategy.participants.begin(), strategy.participants.end());
   subs_.resize(strategy_.subs.size());
-  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
-    build_sub_state(strategy_.subs[s], subs_[s]);
-  }
-  build_loads();
+  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) add_sub(strategy_.subs[s], subs_[s]);
   ports_ = compute_port_state(topo_, loads_);
   // Only now are loads_ and ports_ final; unordered_map values are never
   // inserted or erased after this point, so EdgeInfo may hold raw pointers.
   resolve_edges();
 }
 
-void CostEvaluator::build_sub_state(const SubCollective& sub, SubState& st) const {
-  if (strategy_.primitive == Primitive::kAllToAll) return;  // flow-based, no tree
+void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
+  if (strategy_.primitive == Primitive::kAllToAll) {
+    add_flow_loads(sub, loads_);  // flow-based, no tree
+    return;
+  }
   const Tree& tree = sub.tree;
   // Children adjacency sorted per parent, the order Tree::children_of
   // returns.
@@ -99,87 +108,64 @@ void CostEvaluator::build_sub_state(const SubCollective& sub, SubState& st) cons
   // lint:ordered — each per-parent list is sorted; visit order is irrelevant.
   for (auto& [node, kids] : children) std::sort(kids.begin(), kids.end());
 
+  std::unordered_map<NodeId, int> index;
   st.order.push_back(tree.root);
-  st.index.emplace(tree.root, 0);
+  index.emplace(tree.root, 0);
   st.parent.push_back(-1);
   for (std::size_t i = 0; i < st.order.size(); ++i) {
     const auto it = children.find(st.order[i]);
     if (it == children.end()) continue;
     for (const NodeId child : it->second) {
-      if (st.index.contains(child)) continue;  // malformed cycle: visit once
-      st.index.emplace(child, static_cast<int>(st.order.size()));
+      if (index.contains(child)) continue;  // malformed cycle: visit once
+      index.emplace(child, static_cast<int>(st.order.size()));
       st.parent.push_back(static_cast<int>(i));
       st.order.push_back(child);
     }
   }
 
   const int n = static_cast<int>(st.order.size());
-  st.active_below.assign(n, 0);
-  st.inputs.assign(n, 0);
-  st.out.assign(n, 0);
-  st.visited.assign(n, 0);
-  st.h.assign(n, 0.0);
+  std::vector<int> active_below(n, 0);  // active GPUs in the subtree
+  std::vector<int> inputs(n, 0);        // reduce messages arriving per chunk
+  std::vector<int> out(n, 0);           // reduce messages sent to the parent
   for (int i = 0; i < n; ++i) {
     const NodeId node = st.order[i];
     const int own = node.is_gpu() && active_.contains(node.index) ? 1 : 0;
-    st.active_below[i] = own;
-    st.inputs[i] = own;
+    active_below[i] = own;
+    inputs[i] = own;
   }
   // Breadth-first order puts every parent before its children, so one
   // reverse sweep evaluates the N_ij^m rule for Reduce (Sec. IV-D) bottom-up:
   // an aggregating node forwards one combined message per chunk; any other
   // node forwards everything it received plus its own contribution.
   for (int i = n - 1; i >= 0; --i) {
-    st.out[i] = st.inputs[i] == 0
-                    ? 0
-                    : (sub.aggregates_at(st.order[i], strategy_.primitive) ? 1 : st.inputs[i]);
+    out[i] = inputs[i] == 0 ? 0
+                            : (sub.aggregates_at(st.order[i], strategy_.primitive) ? 1 : inputs[i]);
     if (st.parent[i] >= 0) {
-      st.active_below[st.parent[i]] += st.active_below[i];
-      st.inputs[st.parent[i]] += st.out[i];
+      active_below[st.parent[i]] += active_below[i];
+      inputs[st.parent[i]] += out[i];
     }
   }
   // Reduce timing prunes subtrees with no active GPU; precompute which nodes
-  // it reaches (the toggle search cannot change this — it only flips
-  // aggregation, never membership).
+  // it reaches.
+  st.visited.assign(n, 0);
   st.visited[0] = 1;
   for (int i = 1; i < n; ++i) {
-    st.visited[i] = static_cast<char>(st.visited[st.parent[i]] != 0 && st.active_below[i] > 0);
+    st.visited[i] = static_cast<char>(st.visited[st.parent[i]] != 0 && active_below[i] > 0);
   }
-}
+  st.h.assign(n, 0.0);
 
-void CostEvaluator::build_loads() {
-  const auto add_reduce = [&](const SubCollective& sub, const SubState& st) {
+  if (reduces(strategy_.primitive)) {
     // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : sub.tree.parent) {
-      const auto it = st.index.find(child);
-      const int out = it == st.index.end() ? 0 : st.out[it->second];
-      if (out == 0) continue;
-      loads_[EdgeKey{child, parent}] += static_cast<double>(out);
+    for (const auto& [child, parent] : tree.parent) {
+      const auto it = index.find(child);
+      const int sent = it == index.end() ? 0 : out[it->second];
+      if (sent == 0) continue;
+      loads_[EdgeKey{child, parent}] += static_cast<double>(sent);
     }
-  };
-  const auto add_broadcast = [&](const SubCollective& sub) {
+  }
+  if (broadcasts(strategy_.primitive)) {
     // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : sub.tree.parent) loads_[EdgeKey{parent, child}] += 1.0;
-  };
-  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
-    const auto& sub = strategy_.subs[s];
-    switch (strategy_.primitive) {
-      case Primitive::kReduce:
-      case Primitive::kReduceScatter:
-        add_reduce(sub, subs_[s]);
-        break;
-      case Primitive::kBroadcast:
-      case Primitive::kAllGather:
-        add_broadcast(sub);
-        break;
-      case Primitive::kAllReduce:
-        add_reduce(sub, subs_[s]);
-        add_broadcast(sub);
-        break;
-      case Primitive::kAllToAll:
-        add_flow_loads(sub, loads_);
-        break;
-    }
+    for (const auto& [child, parent] : tree.parent) loads_[EdgeKey{parent, child}] += 1.0;
   }
 }
 
@@ -198,10 +184,8 @@ void CostEvaluator::resolve_edges() {
       }
       continue;
     }
-    const bool wants_up = strategy_.primitive != Primitive::kBroadcast &&
-                          strategy_.primitive != Primitive::kAllGather;
-    const bool wants_down = strategy_.primitive != Primitive::kReduce &&
-                            strategy_.primitive != Primitive::kReduceScatter;
+    const bool wants_up = reduces(strategy_.primitive);
+    const bool wants_down = broadcasts(strategy_.primitive);
     const int n = static_cast<int>(st.order.size());
     if (wants_up) st.up.resize(n);
     if (wants_down) st.down.resize(n);
@@ -365,45 +349,6 @@ Seconds CostEvaluator::completion_time() {
     worst = std::max(worst, total);  // Eq. 4
   }
   return worst;
-}
-
-void CostEvaluator::on_aggregation_toggled(std::size_t sub_index, NodeId node) {
-  switch (strategy_.primitive) {
-    case Primitive::kReduce:
-    case Primitive::kReduceScatter:
-    case Primitive::kAllReduce:
-      break;
-    default:
-      return;  // broadcast edges carry one replica regardless of aggregation
-  }
-  SubState& st = subs_[sub_index];
-  const auto it = st.index.find(node);
-  if (it == st.index.end()) return;  // unreachable from the root: carries no load
-  const auto& sub = strategy_.subs[sub_index];
-  int i = it->second;
-  for (;;) {
-    const int in = st.inputs[i];
-    const int fresh =
-        in == 0 ? 0 : (sub.aggregates_at(st.order[i], strategy_.primitive) ? 1 : in);
-    const int delta = fresh - st.out[i];
-    if (delta == 0) return;  // absorbed (e.g. by an aggregating ancestor)
-    st.out[i] = fresh;
-    const int parent = st.parent[i];
-    if (parent < 0) return;  // the root's out feeds no edge
-    EdgeInfo& e = st.up[i];
-    if (e.load != nullptr) {
-      const double d = static_cast<double>(delta);
-      *e.load += d;
-      if (e.network_port) {
-        // Keep the shared-port sums consistent with the edge loads they
-        // aggregate (compute_port_state counts exactly these edges).
-        if (e.eg_load != nullptr) *e.eg_load += d;
-        if (e.in_load != nullptr) *e.in_load += d;
-      }
-    }
-    st.inputs[parent] += delta;
-    i = parent;
-  }
 }
 
 double max_network_beta(const Strategy& strategy, const LogicalTopology& topo) {

@@ -64,27 +64,25 @@ struct PortState {
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
                                  Bytes tensor_bytes, const std::set<int>& active_ranks);
 
-/// Memoized, incremental evaluator of the Eq. 4 objective for one strategy.
+/// Memoized evaluator of the Eq. 4 objective for one strategy.
 ///
-/// The synthesizer scores the same strategy object many times per solve —
-/// across the chunk-size sweep (loads are chunk-independent) and the
-/// aggregation local search (a toggle changes the loads of only the toggled
-/// node's ancestor chain). This class binds to a Strategy and caches
-/// everything reusable between evaluations: per-sub breadth-first tree
-/// indexes, active-subtree counts, reduce message counts (computed
-/// iteratively over the index, not by recursion), the link-load map, the
-/// shared-port state, and per-edge profiled constants with direct pointers
-/// into the load map. completion_time() is then a flat array sweep over each
-/// tree. estimate_completion_time() is a freshly built evaluator; one that
-/// has absorbed chunk-size changes and aggregation toggles must still return
-/// bit-identical costs (loads are integer-valued doubles, so the incremental
-/// updates are exact), which ADAPCC_AUDIT samples during real solves.
+/// The synthesizer scores the same strategy once per chunk size of its sweep,
+/// and the link loads do not depend on the chunk size. This class binds to a
+/// Strategy and caches everything reusable between evaluations: per-sub
+/// breadth-first tree indexes, the subtrees reduce timing visits, the
+/// link-load map (reduce message counts are computed iteratively over the
+/// index, not by recursion), the shared-port state, and per-edge profiled
+/// constants with direct pointers into the load map. completion_time() is
+/// then a flat array sweep over each tree. estimate_completion_time() is a
+/// freshly built evaluator; one that has absorbed chunk-size changes must
+/// still return bit-identical costs, which ADAPCC_AUDIT samples during real
+/// solves.
 class CostEvaluator {
  public:
   /// Binds to `strategy`, which must outlive the evaluator. Callers may
-  /// mutate sub.chunk_bytes freely between evaluations; every aggregate_at
-  /// flip must be reported through on_aggregation_toggled (including
-  /// reverts). `active_ranks` empty means all participants.
+  /// mutate sub.chunk_bytes freely between evaluations; any other change
+  /// (trees, flows, aggregate_at) needs a new evaluator. `active_ranks`
+  /// empty means all participants.
   CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
                 const std::set<int>& active_ranks);
 
@@ -92,13 +90,6 @@ class CostEvaluator {
   /// std::invalid_argument when a visited edge is missing or unprofiled,
   /// exactly like estimate_completion_time.
   Seconds completion_time();
-
-  /// Folds one aggregation flip (sub `sub_index` at `node`) into the cached
-  /// loads: walks the ancestor chain, updating message counts and the edge
-  /// and port loads they feed, stopping as soon as the delta is absorbed
-  /// (at an aggregating ancestor) — O(depth) instead of a full recompute.
-  /// Loads are integer-valued doubles, so the incremental +/- is exact.
-  void on_aggregation_toggled(std::size_t sub_index, NodeId node);
 
   const LinkLoads& link_loads() const noexcept { return loads_; }
 
@@ -125,16 +116,12 @@ class CostEvaluator {
   };
 
   /// Flattened tree of one sub-collective: breadth-first order (root at 0,
-  /// so a reverse sweep visits children before parents), with memoized
-  /// per-node state.
+  /// so a reverse sweep visits children before parents), with the per-node
+  /// state completion_time() reads.
   struct SubState {
     std::vector<NodeId> order;
-    std::unordered_map<NodeId, int> index;
     std::vector<int> parent;        ///< index into order, -1 for the root
-    std::vector<int> active_below;  ///< active GPUs in the subtree
     std::vector<char> visited;      ///< reachable through active subtrees
-    std::vector<int> inputs;        ///< reduce messages arriving per chunk
-    std::vector<int> out;           ///< reduce messages sent to the parent
     std::vector<EdgeInfo> up;       ///< node -> parent edge (reduce)
     std::vector<EdgeInfo> down;     ///< parent -> node edge (broadcast)
     std::vector<std::vector<EdgeInfo>> flow_edges;  ///< AllToAll paths
@@ -146,8 +133,8 @@ class CostEvaluator {
     Seconds bottleneck = 0.0;
   };
 
-  void build_sub_state(const collective::SubCollective& sub, SubState& st) const;
-  void build_loads();
+  /// Flattens one sub-collective into `st` and adds its loads N_ij^m.
+  void add_sub(const collective::SubCollective& sub, SubState& st);
   void resolve_edges();
   EdgeInfo make_edge(NodeId from, NodeId to);
   double beta_eff(const EdgeInfo& edge) const;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 
 #include "collective/builders.h"
@@ -205,9 +204,9 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     if (record_spans) telemetry::flush_solver_spans(pool_.take_spans(), label);
   };
 
-  // ADAPCC_AUDIT: an incrementally updated CostEvaluator (chunk sweeps,
-  // aggregation toggles) must match one rebuilt from scratch bit for bit —
-  // estimate_completion_time is exactly such a fresh evaluator. Rebuild every
+  // ADAPCC_AUDIT: a CostEvaluator reused across the chunk sweep must match
+  // one rebuilt from scratch bit for bit — estimate_completion_time is
+  // exactly such a fresh evaluator. Rebuild every
   // 5th evaluation during real solves and require exact equality — loads
   // are integer-valued doubles, so any drift is a bug, not rounding.
   // The counter is atomic because evaluations run on pool lanes; which
@@ -260,7 +259,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     // out over the pool); the winner is the first index with the strictly
     // smallest cost, i.e. the serial sweep's tie-break.
     const std::vector<Seconds> costs = pool_.map_indexed<Seconds>(
-        config_.chunk_candidates.size(), [&](std::size_t index, int) {
+        config_.chunk_candidates.size(), [&](std::size_t index) {
           return estimate_completion_time(build_alltoall(config_.chunk_candidates[index]), topo_,
                                           tensor_bytes, active);
         });
@@ -291,7 +290,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // probe is independent, so the evaluations fan out over the pool; costs
   // land in tree order and the (cost, index) sort is unambiguous.
   const std::vector<Seconds> tree_costs =
-      pool_.map_indexed<Seconds>(trees.size(), [&](std::size_t i, int) {
+      pool_.map_indexed<Seconds>(trees.size(), [&](std::size_t i) {
         Strategy probe;
         probe.primitive = primitive;
         probe.participants = participants;
@@ -367,7 +366,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     std::size_t chunk = 0;
   };
   const std::vector<SweepResult> sweeps = pool_.map_indexed<SweepResult>(
-      assignments.size(), [&](std::size_t ai, int) {
+      assignments.size(), [&](std::size_t ai) {
         Strategy candidate = build_assignment(assignments[ai]);
         CostEvaluator evaluator(candidate, topo_, tensor_bytes, active);
         SweepResult local;
@@ -402,131 +401,6 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   best = build_assignment(assignments[best_assignment]);
   for (auto& sub : best.subs) {
     sub.chunk_bytes = config_.chunk_candidates[sweeps[best_assignment].chunk];
-  }
-
-  // --- Aggregation-control local search (a_{m,g} toggles). ------------------
-  if (config_.optimize_aggregation && collective::requires_aggregation(primitive)) {
-    if (pool_.serial()) {
-      // One evaluator survives the whole search: each toggle patches only the
-      // toggled node's ancestor-chain loads instead of recomputing every
-      // sub-collective's message counts from scratch.
-      CostEvaluator evaluator(best, topo_, tensor_bytes, active);
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        for (std::size_t si = 0; si < best.subs.size(); ++si) {
-          auto& sub = best.subs[si];
-          for (const NodeId node : sub.tree.nodes()) {
-            if (!node.is_gpu() || node == sub.tree.root) continue;
-            if (sub.tree.children_of(node).empty()) continue;  // leaves don't aggregate anyway
-            const bool current = sub.aggregates_at(node, primitive);
-            sub.aggregate_at[node] = !current;
-            evaluator.on_aggregation_toggled(si, node);
-            const Seconds cost = evaluator.completion_time();
-            audit_parity(best, cost);
-            ++report_.candidates_evaluated;
-            if (cost + 1e-12 < best_cost) {
-              best_cost = cost;
-              improved = true;
-            } else {
-              sub.aggregate_at[node] = current;
-              evaluator.on_aggregation_toggled(si, node);
-            }
-          }
-        }
-      }
-    } else {
-      // Batched first-improvement: the serial greedy's accepted-toggle
-      // trajectory, reproduced with parallel evaluation. Toggle sites are
-      // enumerated in the serial visiting order; a window of upcoming sites
-      // is scored concurrently against the current base (every lane owns an
-      // arena — a Strategy replica plus its incremental CostEvaluator, kept
-      // in lock-step with the base), and the FIRST improving site in the
-      // window is accepted. Sites past an acceptance were scored against a
-      // stale base, so they are discarded and re-scored from the new base —
-      // exactly what the serial loop would have evaluated. The accepted
-      // trajectory, the final strategy, and candidates_evaluated are
-      // therefore invariant to thread count and window size.
-      struct ToggleSite {
-        std::size_t sub;
-        NodeId node;
-      };
-      std::vector<ToggleSite> sites;
-      for (std::size_t si = 0; si < best.subs.size(); ++si) {
-        const auto& sub = best.subs[si];
-        for (const NodeId node : sub.tree.nodes()) {
-          if (!node.is_gpu() || node == sub.tree.root) continue;
-          if (sub.tree.children_of(node).empty()) continue;
-          sites.push_back({si, node});
-        }
-      }
-      struct AggArena {
-        Strategy strategy;
-        CostEvaluator evaluator;
-        AggArena(const Strategy& base, const topology::LogicalTopology& topo, Bytes bytes,
-                 const std::set<int>& active_ranks)
-            : strategy(base), evaluator(strategy, topo, bytes, active_ranks) {}
-      };
-      std::vector<std::unique_ptr<AggArena>> arenas;
-      for (int lane = 0; lane < pool_.thread_count(); ++lane) {
-        arenas.push_back(std::make_unique<AggArena>(best, topo_, tensor_bytes, active));
-      }
-      const std::size_t window = static_cast<std::size_t>(pool_.thread_count()) * 4;
-      bool improved = true;
-      while (improved && !sites.empty()) {
-        improved = false;
-        std::size_t next = 0;
-        while (next < sites.size()) {
-          const std::size_t batch_n = std::min(window, sites.size() - next);
-          const std::vector<Seconds> costs =
-              pool_.map_indexed<Seconds>(batch_n, [&](std::size_t k, int lane) {
-                AggArena& arena = *arenas[static_cast<std::size_t>(lane)];
-                const ToggleSite& site = sites[next + k];
-                auto& sub = arena.strategy.subs[site.sub];
-                const bool current = sub.aggregates_at(site.node, primitive);
-                sub.aggregate_at[site.node] = !current;
-                arena.evaluator.on_aggregation_toggled(site.sub, site.node);
-                const Seconds cost = arena.evaluator.completion_time();
-                audit_parity(arena.strategy, cost);
-                sub.aggregate_at[site.node] = current;
-                arena.evaluator.on_aggregation_toggled(site.sub, site.node);
-                return cost;
-              });
-          flush_spans("synth/aggregation");
-          std::size_t accepted = batch_n;
-          for (std::size_t k = 0; k < batch_n; ++k) {
-            if (costs[k] + 1e-12 < best_cost) {
-              accepted = k;
-              break;
-            }
-          }
-          // The serial loop leaves an explicit aggregate_at entry at every
-          // site it visits (toggle + revert assigns through the map), so the
-          // base replays those writes for the serially-visited prefix.
-          const std::size_t visited = accepted == batch_n ? batch_n : accepted + 1;
-          for (std::size_t k = 0; k < visited; ++k) {
-            const ToggleSite& site = sites[next + k];
-            auto& sub = best.subs[site.sub];
-            const bool current = sub.aggregates_at(site.node, primitive);
-            sub.aggregate_at[site.node] = k == accepted ? !current : current;
-          }
-          report_.candidates_evaluated += static_cast<int>(visited);
-          if (accepted == batch_n) {
-            next += batch_n;
-            continue;
-          }
-          const ToggleSite& site = sites[next + accepted];
-          const bool flipped = best.subs[site.sub].aggregate_at.at(site.node);
-          best_cost = costs[accepted];
-          improved = true;
-          for (auto& arena : arenas) {
-            arena->strategy.subs[site.sub].aggregate_at[site.node] = flipped;
-            arena->evaluator.on_aggregation_toggled(site.sub, site.node);
-          }
-          next += accepted + 1;
-        }
-      }
-    }
   }
 
   report_.model_cost = best_cost;

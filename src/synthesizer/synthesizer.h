@@ -1,7 +1,6 @@
 // Synthesizer (Sec. IV-D): produces communication strategies — routing
-// graphs for M parallel sub-collectives, chunk size, and per-node
-// aggregation control — minimizing the Eq. 4 objective over the profiled
-// logical topology.
+// graphs for M parallel sub-collectives and their chunk size — minimizing
+// the Eq. 4 objective over the profiled logical topology.
 //
 // The optimization problem is a mixed-integer program the paper hands to
 // Gurobi. No solver is available here, so (per the substitution rules in
@@ -10,15 +9,18 @@
 //      chains feeding the NIC, inter-instance stars/chains/binary trees over
 //      NICs ordered by profiled bandwidth), with rotated root instances so
 //      the M sub-collectives spread load across NICs;
-//   2. chunk-size sweep over a geometric grid, scored with the cost model;
-//   3. aggregation local search — toggling a_{m,g} at intermediate nodes and
-//      keeping improvements (the paper's "partial aggregation" control).
+//   2. chunk-size sweep over a geometric grid, scored with the cost model.
+// The aggregation control a_{m,g} is not searched: under this Eq. 1-6 every
+// GPU aggregating is optimal (turning a_{m,g} off only raises N_ij and the
+// port loads, and the reduce pass waits at every node either way), so
+// synthesized strategies leave aggregate_at empty. The flags exist for
+// hand-built strategies and the Fig. 8(b) partial-aggregation ablation.
 // Solve time is reported for Fig. 19(c).
 //
 // The search runs on a util::TaskPool: candidate evaluation is pure
 // host-side work (the simulated clock never advances during a solve), so
-// trees, assignment x chunk combinations, and aggregation toggles fan out
-// across solver threads while every reduction follows submission order with
+// trees and assignment x chunk combinations fan out across solver threads
+// while every reduction follows submission order with
 // the serial loop's first-index tie-break. The chosen Strategy and its model
 // cost are bit-identical at any thread count (DESIGN.md §10).
 #pragma once
@@ -39,8 +41,6 @@ struct SynthesizerConfig {
   int parallel_subs = 4;
   /// Chunk sizes considered by the sweep.
   std::vector<Bytes> chunk_candidates = {512_KiB, 1_MiB, 2_MiB, 4_MiB, 8_MiB, 16_MiB};
-  /// Run the aggregation-control local search.
-  bool optimize_aggregation = true;
   /// Host threads for the candidate search; 0 = the ADAPCC_SOLVER_THREADS
   /// environment variable (default 1 = serial). Results are identical at
   /// every value — this is a wall-clock knob only.

@@ -57,7 +57,7 @@ void TaskPool::run_tasks(Batch& batch, int lane) {
     const double started =
         batch.record_spans ? wall_seconds() - pool_epoch_seconds_ : 0.0;
     try {
-      (*batch.fn)(index, lane);
+      (*batch.fn)(index);
     } catch (...) {
       batch.errors[index] = std::current_exception();
     }
@@ -99,21 +99,20 @@ void TaskPool::worker_loop(int lane) {
   }
 }
 
-void TaskPool::parallel_for_indexed(std::size_t n,
-                                    const std::function<void(std::size_t, int)>& fn) {
+void TaskPool::parallel_for_indexed(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (workers_.empty() || n <= 1) {
     spans_.clear();
     if (n == 0) return;
     // Serial inline: exactly the loop this pool replaces, including "the
     // first exception aborts the remaining iterations".
     if (!record_spans_) {
-      for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+      for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
     spans_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const double started = wall_seconds() - pool_epoch_seconds_;
-      fn(i, 0);
+      fn(i);
       TaskSpan& span = spans_[i];
       span.task = i;
       span.lane = 0;

@@ -21,8 +21,8 @@
 //     task index is rethrown to the caller after the batch drains (the same
 //     exception a serial loop would have surfaced first); the rest are
 //     dropped. Workers never terminate the process.
-//   * argmin_indexed reduces with the serial loop's exact tie-break: the
-//     first (lowest) index with a strictly smaller cost wins.
+//   * Tasks see only their index, never the lane that runs them; callers
+//     reduce the collected results in index order themselves.
 //   * Batches must not nest: a task must not submit to its own pool.
 //
 // Batches can optionally record a wall-clock TaskSpan per task (lane,
@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <thread>  // lint:threads — this IS the sanctioned thread surface
 #include <vector>
@@ -71,7 +70,6 @@ class TaskPool {
 
   /// Execution lanes (caller included); >= 1.
   int thread_count() const noexcept { return thread_count_; }
-  bool serial() const noexcept { return workers_.empty(); }
 
   /// Record TaskSpans for subsequent batches (off by default); fetch them
   /// with take_spans() after each batch. Callers gate this on telemetry.
@@ -80,50 +78,22 @@ class TaskPool {
   /// Spans of the most recent batch, in task-index order. Clears the log.
   std::vector<TaskSpan> take_spans() { return std::move(spans_); }
 
-  /// Runs fn(task_index, lane) for every task_index in [0, n) and blocks
-  /// until all completed. `lane` is in [0, thread_count()): 0 is the calling
-  /// thread, 1.. are workers. A task may use `lane` to pick a per-thread
-  /// arena, but its *result* must depend on task_index only.
-  void parallel_for_indexed(std::size_t n,
-                            const std::function<void(std::size_t, int)>& fn);
-
-  /// Index-only convenience overload.
-  void parallel_for_indexed(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    parallel_for_indexed(n, [&fn](std::size_t index, int) { fn(index); });
-  }
+  /// Runs fn(task_index) for every task_index in [0, n) and blocks until
+  /// all completed.
+  void parallel_for_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Maps [0, n) through `fn`, collecting results by submission index.
   template <typename R, typename Fn>
   std::vector<R> map_indexed(std::size_t n, Fn&& fn) {
     std::vector<R> out(n);
-    parallel_for_indexed(n,
-                         [&](std::size_t index, int lane) { out[index] = fn(index, lane); });
+    parallel_for_indexed(n, [&](std::size_t index) { out[index] = fn(index); });
     return out;
-  }
-
-  /// Deterministic argmin: evaluates cost(i) for all i in [0, n) on the pool
-  /// and returns the index of the minimum, ties broken toward the lowest
-  /// index — bit-identical to `for (i) if (cost[i] < best) ...` regardless
-  /// of thread count. Returns n when n == 0.
-  template <typename Fn>
-  std::size_t argmin_indexed(std::size_t n, Fn&& cost) {
-    const std::vector<double> costs =
-        map_indexed<double>(n, [&cost](std::size_t index, int) { return cost(index); });
-    std::size_t best = n;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (costs[i] < best_cost) {
-        best_cost = costs[i];
-        best = i;
-      }
-    }
-    return best;
   }
 
  private:
   struct Batch {
     std::size_t count = 0;
-    const std::function<void(std::size_t, int)>* fn = nullptr;
+    const std::function<void(std::size_t)>* fn = nullptr;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> remaining{0};
     /// First-per-index exception slots; rethrown lowest-index-first.

@@ -361,9 +361,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripProperty, ::testing::Range(1, 25));
 // Cost model vs. a naive Eq. 1-6 reference (cost_model_reference.h). Random
 // strategies over all six primitives, and the synthesizer's own outputs, on
 // profiled paper and heter testbeds with random active subsets. Link loads
-// and the cost of a fresh evaluator and of one that absorbed aggregation
-// flips and chunk changes must equal the reference exactly. Where the
-// reference rejects an unprofiled edge, the evaluator must throw too.
+// and the cost of a fresh evaluator and of one that absorbed chunk changes
+// must equal the reference exactly. Where the reference rejects an
+// unprofiled edge, the evaluator must throw too.
 // ---------------------------------------------------------------------------
 
 /// Checks `evaluator` (bound to `strategy`) and a one-shot estimate against
@@ -406,89 +406,150 @@ std::vector<std::pair<NodeId, NodeId>> strategy_edges(const Strategy& strategy) 
   return edges;
 }
 
+std::size_t pick(util::Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// A profiled testbed with a synthesizer: odd seeds paper_testbed, even
+/// heter_testbed.
+struct ProfiledBed {
+  static topology::LogicalTopology profiled_topology(topology::Cluster& cluster) {
+    topology::Detector detector(cluster, util::Rng(3));
+    auto topo = topology::Detector::build_logical_topology(cluster, detector.detect());
+    profiler::Profiler profiler(cluster);
+    profiler.profile(topo);
+    return topo;
+  }
+
+  explicit ProfiledBed(int seed)
+      : cluster(sim, seed % 2 == 1 ? topology::paper_testbed() : topology::heter_testbed()),
+        topo(profiled_topology(cluster)),
+        synth(cluster, topo) {}
+
+  sim::Simulator sim;
+  topology::Cluster cluster;
+  topology::LogicalTopology topo;
+  synthesizer::Synthesizer synth;
+};
+
+/// One cost-model input: a strategy over a shuffled subset of at least two
+/// ranks (even trials random_strategy, odd trials the synthesizer's own
+/// choice), a tensor size, a random active subset (empty = every
+/// participant), and a topology in which now and then an edge the strategy
+/// uses has lost its profile.
+struct OracleTrial {
+  Strategy strategy;
+  Bytes tensor = 0;
+  std::set<int> active;
+  topology::LogicalTopology topo;
+  std::string where;
+};
+
+OracleTrial random_trial(util::Rng& rng, ProfiledBed& bed, int seed, int trial) {
+  constexpr Primitive kPrimitives[] = {Primitive::kReduce,    Primitive::kBroadcast,
+                                       Primitive::kAllReduce, Primitive::kAllGather,
+                                       Primitive::kReduceScatter, Primitive::kAllToAll};
+  constexpr Bytes kTensors[] = {3, 100, 64_KiB, 5_MiB, 64_MiB, 256_MiB};
+  OracleTrial t;
+  // The first rank of the shuffled subset roots every random tree.
+  std::vector<int> ranks;
+  for (int r = 0; r < bed.cluster.world_size(); ++r) ranks.push_back(r);
+  for (std::size_t i = ranks.size() - 1; i > 0; --i) std::swap(ranks[i], ranks[pick(rng, i + 1)]);
+  ranks.resize(static_cast<std::size_t>(rng.uniform_int(2, bed.cluster.world_size())));
+  const Primitive primitive = kPrimitives[pick(rng, std::size(kPrimitives))];
+  t.tensor = kTensors[pick(rng, std::size(kTensors))];
+  if (trial % 2 == 0) {
+    t.strategy = random_strategy(rng, primitive, ranks);
+  } else {
+    std::sort(ranks.begin(), ranks.end());
+    t.strategy = bed.synth.synthesize(primitive, ranks, t.tensor);
+  }
+  if (rng.bernoulli(0.7)) {
+    for (const int r : t.strategy.participants) {
+      if (rng.bernoulli(0.7)) t.active.insert(r);
+    }
+  }
+  t.topo = bed.topo;
+  if (rng.bernoulli(0.25)) {
+    const auto edges = strategy_edges(t.strategy);
+    const auto& [from, to] = edges[pick(rng, edges.size())];
+    if (t.topo.has_edge(from, to)) t.topo.mutable_edge(from, to).profiled = false;
+  }
+  t.where = "seed " + std::to_string(seed) + " trial " + std::to_string(trial) + " " +
+            collective::to_string(primitive) + " " + std::to_string(t.tensor) + " B";
+  return t;
+}
+
 class CostModelOracleProperty : public ::testing::TestWithParam<int /*seed*/> {};
 
 TEST_P(CostModelOracleProperty, EvaluatorMatchesNaiveReference) {
   const int seed = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
-  sim::Simulator sim;
-  topology::Cluster cluster(
-      sim, seed % 2 == 1 ? topology::paper_testbed() : topology::heter_testbed());
-  topology::Detector detector(cluster, util::Rng(3));
-  auto topo = topology::Detector::build_logical_topology(cluster, detector.detect());
-  profiler::Profiler profiler(cluster);
-  profiler.profile(topo);
-  synthesizer::Synthesizer synth(cluster, topo);
-
-  constexpr Primitive kPrimitives[] = {Primitive::kReduce,    Primitive::kBroadcast,
-                                       Primitive::kAllReduce, Primitive::kAllGather,
-                                       Primitive::kReduceScatter, Primitive::kAllToAll};
-  constexpr Bytes kTensors[] = {3, 100, 64_KiB, 5_MiB, 64_MiB, 256_MiB};
-  const auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  };
-
+  ProfiledBed bed(seed);
   int evaluated = 0;
   for (int trial = 0; trial < 8; ++trial) {
-    // A shuffled subset of at least two ranks; the first roots every tree.
-    std::vector<int> ranks;
-    for (int r = 0; r < cluster.world_size(); ++r) ranks.push_back(r);
-    for (std::size_t i = ranks.size() - 1; i > 0; --i) std::swap(ranks[i], ranks[pick(i + 1)]);
-    ranks.resize(static_cast<std::size_t>(rng.uniform_int(2, cluster.world_size())));
-    const Primitive primitive = kPrimitives[pick(std::size(kPrimitives))];
-    const Bytes tensor = kTensors[pick(std::size(kTensors))];
-    // Odd trials score the synthesizer's own choice for these ranks.
-    Strategy strategy;
-    if (trial % 2 == 0) {
-      strategy = random_strategy(rng, primitive, ranks);
-    } else {
-      std::vector<int> sorted = ranks;
-      std::sort(sorted.begin(), sorted.end());
-      strategy = synth.synthesize(primitive, sorted, tensor);
-    }
-    std::set<int> active;  // empty = every participant
-    if (rng.bernoulli(0.7)) {
-      for (const int r : strategy.participants) {
-        if (rng.bernoulli(0.7)) active.insert(r);
-      }
-    }
-    // Now and then an edge the strategy uses loses its profile.
-    topology::LogicalTopology trial_topo = topo;
-    if (rng.bernoulli(0.25)) {
-      const auto edges = strategy_edges(strategy);
-      const auto& [from, to] = edges[pick(edges.size())];
-      if (trial_topo.has_edge(from, to)) trial_topo.mutable_edge(from, to).profiled = false;
-    }
-
-    const std::string where = "seed " + std::to_string(seed) + " trial " +
-                              std::to_string(trial) + " " + collective::to_string(primitive) +
-                              " " + std::to_string(tensor) + " B";
-    synthesizer::CostEvaluator evaluator(strategy, trial_topo, tensor, active);
-    if (expect_matches_reference(evaluator, strategy, trial_topo, tensor, active, where)) {
+    OracleTrial t = random_trial(rng, bed, seed, trial);
+    synthesizer::CostEvaluator evaluator(t.strategy, t.topo, t.tensor, t.active);
+    if (expect_matches_reference(evaluator, t.strategy, t.topo, t.tensor, t.active, t.where)) {
       ++evaluated;
     }
-
-    // Mutate the bound strategy the way the solver does, reporting every
-    // aggregation flip, and re-check after each step.
-    std::vector<std::pair<std::size_t, NodeId>> tree_nodes;
-    for (std::size_t si = 0; si < strategy.subs.size(); ++si) {
-      for (const NodeId node : strategy.subs[si].tree.nodes()) tree_nodes.emplace_back(si, node);
-    }
+    // Change chunk sizes under the bound evaluator the way the solver's
+    // sweep does, and re-check after each step.
     for (int step = 0; step < 12; ++step) {
-      if (!tree_nodes.empty() && rng.bernoulli(0.6)) {
-        const auto [si, node] = tree_nodes[pick(tree_nodes.size())];
-        auto& sub = strategy.subs[si];
-        sub.aggregate_at[node] = !sub.aggregates_at(node, strategy.primitive);
-        evaluator.on_aggregation_toggled(si, node);
-      } else {
-        strategy.subs[pick(strategy.subs.size())].chunk_bytes =
-            static_cast<Bytes>(rng.uniform_int(1, 64)) * 64_KiB;
-      }
-      expect_matches_reference(evaluator, strategy, trial_topo, tensor, active,
-                               where + " step " + std::to_string(step));
+      t.strategy.subs[pick(rng, t.strategy.subs.size())].chunk_bytes =
+          static_cast<Bytes>(rng.uniform_int(1, 64)) * 64_KiB;
+      expect_matches_reference(evaluator, t.strategy, t.topo, t.tensor, t.active,
+                               t.where + " step " + std::to_string(step));
     }
   }
   EXPECT_GT(evaluated, 0);
+}
+
+// Every GPU aggregating (a_{m,g} = 1) is optimal under this Eq. 1-6, which is
+// why the synthesizer does not search aggregation control. Turning it off at
+// a GPU can only raise the reduce messages N_ij sent from there up to the
+// next aggregating ancestor, and the port loads they feed, while the reduce
+// pass (Eq. 2) waits for the slowest child at every node either way. If the
+// model ever gains an aggregation kernel cost or a wait term that
+// aggregation adds, this property fails and the aggregation search question
+// reopens.
+TEST_P(CostModelOracleProperty, AggregationOffNeverLowersCost) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+  ProfiledBed bed(seed);
+  int flips = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const OracleTrial t = random_trial(rng, bed, seed, trial);
+    synthesizer::CostEvaluator base(t.strategy, t.topo, t.tensor, t.active);
+    Seconds base_cost = 0.0;
+    try {
+      base_cost = base.completion_time();
+    } catch (const std::invalid_argument&) {
+      continue;  // an unprofiled edge: no cost to compare
+    }
+    for (std::size_t si = 0; si < t.strategy.subs.size(); ++si) {
+      const auto& sub = t.strategy.subs[si];
+      for (const NodeId node : sub.tree.nodes()) {
+        if (!node.is_gpu() || node == sub.tree.root) continue;
+        if (sub.tree.children_of(node).empty()) continue;
+        if (!sub.aggregates_at(node, t.strategy.primitive)) continue;
+        Strategy flipped = t.strategy;
+        flipped.subs[si].aggregate_at[node] = false;
+        synthesizer::CostEvaluator evaluator(flipped, t.topo, t.tensor, t.active);
+        const std::string where =
+            t.where + " sub " + std::to_string(si) + " off at " + to_string(node);
+        EXPECT_GE(evaluator.completion_time(), base_cost) << where;
+        for (const auto& [edge, load] : base.link_loads()) {
+          const auto it = evaluator.link_loads().find(edge);
+          ASSERT_NE(it, evaluator.link_loads().end()) << where;
+          EXPECT_GE(it->second, load) << where << " edge " << to_string(edge.from) << "->"
+                                      << to_string(edge.to);
+        }
+        ++flips;
+      }
+    }
+  }
+  EXPECT_GT(flips, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostModelOracleProperty, ::testing::Range(1, 17));

@@ -1,6 +1,6 @@
 // Tests for the deterministic task pool (DESIGN.md §10): thread-count
 // resolution, degenerate serial pools, exception propagation by lowest
-// index, and bit-identical reductions under deliberately skewed schedules.
+// index, and bit-identical maps under deliberately skewed schedules.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +8,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/task_pool.h"
@@ -85,17 +86,16 @@ TEST(TaskPool, DegenerateSerialPools) {
   for (const int threads : {0, 1}) {
     TaskPool pool(threads);
     EXPECT_EQ(pool.thread_count(), 1);
-    EXPECT_TRUE(pool.serial());
     std::vector<std::size_t> order;
-    std::vector<int> lanes;
-    pool.parallel_for_indexed(8, [&](std::size_t index, int lane) {
+    std::vector<std::thread::id> runners;
+    pool.parallel_for_indexed(8, [&](std::size_t index) {
       order.push_back(index);
-      lanes.push_back(lane);
+      runners.push_back(std::this_thread::get_id());
     });
     std::vector<std::size_t> expected(8);
     std::iota(expected.begin(), expected.end(), std::size_t{0});
     EXPECT_EQ(order, expected);
-    EXPECT_EQ(lanes, std::vector<int>(8, 0));
+    EXPECT_EQ(runners, std::vector<std::thread::id>(8, std::this_thread::get_id()));
   }
 }
 
@@ -104,27 +104,28 @@ TEST(TaskPool, EmptyBatchIsNoop) {
   int calls = 0;
   pool.parallel_for_indexed(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  EXPECT_TRUE(pool.map_indexed<int>(0, [](std::size_t, int) { return 1; }).empty());
-  EXPECT_EQ(pool.argmin_indexed(0, [](std::size_t) { return 0.0; }), 0u);
+  EXPECT_TRUE(pool.map_indexed<int>(0, [](std::size_t) { return 1; }).empty());
 }
 
 TEST(TaskPool, MapCollectsBySubmissionIndex) {
   TaskPool pool(4);
   const std::vector<int> out =
-      pool.map_indexed<int>(100, [](std::size_t index, int) { return static_cast<int>(index) * 3; });
+      pool.map_indexed<int>(100, [](std::size_t index) { return static_cast<int>(index) * 3; });
   ASSERT_EQ(out.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
 }
 
 TEST(TaskPool, LanesStayInRangeAndCallerParticipates) {
+  // Tasks never see their lane; the recorded spans do.
   TaskPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4);
-  EXPECT_FALSE(pool.serial());
-  const std::vector<int> lanes =
-      pool.map_indexed<int>(64, [](std::size_t, int lane) { return lane; });
-  for (const int lane : lanes) {
-    EXPECT_GE(lane, 0);
-    EXPECT_LT(lane, 4);
+  pool.set_record_spans(true);
+  pool.parallel_for_indexed(64, [](std::size_t) {});
+  const std::vector<TaskSpan> spans = pool.take_spans();
+  ASSERT_EQ(spans.size(), 64u);
+  for (const TaskSpan& span : spans) {
+    EXPECT_GE(span.lane, 0);
+    EXPECT_LT(span.lane, 4);
   }
 }
 
@@ -132,7 +133,7 @@ TEST(TaskPool, LowestIndexExceptionWinsAndBatchDrains) {
   TaskPool pool(4);
   std::vector<std::atomic<int>> ran(32);
   try {
-    pool.parallel_for_indexed(32, [&](std::size_t index, int) {
+    pool.parallel_for_indexed(32, [&](std::size_t index) {
       ran[index].store(1);
       if (index == 21 || index == 5 || index == 30) {
         throw std::runtime_error("boom " + std::to_string(index));
@@ -151,7 +152,7 @@ TEST(TaskPool, SerialPoolPropagatesExceptionInline) {
   TaskPool pool(1);
   int calls = 0;
   EXPECT_THROW(pool.parallel_for_indexed(8,
-                                         [&](std::size_t index, int) {
+                                         [&](std::size_t index) {
                                            ++calls;
                                            if (index == 2) throw std::logic_error("stop");
                                          }),
@@ -163,9 +164,9 @@ TEST(TaskPool, SerialPoolPropagatesExceptionInline) {
 TEST(TaskPool, PoolIsReusableAfterFailedBatch) {
   TaskPool pool(3);
   EXPECT_THROW(
-      pool.parallel_for_indexed(4, [](std::size_t, int) { throw std::runtime_error("x"); }),
+      pool.parallel_for_indexed(4, [](std::size_t) { throw std::runtime_error("x"); }),
       std::runtime_error);
-  const std::vector<int> out = pool.map_indexed<int>(4, [](std::size_t i, int) {
+  const std::vector<int> out = pool.map_indexed<int>(4, [](std::size_t i) {
     return static_cast<int>(i) + 1;
   });
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
@@ -177,42 +178,19 @@ double skewed_cost(std::size_t index) {
   volatile double sink = 0.0;
   const std::size_t spin = (index * 7919) % 997;
   for (std::size_t i = 0; i < spin; ++i) sink = sink + static_cast<double>(i) * 1e-9;
-  // Coarse costs with plenty of exact ties; the tie-break is index order.
+  // The value depends on the index only, never on the schedule.
   return static_cast<double>((index * 37) % 11) + sink * 0.0;
-}
-
-TEST(TaskPool, ArgminIsBitIdenticalAcrossThreadCountsAndRuns) {
-  constexpr std::size_t kTasks = 333;
-  // Serial reference: first strictly-smaller index wins.
-  TaskPool serial(1);
-  const std::size_t expected = serial.argmin_indexed(kTasks, skewed_cost);
-  std::size_t manual = kTasks;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    if (skewed_cost(i) < best) {
-      best = skewed_cost(i);
-      manual = i;
-    }
-  }
-  EXPECT_EQ(expected, manual);
-  for (const int threads : {2, 4, 8}) {
-    TaskPool pool(threads);
-    for (int rep = 0; rep < 5; ++rep) {
-      EXPECT_EQ(pool.argmin_indexed(kTasks, skewed_cost), expected)
-          << "threads=" << threads << " rep=" << rep;
-    }
-  }
 }
 
 TEST(TaskPool, MapIsBitIdenticalUnderStressSchedule) {
   constexpr std::size_t kTasks = 500;
   TaskPool serial(1);
   const std::vector<double> expected = serial.map_indexed<double>(
-      kTasks, [](std::size_t index, int) { return skewed_cost(index); });
+      kTasks, [](std::size_t index) { return skewed_cost(index); });
   TaskPool pool(8);
   for (int rep = 0; rep < 10; ++rep) {
     const std::vector<double> got = pool.map_indexed<double>(
-        kTasks, [](std::size_t index, int) { return skewed_cost(index); });
+        kTasks, [](std::size_t index) { return skewed_cost(index); });
     EXPECT_EQ(got, expected) << "rep=" << rep;
   }
 }
@@ -221,7 +199,7 @@ TEST(TaskPool, RecordsOneSpanPerTaskInIndexOrder) {
   for (const int threads : {1, 4}) {
     TaskPool pool(threads);
     pool.set_record_spans(true);
-    pool.parallel_for_indexed(16, [](std::size_t, int) {});
+    pool.parallel_for_indexed(16, [](std::size_t) {});
     const std::vector<TaskSpan> spans = pool.take_spans();
     ASSERT_EQ(spans.size(), 16u) << "threads=" << threads;
     for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -234,7 +212,7 @@ TEST(TaskPool, RecordsOneSpanPerTaskInIndexOrder) {
     // take_spans() drains; the next batch starts fresh.
     EXPECT_TRUE(pool.take_spans().empty());
     pool.set_record_spans(false);
-    pool.parallel_for_indexed(4, [](std::size_t, int) {});
+    pool.parallel_for_indexed(4, [](std::size_t) {});
     EXPECT_TRUE(pool.take_spans().empty());
   }
 }
@@ -242,9 +220,9 @@ TEST(TaskPool, RecordsOneSpanPerTaskInIndexOrder) {
 TEST(TaskPool, NestedSubmissionThrows) {
   TaskPool pool(2);
   EXPECT_THROW(pool.parallel_for_indexed(8,
-                                         [&](std::size_t, int) {
+                                         [&](std::size_t) {
                                            pool.parallel_for_indexed(
-                                               2, [](std::size_t, int) {});
+                                               2, [](std::size_t) {});
                                          }),
                std::logic_error);
 }
