@@ -77,9 +77,9 @@ TEST(TreeTest, DepthDetectsCycles) {
 }
 
 TEST(TreeTest, NodesListsRootFirstThenAscending) {
-  // Callers iterate nodes() to build channels and order the aggregation
-  // local search; the order must not depend on hash-map iteration. Pin it:
-  // root first, everything else ascending by NodeId.
+  // Callers iterate nodes() to build channels; the order must not depend on
+  // hash-map iteration. Pin it: root first, everything else ascending by
+  // NodeId.
   Tree tree;
   tree.root = NodeId::gpu(2);
   tree.parent[NodeId::nic(1)] = NodeId::gpu(2);
