@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Checks perfbench's deterministic prefix against committed goldens.
+"""Checks simulated behaviour against committed goldens.
 
-Runs `python3 perfbench/run.py --workload W --seed S --seconds 0 --trace 0`
-for every workload on seeds 1-3 and compares its `counters:` and `digest:`
-lines exactly with tests/golden/perfbench_prefix.txt. Any difference is a
-change in simulated behaviour (or in the work the solver does): either a bug,
-or an intended change whose new goldens belong in the same commit, with the
-diff explained in CHANGES.md.
+Default mode runs `python3 perfbench/run.py --workload W --seed S --seconds 0
+--trace 0` for every workload on seeds 1-3 and compares its `counters:` and
+`digest:` lines exactly with tests/golden/perfbench_prefix.txt.
+
+`--figures BUILD_DIR` runs every bench/fig*, bench/ablation_* and
+`chaos_matrix --quick` binary of an existing CMake build and compares each
+stdout with tests/golden/figures/<name>.txt. The only fields masked are
+fig19c's host-time columns (solve(s), adapcc(s), saved), which measure the
+host, not the simulation.
+
+Any difference is a change in simulated behaviour (or in the work the solver
+does): either a bug, or an intended change whose new goldens belong in the
+same commit, with the diff explained in CHANGES.md.
 
 Usage (from anywhere in the repository):
-    python3 tools/golden_check.py            # compare, exit 1 on any diff
-    python3 tools/golden_check.py --update   # rewrite the golden file
+    python3 tools/golden_check.py                       # perfbench prefix
+    python3 tools/golden_check.py --figures build       # figure outputs
+    python3 tools/golden_check.py [--figures build] --update   # rewrite goldens
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "perfbench_prefix.txt"
+FIGURE_GOLDENS = ROOT / "tests" / "golden" / "figures"
+# Host wall-clock columns, per binary: replaced by "*" in every row under the
+# header that names them.
+MASKED_COLUMNS = {"fig19c_reconstruction": ["solve(s)", "adapcc(s)", "saved"]}
 WORKLOADS = ["train-hetero", "collective-sweep", "elastic-recovery"]
 SEEDS = [1, 2, 3]
 HEADER = [
@@ -46,11 +58,78 @@ def prefix_lines(workload: str, seed: int) -> list[str]:
     return [f"{workload} seed={seed} {line}" for line in picked]
 
 
+def figure_runs(build_dir: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(golden name, command) for every figure, ablation and chaos binary."""
+    bench = build_dir / "bench"
+    binaries = sorted(p for p in bench.iterdir()
+                      if p.is_file() and p.name.startswith(("fig", "ablation_")))
+    if not binaries or not (bench / "chaos_matrix").is_file():
+        raise SystemExit(f"golden_check: no bench binaries under {bench}; build first")
+    runs = [(p.name, [str(p)]) for p in binaries]
+    runs.append(("chaos_matrix_quick", [str(bench / "chaos_matrix"), "--quick"]))
+    return runs
+
+
+def mask(name: str, text: str) -> str:
+    columns = MASKED_COLUMNS.get(name)
+    if not columns:
+        return text
+    lines = text.splitlines(keepends=True)
+    masked_at: list[int] = []
+    width = 0
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if all(column in fields for column in columns):
+            masked_at = [fields.index(column) for column in columns]
+            width = len(fields)
+        elif masked_at and len(fields) == width:
+            for index in masked_at:
+                fields[index] = "*"
+            lines[i] = " ".join(fields) + "\n"
+        else:
+            masked_at = []
+    return "".join(lines)
+
+
+def check_figures(build_dir: pathlib.Path, update: bool) -> int:
+    failed = []
+    runs = figure_runs(build_dir)
+    for name, cmd in runs:
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout + proc.stderr)
+            raise SystemExit(f"golden_check: {' '.join(cmd)} exited with {proc.returncode}")
+        actual = mask(name, proc.stdout)
+        golden = FIGURE_GOLDENS / f"{name}.txt"
+        if update:
+            FIGURE_GOLDENS.mkdir(parents=True, exist_ok=True)
+            golden.write_text(actual)
+            continue
+        expected = golden.read_text() if golden.is_file() else ""
+        if expected != actual:
+            failed.append(name)
+            sys.stdout.writelines(difflib.unified_diff(
+                expected.splitlines(keepends=True), actual.splitlines(keepends=True),
+                fromfile=f"golden/{name}", tofile=f"actual/{name}"))
+    if update:
+        print(f"golden_check: wrote {len(runs)} files under {FIGURE_GOLDENS.relative_to(ROOT)}")
+        return 0
+    if failed:
+        print(f"golden_check: figure output differs: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    print(f"golden_check: {len(runs)} figure outputs match")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--update", action="store_true", help="rewrite the golden file")
+    parser.add_argument("--update", action="store_true", help="rewrite the golden files")
+    parser.add_argument("--figures", metavar="BUILD_DIR", type=pathlib.Path,
+                        help="check bench figure outputs of this CMake build instead")
     args = parser.parse_args()
+    if args.figures is not None:
+        return check_figures(args.figures.resolve(), args.update)
 
     actual = HEADER + [line for workload in WORKLOADS for seed in SEEDS
                        for line in prefix_lines(workload, seed)]
