@@ -20,10 +20,38 @@ using topology::NodeId;
 constexpr Seconds kPcieDefaultAlpha = microseconds(10);
 const double kPcieDefaultBeta = 1.0 / gBps(20);
 
-/// Drives the probe plan over one edge: each ProbeShape becomes a fresh
-/// EdgeChannel carrying `count` chunks; the elapsed time of the whole shape
-/// is one regression sample. Shapes run sequentially; `on_done` fires after
-/// the last one.
+/// The wire pieces of one shape, in send order. Each probe message is
+/// packetized onto the wire (real NICs stream a large send; they do not
+/// store-and-forward it whole), so even a "grouped" single message measures
+/// the bottleneck streaming rate of a multi-link edge rather than the sum of
+/// per-link serializations.
+std::vector<Bytes> wire_pieces(const ProbeShape& shape) {
+  constexpr Bytes kWireGranularity = 512_KiB;
+  std::vector<Bytes> pieces;
+  for (int c = 0; c < shape.count; ++c) {
+    for (Bytes left = shape.bytes; left > 0;) {
+      const Bytes piece = std::min(left, kWireGranularity);
+      left -= piece;
+      pieces.push_back(piece);
+    }
+  }
+  return pieces;
+}
+
+/// The probe plan with every repetition spelled out: the shapes one edge
+/// runs, in order.
+std::vector<ProbeShape> probe_shapes(const ProfilerConfig& config) {
+  std::vector<ProbeShape> shapes;
+  for (int r = 0; r < config.repetitions; ++r) {
+    shapes.insert(shapes.end(), config.plan.begin(), config.plan.end());
+  }
+  return shapes;
+}
+
+/// Drives the probe shapes over one edge: each ProbeShape becomes fresh
+/// EdgeChannels carrying its wire pieces; the elapsed time of the whole
+/// shape is one regression sample. Shapes run sequentially; `on_done` fires
+/// after the last one.
 class EdgeProbe {
  public:
   /// `channels` parallel streams carry the probe traffic round-robin; with
@@ -31,17 +59,16 @@ class EdgeProbe {
   /// concurrent streams rather than the single-stream rate (distinguishing
   /// TCP's per-stream kernel ceiling from the NIC capacity, Sec. VI-D).
   EdgeProbe(sim::Simulator& sim, std::vector<sim::FlowLink*> path,
-            const std::vector<ProbeShape>& plan, int repetitions, int channels,
+            const std::vector<ProbeShape>& shapes, int channels, AlphaBetaEstimator& estimator,
             std::function<void()> on_done)
-      : sim_(sim), path_(std::move(path)), channels_(channels), on_done_(std::move(on_done)) {
-    for (int r = 0; r < repetitions; ++r) {
-      shapes_.insert(shapes_.end(), plan.begin(), plan.end());
-    }
-  }
+      : sim_(sim),
+        path_(std::move(path)),
+        shapes_(shapes),
+        channels_(channels),
+        estimator_(estimator),
+        on_done_(std::move(on_done)) {}
 
   void start() { next_shape(); }
-
-  const AlphaBetaEstimator& estimator() const noexcept { return estimator_; }
 
  private:
   void next_shape() {
@@ -49,29 +76,15 @@ class EdgeProbe {
       if (on_done_) on_done_();
       return;
     }
-    const ProbeShape& shape = shapes_[shape_index_];
     channels_pool_.clear();
     for (int k = 0; k < channels_; ++k) {
       channels_pool_.push_back(std::make_unique<sim::EdgeChannel>(sim_, path_));
     }
     started_at_ = sim_.now();
-    remaining_ = 0;
-    // Each probe message is packetized onto the wire (real NICs stream a
-    // large send; they do not store-and-forward it whole), so even a
-    // "grouped" single message measures the bottleneck streaming rate of a
-    // multi-link edge rather than the sum of per-link serializations.
-    constexpr Bytes kWireGranularity = 512_KiB;
-    std::size_t next_channel = 0;
-    for (int c = 0; c < shape.count; ++c) {
-      Bytes left = shape.bytes;
-      while (left > 0) {
-        const Bytes piece = std::min(left, kWireGranularity);
-        left -= piece;
-        ++remaining_;
-        channels_pool_[next_channel % channels_pool_.size()]->send(
-            piece, [this] { on_chunk_delivered(); });
-        ++next_channel;
-      }
+    const std::vector<Bytes> pieces = wire_pieces(shapes_[shape_index_]);
+    remaining_ = pieces.size();
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      channels_pool_[i % channels_pool_.size()]->send(pieces[i], [this] { on_chunk_delivered(); });
     }
   }
 
@@ -86,38 +99,93 @@ class EdgeProbe {
 
   sim::Simulator& sim_;
   std::vector<sim::FlowLink*> path_;
-  std::vector<ProbeShape> shapes_;
+  const std::vector<ProbeShape>& shapes_;
   int channels_ = 1;
+  AlphaBetaEstimator& estimator_;
   std::function<void()> on_done_;
   std::vector<std::unique_ptr<sim::EdgeChannel>> channels_pool_;
-  AlphaBetaEstimator estimator_;
   Seconds started_at_ = 0;
-  int remaining_ = 0;
+  std::size_t remaining_ = 0;
   std::size_t shape_index_ = 0;
 };
+
+/// Replays a single-stream round in closed form (DESIGN.md §7) and returns
+/// true, or returns false having touched nothing. It applies only when the
+/// evented round would be a set of isolated lone channels: no telemetry
+/// (spans, counters and the order-dependent channel.queue_depth histogram
+/// stay exact on the evented path), no link shared between or within paths,
+/// every link idle and not stalled, and no other event due before the round
+/// ends. Each probe's shapes then run back to back exactly as EdgeProbe
+/// runs them, computed on copies of the link ledgers that are committed only
+/// once the round's end is known to be uninterrupted.
+bool replay_isolated_round(sim::Simulator& sim,
+                           const std::vector<std::vector<sim::FlowLink*>>& paths,
+                           const std::vector<ProbeShape>& shapes,
+                           std::vector<AlphaBetaEstimator>& estimators) {
+  if (telemetry::get() != nullptr) return false;
+  std::vector<const sim::FlowLink*> links;
+  for (const auto& path : paths) {
+    for (const sim::FlowLink* link : path) {
+      if (link->active_transfers() != 0 || link->stalled()) return false;
+      links.push_back(link);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  if (std::adjacent_find(links.begin(), links.end()) != links.end()) return false;
+
+  std::vector<std::vector<sim::FlowLink::Ledger>> ledgers;
+  std::vector<AlphaBetaEstimator> samples(paths.size());
+  Seconds end = sim.now();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    auto& path_ledgers = ledgers.emplace_back();
+    for (const sim::FlowLink* link : paths[i]) path_ledgers.push_back(link->ledger());
+    Seconds at = sim.now();
+    for (const ProbeShape& shape : shapes) {
+      const std::vector<Bytes> pieces = wire_pieces(shape);
+      const Seconds done = sim::EdgeChannel::deliver_isolated(paths[i], path_ledgers, at, pieces);
+      samples[i].add_sample(shape.bytes * static_cast<Bytes>(shape.count), done - at);
+      at = done;
+    }
+    end = std::max(end, at);
+  }
+  if (!(sim.next_event_time() > end)) return false;  // something would interleave
+  sim.run_until(end);  // fires nothing: only moves the clock to the barrier
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    for (std::size_t j = 0; j < paths[i].size(); ++j) paths[i][j]->commit(ledgers[i][j]);
+  }
+  estimators = std::move(samples);
+  return true;
+}
 
 }  // namespace
 
 std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
     const std::vector<std::pair<NodeId, NodeId>>& edges, int channels) {
   sim::Simulator& sim = cluster_.simulator();
-  std::vector<std::unique_ptr<EdgeProbe>> probes;
-  std::size_t outstanding = edges.size();
-  probes.reserve(edges.size());
-  for (const auto& [from, to] : edges) {
-    probes.push_back(std::make_unique<EdgeProbe>(sim, cluster_.edge_path(from, to), config_.plan,
-                                                 config_.repetitions, channels,
-                                                 [&outstanding] { --outstanding; }));
-  }
-  for (auto& probe : probes) probe->start();
-  while (outstanding > 0 && sim.step()) {
+  std::vector<std::vector<sim::FlowLink*>> paths;
+  paths.reserve(edges.size());
+  for (const auto& [from, to] : edges) paths.push_back(cluster_.edge_path(from, to));
+  const std::vector<ProbeShape> shapes = probe_shapes(config_);
+  std::vector<AlphaBetaEstimator> estimators(edges.size());
+  if (channels != 1 || !replay_isolated_round(sim, paths, shapes, estimators)) {
+    std::vector<std::unique_ptr<EdgeProbe>> probes;
+    std::size_t outstanding = edges.size();
+    probes.reserve(edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      probes.push_back(std::make_unique<EdgeProbe>(sim, paths[i], shapes, channels,
+                                                   estimators[i],
+                                                   [&outstanding] { --outstanding; }));
+    }
+    for (auto& probe : probes) probe->start();
+    while (outstanding > 0 && sim.step()) {
+    }
   }
   // Probe traffic above ran on the single simulated clock; the per-edge
   // least-squares fits below are pure host-side functions of each probe's
   // samples, so they fan out over the solver pool, collected by edge index.
   pool_.set_record_spans(telemetry::host_spans_enabled());
   std::vector<AlphaBeta> results = pool_.map_indexed<AlphaBeta>(
-      probes.size(), [&](std::size_t i) { return probes[i]->estimator().estimate(); });
+      estimators.size(), [&](std::size_t i) { return estimators[i].estimate(); });
   if (telemetry::host_spans_enabled()) {
     telemetry::flush_solver_spans(pool_.take_spans(), "profiler/fit");
   }

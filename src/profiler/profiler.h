@@ -18,6 +18,12 @@
 // and may not be split across host threads. Only the host-side per-edge
 // alpha-beta least-squares fits — pure functions of each probe's collected
 // samples — fan out over a util::TaskPool (DESIGN.md §10).
+// A single-stream round whose probes each own an idle, private path and that
+// no other event interrupts is replayed in closed form instead of event by
+// event (EdgeChannel::deliver_isolated); it advances the clock and the link
+// ledgers bit for bit as the events would. Every other round — the
+// four-stream port pass, shared or busy links, telemetry attached — runs
+// evented (DESIGN.md §7).
 #pragma once
 
 #include <vector>

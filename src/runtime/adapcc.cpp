@@ -220,8 +220,8 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
   while (report.attempts < options.max_attempts) {
     ++report.attempts;
     // strategy_for resynthesizes after an exclusion: exclude_workers cleared
-    // the installed strategies and bumped the topology epoch, so the cache
-    // cannot serve a graph containing the dead ranks.
+    // the installed strategies, and the cache keys on the participant set,
+    // so it cannot serve a graph containing the dead ranks.
     const Strategy& strategy = strategy_for(primitive, tensor_bytes);
     CollectiveOptions run_options = options.collective;
     // Restrict the active set to the survivors.
@@ -344,7 +344,6 @@ void Adapcc::exclude_workers(const std::set<int>& failed) {
   if (remaining.size() < 2) throw std::invalid_argument("exclude_workers: < 2 workers remain");
   participants_ = std::move(remaining);
   strategies_.clear();  // graphs must be rebuilt for the smaller group
-  invalidate_strategy_cache();
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "exclude-workers",
                        cluster_.simulator().now(),
@@ -364,7 +363,6 @@ void Adapcc::include_workers(const std::set<int>& recovered) {
   }
   participants_.assign(members.begin(), members.end());
   strategies_.clear();  // graphs must be rebuilt for the larger group
-  invalidate_strategy_cache();
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "include-workers",
                        cluster_.simulator().now(),

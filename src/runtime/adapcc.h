@@ -159,8 +159,8 @@ class Adapcc {
 
   /// Recovery orchestrator (Sec. IV-C-2): runs a collective under a
   /// watchdog and, on a mid-collective failure, excludes the crashed ranks,
-  /// bumps the topology epoch (invalidating every cached strategy),
-  /// resynthesizes for the survivors, and re-executes — without restarting
+  /// drops the installed strategies, resynthesizes for the survivors (the
+  /// cache keys on the participant set), and re-executes — without restarting
   /// the job. Rank-less stalls (link blackouts) are retried with backoff on
   /// the simulated clock. Never hangs and never throws on mass failure: a
   /// survivor set below 2 ranks is reported as a halted terminal state.
@@ -228,9 +228,11 @@ class Adapcc {
                                          const std::vector<int>& participants, Bytes tensor_bytes);
 
   /// Bumps the topology epoch and drops every cached strategy — called
-  /// whenever the profiled topology or the participant set changes
-  /// (reprofile, exclude_workers, include_workers), so a stale graph can
-  /// never be served against a changed cluster view.
+  /// whenever the profiled costs change (reprofile), so a stale graph can
+  /// never be served against a changed cluster view. Membership changes do
+  /// not invalidate: the participant set is part of the key and changes no
+  /// alpha/beta, so a re-admitted group hits its pre-exclusion strategy,
+  /// which is exactly what a re-solve would return.
   void invalidate_strategy_cache();
 
   topology::Cluster& cluster_;

@@ -80,6 +80,30 @@ void EdgeChannel::send(Bytes bytes, DeliveryCallback on_delivered) {
   try_start(0);
 }
 
+Seconds EdgeChannel::deliver_isolated(const std::vector<FlowLink*>& path,
+                                      std::span<FlowLink::Ledger> ledgers, Seconds start,
+                                      std::span<const Bytes> pieces, IsolatedTimeline* timeline) {
+  if (ledgers.size() != path.size()) {
+    throw std::invalid_argument("EdgeChannel::deliver_isolated: one ledger per link");
+  }
+  // served[j]: when link j served the previous piece, so the next may enter.
+  std::vector<Seconds> served(path.size(), start);
+  Seconds delivered = start;
+  for (const Bytes bytes : pieces) {
+    Seconds arrival = start;  // every piece is queued at link 0 from the start
+    for (std::size_t j = 0; j < path.size(); ++j) {
+      // try_start fires on whichever comes last: the piece's delivery off
+      // link j-1 or the previous piece's on_served on link j.
+      served[j] = path[j]->serve_isolated(ledgers[j], std::max(arrival, served[j]), bytes);
+      arrival = served[j] + path[j]->alpha();  // the delivery event's now + alpha
+      if (timeline != nullptr) timeline->served.push_back(served[j]);
+    }
+    delivered = arrival;
+    if (timeline != nullptr) timeline->delivered.push_back(delivered);
+  }
+  return delivered;
+}
+
 EdgeChannel::Chunk* EdgeChannel::find(std::uint64_t chunk_id) noexcept {
   // Ids are consecutive from the front: an O(1) index, not a scan.
   if (chunks_.empty() || chunk_id < chunks_.front().id) return nullptr;

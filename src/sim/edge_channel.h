@@ -20,11 +20,17 @@
 // from the front, chunk bookkeeping is O(1): a chunk sits at deque index
 // `id - front.id`, and each link keeps a cursor naming the next chunk id to
 // enter it (DESIGN.md §7).
+//
+// deliver_isolated() is the closed form of the same two rules for a lone
+// channel on a path nothing else touches: piece i enters link j at
+// max(arrival at j, when piece i-1 was served by j), and each link serves it
+// through FlowLink::serve_isolated().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "sim/flow_link.h"
@@ -61,6 +67,27 @@ class EdgeChannel {
   /// After abort() the channel accepts no further sends. Idempotent.
   void abort();
   bool aborted() const noexcept { return aborted_; }
+
+  /// Per-piece times of a deliver_isolated() run.
+  struct IsolatedTimeline {
+    /// Piece-major: entry i * path size + j is when piece i was served by
+    /// link j.
+    std::vector<Seconds> served;
+    std::vector<Seconds> delivered;  ///< when piece i left the last link
+  };
+
+  /// Closed form of send(pieces[0]), send(pieces[1]), ... at `start` on a
+  /// fresh channel over `path`, valid when every link is idle and not
+  /// stalled, no link repeats, and no other transfer or event touches the
+  /// path until the last piece is delivered (the caller proves all three).
+  /// Advances `ledgers[j]` (a copy of path[j]'s ledger) exactly as the
+  /// evented run advances the link, and returns when the last piece is
+  /// delivered (`start` for no pieces). `timeline`, when given, receives
+  /// every served and delivered time.
+  static Seconds deliver_isolated(const std::vector<FlowLink*>& path,
+                                  std::span<FlowLink::Ledger> ledgers, Seconds start,
+                                  std::span<const Bytes> pieces,
+                                  IsolatedTimeline* timeline = nullptr);
 
   /// Sum of per-link alphas (the latency a lone chunk pays end to end).
   Seconds path_alpha() const noexcept;

@@ -25,6 +25,33 @@ constexpr BytesPerSecond kMinRate = 1e-3;
 // forever. One nanosecond is far below any modelled latency and large
 // enough to stay representable against simulated times up to ~10^6 s.
 constexpr Seconds kMinEta = 1e-9;
+
+// The three arithmetic steps a transfer's timeline is made of. The evented
+// path and serve_isolated() both call them, so the closed form cannot drift
+// from the events it replaces.
+
+// Service accrual: `elapsed` seconds at `rate` bytes/s per transfer.
+void accrue(FlowLink::Ledger& ledger, Seconds elapsed, double rate) noexcept {
+  ledger.service += rate * elapsed;
+  ledger.busy += elapsed;
+}
+
+// Delay until the front transfer's remaining bytes are served. An
+// already-due front can arise when another link event lands inside a
+// kMinEta-clamped completion window and advances the service counter past
+// the target. Complete it with a zero-delay event rather than re-clamping:
+// re-clamping would add a spurious nanosecond of in-flight time per poke
+// (and lets the overshoot grow without bound under event churn). The kMinEta
+// floor only guards *positive* remainders whose exact ETA underflows, where
+// firing early and re-arming would loop.
+Seconds completion_eta(double remaining, double rate) noexcept {
+  return remaining <= kResidualEpsilonBytes ? 0.0 : std::max(remaining / rate, kMinEta);
+}
+
+// Has the service counter reached the finish target?
+bool is_served(double finish_target, double service) noexcept {
+  return finish_target - service <= kResidualEpsilonBytes;
+}
 }  // namespace
 
 FlowLink::FlowLink(Simulator& sim, std::string name, Seconds alpha, BytesPerSecond capacity,
@@ -54,12 +81,14 @@ bool FlowLink::telemetry_ready() {
   return true;
 }
 
-double FlowLink::current_rate() const noexcept {
-  if (transfers_.empty()) return 0.0;
-  double rate = std::max(capacity_, 0.0) / static_cast<double>(transfers_.size());
+double FlowLink::share_rate(std::size_t transfers) const noexcept {
+  if (transfers == 0) return 0.0;
+  double rate = std::max(capacity_, 0.0) / static_cast<double>(transfers);
   if (per_transfer_cap_ > 0.0) rate = std::min(rate, per_transfer_cap_);
   return rate;
 }
+
+bool FlowLink::stalled() const noexcept { return share_rate(1) < kMinRate; }
 
 std::uint32_t FlowLink::acquire_slot() {
   if (free_head_ != 0xffffffffu) {
@@ -100,9 +129,10 @@ std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback on_delive
   data.total_bytes = bytes;
   data.on_delivered = std::move(on_delivered);
   data.on_served = std::move(on_served);
-  if constexpr (audit::kEnabled) data.audit_enqueue_service = service_;
-  const std::uint64_t transfer_id = next_transfer_sequence_++;
-  transfers_.push_back(TransferKey{service_ + static_cast<double>(bytes), transfer_id, slot});
+  if constexpr (audit::kEnabled) data.audit_enqueue_service = ledger_.service;
+  const std::uint64_t transfer_id = ledger_.next_sequence++;
+  transfers_.push_back(
+      TransferKey{ledger_.service + static_cast<double>(bytes), transfer_id, slot});
   if (telemetry_ready()) {
     auto& trace = telemetry::get()->trace();
     data.span = trace.begin_span(tel_track_, "xfer", sim_.now(),
@@ -159,20 +189,53 @@ void FlowLink::set_capacity(BytesPerSecond capacity) {
 }
 
 Seconds FlowLink::busy_time() const noexcept {
-  Seconds total = busy_accum_;
-  if (!transfers_.empty()) total += sim_.now() - last_update_;
+  Seconds total = ledger_.busy;
+  if (!transfers_.empty()) total += sim_.now() - ledger_.last_update;
   return total;
 }
 
 void FlowLink::advance_progress() {
   const Seconds now = sim_.now();
-  const Seconds elapsed = now - last_update_;
+  const Seconds elapsed = now - ledger_.last_update;
   if (elapsed > 0 && !transfers_.empty()) {
     if constexpr (audit::kEnabled) audit_advance_rate_ = current_rate();
-    service_ += current_rate() * elapsed;
-    busy_accum_ += elapsed;
+    accrue(ledger_, elapsed, current_rate());
   }
-  last_update_ = now;
+  ledger_.last_update = now;
+}
+
+Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes) const {
+  if (stalled()) throw std::logic_error("FlowLink::serve_isolated: stalled link " + name_);
+  if (bytes == 0) return start;  // start_transfer serves it synchronously
+  // start_transfer: the advance accrues nothing on an idle link, then the
+  // fixed target is taken and the first completion armed at start + eta.
+  ledger.last_update = start;
+  const double enqueue_service = ledger.service;
+  const double target = enqueue_service + static_cast<double>(bytes);
+  ++ledger.next_sequence;
+  const double rate = share_rate(1);
+  Seconds at = start + completion_eta(target - ledger.service, rate);
+  for (;;) {
+    // on_completion_event at `at`: accrue, then either serve or re-arm.
+    const Seconds elapsed = at - ledger.last_update;
+    if (elapsed > 0) accrue(ledger, elapsed, rate);
+    ledger.last_update = at;
+    if (is_served(target, ledger.service)) break;
+    at = at + completion_eta(target - ledger.service, rate);
+  }
+  if constexpr (audit::kEnabled) {
+    audit_on_complete(target, enqueue_service, bytes, ledger.service);
+  }
+  ledger.delivered += bytes;
+  return at;
+}
+
+void FlowLink::commit(const Ledger& ledger) {
+  if (!transfers_.empty()) {
+    throw std::logic_error("FlowLink::commit: transfers in flight on " + name_);
+  }
+  ledger_ = ledger;
+  if constexpr (audit::kEnabled) audit_verify();
 }
 
 void FlowLink::reschedule_completion() {
@@ -187,16 +250,8 @@ void FlowLink::reschedule_completion() {
     completion_event_ = EventId{};
     return;
   }
-  const double min_remaining = transfers_.front().finish_target - service_;
-  // An already-due front can arise when another link event lands inside a
-  // kMinEta-clamped completion window and advances the service counter past
-  // the target. Complete it with a zero-delay event rather than re-clamping:
-  // re-clamping would add a spurious nanosecond of in-flight time per poke
-  // (and lets the overshoot grow without bound under event churn). The
-  // kMinEta floor below only guards *positive* remainders whose exact ETA
-  // underflows, where firing early and re-arming would loop.
   const Seconds eta =
-      min_remaining <= kResidualEpsilonBytes ? 0.0 : std::max(min_remaining / rate, kMinEta);
+      completion_eta(transfers_.front().finish_target - ledger_.service, rate);
   // Move the pending event in place when one exists; fall back to a fresh
   // event otherwise. Both orderings are identical to cancel + schedule.
   if (!sim_.reschedule(completion_event_, sim_.now() + eta)) {
@@ -215,7 +270,7 @@ void FlowLink::on_completion_event() {
   done.clear();
   bool all_done = !transfers_.empty();
   for (const TransferKey& key : transfers_) {
-    if (key.finish_target - service_ > kResidualEpsilonBytes) {
+    if (!is_served(key.finish_target, ledger_.service)) {
       all_done = false;
       break;
     }
@@ -226,22 +281,26 @@ void FlowLink::on_completion_event() {
     done.reserve(transfers_.size());
     for (const TransferKey& key : transfers_) {
       if constexpr (audit::kEnabled) {
-        audit_on_complete(key);
+        const TransferData& data = slab(key.slot);
+        audit_on_complete(key.finish_target, data.audit_enqueue_service, data.total_bytes,
+                          ledger_.service);
         ++audit_limbo_;
       }
-      bytes_delivered_ += slab(key.slot).total_bytes;
+      ledger_.delivered += slab(key.slot).total_bytes;
       done.emplace_back(key.sequence, key.slot);
     }
     transfers_.clear();
   } else {
-    while (!transfers_.empty() &&
-           transfers_.front().finish_target - service_ <= kResidualEpsilonBytes) {
+    while (!transfers_.empty() && is_served(transfers_.front().finish_target, ledger_.service)) {
       std::pop_heap(transfers_.begin(), transfers_.end(), TargetLater{});
       if constexpr (audit::kEnabled) {
-        audit_on_complete(transfers_.back());
+        const TransferKey& key = transfers_.back();
+        const TransferData& data = slab(key.slot);
+        audit_on_complete(key.finish_target, data.audit_enqueue_service, data.total_bytes,
+                          ledger_.service);
         ++audit_limbo_;
       }
-      bytes_delivered_ += slab(transfers_.back().slot).total_bytes;
+      ledger_.delivered += slab(transfers_.back().slot).total_bytes;
       done.emplace_back(transfers_.back().sequence, transfers_.back().slot);
       transfers_.pop_back();
     }
@@ -297,7 +356,8 @@ void FlowLink::on_completion_event() {
   if constexpr (audit::kEnabled) audit_verify();
 }
 
-void FlowLink::audit_on_complete(const TransferKey& key) {
+void FlowLink::audit_on_complete(double finish_target, double enqueue_service, Bytes bytes,
+                                 double service) const {
   // Byte conservation per transfer: the fixed finish target must still equal
   // service-at-enqueue + size bit-for-bit (the target is computed once and
   // never touched; drift here would mean slab or heap corruption), and the
@@ -305,15 +365,12 @@ void FlowLink::audit_on_complete(const TransferKey& key) {
   // epsilon that defines "complete". The comparison re-runs the enqueue-time
   // sum — stated additively, because (a + b) - a == b does not hold for
   // doubles even though a + b == a + b does.
-  const TransferData& data = slab(key.slot);
-  ADAPCC_AUDIT_CHECK("flow_link",
-                     key.finish_target ==
-                         data.audit_enqueue_service + static_cast<double>(data.total_bytes),
-                     name_ << ": target " << key.finish_target << " != enqueue service "
-                           << data.audit_enqueue_service << " + size " << data.total_bytes);
-  ADAPCC_AUDIT_CHECK("flow_link", service_ >= key.finish_target - kResidualEpsilonBytes,
-                     name_ << ": completing at service " << service_ << " short of target "
-                           << key.finish_target);
+  ADAPCC_AUDIT_CHECK("flow_link", finish_target == enqueue_service + static_cast<double>(bytes),
+                     name_ << ": target " << finish_target << " != enqueue service "
+                           << enqueue_service << " + size " << bytes);
+  ADAPCC_AUDIT_CHECK("flow_link", service >= finish_target - kResidualEpsilonBytes,
+                     name_ << ": completing at service " << service << " short of target "
+                           << finish_target);
 }
 
 void FlowLink::audit_verify() {
@@ -339,17 +396,17 @@ void FlowLink::audit_verify() {
     const TransferData& data = slab(key.slot);
     ADAPCC_AUDIT_CHECK("flow_link", data.total_bytes > 0,
                        name_ << ": in-flight transfer with zero size in slot " << key.slot);
-    ADAPCC_AUDIT_CHECK("flow_link", key.finish_target - service_ > -overshoot_slack,
+    ADAPCC_AUDIT_CHECK("flow_link", key.finish_target - ledger_.service > -overshoot_slack,
                        name_ << ": transfer past its target (target " << key.finish_target
-                             << " service " << service_ << " slack " << overshoot_slack
+                             << " service " << ledger_.service << " slack " << overshoot_slack
                              << ") left in flight");
-    if (key.finish_target - service_ <= -kResidualEpsilonBytes) {
+    if (key.finish_target - ledger_.service <= -kResidualEpsilonBytes) {
       ADAPCC_AUDIT_CHECK("flow_link", completion_event_.valid() || current_rate() < kMinRate,
                          name_ << ": overdue transfer with no completion event armed");
     }
   }
-  ADAPCC_AUDIT_CHECK("flow_link", last_update_ <= sim_.now(),
-                     name_ << ": progress clock " << last_update_ << " ahead of now "
+  ADAPCC_AUDIT_CHECK("flow_link", ledger_.last_update <= sim_.now(),
+                     name_ << ": progress clock " << ledger_.last_update << " ahead of now "
                            << sim_.now());
   ADAPCC_AUDIT_CHECK("flow_link", busy_time() <= sim_.now() + 1e-12,
                      name_ << ": busy time " << busy_time() << " exceeds simulated time "

@@ -18,6 +18,13 @@
 // O(log n), instead of the O(n) per-transfer countdown + O(n) rescan that
 // made draining n shared transfers O(n^2).
 //
+// On an idle link that nothing else touches, a lone transfer's timeline is a
+// pure function of the link's ledger (service counter, progress clock, busy
+// time, delivered bytes, transfer sequence). serve_isolated() computes it in
+// closed form with the same arithmetic helpers the evented path calls, so a
+// caller that can prove isolation (the profiler's probe rounds) skips the
+// completion events without changing a bit (DESIGN.md §7).
+//
 // adapcc-lint: hot-path — std::function is banned in this file (DESIGN.md §7).
 #pragma once
 
@@ -77,13 +84,44 @@ class FlowLink {
   /// In-flight transfers keep their progress and continue at the new rate.
   void set_capacity(BytesPerSecond capacity);
 
+  /// Everything a transfer reads or writes besides the in-flight set and
+  /// its callbacks. serve_isolated() advances a copy; commit() installs it.
+  struct Ledger {
+    double service = 0.0;       ///< cumulative per-transfer service, bytes
+    Seconds last_update = 0.0;  ///< time the service counter is accrued to
+    Seconds busy = 0.0;         ///< busy time accrued up to last_update
+    Bytes delivered = 0;
+    /// Starts at 1: the sequence doubles as the public transfer id and 0
+    /// means "no transfer" (zero-byte sends).
+    std::uint64_t next_sequence = 1;
+  };
+
+  const Ledger& ledger() const noexcept { return ledger_; }
+
+  /// Closed form of start_transfer(bytes) at `start` on this link, valid
+  /// when the link is idle and not stalled and nothing else touches it until
+  /// the transfer is served. Replays the evented steps on `ledger`: the
+  /// fresh finish target, each `start + eta` (kMinEta re-arms included) and
+  /// each service accrual, so the served time it returns and the ledger it
+  /// leaves match the evented run bit for bit. Delivery follows alpha()
+  /// later, as `served + alpha()`. Throws std::logic_error on a stalled link.
+  Seconds serve_isolated(Ledger& ledger, Seconds start, Bytes bytes) const;
+
+  /// Installs a ledger advanced by serve_isolated(). The link must be idle
+  /// and the simulated clock must have reached `ledger.last_update`.
+  void commit(const Ledger& ledger);
+
+  /// True when a lone transfer would be served below the minimum rate (the
+  /// capacity is throttled to ~0) and so waits for set_capacity().
+  bool stalled() const noexcept;
+
   BytesPerSecond capacity() const noexcept { return capacity_; }
   BytesPerSecond per_transfer_cap() const noexcept { return per_transfer_cap_; }
   Seconds alpha() const noexcept { return alpha_; }
   const std::string& name() const noexcept { return name_; }
 
   std::size_t active_transfers() const noexcept { return transfers_.size(); }
-  Bytes bytes_delivered() const noexcept { return bytes_delivered_; }
+  Bytes bytes_delivered() const noexcept { return ledger_.delivered; }
   /// Integral of (active ? 1 : 0) dt — total time the link was busy.
   Seconds busy_time() const noexcept;
 
@@ -130,8 +168,11 @@ class FlowLink {
   /// one pointer load + one integer compare once resolved.
   bool telemetry_ready();
 
-  /// Instantaneous per-transfer rate under equal sharing and the cap.
-  double current_rate() const noexcept;
+  /// Per-transfer rate with `transfers` sharing the link equally, under the
+  /// per-transfer cap.
+  double share_rate(std::size_t transfers) const noexcept;
+  /// Instantaneous per-transfer rate of the in-flight set.
+  double current_rate() const noexcept { return share_rate(transfers_.size()); }
   /// Accrues service since `last_update_` onto the per-link counter — O(1)
   /// regardless of how many transfers share the link.
   void advance_progress();
@@ -145,7 +186,8 @@ class FlowLink {
 
   /// ADAPCC_AUDIT hooks (no-ops in regular builds): byte conservation for a
   /// transfer about to complete, and whole-link accounting invariants.
-  void audit_on_complete(const TransferKey& key);
+  void audit_on_complete(double finish_target, double enqueue_service, Bytes bytes,
+                         double service) const;
   void audit_verify();
 
   Simulator& sim_;
@@ -163,14 +205,8 @@ class FlowLink {
   /// on_completion_event never reenters (it only runs from the simulator
   /// event loop and callbacks fire after the list is fully built).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> done_scratch_;
-  double service_ = 0.0;  ///< cumulative per-transfer service, bytes
-  /// Starts at 1: sequence doubles as the public transfer id and 0 means
-  /// "no transfer" (zero-byte sends).
-  std::uint64_t next_transfer_sequence_ = 1;
-  Seconds last_update_ = 0.0;
+  Ledger ledger_;
   EventId completion_event_{};
-  Bytes bytes_delivered_ = 0;
-  Seconds busy_accum_ = 0.0;
   /// Slots popped off the heap but not yet released (completion in
   /// progress); maintained only under ADAPCC_AUDIT so the slab-coverage
   /// check stays exact even when a completion callback re-enters

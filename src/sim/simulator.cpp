@@ -3,6 +3,7 @@
 #include "sim/simulator.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -293,6 +294,14 @@ bool Simulator::step() {
   if (s.callback) s.callback();
   release_slot(index);
   return true;
+}
+
+Seconds Simulator::next_event_time() const noexcept {
+  if (pending_events() == 0) return std::numeric_limits<Seconds>::infinity();
+  // A fired root still sitting at heap_[0] is spent; the earliest pending
+  // event is then the least of its children (sentinel padding makes all
+  // four readable).
+  return root_fired_ ? heap_[min_child(1)].when : heap_[0].when;
 }
 
 void Simulator::run() {

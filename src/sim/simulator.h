@@ -102,6 +102,11 @@ class Simulator {
   /// Executes the single next event, if any. Returns false when idle.
   bool step();
 
+  /// Time of the earliest pending event, +infinity when none is pending.
+  /// Inside a firing callback the firing event no longer counts. Lets a
+  /// caller prove nothing can interrupt a window it computes in closed form.
+  Seconds next_event_time() const noexcept;
+
   /// Exact count of scheduled, not-yet-fired, not-cancelled events.
   std::size_t pending_events() const noexcept { return heap_size_ - (root_fired_ ? 1 : 0); }
   /// Heap entries currently live — equals pending_events(): cancelled

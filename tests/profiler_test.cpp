@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "collective/executor.h"
 #include "profiler/alpha_beta.h"
 #include "profiler/profiler.h"
 #include "profiler/trace.h"
+#include "sim/flow_link.h"
 #include "sim/simulator.h"
+#include "synthesizer/synthesizer.h"
+#include "telemetry/telemetry.h"
 #include "topology/cluster.h"
 #include "topology/detector.h"
 #include "topology/testbeds.h"
@@ -130,6 +140,175 @@ TEST_F(ProfilerTest, WallTimeIsReported) {
   // Profiling blocks training; it must stay well below a second per pass
   // for a 500-iteration period to be practical.
   EXPECT_LT(report.wall_time, 2.0);
+}
+
+// --- Closed-form replay of isolated probe rounds ----------------------------
+//
+// The profiler replays a single-stream round in closed form only when nothing
+// can interleave with it. A twin cluster with a self-rescheduling no-op event
+// inside every round runs every round evented; the fitted costs, the clock,
+// every link ledger and a follow-up AllReduce must match it bit for bit.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Keeps an event pending at most `period` ahead, so no probe round is ever
+/// uninterrupted.
+class Ticker {
+ public:
+  Ticker(sim::Simulator& sim, Seconds period) : sim_(sim), period_(period) { arm(); }
+  ~Ticker() { sim_.cancel(id_); }
+
+ private:
+  void arm() {
+    id_ = sim_.schedule_after(period_, [this] { arm(); });
+  }
+  sim::Simulator& sim_;
+  Seconds period_;
+  sim::EventId id_{};
+};
+
+struct ReplayCase {
+  std::string name;
+  std::vector<topology::InstanceSpec> specs;
+  bool custom_plan = false;  ///< pieces that are not 512 KiB, repetitions = 2
+  bool shaped = false;       ///< a TraceShaper changes NIC 0 every 20 ms
+};
+
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
+
+/// One cluster of a twin pair: detected, one NIC degraded, shaped or not,
+/// and advanced to 37 s before profiling.
+struct ProfiledTwin {
+  explicit ProfiledTwin(const ReplayCase& c) {
+    cluster = std::make_unique<Cluster>(sim, c.specs);
+    Detector detector(*cluster, util::Rng(1));
+    topo = Detector::build_logical_topology(*cluster, detector.detect());
+    cluster->set_nic_capacity_fraction(cluster->instance_count() - 1, 0.6);
+    if (c.shaped) {
+      std::vector<profiler::TraceSample> samples;
+      for (int i = 0; i < 50; ++i) {
+        samples.push_back({0.02 * i, 0.5 + 0.01 * static_cast<double>((i * 37) % 50), 1.0});
+      }
+      shaper = std::make_unique<TraceShaper>(*cluster,
+                                             std::vector<BandwidthTrace>{BandwidthTrace(samples)});
+      shaper->start();
+    }
+    sim.run_until(37.0);
+    if (c.custom_plan) {
+      config.plan = {{192_KiB, 3}, {1_MiB + 100_KiB, 2}, {3_MiB + 7, 1}, {700_KiB, 4}};
+      config.repetitions = 2;
+    }
+  }
+
+  void profile() {
+    Profiler profiler(*cluster, config);
+    report = profiler.profile(topo);
+  }
+
+  /// Every link any edge of the cluster rides on.
+  std::vector<const sim::FlowLink*> links() {
+    std::set<const sim::FlowLink*> unique;
+    for (const auto& [from, to] : cluster->all_edges()) {
+      for (const sim::FlowLink* link : cluster->edge_path(from, to)) unique.insert(link);
+    }
+    std::vector<const sim::FlowLink*> sorted(unique.begin(), unique.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->name() < b->name(); });
+    return sorted;
+  }
+
+  Seconds allreduce_finish() {
+    synthesizer::Synthesizer synth(*cluster, topo);
+    std::vector<int> ranks;
+    for (int r = 0; r < cluster->world_size(); ++r) ranks.push_back(r);
+    const auto strategy = synth.synthesize(collective::Primitive::kAllReduce, ranks,
+                                           megabytes(64));
+    collective::Executor executor(*cluster, strategy);
+    return executor.run(megabytes(64)).finished;
+  }
+
+  sim::Simulator sim;
+  std::unique_ptr<Cluster> cluster;
+  LogicalTopology topo;
+  std::unique_ptr<TraceShaper> shaper;
+  profiler::ProfilerConfig config;
+  profiler::ProfileReport report;
+};
+
+void expect_same_profile(ProfiledTwin& replayed, ProfiledTwin& evented) {
+  EXPECT_EQ(bits(replayed.report.wall_time), bits(evented.report.wall_time));
+  EXPECT_EQ(bits(replayed.sim.now()), bits(evented.sim.now()));
+  ASSERT_EQ(replayed.topo.edges().size(), evented.topo.edges().size());
+  for (std::size_t i = 0; i < replayed.topo.edges().size(); ++i) {
+    const auto& a = replayed.topo.edges()[i];
+    const auto& b = evented.topo.edges()[i];
+    const std::string edge = to_string(a.from) + "->" + to_string(a.to);
+    EXPECT_EQ(bits(a.alpha), bits(b.alpha)) << edge;
+    EXPECT_EQ(bits(a.beta), bits(b.beta)) << edge;
+    EXPECT_EQ(bits(a.port_beta), bits(b.port_beta)) << edge;
+  }
+  const auto replayed_links = replayed.links();
+  const auto evented_links = evented.links();
+  ASSERT_EQ(replayed_links.size(), evented_links.size());
+  for (std::size_t i = 0; i < replayed_links.size(); ++i) {
+    const auto& a = replayed_links[i]->ledger();
+    const auto& b = evented_links[i]->ledger();
+    const std::string& name = replayed_links[i]->name();
+    EXPECT_EQ(bits(a.service), bits(b.service)) << name;
+    EXPECT_EQ(bits(a.last_update), bits(b.last_update)) << name;
+    EXPECT_EQ(bits(a.busy), bits(b.busy)) << name;
+    EXPECT_EQ(a.delivered, b.delivered) << name;
+    EXPECT_EQ(a.next_sequence, b.next_sequence) << name;
+  }
+}
+
+class ProfilerReplayTest : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(ProfilerReplayTest, ReplayedProfileIsBitIdenticalToEvented) {
+  ProfiledTwin replayed(GetParam());
+  ProfiledTwin evented(GetParam());
+  const std::uint64_t replayed_before = replayed.sim.events_processed();
+  const std::uint64_t evented_before = evented.sim.events_processed();
+  replayed.profile();
+  {
+    Ticker ticker(evented.sim, microseconds(5));
+    evented.profile();
+  }
+  expect_same_profile(replayed, evented);
+  // The replay engaged: the replayed twin skipped probe events (the evented
+  // twin's count includes its ticks, so compare against a lower bound).
+  EXPECT_LT(replayed.sim.events_processed() - replayed_before,
+            (evented.sim.events_processed() - evented_before) / 2);
+  EXPECT_EQ(bits(replayed.allreduce_finish()), bits(evented.allreduce_finish()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Testbeds, ProfilerReplayTest,
+    ::testing::Values(
+        ReplayCase{"a100_fleet_rdma", topology::a100_fleet(4)},
+        ReplayCase{"a100_fleet_tcp", topology::a100_fleet(4, 4, topology::NetworkStack::kTcp)},
+        ReplayCase{"heter_tcp_plan", topology::heter_testbed(topology::NetworkStack::kTcp), true},
+        ReplayCase{"paper_rdma_plan", topology::paper_testbed(), true},
+        ReplayCase{"heter_tcp_shaped", topology::heter_testbed(topology::NetworkStack::kTcp),
+                   false, true},
+        ReplayCase{"paper_tcp_shaped", topology::paper_testbed(topology::NetworkStack::kTcp),
+                   false, true}),
+    [](const ::testing::TestParamInfo<ReplayCase>& case_info) { return case_info.param.name; });
+
+TEST(ProfilerReplayTelemetryTest, TelemetryKeepsRoundsEventedWithIdenticalCosts) {
+  const ReplayCase c{"heter_tcp", topology::heter_testbed(topology::NetworkStack::kTcp)};
+  ProfiledTwin replayed(c);
+  ProfiledTwin traced(c);
+  replayed.profile();
+  telemetry::enable();
+  traced.profile();
+  std::size_t xfer_spans = 0;
+  for (const auto& event : telemetry::get()->trace().events()) {
+    if (event.kind == telemetry::EventKind::kComplete && event.name == "xfer") ++xfer_spans;
+  }
+  telemetry::disable();
+  EXPECT_GT(xfer_spans, 0u);
+  expect_same_profile(replayed, traced);
 }
 
 // --- BandwidthTrace ---------------------------------------------------------

@@ -11,10 +11,13 @@
 //   * simulator event ordering under random schedules, and the event queue
 //     against a naive (when, insertion sequence) reference;
 //   * EdgeChannel FIFO + conservation under random chunk streams;
+//   * the closed-form lone-channel replay against the evented channel, bit
+//     for bit, on random aged paths;
 //   * the ski-rental 2-competitive bound over a parameter grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -790,6 +793,93 @@ TEST_P(EdgeChannelProperty, FifoAndConservation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EdgeChannelProperty, ::testing::ValuesIn(channel_cases()));
+
+// ---------------------------------------------------------------------------
+// EdgeChannel::deliver_isolated against the evented lone channel it replaces:
+// every served time, every delivery time and every ledger bit.
+// ---------------------------------------------------------------------------
+
+bool same_bits(const sim::FlowLink::Ledger& a, const sim::FlowLink::Ledger& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return bits(a.service) == bits(b.service) && bits(a.last_update) == bits(b.last_update) &&
+         bits(a.busy) == bits(b.busy) && a.delivered == b.delivered &&
+         a.next_sequence == b.next_sequence;
+}
+
+class IsolatedReplayProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(IsolatedReplayProperty, MatchesEventedChannelBitForBit) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 314159 + 7);
+  sim::Simulator sim;
+  const auto hops = static_cast<std::size_t>(rng.uniform_int(1, 4));
+  std::vector<std::unique_ptr<sim::FlowLink>> links;
+  std::vector<sim::FlowLink*> path;
+  for (std::size_t l = 0; l < hops; ++l) {
+    const bool capped = rng.uniform(0, 1) < 0.5;
+    links.push_back(std::make_unique<sim::FlowLink>(
+        sim, std::string(1, static_cast<char>('a' + l)), microseconds(rng.uniform(0, 20)),
+        gbps(rng.uniform(1, 400)), capped ? gbps(rng.uniform(1, 100)) : 0.0));
+    path.push_back(links.back().get());
+  }
+  // Age every link with one long transfer: service counters of up to ~5e14
+  // bytes and clocks of up to ~1e4 s, where a fresh target's rounding and
+  // kMinEta re-arms show up. Then leave the path idle for a while.
+  for (auto& link : links) {
+    const double rate = link->per_transfer_cap() > 0
+                            ? std::min(link->capacity(), link->per_transfer_cap())
+                            : link->capacity();
+    link->start_transfer(static_cast<Bytes>(rate * rng.uniform(1, 1e4)), nullptr);
+  }
+  sim.run();
+  sim.run_until(sim.now() + rng.uniform(0, 1));
+
+  std::vector<Bytes> pieces(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+  for (Bytes& piece : pieces) piece = static_cast<Bytes>(rng.uniform_int(1, 8 << 20));
+  std::vector<sim::FlowLink::Ledger> ledgers;
+  for (const auto* link : path) ledgers.push_back(link->ledger());
+  sim::EdgeChannel::IsolatedTimeline timeline;
+  const Seconds last =
+      sim::EdgeChannel::deliver_isolated(path, ledgers, sim.now(), pieces, &timeline);
+  ASSERT_EQ(timeline.served.size(), pieces.size() * hops);
+  ASSERT_EQ(timeline.delivered.size(), pieces.size());
+
+  // The evented run on the same links. A link's delivered bytes grow exactly
+  // when it serves a piece, so stepping the simulator one event at a time
+  // reads off every served time.
+  sim::EdgeChannel channel(sim, path);
+  std::vector<Seconds> delivered;
+  for (const Bytes piece : pieces) {
+    channel.send(piece, [&sim, &delivered] { delivered.push_back(sim.now()); });
+  }
+  std::vector<std::vector<Seconds>> served(hops);
+  std::vector<Bytes> seen;
+  for (const auto* link : path) seen.push_back(link->bytes_delivered());
+  while (sim.step()) {
+    for (std::size_t j = 0; j < hops; ++j) {
+      if (path[j]->bytes_delivered() == seen[j]) continue;
+      seen[j] = path[j]->bytes_delivered();
+      served[j].push_back(sim.now());
+    }
+  }
+  ASSERT_EQ(delivered.size(), pieces.size());
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.delivered[i]),
+              std::bit_cast<std::uint64_t>(delivered[i]))
+        << "piece " << i << ": " << timeline.delivered[i] << " vs " << delivered[i];
+    for (std::size_t j = 0; j < hops; ++j) {
+      ASSERT_EQ(served[j].size(), pieces.size()) << "link " << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.served[i * hops + j]),
+                std::bit_cast<std::uint64_t>(served[j][i]))
+          << "piece " << i << " link " << j;
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(last), std::bit_cast<std::uint64_t>(delivered.back()));
+  for (std::size_t j = 0; j < hops; ++j) {
+    EXPECT_TRUE(same_bits(ledgers[j], path[j]->ledger())) << "ledger of link " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IsolatedReplayProperty, ::testing::Range(1, 33));
 
 // ---------------------------------------------------------------------------
 // Ski-rental bound over a parameter grid.

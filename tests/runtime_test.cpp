@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -258,7 +259,7 @@ TEST_F(RuntimeTest, StrategyCacheServesRepeatSynthesis) {
   EXPECT_EQ(adapcc.last_synthesis().cache_hits, 2);
 }
 
-TEST_F(RuntimeTest, StrategyCacheInvalidatedOnReprofileAndMembership) {
+TEST_F(RuntimeTest, StrategyCacheInvalidatedOnReprofileKeptAcrossMembership) {
   build(topology::homo_testbed());
   Adapcc adapcc(*cluster_);
   adapcc.init();
@@ -271,20 +272,47 @@ TEST_F(RuntimeTest, StrategyCacheInvalidatedOnReprofileAndMembership) {
   adapcc.reprofile(megabytes(64));
   const int misses_after_reprofile = adapcc.last_synthesis().cache_misses;
   EXPECT_GE(misses_after_reprofile, 2);
-  adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
+  const auto full_group =
+      adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
   // reprofile() itself cached its fresh solve under the new epoch.
   EXPECT_EQ(adapcc.last_synthesis().cache_hits, 2);
   EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_reprofile);
 
-  // Excluding and re-admitting workers invalidates as well: the re-grown
-  // participant set must not be served a pre-exclusion graph.
+  // Excluding a worker changes the key (the participant set), so the
+  // smaller group is solved afresh and its graph leaves the rank out.
   adapcc.exclude_workers({0});
-  adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
+  const auto survivors =
+      adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
   EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_reprofile + 1);
+  EXPECT_EQ(std::count(survivors.participants.begin(), survivors.participants.end(), 0), 0);
+  EXPECT_EQ(survivors.participants.size(), full_group.participants.size() - 1);
+
+  // Membership changes no alpha/beta, so re-admission hits the
+  // pre-exclusion strategy ...
   adapcc.include_workers({0});
+  const auto readmitted =
+      adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
+  EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_reprofile + 1);
+  EXPECT_EQ(adapcc.last_synthesis().cache_hits, 3);
+  EXPECT_EQ(readmitted.fingerprint(), full_group.fingerprint());
+
+  // ... which is exactly what a fresh solve returns: a twin runtime that
+  // reaches the same profiled costs but never cached this key solves it.
+  sim::Simulator twin_sim;
+  topology::Cluster twin_cluster(twin_sim, topology::homo_testbed());
+  Adapcc twin(twin_cluster);
+  twin.init();
+  twin.reprofile(megabytes(1));  // same profile; caches another size bucket
+  const int twin_misses = twin.last_synthesis().cache_misses;
+  const auto fresh = twin.synthesize(Primitive::kAllReduce, twin.participants(), megabytes(64));
+  EXPECT_EQ(twin.last_synthesis().cache_misses, twin_misses + 1);
+  EXPECT_EQ(fresh.fingerprint(), readmitted.fingerprint());
+
+  // A reprofile still forces a re-solve of every key.
+  adapcc.reprofile(megabytes(1));
+  const int misses_after_second_reprofile = adapcc.last_synthesis().cache_misses;
   adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
-  EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_reprofile + 2);
-  EXPECT_EQ(adapcc.last_synthesis().cache_hits, 2);
+  EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_second_reprofile + 1);
 }
 
 // Pins the strategy-cache thread-safety fix (DESIGN.md §10): a producer

@@ -142,6 +142,56 @@ TEST(SimulatorTest, PendingEventsExactInsideCallbacks) {
   EXPECT_EQ(sim.events_processed(), 3u);
 }
 
+TEST(SimulatorTest, NextEventTimeIsInfiniteWhenIdle) {
+  Simulator sim;
+  const Seconds inf = std::numeric_limits<Seconds>::infinity();
+  EXPECT_EQ(sim.next_event_time(), inf);
+  sim.schedule_at(2.0, [] {});
+  EXPECT_EQ(sim.next_event_time(), 2.0);
+  sim.run();
+  EXPECT_EQ(sim.next_event_time(), inf);
+  sim.run_until(7.0);  // moving the clock schedules nothing
+  EXPECT_EQ(sim.next_event_time(), inf);
+}
+
+TEST(SimulatorTest, NextEventTimeFollowsCancelAndReschedule) {
+  Simulator sim;
+  const sim::EventId early = sim.schedule_at(1.0, [] {});
+  const sim::EventId late = sim.schedule_at(3.0, [] {});
+  sim.schedule_at(2.0, [] {});
+  EXPECT_EQ(sim.next_event_time(), 1.0);
+  sim.cancel(early);
+  EXPECT_EQ(sim.next_event_time(), 2.0);
+  ASSERT_TRUE(sim.reschedule(late, 0.5));
+  EXPECT_EQ(sim.next_event_time(), 0.5);
+  ASSERT_TRUE(sim.reschedule(late, 4.0));
+  EXPECT_EQ(sim.next_event_time(), 2.0);
+  sim.step();
+  EXPECT_EQ(sim.next_event_time(), 4.0);
+  sim.cancel(late);
+  EXPECT_EQ(sim.next_event_time(), std::numeric_limits<Seconds>::infinity());
+}
+
+TEST(SimulatorTest, NextEventTimeInsideCallbackSkipsTheFiringEvent) {
+  // step() leaves the firing entry at the root; it is spent, so the next
+  // event is the earliest of the others, and a schedule made from inside
+  // the callback counts as soon as it is made.
+  Simulator sim;
+  std::vector<Seconds> seen;
+  sim.schedule_at(1.0, [&] {
+    seen.push_back(sim.next_event_time());
+    sim.schedule_at(1.5, [] {});
+    seen.push_back(sim.next_event_time());
+  });
+  sim.schedule_at(3.0, [] {});
+  sim.schedule_at(2.0, [&] { seen.push_back(sim.next_event_time()); });
+  sim.schedule_at(1.0, [&] { seen.push_back(sim.next_event_time()); });  // same-time tie
+  sim.schedule_at(3.0, [&] { seen.push_back(sim.next_event_time()); });
+  sim.run();
+  const Seconds inf = std::numeric_limits<Seconds>::infinity();
+  EXPECT_EQ(seen, (std::vector<Seconds>{1.0, 1.0, 1.5, 3.0, inf}));
+}
+
 TEST(SimulatorTest, OwnerTokensRetireAndRecycle) {
   Simulator sim;
   EXPECT_FALSE(sim.owner_alive(sim::OwnerToken{}));
