@@ -180,15 +180,9 @@ std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
     while (outstanding > 0 && sim.step()) {
     }
   }
-  // Probe traffic above ran on the single simulated clock; the per-edge
-  // least-squares fits below are pure host-side functions of each probe's
-  // samples, so they fan out over the solver pool, collected by edge index.
-  pool_.set_record_spans(telemetry::host_spans_enabled());
-  std::vector<AlphaBeta> results = pool_.map_indexed<AlphaBeta>(
-      estimators.size(), [&](std::size_t i) { return estimators[i].estimate(); });
-  if (telemetry::host_spans_enabled()) {
-    telemetry::flush_solver_spans(pool_.take_spans(), "profiler/fit");
-  }
+  std::vector<AlphaBeta> results;
+  results.reserve(estimators.size());
+  for (const auto& estimator : estimators) results.push_back(estimator.estimate());
   return results;
 }
 
@@ -260,11 +254,11 @@ ProfileReport Profiler::profile(LogicalTopology& topo) {
     if (!edge.from.is_gpu() || !edge.to.is_gpu()) continue;
     const NodeId nic_from = NodeId::nic(cluster_.instance_of_rank(edge.from.index));
     const NodeId nic_to = NodeId::nic(cluster_.instance_of_rank(edge.to.index));
-    if (topo.has_edge(nic_from, nic_to) && topo.edge(nic_from, nic_to).profiled) {
-      const auto& nic_edge = topo.edge(nic_from, nic_to);
-      edge.alpha = nic_edge.alpha + 2 * kPcieDefaultAlpha;
-      edge.beta = nic_edge.beta;
-      edge.port_beta = nic_edge.port_beta;
+    const auto* nic_edge = topo.find_edge(nic_from, nic_to);
+    if (nic_edge != nullptr && nic_edge->profiled) {
+      edge.alpha = nic_edge->alpha + 2 * kPcieDefaultAlpha;
+      edge.beta = nic_edge->beta;
+      edge.port_beta = nic_edge->port_beta;
       edge.profiled = true;
     }
   }

@@ -13,11 +13,8 @@
 //
 // Training is blocked while profiling runs; the report's wall_time is the
 // simulated time the block lasted (compared in Fig. 19c).
-// Probe *traffic* stays strictly on the single simulated clock: concurrent
-// rounds share NIC ports, so their timing interleaves through one Simulator
-// and may not be split across host threads. Only the host-side per-edge
-// alpha-beta least-squares fits — pure functions of each probe's collected
-// samples — fan out over a util::TaskPool (DESIGN.md §10).
+// Probe traffic stays strictly on the single simulated clock: concurrent
+// rounds share NIC ports, so their timing interleaves through one Simulator.
 // A single-stream round whose probes each own an idle, private path and that
 // no other event interrupts is replayed in closed form instead of event by
 // event (EdgeChannel::deliver_isolated); it advances the clock and the link
@@ -31,7 +28,6 @@
 #include "profiler/alpha_beta.h"
 #include "topology/cluster.h"
 #include "topology/logical_topology.h"
-#include "util/task_pool.h"
 
 namespace adapcc::profiler {
 
@@ -39,10 +35,6 @@ struct ProfilerConfig {
   std::vector<ProbeShape> plan = default_probe_plan();
   /// Extra repetitions of the whole plan per link (more samples, more time).
   int repetitions = 1;
-  /// Host threads for the per-edge model fits; 0 = the ADAPCC_SOLVER_THREADS
-  /// environment variable (default 1 = serial). Fitted costs are identical
-  /// at every value.
-  int solver_threads = 0;
 };
 
 struct EdgeMeasurement {
@@ -60,9 +52,7 @@ struct ProfileReport {
 class Profiler {
  public:
   Profiler(topology::Cluster& cluster, ProfilerConfig config = {})
-      : cluster_(cluster),
-        config_(std::move(config)),
-        pool_(util::solver_threads(config_.solver_threads)) {}
+      : cluster_(cluster), config_(std::move(config)) {}
 
   /// Probes every NVLink and network edge of `topo`, writes the estimated
   /// alpha/beta into the edges, assigns PCIe defaults, and returns the
@@ -81,7 +71,6 @@ class Profiler {
 
   topology::Cluster& cluster_;
   ProfilerConfig config_;
-  util::TaskPool pool_;  ///< host-side fit lanes; probe traffic never runs here
 };
 
 }  // namespace adapcc::profiler

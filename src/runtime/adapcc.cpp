@@ -40,15 +40,10 @@ Seconds nccl_restart_cost(int world_size, Bytes model_bytes) {
 
 Adapcc::Adapcc(topology::Cluster& cluster, AdapccConfig config)
     : cluster_(cluster), config_(std::move(config)), rng_(config_.seed) {
-  // The runtime-level thread knob flows into both solver surfaces unless a
-  // sub-config pinned its own count.
-  if (config_.solver_threads > 0) {
-    if (config_.synthesizer.solver_threads == 0) {
-      config_.synthesizer.solver_threads = config_.solver_threads;
-    }
-    if (config_.profiler.solver_threads == 0) {
-      config_.profiler.solver_threads = config_.solver_threads;
-    }
+  // The runtime-level thread knob flows into the synthesizer unless its
+  // config pinned its own count.
+  if (config_.solver_threads > 0 && config_.synthesizer.solver_threads == 0) {
+    config_.synthesizer.solver_threads = config_.solver_threads;
   }
   for (int r = 0; r < cluster_.world_size(); ++r) participants_.push_back(r);
 }

@@ -38,8 +38,8 @@ struct AdapccConfig {
   /// Re-profile every this many iterations (adapcc.profile(); Sec. VI-D
   /// uses 500). Zero disables runtime profiling.
   int profile_period_iterations = 500;
-  /// Host threads for the synthesizer search and the profiler's model fits;
-  /// propagated into both sub-configs when they leave theirs at 0. 0 = the
+  /// Host threads for the synthesizer search; propagated into the
+  /// synthesizer config when it leaves its own at 0. 0 = the
   /// ADAPCC_SOLVER_THREADS environment variable (default 1 = serial).
   /// Solved strategies are identical at every value.
   int solver_threads = 0;

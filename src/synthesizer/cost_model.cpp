@@ -15,25 +15,14 @@ using collective::Primitive;
 using collective::SubCollective;
 using collective::Tree;
 
-void add_flow_loads(const SubCollective& sub, LinkLoads& loads) {
-  for (const auto& flow : sub.flows) {
-    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-      loads[EdgeKey{flow.path[i], flow.path[i + 1]}] += 1.0;  // AllToAll sums flows
-    }
-  }
-}
-
-const topology::LogicalEdge& profiled_edge(const LogicalTopology& topo, NodeId from, NodeId to) {
-  if (!topo.has_edge(from, to)) {
+/// Throws std::invalid_argument: `from -> to` is missing or unprofiled.
+[[noreturn]] void reject_edge(const LogicalTopology& topo, NodeId from, NodeId to) {
+  if (topo.find_edge(from, to) == nullptr) {
     throw std::invalid_argument("cost model: strategy uses edge " + to_string(from) + "->" +
                                 to_string(to) + " absent from topology");
   }
-  const auto& edge = topo.edge(from, to);
-  if (!edge.profiled || edge.beta <= 0) {
-    throw std::invalid_argument("cost model: edge " + to_string(from) + "->" + to_string(to) +
-                                " not profiled");
-  }
-  return edge;
+  throw std::invalid_argument("cost model: edge " + to_string(from) + "->" + to_string(to) +
+                              " not profiled");
 }
 
 /// Tree primitives that send reduce traffic toward the root, and those that
@@ -45,31 +34,11 @@ bool broadcasts(Primitive primitive) {
   return primitive != Primitive::kReduce && primitive != Primitive::kReduceScatter;
 }
 
-/// Port loads and capacities derived from `loads` and the profiled NIC mesh.
-PortState compute_port_state(const LogicalTopology& topo, const LinkLoads& loads) {
-  PortState ports;
-  for (const auto& [key, load] : loads) {
-    if (!topo.has_edge(key.from, key.to)) continue;
-    if (topo.edge(key.from, key.to).type != topology::EdgeType::kNetwork) continue;
-    if (!topo.has_placement(key.from) || !topo.has_placement(key.to)) continue;
-    ports.egress_load[topo.instance_of(key.from)] += load;
-    ports.ingress_load[topo.instance_of(key.to)] += load;
-  }
-  // Port capacities from the profiled NIC mesh: a NIC's own speed is its
-  // best measured pairing (slower pairings are limited by the peer).
-  for (const auto& nic_from : topo.nic_nodes()) {
-    for (const auto& nic_to : topo.nic_nodes()) {
-      if (nic_from == nic_to || !topo.has_edge(nic_from, nic_to)) continue;
-      const auto& edge = topo.edge(nic_from, nic_to);
-      if (!edge.profiled || edge.beta <= 0) continue;
-      const double port = edge.effective_port_beta();
-      auto& eg = ports.egress_beta[nic_from.index];
-      eg = eg == 0.0 ? port : std::min(eg, port);
-      auto& in = ports.ingress_beta[nic_to.index];
-      in = in == 0.0 ? port : std::min(in, port);
-    }
-  }
-  return ports;
+/// Network edge whose ends both have a placement: its traffic crosses the
+/// shared NIC ports of their instances.
+bool crosses_ports(const LogicalTopology& topo, const topology::LogicalEdge& edge) {
+  return edge.type == topology::EdgeType::kNetwork && topo.has_placement(edge.from) &&
+         topo.has_placement(edge.to);
 }
 
 }  // namespace
@@ -85,44 +54,66 @@ CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& to
       topo_(topo),
       tensor_bytes_(tensor_bytes),
       active_(active_ranks),
+      loads_(topo.edge_count(), 0.0),
       kernel_overhead_(topology::kernel_launch_overhead()) {
   if (active_.empty()) active_.insert(strategy.participants.begin(), strategy.participants.end());
   subs_.resize(strategy_.subs.size());
   for (std::size_t s = 0; s < strategy_.subs.size(); ++s) add_sub(strategy_.subs[s], subs_[s]);
-  ports_ = compute_port_state(topo_, loads_);
-  // Only now are loads_ and ports_ final; unordered_map values are never
-  // inserted or erased after this point, so EdgeInfo may hold raw pointers.
+  compute_ports();
   resolve_edges();
+}
+
+/// Edges absent from the topology carry no load state: timing throws before
+/// it would read one.
+void CostEvaluator::add_load(NodeId from, NodeId to, double load) {
+  const int id = topo_.edge_id(from, to);
+  if (id >= 0) loads_[id] += load;
 }
 
 void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
   if (strategy_.primitive == Primitive::kAllToAll) {
-    add_flow_loads(sub, loads_);  // flow-based, no tree
+    for (const auto& flow : sub.flows) {  // flow-based, no tree; AllToAll sums flows
+      for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
+        add_load(flow.path[i], flow.path[i + 1], 1.0);
+      }
+    }
     return;
   }
   const Tree& tree = sub.tree;
+  // Per-tree vectors by dense node id: the topology's ids, then one id past
+  // them per tree node the topology lacks (its edges are missing, which
+  // throws only if timing visits them). Children, parents and the root name
+  // at most 2 * parent.size() + 1 nodes, even in a malformed tree.
+  std::vector<NodeId> absent;
+  const auto id_of = [&](NodeId node) {
+    const int id = topo_.node_id(node);
+    if (id >= 0) return static_cast<std::size_t>(id);
+    auto it = std::find(absent.begin(), absent.end(), node);
+    if (it == absent.end()) it = absent.insert(it, node);
+    return topo_.nodes().size() + static_cast<std::size_t>(it - absent.begin());
+  };
+  const std::size_t ids = topo_.nodes().size() + 2 * tree.parent.size() + 1;
   // Children adjacency sorted per parent, the order Tree::children_of
-  // returns.
-  std::unordered_map<NodeId, std::vector<NodeId>> children;
-  for (const auto& [child, parent] : tree.parent) children[parent].push_back(child);
-  // lint:ordered — each per-parent list is sorted; visit order is irrelevant.
-  for (auto& [node, kids] : children) std::sort(kids.begin(), kids.end());
+  // returns. Absent nodes get ids in hash order, but no result depends on
+  // an id's value.
+  std::vector<std::vector<NodeId>> children(ids);
+  // lint:ordered — each per-parent list is sorted below.
+  for (const auto& [child, parent] : tree.parent) children[id_of(parent)].push_back(child);
+  for (auto& kids : children) std::sort(kids.begin(), kids.end());
 
-  std::unordered_map<NodeId, int> index;
+  std::vector<int> index(ids, -1);  // position in st.order
   st.order.push_back(tree.root);
-  index.emplace(tree.root, 0);
+  index[id_of(tree.root)] = 0;
   st.parent.push_back(-1);
   for (std::size_t i = 0; i < st.order.size(); ++i) {
-    const auto it = children.find(st.order[i]);
-    if (it == children.end()) continue;
-    for (const NodeId child : it->second) {
-      if (index.contains(child)) continue;  // malformed cycle: visit once
-      index.emplace(child, static_cast<int>(st.order.size()));
+    for (const NodeId child : children[id_of(st.order[i])]) {
+      int& at = index[id_of(child)];
+      if (at >= 0) continue;  // malformed cycle: visit once
+      at = static_cast<int>(st.order.size());
       st.parent.push_back(static_cast<int>(i));
       st.order.push_back(child);
     }
   }
-
   const int n = static_cast<int>(st.order.size());
   std::vector<int> active_below(n, 0);  // active GPUs in the subtree
   std::vector<int> inputs(n, 0);        // reduce messages arriving per chunk
@@ -157,15 +148,41 @@ void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
   if (reduces(strategy_.primitive)) {
     // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
     for (const auto& [child, parent] : tree.parent) {
-      const auto it = index.find(child);
-      const int sent = it == index.end() ? 0 : out[it->second];
-      if (sent == 0) continue;
-      loads_[EdgeKey{child, parent}] += static_cast<double>(sent);
+      const int at = index[id_of(child)];
+      const int sent = at < 0 ? 0 : out[at];
+      if (sent > 0) add_load(child, parent, static_cast<double>(sent));
     }
   }
   if (broadcasts(strategy_.primitive)) {
     // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : tree.parent) loads_[EdgeKey{parent, child}] += 1.0;
+    for (const auto& [child, parent] : tree.parent) add_load(parent, child, 1.0);
+  }
+}
+
+/// Port loads from loads_, and port capacities from the profiled NIC mesh:
+/// a NIC's own speed is its best measured pairing (slower pairings are
+/// limited by the peer).
+void CostEvaluator::compute_ports() {
+  int instances = 0;
+  for (const NodeId node : topo_.nodes()) {
+    if (topo_.has_placement(node)) instances = std::max(instances, topo_.instance_of(node) + 1);
+  }
+  ports_.resize(instances);
+  const auto& edges = topo_.edges();
+  for (std::size_t id = 0; id < edges.size(); ++id) {
+    // Integer-valued sums: exact in any order.
+    if (loads_[id] == 0.0 || !crosses_ports(topo_, edges[id])) continue;
+    ports_[topo_.instance_of(edges[id].from)].egress_load += loads_[id];
+    ports_[topo_.instance_of(edges[id].to)].ingress_load += loads_[id];
+  }
+  const auto keep_fastest = [](double& beta, double port_beta) {
+    beta = beta == 0.0 ? port_beta : std::min(beta, port_beta);
+  };
+  for (const auto& edge : edges) {
+    if (!edge.from.is_nic() || !edge.to.is_nic() || edge.from == edge.to) continue;
+    if (!edge.profiled || edge.beta <= 0) continue;
+    keep_fastest(ports_[edge.from.index].egress_beta, edge.effective_port_beta());
+    keep_fastest(ports_[edge.to.index].ingress_beta, edge.effective_port_beta());
   }
 }
 
@@ -198,39 +215,21 @@ void CostEvaluator::resolve_edges() {
   }
 }
 
-CostEvaluator::EdgeInfo CostEvaluator::make_edge(NodeId from, NodeId to) {
+CostEvaluator::EdgeInfo CostEvaluator::make_edge(NodeId from, NodeId to) const {
   EdgeInfo e;
   e.from = from;
   e.to = to;
-  const auto load_it = loads_.find(EdgeKey{from, to});
-  if (load_it != loads_.end()) e.load = &load_it->second;
-  if (!topo_.has_edge(from, to)) return e;  // throws at first use, not here
-  const auto& edge = topo_.edge(from, to);
-  if (edge.profiled && edge.beta > 0) {
-    e.valid = true;
-    e.alpha = edge.alpha;
-    e.beta = edge.beta;
-    e.port_beta = edge.effective_port_beta();
-  }
-  if (edge.type == topology::EdgeType::kNetwork && topo_.has_placement(from) &&
-      topo_.has_placement(to)) {
-    e.network_port = true;
-    const int src = topo_.instance_of(from);
-    const int dst = topo_.instance_of(to);
-    const auto eg_load = ports_.egress_load.find(src);
-    if (eg_load != ports_.egress_load.end()) e.eg_load = &eg_load->second;
-    const auto in_load = ports_.ingress_load.find(dst);
-    if (in_load != ports_.ingress_load.end()) e.in_load = &in_load->second;
-    const auto eg_beta = ports_.egress_beta.find(src);
-    if (eg_beta != ports_.egress_beta.end()) {
-      e.eg_beta = eg_beta->second;
-      e.has_eg = e.eg_load != nullptr;
-    }
-    const auto in_beta = ports_.ingress_beta.find(dst);
-    if (in_beta != ports_.ingress_beta.end()) {
-      e.in_beta = in_beta->second;
-      e.has_in = e.in_load != nullptr;
-    }
+  const int id = topo_.edge_id(from, to);
+  if (id < 0) return e;  // throws at first use, not here
+  const auto& edge = topo_.edges()[id];
+  if (!edge.profiled || edge.beta <= 0) return e;
+  e.id = id;
+  e.alpha = edge.alpha;
+  e.beta = edge.beta;
+  e.port_beta = edge.effective_port_beta();
+  if (crosses_ports(topo_, edge)) {
+    e.src = topo_.instance_of(from);
+    e.dst = topo_.instance_of(to);
   }
   return e;
 }
@@ -242,12 +241,13 @@ CostEvaluator::EdgeInfo CostEvaluator::make_edge(NodeId from, NodeId to) {
 /// On RDMA the two coincide; on TCP parallel streams beat one capped stream
 /// (Sec. VI-D).
 double CostEvaluator::beta_eff(const EdgeInfo& edge) const {
-  if (!edge.valid) profiled_edge(topo_, edge.from, edge.to);  // throws
-  const double edge_load = edge.load != nullptr ? std::max(1.0, *edge.load) : 1.0;
-  double beta = std::max(edge.beta, edge.port_beta * edge_load);
-  if (edge.network_port) {
-    if (edge.has_eg) beta = std::max(beta, edge.eg_beta * *edge.eg_load);
-    if (edge.has_in) beta = std::max(beta, edge.in_beta * *edge.in_load);
+  if (edge.id < 0) reject_edge(topo_, edge.from, edge.to);
+  double beta = std::max(edge.beta, edge.port_beta * std::max(1.0, loads_[edge.id]));
+  if (edge.src >= 0) {
+    const Port& egress = ports_[edge.src];
+    const Port& ingress = ports_[edge.dst];
+    beta = std::max(beta, egress.egress_beta * egress.egress_load);
+    beta = std::max(beta, ingress.ingress_beta * ingress.ingress_load);
   }
   return beta;
 }
@@ -354,11 +354,12 @@ Seconds CostEvaluator::completion_time() {
 double max_network_beta(const Strategy& strategy, const LogicalTopology& topo) {
   double beta = 0.0;
   const auto consider = [&](NodeId from, NodeId to) {
-    if (!topo.has_edge(from, to)) return;
-    const auto& edge = topo.edge(from, to);
     // Any network-type hop counts, including the composite cross-instance
     // GPU-GPU edges modern strategies use instead of explicit NIC nodes.
-    if (edge.type == topology::EdgeType::kNetwork) beta = std::max(beta, edge.beta);
+    const auto* edge = topo.find_edge(from, to);
+    if (edge != nullptr && edge->type == topology::EdgeType::kNetwork) {
+      beta = std::max(beta, edge->beta);
+    }
   };
   for (const auto& sub : strategy.subs) {
     // lint:ordered — max() accumulation is commutative.

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "collective/comm_graph.h"
@@ -31,34 +30,6 @@ using collective::Strategy;
 using topology::LogicalTopology;
 using topology::NodeId;
 
-struct EdgeKey {
-  NodeId from;
-  NodeId to;
-  friend bool operator==(const EdgeKey&, const EdgeKey&) = default;
-};
-
-struct EdgeKeyHash {
-  std::size_t operator()(const EdgeKey& k) const noexcept {
-    return std::hash<NodeId>()(k.from) * 1315423911u ^ std::hash<NodeId>()(k.to);
-  }
-};
-
-/// Per-link traffic loads N_ij = sum over sub-collectives of N_ij^m (Eq. 3).
-using LinkLoads = std::unordered_map<EdgeKey, double, EdgeKeyHash>;
-
-/// Aggregate traffic loads and capacities per NIC port: network-edge
-/// bandwidth is shared at the instance's egress and ingress, not per logical
-/// edge, so three composite GPU-GPU edges into one server contend for one
-/// ingress port. The port's own capacity matters too: a flow's rate is the
-/// bottleneck of (egress capacity / egress load, ingress capacity / ingress
-/// load).
-struct PortState {
-  std::unordered_map<int, double> egress_load;
-  std::unordered_map<int, double> ingress_load;
-  std::unordered_map<int, double> egress_beta;   // 1 / port capacity
-  std::unordered_map<int, double> ingress_beta;
-};
-
 /// Estimated completion time of the collective (Eq. 4). Throws
 /// std::invalid_argument if the strategy references unprofiled edges.
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
@@ -69,14 +40,14 @@ Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology
 /// The synthesizer scores the same strategy once per chunk size of its sweep,
 /// and the link loads do not depend on the chunk size. This class binds to a
 /// Strategy and caches everything reusable between evaluations: per-sub
-/// breadth-first tree indexes, the subtrees reduce timing visits, the
-/// link-load map (reduce message counts are computed iteratively over the
-/// index, not by recursion), the shared-port state, and per-edge profiled
-/// constants with direct pointers into the load map. completion_time() is
-/// then a flat array sweep over each tree. estimate_completion_time() is a
-/// freshly built evaluator; one that has absorbed chunk-size changes must
-/// still return bit-identical costs, which ADAPCC_AUDIT samples during real
-/// solves.
+/// breadth-first tree indexes, the subtrees reduce timing visits, the link
+/// loads (reduce message counts are computed iteratively over the index, not
+/// by recursion), the shared-port state, and per-edge profiled constants.
+/// All of it is indexed densely: loads by the topology's edge ids, ports by
+/// instance. completion_time() is then a flat array sweep over each tree.
+/// estimate_completion_time() is a freshly built evaluator; one that has
+/// absorbed chunk-size changes must still return bit-identical costs, which
+/// ADAPCC_AUDIT samples during real solves.
 class CostEvaluator {
  public:
   /// Binds to `strategy`, which must outlive the evaluator. Callers may
@@ -91,28 +62,38 @@ class CostEvaluator {
   /// exactly like estimate_completion_time.
   Seconds completion_time();
 
-  const LinkLoads& link_loads() const noexcept { return loads_; }
+  /// Link loads N_ij = sum over sub-collectives of N_ij^m (Eq. 3), indexed
+  /// by the topology's edge ids; 0 on edges that carry nothing.
+  const std::vector<double>& link_loads() const noexcept { return loads_; }
 
  private:
-  /// Profiled constants of one directed edge plus direct pointers into the
-  /// mutable load state. `valid` is false for missing/unprofiled edges; the
-  /// throw is deferred to first use so edges in inactive subtrees (which
-  /// timing never visits) do not fail eagerly.
+  /// Profiled constants of one directed edge and where its load state lives.
+  /// `id` is -1 for missing/unprofiled edges; the throw is deferred to first
+  /// use so edges in inactive subtrees (which timing never visits) do not
+  /// fail eagerly.
   struct EdgeInfo {
     NodeId from{};
     NodeId to{};
-    bool valid = false;
-    bool network_port = false;  ///< network edge with both ends placed
+    int id = -1;   ///< edge id into loads_
+    int src = -1;  ///< egress instance of a network edge with both ends placed
+    int dst = -1;  ///< ingress instance, likewise; -1 = no shared port
     Seconds alpha = 0.0;
     double beta = 0.0;
     double port_beta = 0.0;  ///< edge.effective_port_beta()
-    double* load = nullptr;  ///< loads_ slot; null = unloaded (treated as 1)
-    double* eg_load = nullptr;  ///< shared egress-port load of from's instance
-    double* in_load = nullptr;  ///< shared ingress-port load of to's instance
-    double eg_beta = 0.0;
-    double in_beta = 0.0;
-    bool has_eg = false;
-    bool has_in = false;
+  };
+
+  /// One instance's NIC port: network-edge bandwidth is shared at the
+  /// instance's egress and ingress, not per logical edge, so three composite
+  /// GPU-GPU edges into one server contend for one ingress port. The port's
+  /// own capacity matters too: a flow's rate is the bottleneck of (egress
+  /// capacity / egress load, ingress capacity / ingress load). Betas are
+  /// 1 / capacity; 0 means no load or no profiled capacity, which the
+  /// max() in beta_eff ignores because valid edges have beta > 0.
+  struct Port {
+    double egress_load = 0.0;
+    double ingress_load = 0.0;
+    double egress_beta = 0.0;
+    double ingress_beta = 0.0;
   };
 
   /// Flattened tree of one sub-collective: breadth-first order (root at 0,
@@ -135,8 +116,10 @@ class CostEvaluator {
 
   /// Flattens one sub-collective into `st` and adds its loads N_ij^m.
   void add_sub(const collective::SubCollective& sub, SubState& st);
+  void add_load(NodeId from, NodeId to, double load);
+  void compute_ports();
   void resolve_edges();
-  EdgeInfo make_edge(NodeId from, NodeId to);
+  EdgeInfo make_edge(NodeId from, NodeId to) const;
   double beta_eff(const EdgeInfo& edge) const;
   PassResult reduce_pass(SubState& st, Bytes chunk) const;
   PassResult broadcast_pass(SubState& st, Bytes chunk) const;
@@ -145,8 +128,8 @@ class CostEvaluator {
   const LogicalTopology& topo_;
   Bytes tensor_bytes_;
   std::set<int> active_;
-  LinkLoads loads_;
-  PortState ports_;
+  std::vector<double> loads_;  ///< by edge id
+  std::vector<Port> ports_;    ///< by instance
   std::vector<SubState> subs_;
   Seconds kernel_overhead_;
 };

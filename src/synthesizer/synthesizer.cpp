@@ -24,9 +24,8 @@ using collective::Tree;
 
 /// Profiled bandwidth of an edge, 0 when missing.
 BytesPerSecond edge_bw(const topology::LogicalTopology& topo, NodeId from, NodeId to) {
-  if (!topo.has_edge(from, to)) return 0.0;
-  const auto& edge = topo.edge(from, to);
-  return edge.beta > 0 ? 1.0 / edge.beta : 0.0;
+  const auto* edge = topo.find_edge(from, to);
+  return edge == nullptr ? 0.0 : edge->bandwidth();
 }
 
 }  // namespace

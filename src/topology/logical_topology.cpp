@@ -1,14 +1,29 @@
 #include "topology/logical_topology.h"
 
-#include <algorithm>
-
 namespace adapcc::topology {
 
+namespace {
+
+/// values[i], or -1 when i lies outside `values`.
+int at_or_absent(const std::vector<int>& values, int i) noexcept {
+  return i >= 0 && static_cast<std::size_t>(i) < values.size() ? values[i] : -1;
+}
+
+/// values[i] = value, growing `values` with -1 as needed; i >= 0.
+void put(std::vector<int>& values, int i, int value) {
+  const auto at = static_cast<std::size_t>(i);
+  if (at >= values.size()) values.resize(at + 1, -1);
+  values[at] = value;
+}
+
+}  // namespace
+
 void LogicalTopology::add_node(NodeId node) {
-  if (!has_node(node)) {
-    nodes_.push_back(node);
-    index_.emplace(node, std::unordered_map<NodeId, std::size_t>{});
-  }
+  if (node.index < 0) throw std::invalid_argument("LogicalTopology: negative " + to_string(node));
+  if (node_id(node) >= 0) return;
+  put(node.is_gpu() ? gpu_ids_ : nic_ids_, node.index, static_cast<int>(nodes_.size()));
+  nodes_.push_back(node);
+  out_.emplace_back();
 }
 
 void LogicalTopology::add_edge(LogicalEdge edge) {
@@ -18,53 +33,47 @@ void LogicalTopology::add_edge(LogicalEdge edge) {
     throw std::invalid_argument("LogicalTopology: duplicate edge " + to_string(edge.from) +
                                 "->" + to_string(edge.to));
   }
-  index_[edge.from][edge.to] = edges_.size();
+  put(out_[node_id(edge.from)], node_id(edge.to), static_cast<int>(edges_.size()));
   edges_.push_back(edge);
 }
 
-bool LogicalTopology::has_node(NodeId node) const noexcept { return index_.contains(node); }
-
-bool LogicalTopology::has_edge(NodeId from, NodeId to) const noexcept {
-  const auto it = index_.find(from);
-  return it != index_.end() && it->second.contains(to);
+int LogicalTopology::node_id(NodeId node) const noexcept {
+  return at_or_absent(node.is_gpu() ? gpu_ids_ : nic_ids_, node.index);
 }
 
-const LogicalEdge& LogicalTopology::edge(NodeId from, NodeId to) const {
-  return edges_.at(index_.at(from).at(to));
+int LogicalTopology::edge_id(NodeId from, NodeId to) const noexcept {
+  const int source = node_id(from);
+  return source < 0 ? -1 : at_or_absent(out_[source], node_id(to));
 }
 
-LogicalEdge& LogicalTopology::mutable_edge(NodeId from, NodeId to) {
-  return edges_.at(index_.at(from).at(to));
-}
-
-std::vector<const LogicalEdge*> LogicalTopology::out_edges(NodeId node) const {
-  std::vector<const LogicalEdge*> result;
-  for (const auto& edge : edges_) {
-    if (edge.from == node) result.push_back(&edge);
+std::size_t LogicalTopology::checked_id(NodeId from, NodeId to) const {
+  const int id = edge_id(from, to);
+  if (id < 0) {
+    throw std::out_of_range("LogicalTopology: no edge " + to_string(from) + "->" +
+                            to_string(to));
   }
-  return result;
+  return static_cast<std::size_t>(id);
 }
 
-std::vector<const LogicalEdge*> LogicalTopology::in_edges(NodeId node) const {
-  std::vector<const LogicalEdge*> result;
-  for (const auto& edge : edges_) {
-    if (edge.to == node) result.push_back(&edge);
+void LogicalTopology::set_instance_of(int rank, int instance) {
+  if (rank < 0 || instance < 0) {
+    throw std::invalid_argument("LogicalTopology: negative placement of rank " +
+                                std::to_string(rank));
   }
-  return result;
+  put(instance_of_, rank, instance);
 }
 
-std::vector<NodeId> LogicalTopology::gpu_nodes() const {
-  std::vector<NodeId> result;
-  std::copy_if(nodes_.begin(), nodes_.end(), std::back_inserter(result),
-               [](const NodeId& n) { return n.is_gpu(); });
-  return result;
+int LogicalTopology::instance_of(NodeId node) const {
+  if (node.is_nic()) return node.index;
+  const int instance = at_or_absent(instance_of_, node.index);
+  if (instance < 0) {
+    throw std::out_of_range("LogicalTopology: no placement for " + to_string(node));
+  }
+  return instance;
 }
 
-std::vector<NodeId> LogicalTopology::nic_nodes() const {
-  std::vector<NodeId> result;
-  std::copy_if(nodes_.begin(), nodes_.end(), std::back_inserter(result),
-               [](const NodeId& n) { return n.is_nic(); });
-  return result;
+bool LogicalTopology::has_placement(NodeId node) const noexcept {
+  return node.is_nic() || at_or_absent(instance_of_, node.index) >= 0;
 }
 
 }  // namespace adapcc::topology

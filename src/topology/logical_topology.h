@@ -2,11 +2,14 @@
 // Profiler annotates with alpha-beta costs and the Synthesizer routes flows
 // on. Constructed by the Detector from probe results, not from the cluster's
 // ground truth.
+//
+// It is the one edge index of the system: nodes and edges carry dense ids
+// (their positions in nodes() and edges()), looked up in O(1) without
+// hashing, and state kept per link elsewhere (the cost model's loads N_ij)
+// is a vector indexed by edge id.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/node.h"
@@ -39,47 +42,52 @@ struct LogicalEdge {
 
 class LogicalTopology {
  public:
+  /// Throws std::invalid_argument for a negative node index.
   void add_node(NodeId node);
+  /// Throws std::invalid_argument for a duplicate edge.
   void add_edge(LogicalEdge edge);
 
   const std::vector<NodeId>& nodes() const noexcept { return nodes_; }
   const std::vector<LogicalEdge>& edges() const noexcept { return edges_; }
   std::vector<LogicalEdge>& mutable_edges() noexcept { return edges_; }
+  std::size_t edge_count() const noexcept { return edges_.size(); }
 
-  bool has_node(NodeId node) const noexcept;
-  bool has_edge(NodeId from, NodeId to) const noexcept;
+  /// Dense id of a node (its position in nodes()); -1 when never added.
+  int node_id(NodeId node) const noexcept;
+  /// Dense id of an edge (its position in edges()); -1 when absent.
+  int edge_id(NodeId from, NodeId to) const noexcept;
+  /// The edge from -> to, or null when absent.
+  const LogicalEdge* find_edge(NodeId from, NodeId to) const noexcept {
+    const int id = edge_id(from, to);
+    return id < 0 ? nullptr : &edges_[id];
+  }
+  bool has_edge(NodeId from, NodeId to) const noexcept { return edge_id(from, to) >= 0; }
 
   /// Throws std::out_of_range when the edge does not exist.
-  const LogicalEdge& edge(NodeId from, NodeId to) const;
-  LogicalEdge& mutable_edge(NodeId from, NodeId to);
-
-  /// Outgoing edges of `node`, in insertion order.
-  std::vector<const LogicalEdge*> out_edges(NodeId node) const;
-  std::vector<const LogicalEdge*> in_edges(NodeId node) const;
-
-  std::vector<NodeId> gpu_nodes() const;
-  std::vector<NodeId> nic_nodes() const;
-
-  std::size_t edge_count() const noexcept { return edges_.size(); }
+  const LogicalEdge& edge(NodeId from, NodeId to) const { return edges_[checked_id(from, to)]; }
+  LogicalEdge& mutable_edge(NodeId from, NodeId to) { return edges_[checked_id(from, to)]; }
 
   /// GPU placement: which instance (and hence which NIC) a rank lives on.
   /// Network-edge bandwidth is shared per NIC port, so the cost model needs
   /// this to aggregate loads (Eq. 3) even for composite GPU-GPU edges.
-  void set_instance_of(int rank, int instance) { instance_of_[rank] = instance; }
+  /// Throws std::invalid_argument for a negative rank or instance.
+  void set_instance_of(int rank, int instance);
   /// Instance of a node: the stored placement for GPUs, the index for NICs.
   /// Throws std::out_of_range for GPUs with no recorded placement.
-  int instance_of(NodeId node) const {
-    return node.is_nic() ? node.index : instance_of_.at(node.index);
-  }
-  bool has_placement(NodeId node) const noexcept {
-    return node.is_nic() || instance_of_.contains(node.index);
-  }
+  int instance_of(NodeId node) const;
+  bool has_placement(NodeId node) const noexcept;
 
  private:
+  std::size_t checked_id(NodeId from, NodeId to) const;
+
   std::vector<NodeId> nodes_;
   std::vector<LogicalEdge> edges_;
-  std::unordered_map<NodeId, std::unordered_map<NodeId, std::size_t>> index_;
-  std::unordered_map<int, int> instance_of_;
+  std::vector<int> gpu_ids_;  ///< dense node id by rank; -1 = not added
+  std::vector<int> nic_ids_;  ///< dense node id by instance; -1 = not added
+  /// Per dense source id, the edge id by dense target id (-1 = no edge).
+  /// A row reaches only as far as its highest target.
+  std::vector<std::vector<int>> out_;
+  std::vector<int> instance_of_;  ///< instance by rank; -1 = no placement
 };
 
 }  // namespace adapcc::topology

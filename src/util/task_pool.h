@@ -1,7 +1,7 @@
 // Fixed-size worker pool with a deterministic indexed fan-out/reduce API.
 //
-// The synthesizer's candidate search and the profiler's per-edge model fits
-// are embarrassingly parallel *host-side* work: every task is a pure
+// The synthesizer's candidate search is embarrassingly parallel *host-side*
+// work: every task is a pure
 // function of its submission index, so results can be collected by index and
 // reduced in submission order, making the outcome bit-identical regardless
 // of thread count or OS scheduling. The simulated clock never runs here —

@@ -14,10 +14,10 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "collective/comm_graph.h"
 #include "collective/primitive.h"
-#include "synthesizer/cost_model.h"
 #include "topology/hardware.h"
 #include "topology/logical_topology.h"
 #include "util/units.h"
@@ -28,10 +28,28 @@ using collective::Primitive;
 using collective::Strategy;
 using collective::SubCollective;
 using collective::Tree;
-using synthesizer::EdgeKey;
-using synthesizer::LinkLoads;
 using topology::LogicalTopology;
 using topology::NodeId;
+
+struct EdgeKey {
+  NodeId from;
+  NodeId to;
+  friend auto operator<=>(const EdgeKey&, const EdgeKey&) = default;
+};
+
+/// Per-link traffic loads N_ij, keyed by endpoints.
+using LinkLoads = std::map<EdgeKey, double>;
+
+/// CostEvaluator::link_loads() (by edge id) keyed by endpoints, dropping the
+/// edges that carry nothing.
+inline LinkLoads by_endpoints(const LogicalTopology& topo, const std::vector<double>& loads) {
+  LinkLoads keyed;
+  for (std::size_t id = 0; id < loads.size(); ++id) {
+    const auto& edge = topo.edges()[id];
+    if (loads[id] != 0.0) keyed[EdgeKey{edge.from, edge.to}] = loads[id];
+  }
+  return keyed;
+}
 
 inline bool reduces(Primitive p) {
   return p == Primitive::kReduce || p == Primitive::kReduceScatter || p == Primitive::kAllReduce;
@@ -118,6 +136,14 @@ inline bool crosses_ports(const LogicalTopology& topo, NodeId from, NodeId to) {
          topo.has_placement(from) && topo.has_placement(to);
 }
 
+inline std::vector<NodeId> nic_nodes(const LogicalTopology& topo) {
+  std::vector<NodeId> nics;
+  for (const NodeId node : topo.nodes()) {
+    if (node.is_nic()) nics.push_back(node);
+  }
+  return nics;
+}
+
 inline double lookup(const std::map<int, double>& values, int key) {
   const auto it = values.find(key);
   return it == values.end() ? 0.0 : it->second;
@@ -136,8 +162,8 @@ inline Ports port_state(const LogicalTopology& topo, const LinkLoads& loads) {
     const auto [it, fresh] = betas.emplace(instance, beta);
     if (!fresh) it->second = std::min(it->second, beta);
   };
-  for (const NodeId from : topo.nic_nodes()) {
-    for (const NodeId to : topo.nic_nodes()) {
+  for (const NodeId from : nic_nodes(topo)) {
+    for (const NodeId to : nic_nodes(topo)) {
       if (from == to || !topo.has_edge(from, to)) continue;
       const auto& edge = topo.edge(from, to);
       if (!edge.profiled || edge.beta <= 0) continue;

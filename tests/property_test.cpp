@@ -374,7 +374,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripProperty, ::testing::Range(1, 25));
 bool expect_matches_reference(synthesizer::CostEvaluator& evaluator, const Strategy& strategy,
                               const topology::LogicalTopology& topo, Bytes tensor,
                               const std::set<int>& active, const std::string& where) {
-  EXPECT_EQ(evaluator.link_loads(), cost_reference::link_loads(strategy, active)) << where;
+  EXPECT_EQ(cost_reference::by_endpoints(topo, evaluator.link_loads()),
+            cost_reference::link_loads(strategy, active))
+      << where;
   Seconds want = 0.0;
   try {
     want = cost_reference::completion_time(strategy, topo, tensor, active);
@@ -542,9 +544,10 @@ TEST_P(CostModelOracleProperty, AggregationOffNeverLowersCost) {
         const std::string where =
             t.where + " sub " + std::to_string(si) + " off at " + to_string(node);
         EXPECT_GE(evaluator.completion_time(), base_cost) << where;
-        for (const auto& [edge, load] : base.link_loads()) {
-          const auto it = evaluator.link_loads().find(edge);
-          ASSERT_NE(it, evaluator.link_loads().end()) << where;
+        const auto flipped_loads = cost_reference::by_endpoints(t.topo, evaluator.link_loads());
+        for (const auto& [edge, load] : cost_reference::by_endpoints(t.topo, base.link_loads())) {
+          const auto it = flipped_loads.find(edge);
+          ASSERT_NE(it, flipped_loads.end()) << where;
           EXPECT_GE(it->second, load) << where << " edge " << to_string(edge.from) << "->"
                                       << to_string(edge.to);
         }

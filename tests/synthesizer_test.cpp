@@ -22,7 +22,7 @@ using collective::Primitive;
 using collective::Strategy;
 using collective::SubCollective;
 using collective::Tree;
-using synthesizer::EdgeKey;
+using cost_reference::EdgeKey;
 using synthesizer::estimate_completion_time;
 using synthesizer::Synthesizer;
 using topology::NodeId;
@@ -45,8 +45,9 @@ class SynthesizerTest : public ::testing::Test {
   }
 
   /// Link loads as the synthesizer sees them (CostEvaluator::link_loads).
-  synthesizer::LinkLoads loads_of(const Strategy& strategy, const std::set<int>& active) const {
-    return synthesizer::CostEvaluator(strategy, topo_, megabytes(16), active).link_loads();
+  cost_reference::LinkLoads loads_of(const Strategy& strategy, const std::set<int>& active) const {
+    return cost_reference::by_endpoints(
+        topo_, synthesizer::CostEvaluator(strategy, topo_, megabytes(16), active).link_loads());
   }
 
   std::unique_ptr<sim::Simulator> sim_;
@@ -107,6 +108,22 @@ TEST_F(SynthesizerTest, CostModelRejectsUnprofiledTopology) {
       Primitive::kReduce, {0, 1}, chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
   EXPECT_THROW(estimate_completion_time(strategy, empty_topo, megabytes(16), {}),
                std::invalid_argument);
+  // gpu9 is not in the topology, so gpu2 -> gpu9 -> gpu3 uses missing edges.
+  // They throw once timing visits them, not while gpu9's subtree is inactive.
+  strategy = collective::single_tree_strategy(
+      Primitive::kReduce, {0, 1, 2, 3},
+      chain_tree({NodeId::gpu(2), NodeId::gpu(9), NodeId::gpu(3), NodeId::gpu(1), NodeId::gpu(0)}),
+      4_MiB);
+  EXPECT_EQ(estimate_completion_time(strategy, topo_, megabytes(16), {0, 1, 3}),
+            cost_reference::completion_time(strategy, topo_, megabytes(16), {0, 1, 3}));
+  EXPECT_THROW(estimate_completion_time(strategy, topo_, megabytes(16), {}),
+               std::invalid_argument);
+  // A malformed tree: two links between nodes the topology lacks, neither
+  // reaching the root. Nothing visits them, so nothing throws.
+  strategy.subs[0].tree.parent = {{NodeId::gpu(20), NodeId::gpu(21)},
+                                  {NodeId::gpu(22), NodeId::gpu(23)}};
+  EXPECT_EQ(estimate_completion_time(strategy, topo_, megabytes(16), {}),
+            cost_reference::completion_time(strategy, topo_, megabytes(16), {}));
 }
 
 // --- synthesizer ---------------------------------------------------------------
@@ -270,7 +287,8 @@ TEST_F(SynthesizerTest, CostEvaluatorHonorsActiveSubset) {
   synthesizer::CostEvaluator evaluator(strategy, topo_, megabytes(64), active);
   EXPECT_EQ(evaluator.completion_time(),
             estimate_completion_time(strategy, topo_, megabytes(64), active));
-  EXPECT_EQ(evaluator.link_loads(), cost_reference::link_loads(strategy, active));
+  EXPECT_EQ(cost_reference::by_endpoints(topo_, evaluator.link_loads()),
+            cost_reference::link_loads(strategy, active));
 }
 
 // --- deterministic parallel search -------------------------------------------

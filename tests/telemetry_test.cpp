@@ -353,7 +353,7 @@ TEST(TelemetryIntegration, HostSpansLandOnSolverWorkerTracks) {
   adapcc.init();
   adapcc.synthesize(collective::Primitive::kAllReduce, adapcc.participants(), megabytes(64));
 
-  // Pool tasks show up tid-tagged on per-lane solver (and profiler) tracks.
+  // Pool tasks show up tid-tagged on per-lane solver tracks.
   std::size_t solver_tracks = 0;
   for (const auto& track : telemetry::get()->trace().tracks()) {
     if (track.starts_with("solver/worker-")) ++solver_tracks;

@@ -225,8 +225,11 @@ TEST_F(DetectorTest, DetectionTimeIsSubSecondPerInstance) {
 TEST_F(DetectorTest, LogicalTopologyHasAllNodes) {
   const auto result = detect(topology::heter_testbed());
   const LogicalTopology topo = Detector::build_logical_topology(*cluster_, result);
-  EXPECT_EQ(topo.gpu_nodes().size(), 16u);
-  EXPECT_EQ(topo.nic_nodes().size(), 4u);
+  std::size_t gpus = 0;
+  std::size_t nics = 0;
+  for (const NodeId node : topo.nodes()) ++(node.is_gpu() ? gpus : nics);
+  EXPECT_EQ(gpus, 16u);
+  EXPECT_EQ(nics, 4u);
   // NVLink edges detected on a fully wired server.
   EXPECT_EQ(topo.edge(NodeId::gpu(0), NodeId::gpu(1)).type, EdgeType::kNvlink);
   // NIC mesh present.
@@ -252,14 +255,65 @@ TEST(LogicalTopologyTest, EdgeCostModel) {
   EXPECT_NEAR(edge.bandwidth(), gbps(100), 1e-3);
 }
 
-TEST(LogicalTopologyTest, OutAndInEdges) {
+// The index answers every lookup of a node it never saw, or of an index far
+// outside any row, with "absent" rather than reading out of bounds.
+TEST(LogicalTopologyTest, LookupsOutsideTheIndexAreAbsent) {
   LogicalTopology topo;
   topo.add_edge({NodeId::gpu(0), NodeId::gpu(1), EdgeType::kNvlink});
-  topo.add_edge({NodeId::gpu(0), NodeId::gpu(2), EdgeType::kNvlink});
-  topo.add_edge({NodeId::gpu(1), NodeId::gpu(0), EdgeType::kNvlink});
-  EXPECT_EQ(topo.out_edges(NodeId::gpu(0)).size(), 2u);
-  EXPECT_EQ(topo.in_edges(NodeId::gpu(0)).size(), 1u);
+  topo.add_edge({NodeId::gpu(1), NodeId::nic(0), EdgeType::kPcie});
+  const NodeId strangers[] = {NodeId::gpu(-1), NodeId::nic(-1), NodeId::gpu(2),
+                              NodeId::nic(1),  NodeId::nic(1000), NodeId::gpu(1000)};
+  for (const NodeId stranger : strangers) {
+    EXPECT_EQ(topo.node_id(stranger), -1) << to_string(stranger);
+    for (const NodeId node : topo.nodes()) {
+      EXPECT_EQ(topo.find_edge(node, stranger), nullptr) << to_string(stranger);
+      EXPECT_EQ(topo.find_edge(stranger, node), nullptr) << to_string(stranger);
+      EXPECT_FALSE(topo.has_edge(node, stranger)) << to_string(stranger);
+      EXPECT_THROW(topo.edge(node, stranger), std::out_of_range) << to_string(stranger);
+      EXPECT_THROW(topo.edge(stranger, node), std::out_of_range) << to_string(stranger);
+    }
+    if (stranger.is_gpu()) {
+      EXPECT_FALSE(topo.has_placement(stranger)) << to_string(stranger);
+    }
+  }
+  // A present node whose row stops short of the target: gpu1 -> gpu0 absent.
+  EXPECT_EQ(topo.find_edge(NodeId::gpu(1), NodeId::gpu(0)), nullptr);
+  EXPECT_EQ(topo.find_edge(NodeId::nic(0), NodeId::gpu(1)), nullptr);
+  EXPECT_THROW(topo.mutable_edge(NodeId::nic(0), NodeId::gpu(1)), std::out_of_range);
+  EXPECT_THROW(topo.instance_of(NodeId::gpu(0)), std::out_of_range);
+  EXPECT_THROW(topo.add_node(NodeId::gpu(-1)), std::invalid_argument);
+  EXPECT_THROW(topo.set_instance_of(-1, 0), std::invalid_argument);
   EXPECT_EQ(topo.nodes().size(), 3u);
+}
+
+// On a detected topology, every pair the cluster wires resolves to the edge
+// with those endpoints, and no other pair, in or out of range, resolves.
+TEST_F(DetectorTest, FindEdgeResolvesExactlyTheClusterEdges) {
+  for (auto specs : {topology::heter_testbed(), topology::a100_fleet(4)}) {
+    const auto result = detect(std::move(specs));
+    const LogicalTopology topo = Detector::build_logical_topology(*cluster_, result);
+    const auto wired = cluster_->all_edges();
+    EXPECT_EQ(topo.edge_count(), wired.size());
+    for (const auto& [from, to] : wired) {
+      const auto* edge = topo.find_edge(from, to);
+      ASSERT_NE(edge, nullptr) << to_string(from) << "->" << to_string(to);
+      EXPECT_EQ(edge->from, from);
+      EXPECT_EQ(edge->to, to);
+      EXPECT_EQ(&topo.edge(from, to), edge);
+    }
+    std::vector<NodeId> probes = cluster_->all_nodes();
+    probes.push_back(NodeId::gpu(cluster_->world_size()));
+    probes.push_back(NodeId::nic(cluster_->instance_count()));
+    probes.push_back(NodeId::gpu(-1));
+    probes.push_back(NodeId::nic(1000));
+    const std::set<std::pair<NodeId, NodeId>> wired_set(wired.begin(), wired.end());
+    for (const NodeId from : probes) {
+      for (const NodeId to : probes) {
+        EXPECT_EQ(topo.find_edge(from, to) != nullptr, wired_set.contains({from, to}))
+            << to_string(from) << "->" << to_string(to);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,7 +9,9 @@ Default mode runs `python3 perfbench/run.py --workload W --seed S --seconds 0
 `chaos_matrix --quick` binary of an existing CMake build and compares each
 stdout with tests/golden/figures/<name>.txt. The only fields masked are
 fig19c's host-time columns (solve(s), adapcc(s), saved), which measure the
-host, not the simulation.
+host, not the simulation. `--only NAME...` restricts the run to those golden
+names (e.g. fig11_reduce chaos_matrix_quick); ctest runs the fast ones this
+way, one entry each.
 
 Any difference is a change in simulated behaviour (or in the work the solver
 does): either a bug, or an intended change whose new goldens belong in the
@@ -18,6 +20,7 @@ same commit, with the diff explained in CHANGES.md.
 Usage (from anywhere in the repository):
     python3 tools/golden_check.py                       # perfbench prefix
     python3 tools/golden_check.py --figures build       # figure outputs
+    python3 tools/golden_check.py --figures build --only fig11_reduce
     python3 tools/golden_check.py [--figures build] --update   # rewrite goldens
 """
 
@@ -91,9 +94,14 @@ def mask(name: str, text: str) -> str:
     return "".join(lines)
 
 
-def check_figures(build_dir: pathlib.Path, update: bool) -> int:
+def check_figures(build_dir: pathlib.Path, update: bool, only: list[str] | None) -> int:
     failed = []
     runs = figure_runs(build_dir)
+    if only:
+        unknown = sorted(set(only) - {name for name, _ in runs})
+        if unknown:
+            raise SystemExit(f"golden_check: no figure run named {', '.join(unknown)}")
+        runs = [(name, cmd) for name, cmd in runs if name in only]
     for name, cmd in runs:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
         if proc.returncode != 0:
@@ -127,9 +135,13 @@ def main() -> int:
     parser.add_argument("--update", action="store_true", help="rewrite the golden files")
     parser.add_argument("--figures", metavar="BUILD_DIR", type=pathlib.Path,
                         help="check bench figure outputs of this CMake build instead")
+    parser.add_argument("--only", metavar="NAME", nargs="+",
+                        help="with --figures: check just these golden names")
     args = parser.parse_args()
+    if args.only and args.figures is None:
+        parser.error("--only needs --figures")
     if args.figures is not None:
-        return check_figures(args.figures.resolve(), args.update)
+        return check_figures(args.figures.resolve(), args.update, args.only)
 
     actual = HEADER + [line for workload in WORKLOADS for seed in SEEDS
                        for line in prefix_lines(workload, seed)]
