@@ -1,6 +1,7 @@
 #include "profiler/profiler.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "sim/edge_channel.h"
@@ -109,24 +110,39 @@ class EdgeProbe {
   std::size_t shape_index_ = 0;
 };
 
-/// Replays a single-stream round in closed form (DESIGN.md §7) and returns
-/// true, or returns false having touched nothing. It applies only when the
-/// evented round would be a set of isolated lone channels: no telemetry
-/// (spans, counters and the order-dependent channel.queue_depth histogram
-/// stay exact on the evented path), no link shared between or within paths,
-/// every link idle and not stalled, and no other event due before the round
-/// ends. Each probe's shapes then run back to back exactly as EdgeProbe
-/// runs them, computed on copies of the link ledgers that are committed only
-/// once the round's end is known to be uninterrupted.
+/// Replays a round in closed form (DESIGN.md §7) and returns true, or
+/// returns false having touched nothing. It applies only when the evented
+/// round would be a set of isolated lockstep channel groups: every shape's
+/// wire pieces split into consecutive groups of `channels` equal pieces (so
+/// the round-robin channels start, share and finish every piece together),
+/// no telemetry (spans, counters and the order-dependent
+/// channel.queue_depth histogram stay exact on the evented path), no link
+/// shared between or within paths, every link idle and not stalled for
+/// `channels` streams, and no other event due before the round ends. Each
+/// probe's shapes then run back to back exactly as EdgeProbe runs them,
+/// computed on copies of the link ledgers that are committed only once the
+/// round's end is known to be uninterrupted.
 bool replay_isolated_round(sim::Simulator& sim,
                            const std::vector<std::vector<sim::FlowLink*>>& paths,
-                           const std::vector<ProbeShape>& shapes,
+                           const std::vector<ProbeShape>& shapes, std::size_t channels,
                            std::vector<AlphaBetaEstimator>& estimators) {
   if (telemetry::get() != nullptr) return false;
+  std::vector<std::vector<Bytes>> groups;  // per shape, one size per lockstep group
+  for (const ProbeShape& shape : shapes) {
+    const std::vector<Bytes> pieces = wire_pieces(shape);
+    if (pieces.size() % channels != 0) return false;
+    auto& shape_groups = groups.emplace_back();
+    const auto width = static_cast<std::ptrdiff_t>(channels);
+    for (auto group = pieces.begin(); group != pieces.end(); group += width) {
+      const auto group_end = group + width;
+      if (std::adjacent_find(group, group_end, std::not_equal_to<>{}) != group_end) return false;
+      shape_groups.push_back(*group);
+    }
+  }
   std::vector<const sim::FlowLink*> links;
   for (const auto& path : paths) {
     for (const sim::FlowLink* link : path) {
-      if (link->active_transfers() != 0 || link->stalled()) return false;
+      if (link->active_transfers() != 0 || link->stalled(channels)) return false;
       links.push_back(link);
     }
   }
@@ -140,10 +156,10 @@ bool replay_isolated_round(sim::Simulator& sim,
     auto& path_ledgers = ledgers.emplace_back();
     for (const sim::FlowLink* link : paths[i]) path_ledgers.push_back(link->ledger());
     Seconds at = sim.now();
-    for (const ProbeShape& shape : shapes) {
-      const std::vector<Bytes> pieces = wire_pieces(shape);
-      const Seconds done = sim::EdgeChannel::deliver_isolated(paths[i], path_ledgers, at, pieces);
-      samples[i].add_sample(shape.bytes * static_cast<Bytes>(shape.count), done - at);
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      const Seconds done =
+          sim::EdgeChannel::deliver_isolated(paths[i], path_ledgers, at, groups[s], channels);
+      samples[i].add_sample(shapes[s].bytes * static_cast<Bytes>(shapes[s].count), done - at);
       at = done;
     }
     end = std::max(end, at);
@@ -167,7 +183,8 @@ std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
   for (const auto& [from, to] : edges) paths.push_back(cluster_.edge_path(from, to));
   const std::vector<ProbeShape> shapes = probe_shapes(config_);
   std::vector<AlphaBetaEstimator> estimators(edges.size());
-  if (channels != 1 || !replay_isolated_round(sim, paths, shapes, estimators)) {
+  if (!replay_isolated_round(sim, paths, shapes, static_cast<std::size_t>(channels),
+                             estimators)) {
     std::vector<std::unique_ptr<EdgeProbe>> probes;
     std::size_t outstanding = edges.size();
     probes.reserve(edges.size());
@@ -184,10 +201,6 @@ std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
   results.reserve(estimators.size());
   for (const auto& estimator : estimators) results.push_back(estimator.estimate());
   return results;
-}
-
-AlphaBeta Profiler::probe_edge(NodeId from, NodeId to) {
-  return probe_edges_concurrently({{from, to}}).front();
 }
 
 ProfileReport Profiler::profile(LogicalTopology& topo) {

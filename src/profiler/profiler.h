@@ -15,12 +15,16 @@
 // simulated time the block lasted (compared in Fig. 19c).
 // Probe traffic stays strictly on the single simulated clock: concurrent
 // rounds share NIC ports, so their timing interleaves through one Simulator.
-// A single-stream round whose probes each own an idle, private path and that
-// no other event interrupts is replayed in closed form instead of event by
-// event (EdgeChannel::deliver_isolated); it advances the clock and the link
-// ledgers bit for bit as the events would. Every other round — the
-// four-stream port pass, shared or busy links, telemetry attached — runs
-// evented (DESIGN.md §7).
+// A round whose probes each own an idle, private path and that no other
+// event interrupts is replayed in closed form instead of event by event
+// (EdgeChannel::deliver_isolated), when its channels run in lockstep: the
+// single-stream pass always, and the four-stream port pass when every
+// shape's wire pieces split into groups of four equal pieces (the default
+// plan's do), so the four round-robin channels start and finish each group
+// together. The replay advances the clock and the link ledgers bit for bit
+// as the events would. Every other round — plans that break lockstep,
+// shared, busy or stalled links, telemetry attached — runs evented
+// (DESIGN.md §7).
 #pragma once
 
 #include <vector>
@@ -60,10 +64,6 @@ class Profiler {
   ProfileReport profile(topology::LogicalTopology& topo);
 
  private:
-  /// Sends the probe plan through the edge's physical path, returning the
-  /// fitted cost. Runs the simulator inline.
-  AlphaBeta probe_edge(topology::NodeId from, topology::NodeId to);
-
   /// Runs a set of edge probes concurrently (one per edge); returns fitted
   /// costs in the same order.
   std::vector<AlphaBeta> probe_edges_concurrently(

@@ -82,19 +82,22 @@ void EdgeChannel::send(Bytes bytes, DeliveryCallback on_delivered) {
 
 Seconds EdgeChannel::deliver_isolated(const std::vector<FlowLink*>& path,
                                       std::span<FlowLink::Ledger> ledgers, Seconds start,
-                                      std::span<const Bytes> pieces, IsolatedTimeline* timeline) {
+                                      std::span<const Bytes> groups, std::size_t streams,
+                                      IsolatedTimeline* timeline) {
   if (ledgers.size() != path.size()) {
     throw std::invalid_argument("EdgeChannel::deliver_isolated: one ledger per link");
   }
-  // served[j]: when link j served the previous piece, so the next may enter.
+  // served[j]: when link j served the previous group, so the next may enter.
   std::vector<Seconds> served(path.size(), start);
   Seconds delivered = start;
-  for (const Bytes bytes : pieces) {
-    Seconds arrival = start;  // every piece is queued at link 0 from the start
+  for (const Bytes bytes : groups) {
+    Seconds arrival = start;  // every group is queued at link 0 from the start
     for (std::size_t j = 0; j < path.size(); ++j) {
-      // try_start fires on whichever comes last: the piece's delivery off
-      // link j-1 or the previous piece's on_served on link j.
-      served[j] = path[j]->serve_isolated(ledgers[j], std::max(arrival, served[j]), bytes);
+      // try_start fires on whichever comes last: the group's one batched
+      // delivery off link j-1 or the previous group's on_served on link j.
+      // Either way all `streams` channels start at that one instant.
+      served[j] =
+          path[j]->serve_isolated(ledgers[j], std::max(arrival, served[j]), bytes, streams);
       arrival = served[j] + path[j]->alpha();  // the delivery event's now + alpha
       if (timeline != nullptr) timeline->served.push_back(served[j]);
     }

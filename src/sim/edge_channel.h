@@ -21,10 +21,12 @@
 // `id - front.id`, and each link keeps a cursor naming the next chunk id to
 // enter it (DESIGN.md §7).
 //
-// deliver_isolated() is the closed form of the same two rules for a lone
-// channel on a path nothing else touches: piece i enters link j at
-// max(arrival at j, when piece i-1 was served by j), and each link serves it
-// through FlowLink::serve_isolated().
+// deliver_isolated() is the closed form of the same two rules for k
+// lockstep channels on a path nothing else touches: k channels that are
+// sent equal pieces round-robin move as one, so each group of k equal
+// pieces enters link j at max(arrival at j, when group g-1 was served by
+// j), and each link serves the whole group through
+// FlowLink::serve_isolated(.., k). k = 1 is a lone channel.
 #pragma once
 
 #include <cstddef>
@@ -68,25 +70,27 @@ class EdgeChannel {
   void abort();
   bool aborted() const noexcept { return aborted_; }
 
-  /// Per-piece times of a deliver_isolated() run.
+  /// Per-group times of a deliver_isolated() run.
   struct IsolatedTimeline {
-    /// Piece-major: entry i * path size + j is when piece i was served by
+    /// Group-major: entry g * path size + j is when group g was served by
     /// link j.
     std::vector<Seconds> served;
-    std::vector<Seconds> delivered;  ///< when piece i left the last link
+    std::vector<Seconds> delivered;  ///< when group g left the last link
   };
 
-  /// Closed form of send(pieces[0]), send(pieces[1]), ... at `start` on a
-  /// fresh channel over `path`, valid when every link is idle and not
-  /// stalled, no link repeats, and no other transfer or event touches the
-  /// path until the last piece is delivered (the caller proves all three).
-  /// Advances `ledgers[j]` (a copy of path[j]'s ledger) exactly as the
-  /// evented run advances the link, and returns when the last piece is
-  /// delivered (`start` for no pieces). `timeline`, when given, receives
-  /// every served and delivered time.
+  /// Closed form of `streams` fresh channels over `path` at `start`, sent
+  /// round-robin pieces that come in groups of `streams` equal ones: each
+  /// entry of `groups` is the size of one group's pieces, so channel c
+  /// carries groups[0], groups[1], ... as its pieces 0, 1, .... Valid when
+  /// every link is idle and not stalled(streams), no link repeats, and no
+  /// other transfer or event touches the path until the last group is
+  /// delivered (the caller proves all three). Advances `ledgers[j]` (a copy
+  /// of path[j]'s ledger) exactly as the evented run advances the link, and
+  /// returns when the last group is delivered (`start` for no groups).
+  /// `timeline`, when given, receives every served and delivered time.
   static Seconds deliver_isolated(const std::vector<FlowLink*>& path,
                                   std::span<FlowLink::Ledger> ledgers, Seconds start,
-                                  std::span<const Bytes> pieces,
+                                  std::span<const Bytes> groups, std::size_t streams,
                                   IsolatedTimeline* timeline = nullptr);
 
   /// Sum of per-link alphas (the latency a lone chunk pays end to end).

@@ -88,7 +88,9 @@ double FlowLink::share_rate(std::size_t transfers) const noexcept {
   return rate;
 }
 
-bool FlowLink::stalled() const noexcept { return share_rate(1) < kMinRate; }
+bool FlowLink::stalled(std::size_t streams) const noexcept {
+  return share_rate(1) < kMinRate || share_rate(streams) < kMinRate;
+}
 
 std::uint32_t FlowLink::acquire_slot() {
   if (free_head_ != 0xffffffffu) {
@@ -204,19 +206,23 @@ void FlowLink::advance_progress() {
   ledger_.last_update = now;
 }
 
-Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes) const {
-  if (stalled()) throw std::logic_error("FlowLink::serve_isolated: stalled link " + name_);
+Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes,
+                                 std::size_t streams) const {
+  if (stalled(streams)) throw std::logic_error("FlowLink::serve_isolated: stalled link " + name_);
   if (bytes == 0) return start;  // start_transfer serves it synchronously
-  // start_transfer: the advance accrues nothing on an idle link, then the
-  // fixed target is taken and the first completion armed at start + eta.
+  // start_transfer, `streams` times at one instant: the advance accrues
+  // nothing on an idle link, and every stream takes the same fixed target.
+  // The first start arms the completion at the lone rate; the later ones
+  // only slow the link down, so they leave that early event armed.
   ledger.last_update = start;
   const double enqueue_service = ledger.service;
   const double target = enqueue_service + static_cast<double>(bytes);
-  ++ledger.next_sequence;
-  const double rate = share_rate(1);
-  Seconds at = start + completion_eta(target - ledger.service, rate);
+  ledger.next_sequence += streams;
+  Seconds at = start + completion_eta(target - ledger.service, share_rate(1));
+  const double rate = share_rate(streams);
   for (;;) {
-    // on_completion_event at `at`: accrue, then either serve or re-arm.
+    // on_completion_event at `at`: accrue at the shared rate, then either
+    // serve every stream at once (equal targets) or re-arm.
     const Seconds elapsed = at - ledger.last_update;
     if (elapsed > 0) accrue(ledger, elapsed, rate);
     ledger.last_update = at;
@@ -224,9 +230,11 @@ Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes) con
     at = at + completion_eta(target - ledger.service, rate);
   }
   if constexpr (audit::kEnabled) {
-    audit_on_complete(target, enqueue_service, bytes, ledger.service);
+    for (std::size_t s = 0; s < streams; ++s) {
+      audit_on_complete(target, enqueue_service, bytes, ledger.service);
+    }
   }
-  ledger.delivered += bytes;
+  ledger.delivered += bytes * streams;
   return at;
 }
 

@@ -18,9 +18,11 @@
 // O(log n), instead of the O(n) per-transfer countdown + O(n) rescan that
 // made draining n shared transfers O(n^2).
 //
-// On an idle link that nothing else touches, a lone transfer's timeline is a
-// pure function of the link's ledger (service counter, progress clock, busy
-// time, delivered bytes, transfer sequence). serve_isolated() computes it in
+// On an idle link that nothing else touches, the timeline of a lone
+// transfer — or of k equal transfers started at one instant, which share
+// one finish target and finish in one completion event — is a pure function
+// of the link's ledger (service counter, progress clock, busy time,
+// delivered bytes, transfer sequence). serve_isolated() computes it in
 // closed form with the same arithmetic helpers the evented path calls, so a
 // caller that can prove isolation (the profiler's probe rounds) skips the
 // completion events without changing a bit (DESIGN.md §7).
@@ -28,6 +30,7 @@
 // adapcc-lint: hot-path — std::function is banned in this file (DESIGN.md §7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,22 +101,28 @@ class FlowLink {
 
   const Ledger& ledger() const noexcept { return ledger_; }
 
-  /// Closed form of start_transfer(bytes) at `start` on this link, valid
-  /// when the link is idle and not stalled and nothing else touches it until
-  /// the transfer is served. Replays the evented steps on `ledger`: the
-  /// fresh finish target, each `start + eta` (kMinEta re-arms included) and
-  /// each service accrual, so the served time it returns and the ledger it
-  /// leaves match the evented run bit for bit. Delivery follows alpha()
-  /// later, as `served + alpha()`. Throws std::logic_error on a stalled link.
-  Seconds serve_isolated(Ledger& ledger, Seconds start, Bytes bytes) const;
+  /// Closed form of `streams` calls of start_transfer(bytes) at one instant
+  /// `start` on this link, valid when the link is idle and not
+  /// stalled(streams) and nothing else touches it until the transfers are
+  /// served. Replays the evented steps on `ledger`: the one shared finish
+  /// target, the first completion armed at the lone rate (the later starts
+  /// leave it armed), each later `at + eta` at the shared rate (kMinEta
+  /// re-arms included) and each service accrual, so the served time it
+  /// returns — when every stream finishes in one completion event — and the
+  /// ledger it leaves match the evented run bit for bit. Delivery follows
+  /// alpha() later, as `served + alpha()`. Throws std::logic_error on a
+  /// stalled link (zero streams read as stalled: their share rate is 0).
+  Seconds serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std::size_t streams) const;
 
   /// Installs a ledger advanced by serve_isolated(). The link must be idle
   /// and the simulated clock must have reached `ledger.last_update`.
   void commit(const Ledger& ledger);
 
-  /// True when a lone transfer would be served below the minimum rate (the
-  /// capacity is throttled to ~0) and so waits for set_capacity().
-  bool stalled() const noexcept;
+  /// True when one transfer alone, or `streams` sharing the link, would be
+  /// served below the minimum rate (the capacity is throttled to ~0) and so
+  /// wait for set_capacity(). A link one stream can use but `streams`
+  /// cannot stalls once the others join.
+  bool stalled(std::size_t streams) const noexcept;
 
   BytesPerSecond capacity() const noexcept { return capacity_; }
   BytesPerSecond per_transfer_cap() const noexcept { return per_transfer_cap_; }

@@ -43,6 +43,24 @@ bool crosses_ports(const LogicalTopology& topo, const topology::LogicalEdge& edg
 
 }  // namespace
 
+std::vector<PortBetas> port_betas(const LogicalTopology& topo) {
+  int instances = 0;
+  for (const NodeId node : topo.nodes()) {
+    if (topo.has_placement(node)) instances = std::max(instances, topo.instance_of(node) + 1);
+  }
+  std::vector<PortBetas> ports(instances);
+  const auto keep_fastest = [](double& beta, double port_beta) {
+    beta = beta == 0.0 ? port_beta : std::min(beta, port_beta);
+  };
+  for (const auto& edge : topo.edges()) {
+    if (!edge.from.is_nic() || !edge.to.is_nic() || edge.from == edge.to) continue;
+    if (!edge.profiled || edge.beta <= 0) continue;
+    keep_fastest(ports[edge.from.index].egress, edge.effective_port_beta());
+    keep_fastest(ports[edge.to.index].ingress, edge.effective_port_beta());
+  }
+  return ports;
+}
+
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
                                  Bytes tensor_bytes, const std::set<int>& active_ranks) {
   return CostEvaluator(strategy, topo, tensor_bytes, active_ranks).completion_time();
@@ -50,24 +68,37 @@ Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology
 
 CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
                              Bytes tensor_bytes, const std::set<int>& active_ranks)
+    : CostEvaluator(strategy, topo, tensor_bytes, active_ranks, port_betas(topo)) {}
+
+CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
+                             Bytes tensor_bytes, const std::set<int>& active_ranks,
+                             std::span<const PortBetas> ports)
     : strategy_(strategy),
       topo_(topo),
       tensor_bytes_(tensor_bytes),
       active_(active_ranks),
       loads_(topo.edge_count(), 0.0),
+      ports_(ports.size()),
       kernel_overhead_(topology::kernel_launch_overhead()) {
   if (active_.empty()) active_.insert(strategy.participants.begin(), strategy.participants.end());
+  for (std::size_t i = 0; i < ports.size(); ++i) ports_[i].beta = ports[i];
   subs_.resize(strategy_.subs.size());
   for (std::size_t s = 0; s < strategy_.subs.size(); ++s) add_sub(strategy_.subs[s], subs_[s]);
-  compute_ports();
   resolve_edges();
 }
 
-/// Edges absent from the topology carry no load state: timing throws before
-/// it would read one.
+/// Adds to an edge's load and, for a network edge between placed ends, to
+/// the NIC ports it crosses. Edges absent from the topology carry no load
+/// state: timing throws before it would read one.
 void CostEvaluator::add_load(NodeId from, NodeId to, double load) {
   const int id = topo_.edge_id(from, to);
-  if (id >= 0) loads_[id] += load;
+  if (id < 0) return;
+  loads_[id] += load;
+  const auto& edge = topo_.edges()[id];
+  if (!crosses_ports(topo_, edge)) return;
+  // Integer-valued sums: exact in any order.
+  ports_[topo_.instance_of(edge.from)].egress_load += load;
+  ports_[topo_.instance_of(edge.to)].ingress_load += load;
 }
 
 void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
@@ -159,33 +190,6 @@ void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
   }
 }
 
-/// Port loads from loads_, and port capacities from the profiled NIC mesh:
-/// a NIC's own speed is its best measured pairing (slower pairings are
-/// limited by the peer).
-void CostEvaluator::compute_ports() {
-  int instances = 0;
-  for (const NodeId node : topo_.nodes()) {
-    if (topo_.has_placement(node)) instances = std::max(instances, topo_.instance_of(node) + 1);
-  }
-  ports_.resize(instances);
-  const auto& edges = topo_.edges();
-  for (std::size_t id = 0; id < edges.size(); ++id) {
-    // Integer-valued sums: exact in any order.
-    if (loads_[id] == 0.0 || !crosses_ports(topo_, edges[id])) continue;
-    ports_[topo_.instance_of(edges[id].from)].egress_load += loads_[id];
-    ports_[topo_.instance_of(edges[id].to)].ingress_load += loads_[id];
-  }
-  const auto keep_fastest = [](double& beta, double port_beta) {
-    beta = beta == 0.0 ? port_beta : std::min(beta, port_beta);
-  };
-  for (const auto& edge : edges) {
-    if (!edge.from.is_nic() || !edge.to.is_nic() || edge.from == edge.to) continue;
-    if (!edge.profiled || edge.beta <= 0) continue;
-    keep_fastest(ports_[edge.from.index].egress_beta, edge.effective_port_beta());
-    keep_fastest(ports_[edge.to.index].ingress_beta, edge.effective_port_beta());
-  }
-}
-
 void CostEvaluator::resolve_edges() {
   for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
     const auto& sub = strategy_.subs[s];
@@ -246,8 +250,8 @@ double CostEvaluator::beta_eff(const EdgeInfo& edge) const {
   if (edge.src >= 0) {
     const Port& egress = ports_[edge.src];
     const Port& ingress = ports_[edge.dst];
-    beta = std::max(beta, egress.egress_beta * egress.egress_load);
-    beta = std::max(beta, ingress.ingress_beta * ingress.ingress_load);
+    beta = std::max(beta, egress.beta.egress * egress.egress_load);
+    beta = std::max(beta, ingress.beta.ingress * ingress.ingress_load);
   }
   return beta;
 }

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "collective/comm_graph.h"
@@ -30,8 +31,22 @@ using collective::Strategy;
 using topology::LogicalTopology;
 using topology::NodeId;
 
-/// Estimated completion time of the collective (Eq. 4). Throws
-/// std::invalid_argument if the strategy references unprofiled edges.
+/// Capacity of one instance's NIC ports as betas (1 / capacity); 0 means no
+/// profiled capacity.
+struct PortBetas {
+  double egress = 0.0;
+  double ingress = 0.0;
+};
+
+/// Port capacities of `topo` by instance, from its profiled NIC mesh: a
+/// NIC's own speed is its best measured pairing (slower pairings are limited
+/// by the peer). They depend on the topology alone, so a solve computes them
+/// once and hands them to every CostEvaluator it builds.
+std::vector<PortBetas> port_betas(const LogicalTopology& topo);
+
+/// Estimated completion time of the collective (Eq. 4), from a freshly
+/// built CostEvaluator. Throws std::invalid_argument if the strategy
+/// references unprofiled edges.
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
                                  Bytes tensor_bytes, const std::set<int>& active_ranks);
 
@@ -56,6 +71,10 @@ class CostEvaluator {
   /// empty means all participants.
   CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
                 const std::set<int>& active_ranks);
+  /// Same, with the port capacities precomputed: `ports` must be
+  /// port_betas(topo).
+  CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
+                const std::set<int>& active_ranks, std::span<const PortBetas> ports);
 
   /// Eq. 4 objective at the strategy's current chunk sizes. Throws
   /// std::invalid_argument when a visited edge is missing or unprofiled,
@@ -86,14 +105,13 @@ class CostEvaluator {
   /// instance's egress and ingress, not per logical edge, so three composite
   /// GPU-GPU edges into one server contend for one ingress port. The port's
   /// own capacity matters too: a flow's rate is the bottleneck of (egress
-  /// capacity / egress load, ingress capacity / ingress load). Betas are
-  /// 1 / capacity; 0 means no load or no profiled capacity, which the
-  /// max() in beta_eff ignores because valid edges have beta > 0.
+  /// capacity / egress load, ingress capacity / ingress load). A 0 load or
+  /// beta is ignored by the max() in beta_eff, because valid edges have
+  /// beta > 0.
   struct Port {
     double egress_load = 0.0;
     double ingress_load = 0.0;
-    double egress_beta = 0.0;
-    double ingress_beta = 0.0;
+    PortBetas beta;
   };
 
   /// Flattened tree of one sub-collective: breadth-first order (root at 0,
@@ -117,7 +135,6 @@ class CostEvaluator {
   /// Flattens one sub-collective into `st` and adds its loads N_ij^m.
   void add_sub(const collective::SubCollective& sub, SubState& st);
   void add_load(NodeId from, NodeId to, double load);
-  void compute_ports();
   void resolve_edges();
   EdgeInfo make_edge(NodeId from, NodeId to) const;
   double beta_eff(const EdgeInfo& edge) const;

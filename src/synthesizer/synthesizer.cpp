@@ -192,6 +192,8 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   report_ = SynthesisReport{};
   std::set<int> active = active_ranks;
   if (active.empty()) active.insert(participants.begin(), participants.end());
+  // Every evaluator of this solve shares the topology's port capacities.
+  const std::vector<PortBetas> ports = port_betas(topo_);
 
   // Host-span recording is gated per solve: when telemetry runs with
   // host_spans, each pool batch stamps wall-clock TaskSpans that are flushed
@@ -205,7 +207,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
 
   // ADAPCC_AUDIT: a CostEvaluator reused across the chunk sweep must match
   // one rebuilt from scratch bit for bit — estimate_completion_time is
-  // exactly such a fresh evaluator. Rebuild every
+  // exactly such a fresh evaluator, port capacities included. Rebuild every
   // 5th evaluation during real solves and require exact equality — loads
   // are integer-valued doubles, so any drift is a bug, not rounding.
   // The counter is atomic because evaluations run on pool lanes; which
@@ -259,8 +261,9 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     // smallest cost, i.e. the serial sweep's tie-break.
     const std::vector<Seconds> costs = pool_.map_indexed<Seconds>(
         config_.chunk_candidates.size(), [&](std::size_t index) {
-          return estimate_completion_time(build_alltoall(config_.chunk_candidates[index]), topo_,
-                                          tensor_bytes, active);
+          return CostEvaluator(build_alltoall(config_.chunk_candidates[index]), topo_,
+                               tensor_bytes, active, ports)
+              .completion_time();
         });
     flush_spans("synth/alltoall-chunk");
     report_.candidates_evaluated += static_cast<int>(costs.size());
@@ -298,7 +301,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
         sub.chunk_bytes = config_.chunk_candidates.front();
         sub.tree = trees[i];
         probe.subs.push_back(std::move(sub));
-        return estimate_completion_time(probe, topo_, tensor_bytes, active);
+        return CostEvaluator(probe, topo_, tensor_bytes, active, ports).completion_time();
       });
   flush_spans("synth/tree-probe");
   report_.candidates_evaluated += static_cast<int>(trees.size());
@@ -367,7 +370,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   const std::vector<SweepResult> sweeps = pool_.map_indexed<SweepResult>(
       assignments.size(), [&](std::size_t ai) {
         Strategy candidate = build_assignment(assignments[ai]);
-        CostEvaluator evaluator(candidate, topo_, tensor_bytes, active);
+        CostEvaluator evaluator(candidate, topo_, tensor_bytes, active, ports);
         SweepResult local;
         for (std::size_t ci = 0; ci < config_.chunk_candidates.size(); ++ci) {
           const Bytes chunk = config_.chunk_candidates[ci];

@@ -798,8 +798,10 @@ TEST_P(EdgeChannelProperty, FifoAndConservation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EdgeChannelProperty, ::testing::ValuesIn(channel_cases()));
 
 // ---------------------------------------------------------------------------
-// EdgeChannel::deliver_isolated against the evented lone channel it replaces:
-// every served time, every delivery time and every ledger bit.
+// EdgeChannel::deliver_isolated against the evented channels it replaces —
+// one lone channel (seeds 1-32) or k = 2, 3, 4 lockstep channels sent equal
+// pieces round-robin (seeds 33-80): every served time, every delivery time
+// and every ledger bit.
 // ---------------------------------------------------------------------------
 
 bool same_bits(const sim::FlowLink::Ledger& a, const sim::FlowLink::Ledger& b) {
@@ -812,16 +814,28 @@ bool same_bits(const sim::FlowLink::Ledger& a, const sim::FlowLink::Ledger& b) {
 class IsolatedReplayProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IsolatedReplayProperty, MatchesEventedChannelBitForBit) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 314159 + 7);
+  const int seed = GetParam();
+  const std::size_t streams = seed <= 32 ? 1 : 2 + static_cast<std::size_t>(seed % 3);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 314159 + 7);
   sim::Simulator sim;
   const auto hops = static_cast<std::size_t>(rng.uniform_int(1, 4));
   std::vector<std::unique_ptr<sim::FlowLink>> links;
   std::vector<sim::FlowLink*> path;
   for (std::size_t l = 0; l < hops; ++l) {
-    const bool capped = rng.uniform(0, 1) < 0.5;
+    const Seconds alpha = microseconds(rng.uniform(0, 20));
+    const BytesPerSecond capacity = gbps(rng.uniform(1, 400));
+    // Uncapped; capped at a random rate; or capped at or below the equal
+    // share, where one stream alone and all of them run at the same rate
+    // (the first, lone-rate arm is then exact, not early).
+    const double mode = rng.uniform(0, 1);
+    BytesPerSecond cap = 0.0;
+    if (mode < 1.0 / 3) {
+      cap = gbps(rng.uniform(1, 100));
+    } else if (mode < 2.0 / 3) {
+      cap = capacity / static_cast<double>(streams) * rng.uniform(0.25, 1);
+    }
     links.push_back(std::make_unique<sim::FlowLink>(
-        sim, std::string(1, static_cast<char>('a' + l)), microseconds(rng.uniform(0, 20)),
-        gbps(rng.uniform(1, 400)), capped ? gbps(rng.uniform(1, 100)) : 0.0));
+        sim, std::string(1, static_cast<char>('a' + l)), alpha, capacity, cap));
     path.push_back(links.back().get());
   }
   // Age every link with one long transfer: service counters of up to ~5e14
@@ -836,23 +850,32 @@ TEST_P(IsolatedReplayProperty, MatchesEventedChannelBitForBit) {
   sim.run();
   sim.run_until(sim.now() + rng.uniform(0, 1));
 
-  std::vector<Bytes> pieces(static_cast<std::size_t>(rng.uniform_int(1, 40)));
-  for (Bytes& piece : pieces) piece = static_cast<Bytes>(rng.uniform_int(1, 8 << 20));
+  // One size per lockstep group: each of the `streams` channels carries one
+  // piece of it.
+  std::vector<Bytes> groups(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+  for (Bytes& group : groups) group = static_cast<Bytes>(rng.uniform_int(1, 8 << 20));
   std::vector<sim::FlowLink::Ledger> ledgers;
   for (const auto* link : path) ledgers.push_back(link->ledger());
   sim::EdgeChannel::IsolatedTimeline timeline;
-  const Seconds last =
-      sim::EdgeChannel::deliver_isolated(path, ledgers, sim.now(), pieces, &timeline);
-  ASSERT_EQ(timeline.served.size(), pieces.size() * hops);
-  ASSERT_EQ(timeline.delivered.size(), pieces.size());
+  const Seconds last = sim::EdgeChannel::deliver_isolated(path, ledgers, sim.now(), groups,
+                                                          streams, &timeline);
+  ASSERT_EQ(timeline.served.size(), groups.size() * hops);
+  ASSERT_EQ(timeline.delivered.size(), groups.size());
 
-  // The evented run on the same links. A link's delivered bytes grow exactly
-  // when it serves a piece, so stepping the simulator one event at a time
-  // reads off every served time.
-  sim::EdgeChannel channel(sim, path);
-  std::vector<Seconds> delivered;
-  for (const Bytes piece : pieces) {
-    channel.send(piece, [&sim, &delivered] { delivered.push_back(sim.now()); });
+  // The evented run on the same links: the pieces go round-robin over the
+  // channels, as the profiler's EdgeProbe sends them. A link's delivered
+  // bytes grow exactly when it serves a group — all of its pieces in one
+  // completion event — so stepping the simulator one event at a time reads
+  // off every served time.
+  std::vector<std::unique_ptr<sim::EdgeChannel>> channels;
+  for (std::size_t c = 0; c < streams; ++c) {
+    channels.push_back(std::make_unique<sim::EdgeChannel>(sim, path));
+  }
+  std::vector<Seconds> delivered;  // group-major, one entry per piece
+  for (const Bytes group : groups) {
+    for (auto& channel : channels) {
+      channel->send(group, [&sim, &delivered] { delivered.push_back(sim.now()); });
+    }
   }
   std::vector<std::vector<Seconds>> served(hops);
   std::vector<Bytes> seen;
@@ -860,20 +883,27 @@ TEST_P(IsolatedReplayProperty, MatchesEventedChannelBitForBit) {
   while (sim.step()) {
     for (std::size_t j = 0; j < hops; ++j) {
       if (path[j]->bytes_delivered() == seen[j]) continue;
+      const std::size_t g = served[j].size();
+      ASSERT_LT(g, groups.size()) << "link " << j;
+      EXPECT_EQ(path[j]->bytes_delivered() - seen[j], groups[g] * streams)
+          << "link " << j << " served group " << g << " piecemeal";
       seen[j] = path[j]->bytes_delivered();
       served[j].push_back(sim.now());
     }
   }
-  ASSERT_EQ(delivered.size(), pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.delivered[i]),
-              std::bit_cast<std::uint64_t>(delivered[i]))
-        << "piece " << i << ": " << timeline.delivered[i] << " vs " << delivered[i];
+  ASSERT_EQ(delivered.size(), groups.size() * streams);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t c = 0; c < streams; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.delivered[g]),
+                std::bit_cast<std::uint64_t>(delivered[g * streams + c]))
+          << "group " << g << " channel " << c << ": " << timeline.delivered[g] << " vs "
+          << delivered[g * streams + c];
+    }
     for (std::size_t j = 0; j < hops; ++j) {
-      ASSERT_EQ(served[j].size(), pieces.size()) << "link " << j;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.served[i * hops + j]),
-                std::bit_cast<std::uint64_t>(served[j][i]))
-          << "piece " << i << " link " << j;
+      ASSERT_EQ(served[j].size(), groups.size()) << "link " << j;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(timeline.served[g * hops + j]),
+                std::bit_cast<std::uint64_t>(served[j][g]))
+          << "group " << g << " link " << j;
     }
   }
   EXPECT_EQ(std::bit_cast<std::uint64_t>(last), std::bit_cast<std::uint64_t>(delivered.back()));
@@ -883,6 +913,7 @@ TEST_P(IsolatedReplayProperty, MatchesEventedChannelBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsolatedReplayProperty, ::testing::Range(1, 33));
+INSTANTIATE_TEST_SUITE_P(Lockstep, IsolatedReplayProperty, ::testing::Range(33, 81));
 
 // ---------------------------------------------------------------------------
 // Ski-rental bound over a parameter grid.

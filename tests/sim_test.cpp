@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/edge_channel.h"
@@ -428,6 +429,30 @@ TEST(FlowLinkTest, DueTransferCompletesDespiteClampWindowPokes) {
   EXPECT_GE(done_at, 1e-6);
   EXPECT_LE(done_at, 1e-6 + 1e-9);
   EXPECT_EQ(link.bytes_delivered(), 1000u);
+}
+
+TEST(FlowLinkTest, OneStreamRunsWhereFourStall) {
+  // 2e-3 B/s is above the 1e-3 B/s stall floor for one stream, but four
+  // equal shares get 5e-4 B/s each. The evented link fires the completion
+  // the first start armed at the lone rate, then stalls with every transfer
+  // in flight; the closed form must refuse such a group.
+  Simulator sim;
+  FlowLink link(sim, "l", 0.0, 2e-3);
+  EXPECT_FALSE(link.stalled(1));
+  EXPECT_TRUE(link.stalled(4));
+  FlowLink::Ledger ledger = link.ledger();
+  EXPECT_THROW(link.serve_isolated(ledger, 0.0, 1, 4), std::logic_error);
+  EXPECT_EQ(link.serve_isolated(ledger, 0.0, 1, 1), 500.0);  // 1 byte alone
+  std::vector<FlowLink::Ledger> ledgers{link.ledger()};
+  const std::vector<Bytes> groups{1};
+  EXPECT_THROW(EdgeChannel::deliver_isolated({&link}, ledgers, 0.0, groups, 4), std::logic_error);
+
+  int served = 0;
+  for (int c = 0; c < 4; ++c) link.start_transfer(1, nullptr, [&served] { ++served; });
+  sim.run();
+  EXPECT_EQ(sim.now(), 500.0);  // the early lone-rate fire
+  EXPECT_EQ(served, 0);
+  EXPECT_EQ(link.active_transfers(), 4u);
 }
 
 // --- GpuStream --------------------------------------------------------------
