@@ -5,21 +5,12 @@
 // latency (Sec. IV-D). This harness sweeps chunk sizes on a fixed AllReduce
 // graph, reporting the measured time and the cost model's estimate side by
 // side — validating both the chunk optimizer and the model it relies on.
-//
-// Usage: ablation_chunk_size [--jobs N]
-//   --jobs  run rows on N host threads. Every row owns a fresh world (same
-//           deterministic profile), so rows are independent; results are
-//           printed in row order and identical at any job count.
-#include <cstdlib>
-#include <cstring>
-
 #include "bench/bench_common.h"
 #include "profiler/profiler.h"
 #include "synthesizer/cost_model.h"
 #include "synthesizer/synthesizer.h"
 #include "topology/detector.h"
 #include "util/rng.h"
-#include "util/task_pool.h"
 
 namespace adapcc::bench {
 namespace {
@@ -30,7 +21,7 @@ struct Row {
   Bytes chosen_chunk = 0;  ///< the chunk the synthesizer picked (row-invariant)
 };
 
-int run(int jobs) {
+int run() {
   print_header("Ablation", "chunk size: 256 MB AllReduce on the heterogeneous testbed");
   const Bytes tensor = megabytes(256);
   const std::vector<Bytes> chunks = {Bytes(128_KiB), Bytes(512_KiB), Bytes(2_MiB),
@@ -38,10 +29,9 @@ int run(int jobs) {
 
   // Each row rebuilds the identical deterministic world (same detection and
   // profile seeds), forces its chunk size onto the synthesized reference
-  // graph, and measures from an idle simulator — independent by
-  // construction, so rows fan out over --jobs.
-  util::TaskPool pool(jobs);
-  const std::vector<Row> rows = pool.map_indexed<Row>(chunks.size(), [&](std::size_t i) {
+  // graph, and measures from an idle simulator.
+  std::vector<Row> rows;
+  for (const Bytes chunk : chunks) {
     World world(topology::heter_testbed());
     topology::Detector detector(*world.cluster, util::Rng(5));
     auto topo = topology::Detector::build_logical_topology(*world.cluster, detector.detect());
@@ -53,12 +43,12 @@ int run(int jobs) {
     auto strategy = synth.synthesize(collective::Primitive::kAllReduce, ranks, tensor);
     Row row;
     row.chosen_chunk = strategy.subs[0].chunk_bytes;
-    for (auto& sub : strategy.subs) sub.chunk_bytes = chunks[i];
+    for (auto& sub : strategy.subs) sub.chunk_bytes = chunk;
     row.model_ms = synthesizer::estimate_completion_time(strategy, topo, tensor, {}) * 1e3;
     collective::Executor executor(*world.cluster, strategy);
     row.measured_ms = executor.run(tensor).elapsed() * 1e3;
-    return row;
-  });
+    rows.push_back(row);
+  }
 
   std::printf("%12s %14s %14s %10s\n", "chunk", "measured(ms)", "model(ms)", "");
   double best_measured = 1e9;
@@ -83,14 +73,4 @@ int run(int jobs) {
 }  // namespace
 }  // namespace adapcc::bench
 
-int main(int argc, char** argv) {
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    }
-  }
-  return adapcc::bench::run(jobs);
-}
+int main() { return adapcc::bench::run(); }

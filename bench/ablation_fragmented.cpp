@@ -7,30 +7,21 @@
 // a fragmented A100 box (only pairs (0,1) and (2,3) wired) and shows how
 // rank-order chains stumble into PCIe hops while wiring-aware chains and
 // AdapCC's profiled ordering keep NVLink segments intact.
-//
-// Usage: ablation_fragmented [--jobs N]
-//   --jobs  run the three backend cells on N host threads. Each cell owns
-//           its own world, so output is identical at any job count.
-#include <cstdlib>
-#include <cstring>
-
 #include "baselines/backend.h"
 #include "bench/bench_common.h"
-#include "util/task_pool.h"
 
 namespace adapcc::bench {
 namespace {
 
 using collective::Primitive;
 
-int run(int jobs) {
+int run() {
   print_header("Ablation", "fragmented NVLink wiring: intra-server AllReduce of 256 MB, 8-GPU box with interleaved NVLink islands");
   const Bytes tensor = megabytes(256);
 
-  // Three self-contained cells (each builds its own fragmented box), fanned
-  // out over --jobs and printed in fixed order afterwards.
-  util::TaskPool pool(jobs);
-  const std::vector<double> ms = pool.map_indexed<double>(3, [&](std::size_t i) {
+  // Three self-contained cells, each on its own fragmented box.
+  std::vector<double> ms;
+  for (int i = 0; i < 3; ++i) {
     World world({topology::interleaved_a100_server("frag")});
     std::unique_ptr<baselines::Backend> backend;
     switch (i) {
@@ -38,8 +29,8 @@ int run(int jobs) {
       case 1: backend = std::make_unique<baselines::BlinkBackend>(*world.cluster); break;
       default: backend = std::make_unique<runtime::AdapccBackend>(*world.cluster); break;
     }
-    return backend->run(Primitive::kAllReduce, world.all_ranks(), tensor).elapsed() * 1e3;
-  });
+    ms.push_back(backend->run(Primitive::kAllReduce, world.all_ranks(), tensor).elapsed() * 1e3);
+  }
 
   std::printf("%-10s %14s   %s\n", "system", "measured(ms)", "intra-server chain behaviour");
   std::printf("%-10s %14.1f   rank-order chain 7->6->...->0 crosses PCIe on every hop\n",
@@ -58,14 +49,4 @@ int run(int jobs) {
 }  // namespace
 }  // namespace adapcc::bench
 
-int main(int argc, char** argv) {
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    }
-  }
-  return adapcc::bench::run(jobs);
-}
+int main() { return adapcc::bench::run(); }

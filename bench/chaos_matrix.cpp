@@ -12,14 +12,9 @@
 // it. Run with ADAPCC_AUDIT=ON builds to also sweep the internal
 // invariants.
 //
-// Usage: chaos_matrix [--quick] [--jobs N]
+// Usage: chaos_matrix [--quick]
 //   --quick  fewer seeds (CI smoke run; still >= 20 schedules)
-//   --jobs   run cells on N host threads (default 1). Every cell owns a
-//            fresh world + simulator, so cells are independent; results are
-//            collected by cell index and printed in submission order — the
-//            output and the exit code are byte-identical at any job count.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -37,7 +32,6 @@
 #include "runtime/adapcc.h"
 #include "topology/detector.h"
 #include "util/rng.h"
-#include "util/task_pool.h"
 
 namespace adapcc::bench {
 namespace {
@@ -225,15 +219,8 @@ int main(int argc, char** argv) {
   using namespace adapcc::bench;
 
   bool quick = false;
-  int jobs = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    }
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const int seeds = quick ? 7 : 16;
   const std::vector<relay::WaitPolicy> policies = {
@@ -250,73 +237,37 @@ int main(int argc, char** argv) {
   int recovered = 0;
   int structured_failures = 0;
 
-  // Cells execute on the pool (fresh world per cell, no shared state);
-  // coverage, counters, and the printed matrix are folded from the
-  // index-ordered results, so the report never depends on --jobs.
-  util::TaskPool pool(jobs);
-
-  struct RelayCell {
-    RunOutcome outcome;
-    Coverage coverage;
-  };
-  const std::size_t relay_cells = static_cast<std::size_t>(seeds) * policies.size();
-  const std::vector<RelayCell> relay_results =
-      pool.map_indexed<RelayCell>(relay_cells, [&](std::size_t cell) {
-        const int s = static_cast<int>(cell / policies.size());
-        const std::size_t p = cell % policies.size();
-        const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
-        RelayCell result;
-        result.outcome = run_relay_cell(fault_seed, policies[p], 1,
-                                        p == 0 ? &result.coverage : nullptr);
-        return result;
-      });
-  for (std::size_t cell = 0; cell < relay_results.size(); ++cell) {
-    const int s = static_cast<int>(cell / policies.size());
-    const std::size_t p = cell % policies.size();
+  // Every cell builds a fresh world, so cells share no state.
+  for (int s = 0; s < seeds; ++s) {
     const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
-    const RunOutcome& outcome = relay_results[cell].outcome;
-    if (p == 0) {
-      const Coverage& c = relay_results[cell].coverage;
-      coverage.blackouts += c.blackouts;
-      coverage.degradations += c.degradations;
-      coverage.flaps += c.flaps;
-      coverage.crashes += c.crashes;
-      coverage.pauses += c.pauses;
-      coverage.rpc_drops += c.rpc_drops;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const RunOutcome outcome =
+          run_relay_cell(fault_seed, policies[p], 1, p == 0 ? &coverage : nullptr);
+      ++runs;
+      if (!outcome.terminated) ++violations;
+      if (!outcome.values_correct) ++violations;
+      if (outcome.ok) {
+        ++recovered;
+      } else {
+        ++structured_failures;
+      }
+      std::printf("%-6llu %-15s %-11s %-8zu %-7s %s\n",
+                  static_cast<unsigned long long>(fault_seed), policy_name(policies[p]),
+                  outcome.ok ? "completed" : "aborted", outcome.faulty.size(),
+                  outcome.values_correct ? "exact" : "WRONG", outcome.detail.c_str());
     }
-    ++runs;
-    if (!outcome.terminated) ++violations;
-    if (!outcome.values_correct) ++violations;
-    if (outcome.ok) {
-      ++recovered;
-    } else {
-      ++structured_failures;
-    }
-    std::printf("%-6llu %-15s %-11s %-8zu %-7s %s\n",
-                static_cast<unsigned long long>(fault_seed), policy_name(policies[p]),
-                outcome.ok ? "completed" : "aborted", outcome.faulty.size(),
-                outcome.values_correct ? "exact" : "WRONG", outcome.detail.c_str());
   }
 
   // Determinism spot-check: the outcome must depend on the fault seed only,
-  // never on simulator tie-breaking order. Both shuffle-seed replays of one
-  // fault seed run inside the same cell.
+  // never on simulator tie-breaking order.
   const int determinism_seeds = quick ? 2 : 4;
-  // (int, not bool: std::vector<bool> packs bits, so concurrent writes to
-  // adjacent indices would race.)
-  const std::vector<int> determinism_results = pool.map_indexed<int>(
-      static_cast<std::size_t>(determinism_seeds), [&](std::size_t s) {
-        const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
-        const auto a = run_relay_cell(fault_seed, relay::WaitPolicy::kBreakEven, 7, nullptr);
-        const auto b =
-            run_relay_cell(fault_seed, relay::WaitPolicy::kBreakEven, 1234567, nullptr);
-        return a.final_values == b.final_values && a.faulty == b.faulty ? 1 : 0;
-      });
   for (int s = 0; s < determinism_seeds; ++s) {
-    const bool identical = determinism_results[static_cast<std::size_t>(s)] != 0;
+    const std::uint64_t fault_seed = 1000 + static_cast<std::uint64_t>(s);
+    const auto a = run_relay_cell(fault_seed, relay::WaitPolicy::kBreakEven, 7, nullptr);
+    const auto b = run_relay_cell(fault_seed, relay::WaitPolicy::kBreakEven, 1234567, nullptr);
+    const bool identical = a.final_values == b.final_values && a.faulty == b.faulty;
     if (!identical) ++violations;
-    std::printf("%-6llu %-15s %-11s %-8s %-7s\n",
-                static_cast<unsigned long long>(1000 + static_cast<std::uint64_t>(s)),
+    std::printf("%-6llu %-15s %-11s %-8s %-7s\n", static_cast<unsigned long long>(fault_seed),
                 "determinism", identical ? "identical" : "DIVERGED", "-", "-");
   }
 
@@ -325,23 +276,15 @@ int main(int argc, char** argv) {
       collective::Primitive::kAllReduce, collective::Primitive::kReduce,
       collective::Primitive::kAllGather};
   const int resilient_seeds = quick ? 1 : 3;
-  const std::size_t resilient_cells =
-      static_cast<std::size_t>(resilient_seeds) * primitives.size();
-  const std::vector<int> resilient_results =
-      pool.map_indexed<int>(resilient_cells, [&](std::size_t cell) {
-        const int s = static_cast<int>(cell / primitives.size());
-        const auto primitive = primitives[cell % primitives.size()];
-        return run_resilient_cell(42 + static_cast<std::uint64_t>(s), primitive) ? 1 : 0;
-      });
-  for (std::size_t cell = 0; cell < resilient_results.size(); ++cell) {
-    const int s = static_cast<int>(cell / primitives.size());
-    const auto primitive = primitives[cell % primitives.size()];
-    const bool ok = resilient_results[cell] != 0;
-    ++runs;
-    if (!ok) ++violations;
-    std::printf("%-6d %-15s %-11s %-8s %-7s\n", 42 + s,
-                collective::to_string(primitive).c_str(), ok ? "recovered" : "FAILED", "-",
-                ok ? "exact" : "WRONG");
+  for (int s = 0; s < resilient_seeds; ++s) {
+    for (const auto primitive : primitives) {
+      const bool ok = run_resilient_cell(42 + static_cast<std::uint64_t>(s), primitive);
+      ++runs;
+      if (!ok) ++violations;
+      std::printf("%-6d %-15s %-11s %-8s %-7s\n", 42 + s,
+                  collective::to_string(primitive).c_str(), ok ? "recovered" : "FAILED", "-",
+                  ok ? "exact" : "WRONG");
+    }
   }
 
   // Every fault kind must actually have been exercised by the sweep.

@@ -27,18 +27,11 @@ struct CoordinatorConfig {
   Seconds cycle = milliseconds(5);
   /// T_fault = fault_multiplier x (time since the fastest worker was ready).
   double fault_multiplier = 5.0;
-  /// Relay workers expected ready within join_horizon_factor x the full
-  /// collective's estimated duration after the trigger are kept in phase 1
-  /// as joiners: their chunks enter the ongoing aggregation while their
-  /// buffers fill (Sec. IV-C), so no phase-2 work remains for them.
-  double join_horizon_factor = 2.0;
   /// Per-collective watchdog for the phase-1 executor (see
   /// CollectiveOptions::watchdog_timeout); 0 disables it. With a watchdog, a
   /// joiner that crashes mid-collective aborts phase 1 instead of stalling
   /// it forever, and the runner re-executes for the survivors.
   Seconds watchdog_timeout = 0.0;
-  /// Bound on phase-1 (re-)executions per iteration under the watchdog.
-  int max_recovery_attempts = 3;
 };
 
 struct RelayDecision {

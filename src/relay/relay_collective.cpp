@@ -100,10 +100,12 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     // failed worker can never stall the phase-1 executor; they are covered
     // by phase 2 and the fault detector. Without fill information a
     // conservative readiness window substitutes for the progress signal.
+    // Relays expected ready within this multiple of the full collective's
+    // estimated duration after the trigger join phase 1.
+    constexpr double kJoinHorizonFactor = 2.0;
     const Seconds full_est = synthesizer::estimate_completion_time(
         strategy, topo_, tensor_bytes, {});
-    const Seconds join_window =
-        decision.trigger_time + coordinator_.config().join_horizon_factor * full_est;
+    const Seconds join_window = decision.trigger_time + kJoinHorizonFactor * full_est;
     for (const int rank : decision.relays) {
       const auto ready_it = ready_at.find(rank);
       const Seconds ready = ready_it == ready_at.end() ? decision.trigger_time : ready_it->second;
@@ -157,7 +159,8 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
   // stalling it. The suspects become faulty, and phase 1 re-executes for
   // the survivors; a stall with no rank-level culprit (link blackout) gets
   // one watchdog window to heal before each retry.
-  while (!phase1.ok() && result.phase1_attempts < coordinator_.config().max_recovery_attempts) {
+  constexpr int kMaxRecoveryAttempts = 3;  // phase-1 (re-)executions per iteration
+  while (!phase1.ok() && result.phase1_attempts < kMaxRecoveryAttempts) {
     ++result.phase1_attempts;
     if (auto* t = telemetry::get()) {
       t->metrics().counter("relay.phase1_retries").add(1.0);

@@ -41,9 +41,9 @@ struct RelayRunResult {
   RelayDecision decision;
   /// Phase-1 executions this iteration took (> 1 after watchdog recovery).
   int phase1_attempts = 1;
-  /// Set when phase 1 could not complete within
-  /// CoordinatorConfig::max_recovery_attempts (e.g. a blackout outlasting
-  /// every retry); final_values are then unusable for this iteration.
+  /// Set when phase 1 could not complete within three executions (e.g. a
+  /// blackout outlasting every retry); final_values are then unusable for
+  /// this iteration.
   collective::CollectiveError error;
   bool ok() const noexcept { return !error; }
 };

@@ -40,10 +40,8 @@ Seconds nccl_restart_cost(int world_size, Bytes model_bytes) {
 
 Adapcc::Adapcc(topology::Cluster& cluster, AdapccConfig config)
     : cluster_(cluster), config_(std::move(config)), rng_(config_.seed) {
-  // The runtime-level thread knob flows into the synthesizer unless its
-  // config pinned its own count.
-  if (config_.solver_threads > 0 && config_.synthesizer.solver_threads == 0) {
-    config_.synthesizer.solver_threads = config_.solver_threads;
+  if (config_.solver_threads != 0 && config_.solver_threads != 1) {
+    throw std::invalid_argument("Adapcc: solver_threads must be 0 or 1 (the solver is serial)");
   }
   for (int r = 0; r < cluster_.world_size(); ++r) participants_.push_back(r);
 }
@@ -137,11 +135,6 @@ collective::Strategy Adapcc::synthesize(Primitive primitive, const std::vector<i
 collective::Strategy Adapcc::synthesize_cached(Primitive primitive,
                                                const std::vector<int>& participants,
                                                Bytes tensor_bytes) {
-  // One lock covers lookup, solve, insert, and the report/counter updates:
-  // producer threads may request strategies while the main thread
-  // synthesizes for a collective, and the Synthesizer itself is a single
-  // instance whose parallelism lives in its task pool.
-  const std::lock_guard<std::mutex> lock(strategy_mutex_);
   StrategyCacheKey key{static_cast<int>(primitive), participants,
                        tensor_size_bucket(tensor_bytes), topology_epoch_};
   if (const auto it = strategy_cache_.find(key); it != strategy_cache_.end()) {
@@ -164,7 +157,6 @@ collective::Strategy Adapcc::synthesize_cached(Primitive primitive,
 }
 
 void Adapcc::invalidate_strategy_cache() {
-  const std::lock_guard<std::mutex> lock(strategy_mutex_);
   ++topology_epoch_;  // stale keys can never match again
   strategy_cache_.clear();
 }
@@ -207,11 +199,17 @@ relay::RelayRunResult Adapcc::allreduce_adaptive(Bytes tensor_bytes,
 
 ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
                                        ResilienceOptions options) {
+  // Automatic watchdog: this multiple of the Eq. 4 estimate, floored.
+  constexpr double kWatchdogMultiplier = 8.0;
+  constexpr Seconds kWatchdogFloor = milliseconds(50);
+  // Wait before retrying a stall with no rank-level suspects (a link
+  // blackout may heal); doubles per retry, on the simulated clock.
+  constexpr Seconds kRetryBackoff = milliseconds(20);
   if (!set_up_) setup();
   sim::Simulator& sim = cluster_.simulator();
   ResilienceReport report;
   Seconds first_failure = -1.0;
-  Seconds backoff = options.retry_backoff;
+  Seconds backoff = kRetryBackoff;
   while (report.attempts < options.max_attempts) {
     ++report.attempts;
     // strategy_for resynthesizes after an exclusion: exclude_workers cleared
@@ -231,9 +229,9 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
     run_options.watchdog_timeout =
         options.watchdog_timeout > 0.0
             ? options.watchdog_timeout
-            : std::max(options.watchdog_multiplier * synthesizer::estimate_completion_time(
-                                                         strategy, topo_, tensor_bytes, {}),
-                       options.watchdog_floor);
+            : std::max(kWatchdogMultiplier * synthesizer::estimate_completion_time(
+                                                 strategy, topo_, tensor_bytes, {}),
+                       kWatchdogFloor);
     Executor executor(cluster_, strategy);
     report.result = executor.run(tensor_bytes, std::move(run_options));
     if (report.result.ok()) {
@@ -366,9 +364,8 @@ void Adapcc::include_workers(const std::set<int>& recovered) {
   }
 }
 
-synthesizer::SynthesisReport Adapcc::last_synthesis() const {
+const synthesizer::SynthesisReport& Adapcc::last_synthesis() const {
   if (synthesizer_ == nullptr) throw std::logic_error("adapcc: no synthesizer yet");
-  const std::lock_guard<std::mutex> lock(strategy_mutex_);
   return last_report_;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -35,13 +34,10 @@ struct AdapccConfig {
   synthesizer::SynthesizerConfig synthesizer;
   profiler::ProfilerConfig profiler;
   relay::CoordinatorConfig coordinator;
-  /// Re-profile every this many iterations (adapcc.profile(); Sec. VI-D
-  /// uses 500). Zero disables runtime profiling.
-  int profile_period_iterations = 500;
-  /// Host threads for the synthesizer search; propagated into the
-  /// synthesizer config when it leaves its own at 0. 0 = the
-  /// ADAPCC_SOLVER_THREADS environment variable (default 1 = serial).
-  /// Solved strategies are identical at every value.
+  /// The synthesizer is single-threaded: the constructor accepts 0 or 1 and
+  /// throws std::invalid_argument for anything else. Kept only because the
+  /// benchmark driver (perfbench/workloads.cpp) assigns it; delete it
+  /// together with that assignment at the next benchmark change.
   int solver_threads = 0;
   std::uint64_t seed = 42;
 };
@@ -65,16 +61,12 @@ struct ResilienceOptions {
   /// Base options for each attempt (ready/fill/dead times, active set). The
   /// active set is re-restricted to the surviving participants per attempt.
   collective::CollectiveOptions collective;
-  /// Per-attempt watchdog; 0 = auto: watchdog_multiplier x the synthesizer's
-  /// completion estimate for the current strategy, floored at watchdog_floor.
+  /// Per-attempt watchdog; 0 = auto: a multiple of the synthesizer's
+  /// completion estimate for the current strategy, with a floor (see
+  /// run_resilient).
   Seconds watchdog_timeout = 0.0;
-  double watchdog_multiplier = 8.0;
-  Seconds watchdog_floor = milliseconds(50);
   /// Total executions (first try + retries) before giving up.
   int max_attempts = 4;
-  /// Wait before retrying a stall with no rank-level suspects (a link
-  /// blackout may heal); doubles per retry, on the simulated clock.
-  Seconds retry_backoff = milliseconds(20);
 };
 
 /// Outcome of a resilient collective: the (last) executor result plus the
@@ -186,9 +178,7 @@ class Adapcc {
   /// Report of the most recent synthesis through this runtime, including the
   /// cumulative strategy-cache hit/miss counters. A cache hit reports the
   /// cached solve's model cost and candidate count with zero solve time.
-  /// Returns a snapshot by value: the report may be refreshed concurrently
-  /// by producer-thread synthesis (see synthesize()).
-  synthesizer::SynthesisReport last_synthesis() const;
+  const synthesizer::SynthesisReport& last_synthesis() const;
   Seconds detection_time() const noexcept { return detection_.total_time; }
   bool initialized() const noexcept { return initialized_; }
 
@@ -197,14 +187,8 @@ class Adapcc {
   const collective::Strategy& strategy_for(collective::Primitive primitive, Bytes tensor_bytes);
 
   /// One-off synthesis for an explicit participant subset (used by the
-  /// backend wrapper and by benches that vary the GPU configuration).
-  ///
-  /// Thread-safe against itself and against the collectives above: the
-  /// strategy cache, the cumulative hit/miss counters, and last_synthesis()
-  /// are guarded by one mutex, so a producer thread may request strategies
-  /// while the main thread drives simulated collectives. Topology-mutating
-  /// calls (reprofile, exclude_workers, include_workers, init) remain
-  /// main-thread-only — they rewrite the topology the solver reads.
+  /// backend wrapper and by benches that vary the GPU configuration),
+  /// served from the strategy cache when its key matches.
   collective::Strategy synthesize(collective::Primitive primitive,
                                   const std::vector<int>& participants, Bytes tensor_bytes);
 
@@ -243,15 +227,8 @@ class Adapcc {
   std::unique_ptr<synthesizer::Synthesizer> synthesizer_;
   std::unique_ptr<relay::RelayCollectiveRunner> relay_runner_;
   std::vector<int> participants_;
-  /// Installed per-primitive strategies: main-thread-only (collectives run
-  /// the simulated clock, which is single-threaded).
+  /// Installed per-primitive strategies.
   std::map<collective::Primitive, collective::Strategy> strategies_;
-  /// Guards strategy_cache_, topology_epoch_ reads on the cache path,
-  /// last_report_, and the hit/miss totals — the state producer-thread
-  /// synthesize() calls touch. Held across the solve, so concurrent
-  /// synthesis requests serialize on the one Synthesizer (whose task pool
-  /// parallelizes inside a solve instead).
-  mutable std::mutex strategy_mutex_;
   std::map<StrategyCacheKey, CachedStrategy> strategy_cache_;
   std::uint64_t topology_epoch_ = 0;
   synthesizer::SynthesisReport last_report_;

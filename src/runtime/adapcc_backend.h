@@ -2,8 +2,6 @@
 // {NCCL, MSCCL, Blink, AdapCC} uniformly (Figs. 11-14).
 #pragma once
 
-#include <map>
-
 #include "baselines/backend.h"
 #include "runtime/adapcc.h"
 
@@ -26,12 +24,7 @@ class AdapccBackend : public baselines::Backend {
   collective::Strategy plan(collective::Primitive primitive,
                             const std::vector<int>& participants, Bytes tensor_bytes) override {
     ensure_init();
-    const auto key = std::make_pair(primitive, participants);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-    collective::Strategy strategy = adapcc_.synthesize(primitive, participants, tensor_bytes);
-    plans_.emplace(key, strategy);
-    return strategy;
+    return adapcc_.synthesize(primitive, participants, tensor_bytes);
   }
 
   Adapcc& adapcc() {
@@ -49,7 +42,6 @@ class AdapccBackend : public baselines::Backend {
 
   topology::Cluster& cluster_;
   Adapcc adapcc_;
-  std::map<std::pair<collective::Primitive, std::vector<int>>, collective::Strategy> plans_;
 };
 
 }  // namespace adapcc::runtime

@@ -1,13 +1,11 @@
 #include "synthesizer/synthesizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <map>
 #include <stdexcept>
 
 #include "collective/builders.h"
-#include "telemetry/telemetry.h"
 #include "util/audit.h"
 #include "util/logging.h"
 #include "util/wallclock.h"
@@ -34,8 +32,7 @@ Synthesizer::Synthesizer(const topology::Cluster& cluster, const topology::Logic
                          SynthesizerConfig config)
     : cluster_(cluster),
       topo_(topo),
-      config_(std::move(config)),
-      pool_(util::solver_threads(config_.solver_threads)) {
+      config_(std::move(config)) {
   if (config_.parallel_subs < 1) throw std::invalid_argument("Synthesizer: M < 1");
   if (config_.chunk_candidates.empty()) {
     throw std::invalid_argument("Synthesizer: no chunk candidates");
@@ -195,27 +192,15 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // Every evaluator of this solve shares the topology's port capacities.
   const std::vector<PortBetas> ports = port_betas(topo_);
 
-  // Host-span recording is gated per solve: when telemetry runs with
-  // host_spans, each pool batch stamps wall-clock TaskSpans that are flushed
-  // onto per-worker tracks after the batch joins (the recorder itself is
-  // unsynchronized, so flushing happens on this thread only).
-  const bool record_spans = telemetry::host_spans_enabled();
-  pool_.set_record_spans(record_spans);
-  const auto flush_spans = [&](const char* label) {
-    if (record_spans) telemetry::flush_solver_spans(pool_.take_spans(), label);
-  };
-
   // ADAPCC_AUDIT: a CostEvaluator reused across the chunk sweep must match
   // one rebuilt from scratch bit for bit — estimate_completion_time is
   // exactly such a fresh evaluator, port capacities included. Rebuild every
   // 5th evaluation during real solves and require exact equality — loads
   // are integer-valued doubles, so any drift is a bug, not rounding.
-  // The counter is atomic because evaluations run on pool lanes; which
-  // samples get audited varies with scheduling, but audits only verify.
-  std::atomic<std::uint64_t> audit_evals{0};
+  std::uint64_t audit_evals = 0;
   const auto audit_parity = [&](const Strategy& strategy, Seconds memoized) {
     if constexpr (audit::kEnabled) {
-      const std::uint64_t count = audit_evals.fetch_add(1, std::memory_order_relaxed) + 1;
+      const std::uint64_t count = ++audit_evals;
       if (count % 5 != 0) return;
       const Seconds rebuilt = estimate_completion_time(strategy, topo_, tensor_bytes, active);
       ADAPCC_AUDIT_CHECK("synthesizer", memoized == rebuilt,
@@ -256,16 +241,14 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
       }
       return candidate;
     };
-    // Every chunk candidate scores an independently built strategy (fanned
-    // out over the pool); the winner is the first index with the strictly
-    // smallest cost, i.e. the serial sweep's tie-break.
-    const std::vector<Seconds> costs = pool_.map_indexed<Seconds>(
-        config_.chunk_candidates.size(), [&](std::size_t index) {
-          return CostEvaluator(build_alltoall(config_.chunk_candidates[index]), topo_,
-                               tensor_bytes, active, ports)
-              .completion_time();
-        });
-    flush_spans("synth/alltoall-chunk");
+    // Every chunk candidate scores an independently built strategy; the
+    // winner is the first index with the strictly smallest cost.
+    std::vector<Seconds> costs;
+    for (const Bytes chunk : config_.chunk_candidates) {
+      costs.push_back(
+          CostEvaluator(build_alltoall(chunk), topo_, tensor_bytes, active, ports)
+              .completion_time());
+    }
     report_.candidates_evaluated += static_cast<int>(costs.size());
     std::size_t winner = 0;
     for (std::size_t i = 1; i < costs.size(); ++i) {
@@ -288,25 +271,22 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   const auto trees = candidate_trees(participants, forced_root);
   if (trees.empty()) throw std::invalid_argument("synthesize: no candidate trees");
 
-  // Rank single trees by model cost to pick rotation orders. Each tree's
-  // probe is independent, so the evaluations fan out over the pool; costs
-  // land in tree order and the (cost, index) sort is unambiguous.
-  const std::vector<Seconds> tree_costs =
-      pool_.map_indexed<Seconds>(trees.size(), [&](std::size_t i) {
-        Strategy probe;
-        probe.primitive = primitive;
-        probe.participants = participants;
-        SubCollective sub;
-        sub.fraction = 1.0;
-        sub.chunk_bytes = config_.chunk_candidates.front();
-        sub.tree = trees[i];
-        probe.subs.push_back(std::move(sub));
-        return CostEvaluator(probe, topo_, tensor_bytes, active, ports).completion_time();
-      });
-  flush_spans("synth/tree-probe");
-  report_.candidates_evaluated += static_cast<int>(trees.size());
+  // Rank single trees by model cost to pick rotation orders; the
+  // (cost, index) sort is unambiguous.
   std::vector<std::pair<Seconds, std::size_t>> ranked;
-  for (std::size_t i = 0; i < trees.size(); ++i) ranked.emplace_back(tree_costs[i], i);
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    Strategy probe;
+    probe.primitive = primitive;
+    probe.participants = participants;
+    SubCollective sub;
+    sub.fraction = 1.0;
+    sub.chunk_bytes = config_.chunk_candidates.front();
+    sub.tree = trees[i];
+    probe.subs.push_back(std::move(sub));
+    ranked.emplace_back(
+        CostEvaluator(probe, topo_, tensor_bytes, active, ports).completion_time(), i);
+  }
+  report_.candidates_evaluated += static_cast<int>(trees.size());
   std::sort(ranked.begin(), ranked.end());
 
   // The best candidate per root instance, in ascending model cost; rotating
@@ -343,10 +323,8 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // Trees and loads are fixed for the whole assignment and chunk size does
   // not enter the link loads, so each assignment builds its candidate and
   // CostEvaluator once and re-scores the chunk sweep against the memoized
-  // state. Assignments are independent: one pool task per assignment, each
-  // recording its local first-minimum (cost, chunk); the in-order global
-  // reduce below is then the serial double loop's exact lexicographic
-  // first-minimum over (assignment, chunk).
+  // state. The winner is the lexicographic first minimum over
+  // (assignment, chunk).
   const auto build_assignment = [&](const std::vector<std::size_t>& assignment) {
     Strategy candidate;
     candidate.primitive = primitive;
@@ -363,46 +341,34 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     }
     return candidate;
   };
-  struct SweepResult {
-    Seconds cost = std::numeric_limits<double>::infinity();
-    std::size_t chunk = 0;
-  };
-  const std::vector<SweepResult> sweeps = pool_.map_indexed<SweepResult>(
-      assignments.size(), [&](std::size_t ai) {
-        Strategy candidate = build_assignment(assignments[ai]);
-        CostEvaluator evaluator(candidate, topo_, tensor_bytes, active, ports);
-        SweepResult local;
-        for (std::size_t ci = 0; ci < config_.chunk_candidates.size(); ++ci) {
-          const Bytes chunk = config_.chunk_candidates[ci];
-          for (auto& sub : candidate.subs) sub.chunk_bytes = chunk;
-          const Seconds cost = evaluator.completion_time();
-          audit_parity(candidate, cost);
-          ADAPCC_LOG(kDebug, "synth")
-              << "assignment size=" << assignments[ai].size() << " first-root="
-              << to_string(candidate.subs[0].tree.root) << " last-root="
-              << to_string(candidate.subs.back().tree.root) << " chunk=" << chunk
-              << " cost=" << cost;
-          if (cost < local.cost) {
-            local.cost = cost;
-            local.chunk = ci;
-          }
-        }
-        return local;
-      });
-  flush_spans("synth/assignment-sweep");
-  report_.candidates_evaluated +=
-      static_cast<int>(assignments.size() * config_.chunk_candidates.size());
   Seconds best_cost = std::numeric_limits<double>::infinity();
   std::size_t best_assignment = 0;
-  for (std::size_t ai = 0; ai < sweeps.size(); ++ai) {
-    if (sweeps[ai].cost < best_cost) {
-      best_cost = sweeps[ai].cost;
-      best_assignment = ai;
+  std::size_t best_chunk = 0;
+  for (std::size_t ai = 0; ai < assignments.size(); ++ai) {
+    Strategy candidate = build_assignment(assignments[ai]);
+    CostEvaluator evaluator(candidate, topo_, tensor_bytes, active, ports);
+    for (std::size_t ci = 0; ci < config_.chunk_candidates.size(); ++ci) {
+      const Bytes chunk = config_.chunk_candidates[ci];
+      for (auto& sub : candidate.subs) sub.chunk_bytes = chunk;
+      const Seconds cost = evaluator.completion_time();
+      audit_parity(candidate, cost);
+      ADAPCC_LOG(kDebug, "synth")
+          << "assignment size=" << assignments[ai].size() << " first-root="
+          << to_string(candidate.subs[0].tree.root) << " last-root="
+          << to_string(candidate.subs.back().tree.root) << " chunk=" << chunk
+          << " cost=" << cost;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_assignment = ai;
+        best_chunk = ci;
+      }
     }
   }
+  report_.candidates_evaluated +=
+      static_cast<int>(assignments.size() * config_.chunk_candidates.size());
   best = build_assignment(assignments[best_assignment]);
   for (auto& sub : best.subs) {
-    sub.chunk_bytes = config_.chunk_candidates[sweeps[best_assignment].chunk];
+    sub.chunk_bytes = config_.chunk_candidates[best_chunk];
   }
 
   report_.model_cost = best_cost;

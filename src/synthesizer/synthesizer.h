@@ -17,12 +17,9 @@
 // hand-built strategies and the Fig. 8(b) partial-aggregation ablation.
 // Solve time is reported for Fig. 19(c).
 //
-// The search runs on a util::TaskPool: candidate evaluation is pure
-// host-side work (the simulated clock never advances during a solve), so
-// trees and assignment x chunk combinations fan out across solver threads
-// while every reduction follows submission order with
-// the serial loop's first-index tie-break. The chosen Strategy and its model
-// cost are bit-identical at any thread count (DESIGN.md §10).
+// The search runs serially on the calling thread, and every minimum keeps
+// the first-lowest-index tie-break, so a solve is a pure function of the
+// profiled topology and its arguments (DESIGN.md §10).
 #pragma once
 
 #include <set>
@@ -32,7 +29,6 @@
 #include "synthesizer/cost_model.h"
 #include "topology/cluster.h"
 #include "topology/logical_topology.h"
-#include "util/task_pool.h"
 
 namespace adapcc::synthesizer {
 
@@ -41,10 +37,6 @@ struct SynthesizerConfig {
   int parallel_subs = 4;
   /// Chunk sizes considered by the sweep.
   std::vector<Bytes> chunk_candidates = {512_KiB, 1_MiB, 2_MiB, 4_MiB, 8_MiB, 16_MiB};
-  /// Host threads for the candidate search; 0 = the ADAPCC_SOLVER_THREADS
-  /// environment variable (default 1 = serial). Results are identical at
-  /// every value — this is a wall-clock knob only.
-  int solver_threads = 0;
 };
 
 struct SynthesisReport {
@@ -73,10 +65,6 @@ class Synthesizer {
 
   const SynthesisReport& last_report() const noexcept { return report_; }
 
-  /// Resolved solver lanes (config / env / 1); the pool lives for the
-  /// synthesizer's lifetime, so repeated solves reuse the same workers.
-  int solver_thread_count() const noexcept { return pool_.thread_count(); }
-
  private:
   /// Candidate trees. For rooted primitives (Reduce/Broadcast) every
   /// candidate is rooted at `forced_root_rank`; otherwise roots rotate over
@@ -90,7 +78,6 @@ class Synthesizer {
   const topology::LogicalTopology& topo_;
   SynthesizerConfig config_;
   SynthesisReport report_;
-  util::TaskPool pool_;
 };
 
 }  // namespace adapcc::synthesizer

@@ -27,20 +27,4 @@ void disable() noexcept {
 
 std::uint64_t epoch() noexcept { return g_epoch; }
 
-bool host_spans_enabled() noexcept {
-  const Telemetry* t = get();
-  return t != nullptr && t->config().host_spans;
-}
-
-void flush_solver_spans(const std::vector<util::TaskSpan>& spans, const char* label) {
-  Telemetry* t = get();
-  if (t == nullptr || spans.empty()) return;
-  for (const util::TaskSpan& span : spans) {
-    const TrackId track = t->trace().track("solver/worker-" + std::to_string(span.lane));
-    t->trace().complete(track, label, span.start_seconds, span.duration_seconds,
-                        kv("task", static_cast<double>(span.task)) + "," +
-                            kv("tid", static_cast<double>(span.lane)));
-  }
-}
-
 }  // namespace adapcc::telemetry

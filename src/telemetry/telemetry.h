@@ -22,11 +22,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace_recorder.h"
-#include "util/task_pool.h"
 
 namespace adapcc::telemetry {
 
@@ -35,12 +33,6 @@ struct TelemetryConfig {
   std::size_t trace_capacity = 1 << 17;
   /// Per-histogram reservoir size for percentile estimation.
   std::size_t histogram_reservoir = 2048;
-  /// Also record *host*-side wall-clock spans (solver task-pool work) onto
-  /// per-worker `solver/worker-K` tracks, tid-tagged in the Chrome trace.
-  /// Off by default: host spans carry real wall-clock durations, so traces
-  /// that must byte-compare across runs (tools/determinism_check.py) leave
-  /// this disabled. See DESIGN.md §10.
-  bool host_spans = false;
 };
 
 class Telemetry {
@@ -83,16 +75,5 @@ void disable() noexcept;
 /// cache TrackIds / metric pointers together with the epoch they were
 /// resolved under and re-resolve when it changes.
 std::uint64_t epoch() noexcept;
-
-/// Host-span gate for solver task pools: true when telemetry is enabled
-/// with `host_spans = true`. Callers check this before asking a TaskPool to
-/// record TaskSpans.
-bool host_spans_enabled() noexcept;
-
-/// Emits recorded pool TaskSpans as tid-tagged Chrome-trace spans named
-/// `label`, one per task, onto per-lane `solver/worker-K` tracks. Must be
-/// called from the thread driving the recorder (after the batch joined —
-/// the recorder itself is unsynchronized). No-op when telemetry is off.
-void flush_solver_spans(const std::vector<util::TaskSpan>& spans, const char* label);
 
 }  // namespace adapcc::telemetry

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "collective/payload.h"
@@ -315,56 +314,18 @@ TEST_F(RuntimeTest, StrategyCacheInvalidatedOnReprofileKeptAcrossMembership) {
   EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_second_reprofile + 1);
 }
 
-// Pins the strategy-cache thread-safety fix (DESIGN.md §10): a producer
-// thread pre-solving upcoming tensor buckets through the shared cache while
-// the main thread executes an adaptive AllReduce that consults the same
-// cache. Runs under TSan in CI: lookup, solve, insert, and the hit/miss and
-// last_synthesis() bookkeeping all happen under one lock, so the producer
-// and the collective serialize instead of racing.
-TEST_F(RuntimeTest, ProducerThreadSynthesisRacesAdaptiveAllReduce) {
+// The synthesizer is serial; the one remaining thread setting accepts only
+// the values that mean "serial".
+TEST_F(RuntimeTest, SolverThreadsAcceptsOnlySerial) {
   build(topology::homo_testbed());
+  for (const int threads : {0, 1}) {
+    AdapccConfig config;
+    config.solver_threads = threads;
+    EXPECT_NO_THROW((Adapcc(*cluster_, config))) << threads;
+  }
   AdapccConfig config;
-  config.coordinator.fault_multiplier = 50.0;
-  config.solver_threads = 2;  // pooled solves from both calling threads
-  Adapcc adapcc(*cluster_, config);
-  adapcc.init();
-  adapcc.setup();
-
-  const auto bucket = [](int iter) { return megabytes(32 << (iter % 3)); };
-  std::vector<std::string> producer_graphs(6);
-  std::thread producer([&] {
-    for (int iter = 0; iter < 6; ++iter) {
-      const auto strategy =
-          adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), bucket(iter));
-      producer_graphs[static_cast<std::size_t>(iter)] = strategy.fingerprint();
-    }
-  });
-
-  std::map<int, Seconds> ready;
-  const Seconds now = cluster_->simulator().now();
-  for (int r = 0; r < cluster_->world_size(); ++r) ready[r] = now;
-  const auto result = adapcc.allreduce_adaptive(megabytes(128), ready);
-  producer.join();
-
-  EXPECT_TRUE(result.faulty.empty());
-  double expected = 0.0;
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    expected += collective::payload_value(r, 0, 0);
-  }
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    EXPECT_DOUBLE_EQ(result.final_values.at(r), expected);
-  }
-
-  // The cache stayed coherent: re-requesting each bucket is a hit returning
-  // exactly the graph the producer saw mid-collective.
-  for (int iter = 0; iter < 6; ++iter) {
-    const auto strategy =
-        adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), bucket(iter));
-    EXPECT_EQ(strategy.fingerprint(), producer_graphs[static_cast<std::size_t>(iter)])
-        << "bucket " << iter;
-  }
-  const auto report = adapcc.last_synthesis();
-  EXPECT_GE(report.cache_hits + report.cache_misses, 12);
+  config.solver_threads = 2;
+  EXPECT_THROW((Adapcc(*cluster_, config)), std::invalid_argument);
 }
 
 }  // namespace

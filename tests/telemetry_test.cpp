@@ -336,30 +336,5 @@ TEST(TelemetryIntegration, LinkByteCountersMatchExecutorPayload) {
   EXPECT_GT(metrics.counter("trainer.iterations").value(), 0.0);
 }
 
-TEST(TelemetryIntegration, HostSpansLandOnSolverWorkerTracks) {
-  TelemetryGuard guard;
-  sim::Simulator simulator;
-  topology::Cluster cluster(simulator, topology::homo_testbed());
-
-  // Off by default: wall-clock pool spans never pollute determinism traces.
-  telemetry::enable({.trace_capacity = 1 << 14});
-  EXPECT_FALSE(telemetry::host_spans_enabled());
-
-  telemetry::enable({.trace_capacity = 1 << 14, .host_spans = true});
-  EXPECT_TRUE(telemetry::host_spans_enabled());
-  runtime::AdapccConfig config;
-  config.solver_threads = 2;
-  runtime::Adapcc adapcc(cluster, config);
-  adapcc.init();
-  adapcc.synthesize(collective::Primitive::kAllReduce, adapcc.participants(), megabytes(64));
-
-  // Pool tasks show up tid-tagged on per-lane solver tracks.
-  std::size_t solver_tracks = 0;
-  for (const auto& track : telemetry::get()->trace().tracks()) {
-    if (track.starts_with("solver/worker-")) ++solver_tracks;
-  }
-  EXPECT_GE(solver_tracks, 1u);
-}
-
 }  // namespace
 }  // namespace adapcc

@@ -40,17 +40,13 @@ here defend that promise at the source level:
                       validated and replayable by a fault schedule. Tests
                       that drive a raw FlowLink directly carry a
                       `// lint:chaos` waiver.
-  threads             No raw `std::thread` outside `src/util/task_pool.*`:
-                      host-side parallelism goes through util::TaskPool, whose
-                      indexed fan-out/reduce API is what keeps parallel solves
-                      bit-identical to serial ones (DESIGN.md §10). Tests may
-                      spawn producer threads to drive the thread-safe surfaces
-                      (TaskPool, the strategy cache), but `.detach()` is
-                      banned everywhere — a detached thread outliving its
-                      owner is how use-after-scope races start. Sanctioned
-                      exceptions (e.g. `std::thread::hardware_concurrency` is
-                      allowed; a deliberate raw thread is not) carry a
-                      `// lint:threads` waiver with a justification.
+  threads             No raw `std::thread` or `.detach()` in any scanned
+                      file, tests included: the simulator and the solver are
+                      single-threaded by design (DESIGN.md §10), so nothing
+                      is synchronized. `std::thread::hardware_concurrency`
+                      is a read and stays legal; a deliberate raw thread
+                      carries a `// lint:threads` waiver with a
+                      justification.
   orphan-header       Every src/**/*.h must be #included by some file under
                       src/ (other than its own .cpp), bench/, examples/ or
                       perfbench/. A header only tests reach is a module
@@ -105,9 +101,8 @@ CHAOS_RULE_DIRS = ("src", "tests", "bench", "examples")
 CHAOS_ALLOWED_PREFIXES = ("src/sim/", "src/chaos/", "src/topology/cluster")
 SET_CAPACITY_RE = re.compile(r"(?:\.|->)set_capacity\s*\(")
 
-# threads rule: the one sanctioned home for raw threads, and what to look for.
+# threads rule: where raw threads are banned, and what to look for.
 THREADS_RULE_DIRS = ("src", "tests", "bench", "examples")
-THREADS_ALLOWED_PREFIXES = ("src/util/task_pool",)
 # `std::thread` as an object/constructor; static members like
 # `std::thread::hardware_concurrency` are reads, not spawns, and stay legal.
 THREAD_SPAWN_RE = re.compile(r"std::thread(?!::)")
@@ -282,30 +277,19 @@ def check_chaos(path: Path, lines: list[str], root: Path) -> list[Finding]:
     return findings
 
 
-def check_threads(path: Path, lines: list[str], root: Path) -> list[Finding]:
-    rel = path.relative_to(root).as_posix()
-    if rel.startswith(THREADS_ALLOWED_PREFIXES):
-        return []
-    # Tests legitimately spawn (and join) producer threads to drive the
-    # thread-safe surfaces; the detach ban still applies to them.
-    spawn_banned = not rel.startswith("tests/")
+def check_threads(path: Path, lines: list[str]) -> list[Finding]:
     findings = []
     for i, raw in enumerate(lines, start=1):
         prev = lines[i - 2] if i >= 2 else ""
         if waived(raw, "threads", prev):
             continue
         code = strip_comment(raw)
-        if THREAD_DETACH_RE.search(code):
+        if THREAD_SPAWN_RE.search(code) or THREAD_DETACH_RE.search(code):
             findings.append(Finding(
                 "threads", path, i,
-                "detached thread: nothing may outlive its owner — join explicitly or go "
-                "through util::TaskPool"))
-        elif spawn_banned and THREAD_SPAWN_RE.search(code):
-            findings.append(Finding(
-                "threads", path, i,
-                "raw std::thread outside util::TaskPool: host-side parallelism must use the "
-                "pool's deterministic indexed API (DESIGN.md §10); waive deliberate uses "
-                "with `// lint:threads` + justification"))
+                "raw thread: the simulator and solver are single-threaded by design "
+                "(DESIGN.md §10), so nothing is synchronized; waive a deliberate use with "
+                "`// lint:threads` + justification"))
     return findings
 
 
@@ -364,7 +348,7 @@ def main() -> int:
 
     for path in iter_sources(root, THREADS_RULE_DIRS):
         lines = path.read_text().splitlines()
-        findings += check_threads(path, lines, root)
+        findings += check_threads(path, lines)
 
     findings += check_orphan_headers(root)
 
