@@ -18,7 +18,6 @@ namespace {
 struct Row {
   double measured_ms = 0.0;
   double model_ms = 0.0;
-  Bytes chosen_chunk = 0;  ///< the chunk the synthesizer picked (row-invariant)
 };
 
 int run() {
@@ -29,20 +28,23 @@ int run() {
 
   // Each row rebuilds the identical deterministic world (same detection and
   // profile seeds), forces its chunk size onto the synthesized reference
-  // graph, and measures from an idle simulator.
+  // graph, and measures from an idle simulator. The reference graph does not
+  // depend on the row, so it is synthesized once, in the first row's world.
   std::vector<Row> rows;
+  collective::Strategy reference;
   for (const Bytes chunk : chunks) {
     World world(topology::heter_testbed());
     topology::Detector detector(*world.cluster, util::Rng(5));
     auto topo = topology::Detector::build_logical_topology(*world.cluster, detector.detect());
     profiler::Profiler profiler(*world.cluster);
     profiler.profile(topo);
-    const auto ranks = world.all_ranks();
 
-    synthesizer::Synthesizer synth(*world.cluster, topo);
-    auto strategy = synth.synthesize(collective::Primitive::kAllReduce, ranks, tensor);
+    if (rows.empty()) {
+      synthesizer::Synthesizer synth(*world.cluster, topo);
+      reference = synth.synthesize(collective::Primitive::kAllReduce, world.all_ranks(), tensor);
+    }
+    auto strategy = reference;
     Row row;
-    row.chosen_chunk = strategy.subs[0].chunk_bytes;
     for (auto& sub : strategy.subs) sub.chunk_bytes = chunk;
     row.model_ms = synthesizer::estimate_completion_time(strategy, topo, tensor, {}) * 1e3;
     collective::Executor executor(*world.cluster, strategy);
@@ -53,7 +55,7 @@ int run() {
   std::printf("%12s %14s %14s %10s\n", "chunk", "measured(ms)", "model(ms)", "");
   double best_measured = 1e9;
   Bytes best_chunk = 0;
-  const Bytes chosen = rows.front().chosen_chunk;
+  const Bytes chosen = reference.subs[0].chunk_bytes;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     if (rows[i].measured_ms < best_measured) {
       best_measured = rows[i].measured_ms;

@@ -73,10 +73,15 @@ void FlowRoute::validate(const LogicalTopology& topo) const {
 }
 
 bool SubCollective::aggregates_at(NodeId node, Primitive primitive) const {
+  return collective::aggregates_at(aggregate_at, node, primitive);
+}
+
+bool aggregates_at(const std::unordered_map<NodeId, bool>& flags, NodeId node,
+                   Primitive primitive) {
   if (!requires_aggregation(primitive)) return false;
   if (node.is_nic()) return false;  // a_{m,g} = 0 for g in G_nic
-  const auto it = aggregate_at.find(node);
-  return it == aggregate_at.end() ? true : it->second;
+  const auto it = flags.find(node);
+  return it == flags.end() ? true : it->second;
 }
 
 void Strategy::validate(const LogicalTopology& topo) const {

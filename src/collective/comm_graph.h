@@ -77,6 +77,11 @@ struct SubCollective {
   bool aggregates_at(NodeId node, Primitive primitive) const;
 };
 
+/// a_{m,g} at `node` under one sub-collective's aggregate_at `flags`: GPUs
+/// aggregate by default for reducing primitives, NICs never.
+bool aggregates_at(const std::unordered_map<NodeId, bool>& flags, NodeId node,
+                   Primitive primitive);
+
 struct Strategy {
   Primitive primitive = Primitive::kAllReduce;
   /// GPU ranks participating (contributing data).

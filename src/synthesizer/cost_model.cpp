@@ -41,6 +41,20 @@ bool crosses_ports(const LogicalTopology& topo, const topology::LogicalEdge& edg
          topo.has_placement(edge.to);
 }
 
+/// rank_mask() of any range of ranks.
+template <typename Ranks>
+std::vector<char> mask_of(const Ranks& ranks) {
+  std::vector<char> mask;
+  for (const int rank : ranks) {
+    if (rank < 0) continue;
+    if (static_cast<std::size_t>(rank) >= mask.size()) {
+      mask.resize(static_cast<std::size_t>(rank) + 1, 0);
+    }
+    mask[static_cast<std::size_t>(rank)] = 1;
+  }
+  return mask;
+}
+
 }  // namespace
 
 std::vector<PortBetas> port_betas(const LogicalTopology& topo) {
@@ -66,92 +80,106 @@ Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology
   return CostEvaluator(strategy, topo, tensor_bytes, active_ranks).completion_time();
 }
 
-CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
-                             Bytes tensor_bytes, const std::set<int>& active_ranks)
-    : CostEvaluator(strategy, topo, tensor_bytes, active_ranks, port_betas(topo)) {}
+std::vector<char> rank_mask(const std::set<int>& ranks) { return mask_of(ranks); }
 
-CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
-                             Bytes tensor_bytes, const std::set<int>& active_ranks,
-                             std::span<const PortBetas> ports)
-    : strategy_(strategy),
-      topo_(topo),
-      tensor_bytes_(tensor_bytes),
-      active_(active_ranks),
-      loads_(topo.edge_count(), 0.0),
-      ports_(ports.size()),
-      kernel_overhead_(topology::kernel_launch_overhead()) {
-  if (active_.empty()) active_.insert(strategy.participants.begin(), strategy.participants.end());
-  for (std::size_t i = 0; i < ports.size(); ++i) ports_[i].beta = ports[i];
-  subs_.resize(strategy_.subs.size());
-  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) add_sub(strategy_.subs[s], subs_[s]);
-  resolve_edges();
-}
-
-/// Adds to an edge's load and, for a network edge between placed ends, to
-/// the NIC ports it crosses. Edges absent from the topology carry no load
-/// state: timing throws before it would read one.
-void CostEvaluator::add_load(NodeId from, NodeId to, double load) {
-  const int id = topo_.edge_id(from, to);
-  if (id < 0) return;
-  loads_[id] += load;
-  const auto& edge = topo_.edges()[id];
-  if (!crosses_ports(topo_, edge)) return;
-  // Integer-valued sums: exact in any order.
-  ports_[topo_.instance_of(edge.from)].egress_load += load;
-  ports_[topo_.instance_of(edge.to)].ingress_load += load;
-}
-
-void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
-  if (strategy_.primitive == Primitive::kAllToAll) {
-    for (const auto& flow : sub.flows) {  // flow-based, no tree; AllToAll sums flows
-      for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-        add_load(flow.path[i], flow.path[i + 1], 1.0);
-      }
-    }
+SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, const SubCollective& sub,
+                 std::span<const char> active)
+    : primitive_(primitive) {
+  if (primitive == Primitive::kAllToAll) {
+    plan_routes(topo, sub.flows);
     return;
   }
-  const Tree& tree = sub.tree;
-  // Per-tree vectors by dense node id: the topology's ids, then one id past
-  // them per tree node the topology lacks (its edges are missing, which
-  // throws only if timing visits them). Children, parents and the root name
-  // at most 2 * parent.size() + 1 nodes, even in a malformed tree.
+  // Hash order of the parent map reaches nothing: children are sorted
+  // by plan_tree and loads are integer-valued sums.
+  const std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
+                                                     sub.tree.parent.end());
+  plan_tree(topo, sub.tree.root, edges, sub.aggregate_at, active);
+}
+
+SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, NodeId root,
+                 std::span<const std::pair<NodeId, NodeId>> edges,
+                 const std::unordered_map<NodeId, bool>& flags, std::span<const char> active)
+    : primitive_(primitive) {
+  if (primitive == Primitive::kAllToAll) {
+    throw std::invalid_argument("SubPlan: AllToAll sub-collectives have routes, not a tree");
+  }
+  plan_tree(topo, root, edges, flags, active);
+}
+
+SubPlan::SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes)
+    : primitive_(Primitive::kAllToAll) {
+  plan_routes(topo, routes);
+}
+
+void SubPlan::plan_tree(const LogicalTopology& topo, NodeId root,
+                        std::span<const std::pair<NodeId, NodeId>> edges,
+                        const std::unordered_map<NodeId, bool>& flags,
+                        std::span<const char> active) {
+  // Dense node ids: the topology's, then one id past them per tree node the
+  // topology lacks (its edges are missing, which throws only if timing
+  // visits them).
+  const std::size_t known = topo.nodes().size();
   std::vector<NodeId> absent;
   const auto id_of = [&](NodeId node) {
-    const int id = topo_.node_id(node);
+    const int id = topo.node_id(node);
     if (id >= 0) return static_cast<std::size_t>(id);
     auto it = std::find(absent.begin(), absent.end(), node);
     if (it == absent.end()) it = absent.insert(it, node);
-    return topo_.nodes().size() + static_cast<std::size_t>(it - absent.begin());
+    return known + static_cast<std::size_t>(it - absent.begin());
   };
-  const std::size_t ids = topo_.nodes().size() + 2 * tree.parent.size() + 1;
-  // Children adjacency sorted per parent, the order Tree::children_of
-  // returns. Absent nodes get ids in hash order, but no result depends on
-  // an id's value.
-  std::vector<std::vector<NodeId>> children(ids);
-  // lint:ordered — each per-parent list is sorted below.
-  for (const auto& [child, parent] : tree.parent) children[id_of(parent)].push_back(child);
-  for (auto& kids : children) std::sort(kids.begin(), kids.end());
+  const std::size_t root_id = id_of(root);
+  std::vector<std::pair<std::size_t, std::size_t>> ends;  // (child id, parent id) per edge
+  ends.reserve(edges.size());
+  for (const auto& [child, parent] : edges) ends.emplace_back(id_of(child), id_of(parent));
+  const std::size_t ids = known + absent.size();
 
-  std::vector<int> index(ids, -1);  // position in st.order
-  st.order.push_back(tree.root);
-  index[id_of(tree.root)] = 0;
-  st.parent.push_back(-1);
-  for (std::size_t i = 0; i < st.order.size(); ++i) {
-    for (const NodeId child : children[id_of(st.order[i])]) {
-      int& at = index[id_of(child)];
+  // Children per parent as edge indexes, grouped by parent id and sorted by
+  // child within each group: the order Tree::children_of returns.
+  std::vector<std::size_t> first(ids + 1, 0);
+  for (const auto& end : ends) ++first[end.second + 1];
+  for (std::size_t i = 0; i < ids; ++i) first[i + 1] += first[i];
+  std::vector<std::size_t> kids(edges.size());
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (std::size_t k = 0; k < ends.size(); ++k) kids[next[ends[k].second]++] = k;
+  }
+  for (std::size_t i = 0; i < ids; ++i) {
+    if (first[i + 1] - first[i] < 2) continue;
+    std::sort(kids.begin() + static_cast<std::ptrdiff_t>(first[i]),
+              kids.begin() + static_cast<std::ptrdiff_t>(first[i + 1]),
+              [&](std::size_t a, std::size_t b) { return edges[a].first < edges[b].first; });
+  }
+
+  // Breadth-first from the root; `via` is the edge that reached each node.
+  std::vector<int> index(ids, -1);
+  std::vector<NodeId> order{root};
+  std::vector<std::size_t> order_id{root_id};
+  std::vector<std::size_t> via{0};
+  index[root_id] = 0;
+  parent_.push_back(-1);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t j = first[order_id[i]]; j < first[order_id[i] + 1]; ++j) {
+      const std::size_t k = kids[j];
+      int& at = index[ends[k].first];
       if (at >= 0) continue;  // malformed cycle: visit once
-      at = static_cast<int>(st.order.size());
-      st.parent.push_back(static_cast<int>(i));
-      st.order.push_back(child);
+      at = static_cast<int>(order.size());
+      parent_.push_back(static_cast<int>(i));
+      order.push_back(edges[k].first);
+      order_id.push_back(ends[k].first);
+      via.push_back(k);
     }
   }
-  const int n = static_cast<int>(st.order.size());
+  const int n = static_cast<int>(order.size());
   std::vector<int> active_below(n, 0);  // active GPUs in the subtree
   std::vector<int> inputs(n, 0);        // reduce messages arriving per chunk
   std::vector<int> out(n, 0);           // reduce messages sent to the parent
   for (int i = 0; i < n; ++i) {
-    const NodeId node = st.order[i];
-    const int own = node.is_gpu() && active_.contains(node.index) ? 1 : 0;
+    const NodeId node = order[i];
+    const int own = node.is_gpu() && node.index >= 0 &&
+                            static_cast<std::size_t>(node.index) < active.size() &&
+                            active[static_cast<std::size_t>(node.index)] != 0
+                        ? 1
+                        : 0;
     active_below[i] = own;
     inputs[i] = own;
   }
@@ -160,82 +188,152 @@ void CostEvaluator::add_sub(const SubCollective& sub, SubState& st) {
   // an aggregating node forwards one combined message per chunk; any other
   // node forwards everything it received plus its own contribution.
   for (int i = n - 1; i >= 0; --i) {
-    out[i] = inputs[i] == 0 ? 0
-                            : (sub.aggregates_at(st.order[i], strategy_.primitive) ? 1 : inputs[i]);
-    if (st.parent[i] >= 0) {
-      active_below[st.parent[i]] += active_below[i];
-      inputs[st.parent[i]] += out[i];
+    out[i] = inputs[i] == 0 ? 0 : (collective::aggregates_at(flags, order[i], primitive_) ? 1
+                                                                                        : inputs[i]);
+    if (parent_[i] >= 0) {
+      active_below[parent_[i]] += active_below[i];
+      inputs[parent_[i]] += out[i];
     }
   }
   // Reduce timing prunes subtrees with no active GPU; precompute which nodes
   // it reaches.
-  st.visited.assign(n, 0);
-  st.visited[0] = 1;
+  visited_.assign(n, 0);
+  visited_[0] = 1;
   for (int i = 1; i < n; ++i) {
-    st.visited[i] = static_cast<char>(st.visited[st.parent[i]] != 0 && active_below[i] > 0);
+    visited_[i] = static_cast<char>(visited_[parent_[i]] != 0 && active_below[i] > 0);
   }
-  st.h.assign(n, 0.0);
 
-  if (reduces(strategy_.primitive)) {
-    // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : tree.parent) {
-      const int at = index[id_of(child)];
+  // Loads per edge, and the edges timing reads for the nodes each edge
+  // reached: one lookup per edge and direction.
+  const bool wants_up = reduces(primitive_);
+  const bool wants_down = broadcasts(primitive_);
+  if (wants_up) up_.resize(n);
+  if (wants_down) down_.resize(n);
+  loads_.reserve((wants_up ? edges.size() : 0) + (wants_down ? edges.size() : 0));
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const auto& [child, parent] = edges[k];
+    const int at = index[ends[k].first];
+    const bool reached_here = at > 0 && via[at] == k;
+    if (wants_up) {
+      const int id = topo.edge_id(child, parent);
       const int sent = at < 0 ? 0 : out[at];
-      if (sent > 0) add_load(child, parent, static_cast<double>(sent));
+      if (sent > 0) add_load(topo, id, static_cast<double>(sent));
+      if (reached_here) up_[at] = make_edge(topo, child, parent, id);
     }
-  }
-  if (broadcasts(strategy_.primitive)) {
-    // lint:ordered — integer-valued += per distinct edge key: exact and commutative.
-    for (const auto& [child, parent] : tree.parent) add_load(parent, child, 1.0);
-  }
-}
-
-void CostEvaluator::resolve_edges() {
-  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
-    const auto& sub = strategy_.subs[s];
-    SubState& st = subs_[s];
-    if (strategy_.primitive == Primitive::kAllToAll) {
-      st.flow_edges.reserve(sub.flows.size());
-      for (const auto& flow : sub.flows) {
-        std::vector<EdgeInfo> path;
-        for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-          path.push_back(make_edge(flow.path[i], flow.path[i + 1]));
-        }
-        st.flow_edges.push_back(std::move(path));
-      }
-      continue;
-    }
-    const bool wants_up = reduces(strategy_.primitive);
-    const bool wants_down = broadcasts(strategy_.primitive);
-    const int n = static_cast<int>(st.order.size());
-    if (wants_up) st.up.resize(n);
-    if (wants_down) st.down.resize(n);
-    for (int i = 1; i < n; ++i) {
-      const NodeId node = st.order[i];
-      const NodeId parent = st.order[st.parent[i]];
-      if (wants_up) st.up[i] = make_edge(node, parent);
-      if (wants_down) st.down[i] = make_edge(parent, node);
+    if (wants_down) {
+      const int id = topo.edge_id(parent, child);
+      add_load(topo, id, 1.0);
+      if (reached_here) down_[at] = make_edge(topo, parent, child, id);
     }
   }
 }
 
-CostEvaluator::EdgeInfo CostEvaluator::make_edge(NodeId from, NodeId to) const {
+void SubPlan::plan_routes(const LogicalTopology& topo,
+                          std::span<const collective::FlowRoute> routes) {
+  route_end_.reserve(routes.size());
+  for (const auto& flow : routes) {  // flow-based, no tree; AllToAll sums flows
+    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
+      const int id = topo.edge_id(flow.path[i], flow.path[i + 1]);
+      add_load(topo, id, 1.0);
+      hops_.push_back(make_edge(topo, flow.path[i], flow.path[i + 1], id));
+    }
+    route_end_.push_back(hops_.size());
+  }
+}
+
+/// Records a load on edge `id` and the NIC ports it crosses. Edges absent
+/// from the topology carry no load state: timing throws before it would
+/// read one.
+void SubPlan::add_load(const LogicalTopology& topo, int id, double load) {
+  if (id < 0) return;
+  EdgeLoad entry{id, -1, -1, load};
+  const auto& edge = topo.edges()[id];
+  if (crosses_ports(topo, edge)) {
+    entry.src = topo.instance_of(edge.from);
+    entry.dst = topo.instance_of(edge.to);
+  }
+  loads_.push_back(entry);
+}
+
+SubPlan::EdgeInfo SubPlan::make_edge(const LogicalTopology& topo, NodeId from, NodeId to,
+                                     int id) const {
   EdgeInfo e;
   e.from = from;
   e.to = to;
-  const int id = topo_.edge_id(from, to);
   if (id < 0) return e;  // throws at first use, not here
-  const auto& edge = topo_.edges()[id];
+  const auto& edge = topo.edges()[id];
   if (!edge.profiled || edge.beta <= 0) return e;
   e.id = id;
   e.alpha = edge.alpha;
   e.beta = edge.beta;
   e.port_beta = edge.effective_port_beta();
-  if (crosses_ports(topo_, edge)) {
-    e.src = topo_.instance_of(from);
-    e.dst = topo_.instance_of(to);
+  if (crosses_ports(topo, edge)) {
+    e.src = topo.instance_of(from);
+    e.dst = topo.instance_of(to);
   }
   return e;
+}
+
+CostEvaluator::CostEvaluator(const LogicalTopology& topo, Bytes tensor_bytes,
+                             std::span<const PortBetas> ports)
+    : topo_(topo),
+      tensor_bytes_(tensor_bytes),
+      loads_(topo.edge_count(), 0.0),
+      ports_(ports.size()),
+      kernel_overhead_(topology::kernel_launch_overhead()) {
+  for (std::size_t i = 0; i < ports.size(); ++i) ports_[i].beta = ports[i];
+}
+
+CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
+                             Bytes tensor_bytes, const std::set<int>& active_ranks)
+    : CostEvaluator(strategy, topo, tensor_bytes, active_ranks, port_betas(topo)) {}
+
+CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
+                             Bytes tensor_bytes, const std::set<int>& active_ranks,
+                             std::span<const PortBetas> ports)
+    : CostEvaluator(topo, tensor_bytes, ports) {
+  strategy_ = &strategy;
+  primitive_ = strategy.primitive;
+  participants_ = strategy.participants.size();
+  const std::vector<char> active =
+      active_ranks.empty() ? mask_of(strategy.participants) : mask_of(active_ranks);
+  owned_.reserve(strategy.subs.size());
+  for (const auto& sub : strategy.subs) {
+    owned_.emplace_back(topo, strategy.primitive, sub, active);
+    parts_.push_back(Part{&owned_.back(), sub.fraction, sub.chunk_bytes});
+  }
+  compose();
+}
+
+CostEvaluator::CostEvaluator(std::span<const SubPlan* const> plans, std::size_t participants,
+                             Bytes chunk_bytes, const LogicalTopology& topo, Bytes tensor_bytes,
+                             std::span<const PortBetas> ports)
+    : CostEvaluator(topo, tensor_bytes, ports) {
+  participants_ = participants;
+  if (!plans.empty()) primitive_ = plans.front()->primitive();
+  const double fraction = 1.0 / static_cast<double>(plans.size());
+  for (const SubPlan* plan : plans) {
+    if (plan->primitive() != primitive_) {
+      throw std::invalid_argument("CostEvaluator: plans of different primitives");
+    }
+    parts_.push_back(Part{plan, fraction, chunk_bytes});
+  }
+  compose();
+}
+
+void CostEvaluator::compose() {
+  std::size_t widest = 0;
+  for (const Part& part : parts_) {
+    // Integer-valued sums: exact in any order.
+    for (const auto& entry : part.plan->loads_) {
+      loads_[entry.id] += entry.load;
+      if (entry.src < 0) continue;
+      ports_[entry.src].egress_load += entry.load;
+      ports_[entry.dst].ingress_load += entry.load;
+    }
+    widest = std::max(widest, part.plan->parent_.size());
+  }
+  h_.assign(widest, 0.0);
 }
 
 /// Effective beta of an edge under shared bandwidth (Eq. 3): the worst of
@@ -260,87 +358,98 @@ double CostEvaluator::beta_eff(const EdgeInfo& edge) const {
 /// root chunk-ready time (first-chunk times alpha + beta~ C fill the
 /// pipeline) and the bottleneck period (beta~ C serialization with a floor
 /// of one kernel-launch overhead per chunk, latency hidden by pipelining).
-CostEvaluator::PassResult CostEvaluator::reduce_pass(SubState& st, Bytes chunk) const {
-  std::fill(st.h.begin(), st.h.end(), 0.0);
+CostEvaluator::PassResult CostEvaluator::reduce_pass(const SubPlan& plan, Bytes chunk) {
+  const int n = static_cast<int>(plan.parent_.size());
+  std::fill(h_.begin(), h_.begin() + n, 0.0);
   PassResult result;
   const double chunk_d = static_cast<double>(chunk);
-  for (int i = static_cast<int>(st.order.size()) - 1; i >= 1; --i) {
-    if (!st.visited[i]) continue;
-    const EdgeInfo& e = st.up[i];
+  for (int i = n - 1; i >= 1; --i) {
+    if (!plan.visited_[i]) continue;
+    const EdgeInfo& e = plan.up_[i];
     const double serialized = beta_eff(e) * chunk_d;
     result.bottleneck = std::max(result.bottleneck, std::max(serialized, kernel_overhead_));
-    st.h[st.parent[i]] = std::max(st.h[st.parent[i]], st.h[i] + (e.alpha + serialized));
+    const int parent = plan.parent_[i];
+    h_[parent] = std::max(h_[parent], h_[i] + (e.alpha + serialized));
   }
-  result.h = st.h[0];
+  result.h = h_[0];
   return result;
 }
 
 /// Broadcast: per-flow path times from root toward each leaf (no waiting),
 /// accumulated top-down in one forward sweep; `h` is the worst arrival.
-CostEvaluator::PassResult CostEvaluator::broadcast_pass(SubState& st, Bytes chunk) const {
-  std::fill(st.h.begin(), st.h.end(), 0.0);
+CostEvaluator::PassResult CostEvaluator::broadcast_pass(const SubPlan& plan, Bytes chunk) {
+  const int n = static_cast<int>(plan.parent_.size());
+  h_[0] = 0.0;
   PassResult result;
   const double chunk_d = static_cast<double>(chunk);
-  const int n = static_cast<int>(st.order.size());
   for (int i = 1; i < n; ++i) {
-    const EdgeInfo& e = st.down[i];
+    const EdgeInfo& e = plan.down_[i];
     const double serialized = beta_eff(e) * chunk_d;
     result.bottleneck = std::max(result.bottleneck, std::max(serialized, kernel_overhead_));
-    st.h[i] = st.h[st.parent[i]] + (e.alpha + serialized);
-    result.h = std::max(result.h, st.h[i]);
+    h_[i] = h_[plan.parent_[i]] + (e.alpha + serialized);
+    result.h = std::max(result.h, h_[i]);
   }
   return result;
 }
 
+Seconds CostEvaluator::completion_time(Bytes chunk_bytes) {
+  for (Part& part : parts_) part.chunk = chunk_bytes;
+  return completion_time();
+}
+
 Seconds CostEvaluator::completion_time() {
+  if (strategy_ != nullptr) {
+    for (std::size_t s = 0; s < parts_.size(); ++s) parts_[s].chunk = strategy_->subs[s].chunk_bytes;
+  }
   Seconds worst = 0.0;
-  for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
-    const auto& sub = strategy_.subs[s];
-    SubState& st = subs_[s];
+  for (const Part& part : parts_) {
+    const SubPlan& plan = *part.plan;
     const Bytes sub_bytes =
-        static_cast<Bytes>(std::llround(sub.fraction * static_cast<double>(tensor_bytes_)));
+        static_cast<Bytes>(std::llround(part.fraction * static_cast<double>(tensor_bytes_)));
     if (sub_bytes == 0) continue;
-    const Bytes chunk = std::min<Bytes>(sub.chunk_bytes, sub_bytes);
+    const Bytes chunk = std::min<Bytes>(part.chunk, sub_bytes);
     const double chunks = std::ceil(static_cast<double>(sub_bytes) / static_cast<double>(chunk));
 
     Seconds total = 0.0;
-    switch (strategy_.primitive) {
+    switch (primitive_) {
       case Primitive::kReduce:
       case Primitive::kReduceScatter: {
-        const PassResult timing = reduce_pass(st, chunk);
+        const PassResult timing = reduce_pass(plan, chunk);
         total = timing.h + chunks * timing.bottleneck;  // Eq. 5
         break;
       }
       case Primitive::kBroadcast:
       case Primitive::kAllGather: {
-        const PassResult timing = broadcast_pass(st, chunk);
+        const PassResult timing = broadcast_pass(plan, chunk);
         total = timing.h + chunks * timing.bottleneck;
         break;
       }
       case Primitive::kAllReduce: {
         // Reduce drives the pipeline; the last reduced chunk then rides the
         // broadcast path once (stages are pipelined, Sec. V-B).
-        const PassResult reduce = reduce_pass(st, chunk);
-        const PassResult bcast = broadcast_pass(st, chunk);
+        const PassResult reduce = reduce_pass(plan, chunk);
+        const PassResult bcast = broadcast_pass(plan, chunk);
         const Seconds reduce_total = reduce.h + chunks * reduce.bottleneck;
         total = reduce_total + bcast.h;
         break;
       }
       case Primitive::kAllToAll: {
-        const int participants = static_cast<int>(strategy_.participants.size());
+        const int participants = static_cast<int>(participants_);
         const Bytes flow_bytes =
             participants > 0
                 ? static_cast<Bytes>(std::llround(
-                      sub.fraction * static_cast<double>(tensor_bytes_) / participants))
+                      part.fraction * static_cast<double>(tensor_bytes_) / participants))
                 : 0;
-        const Bytes flow_chunk = std::min<Bytes>(sub.chunk_bytes, std::max<Bytes>(flow_bytes, 1));
+        const Bytes flow_chunk = std::min<Bytes>(part.chunk, std::max<Bytes>(flow_bytes, 1));
         const double flow_chunks =
             std::ceil(static_cast<double>(flow_bytes) / static_cast<double>(flow_chunk));
         const double chunk_d = static_cast<double>(flow_chunk);
-        for (const auto& path : st.flow_edges) {
+        std::size_t hop = 0;
+        for (const std::size_t end : plan.route_end_) {
           Seconds h = 0.0;
           Seconds bottleneck = 0.0;
-          for (const EdgeInfo& e : path) {
+          for (; hop < end; ++hop) {
+            const EdgeInfo& e = plan.hops_[hop];
             const double serialized = beta_eff(e) * chunk_d;
             h += e.alpha + serialized;
             bottleneck = std::max(bottleneck, std::max(serialized, kernel_overhead_));

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "collective/comm_graph.h"
@@ -50,42 +52,43 @@ std::vector<PortBetas> port_betas(const LogicalTopology& topo);
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
                                  Bytes tensor_bytes, const std::set<int>& active_ranks);
 
-/// Memoized evaluator of the Eq. 4 objective for one strategy.
+/// Membership of `ranks` as a dense vector indexed by rank (negative ranks
+/// are ignored): the form a SubPlan reads its active set in.
+std::vector<char> rank_mask(const std::set<int>& ranks);
+
+/// Everything one sub-collective's shape contributes to the Eq. 4 objective
+/// under a fixed primitive and active set, independent of the chunk size,
+/// of the tensor share it carries and of the other sub-collectives: the
+/// tree's breadth-first order and parent indexes (root at 0, so a reverse
+/// sweep visits children before parents), which nodes reduce timing visits
+/// (subtrees with no active GPU are pruned), the resolved edges up and
+/// down, and its link loads N_ij^m as a sparse list with each edge id
+/// looked up once. An AllToAll plan holds its routes' hops instead.
 ///
-/// The synthesizer scores the same strategy once per chunk size of its sweep,
-/// and the link loads do not depend on the chunk size. This class binds to a
-/// Strategy and caches everything reusable between evaluations: per-sub
-/// breadth-first tree indexes, the subtrees reduce timing visits, the link
-/// loads (reduce message counts are computed iteratively over the index, not
-/// by recursion), the shared-port state, and per-edge profiled constants.
-/// All of it is indexed densely: loads by the topology's edge ids, ports by
-/// instance. completion_time() is then a flat array sweep over each tree.
-/// estimate_completion_time() is a freshly built evaluator; one that has
-/// absorbed chunk-size changes must still return bit-identical costs, which
-/// ADAPCC_AUDIT samples during real solves.
-class CostEvaluator {
+/// A solve builds one plan per candidate tree and composes every evaluator
+/// it scores from them; a plan is bound to `topo`, which must outlive it.
+/// Missing or unprofiled edges are kept unresolved: timing throws only when
+/// it visits one.
+class SubPlan {
  public:
-  /// Binds to `strategy`, which must outlive the evaluator. Callers may
-  /// mutate sub.chunk_bytes freely between evaluations; any other change
-  /// (trees, flows, aggregate_at) needs a new evaluator. `active_ranks`
-  /// empty means all participants.
-  CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
-                const std::set<int>& active_ranks);
-  /// Same, with the port capacities precomputed: `ports` must be
-  /// port_betas(topo).
-  CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
-                const std::set<int>& active_ranks, std::span<const PortBetas> ports);
+  /// Plan of `sub` under `primitive`: its tree and aggregate_at flags, or
+  /// its routes for AllToAll. `active` is a rank_mask().
+  SubPlan(const LogicalTopology& topo, collective::Primitive primitive,
+          const collective::SubCollective& sub, std::span<const char> active);
+  /// Plan of a tree given as its root and (child, parent) edges, each child
+  /// at most once and in any order (a Tree's parent map, flattened), under
+  /// the aggregate_at `flags`. `primitive` must not be AllToAll.
+  SubPlan(const LogicalTopology& topo, collective::Primitive primitive, NodeId root,
+          std::span<const std::pair<NodeId, NodeId>> edges,
+          const std::unordered_map<NodeId, bool>& flags, std::span<const char> active);
+  /// Plan of AllToAll routes.
+  SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes);
 
-  /// Eq. 4 objective at the strategy's current chunk sizes. Throws
-  /// std::invalid_argument when a visited edge is missing or unprofiled,
-  /// exactly like estimate_completion_time.
-  Seconds completion_time();
-
-  /// Link loads N_ij = sum over sub-collectives of N_ij^m (Eq. 3), indexed
-  /// by the topology's edge ids; 0 on edges that carry nothing.
-  const std::vector<double>& link_loads() const noexcept { return loads_; }
+  collective::Primitive primitive() const noexcept { return primitive_; }
 
  private:
+  friend class CostEvaluator;
+
   /// Profiled constants of one directed edge and where its load state lives.
   /// `id` is -1 for missing/unprofiled edges; the throw is deferred to first
   /// use so edges in inactive subtrees (which timing never visits) do not
@@ -93,13 +96,92 @@ class CostEvaluator {
   struct EdgeInfo {
     NodeId from{};
     NodeId to{};
-    int id = -1;   ///< edge id into loads_
+    int id = -1;   ///< edge id into the evaluator's loads
     int src = -1;  ///< egress instance of a network edge with both ends placed
     int dst = -1;  ///< ingress instance, likewise; -1 = no shared port
     Seconds alpha = 0.0;
     double beta = 0.0;
     double port_beta = 0.0;  ///< edge.effective_port_beta()
   };
+
+  /// Load this plan puts on one edge present in the topology, and the NIC
+  /// ports it crosses (-1 when it crosses none).
+  struct EdgeLoad {
+    int id = -1;
+    int src = -1;
+    int dst = -1;
+    double load = 0.0;
+  };
+
+  void plan_tree(const LogicalTopology& topo, NodeId root,
+                 std::span<const std::pair<NodeId, NodeId>> edges,
+                 const std::unordered_map<NodeId, bool>& flags, std::span<const char> active);
+  void plan_routes(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes);
+  EdgeInfo make_edge(const LogicalTopology& topo, NodeId from, NodeId to, int id) const;
+  void add_load(const LogicalTopology& topo, int id, double load);
+
+  collective::Primitive primitive_;
+  std::vector<int> parent_;     ///< BFS index of the parent, -1 for the root
+  std::vector<char> visited_;   ///< reachable through active subtrees
+  std::vector<EdgeInfo> up_;    ///< node -> parent edge (reduce)
+  std::vector<EdgeInfo> down_;  ///< parent -> node edge (broadcast)
+  std::vector<EdgeInfo> hops_;  ///< AllToAll: every route's hops, in order
+  std::vector<std::size_t> route_end_;  ///< AllToAll: end of each route in hops_
+  std::vector<EdgeLoad> loads_;
+};
+
+/// Memoized evaluator of the Eq. 4 objective for one strategy.
+///
+/// The synthesizer scores the same strategy once per chunk size of its sweep,
+/// and the link loads do not depend on the chunk size. An evaluator is
+/// composed of one SubPlan per sub-collective: it sums their sparse loads
+/// into link loads N_ij indexed by the topology's edge ids and into shared
+/// NIC-port loads by instance (integer-valued sums, so exact in any order),
+/// and completion_time() is then a flat array sweep over each plan.
+/// estimate_completion_time() is a freshly built evaluator; one that has
+/// absorbed chunk-size changes, or was composed from plans a solve shares
+/// between candidates, must still return bit-identical costs, which
+/// ADAPCC_AUDIT samples during real solves.
+class CostEvaluator {
+ public:
+  /// Binds to `strategy`, which must outlive the evaluator, and builds its
+  /// plans. Callers may mutate sub.chunk_bytes freely between evaluations;
+  /// any other change (trees, flows, aggregate_at) needs a new evaluator.
+  /// `active_ranks` empty means all participants.
+  CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
+                const std::set<int>& active_ranks);
+  /// Same, with the port capacities precomputed: `ports` must be
+  /// port_betas(topo).
+  CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
+                const std::set<int>& active_ranks, std::span<const PortBetas> ports);
+  /// Composed from plans a solve shares: plans.size() sub-collectives, each
+  /// carrying an equal share of the tensor at `chunk_bytes`, sub m timed on
+  /// *plans[m] (a plan may repeat). The plans, all of one primitive and
+  /// built against `topo`, must outlive the evaluator; `participants` is
+  /// the participant count (it sizes AllToAll flows) and `ports` is
+  /// port_betas(topo). Throws std::invalid_argument on mixed primitives.
+  CostEvaluator(std::span<const SubPlan* const> plans, std::size_t participants,
+                Bytes chunk_bytes, const LogicalTopology& topo, Bytes tensor_bytes,
+                std::span<const PortBetas> ports);
+  /// Parts point into owned_, which a copy would not carry along.
+  CostEvaluator(const CostEvaluator&) = delete;
+  CostEvaluator& operator=(const CostEvaluator&) = delete;
+
+  /// Eq. 4 objective at the current chunk sizes: the bound strategy's, or a
+  /// composed evaluator's last ones. Throws std::invalid_argument when a
+  /// visited edge is missing or unprofiled, exactly like
+  /// estimate_completion_time.
+  Seconds completion_time();
+  /// The same with every sub-collective at `chunk_bytes` (a bound
+  /// strategy's own sizes apply again at the next completion_time()).
+  Seconds completion_time(Bytes chunk_bytes);
+
+  /// Link loads N_ij = sum over sub-collectives of N_ij^m (Eq. 3), indexed
+  /// by the topology's edge ids; 0 on edges that carry nothing.
+  const std::vector<double>& link_loads() const noexcept { return loads_; }
+
+ private:
+  using EdgeInfo = SubPlan::EdgeInfo;
 
   /// One instance's NIC port: network-edge bandwidth is shared at the
   /// instance's egress and ingress, not per logical edge, so three composite
@@ -114,17 +196,11 @@ class CostEvaluator {
     PortBetas beta;
   };
 
-  /// Flattened tree of one sub-collective: breadth-first order (root at 0,
-  /// so a reverse sweep visits children before parents), with the per-node
-  /// state completion_time() reads.
-  struct SubState {
-    std::vector<NodeId> order;
-    std::vector<int> parent;        ///< index into order, -1 for the root
-    std::vector<char> visited;      ///< reachable through active subtrees
-    std::vector<EdgeInfo> up;       ///< node -> parent edge (reduce)
-    std::vector<EdgeInfo> down;     ///< parent -> node edge (broadcast)
-    std::vector<std::vector<EdgeInfo>> flow_edges;  ///< AllToAll paths
-    std::vector<double> h;          ///< per-eval chunk-ready-time scratch
+  /// One sub-collective: its plan, tensor share S_m / S and chunk size C_m.
+  struct Part {
+    const SubPlan* plan = nullptr;
+    double fraction = 1.0;
+    Bytes chunk = 0;
   };
 
   struct PassResult {
@@ -132,22 +208,23 @@ class CostEvaluator {
     Seconds bottleneck = 0.0;
   };
 
-  /// Flattens one sub-collective into `st` and adds its loads N_ij^m.
-  void add_sub(const collective::SubCollective& sub, SubState& st);
-  void add_load(NodeId from, NodeId to, double load);
-  void resolve_edges();
-  EdgeInfo make_edge(NodeId from, NodeId to) const;
+  CostEvaluator(const LogicalTopology& topo, Bytes tensor_bytes, std::span<const PortBetas> ports);
+  /// Sums every part's plan loads into loads_ and ports_.
+  void compose();
   double beta_eff(const EdgeInfo& edge) const;
-  PassResult reduce_pass(SubState& st, Bytes chunk) const;
-  PassResult broadcast_pass(SubState& st, Bytes chunk) const;
+  PassResult reduce_pass(const SubPlan& plan, Bytes chunk);
+  PassResult broadcast_pass(const SubPlan& plan, Bytes chunk);
 
-  const Strategy& strategy_;
   const LogicalTopology& topo_;
   Bytes tensor_bytes_;
-  std::set<int> active_;
+  const Strategy* strategy_ = nullptr;  ///< bound strategy; null when composed
+  collective::Primitive primitive_ = collective::Primitive::kAllReduce;
+  std::size_t participants_ = 0;
+  std::vector<SubPlan> owned_;  ///< a bound evaluator's own plans
+  std::vector<Part> parts_;
   std::vector<double> loads_;  ///< by edge id
   std::vector<Port> ports_;    ///< by instance
-  std::vector<SubState> subs_;
+  std::vector<double> h_;      ///< per-eval chunk-ready-time scratch, by BFS index
   Seconds kernel_overhead_;
 };
 

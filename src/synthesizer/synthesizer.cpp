@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "collective/builders.h"
 #include "util/audit.h"
@@ -14,11 +15,9 @@ namespace adapcc::synthesizer {
 
 namespace {
 
-using collective::FlowRoute;
 using collective::Primitive;
 using collective::Strategy;
 using collective::SubCollective;
-using collective::Tree;
 
 /// Profiled bandwidth of an edge, 0 when missing.
 BytesPerSecond edge_bw(const topology::LogicalTopology& topo, NodeId from, NodeId to) {
@@ -39,142 +38,129 @@ Synthesizer::Synthesizer(const topology::Cluster& cluster, const topology::Logic
   }
 }
 
-collective::Tree Synthesizer::hierarchical_tree(const std::vector<int>& participants,
-                                                int root_instance, int inter_mode,
-                                                int forced_root_rank) const {
-  // Group participant ranks per instance.
+std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
+    const std::vector<int>& participants, int forced_root_rank) const {
+  // Everything the candidates share is computed once per solve: the ranks
+  // of each instance, each instance's local chain (per head) and, per root,
+  // the other instances in bandwidth order.
   std::map<int, std::vector<int>> by_instance;
   for (const int rank : participants) by_instance[cluster_.instance_of_rank(rank)].push_back(rank);
-  if (!by_instance.contains(root_instance)) {
-    throw std::invalid_argument("hierarchical_tree: root instance has no participants");
-  }
+  for (auto& [inst, ranks] : by_instance) std::sort(ranks.begin(), ranks.end());
 
-  // Local chain per instance: greedy path preferring the fastest profiled
+  // Local chain from `head`: greedy path preferring the fastest profiled
   // GPU-GPU edges (keeps NVLink chains intact on fragmented topologies).
-  const auto order_chain = [this](std::vector<int> ranks, int head) {
-    std::sort(ranks.begin(), ranks.end());
-    std::vector<int> chain{head};
+  // chain.front() is the head, closest to the root side. Chains are keyed
+  // by head: the single-instance rotation starts one instance's chain at
+  // several heads.
+  std::map<int, std::vector<int>> chains;
+  const auto chain_from = [&](int inst, int head) -> const std::vector<int>& {
+    auto [it, fresh] = chains.try_emplace(head);
+    if (!fresh) return it->second;
+    std::vector<int>& chain = it->second;
+    chain.push_back(head);
     std::vector<int> remaining;
-    for (const int r : ranks) {
+    for (const int r : by_instance.at(inst)) {
       if (r != head) remaining.push_back(r);
     }
     while (!remaining.empty()) {
       const NodeId tail = NodeId::gpu(chain.back());
       auto best = remaining.begin();
       BytesPerSecond best_bw = -1.0;
-      for (auto it = remaining.begin(); it != remaining.end(); ++it) {
-        const BytesPerSecond bw = edge_bw(topo_, NodeId::gpu(*it), tail);
+      for (auto r = remaining.begin(); r != remaining.end(); ++r) {
+        const BytesPerSecond bw = edge_bw(topo_, NodeId::gpu(*r), tail);
         if (bw > best_bw) {
           best_bw = bw;
-          best = it;
+          best = r;
         }
       }
       chain.push_back(*best);
       remaining.erase(best);
     }
-    return chain;  // chain.front() is the head (closest to the root side)
+    return chain;
   };
 
-  Tree tree;
-  std::map<int, NodeId> head_of;  // instance -> head GPU node
-  for (auto& [inst, ranks] : by_instance) {
-    const int head = inst == root_instance && forced_root_rank >= 0
-                         ? forced_root_rank
-                         : *std::min_element(ranks.begin(), ranks.end());
-    const auto chain = order_chain(ranks, head);
-    head_of[inst] = NodeId::gpu(chain.front());
-    // Reduce direction: deeper chain members feed toward the head.
-    for (std::size_t i = chain.size(); i-- > 1;) {
-      tree.parent[NodeId::gpu(chain[i])] = NodeId::gpu(chain[i - 1]);
-    }
-  }
-
-  const NodeId root_gpu = head_of.at(root_instance);
-  tree.root = root_gpu;
-  if (by_instance.size() == 1) return tree;  // single-instance collective
-
-  // Inter-instance structure over the head GPUs. Heads aggregate their
-  // instance's data (and, for interior tree positions, their children's),
-  // so each cross-server hop carries one combined tensor.
-  std::vector<int> other_instances;
-  for (const auto& [inst, _] : by_instance) {
-    if (inst != root_instance) other_instances.push_back(inst);
-  }
-
-  // Order the remote heads by descending profiled bandwidth toward the
-  // root, so slower NICs sit deeper (they bottleneck only their own
-  // subtree). Bandwidth ties break by ring order relative to the root
-  // instance, so the M rotated sub-collectives place every instance at a
-  // different chain depth and port load spreads evenly (ring-style).
   const int total_instances = cluster_.instance_count();
-  std::sort(other_instances.begin(), other_instances.end(), [&](int a, int b) {
-    const auto bw_a = edge_bw(topo_, head_of.at(a), root_gpu);
-    const auto bw_b = edge_bw(topo_, head_of.at(b), root_gpu);
-    if (bw_a != bw_b) return bw_a > bw_b;
-    return (a - root_instance + total_instances) % total_instances <
-           (b - root_instance + total_instances) % total_instances;
-  });
-
-  switch (inter_mode) {
-    case 0:  // star: every head straight to the root
-      for (const int inst : other_instances) {
-        tree.parent[head_of.at(inst)] = root_gpu;
+  struct RemoteHead {
+    int instance;
+    NodeId head;
+    BytesPerSecond bw;  ///< profiled bandwidth toward the root
+  };
+  std::vector<CandidateTree> candidates;
+  // Appends the candidates rooted at `root_instance` for inter modes
+  // [0, modes): 0 = star (every head straight to the root), 1 = chain
+  // (fastest head nearest the root), 2 = binary tree over the heads.
+  const auto add_rooted = [&](int root_instance, int modes, int forced_head) {
+    CandidateTree local;
+    std::vector<RemoteHead> remote;
+    for (const auto& [inst, ranks] : by_instance) {
+      const int head = inst == root_instance && forced_head >= 0 ? forced_head : ranks.front();
+      if (inst == root_instance) {
+        local.root = NodeId::gpu(head);
+      } else {
+        remote.push_back({inst, NodeId::gpu(head), 0.0});
       }
-      break;
-    case 1: {  // chain: fastest head nearest the root
-      NodeId up = root_gpu;
-      for (const int inst : other_instances) {
-        tree.parent[head_of.at(inst)] = up;
-        up = head_of.at(inst);
+      // Reduce direction: deeper chain members feed toward the head.
+      const auto& chain = chain_from(inst, head);
+      for (std::size_t i = chain.size(); i-- > 1;) {
+        local.edges.emplace_back(NodeId::gpu(chain[i]), NodeId::gpu(chain[i - 1]));
       }
-      break;
     }
-    case 2: {  // binary tree over heads
-      std::vector<NodeId> heads{root_gpu};
-      for (const int inst : other_instances) heads.push_back(head_of.at(inst));
-      for (std::size_t i = 1; i < heads.size(); ++i) {
-        tree.parent[heads[i]] = heads[(i - 1) / 2];
-      }
-      break;
+    if (remote.empty()) {  // single-instance collective
+      candidates.push_back(std::move(local));
+      return;
     }
-    default:
-      throw std::invalid_argument("hierarchical_tree: unknown inter mode");
-  }
-  return tree;
-}
+    // Order the remote heads by descending profiled bandwidth toward the
+    // root, so slower NICs sit deeper (they bottleneck only their own
+    // subtree). Bandwidth ties break by ring order relative to the root
+    // instance, so the M rotated sub-collectives place every instance at a
+    // different chain depth and port load spreads evenly (ring-style).
+    const NodeId root_gpu = local.root;
+    for (auto& r : remote) r.bw = edge_bw(topo_, r.head, root_gpu);
+    std::sort(remote.begin(), remote.end(), [&](const RemoteHead& a, const RemoteHead& b) {
+      if (a.bw != b.bw) return a.bw > b.bw;
+      return (a.instance - root_instance + total_instances) % total_instances <
+             (b.instance - root_instance + total_instances) % total_instances;
+    });
+    for (int mode = 0; mode < modes; ++mode) {
+      CandidateTree tree = local;
+      switch (mode) {
+        case 0:
+          for (const auto& r : remote) tree.edges.emplace_back(r.head, root_gpu);
+          break;
+        case 1: {
+          NodeId up = root_gpu;
+          for (const auto& r : remote) {
+            tree.edges.emplace_back(r.head, up);
+            up = r.head;
+          }
+          break;
+        }
+        default: {
+          std::vector<NodeId> order{root_gpu};
+          for (const auto& r : remote) order.push_back(r.head);
+          for (std::size_t i = 1; i < order.size(); ++i) {
+            tree.edges.emplace_back(order[i], order[(i - 1) / 2]);
+          }
+          break;
+        }
+      }
+      candidates.push_back(std::move(tree));
+    }
+  };
 
-std::vector<Tree> Synthesizer::candidate_trees(const std::vector<int>& participants,
-                                               int forced_root_rank) const {
-  std::set<int> instances;
-  for (const int rank : participants) instances.insert(cluster_.instance_of_rank(rank));
-  std::vector<Tree> candidates;
-  const int modes = instances.size() > 2 ? 3 : 1;  // star==chain==tree for <=2 servers
+  const int modes = by_instance.size() > 2 ? 3 : 1;  // star==chain==tree for <=2 servers
   if (forced_root_rank >= 0) {
     // Rooted primitives: every candidate must land the result on the root.
-    const int root_inst = cluster_.instance_of_rank(forced_root_rank);
-    for (int mode = 0; mode < modes; ++mode) {
-      candidates.push_back(hierarchical_tree(participants, root_inst, mode, forced_root_rank));
-    }
-    return candidates;
-  }
-  if (instances.size() == 1) {
+    add_rooted(cluster_.instance_of_rank(forced_root_rank), modes, forced_root_rank);
+  } else if (by_instance.size() == 1) {
     // Single-instance job: rotate the chain head so parallel sub-collectives
     // can use different inter-island crossings on irregular NVLink wirings
     // (Sec. II-A); on fully wired boxes the rotated chains are symmetric.
-    const int inst = *instances.begin();
-    const int heads = std::min<int>(4, static_cast<int>(participants.size()));
-    std::vector<int> sorted = participants;
-    std::sort(sorted.begin(), sorted.end());
-    for (int h = 0; h < heads; ++h) {
-      candidates.push_back(hierarchical_tree(participants, inst, 0,
-                                             sorted[static_cast<std::size_t>(h)]));
-    }
-    return candidates;
-  }
-  for (const int root_inst : instances) {
-    for (int mode = 0; mode < modes; ++mode) {
-      candidates.push_back(hierarchical_tree(participants, root_inst, mode));
-    }
+    const auto& [inst, sorted] = *by_instance.begin();
+    const int heads = std::min<int>(4, static_cast<int>(sorted.size()));
+    for (int h = 0; h < heads; ++h) add_rooted(inst, 1, sorted[static_cast<std::size_t>(h)]);
+  } else {
+    for (const auto& [root_inst, _] : by_instance) add_rooted(root_inst, modes, -1);
   }
   return candidates;
 }
@@ -192,30 +178,27 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // Every evaluator of this solve shares the topology's port capacities.
   const std::vector<PortBetas> ports = port_betas(topo_);
 
-  // ADAPCC_AUDIT: a CostEvaluator reused across the chunk sweep must match
-  // one rebuilt from scratch bit for bit — estimate_completion_time is
-  // exactly such a fresh evaluator, port capacities included. Rebuild every
-  // 5th evaluation during real solves and require exact equality — loads
-  // are integer-valued doubles, so any drift is a bug, not rounding.
+  // ADAPCC_AUDIT: an evaluator composed from the solve's shared plans, and
+  // reused across the chunk sweep, must match one rebuilt from scratch bit
+  // for bit — estimate_completion_time is exactly such a fresh evaluator,
+  // port capacities included. Every 5th score (probes, assignment sweeps
+  // and the AllToAll sweep alike) materializes the scored strategy,
+  // rebuilds it and requires exact equality — loads are integer-valued
+  // doubles, so any drift is a bug, not rounding.
   std::uint64_t audit_evals = 0;
-  const auto audit_parity = [&](const Strategy& strategy, Seconds memoized) {
+  const auto audit_parity = [&](const auto& materialize, Seconds memoized) {
     if constexpr (audit::kEnabled) {
       const std::uint64_t count = ++audit_evals;
       if (count % 5 != 0) return;
-      const Seconds rebuilt = estimate_completion_time(strategy, topo_, tensor_bytes, active);
+      const Seconds rebuilt = estimate_completion_time(materialize(), topo_, tensor_bytes, active);
       ADAPCC_AUDIT_CHECK("synthesizer", memoized == rebuilt,
                          "memoized " << memoized << "s != rebuilt " << rebuilt
                                      << "s after " << count << " evaluations");
     } else {
-      static_cast<void>(strategy);
+      static_cast<void>(materialize);
       static_cast<void>(memoized);
     }
   };
-
-  Strategy best;
-  best.primitive = primitive;
-  best.participants = participants;
-  best.origin = "adapcc";
 
   if (primitive == Primitive::kAllToAll) {
     std::vector<int> instance_of(static_cast<std::size_t>(cluster_.world_size()));
@@ -241,20 +224,24 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
       }
       return candidate;
     };
-    // Every chunk candidate scores an independently built strategy; the
-    // winner is the first index with the strictly smallest cost.
+    // Every sub carries the same routes: one plan, one evaluator, and the
+    // chunk sweep re-scores it. The winner is the first index with the
+    // strictly smallest cost.
+    const SubPlan plan(topo_, routes);
+    const std::vector<const SubPlan*> uses(static_cast<std::size_t>(config_.parallel_subs), &plan);
+    CostEvaluator evaluator(uses, participants.size(), config_.chunk_candidates.front(), topo_,
+                            tensor_bytes, ports);
     std::vector<Seconds> costs;
     for (const Bytes chunk : config_.chunk_candidates) {
-      costs.push_back(
-          CostEvaluator(build_alltoall(chunk), topo_, tensor_bytes, active, ports)
-              .completion_time());
+      costs.push_back(evaluator.completion_time(chunk));
+      audit_parity([&] { return build_alltoall(chunk); }, costs.back());
     }
     report_.candidates_evaluated += static_cast<int>(costs.size());
     std::size_t winner = 0;
     for (std::size_t i = 1; i < costs.size(); ++i) {
       if (costs[i] < costs[winner]) winner = i;
     }
-    best = build_alltoall(config_.chunk_candidates[winner]);
+    Strategy best = build_alltoall(config_.chunk_candidates[winner]);
     report_.model_cost = costs[winner];
     report_.solve_time_seconds = solve_timer.elapsed_seconds();
     return best;
@@ -271,20 +258,52 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   const auto trees = candidate_trees(participants, forced_root);
   if (trees.empty()) throw std::invalid_argument("synthesize: no candidate trees");
 
+  // One plan per candidate tree; every score below is composed from these.
+  // Synthesized strategies aggregate at every GPU (no aggregate_at flags).
+  const std::vector<char> active_mask = rank_mask(active);
+  const std::unordered_map<NodeId, bool> no_flags;
+  std::vector<SubPlan> plans;
+  plans.reserve(trees.size());
+  for (const auto& tree : trees) {
+    plans.emplace_back(topo_, primitive, tree.root, tree.edges, no_flags, active_mask);
+  }
+
+  // The strategy an assignment of candidate indexes to sub-collectives
+  // stands for: one sub for a single index, else M subs rotating over it.
+  const auto subs_of = [&](const std::vector<std::size_t>& assignment) {
+    return assignment.size() == 1 ? std::size_t{1}
+                                  : static_cast<std::size_t>(config_.parallel_subs);
+  };
+  const auto build_assignment = [&](const std::vector<std::size_t>& assignment, Bytes chunk) {
+    Strategy candidate;
+    candidate.primitive = primitive;
+    candidate.participants = participants;
+    candidate.origin = "adapcc";
+    const std::size_t subs = subs_of(assignment);
+    for (std::size_t m = 0; m < subs; ++m) {
+      const CandidateTree& tree = trees[assignment[m % assignment.size()]];
+      SubCollective sub;
+      sub.id = static_cast<int>(m);
+      sub.fraction = 1.0 / static_cast<int>(subs);
+      sub.chunk_bytes = chunk;
+      sub.tree.root = tree.root;
+      for (const auto& [child, parent] : tree.edges) sub.tree.parent[child] = parent;
+      candidate.subs.push_back(std::move(sub));
+    }
+    return candidate;
+  };
+
   // Rank single trees by model cost to pick rotation orders; the
   // (cost, index) sort is unambiguous.
+  const Bytes probe_chunk = config_.chunk_candidates.front();
   std::vector<std::pair<Seconds, std::size_t>> ranked;
   for (std::size_t i = 0; i < trees.size(); ++i) {
-    Strategy probe;
-    probe.primitive = primitive;
-    probe.participants = participants;
-    SubCollective sub;
-    sub.fraction = 1.0;
-    sub.chunk_bytes = config_.chunk_candidates.front();
-    sub.tree = trees[i];
-    probe.subs.push_back(std::move(sub));
-    ranked.emplace_back(
-        CostEvaluator(probe, topo_, tensor_bytes, active, ports).completion_time(), i);
+    const SubPlan* plan = &plans[i];
+    const Seconds cost =
+        CostEvaluator({&plan, 1}, participants.size(), probe_chunk, topo_, tensor_bytes, ports)
+            .completion_time();
+    audit_parity([&] { return build_assignment({i}, probe_chunk); }, cost);
+    ranked.emplace_back(cost, i);
   }
   report_.candidates_evaluated += static_cast<int>(trees.size());
   std::sort(ranked.begin(), ranked.end());
@@ -321,42 +340,28 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
       static_cast<std::size_t>(config_.parallel_subs), ranked.front().second));
 
   // Trees and loads are fixed for the whole assignment and chunk size does
-  // not enter the link loads, so each assignment builds its candidate and
-  // CostEvaluator once and re-scores the chunk sweep against the memoized
-  // state. The winner is the lexicographic first minimum over
-  // (assignment, chunk).
-  const auto build_assignment = [&](const std::vector<std::size_t>& assignment) {
-    Strategy candidate;
-    candidate.primitive = primitive;
-    candidate.participants = participants;
-    candidate.origin = "adapcc";
-    const int subs = static_cast<int>(assignment.size()) == 1 ? 1 : config_.parallel_subs;
-    for (int m = 0; m < subs; ++m) {
-      SubCollective sub;
-      sub.id = m;
-      sub.fraction = 1.0 / subs;
-      sub.chunk_bytes = config_.chunk_candidates.front();
-      sub.tree = trees[assignment[static_cast<std::size_t>(m) % assignment.size()]];
-      candidate.subs.push_back(std::move(sub));
-    }
-    return candidate;
-  };
+  // not enter the link loads, so each assignment composes one evaluator
+  // from its plans and re-scores the chunk sweep against it. The winner is
+  // the lexicographic first minimum over (assignment, chunk).
   Seconds best_cost = std::numeric_limits<double>::infinity();
   std::size_t best_assignment = 0;
   std::size_t best_chunk = 0;
   for (std::size_t ai = 0; ai < assignments.size(); ++ai) {
-    Strategy candidate = build_assignment(assignments[ai]);
-    CostEvaluator evaluator(candidate, topo_, tensor_bytes, active, ports);
+    const auto& assignment = assignments[ai];
+    std::vector<const SubPlan*> uses;
+    for (std::size_t m = 0; m < subs_of(assignment); ++m) {
+      uses.push_back(&plans[assignment[m % assignment.size()]]);
+    }
+    CostEvaluator evaluator(uses, participants.size(), probe_chunk, topo_, tensor_bytes, ports);
     for (std::size_t ci = 0; ci < config_.chunk_candidates.size(); ++ci) {
       const Bytes chunk = config_.chunk_candidates[ci];
-      for (auto& sub : candidate.subs) sub.chunk_bytes = chunk;
-      const Seconds cost = evaluator.completion_time();
-      audit_parity(candidate, cost);
+      const Seconds cost = evaluator.completion_time(chunk);
+      audit_parity([&] { return build_assignment(assignment, chunk); }, cost);
       ADAPCC_LOG(kDebug, "synth")
-          << "assignment size=" << assignments[ai].size() << " first-root="
-          << to_string(candidate.subs[0].tree.root) << " last-root="
-          << to_string(candidate.subs.back().tree.root) << " chunk=" << chunk
-          << " cost=" << cost;
+          << "assignment size=" << assignment.size() << " first-root="
+          << to_string(trees[assignment.front()].root) << " last-root="
+          << to_string(trees[assignment[(uses.size() - 1) % assignment.size()]].root)
+          << " chunk=" << chunk << " cost=" << cost;
       if (cost < best_cost) {
         best_cost = cost;
         best_assignment = ai;
@@ -366,11 +371,9 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   }
   report_.candidates_evaluated +=
       static_cast<int>(assignments.size() * config_.chunk_candidates.size());
-  best = build_assignment(assignments[best_assignment]);
-  for (auto& sub : best.subs) {
-    sub.chunk_bytes = config_.chunk_candidates[best_chunk];
-  }
 
+  Strategy best =
+      build_assignment(assignments[best_assignment], config_.chunk_candidates[best_chunk]);
   report_.model_cost = best_cost;
   report_.solve_time_seconds = solve_timer.elapsed_seconds();
   ADAPCC_LOG(kInfo, "synthesizer") << "synthesized " << to_string(primitive) << " cost="

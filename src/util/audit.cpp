@@ -1,6 +1,5 @@
 #include "util/audit.h"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -8,15 +7,15 @@
 namespace adapcc::audit {
 
 namespace {
-std::atomic<FailureMode> g_mode{FailureMode::kAbort};
-std::atomic<std::uint64_t> g_checks{0};
+FailureMode g_mode = FailureMode::kAbort;
+std::uint64_t g_checks = 0;
 }  // namespace
 
-void set_failure_mode(FailureMode mode) noexcept { g_mode.store(mode, std::memory_order_relaxed); }
-FailureMode failure_mode() noexcept { return g_mode.load(std::memory_order_relaxed); }
+void set_failure_mode(FailureMode mode) noexcept { g_mode = mode; }
+FailureMode failure_mode() noexcept { return g_mode; }
 
-std::uint64_t checks_run() noexcept { return g_checks.load(std::memory_order_relaxed); }
-void count_check() noexcept { g_checks.fetch_add(1, std::memory_order_relaxed); }
+std::uint64_t checks_run() noexcept { return g_checks; }
+void count_check() noexcept { ++g_checks; }
 
 void fail(const char* subsystem, const char* condition, const std::string& detail) {
   const std::string message = std::string("audit[") + subsystem + "] invariant violated: " +

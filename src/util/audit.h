@@ -9,10 +9,11 @@
 //     free list, and generation tags all stay consistent;
 //   * comm graph — per-sub acyclicity and behavior-tuple consistency with
 //     the active set (Sec. IV-C-3 rules re-derived independently);
-//   * synthesizer — sampled parity of the incrementally updated
-//     CostEvaluator against a freshly rebuilt one (the incremental updates
-//     claim bit-identical results; the auditor holds them to that claim
-//     during real solves).
+//   * synthesizer — sampled parity of the CostEvaluators a solve composes
+//     from shared per-tree plans and reuses across its chunk sweeps (probe
+//     ranking, assignment sweeps, AllToAll sweep) against a freshly rebuilt
+//     one (plan sharing claims bit-identical results; the auditor holds it
+//     to that claim during real solves).
 //
 // Checks compile to no-ops unless ADAPCC_AUDIT is defined, but their
 // condition expressions still compile (inside `if (false)`), so an audit

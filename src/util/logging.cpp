@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
@@ -28,8 +27,7 @@ std::optional<LogLevel> level_from_env() {
 
 LogLevel initial_level() { return level_from_env().value_or(LogLevel::kWarn); }
 
-std::atomic<LogLevel> g_level{initial_level()};
-std::mutex g_emit_mutex;
+LogLevel g_level = initial_level();
 
 constexpr std::string_view level_name(LogLevel level) {
   switch (level) {
@@ -43,12 +41,11 @@ constexpr std::string_view level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }
+LogLevel log_level() noexcept { return g_level; }
+void set_log_level(LogLevel level) noexcept { g_level = level; }
 
 namespace detail {
 void emit(LogLevel level, std::string_view tag, const std::string& message) {
-  const std::lock_guard<std::mutex> lock(g_emit_mutex);
   std::cerr << "[" << level_name(level) << "][" << tag << "] " << message << '\n';
 }
 }  // namespace detail

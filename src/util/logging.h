@@ -6,7 +6,6 @@
 #pragma once
 
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>

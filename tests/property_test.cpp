@@ -558,6 +558,103 @@ TEST_P(CostModelOracleProperty, AggregationOffNeverLowersCost) {
   EXPECT_GT(flips, 0);
 }
 
+// Evaluators composed from shared plans, the way a solve scores its
+// candidates: one SubPlan per distinct sub shape (trees planned from their
+// edges in shuffled order), reused by several sub-collectives. Each must
+// equal a fresh evaluator of the materialized strategy and the naive
+// reference bit for bit, and carry the reference's loads. Now and then a
+// shape also reaches a node the topology lacks; plans and evaluators are
+// still built without throwing, and timing throws exactly when the
+// reference visits a missing or unprofiled edge.
+TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 6007);
+  ProfiledBed bed(seed);
+  int evaluated = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    OracleTrial t = random_trial(rng, bed, seed, trial);
+    Strategy& shapes = t.strategy;
+    const NodeId stray = NodeId::gpu(1000 + trial);  // absent from every topology
+    if (rng.bernoulli(0.2)) {
+      auto& sub = shapes.subs[pick(rng, shapes.subs.size())];
+      if (shapes.primitive == Primitive::kAllToAll) {
+        collective::FlowRoute route;
+        route.src = NodeId::gpu(shapes.participants.front());
+        route.dst = stray;
+        route.path = {route.src, stray};
+        sub.flows.push_back(route);
+      } else {
+        const auto nodes = sub.tree.nodes();
+        sub.tree.parent[stray] = nodes[pick(rng, nodes.size())];
+      }
+      t.where += " stray";
+    }
+    const std::vector<char> active = synthesizer::rank_mask(
+        t.active.empty() ? std::set<int>(shapes.participants.begin(), shapes.participants.end())
+                         : t.active);
+    std::vector<synthesizer::SubPlan> plans;
+    plans.reserve(shapes.subs.size());
+    for (const auto& sub : shapes.subs) {
+      if (shapes.primitive == Primitive::kAllToAll) {
+        plans.emplace_back(t.topo, sub.flows);
+        continue;
+      }
+      std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
+                                                   sub.tree.parent.end());
+      std::sort(edges.begin(), edges.end());
+      for (std::size_t i = edges.size(); i > 1; --i) std::swap(edges[i - 1], edges[pick(rng, i)]);
+      plans.emplace_back(t.topo, shapes.primitive, sub.tree.root, edges, sub.aggregate_at, active);
+    }
+
+    // 1-6 sub-collectives, each on a random shape, so shapes repeat.
+    Strategy shared;
+    shared.primitive = shapes.primitive;
+    shared.participants = shapes.participants;
+    std::vector<const synthesizer::SubPlan*> uses;
+    const int subs = static_cast<int>(rng.uniform_int(1, 6));
+    for (int m = 0; m < subs; ++m) {
+      const std::size_t shape = pick(rng, shapes.subs.size());
+      uses.push_back(&plans[shape]);
+      collective::SubCollective sub = shapes.subs[shape];
+      sub.id = m;
+      sub.fraction = 1.0 / subs;
+      shared.subs.push_back(std::move(sub));
+    }
+    const auto ports = synthesizer::port_betas(t.topo);
+    synthesizer::CostEvaluator composed(uses, shared.participants.size(), 512_KiB, t.topo,
+                                        t.tensor, ports);
+    // The reference keys loads by endpoints, so it also lists edges the
+    // topology lacks; those carry no load state in an evaluator.
+    cost_reference::LinkLoads want_loads;
+    for (const auto& [edge, load] : cost_reference::link_loads(shared, t.active)) {
+      if (t.topo.has_edge(edge.from, edge.to)) want_loads[edge] = load;
+    }
+    EXPECT_EQ(cost_reference::by_endpoints(t.topo, composed.link_loads()), want_loads) << t.where;
+
+    for (int step = 0; step < 6; ++step) {
+      const Bytes chunk = static_cast<Bytes>(rng.uniform_int(1, 64)) * 64_KiB;
+      for (auto& sub : shared.subs) sub.chunk_bytes = chunk;
+      const std::string where = t.where + " subs " + std::to_string(subs) + " chunk " +
+                                std::to_string(chunk);
+      Seconds want = 0.0;
+      try {
+        want = cost_reference::completion_time(shared, t.topo, t.tensor, t.active);
+      } catch (const std::invalid_argument&) {
+        EXPECT_THROW(composed.completion_time(chunk), std::invalid_argument) << where;
+        EXPECT_THROW(synthesizer::estimate_completion_time(shared, t.topo, t.tensor, t.active),
+                     std::invalid_argument)
+            << where;
+        continue;
+      }
+      EXPECT_EQ(composed.completion_time(chunk), want) << where;
+      EXPECT_EQ(synthesizer::estimate_completion_time(shared, t.topo, t.tensor, t.active), want)
+          << where;
+      ++evaluated;
+    }
+  }
+  EXPECT_GT(evaluated, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CostModelOracleProperty, ::testing::Range(1, 17));
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "synthesizer/synthesizer.h"
 #include "topology/detector.h"
 #include "topology/testbeds.h"
+#include "util/audit.h"
 #include "util/rng.h"
 
 namespace adapcc {
@@ -289,6 +290,73 @@ TEST_F(SynthesizerTest, CostEvaluatorHonorsActiveSubset) {
             estimate_completion_time(strategy, topo_, megabytes(64), active));
   EXPECT_EQ(cost_reference::by_endpoints(topo_, evaluator.link_loads()),
             cost_reference::link_loads(strategy, active));
+}
+
+// A single-instance job rotates the chain head over its four lowest ranks.
+// Each rotated candidate must be its own greedy chain from its own head: a
+// chain shared across heads would leave the head with a parent or break the
+// fastest-next-hop order.
+TEST_F(SynthesizerTest, SingleInstanceRotationChainsEachHead) {
+  build({topology::interleaved_a100_server("frag")});
+  const auto ranks = all_ranks();
+  ASSERT_GE(ranks.size(), 4u);
+  Synthesizer synth(*cluster_, topo_);
+  const auto candidates = synth.candidate_trees(ranks, -1);
+  ASSERT_EQ(candidates.size(), 4u);
+  const auto bw = [this](NodeId from, NodeId to) {
+    const auto* edge = topo_.find_edge(from, to);
+    return edge == nullptr ? 0.0 : edge->bandwidth();
+  };
+  std::set<std::vector<std::pair<NodeId, NodeId>>> distinct;
+  for (std::size_t h = 0; h < candidates.size(); ++h) {
+    const auto& candidate = candidates[h];
+    const std::string label = "head " + std::to_string(h);
+    EXPECT_EQ(candidate.root, NodeId::gpu(ranks[h])) << label;
+    Tree tree;
+    tree.root = candidate.root;
+    for (const auto& [child, parent] : candidate.edges) tree.parent[child] = parent;
+    ASSERT_EQ(tree.parent.size(), candidate.edges.size()) << label << ": a node has two parents";
+    ASSERT_NO_THROW(tree.validate(topo_)) << label;
+    // Walk the chain from the head: one child per node, each the fastest
+    // hop from the tail among the ranks not yet chained.
+    std::set<int> remaining(ranks.begin(), ranks.end());
+    remaining.erase(ranks[h]);
+    NodeId tail = candidate.root;
+    while (!remaining.empty()) {
+      const auto kids = tree.children_of(tail);
+      ASSERT_EQ(kids.size(), 1u) << label << " at " << to_string(tail);
+      const NodeId next = kids.front();
+      ASSERT_TRUE(remaining.contains(next.index)) << label;
+      for (const int r : remaining) {
+        EXPECT_GE(bw(next, tail), bw(NodeId::gpu(r), tail))
+            << label << ": gpu" << r << " is a faster hop from " << to_string(tail);
+      }
+      remaining.erase(next.index);
+      tail = next;
+    }
+    EXPECT_TRUE(tree.children_of(tail).empty()) << label;
+    distinct.insert(candidate.edges);
+  }
+  EXPECT_EQ(distinct.size(), candidates.size());
+}
+
+// Under ADAPCC_AUDIT a solve rebuilds every 5th score it makes from scratch
+// and requires the same bits, so plan sharing is checked inside real solves:
+// the probe ranking and the AllToAll chunk sweep count, not only the
+// assignment sweeps.
+TEST_F(SynthesizerTest, AuditSamplesProbesAndAllToAllSweeps) {
+  if constexpr (!audit::kEnabled) GTEST_SKIP() << "requires -DADAPCC_AUDIT=ON";
+  build(topology::a100_fleet(4));
+  Synthesizer synth(*cluster_, topo_);
+  std::uint64_t before = audit::checks_run();
+  synth.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(64));
+  // 12 probes (4 roots x 3 shapes), then 5 assignments x 6 chunk sizes.
+  ASSERT_EQ(synth.last_report().candidates_evaluated, 12 + 5 * 6);
+  EXPECT_EQ(audit::checks_run() - before, 42u / 5);
+  before = audit::checks_run();
+  synth.synthesize(Primitive::kAllToAll, all_ranks(), megabytes(64));
+  ASSERT_EQ(synth.last_report().candidates_evaluated, 6);
+  EXPECT_EQ(audit::checks_run() - before, 1u);
 }
 
 // --- serial search ----------------------------------------------------------

@@ -43,9 +43,14 @@ here defend that promise at the source level:
   threads             No raw `std::thread` or `.detach()` in any scanned
                       file, tests included: the simulator and the solver are
                       single-threaded by design (DESIGN.md §10), so nothing
-                      is synchronized. `std::thread::hardware_concurrency`
-                      is a read and stays legal; a deliberate raw thread
-                      carries a `// lint:threads` waiver with a
+                      is synchronized. The same files hold no
+                      synchronization either: `std::mutex` (and its
+                      recursive/shared/timed kin), `std::lock_guard`,
+                      `std::unique_lock`, `std::scoped_lock`, `std::atomic`
+                      and `std::condition_variable` guard against threads
+                      that do not exist. `std::thread::hardware_concurrency`
+                      is a read and stays legal; a deliberate raw thread or
+                      lock carries a `// lint:threads` waiver with a
                       justification.
   orphan-header       Every src/**/*.h must be #included by some file under
                       src/ (other than its own .cpp), bench/, examples/ or
@@ -107,6 +112,10 @@ THREADS_RULE_DIRS = ("src", "tests", "bench", "examples")
 # `std::thread::hardware_concurrency` are reads, not spawns, and stay legal.
 THREAD_SPAWN_RE = re.compile(r"std::thread(?!::)")
 THREAD_DETACH_RE = re.compile(r"(?:\.|->)detach\s*\(")
+# Synchronization primitives: with no threads there is nothing to guard.
+THREAD_SYNC_RE = re.compile(
+    r"std::(?:(?:recursive_|shared_|timed_|recursive_timed_|shared_timed_)?mutex|lock_guard"
+    r"|unique_lock|scoped_lock|atomic|condition_variable(?:_any)?)\b")
 
 # orphan-header rule: where a src/ header must be included from.
 ORPHAN_RULE_USER_DIRS = ("src", "bench", "examples", "perfbench")
@@ -290,6 +299,12 @@ def check_threads(path: Path, lines: list[str]) -> list[Finding]:
                 "raw thread: the simulator and solver are single-threaded by design "
                 "(DESIGN.md §10), so nothing is synchronized; waive a deliberate use with "
                 "`// lint:threads` + justification"))
+        elif (m := THREAD_SYNC_RE.search(code)):
+            findings.append(Finding(
+                "threads", path, i,
+                f"`{m.group(0)}`: the simulator and solver are single-threaded by design "
+                "(DESIGN.md §10), so there is nothing to synchronize; use a plain value, or "
+                "waive a deliberate use with `// lint:threads` + justification"))
     return findings
 
 
