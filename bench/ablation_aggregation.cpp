@@ -23,20 +23,14 @@ int run() {
   for (const bool aggregate : {true, false}) {
     World world(topology::homo_testbed());
     std::vector<int> ranks = world.all_ranks();
-    collective::Tree tree;
-    tree.root = NodeId::gpu(0);
-    for (int inst = 0; inst < 4; ++inst) {
-      const auto on_instance = world.cluster->ranks_on_instance(inst);
-      for (std::size_t i = 1; i < on_instance.size(); ++i) {
-        tree.parent[NodeId::gpu(on_instance[i])] = NodeId::gpu(on_instance[i - 1]);
-      }
-      if (inst > 0) {
-        tree.parent[NodeId::gpu(on_instance[0])] =
-            NodeId::gpu(world.cluster->ranks_on_instance(inst - 1)[0]);
-      }
+    // Rank-order chains per server, their heads chained toward rank 0.
+    std::vector<std::vector<int>> chains;
+    for (const auto& [_, on_instance] : collective::ranks_by_instance(*world.cluster, ranks)) {
+      chains.push_back(on_instance);
     }
-    collective::Strategy strategy =
-        collective::single_tree_strategy(Primitive::kReduce, ranks, std::move(tree), 2_MiB);
+    collective::Strategy strategy = collective::single_tree_strategy(
+        Primitive::kReduce, ranks,
+        collective::hierarchical_tree(chains, 0, collective::HeadJoin::kChain), 2_MiB);
     if (!aggregate) {
       // Disable aggregation at every interior head: flows pile up on the
       // links toward the root.

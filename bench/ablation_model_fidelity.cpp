@@ -21,8 +21,8 @@
 namespace adapcc::bench {
 namespace {
 
+using collective::HeadJoin;
 using collective::Primitive;
-using topology::NodeId;
 
 int run() {
   print_header("Ablation", "cost-model fidelity: Eq. 1-6 estimate vs simulated time");
@@ -44,23 +44,12 @@ int run() {
     synthesizer::Synthesizer synth(*world.cluster, topo);
     std::vector<collective::Strategy> strategies;
     strategies.push_back(synth.synthesize(Primitive::kAllReduce, ranks, tensor));
-    const int instances = world.cluster->instance_count();
-    for (int mode = 0; mode < 3; ++mode) {
-      collective::Tree tree;
-      std::vector<NodeId> heads;
-      for (int inst = 0; inst < instances; ++inst) {
-        const auto on_instance = world.cluster->ranks_on_instance(inst);
-        heads.push_back(NodeId::gpu(on_instance[0]));
-        for (std::size_t i = 1; i < on_instance.size(); ++i) {
-          tree.parent[NodeId::gpu(on_instance[i])] = NodeId::gpu(on_instance[i - 1]);
-        }
-      }
-      tree.root = heads[0];
-      for (std::size_t i = 1; i < heads.size(); ++i) {
-        if (mode == 0) tree.parent[heads[i]] = heads[0];
-        if (mode == 1) tree.parent[heads[i]] = heads[i - 1];
-        if (mode == 2) tree.parent[heads[i]] = heads[(i - 1) / 2];
-      }
+    std::vector<std::vector<int>> chains;  // rank order, lowest rank at the head
+    for (const auto& [_, on_instance] : collective::ranks_by_instance(*world.cluster, ranks)) {
+      chains.push_back(on_instance);
+    }
+    for (const HeadJoin join : {HeadJoin::kStar, HeadJoin::kChain, HeadJoin::kBinary}) {
+      const collective::Tree tree = collective::hierarchical_tree(chains, 0, join);
       for (const Bytes chunk : {Bytes(1_MiB), Bytes(4_MiB)}) {
         strategies.push_back(collective::single_tree_strategy(Primitive::kAllReduce, ranks,
                                                               tree, chunk));

@@ -1,7 +1,6 @@
 #include "baselines/backend.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "collective/builders.h"
@@ -10,29 +9,18 @@ namespace adapcc::baselines {
 
 namespace {
 
-using collective::chain_tree;
 using collective::CollectiveOptions;
 using collective::CollectiveResult;
 using collective::Executor;
+using collective::HeadJoin;
 using collective::Primitive;
 using collective::Strategy;
-using collective::SubCollective;
 using collective::Tree;
 using topology::NodeId;
 
 constexpr Bytes kNcclSlice = 512_KiB;  // NCCL pipeline slice granularity
 constexpr Bytes kMscclChunk = 1_MiB;   // fixed chunk in the provided sketches
 constexpr Bytes kBlinkChunk = megabytes(8);  // Blink sets chunk size empirically (8 MB)
-
-std::map<int, std::vector<int>> group_by_instance(const topology::Cluster& cluster,
-                                                  const std::vector<int>& participants) {
-  std::map<int, std::vector<int>> by_instance;
-  for (const int rank : participants) {
-    by_instance[cluster.instance_of_rank(rank)].push_back(rank);
-  }
-  for (auto& [_, ranks] : by_instance) std::sort(ranks.begin(), ranks.end());
-  return by_instance;
-}
 
 /// The GPU "closest to the NIC": lowest local rank on the NIC's PCIe switch
 /// (NCCL reduces onto it, Sec. VI-C).
@@ -45,118 +33,35 @@ int nic_proximal_rank(const topology::Cluster& cluster, int instance,
   return ranks.front();
 }
 
-/// Intra-instance chain in plain rank order feeding `head` (NCCL's single
-/// channel; ignores NVLink wiring, hence the PCIe fallback on fragmented
-/// boxes, Sec. II-A).
-void add_rank_order_chain(Tree& tree, const std::vector<int>& ranks, int head) {
-  std::vector<int> order{head};
-  for (const int rank : ranks) {
-    if (rank != head) order.push_back(rank);
-  }
-  for (std::size_t i = order.size(); i-- > 1;) {
-    tree.parent[NodeId::gpu(order[i])] = NodeId::gpu(order[i - 1]);
-  }
+/// Intra-instance chain from the NIC-proximal GPU. Blink's spanning trees
+/// greedily follow NVLink wiring; NCCL's single channel keeps plain rank
+/// order and ignores the wiring, hence its PCIe fallback on fragmented
+/// boxes (Sec. II-A).
+std::vector<int> nic_headed_chain(const topology::Cluster& cluster, int instance,
+                                  const std::vector<int>& ranks, bool follow_nvlink) {
+  return collective::greedy_chain(
+      ranks, nic_proximal_rank(cluster, instance, ranks), [&](int member, int tail) {
+        return follow_nvlink && cluster.edge_type(NodeId::gpu(member), NodeId::gpu(tail)) ==
+                                    topology::EdgeType::kNvlink;
+      });
 }
 
-/// Intra-instance chain that greedily follows NVLink wiring (Blink's
-/// spanning trees).
-void add_wiring_aware_chain(const topology::Cluster& cluster, Tree& tree,
-                            const std::vector<int>& ranks, int head) {
-  std::vector<int> chain{head};
-  std::vector<int> remaining;
-  for (const int rank : ranks) {
-    if (rank != head) remaining.push_back(rank);
+/// NCCL's and Blink's graph: one NIC-headed chain per instance and a binary
+/// tree over the heads in instance order, oblivious to per-NIC bandwidth.
+/// Parents aggregate their children's data before forwarding (rank-level
+/// trees), so each inter-server hop carries one combined tensor.
+Tree nic_headed_tree(const topology::Cluster& cluster, const std::vector<int>& participants,
+                     bool follow_nvlink) {
+  std::vector<std::vector<int>> chains;
+  for (const auto& [inst, ranks] : collective::ranks_by_instance(cluster, participants)) {
+    chains.push_back(nic_headed_chain(cluster, inst, ranks, follow_nvlink));
   }
-  while (!remaining.empty()) {
-    auto best = remaining.begin();
-    bool best_nvlink = false;
-    for (auto it = remaining.begin(); it != remaining.end(); ++it) {
-      const bool nvlink = cluster.edge_type(NodeId::gpu(*it), NodeId::gpu(chain.back())) ==
-                          topology::EdgeType::kNvlink;
-      if (nvlink && !best_nvlink) {
-        best = it;
-        best_nvlink = true;
-      }
-    }
-    chain.push_back(*best);
-    remaining.erase(best);
-  }
-  for (std::size_t i = chain.size(); i-- > 1;) {
-    tree.parent[NodeId::gpu(chain[i])] = NodeId::gpu(chain[i - 1]);
-  }
+  return collective::hierarchical_tree(chains, 0, HeadJoin::kBinary);
 }
 
-/// Binary tree over the instances' head GPUs in index order — NCCL's
-/// inter-server structure, oblivious to per-NIC bandwidth. Parents
-/// aggregate their children's data before forwarding (rank-level trees),
-/// so each inter-server hop carries one combined tensor.
-void add_binary_head_tree(Tree& tree, const std::vector<int>& instances, int root_instance,
-                          const std::map<int, NodeId>& head_of) {
-  std::vector<NodeId> heads{head_of.at(root_instance)};
-  for (const int inst : instances) {
-    if (inst != root_instance) heads.push_back(head_of.at(inst));
-  }
-  for (std::size_t i = 1; i < heads.size(); ++i) {
-    tree.parent[heads[i]] = heads[(i - 1) / 2];
-  }
-}
-
-Strategy alltoall_strategy(const topology::Cluster& cluster,
-                           const std::vector<int>& participants, int subs, Bytes chunk,
-                           bool rotated, int concurrency, std::string origin) {
-  Strategy strategy;
-  strategy.primitive = Primitive::kAllToAll;
-  strategy.participants = participants;
+Strategy with_origin(Strategy strategy, std::string origin) {
   strategy.origin = std::move(origin);
-  std::vector<int> instance_of(static_cast<std::size_t>(cluster.world_size()));
-  for (int r = 0; r < cluster.world_size(); ++r) {
-    instance_of[static_cast<std::size_t>(r)] = cluster.instance_of_rank(r);
-  }
-  const auto routes = rotated
-                          ? collective::rotated_alltoall_routes(participants, instance_of)
-                          : collective::direct_alltoall_routes(participants, instance_of);
-  for (int m = 0; m < subs; ++m) {
-    SubCollective sub;
-    sub.id = m;
-    sub.fraction = 1.0 / subs;
-    sub.chunk_bytes = chunk;
-    sub.flows = routes;
-    sub.alltoall_concurrency = concurrency;
-    strategy.subs.push_back(std::move(sub));
-  }
   return strategy;
-}
-
-/// Starts several executors concurrently and drains the simulator until all
-/// complete; returns the stage's elapsed time (max across executors).
-Seconds run_stage(topology::Cluster& cluster, std::vector<std::unique_ptr<Executor>>& executors,
-                  Bytes tensor_bytes, const CollectiveOptions& options,
-                  std::vector<CollectiveResult>* results_out) {
-  sim::Simulator& sim = cluster.simulator();
-  const Seconds start = sim.now();
-  std::size_t outstanding = executors.size();
-  std::vector<CollectiveResult> results(executors.size());
-  for (std::size_t i = 0; i < executors.size(); ++i) {
-    executors[i]->start(tensor_bytes, options,
-                        [&results, &outstanding, i](const CollectiveResult& r) {
-                          results[i] = r;
-                          --outstanding;
-                        });
-  }
-  while (outstanding > 0 && sim.step()) {
-  }
-  if (outstanding > 0) throw std::logic_error("run_stage: simulation drained early");
-  Seconds end = start;
-  for (const auto& result : results) end = std::max(end, result.finished);
-  if (results_out != nullptr) *results_out = std::move(results);
-  // Drain executor tail traffic so subsequent stages start clean.
-  bool busy = true;
-  while (busy) {
-    busy = false;
-    for (const auto& executor : executors) busy = busy || executor->busy();
-    if (busy && !sim.step()) break;
-  }
-  return end - start;
 }
 
 }  // namespace
@@ -170,29 +75,17 @@ Strategy NcclBackend::plan(Primitive primitive, const std::vector<int>& particip
     // Implemented with point-to-point ncclSend/ncclRecv pairs (Sec. VI-C):
     // every source works through its peers in the same rank order with the
     // default two P2P channels, so receivers are hit in lockstep (incast).
-    return alltoall_strategy(cluster_, participants, /*subs=*/1, kNcclSlice,
-                             /*rotated=*/false, /*concurrency=*/2, "nccl");
+    return with_origin(
+        collective::alltoall_strategy(participants,
+                                      collective::direct_alltoall_routes(participants),
+                                      /*subs=*/1, kNcclSlice, /*concurrency=*/2),
+        "nccl");
   }
-  const auto by_instance = group_by_instance(cluster_, participants);
-  Tree tree;
-  std::map<int, NodeId> head_of;
-  for (const auto& [inst, ranks] : by_instance) {
-    const int head = nic_proximal_rank(cluster_, inst, ranks);
-    head_of[inst] = NodeId::gpu(head);
-    add_rank_order_chain(tree, ranks, head);
-  }
-  const int root_instance = by_instance.begin()->first;
-  const NodeId root_gpu = head_of.at(root_instance);
-  tree.root = root_gpu;
-  if (by_instance.size() > 1) {
-    std::vector<int> instances;
-    for (const auto& [inst, _] : by_instance) instances.push_back(inst);
-    add_binary_head_tree(tree, instances, root_instance, head_of);
-  }
-  Strategy strategy =
-      collective::single_tree_strategy(primitive, participants, std::move(tree), kNcclSlice);
-  strategy.origin = "nccl";
-  return strategy;
+  return with_origin(
+      collective::single_tree_strategy(primitive, participants,
+                                       nic_headed_tree(cluster_, participants, false),
+                                       kNcclSlice),
+      "nccl");
 }
 
 CollectiveResult NcclBackend::run(Primitive primitive, const std::vector<int>& participants,
@@ -209,48 +102,30 @@ Strategy MscclBackend::plan(Primitive primitive, const std::vector<int>& partici
   if (primitive == Primitive::kAllToAll) {
     // MSCCL sketches use a balanced (rotated) exchange but keep the fixed
     // chunk size and modest channel parallelism.
-    return alltoall_strategy(cluster_, participants, /*subs=*/2, kMscclChunk,
-                             /*rotated=*/true, /*concurrency=*/2, "msccl");
+    return with_origin(
+        collective::alltoall_strategy(participants,
+                                      collective::rotated_alltoall_routes(participants),
+                                      /*subs=*/2, kMscclChunk, /*concurrency=*/2),
+        "msccl");
   }
-  const auto by_instance = group_by_instance(cluster_, participants);
+  const auto by_instance = collective::ranks_by_instance(cluster_, participants);
   // Two parallel channels (the pareto latency-bandwidth tradeoff), but the
-  // sketch is rank-ordered and chunk size fixed: no link awareness.
+  // sketch is rank-ordered and chunk size fixed: no link awareness. Channel
+  // 0 is a binary tree over the heads; channel 1 reverses the local chains
+  // to spread NVLink load and chains the heads in index order.
   std::vector<Tree> trees;
-  for (int channel = 0; channel < 2; ++channel) {
-    Tree tree;
-    std::map<int, NodeId> head_of;
-    for (const auto& [inst, ranks] : by_instance) {
-      // Channel 1 reverses the local chain to spread NVLink load.
-      std::vector<int> order = ranks;
-      if (channel == 1) std::reverse(order.begin(), order.end());
-      const int head = order.front();
-      head_of[inst] = NodeId::gpu(head);
-      add_rank_order_chain(tree, order, head);
+  for (const bool reversed : {false, true}) {
+    std::vector<std::vector<int>> chains;
+    for (auto [_, ranks] : by_instance) {
+      if (reversed) std::reverse(ranks.begin(), ranks.end());
+      chains.push_back(std::move(ranks));
     }
-    const int root_instance = by_instance.begin()->first;
-    const NodeId root_gpu = head_of.at(root_instance);
-    tree.root = root_gpu;
-    if (by_instance.size() > 1) {
-      std::vector<int> instances;
-      for (const auto& [inst, _] : by_instance) instances.push_back(inst);
-      if (channel == 0) {
-        add_binary_head_tree(tree, instances, root_instance, head_of);
-      } else {
-        // Chain over the heads in index order.
-        NodeId up = root_gpu;
-        for (const int inst : instances) {
-          if (inst == root_instance) continue;
-          tree.parent[head_of.at(inst)] = up;
-          up = head_of.at(inst);
-        }
-      }
-    }
-    trees.push_back(std::move(tree));
+    trees.push_back(
+        collective::hierarchical_tree(chains, 0, reversed ? HeadJoin::kChain : HeadJoin::kBinary));
   }
-  Strategy strategy = collective::multi_tree_strategy(primitive, participants, std::move(trees),
-                                                      kMscclChunk);
-  strategy.origin = "msccl";
-  return strategy;
+  return with_origin(collective::multi_tree_strategy(primitive, participants, std::move(trees),
+                                                     kMscclChunk),
+                     "msccl");
 }
 
 CollectiveResult MscclBackend::run(Primitive primitive, const std::vector<int>& participants,
@@ -269,26 +144,11 @@ Strategy BlinkBackend::plan(Primitive primitive, const std::vector<int>& partici
                             Bytes tensor_bytes) {
   (void)tensor_bytes;
   // For inspection only: the combined (unstaged) graph Blink would use.
-  const auto by_instance = group_by_instance(cluster_, participants);
-  Tree tree;
-  std::map<int, NodeId> head_of;
-  for (const auto& [inst, ranks] : by_instance) {
-    const int head = nic_proximal_rank(cluster_, inst, ranks);
-    head_of[inst] = NodeId::gpu(head);
-    add_wiring_aware_chain(cluster_, tree, ranks, head);
-  }
-  const int root_instance = by_instance.begin()->first;
-  const NodeId root_gpu = head_of.at(root_instance);
-  tree.root = root_gpu;
-  if (by_instance.size() > 1) {
-    std::vector<int> instances;
-    for (const auto& [inst, _] : by_instance) instances.push_back(inst);
-    add_binary_head_tree(tree, instances, root_instance, head_of);
-  }
-  Strategy strategy =
-      collective::single_tree_strategy(primitive, participants, std::move(tree), kBlinkChunk);
-  strategy.origin = "blink";
-  return strategy;
+  return with_origin(
+      collective::single_tree_strategy(primitive, participants,
+                                       nic_headed_tree(cluster_, participants, true),
+                                       kBlinkChunk),
+      "blink");
 }
 
 CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& participants,
@@ -296,37 +156,38 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   if (!supports(primitive)) {
     throw std::invalid_argument("Blink does not support multi-server AllToAll");
   }
-  const auto by_instance = group_by_instance(cluster_, participants);
   sim::Simulator& sim = cluster_.simulator();
   const Seconds started = sim.now();
 
-  // Stage 1: intra-server spanning-tree stage (reduce for reducing
-  // primitives; skipped for pure broadcast).
-  std::map<int, NodeId> head_of;
-  std::vector<std::unique_ptr<Executor>> intra;
-  for (const auto& [inst, ranks] : by_instance) {
-    const int head = nic_proximal_rank(cluster_, inst, ranks);
-    head_of[inst] = NodeId::gpu(head);
+  // The intra-server spanning trees, one per server with at least two GPUs:
+  // reduced onto the head in stage 1, broadcast from it in stage 3.
+  std::vector<int> heads;
+  std::vector<Strategy> reduce_stage;
+  std::vector<Strategy> broadcast_stage;
+  for (const auto& [inst, ranks] : collective::ranks_by_instance(cluster_, participants)) {
+    const std::vector<int> chain = nic_headed_chain(cluster_, inst, ranks, true);
+    heads.push_back(chain.front());
     if (ranks.size() < 2) continue;
-    Tree tree;
-    tree.root = NodeId::gpu(head);
-    add_wiring_aware_chain(cluster_, tree, ranks, head);
-    const Primitive stage_primitive =
-        collective::requires_aggregation(primitive) ? Primitive::kReduce : Primitive::kBroadcast;
-    Strategy strategy =
-        collective::single_tree_strategy(stage_primitive, ranks, std::move(tree), kBlinkChunk);
-    strategy.origin = "blink";
-    intra.push_back(std::make_unique<Executor>(cluster_, std::move(strategy)));
+    std::vector<collective::TreeEdge> edges;
+    collective::append_chain_edges(edges, chain);
+    const Tree tree = collective::tree_of(NodeId::gpu(chain.front()), edges);
+    reduce_stage.push_back(with_origin(
+        collective::single_tree_strategy(Primitive::kReduce, ranks, tree, kBlinkChunk), "blink"));
+    broadcast_stage.push_back(with_origin(
+        collective::single_tree_strategy(Primitive::kBroadcast, ranks, tree, kBlinkChunk),
+        "blink"));
   }
-  if (collective::requires_aggregation(primitive) && !intra.empty()) {
-    run_stage(cluster_, intra, tensor_bytes, options, nullptr);
+
+  // Stage 1: intra-server reduce (skipped for pure broadcast).
+  if (collective::requires_aggregation(primitive)) {
+    const std::size_t n = reduce_stage.size();
+    collective::run_concurrently(cluster_, std::move(reduce_stage), tensor_bytes,
+                                 std::vector<CollectiveOptions>(n, options));
   }
 
   // Stage 2: inter-server stage over the heads (NCCL-style binary tree),
   // started only after stage 1 completes (no pipelining across stages).
   CollectiveResult inter_result;
-  std::vector<int> heads;
-  for (const auto& [_, head] : head_of) heads.push_back(head.index);
   std::sort(heads.begin(), heads.end());
   if (heads.size() > 1) {
     NcclBackend inter(cluster_);
@@ -338,19 +199,9 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   // Broadcast-style primitives.
   if (primitive == Primitive::kAllReduce || primitive == Primitive::kBroadcast ||
       primitive == Primitive::kAllGather) {
-    std::vector<std::unique_ptr<Executor>> down;
-    for (const auto& [inst, ranks] : by_instance) {
-      if (ranks.size() < 2) continue;
-      Tree tree;
-      tree.root = head_of.at(inst);
-      add_wiring_aware_chain(cluster_, tree, ranks, head_of.at(inst).index);
-      Strategy strategy =
-          collective::single_tree_strategy(Primitive::kBroadcast, ranks, std::move(tree),
-                                           kBlinkChunk);
-      strategy.origin = "blink";
-      down.push_back(std::make_unique<Executor>(cluster_, std::move(strategy)));
-    }
-    if (!down.empty()) run_stage(cluster_, down, tensor_bytes, {}, nullptr);
+    const std::size_t n = broadcast_stage.size();
+    collective::run_concurrently(cluster_, std::move(broadcast_stage), tensor_bytes,
+                                 std::vector<CollectiveOptions>(n));
   }
 
   CollectiveResult result = std::move(inter_result);

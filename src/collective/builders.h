@@ -1,13 +1,78 @@
-// Elementary communication-graph shapes shared by tests, the baseline
-// backends and the synthesizer's candidate generation: chains, stars and
-// balanced k-ary trees over arbitrary node sequences.
+// The one place communication-graph shapes are assembled. Every tree in the
+// library has the same hierarchical shape: per-instance chains feeding the
+// instance heads, and the heads joined as a star, a chain or a binary tree.
+// The synthesizer's candidates, the NCCL/MSCCL/Blink baselines, relay
+// phase 2 and the ablation benches differ only in the order they feed in
+// (rank order, NVLink wiring, profiled bandwidth), so they share these
+// builders: grouping by instance, greedy chains, chain edges, head joins,
+// and the strategies that carry the result.
 #pragma once
 
+#include <iterator>
+#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "collective/comm_graph.h"
+#include "topology/cluster.h"
 
 namespace adapcc::collective {
+
+/// One (child, parent) edge of a tree.
+using TreeEdge = std::pair<NodeId, NodeId>;
+
+/// Participants grouped by instance: instances ascending, ranks ascending
+/// within each.
+std::map<int, std::vector<int>> ranks_by_instance(const topology::Cluster& cluster,
+                                                  const std::vector<int>& participants);
+
+/// A chain from `head` through every member: each step appends the first
+/// remaining member with the highest `score(member, tail)`, where `tail` is
+/// the chain's current end. A constant score keeps the members' order.
+template <typename Score>
+std::vector<int> greedy_chain(const std::vector<int>& members, int head, Score score) {
+  std::vector<int> chain{head};
+  std::vector<int> remaining;
+  for (const int member : members) {
+    if (member != head) remaining.push_back(member);
+  }
+  while (!remaining.empty()) {
+    auto best = remaining.begin();
+    auto best_score = score(*best, chain.back());
+    for (auto it = std::next(best); it != remaining.end(); ++it) {
+      const auto candidate = score(*it, chain.back());
+      if (candidate > best_score) {
+        best = it;
+        best_score = candidate;
+      }
+    }
+    chain.push_back(*best);
+    remaining.erase(best);
+  }
+  return chain;
+}
+
+/// Appends the edges of the chain `order` (GPU ranks) toward its head
+/// order.front(), deepest member first.
+void append_chain_edges(std::vector<TreeEdge>& edges, const std::vector<int>& order);
+
+/// How instance heads are joined: every head straight to the root, one
+/// chain in list order, or a binary tree in level order.
+enum class HeadJoin { kStar, kChain, kBinary };
+
+/// Appends the edges joining `heads` under heads.front(), in list order.
+void append_head_join(std::vector<TreeEdge>& edges, const std::vector<NodeId>& heads,
+                      HeadJoin join);
+
+/// The hierarchical tree over per-instance `chains` (GPU ranks, each
+/// chain's front() is its head): every chain's edges in order, then the
+/// heads joined with chains[root]'s head first and the others in chain order.
+Tree hierarchical_tree(const std::vector<std::vector<int>>& chains, std::size_t root,
+                       HeadJoin join);
+
+/// A Tree rooted at `root` whose parent map is filled with `edges` in order.
+Tree tree_of(NodeId root, std::span<const TreeEdge> edges);
 
 /// Chain a -> b -> ... -> root (the last element is the root). A chain is
 /// NCCL's ring in tree form: reducing along it pipelined gives ring-like
@@ -28,18 +93,22 @@ Strategy single_tree_strategy(Primitive primitive, std::vector<int> participants
 Strategy multi_tree_strategy(Primitive primitive, std::vector<int> participants,
                              std::vector<Tree> trees, Bytes chunk_bytes);
 
+/// AllToAll strategy with `subs` sub-collectives of equal fraction, each
+/// carrying all of `routes` with at most `concurrency` flows in flight per
+/// source (0 = unbounded).
+Strategy alltoall_strategy(std::vector<int> participants, const std::vector<FlowRoute>& routes,
+                           int subs, Bytes chunk_bytes, int concurrency);
+
 /// Direct AllToAll routes between every ordered pair of participants, with
 /// each source's destinations listed in plain rank order — the send order
 /// of a naive ncclSend/ncclRecv loop, where every source hits receiver 0
 /// first (incast). Remote pairs use the composite cross-instance GPU->GPU
-/// network edge. `instance_of` maps a rank to its instance index.
-std::vector<FlowRoute> direct_alltoall_routes(const std::vector<int>& participants,
-                                              const std::vector<int>& instance_of);
+/// network edge.
+std::vector<FlowRoute> direct_alltoall_routes(const std::vector<int>& participants);
 
 /// Like direct_alltoall_routes but each source's destinations are rotated
 /// (source i sends to i+1, i+2, ... first), the classic balanced-exchange
 /// schedule: at any moment every receiver has roughly one incoming flow.
-std::vector<FlowRoute> rotated_alltoall_routes(const std::vector<int>& participants,
-                                               const std::vector<int>& instance_of);
+std::vector<FlowRoute> rotated_alltoall_routes(const std::vector<int>& participants);
 
 }  // namespace adapcc::collective

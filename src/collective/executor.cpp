@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <list>
 #include <stdexcept>
@@ -814,6 +815,33 @@ CollectiveResult Executor::run(Bytes tensor_bytes, CollectiveOptions options) {
   while (invocation_ != nullptr && sim.step()) {
   }
   return result;
+}
+
+std::vector<CollectiveResult> run_concurrently(topology::Cluster& cluster,
+                                               std::vector<Strategy> strategies,
+                                               Bytes tensor_bytes,
+                                               std::vector<CollectiveOptions> options) {
+  if (options.size() != strategies.size()) {
+    throw std::invalid_argument("run_concurrently: one CollectiveOptions per strategy");
+  }
+  std::deque<Executor> executors;
+  std::vector<CollectiveResult> results(strategies.size());
+  std::size_t outstanding = strategies.size();
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    executors.emplace_back(cluster, std::move(strategies[i]));
+    executors.back().start(tensor_bytes, std::move(options[i]),
+                           [&results, &outstanding, i](const CollectiveResult& r) {
+                             results[i] = r;
+                             --outstanding;
+                           });
+  }
+  sim::Simulator& sim = cluster.simulator();
+  while (outstanding > 0 && sim.step()) {
+  }
+  if (outstanding > 0) throw std::logic_error("run_concurrently: simulation drained early");
+  while (std::ranges::any_of(executors, &Executor::busy) && sim.step()) {
+  }
+  return results;
 }
 
 }  // namespace adapcc::collective

@@ -140,4 +140,13 @@ class Executor {
   sim::OwnerToken owner_;
 };
 
+/// Runs one executor per strategy, all started at once: strategies[i] with
+/// options[i]. Steps the simulator until every one has completed, then
+/// drains their tail traffic so later collectives start clean. Returns the
+/// results in strategy order.
+std::vector<CollectiveResult> run_concurrently(topology::Cluster& cluster,
+                                               std::vector<Strategy> strategies,
+                                               Bytes tensor_bytes,
+                                               std::vector<CollectiveOptions> options);
+
 }  // namespace adapcc::collective

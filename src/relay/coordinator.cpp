@@ -47,8 +47,13 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
 
   // Per-late-tensor phase-2 cost is bounded by the slowest network hop.
   const double net_beta = synthesizer::max_network_beta(strategy, topo_);
-  const Seconds full_estimate =
-      synthesizer::estimate_completion_time(strategy, topo_, tensor_bytes, {});
+  // Every estimate of this decision shares the topology's port capacities.
+  const std::vector<synthesizer::PortBetas> ports = synthesizer::port_betas(topo_);
+  const auto estimate = [&](const std::set<int>& active) {
+    return synthesizer::CostEvaluator(strategy, topo_, tensor_bytes, active, ports)
+        .completion_time();
+  };
+  const Seconds full_estimate = estimate({});
   const auto ready_set = [&](Seconds t) {
     std::set<int> ready;
     for (const int rank : strategy.participants) {
@@ -59,6 +64,7 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   };
 
   RelayDecision decision;
+  decision.full_estimate = full_estimate;
   const std::size_t world = strategy.participants.size();
   if (config_.policy == WaitPolicy::kAlwaysWait) {
     decision.partial = false;
@@ -71,6 +77,10 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   // Walk decision cycles until either everyone is ready or the accumulated
   // waiting cost crosses the break-even threshold (or, under
   // kAlwaysProceed, the first cycle with two ready workers).
+  // The ready set only grows with t, so phase 1 is re-estimated only when
+  // it changes size.
+  std::size_t estimated_ready = 0;
+  Seconds phase1_est = 0.0;
   for (Seconds t = now;; t += config_.cycle) {
     const auto ready = ready_set(t);
     if (ready.size() == world) {
@@ -88,10 +98,10 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
     // dissemination of the missing tensors count. Phase 2 = one reduce among
     // the late workers plus one broadcast (see RelayCollectiveRunner), at
     // most two network tensor traversals however many workers are late.
-    const Seconds phase1_est = ready.size() >= 2
-                                   ? synthesizer::estimate_completion_time(
-                                         strategy, topo_, tensor_bytes, ready)
-                                   : 0.0;
+    if (ready.size() != estimated_ready) {
+      estimated_ready = ready.size();
+      phase1_est = ready.size() >= 2 ? estimate(ready) : 0.0;
+    }
     const Seconds phase1_penalty = std::max(0.0, phase1_est - full_estimate);
     // Non-ready workers whose buffers are already filling will join the
     // ongoing aggregation (Sec. IV-C) — free; only the rest need phase 2.

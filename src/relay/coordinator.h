@@ -48,6 +48,8 @@ struct RelayDecision {
   Seconds waited = 0.0;
   /// The buy-cost estimate at the trigger cycle (for diagnostics).
   Seconds buy_cost_estimate = 0.0;
+  /// Eq. 4 estimate of the full collective, every participant active.
+  Seconds full_estimate = 0.0;
 };
 
 class Coordinator {

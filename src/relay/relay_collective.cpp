@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "collective/builders.h"
 #include "collective/payload.h"
-#include "synthesizer/cost_model.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
@@ -21,47 +19,7 @@ using collective::payload_value;
 using collective::Primitive;
 using collective::rank_bit;
 using collective::Strategy;
-using collective::Tree;
-using topology::NodeId;
 }  // namespace
-
-Tree RelayCollectiveRunner::broadcast_tree(const std::vector<int>& participants,
-                                           int root_rank) const {
-  // Per-instance rank-order chains headed by the lowest rank (or the root on
-  // its own instance); heads hang off their NIC, and the NICs form a chain
-  // starting at the root's NIC. A chain is bandwidth-optimal for a pipelined
-  // broadcast: each inter-instance link carries exactly one copy of the
-  // tensor, instead of the root NIC's egress fanning out several copies.
-  std::map<int, std::vector<int>> by_instance;
-  for (const int rank : participants) {
-    by_instance[cluster_.instance_of_rank(rank)].push_back(rank);
-  }
-  const int root_instance = cluster_.instance_of_rank(root_rank);
-  Tree tree;
-  tree.root = NodeId::gpu(root_rank);
-  for (auto& [inst, ranks] : by_instance) {
-    std::sort(ranks.begin(), ranks.end());
-    // Head: the root itself on the root instance, else the lowest rank.
-    const int head = inst == root_instance ? root_rank : ranks.front();
-    std::vector<int> order{head};
-    for (const int rank : ranks) {
-      if (rank != head) order.push_back(rank);
-    }
-    for (std::size_t i = order.size(); i-- > 1;) {
-      tree.parent[NodeId::gpu(order[i])] = NodeId::gpu(order[i - 1]);
-    }
-  }
-  // Chain the heads across instances, starting at the root's head: each
-  // inter-instance hop carries exactly one copy of the tensor.
-  NodeId up = NodeId::gpu(root_rank);
-  for (const auto& [inst, ranks] : by_instance) {
-    if (inst == root_instance) continue;
-    const NodeId head = NodeId::gpu(ranks.front());
-    tree.parent[head] = up;
-    up = head;
-  }
-  return tree;
-}
 
 RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, Bytes tensor_bytes,
                                                     const std::map<int, Seconds>& ready_at,
@@ -103,9 +61,8 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     // Relays expected ready within this multiple of the full collective's
     // estimated duration after the trigger join phase 1.
     constexpr double kJoinHorizonFactor = 2.0;
-    const Seconds full_est = synthesizer::estimate_completion_time(
-        strategy, topo_, tensor_bytes, {});
-    const Seconds join_window = decision.trigger_time + kJoinHorizonFactor * full_est;
+    const Seconds join_window =
+        decision.trigger_time + kJoinHorizonFactor * decision.full_estimate;
     for (const int rank : decision.relays) {
       const auto ready_it = ready_at.find(rank);
       const Seconds ready = ready_it == ready_at.end() ? decision.trigger_time : ready_it->second;
@@ -261,57 +218,47 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
       // broadcast individually so none is gated on the slowest.
       const std::size_t kGroupThreshold =
           std::max<std::size_t>(4, (strategy.participants.size() + 2) / 3);
-      const auto make_broadcast = [&](int root) {
-        Strategy bcast;
-        bcast.primitive = Primitive::kBroadcast;
-        bcast.participants = strategy.participants;
-        bcast.origin = strategy.origin;
-        collective::SubCollective sub;
-        sub.fraction = 1.0;
-        sub.chunk_bytes = strategy.subs.front().chunk_bytes;
-        sub.tree = broadcast_tree(strategy.participants, root);
-        bcast.subs.push_back(std::move(sub));
-        return bcast;
+      // Phase-2 trees cover `ranks` with per-instance rank-order chains,
+      // headed by `root` on its own instance and by the lowest rank
+      // elsewhere, and chain the heads starting at the root. A chain is
+      // bandwidth-optimal for a pipelined broadcast: each inter-instance
+      // link carries exactly one copy of the tensor, instead of the root
+      // NIC's egress fanning out several copies.
+      const auto phase2_strategy = [&](Primitive primitive, const std::vector<int>& ranks,
+                                       int root) {
+        std::vector<std::vector<int>> chains;
+        std::size_t root_chain = 0;
+        for (const auto& [inst, members] : collective::ranks_by_instance(cluster_, ranks)) {
+          const bool own = inst == cluster_.instance_of_rank(root);
+          if (own) root_chain = chains.size();
+          chains.push_back(collective::greedy_chain(members, own ? root : members.front(),
+                                                    [](int, int) { return 0; }));
+        }
+        Strategy phase2 = collective::single_tree_strategy(
+            primitive, ranks,
+            collective::hierarchical_tree(chains, root_chain, collective::HeadJoin::kChain),
+            strategy.subs.front().chunk_bytes);
+        phase2.origin = strategy.origin;
+        return phase2;
       };
 
       if (late_ok.size() < kGroupThreshold) {
-        std::vector<std::unique_ptr<Executor>> broadcasts;
-        std::size_t outstanding = late_ok.size();
-        std::vector<Seconds> finishes(late_ok.size(), 0.0);
+        std::vector<Strategy> broadcasts;
+        std::vector<CollectiveOptions> broadcast_options(late_ok.size());
         for (std::size_t i = 0; i < late_ok.size(); ++i) {
           const int late = late_ok[i];
-          broadcasts.push_back(std::make_unique<Executor>(cluster_, make_broadcast(late)));
-          CollectiveOptions options2;
+          broadcasts.push_back(phase2_strategy(Primitive::kBroadcast, strategy.participants, late));
           const auto it = ready_at.find(late);
-          if (it != ready_at.end()) options2.ready_at[late] = it->second;
-          broadcasts.back()->start(tensor_bytes, options2,
-                                   [&finishes, &outstanding, i](const CollectiveResult& r) {
-                                     finishes[i] = r.finished;
-                                     --outstanding;
-                                   });
+          if (it != ready_at.end()) broadcast_options[i].ready_at[late] = it->second;
         }
-        while (outstanding > 0 && sim.step()) {
+        for (const auto& broadcast :
+             collective::run_concurrently(cluster_, std::move(broadcasts), tensor_bytes,
+                                          std::move(broadcast_options))) {
+          result.phase2_finish = std::max(result.phase2_finish, broadcast.finished);
         }
-        if (outstanding > 0) throw std::logic_error("phase 2 drained early");
-        // Drain executor tail traffic before the executors go out of scope.
-        for (;;) {
-          bool busy = false;
-          for (const auto& phase2_exec : broadcasts) busy = busy || phase2_exec->busy();
-          if (!busy || !sim.step()) break;
-        }
-        for (const Seconds f : finishes) result.phase2_finish = std::max(result.phase2_finish, f);
       } else {
         const int phase2_root = late_ok.front();
-        Strategy gather;
-        gather.primitive = Primitive::kReduce;
-        gather.participants = late_ok;
-        gather.origin = strategy.origin;
-        collective::SubCollective sub;
-        sub.fraction = 1.0;
-        sub.chunk_bytes = strategy.subs.front().chunk_bytes;
-        sub.tree = broadcast_tree(late_ok, phase2_root);
-        gather.subs.push_back(std::move(sub));
-        Executor reduce_exec(cluster_, std::move(gather));
+        Executor reduce_exec(cluster_, phase2_strategy(Primitive::kReduce, late_ok, phase2_root));
         CollectiveOptions reduce_options;
         for (const int late : late_ok) {
           const auto it = ready_at.find(late);
@@ -319,7 +266,9 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
         }
         const Seconds late_sum_ready = reduce_exec.run(tensor_bytes, reduce_options).finished;
 
-        Executor bcast_exec(cluster_, make_broadcast(phase2_root));
+        Executor bcast_exec(cluster_,
+                            phase2_strategy(Primitive::kBroadcast, strategy.participants,
+                                            phase2_root));
         CollectiveOptions bcast_options;
         bcast_options.ready_at[phase2_root] = late_sum_ready;
         result.phase2_finish = bcast_exec.run(tensor_bytes, bcast_options).finished;

@@ -52,7 +52,7 @@ class RelayCollectiveRunner {
  public:
   RelayCollectiveRunner(topology::Cluster& cluster, const topology::LogicalTopology& topo,
                         CoordinatorConfig config = {})
-      : cluster_(cluster), topo_(topo), coordinator_(topo, config) {}
+      : cluster_(cluster), coordinator_(topo, config) {}
 
   /// Runs one AllReduce iteration under relay control. `ready_at` gives the
   /// absolute tensor-ready time per participant. Advances simulated time to
@@ -72,12 +72,7 @@ class RelayCollectiveRunner {
   const Coordinator& coordinator() const noexcept { return coordinator_; }
 
  private:
-  /// Hierarchical broadcast tree rooted at `root_rank` covering
-  /// `participants` (used to disseminate late tensors in phase 2).
-  collective::Tree broadcast_tree(const std::vector<int>& participants, int root_rank) const;
-
   topology::Cluster& cluster_;
-  const topology::LogicalTopology& topo_;
   Coordinator coordinator_;
 };
 

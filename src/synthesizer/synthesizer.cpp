@@ -15,9 +15,9 @@ namespace adapcc::synthesizer {
 
 namespace {
 
+using collective::HeadJoin;
 using collective::Primitive;
 using collective::Strategy;
-using collective::SubCollective;
 
 /// Profiled bandwidth of an edge, 0 when missing.
 BytesPerSecond edge_bw(const topology::LogicalTopology& topo, NodeId from, NodeId to) {
@@ -43,9 +43,7 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
   // Everything the candidates share is computed once per solve: the ranks
   // of each instance, each instance's local chain (per head) and, per root,
   // the other instances in bandwidth order.
-  std::map<int, std::vector<int>> by_instance;
-  for (const int rank : participants) by_instance[cluster_.instance_of_rank(rank)].push_back(rank);
-  for (auto& [inst, ranks] : by_instance) std::sort(ranks.begin(), ranks.end());
+  const auto by_instance = collective::ranks_by_instance(cluster_, participants);
 
   // Local chain from `head`: greedy path preferring the fastest profiled
   // GPU-GPU edges (keeps NVLink chains intact on fragmented topologies).
@@ -55,28 +53,12 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
   std::map<int, std::vector<int>> chains;
   const auto chain_from = [&](int inst, int head) -> const std::vector<int>& {
     auto [it, fresh] = chains.try_emplace(head);
-    if (!fresh) return it->second;
-    std::vector<int>& chain = it->second;
-    chain.push_back(head);
-    std::vector<int> remaining;
-    for (const int r : by_instance.at(inst)) {
-      if (r != head) remaining.push_back(r);
+    if (fresh) {
+      it->second = collective::greedy_chain(by_instance.at(inst), head, [&](int member, int tail) {
+        return edge_bw(topo_, NodeId::gpu(member), NodeId::gpu(tail));
+      });
     }
-    while (!remaining.empty()) {
-      const NodeId tail = NodeId::gpu(chain.back());
-      auto best = remaining.begin();
-      BytesPerSecond best_bw = -1.0;
-      for (auto r = remaining.begin(); r != remaining.end(); ++r) {
-        const BytesPerSecond bw = edge_bw(topo_, NodeId::gpu(*r), tail);
-        if (bw > best_bw) {
-          best_bw = bw;
-          best = r;
-        }
-      }
-      chain.push_back(*best);
-      remaining.erase(best);
-    }
-    return chain;
+    return it->second;
   };
 
   const int total_instances = cluster_.instance_count();
@@ -86,10 +68,10 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
     BytesPerSecond bw;  ///< profiled bandwidth toward the root
   };
   std::vector<CandidateTree> candidates;
-  // Appends the candidates rooted at `root_instance` for inter modes
-  // [0, modes): 0 = star (every head straight to the root), 1 = chain
-  // (fastest head nearest the root), 2 = binary tree over the heads.
-  const auto add_rooted = [&](int root_instance, int modes, int forced_head) {
+  // Appends the candidates rooted at `root_instance` for the first `joins`
+  // head joins: star (every head straight to the root), chain (fastest head
+  // nearest the root), binary tree over the heads.
+  const auto add_rooted = [&](int root_instance, std::size_t joins, int forced_head) {
     CandidateTree local;
     std::vector<RemoteHead> remote;
     for (const auto& [inst, ranks] : by_instance) {
@@ -100,10 +82,7 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
         remote.push_back({inst, NodeId::gpu(head), 0.0});
       }
       // Reduce direction: deeper chain members feed toward the head.
-      const auto& chain = chain_from(inst, head);
-      for (std::size_t i = chain.size(); i-- > 1;) {
-        local.edges.emplace_back(NodeId::gpu(chain[i]), NodeId::gpu(chain[i - 1]));
-      }
+      collective::append_chain_edges(local.edges, chain_from(inst, head));
     }
     if (remote.empty()) {  // single-instance collective
       candidates.push_back(std::move(local));
@@ -121,37 +100,21 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
       return (a.instance - root_instance + total_instances) % total_instances <
              (b.instance - root_instance + total_instances) % total_instances;
     });
-    for (int mode = 0; mode < modes; ++mode) {
+    std::vector<NodeId> heads{root_gpu};
+    for (const auto& r : remote) heads.push_back(r.head);
+    constexpr HeadJoin kJoins[] = {HeadJoin::kStar, HeadJoin::kChain, HeadJoin::kBinary};
+    for (std::size_t j = 0; j < joins; ++j) {
       CandidateTree tree = local;
-      switch (mode) {
-        case 0:
-          for (const auto& r : remote) tree.edges.emplace_back(r.head, root_gpu);
-          break;
-        case 1: {
-          NodeId up = root_gpu;
-          for (const auto& r : remote) {
-            tree.edges.emplace_back(r.head, up);
-            up = r.head;
-          }
-          break;
-        }
-        default: {
-          std::vector<NodeId> order{root_gpu};
-          for (const auto& r : remote) order.push_back(r.head);
-          for (std::size_t i = 1; i < order.size(); ++i) {
-            tree.edges.emplace_back(order[i], order[(i - 1) / 2]);
-          }
-          break;
-        }
-      }
+      collective::append_head_join(tree.edges, heads, kJoins[j]);
       candidates.push_back(std::move(tree));
     }
   };
 
-  const int modes = by_instance.size() > 2 ? 3 : 1;  // star==chain==tree for <=2 servers
+  // star == chain == binary tree for <= 2 servers
+  const std::size_t joins = by_instance.size() > 2 ? 3 : 1;
   if (forced_root_rank >= 0) {
     // Rooted primitives: every candidate must land the result on the root.
-    add_rooted(cluster_.instance_of_rank(forced_root_rank), modes, forced_root_rank);
+    add_rooted(cluster_.instance_of_rank(forced_root_rank), joins, forced_root_rank);
   } else if (by_instance.size() == 1) {
     // Single-instance job: rotate the chain head so parallel sub-collectives
     // can use different inter-island crossings on irregular NVLink wirings
@@ -160,7 +123,7 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
     const int heads = std::min<int>(4, static_cast<int>(sorted.size()));
     for (int h = 0; h < heads; ++h) add_rooted(inst, 1, sorted[static_cast<std::size_t>(h)]);
   } else {
-    for (const auto& [root_inst, _] : by_instance) add_rooted(root_inst, modes, -1);
+    for (const auto& [root_inst, _] : by_instance) add_rooted(root_inst, joins, -1);
   }
   return candidates;
 }
@@ -201,28 +164,12 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   };
 
   if (primitive == Primitive::kAllToAll) {
-    std::vector<int> instance_of(static_cast<std::size_t>(cluster_.world_size()));
-    for (int r = 0; r < cluster_.world_size(); ++r) {
-      instance_of[static_cast<std::size_t>(r)] = cluster_.instance_of_rank(r);
-    }
     // Balanced exchange order; per-context streams allow deep per-source
-    // concurrency (Sec. V-A).
-    const auto routes = collective::rotated_alltoall_routes(participants, instance_of);
+    // concurrency (Sec. V-A): one flow per concurrent GPU stream.
+    const auto routes = collective::rotated_alltoall_routes(participants);
     const auto build_alltoall = [&](Bytes chunk) {
-      Strategy candidate;
-      candidate.primitive = primitive;
-      candidate.participants = participants;
-      candidate.origin = "adapcc";
-      for (int m = 0; m < config_.parallel_subs; ++m) {
-        SubCollective sub;
-        sub.id = m;
-        sub.fraction = 1.0 / config_.parallel_subs;
-        sub.chunk_bytes = chunk;
-        sub.flows = routes;
-        sub.alltoall_concurrency = 4;  // one per concurrent GPU stream
-        candidate.subs.push_back(std::move(sub));
-      }
-      return candidate;
+      return collective::alltoall_strategy(participants, routes, config_.parallel_subs, chunk,
+                                           /*concurrency=*/4);
     };
     // Every sub carries the same routes: one plan, one evaluator, and the
     // chunk sweep re-scores it. The winner is the first index with the
@@ -275,22 +222,12 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
                                   : static_cast<std::size_t>(config_.parallel_subs);
   };
   const auto build_assignment = [&](const std::vector<std::size_t>& assignment, Bytes chunk) {
-    Strategy candidate;
-    candidate.primitive = primitive;
-    candidate.participants = participants;
-    candidate.origin = "adapcc";
-    const std::size_t subs = subs_of(assignment);
-    for (std::size_t m = 0; m < subs; ++m) {
+    std::vector<collective::Tree> subs;
+    for (std::size_t m = 0; m < subs_of(assignment); ++m) {
       const CandidateTree& tree = trees[assignment[m % assignment.size()]];
-      SubCollective sub;
-      sub.id = static_cast<int>(m);
-      sub.fraction = 1.0 / static_cast<int>(subs);
-      sub.chunk_bytes = chunk;
-      sub.tree.root = tree.root;
-      for (const auto& [child, parent] : tree.edges) sub.tree.parent[child] = parent;
-      candidate.subs.push_back(std::move(sub));
+      subs.push_back(collective::tree_of(tree.root, tree.edges));
     }
-    return candidate;
+    return collective::multi_tree_strategy(primitive, participants, std::move(subs), chunk);
   };
 
   // Rank single trees by model cost to pick rotation orders; the

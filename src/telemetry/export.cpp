@@ -1,7 +1,6 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -33,17 +32,6 @@ std::string escape_json(std::string_view s) {
     }
   }
   return out;
-}
-
-std::string format_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[64];
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-  }
-  return buf;
 }
 
 /// Simulated seconds -> trace microseconds.
@@ -96,7 +84,7 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& out) {
         if (!event.args.empty()) out << ",\"args\":{" << event.args << "}";
         break;
       case EventKind::kCounter:
-        out << ",\"ph\":\"C\",\"args\":{\"value\":" << format_number(event.value) << "}";
+        out << ",\"ph\":\"C\",\"args\":{\"value\":" << json_number(event.value) << "}";
         break;
     }
     out << "}";
@@ -109,8 +97,8 @@ void write_metrics_csv(const MetricsRegistry& metrics, std::ostream& out) {
   const auto emit_rows = [&out](const std::string& label, Seconds ts,
                                 const std::vector<MetricRow>& rows) {
     for (const MetricRow& row : rows) {
-      out << '"' << label << "\"," << format_number(ts) << ',' << row.name << ',' << row.kind
-          << ',' << format_number(row.value) << '\n';
+      out << '"' << label << "\"," << json_number(ts) << ',' << row.name << ',' << row.kind
+          << ',' << json_number(row.value) << '\n';
     }
   };
   for (const MetricsSnapshot& snap : metrics.snapshots()) {
@@ -126,7 +114,7 @@ void write_metrics_json(const MetricsRegistry& metrics, std::ostream& out) {
     for (const MetricRow& row : rows) {
       if (!first) out << ',';
       first = false;
-      out << '"' << escape_json(row.name) << "\":" << format_number(row.value);
+      out << '"' << escape_json(row.name) << "\":" << json_number(row.value);
     }
     out << '}';
   };
@@ -136,7 +124,7 @@ void write_metrics_json(const MetricsRegistry& metrics, std::ostream& out) {
     if (!first) out << ',';
     first = false;
     out << "\n{\"label\":\"" << escape_json(snap.label)
-        << "\",\"ts_seconds\":" << format_number(snap.ts) << ",\"metrics\":";
+        << "\",\"ts_seconds\":" << json_number(snap.ts) << ",\"metrics\":";
     emit_rows(snap.rows);
     out << '}';
   }

@@ -6,23 +6,18 @@
 
 namespace adapcc::telemetry {
 
-namespace {
-
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "0";
   // Integral values print without a trailing ".000000" so byte counts and
   // ranks stay readable in the trace viewer.
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-    return buf;
-  }
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9g", value);
+  }
   return buf;
 }
-
-}  // namespace
 
 std::string kv(std::string_view key, double value) {
   std::string out;

@@ -45,6 +45,10 @@ struct TraceEvent {
   std::string args;
 };
 
+/// A number as trace and metrics exports print it: integral values without
+/// a fraction, others with 9 significant digits, non-finite values as 0.
+std::string json_number(double value);
+
 /// Formats one numeric / string key-value pair for TraceEvent::args.
 std::string kv(std::string_view key, double value);
 std::string kv(std::string_view key, std::string_view value);

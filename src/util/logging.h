@@ -27,7 +27,9 @@ namespace detail {
 void emit(LogLevel level, std::string_view tag, const std::string& message);
 }
 
-/// Stream-style log statement: LOG_AT(kInfo, "profiler") << "x=" << x;
+/// Stream-style log statement: ADAPCC_LOG(kInfo, "profiler") << "x=" << x;
+/// The macro tests the level first, so a filtered statement builds no
+/// stream and evaluates none of its operands.
 class LogStatement {
  public:
   LogStatement(LogLevel level, std::string_view tag) : level_(level), tag_(tag) {}
@@ -39,7 +41,7 @@ class LogStatement {
 
   template <typename T>
   LogStatement& operator<<(const T& value) {
-    if (level_ >= log_level()) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
@@ -49,6 +51,19 @@ class LogStatement {
   std::ostringstream stream_;
 };
 
+namespace detail {
+/// Turns a streamed LogStatement into void, so ADAPCC_LOG is one
+/// conditional expression: safe inside an unbraced if/else. `&` binds more
+/// loosely than `<<`, so every operand is streamed first.
+struct LogVoidify {
+  void operator&(const LogStatement&) const noexcept {}
+};
+}  // namespace detail
+
 }  // namespace adapcc::util
 
-#define ADAPCC_LOG(level, tag) ::adapcc::util::LogStatement(::adapcc::util::LogLevel::level, tag)
+#define ADAPCC_LOG(level, tag)                                                 \
+  (::adapcc::util::LogLevel::level < ::adapcc::util::log_level())              \
+      ? static_cast<void>(0)                                                   \
+      : ::adapcc::util::detail::LogVoidify() &                                 \
+            ::adapcc::util::LogStatement(::adapcc::util::LogLevel::level, tag)

@@ -398,14 +398,10 @@ TEST_F(ExecutorTest, AllToAllDeliversDistinctPayloads) {
   Strategy strategy;
   strategy.primitive = Primitive::kAllToAll;
   strategy.participants = {0, 1, 4, 5};
-  std::vector<int> instance_of(static_cast<std::size_t>(cluster_->world_size()));
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    instance_of[static_cast<std::size_t>(r)] = cluster_->instance_of_rank(r);
-  }
   SubCollective sub;
   sub.fraction = 1.0;
   sub.chunk_bytes = 1_MiB;
-  sub.flows = collective::direct_alltoall_routes(strategy.participants, instance_of);
+  sub.flows = collective::direct_alltoall_routes(strategy.participants);
   strategy.subs.push_back(std::move(sub));
   Executor executor(*cluster_, strategy);
   const auto result = executor.run(megabytes(16));

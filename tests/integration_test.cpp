@@ -171,10 +171,6 @@ TEST_F(IntegrationTest, NonFillingRelayGoesThroughPhaseTwo) {
 
 TEST_F(IntegrationTest, RotatedOrderBeatsNcclIncast) {
   build(topology::homo_testbed());
-  std::vector<int> instance_of(static_cast<std::size_t>(cluster_->world_size()));
-  for (int r = 0; r < cluster_->world_size(); ++r) {
-    instance_of[static_cast<std::size_t>(r)] = cluster_->instance_of_rank(r);
-  }
   const auto run_with = [&](bool rotated, int concurrency) {
     Strategy strategy;
     strategy.primitive = Primitive::kAllToAll;
@@ -182,8 +178,8 @@ TEST_F(IntegrationTest, RotatedOrderBeatsNcclIncast) {
     collective::SubCollective sub;
     sub.fraction = 1.0;
     sub.chunk_bytes = 1_MiB;
-    sub.flows = rotated ? collective::rotated_alltoall_routes(strategy.participants, instance_of)
-                        : collective::direct_alltoall_routes(strategy.participants, instance_of);
+    sub.flows = rotated ? collective::rotated_alltoall_routes(strategy.participants)
+                        : collective::direct_alltoall_routes(strategy.participants);
     sub.alltoall_concurrency = concurrency;
     strategy.subs.push_back(std::move(sub));
     collective::Executor executor(*cluster_, strategy);
@@ -198,8 +194,7 @@ TEST_F(IntegrationTest, RotatedOrderBeatsNcclIncast) {
 
 TEST_F(IntegrationTest, RotatedRoutesCoverAllPairsInRotatedOrder) {
   const std::vector<int> participants{0, 1, 2, 3};
-  const std::vector<int> instance_of{0, 0, 1, 1};
-  const auto routes = collective::rotated_alltoall_routes(participants, instance_of);
+  const auto routes = collective::rotated_alltoall_routes(participants);
   ASSERT_EQ(routes.size(), 12u);
   // Source 0's first destination is 1, source 1's first destination is 2...
   EXPECT_EQ(routes[0].src, NodeId::gpu(0));

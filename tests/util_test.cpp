@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -110,6 +111,30 @@ TEST(RngTest, ForkDecorrelates) {
 TEST(RngTest, NormalAtLeastClamps) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.normal_at_least(0.0, 10.0, 0.5), 0.5);
+}
+
+TEST(LoggingTest, FilteredStatementEvaluatesNoOperand) {
+  const util::LogLevel saved = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
+  int evaluated = 0;
+  const auto operand = [&evaluated] { return ++evaluated; };
+  ADAPCC_LOG(kDebug, "test") << "filtered " << operand();
+  ADAPCC_LOG(kWarn, "test") << "filtered " << operand();
+  EXPECT_EQ(evaluated, 0);
+
+  // One expression, so an unbraced if/else binds as written.
+  bool else_taken = false;
+  if (evaluated > 0)
+    ADAPCC_LOG(kError, "test") << "unreachable";
+  else
+    else_taken = true;
+  EXPECT_TRUE(else_taken);
+
+  testing::internal::CaptureStderr();
+  ADAPCC_LOG(kError, "test") << "kept " << operand();
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[ERROR][test] kept 1\n");
+  EXPECT_EQ(evaluated, 1);
+  util::set_log_level(saved);
 }
 
 }  // namespace
