@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "sim/edge_channel.h"
+#include "sim/isolated_round.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
@@ -110,23 +111,20 @@ class EdgeProbe {
   std::size_t shape_index_ = 0;
 };
 
-/// Replays a round in closed form (DESIGN.md §7) and returns true, or
-/// returns false having touched nothing. It applies only when the evented
-/// round would be a set of isolated lockstep channel groups: every shape's
-/// wire pieces split into consecutive groups of `channels` equal pieces (so
-/// the round-robin channels start, share and finish every piece together),
-/// no telemetry (spans, counters and the order-dependent
-/// channel.queue_depth histogram stay exact on the evented path), no link
-/// shared between or within paths, every link idle and not stalled for
-/// `channels` streams, and no other event due before the round ends. Each
-/// probe's shapes then run back to back exactly as EdgeProbe runs them,
-/// computed on copies of the link ledgers that are committed only once the
-/// round's end is known to be uninterrupted.
+/// Replays a round in closed form through the isolated-replay gate
+/// (sim::IsolatedRound, DESIGN.md §7) and returns true, or returns false
+/// having touched nothing. Beyond the gate it needs the round's channels in
+/// lockstep: every shape's wire pieces split into consecutive groups of
+/// `channels` equal pieces, so the round-robin channels start, share and
+/// finish every piece together. Each probe's shapes then run back to back
+/// exactly as EdgeProbe runs them.
 bool replay_isolated_round(sim::Simulator& sim,
                            const std::vector<std::vector<sim::FlowLink*>>& paths,
                            const std::vector<ProbeShape>& shapes, std::size_t channels,
                            std::vector<AlphaBetaEstimator>& estimators) {
-  if (telemetry::get() != nullptr) return false;
+  sim::IsolatedRound round(sim);
+  for (const auto& path : paths) round.add_path(path, channels);
+  if (!round.open()) return false;
   std::vector<std::vector<Bytes>> groups;  // per shape, one size per lockstep group
   for (const ProbeShape& shape : shapes) {
     const std::vector<Bytes> pieces = wire_pieces(shape);
@@ -139,36 +137,18 @@ bool replay_isolated_round(sim::Simulator& sim,
       shape_groups.push_back(*group);
     }
   }
-  std::vector<const sim::FlowLink*> links;
-  for (const auto& path : paths) {
-    for (const sim::FlowLink* link : path) {
-      if (link->active_transfers() != 0 || link->stalled(channels)) return false;
-      links.push_back(link);
-    }
-  }
-  std::sort(links.begin(), links.end());
-  if (std::adjacent_find(links.begin(), links.end()) != links.end()) return false;
-
-  std::vector<std::vector<sim::FlowLink::Ledger>> ledgers;
   std::vector<AlphaBetaEstimator> samples(paths.size());
   Seconds end = sim.now();
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    auto& path_ledgers = ledgers.emplace_back();
-    for (const sim::FlowLink* link : paths[i]) path_ledgers.push_back(link->ledger());
     Seconds at = sim.now();
     for (std::size_t s = 0; s < shapes.size(); ++s) {
-      const Seconds done =
-          sim::EdgeChannel::deliver_isolated(paths[i], path_ledgers, at, groups[s], channels);
+      const Seconds done = round.deliver(i, at, groups[s]);
       samples[i].add_sample(shapes[s].bytes * static_cast<Bytes>(shapes[s].count), done - at);
       at = done;
     }
     end = std::max(end, at);
   }
-  if (!(sim.next_event_time() > end)) return false;  // something would interleave
-  sim.run_until(end);  // fires nothing: only moves the clock to the barrier
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (std::size_t j = 0; j < paths[i].size(); ++j) paths[i][j]->commit(ledgers[i][j]);
-  }
+  if (!round.commit(end)) return false;
   estimators = std::move(samples);
   return true;
 }

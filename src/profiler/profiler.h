@@ -17,11 +17,11 @@
 // rounds share NIC ports, so their timing interleaves through one Simulator.
 // A round whose probes each own an idle, private path and that no other
 // event interrupts is replayed in closed form instead of event by event
-// (EdgeChannel::deliver_isolated), when its channels run in lockstep: the
-// single-stream pass always, and the four-stream port pass when every
-// shape's wire pieces split into groups of four equal pieces (the default
-// plan's do), so the four round-robin channels start and finish each group
-// together. The replay advances the clock and the link ledgers bit for bit
+// (sim::IsolatedRound, the isolated-replay gate the Detector's probes go
+// through too), when its channels run in lockstep: the single-stream pass
+// always, and the four-stream port pass when every shape's wire pieces
+// split into groups of four equal pieces (the default plan's do), so the
+// four round-robin channels start and finish each group together. The replay advances the clock and the link ledgers bit for bit
 // as the events would. Every other round — plans that break lockstep,
 // shared, busy or stalled links, telemetry attached — runs evented
 // (DESIGN.md §7).

@@ -81,6 +81,7 @@ void Adapcc::init() {
   topo_ = topology::Detector::build_logical_topology(cluster_, detection_);
   profiler::Profiler profiler(cluster_, config_.profiler);
   profiler.profile(topo_);
+  port_betas_ = synthesizer::port_betas(topo_);
   synthesizer_ = std::make_unique<synthesizer::Synthesizer>(cluster_, topo_, config_.synthesizer);
   relay_runner_ =
       std::make_unique<relay::RelayCollectiveRunner>(cluster_, topo_, config_.coordinator);
@@ -199,7 +200,8 @@ relay::RelayRunResult Adapcc::allreduce_adaptive(Bytes tensor_bytes,
 
 ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
                                        ResilienceOptions options) {
-  // Automatic watchdog: this multiple of the Eq. 4 estimate, floored.
+  // Automatic watchdog: this multiple of the Eq. 4 estimate, floored. The
+  // estimate is estimate_completion_time's, on the cached port capacities.
   constexpr double kWatchdogMultiplier = 8.0;
   constexpr Seconds kWatchdogFloor = milliseconds(50);
   // Wait before retrying a stall with no rank-level suspects (a link
@@ -229,8 +231,10 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
     run_options.watchdog_timeout =
         options.watchdog_timeout > 0.0
             ? options.watchdog_timeout
-            : std::max(kWatchdogMultiplier * synthesizer::estimate_completion_time(
-                                                 strategy, topo_, tensor_bytes, {}),
+            : std::max(kWatchdogMultiplier *
+                           synthesizer::CostEvaluator(strategy, topo_, tensor_bytes, {},
+                                                      port_betas_)
+                               .completion_time(),
                        kWatchdogFloor);
     Executor executor(cluster_, strategy);
     report.result = executor.run(tensor_bytes, std::move(run_options));
@@ -293,6 +297,7 @@ ReconstructionReport Adapcc::reprofile(Bytes tensor_bytes) {
   //    before re-solving.
   profiler::Profiler profiler(cluster_, config_.profiler);
   report.profiling_time = profiler.profile(topo_).wall_time;
+  port_betas_ = synthesizer::port_betas(topo_);
   invalidate_strategy_cache();
 
   // 2. Re-synthesize each installed primitive; detect graph changes by

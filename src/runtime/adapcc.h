@@ -21,6 +21,7 @@
 #include "collective/executor.h"
 #include "profiler/profiler.h"
 #include "relay/relay_collective.h"
+#include "synthesizer/cost_model.h"
 #include "synthesizer/synthesizer.h"
 #include "telemetry/telemetry.h"
 #include "topology/cluster.h"
@@ -223,6 +224,10 @@ class Adapcc {
   AdapccConfig config_;
   util::Rng rng_;
   topology::LogicalTopology topo_;
+  /// synthesizer::port_betas(topo_), recomputed whenever profiling rewrites
+  /// the topology (init, reprofile): the watchdog estimate reads it on every
+  /// run_resilient attempt instead of rescanning every edge.
+  std::vector<synthesizer::PortBetas> port_betas_;
   topology::DetectionResult detection_;
   std::unique_ptr<synthesizer::Synthesizer> synthesizer_;
   std::unique_ptr<relay::RelayCollectiveRunner> relay_runner_;

@@ -80,7 +80,7 @@ void EdgeChannel::send(Bytes bytes, DeliveryCallback on_delivered) {
   try_start(0);
 }
 
-Seconds EdgeChannel::deliver_isolated(const std::vector<FlowLink*>& path,
+Seconds EdgeChannel::deliver_isolated(std::span<FlowLink* const> path,
                                       std::span<FlowLink::Ledger> ledgers, Seconds start,
                                       std::span<const Bytes> groups, std::size_t streams,
                                       IsolatedTimeline* timeline) {

@@ -88,7 +88,7 @@ class EdgeChannel {
   /// of path[j]'s ledger) exactly as the evented run advances the link, and
   /// returns when the last group is delivered (`start` for no groups).
   /// `timeline`, when given, receives every served and delivered time.
-  static Seconds deliver_isolated(const std::vector<FlowLink*>& path,
+  static Seconds deliver_isolated(std::span<FlowLink* const> path,
                                   std::span<FlowLink::Ledger> ledgers, Seconds start,
                                   std::span<const Bytes> groups, std::size_t streams,
                                   IsolatedTimeline* timeline = nullptr);

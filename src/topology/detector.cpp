@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 
+#include "sim/edge_channel.h"
 #include "util/logging.h"
 
 namespace adapcc::topology {
@@ -12,44 +13,43 @@ namespace adapcc::topology {
 namespace {
 
 constexpr Bytes kProbeBytes = 20_MiB;  // Sec. IV-A probe (2) uses 20 MB
-constexpr int kParallelStreams = 8;
-
-/// Sends `bytes` through `path` store-and-forward; `on_done` fires when the
-/// last link delivers.
-void send_through(std::shared_ptr<const std::vector<sim::FlowLink*>> path, std::size_t index,
-                  Bytes bytes, std::function<void()> on_done) {
-  if (index >= path->size()) {
-    if (on_done) on_done();
-    return;
-  }
-  sim::FlowLink* link = (*path)[index];
-  link->start_transfer(bytes, [path = std::move(path), index, bytes,
-                               done = std::move(on_done)]() mutable {
-    send_through(std::move(path), index + 1, bytes, std::move(done));
-  });
-}
+constexpr std::size_t kParallelStreams = 8;
 
 }  // namespace
 
-Seconds Detector::run_probe(
-    const std::vector<std::pair<std::vector<sim::FlowLink*>, Bytes>>& paths) {
+Seconds Detector::run_probe(std::span<const ProbeGroup> probe) {
   sim::Simulator& sim = cluster_.simulator();
   const Seconds start = sim.now();
-  std::size_t outstanding = paths.size();
-  for (const auto& [path, bytes] : paths) {
-    send_through(std::make_shared<const std::vector<sim::FlowLink*>>(path), 0, bytes,
-                 [&outstanding] { --outstanding; });
+  round_.begin();
+  for (const ProbeGroup& group : probe) round_.add_path(group.path, group.streams);
+  Seconds end = start;
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    end = std::max(end, round_.deliver(i, start, {&probe[i].bytes, 1}));
   }
-  while (outstanding > 0 && sim.step()) {
+  if (!round_.commit(end)) {
+    // Evented: one single-chunk channel per copy, all sent before the
+    // simulator runs.
+    std::vector<std::unique_ptr<sim::EdgeChannel>> channels;
+    std::size_t outstanding = 0;
+    for (const ProbeGroup& group : probe) {
+      const std::vector<sim::FlowLink*> path(group.path.begin(), group.path.end());
+      for (std::size_t s = 0; s < group.streams; ++s) {
+        ++outstanding;
+        channels.push_back(std::make_unique<sim::EdgeChannel>(sim, path));
+        channels.back()->send(group.bytes, [&outstanding] { --outstanding; });
+      }
+    }
+    while (outstanding > 0 && sim.step()) {
+    }
+    end = sim.now();
   }
-  const Seconds elapsed = sim.now() - start;
   // Each probe stage also pays host-side coordination (process barriers,
   // socket setup, CUDA context switches) that is not part of the measured
   // transfer; it dominates the ~1.2 s wall time of detection the paper
   // reports. The overhead is excluded from the returned measurement.
   constexpr Seconds kCoordinationOverhead = milliseconds(35);
-  sim.run_until(sim.now() + kCoordinationOverhead);
-  return elapsed;
+  sim.run_until(end + kCoordinationOverhead);
+  return end - start;
 }
 
 InstanceDetection Detector::detect_instance(int inst) {
@@ -76,13 +76,12 @@ InstanceDetection Detector::detect_instance(int inst) {
   }
 
   // --- Solo GPU->CPU copy bandwidth, reference for probes (2)/(3). ------
+  // Each probe sends kProbeBytes per GPU as kParallelStreams equal copies.
+  constexpr Bytes kStreamBytes = kProbeBytes / static_cast<Bytes>(kParallelStreams);
   std::vector<double> solo_bw(static_cast<std::size_t>(gpus));
   for (int g = 0; g < gpus; ++g) {
-    std::vector<std::pair<std::vector<sim::FlowLink*>, Bytes>> probe;
-    sim::FlowLink& up = cluster_.pcie_uplink(inst, spec.switch_of_gpu(g));
-    for (int s = 0; s < kParallelStreams; ++s) {
-      probe.push_back({{&up}, kProbeBytes / kParallelStreams});
-    }
+    sim::FlowLink* const up = &cluster_.pcie_uplink(inst, spec.switch_of_gpu(g));
+    const ProbeGroup probe[] = {{{&up, 1}, kStreamBytes, kParallelStreams}};
     const Seconds t = run_probe(probe);
     solo_bw[static_cast<std::size_t>(g)] = static_cast<double>(kProbeBytes) / t;
   }
@@ -97,14 +96,13 @@ InstanceDetection Detector::detect_instance(int inst) {
   };
   for (int a = 0; a < gpus; ++a) {
     for (int b = a + 1; b < gpus; ++b) {
-      std::vector<std::pair<std::vector<sim::FlowLink*>, Bytes>> probe;
-      sim::FlowLink& up_a = cluster_.pcie_uplink(inst, spec.switch_of_gpu(a));
-      sim::FlowLink& up_b = cluster_.pcie_uplink(inst, spec.switch_of_gpu(b));
-      for (int s = 0; s < kParallelStreams; ++s) {
-        probe.push_back({{&up_a}, kProbeBytes / kParallelStreams});
-        probe.push_back({{&up_b}, kProbeBytes / kParallelStreams});
-      }
-      const Seconds t = run_probe(probe);
+      sim::FlowLink* const up_a = &cluster_.pcie_uplink(inst, spec.switch_of_gpu(a));
+      sim::FlowLink* const up_b = &cluster_.pcie_uplink(inst, spec.switch_of_gpu(b));
+      // GPUs behind one switch put all their copies on its uplink at once.
+      const ProbeGroup shared[] = {{{&up_a, 1}, kStreamBytes, 2 * kParallelStreams}};
+      const ProbeGroup apart[] = {{{&up_a, 1}, kStreamBytes, kParallelStreams},
+                                  {{&up_b, 1}, kStreamBytes, kParallelStreams}};
+      const Seconds t = up_a == up_b ? run_probe(shared) : run_probe(apart);
       // Each GPU moved kProbeBytes during the window; contention shows as a
       // clearly sub-solo effective rate.
       const double pair_bw = static_cast<double>(kProbeBytes) / t;
@@ -122,16 +120,17 @@ InstanceDetection Detector::detect_instance(int inst) {
   double lowest_bw = std::numeric_limits<double>::infinity();
   int nic_neighbor_gpu = 0;
   for (int g = 0; g < gpus; ++g) {
-    std::vector<std::pair<std::vector<sim::FlowLink*>, Bytes>> probe;
-    sim::FlowLink& up = cluster_.pcie_uplink(inst, spec.switch_of_gpu(g));
-    probe.push_back({{&up}, kProbeBytes});
+    sim::FlowLink* const up = &cluster_.pcie_uplink(inst, spec.switch_of_gpu(g));
     // The socket loopback to the NIC crosses the NIC's switch in both
     // directions (ground-truth routing, the detector doesn't see which).
-    sim::FlowLink& nic_up = cluster_.pcie_uplink(inst, spec.nic_pcie_switch);
-    sim::FlowLink& nic_down = cluster_.pcie_downlink(inst, spec.nic_pcie_switch);
-    probe.push_back({{&nic_down}, kProbeBytes});
-    probe.push_back({{&nic_up}, kProbeBytes});
-    const Seconds t = run_probe(probe);
+    sim::FlowLink* const nic_up = &cluster_.pcie_uplink(inst, spec.nic_pcie_switch);
+    sim::FlowLink* const nic_down = &cluster_.pcie_downlink(inst, spec.nic_pcie_switch);
+    // A GPU behind the NIC's switch shares the uplink with the loopback.
+    const ProbeGroup shared[] = {{{&up, 1}, kProbeBytes, 2}, {{&nic_down, 1}, kProbeBytes, 1}};
+    const ProbeGroup apart[] = {{{&up, 1}, kProbeBytes, 1},
+                                {{&nic_down, 1}, kProbeBytes, 1},
+                                {{&nic_up, 1}, kProbeBytes, 1}};
+    const Seconds t = up == nic_up ? run_probe(shared) : run_probe(apart);
     const double bw = static_cast<double>(kProbeBytes) / t;
     if (bw < lowest_bw) {
       lowest_bw = bw;
@@ -148,9 +147,10 @@ InstanceDetection Detector::detect_instance(int inst) {
   for (int a = 0; a < gpus; ++a) {
     for (int b = 0; b < gpus; ++b) {
       if (a == b) continue;
-      auto path = cluster_.edge_path(NodeId::gpu(ranks[static_cast<std::size_t>(a)]),
-                                     NodeId::gpu(ranks[static_cast<std::size_t>(b)]));
-      const Seconds t = run_probe({{path, kProbeBytes}});
+      const auto path = cluster_.edge_path(NodeId::gpu(ranks[static_cast<std::size_t>(a)]),
+                                           NodeId::gpu(ranks[static_cast<std::size_t>(b)]));
+      const ProbeGroup probe[] = {{path, kProbeBytes, 1}};
+      const Seconds t = run_probe(probe);
       const double bw = static_cast<double>(kProbeBytes) / t;
       // NVLink is well above any PCIe generation's ceiling.
       if (bw > 1.5 * pcie_bandwidth(spec.pcie)) {

@@ -16,10 +16,19 @@
 // Probes (2), (3) and (+) run as real transfers through the FlowLink model,
 // so contention is *measured*, not read from the spec. Probe (1) uses a
 // synthesized latency sample (see Cluster::numa_loopback_latency).
+//
+// Each transfer probe is one to three lockstep groups (k equal copies
+// started together over one path, one group per link) on idle links, so it
+// goes through the isolated-replay gate (sim::IsolatedRound): it is computed
+// in closed form, bit-identical to its events, unless telemetry is attached
+// or another event (a shaper, fault or timer) falls inside its window; then
+// it runs evented on EdgeChannels (DESIGN.md §7).
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "sim/isolated_round.h"
 #include "topology/cluster.h"
 #include "topology/logical_topology.h"
 #include "util/rng.h"
@@ -48,7 +57,8 @@ struct DetectionResult {
 
 class Detector {
  public:
-  Detector(Cluster& cluster, util::Rng rng) : cluster_(cluster), rng_(rng) {}
+  Detector(Cluster& cluster, util::Rng rng)
+      : cluster_(cluster), rng_(rng), round_(cluster.simulator()) {}
 
   /// Runs all probes on the simulator. Advances simulated time.
   DetectionResult detect();
@@ -60,14 +70,25 @@ class Detector {
                                                 const DetectionResult& detection);
 
  private:
+  /// One lockstep group of a probe: `streams` copies of `bytes`, each sent
+  /// store-and-forward over `path`, all started at once.
+  struct ProbeGroup {
+    std::span<sim::FlowLink* const> path;
+    Bytes bytes = 0;
+    std::size_t streams = 1;
+  };
+
   InstanceDetection detect_instance(int instance);
 
-  /// Starts `paths` concurrently (each store-and-forward over its links) and
-  /// runs the simulator until all complete; returns elapsed simulated time.
-  Seconds run_probe(const std::vector<std::pair<std::vector<sim::FlowLink*>, Bytes>>& paths);
+  /// Runs the groups concurrently until every copy is delivered, then the
+  /// host-side coordination pause; returns the transfer time (without the
+  /// pause). Copies that share a link belong in one group: a link on two
+  /// groups keeps the probe evented.
+  Seconds run_probe(std::span<const ProbeGroup> probe);
 
   Cluster& cluster_;
   util::Rng rng_;
+  sim::IsolatedRound round_;
 };
 
 }  // namespace adapcc::topology

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -9,6 +11,7 @@
 #include "collective/payload.h"
 #include "runtime/adapcc.h"
 #include "runtime/adapcc_backend.h"
+#include "synthesizer/cost_model.h"
 #include "topology/testbeds.h"
 
 namespace adapcc {
@@ -312,6 +315,50 @@ TEST_F(RuntimeTest, StrategyCacheInvalidatedOnReprofileKeptAcrossMembership) {
   const int misses_after_second_reprofile = adapcc.last_synthesis().cache_misses;
   adapcc.synthesize(Primitive::kAllReduce, adapcc.participants(), megabytes(64));
   EXPECT_EQ(adapcc.last_synthesis().cache_misses, misses_after_second_reprofile + 1);
+}
+
+// The automatic watchdog is 8x the Eq. 4 estimate of the installed strategy
+// (floored at 50 ms). The runtime keeps the port capacities per profile, so
+// the watchdog must equal estimate_completion_time bit for bit, also after a
+// reprofile that changed them. Over TCP the NIC ports enter the estimate
+// (one stream cannot fill a port, so the port pass measures more), which
+// makes stale capacities visible.
+TEST_F(RuntimeTest, WatchdogIsTheCompletionEstimateOfTheCurrentProfile) {
+  build(topology::homo_testbed(topology::NetworkStack::kTcp));
+  Adapcc adapcc(*cluster_);
+  adapcc.init();
+  adapcc.setup();
+  const Bytes bytes = megabytes(256);
+  // Rank 5 dies before its tensor is ready, so the only attempt stalls
+  // until the watchdog aborts it at start + timeout.
+  const auto expect_watchdog_is_the_estimate = [&] {
+    const collective::Strategy strategy = adapcc.strategy_for(Primitive::kAllReduce, bytes);
+    const Seconds estimate =
+        synthesizer::estimate_completion_time(strategy, adapcc.topology(), bytes, {});
+    ASSERT_GT(8.0 * estimate, milliseconds(50)) << "the floor would hide the estimate";
+    const Seconds start = sim_->now();
+    runtime::ResilienceOptions options;
+    options.max_attempts = 1;
+    options.collective.ready_at[5] = start + milliseconds(10);
+    options.collective.dead_at[5] = start + milliseconds(1);
+    const auto report = adapcc.run_resilient(Primitive::kAllReduce, bytes, options);
+    ASSERT_FALSE(report.ok);
+    ASSERT_EQ(report.result.error.code, collective::CollectiveErrorCode::kWatchdogTimeout);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.result.error.at),
+              std::bit_cast<std::uint64_t>(start + 8.0 * estimate));
+    adapcc.include_workers({5});
+  };
+  expect_watchdog_is_the_estimate();
+
+  const auto stale_ports = synthesizer::port_betas(adapcc.topology());
+  cluster_->set_nic_capacity_fraction(1, 0.25);
+  adapcc.reprofile(bytes);
+  const collective::Strategy strategy = adapcc.strategy_for(Primitive::kAllReduce, bytes);
+  // Capacities kept from the first profile would give another estimate.
+  ASSERT_NE(synthesizer::CostEvaluator(strategy, adapcc.topology(), bytes, {}, stale_ports)
+                .completion_time(),
+            synthesizer::estimate_completion_time(strategy, adapcc.topology(), bytes, {}));
+  expect_watchdog_is_the_estimate();
 }
 
 // The synthesizer is serial; the one remaining thread setting accepts only

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -11,7 +12,9 @@
 #include "sim/edge_channel.h"
 #include "sim/flow_link.h"
 #include "sim/gpu_stream.h"
+#include "sim/isolated_round.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 #include "util/units.h"
 
 namespace adapcc {
@@ -20,6 +23,7 @@ namespace {
 using sim::EdgeChannel;
 using sim::FlowLink;
 using sim::GpuStream;
+using sim::IsolatedRound;
 using sim::Simulator;
 
 TEST(SimulatorTest, FiresEventsInTimeOrder) {
@@ -445,7 +449,8 @@ TEST(FlowLinkTest, OneStreamRunsWhereFourStall) {
   EXPECT_EQ(link.serve_isolated(ledger, 0.0, 1, 1), 500.0);  // 1 byte alone
   std::vector<FlowLink::Ledger> ledgers{link.ledger()};
   const std::vector<Bytes> groups{1};
-  EXPECT_THROW(EdgeChannel::deliver_isolated({&link}, ledgers, 0.0, groups, 4), std::logic_error);
+  FlowLink* const path[] = {&link};
+  EXPECT_THROW(EdgeChannel::deliver_isolated(path, ledgers, 0.0, groups, 4), std::logic_error);
 
   int served = 0;
   for (int c = 0; c < 4; ++c) link.start_transfer(1, nullptr, [&served] { ++served; });
@@ -453,6 +458,152 @@ TEST(FlowLinkTest, OneStreamRunsWhereFourStall) {
   EXPECT_EQ(sim.now(), 500.0);  // the early lone-rate fire
   EXPECT_EQ(served, 0);
   EXPECT_EQ(link.active_transfers(), 4u);
+}
+
+// --- IsolatedRound (the isolated-replay gate) -------------------------------
+
+/// Three aged links on one simulator, clock past their last transfer.
+struct GateBed {
+  GateBed() {
+    for (int l = 0; l < 3; ++l) {
+      links.push_back(std::make_unique<FlowLink>(sim, std::string(1, static_cast<char>('a' + l)),
+                                                 microseconds(1 + l), gBps(10 + 5 * l)));
+      links.back()->start_transfer(megabytes(3 + l), nullptr);
+    }
+    sim.run();
+    sim.run_until(sim.now() + 0.25);
+  }
+  FlowLink* link(int l) { return links[static_cast<std::size_t>(l)].get(); }
+
+  /// Every ledger word and the clock, to prove a refusal touched nothing.
+  std::vector<std::uint64_t> snapshot() const {
+    std::vector<std::uint64_t> words{std::bit_cast<std::uint64_t>(sim.now()),
+                                     sim.events_processed()};
+    for (const auto& l : links) {
+      const FlowLink::Ledger& ledger = l->ledger();
+      words.insert(words.end(), {std::bit_cast<std::uint64_t>(ledger.service),
+                                 std::bit_cast<std::uint64_t>(ledger.last_update),
+                                 std::bit_cast<std::uint64_t>(ledger.busy),
+                                 static_cast<std::uint64_t>(ledger.delivered),
+                                 ledger.next_sequence});
+    }
+    return words;
+  }
+
+  Simulator sim;
+  std::vector<std::unique_ptr<FlowLink>> links;
+};
+
+TEST(IsolatedRoundTest, CommitsTheEventedTimelineOfDisjointPaths) {
+  GateBed replayed;
+  GateBed evented;
+  const std::vector<Bytes> groups{megabytes(2), 700'001, megabytes(5)};
+  IsolatedRound round(replayed.sim);
+  FlowLink* const two_hops[] = {replayed.link(0), replayed.link(1)};
+  FlowLink* const one_hop[] = {replayed.link(2)};
+  round.add_path(two_hops, 2);
+  round.add_path(one_hop, 1);
+  ASSERT_TRUE(round.open());
+  const Seconds start = replayed.sim.now();
+  const Seconds end = std::max(round.deliver(0, start, groups), round.deliver(1, start, groups));
+  ASSERT_TRUE(round.commit(end));
+  EXPECT_EQ(replayed.sim.now(), end);
+
+  // Two lockstep channels over a->b and one over c, sent the same groups.
+  EdgeChannel first(evented.sim, {evented.link(0), evented.link(1)});
+  EdgeChannel second(evented.sim, {evented.link(0), evented.link(1)});
+  EdgeChannel lone(evented.sim, {evented.link(2)});
+  for (const Bytes group : groups) {
+    first.send(group, nullptr);
+    second.send(group, nullptr);
+    lone.send(group, nullptr);
+  }
+  const std::uint64_t before = evented.sim.events_processed();
+  evented.sim.run();
+  EXPECT_GT(evented.sim.events_processed(), before);
+  // The evented run's clock stops at its last delivery, like the replay's.
+  std::vector<std::uint64_t> replayed_words = replayed.snapshot();
+  std::vector<std::uint64_t> evented_words = evented.snapshot();
+  replayed_words.erase(replayed_words.begin() + 1);  // events processed differ
+  evented_words.erase(evented_words.begin() + 1);
+  EXPECT_EQ(replayed_words, evented_words);
+}
+
+TEST(IsolatedRoundTest, RefusesALinkOnTwoPaths) {
+  GateBed bed;
+  const auto before = bed.snapshot();
+  IsolatedRound round(bed.sim);
+  FlowLink* const first[] = {bed.link(0), bed.link(1)};
+  FlowLink* const second[] = {bed.link(2), bed.link(1)};
+  round.add_path(first, 1);
+  round.add_path(second, 1);
+  const std::vector<Bytes> groups{megabytes(1)};
+  const Seconds end = std::max(round.deliver(0, bed.sim.now(), groups),
+                               round.deliver(1, bed.sim.now(), groups));
+  EXPECT_FALSE(round.commit(end));
+  EXPECT_EQ(bed.snapshot(), before);
+}
+
+TEST(IsolatedRoundTest, RefusesABusyLink) {
+  GateBed bed;
+  bed.link(1)->start_transfer(megabytes(1), nullptr);
+  const auto before = bed.snapshot();
+  IsolatedRound round(bed.sim);
+  FlowLink* const path[] = {bed.link(0), bed.link(1)};
+  round.add_path(path, 1);
+  EXPECT_FALSE(round.open());
+  const std::vector<Bytes> groups{megabytes(1)};
+  EXPECT_EQ(round.deliver(0, bed.sim.now(), groups), bed.sim.now());
+  EXPECT_FALSE(round.commit(bed.sim.now() + 1.0));
+  EXPECT_EQ(bed.snapshot(), before);
+}
+
+TEST(IsolatedRoundTest, RefusesAStalledLink) {
+  GateBed bed;
+  bed.link(2)->set_capacity(2e-3);  // lint:chaos — one stream runs, four stall
+  const auto before = bed.snapshot();
+  IsolatedRound round(bed.sim);
+  FlowLink* const path[] = {bed.link(2)};
+  round.add_path(path, 4);
+  EXPECT_FALSE(round.open());
+  const std::vector<Bytes> groups{1};
+  EXPECT_EQ(round.deliver(0, bed.sim.now(), groups), bed.sim.now());  // no throw
+  EXPECT_FALSE(round.commit(bed.sim.now() + 1e4));
+  EXPECT_EQ(bed.snapshot(), before);
+}
+
+TEST(IsolatedRoundTest, RefusesAnEventDueBeforeTheEnd) {
+  GateBed bed;
+  IsolatedRound round(bed.sim);
+  FlowLink* const path[] = {bed.link(0)};
+  round.add_path(path, 1);
+  const std::vector<Bytes> groups{megabytes(4)};
+  const Seconds end = round.deliver(0, bed.sim.now(), groups);
+  ASSERT_GT(end, bed.sim.now());
+  // Due inside the window, and due exactly at its end (it would fire in
+  // the window's last instant, so it interleaves too).
+  for (const Seconds due : {bed.sim.now() + (end - bed.sim.now()) / 2, end}) {
+    const sim::EventId id = bed.sim.schedule_at(due, [] {});
+    const auto before = bed.snapshot();
+    EXPECT_FALSE(round.commit(end)) << due;
+    EXPECT_EQ(bed.snapshot(), before) << due;
+    bed.sim.cancel(id);
+  }
+  EXPECT_TRUE(round.commit(end));  // nothing pending any more
+}
+
+TEST(IsolatedRoundTest, RefusesWhileTelemetryIsAttached) {
+  GateBed bed;
+  const auto before = bed.snapshot();
+  telemetry::enable();
+  IsolatedRound round(bed.sim);
+  FlowLink* const path[] = {bed.link(0)};
+  round.add_path(path, 1);
+  EXPECT_FALSE(round.open());
+  const std::vector<Bytes> groups{megabytes(1)};
+  EXPECT_FALSE(round.commit(round.deliver(0, bed.sim.now(), groups) + 1.0));
+  telemetry::disable();
+  EXPECT_EQ(bed.snapshot(), before);
 }
 
 // --- GpuStream --------------------------------------------------------------

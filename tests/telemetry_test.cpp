@@ -63,7 +63,9 @@ TEST(TraceRecorderTest, RingKeepsMostRecentEvents) {
   TraceRecorder rec(4);
   const auto track = rec.track("t");
   for (int i = 0; i < 10; ++i) {
-    rec.instant(track, "e" + std::to_string(i), static_cast<Seconds>(i));
+    std::string name = "e";
+    name += std::to_string(i);
+    rec.instant(track, name, static_cast<Seconds>(i));
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);

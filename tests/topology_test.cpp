@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 
+#include "sim/flow_link.h"
 #include "sim/simulator.h"
 #include "topology/cluster.h"
 #include "topology/detector.h"
 #include "topology/hardware.h"
 #include "topology/logical_topology.h"
 #include "topology/node.h"
+#include "telemetry/telemetry.h"
 #include "topology/testbeds.h"
 #include "util/rng.h"
 
@@ -314,6 +321,236 @@ TEST_F(DetectorTest, FindEdgeResolvesExactlyTheClusterEdges) {
       }
     }
   }
+}
+
+// --- Detection probes: closed form vs events --------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A no-op event every `period`: with one pending inside every probe window,
+/// no probe passes the isolated-replay gate and detection runs evented.
+class Ticker {
+ public:
+  Ticker(sim::Simulator& sim, Seconds period) : sim_(sim), period_(period) { arm(); }
+  ~Ticker() { sim_.cancel(id_); }
+
+ private:
+  void arm() {
+    id_ = sim_.schedule_after(period_, [this] { arm(); });
+  }
+  sim::Simulator& sim_;
+  Seconds period_;
+  sim::EventId id_{};
+};
+
+/// A cluster on its own simulator.
+struct DetectedTwin {
+  explicit DetectedTwin(std::vector<InstanceSpec> specs)
+      : cluster(std::make_unique<Cluster>(sim, std::move(specs))) {}
+
+  DetectionResult detect() {
+    Detector detector(*cluster, util::Rng(123));
+    return detector.detect();
+  }
+
+  /// Every link a detection probe or a logical edge can ride on, by name.
+  std::vector<const sim::FlowLink*> links() {
+    std::set<const sim::FlowLink*> unique;
+    for (const auto& [from, to] : cluster->all_edges()) {
+      for (const sim::FlowLink* link : cluster->edge_path(from, to)) unique.insert(link);
+    }
+    for (int i = 0; i < cluster->instance_count(); ++i) {
+      for (int s = 0; s < cluster->pcie_switch_count(i); ++s) {
+        unique.insert(&cluster->pcie_uplink(i, s));
+        unique.insert(&cluster->pcie_downlink(i, s));
+      }
+    }
+    std::vector<const sim::FlowLink*> sorted(unique.begin(), unique.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->name() < b->name(); });
+    return sorted;
+  }
+
+  sim::Simulator sim;
+  std::unique_ptr<Cluster> cluster;
+};
+
+void expect_same_detection(const DetectionResult& a, const DetectionResult& b) {
+  EXPECT_EQ(bits(a.total_time), bits(b.total_time));
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
+    const auto& x = a.instances[i];
+    const auto& y = b.instances[i];
+    EXPECT_EQ(x.instance, y.instance);
+    EXPECT_EQ(x.nic_numa_node, y.nic_numa_node) << "instance " << i;
+    EXPECT_EQ(x.switch_group_of, y.switch_group_of) << "instance " << i;
+    EXPECT_EQ(x.nic_switch_group, y.nic_switch_group) << "instance " << i;
+    EXPECT_EQ(x.nvlink, y.nvlink) << "instance " << i;
+    EXPECT_EQ(bits(x.detection_time), bits(y.detection_time)) << "instance " << i;
+  }
+}
+
+void expect_same_links(DetectedTwin& a, DetectedTwin& b) {
+  EXPECT_EQ(bits(a.sim.now()), bits(b.sim.now()));
+  const auto links_a = a.links();
+  const auto links_b = b.links();
+  ASSERT_EQ(links_a.size(), links_b.size());
+  for (std::size_t i = 0; i < links_a.size(); ++i) {
+    const auto& x = links_a[i]->ledger();
+    const auto& y = links_b[i]->ledger();
+    const std::string& name = links_a[i]->name();
+    EXPECT_EQ(bits(x.service), bits(y.service)) << name;
+    EXPECT_EQ(bits(x.last_update), bits(y.last_update)) << name;
+    EXPECT_EQ(bits(x.busy), bits(y.busy)) << name;
+    EXPECT_EQ(x.delivered, y.delivered) << name;
+    EXPECT_EQ(x.next_sequence, y.next_sequence) << name;
+  }
+}
+
+struct DetectorCase {
+  std::string name;
+  std::vector<InstanceSpec> specs;
+};
+
+void PrintTo(const DetectorCase& c, std::ostream* os) { *os << c.name; }
+
+class DetectorReplayTest : public ::testing::TestWithParam<DetectorCase> {};
+
+TEST_P(DetectorReplayTest, ReplayedDetectionIsBitIdenticalToEvented) {
+  DetectedTwin replayed(GetParam().specs);
+  DetectedTwin evented(GetParam().specs);
+  // Twice: the second detection runs on aged links at a later clock.
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const std::uint64_t before = replayed.sim.events_processed();
+    const DetectionResult result = replayed.detect();
+    // Every probe replayed: nothing else is pending on an unshaped cluster.
+    EXPECT_EQ(replayed.sim.events_processed(), before);
+    DetectionResult reference;
+    {
+      Ticker ticker(evented.sim, microseconds(10));
+      reference = evented.detect();
+    }
+    expect_same_detection(result, reference);
+    expect_same_links(replayed, evented);
+  }
+}
+
+std::vector<InstanceSpec> interleaved_testbed() {
+  return {topology::interleaved_a100_server("interleaved-0"),
+          topology::interleaved_a100_server("interleaved-1")};
+}
+
+std::vector<InstanceSpec> fragmented_testbed() {
+  return {topology::a100_server("wired-0"), topology::fragmented_a100_server("fragmented-0")};
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Testbeds, DetectorReplayTest,
+    ::testing::Values(DetectorCase{"paper", topology::paper_testbed()},
+                      DetectorCase{"heter", topology::heter_testbed()},
+                      DetectorCase{"homo", topology::homo_testbed()},
+                      DetectorCase{"a100_fleet_16", topology::a100_fleet(16)},
+                      DetectorCase{"interleaved", interleaved_testbed()},
+                      DetectorCase{"fragmented", fragmented_testbed()}),
+    [](const ::testing::TestParamInfo<DetectorCase>& case_info) { return case_info.param.name; });
+
+TEST(DetectorReplayTelemetryTest, TelemetryKeepsProbesEventedWithIdenticalResults) {
+  DetectedTwin replayed(topology::heter_testbed());
+  DetectedTwin traced(topology::heter_testbed());
+  const DetectionResult result = replayed.detect();
+  telemetry::enable();
+  const std::uint64_t before = traced.sim.events_processed();
+  const DetectionResult reference = traced.detect();
+  telemetry::disable();
+  EXPECT_GT(traced.sim.events_processed(), before);
+  expect_same_detection(result, reference);
+  expect_same_links(replayed, traced);
+}
+
+/// Rescales every PCIe uplink and downlink each `period` through a fixed
+/// cycle of fractions of its spec capacity (never below 40%), so copies
+/// change rate mid-flight and every probe window holds a shaper event. The
+/// cluster's own shaping reaches only NICs, so this sets link capacities
+/// directly.
+class PcieShaper {
+ public:
+  PcieShaper(Cluster& cluster, Seconds period) : sim_(cluster.simulator()), period_(period) {
+    for (int i = 0; i < cluster.instance_count(); ++i) {
+      for (int s = 0; s < cluster.pcie_switch_count(i); ++s) {
+        links_.push_back(&cluster.pcie_uplink(i, s));
+        links_.push_back(&cluster.pcie_downlink(i, s));
+      }
+    }
+    for (const sim::FlowLink* link : links_) base_.push_back(link->capacity());
+    arm();
+  }
+  ~PcieShaper() { sim_.cancel(id_); }
+
+ private:
+  void arm() {
+    id_ = sim_.schedule_after(period_, [this] { tick(); });
+  }
+  void tick() {
+    ++ticks_;
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      const auto step = static_cast<double>((ticks_ * 7 + i * 3) % 11);
+      links_[i]->set_capacity(base_[i] * (0.4 + 0.06 * step));  // lint:chaos
+    }
+    arm();
+  }
+
+  sim::Simulator& sim_;
+  Seconds period_;
+  std::vector<sim::FlowLink*> links_;
+  std::vector<BytesPerSecond> base_;
+  std::size_t ticks_ = 0;
+  sim::EventId id_{};
+};
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+// The evented fallback, pinned: on a finely shaped cluster no probe can
+// replay, and the detection result, the clock and every link ledger must
+// hash to the value the store-and-forward chain that preceded the
+// EdgeChannel fallback produced.
+TEST(DetectorFallbackTest, ShapedDetectionMatchesPinnedHash) {
+  std::vector<InstanceSpec> specs = topology::heter_testbed();
+  specs.push_back(topology::fragmented_a100_server("fragmented-0"));
+  DetectedTwin twin(specs);
+  PcieShaper shaper(*twin.cluster, microseconds(25));
+  const DetectionResult result = twin.detect();
+  Fnv fnv;
+  fnv.add(bits(result.total_time));
+  for (const auto& inst : result.instances) {
+    fnv.add(static_cast<std::uint64_t>(inst.instance));
+    fnv.add(static_cast<std::uint64_t>(inst.nic_numa_node));
+    for (const int group : inst.switch_group_of) fnv.add(static_cast<std::uint64_t>(group));
+    fnv.add(static_cast<std::uint64_t>(inst.nic_switch_group));
+    for (const auto& row : inst.nvlink) {
+      for (const bool wired : row) fnv.add(wired ? 1 : 0);
+    }
+    fnv.add(bits(inst.detection_time));
+  }
+  fnv.add(bits(twin.sim.now()));
+  for (const sim::FlowLink* link : twin.links()) {
+    const auto& ledger = link->ledger();
+    fnv.add(bits(ledger.service));
+    fnv.add(bits(ledger.last_update));
+    fnv.add(bits(ledger.busy));
+    fnv.add(static_cast<std::uint64_t>(ledger.delivered));
+    fnv.add(ledger.next_sequence);
+  }
+  EXPECT_EQ(fnv.h, 0x47b64668e08ef2f9ull) << std::hex << fnv.h;
 }
 
 }  // namespace
