@@ -186,7 +186,7 @@ bool run_resilient_cell(std::uint64_t seed, Primitive primitive) {
     // victim among the roots to make every cell exercise recovery.
     const auto& strategy = adapcc.strategy_for(primitive, megabytes(32));
     std::vector<int> roots;
-    for (const auto& sub : strategy.subs) roots.push_back(sub.tree.root.index);
+    for (const auto& sub : strategy.subs) roots.push_back(sub.tree.root().index);
     victim = roots[rng.uniform_int(0, static_cast<int>(roots.size()) - 1)];
   } else {
     victim = static_cast<int>(rng.uniform_int(0, cluster.world_size() - 1));

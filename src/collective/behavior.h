@@ -5,11 +5,13 @@
 // <isActive, hasRecv, hasKernel, hasSend>. The tuple is derived purely from
 // the shared graph structure plus the active set — no graph reconstruction
 // is needed when the active set changes, which is what lets AdapCC use
-// non-ready workers as relays.
+// non-ready workers as relays. One reverse sweep over the tree's
+// breadth-first order derives every node's tuple at once.
 #pragma once
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "collective/comm_graph.h"
 
@@ -26,12 +28,9 @@ struct BehaviorTuple {
 
 std::string to_string(const BehaviorTuple& tuple);
 
-/// Number of active GPUs in the subtree rooted at `node` (including `node`
-/// itself), i.e. how much data flows toward the root through this node.
-int active_in_subtree(const Tree& tree, NodeId node, const std::set<int>& active_ranks);
-
-/// Derives the behavior tuple of `node` for a reduce-direction execution of
-/// `sub` with the given active set, applying the paper's rules:
+/// Derives the behavior tuple of every node of `sub`'s tree, indexed like
+/// sub.tree.nodes(), for a reduce-direction execution of `sub` with the
+/// given active set, applying the paper's rules:
 ///   isActive  — node is a GPU whose worker is ready (not a relay / NIC);
 ///   hasRecv   — some active rank exists among the node's (recursive)
 ///               predecessors, so there is data to wait for;
@@ -41,8 +40,9 @@ int active_in_subtree(const Tree& tree, NodeId node, const std::set<int>& active
 ///               disabled aggregation at the node (a_{m,g} = 0);
 ///   hasSend   — cleared for the root and for nodes with neither local data
 ///               nor anything received.
-BehaviorTuple derive_behavior(const SubCollective& sub, Primitive primitive, NodeId node,
-                              const std::set<int>& active_ranks);
+/// Nodes the root does not reach (Tree::order() lacks them) receive nothing.
+std::vector<BehaviorTuple> derive_behavior(const SubCollective& sub, Primitive primitive,
+                                           const std::set<int>& active_ranks);
 
 /// ADAPCC_AUDIT hook (no-op in regular builds): re-checks the structural
 /// invariants of `sub`'s tree (single root, acyclic parent chains) and holds
@@ -51,7 +51,8 @@ BehaviorTuple derive_behavior(const SubCollective& sub, Primitive primitive, Nod
 /// leaves stay silent, only the root withholds its send — rather than by
 /// re-running the derivation, so a future edit to derive_behavior that
 /// violates the paper's rules trips the audit instead of agreeing with
-/// itself.
+/// itself. Active precedents are counted independently of the sweep, by
+/// walking each active GPU's parent chain.
 void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
                            const std::set<int>& active_ranks);
 

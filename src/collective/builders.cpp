@@ -64,29 +64,22 @@ Tree hierarchical_tree(const std::vector<std::vector<int>>& chains, std::size_t 
 }
 
 Tree tree_of(NodeId root, std::span<const TreeEdge> edges) {
-  Tree tree;
-  tree.root = root;
-  for (const auto& [child, parent] : edges) tree.parent[child] = parent;
-  return tree;
+  return Tree(root, std::vector<TreeEdge>(edges.begin(), edges.end()));
 }
 
 Tree chain_tree(const std::vector<NodeId>& order) {
   if (order.empty()) throw std::invalid_argument("chain_tree: empty order");
-  Tree tree;
-  tree.root = order.back();
-  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-    tree.parent[order[i]] = order[i + 1];
-  }
-  return tree;
+  std::vector<TreeEdge> edges;
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) edges.emplace_back(order[i], order[i + 1]);
+  return tree_of(order.back(), edges);
 }
 
 Tree star_tree(NodeId root, const std::vector<NodeId>& leaves) {
-  Tree tree;
-  tree.root = root;
+  std::vector<TreeEdge> edges;
   for (const NodeId leaf : leaves) {
-    if (leaf != root) tree.parent[leaf] = root;
+    if (leaf != root) edges.emplace_back(leaf, root);
   }
-  return tree;
+  return tree_of(root, edges);
 }
 
 Tree kary_tree(const std::vector<NodeId>& nodes, int arity) {

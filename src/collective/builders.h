@@ -11,16 +11,12 @@
 #include <iterator>
 #include <map>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "collective/comm_graph.h"
 #include "topology/cluster.h"
 
 namespace adapcc::collective {
-
-/// One (child, parent) edge of a tree.
-using TreeEdge = std::pair<NodeId, NodeId>;
 
 /// Participants grouped by instance: instances ascending, ranks ascending
 /// within each.
@@ -71,7 +67,9 @@ void append_head_join(std::vector<TreeEdge>& edges, const std::vector<NodeId>& h
 Tree hierarchical_tree(const std::vector<std::vector<int>>& chains, std::size_t root,
                        HeadJoin join);
 
-/// A Tree rooted at `root` whose parent map is filled with `edges` in order.
+/// The Tree rooted at `root` with the (child, parent) `edges`, in any order;
+/// when a child repeats, the last parent given wins. The only way to fill a
+/// Tree: it computes the layout every reader shares (see Tree).
 Tree tree_of(NodeId root, std::span<const TreeEdge> edges);
 
 /// Chain a -> b -> ... -> root (the last element is the root). A chain is

@@ -3,59 +3,107 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 #include <string_view>
 
 namespace adapcc::collective {
 
-std::vector<NodeId> Tree::nodes() const {
-  std::vector<NodeId> result{root};
-  for (const auto& [child, _] : parent) {  // lint:ordered — sorted below
-    if (child != root) result.push_back(child);
-  }
-  // Root first, then ascending NodeId: callers iterate this to build
-  // channels, so hash-map order would leak into simulation-visible results.
-  std::sort(result.begin() + 1, result.end());
-  return result;
-}
+Tree::Tree() : Tree(NodeId{}, {}) {}
 
-std::vector<NodeId> Tree::children_of(NodeId node) const {
-  std::vector<NodeId> result;
-  for (const auto& [child, p] : parent) {  // lint:ordered — sorted below
-    if (p == node) result.push_back(child);
-  }
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-bool Tree::contains(NodeId node) const noexcept {
-  return node == root || parent.contains(node);
-}
-
-int Tree::depth_of(NodeId node) const {
-  int depth = 0;
-  NodeId current = node;
-  while (current != root) {
-    const auto it = parent.find(current);
-    if (it == parent.end()) throw std::invalid_argument("depth_of: node not in tree");
-    current = it->second;
-    if (++depth > static_cast<int>(parent.size()) + 1) {
-      throw std::invalid_argument("depth_of: cycle in tree");
+Tree::Tree(NodeId root, std::vector<TreeEdge> edges) : edges_(std::move(edges)) {
+  // One edge per child, ascending; a repeated child keeps its last parent.
+  std::stable_sort(edges_.begin(), edges_.end(),
+                   [](const TreeEdge& a, const TreeEdge& b) { return a.first < b.first; });
+  std::size_t kept = 0;
+  for (const TreeEdge& edge : edges_) {
+    if (kept > 0 && edges_[kept - 1].first == edge.first) {
+      edges_[kept - 1] = edge;
+    } else {
+      edges_[kept++] = edge;
     }
   }
-  return depth;
+  edges_.resize(kept);
+
+  // The root, then every edge's child in edge order (so ascending).
+  const std::size_t m = edges_.size();
+  nodes_.reserve(m + 1);
+  nodes_.push_back(root);
+  for (const auto& [child, _] : edges_) {
+    if (child != root) nodes_.push_back(child);
+  }
+
+  // Children grouped by parent index: count each group, sum the counts up
+  // to each group's end, then fill every group from its end in reverse edge
+  // order, which leaves it ascending and child_begin_ at its start. Children
+  // of a parent outside the tree belong to no group.
+  const std::size_t n = nodes_.size();
+  std::vector<int> parent_index(m);
+  child_begin_.assign(n + 1, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    parent_index[k] = index_of(edges_[k].second);
+    if (parent_index[k] >= 0) ++child_begin_[parent_index[k]];
+  }
+  std::partial_sum(child_begin_.begin(), child_begin_.end(), child_begin_.begin());
+  children_.resize(child_begin_[n]);
+  std::vector<int> child_index(children_.size());  // node index of each children_ entry
+  std::size_t child = n;  // node index of edge k's child, counting down
+  for (std::size_t k = m; k-- > 0;) {
+    const int at = edges_[k].first == root ? 0 : static_cast<int>(--child);
+    if (parent_index[k] < 0) continue;
+    const std::size_t slot = --child_begin_[parent_index[k]];
+    children_[slot] = edges_[k].first;
+    child_index[slot] = at;
+  }
+
+  // Breadth-first from the root. Every child but the root has one parent,
+  // so only a root with a parent edge (a cycle through it) is met twice.
+  order_.reserve(n);
+  order_parent_.reserve(n);
+  order_.push_back(0);
+  order_parent_.push_back(-1);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const int node = order_[i];
+    for (std::size_t c = child_begin_[node]; c < child_begin_[node + 1]; ++c) {
+      if (child_index[c] == 0) continue;
+      order_.push_back(child_index[c]);
+      order_parent_.push_back(static_cast<int>(i));
+    }
+  }
+}
+
+std::span<const NodeId> Tree::children_of(NodeId node) const noexcept {
+  const int i = index_of(node);
+  if (i < 0) return {};
+  return std::span<const NodeId>(children_).subspan(child_begin_[i],
+                                                    child_begin_[i + 1] - child_begin_[i]);
+}
+
+std::optional<NodeId> Tree::parent_of(NodeId node) const noexcept {
+  const auto it = std::lower_bound(
+      edges_.begin(), edges_.end(), node,
+      [](const TreeEdge& edge, NodeId child) { return edge.first < child; });
+  if (it == edges_.end() || it->first != node) return std::nullopt;
+  return it->second;
+}
+
+int Tree::index_of(NodeId node) const noexcept {
+  if (node == nodes_.front()) return 0;
+  const auto it = std::lower_bound(nodes_.begin() + 1, nodes_.end(), node);
+  return it != nodes_.end() && *it == node ? static_cast<int>(it - nodes_.begin()) : -1;
 }
 
 void Tree::validate(const LogicalTopology& topo) const {
-  if (parent.contains(root)) throw std::invalid_argument("Tree: root has a parent");
-  // lint:ordered — pure validation: every edge is checked, order-insensitive.
-  for (const auto& [child, p] : parent) {
+  if (parent_of(root())) throw std::invalid_argument("Tree: root has a parent");
+  for (const auto& [child, p] : edges_) {
     if (!topo.has_edge(child, p)) {
       throw std::invalid_argument("Tree: edge " + to_string(child) + "->" + to_string(p) +
                                   " not in topology");
     }
-    depth_of(child);  // throws on cycles / disconnection
+  }
+  if (order_.size() != nodes_.size()) {
+    throw std::invalid_argument("Tree: " + std::to_string(nodes_.size() - order_.size()) +
+                                " node(s) do not reach the root (cycle or missing parent)");
   }
 }
 
@@ -168,10 +216,8 @@ std::string Strategy::fingerprint() const {
       }
     } else {
       body += "    <tree";
-      append_attribute(body, "root", to_string(sub.tree.root));
-      std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
-                                                   sub.tree.parent.end());
-      std::sort(edges.begin(), edges.end());
+      append_attribute(body, "root", to_string(sub.tree.root()));
+      const auto edges = sub.tree.edges();
       if (edges.empty()) {
         body += "/>\n";
       } else {

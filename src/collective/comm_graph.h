@@ -4,7 +4,10 @@
 // Communicator: M parallel sub-collectives, each with its own communication
 // graph, tensor-partition fraction S_m/S, chunk size C_m and per-node
 // aggregation control a_{m,g}. Reduce/Broadcast sub-collectives carry a
-// tree; AllToAll sub-collectives carry per-(src,dst) flow routes.
+// tree; AllToAll sub-collectives carry per-(src,dst) flow routes. A tree is
+// dense: sorted edge arrays plus a layout (node indexes, breadth-first
+// order, child spans) that collective::tree_of builds once and that the
+// behavior derivation, the executor and the cost model all read.
 //
 // The paper ships strategies from Controller to Communicator as XML; here the
 // Strategy object itself is the interface, and fingerprint() is its only
@@ -13,8 +16,10 @@
 
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "collective/primitive.h"
@@ -27,21 +32,60 @@ namespace adapcc::collective {
 using topology::LogicalTopology;
 using topology::NodeId;
 
+/// One (child, parent) edge of a tree.
+using TreeEdge = std::pair<NodeId, NodeId>;
+
 /// A rooted in-tree: every non-root node has exactly one parent; data flows
 /// child -> parent for Reduce and parent -> child for Broadcast (the same
 /// structure is executed in the reverse direction, Sec. IV-D).
-struct Tree {
-  NodeId root;
-  std::unordered_map<NodeId, NodeId> parent;  ///< absent for the root
+///
+/// The storage is dense and fixed at construction: collective::tree_of
+/// (builders.h) is the only way to fill a tree, and it lays it out once for
+/// every reader. A node's index is its position in nodes(): the root at 0,
+/// then every other node in ascending NodeId. order() is the breadth-first
+/// order from the root with each node's children ascending, so a reverse
+/// sweep over it visits every child before its parent. Nodes whose parent
+/// chain never reaches the root (a cycle, or a parent outside the tree) stay
+/// in nodes() but not in order(); validate() rejects such a tree.
+class Tree {
+ public:
+  /// A lone root at NodeId{}.
+  Tree();
 
-  std::vector<NodeId> nodes() const;
-  std::vector<NodeId> children_of(NodeId node) const;
-  bool contains(NodeId node) const noexcept;
-  int depth_of(NodeId node) const;
+  NodeId root() const noexcept { return nodes_.front(); }
+  /// The (child, parent) edges, one per child, ascending by child.
+  std::span<const TreeEdge> edges() const noexcept { return edges_; }
+  /// The root, then every other node ascending: the children of edges()
+  /// in edge order, skipping the root.
+  std::span<const NodeId> nodes() const noexcept { return nodes_; }
+  /// Children of `node`, ascending; empty for leaves and absent nodes.
+  std::span<const NodeId> children_of(NodeId node) const noexcept;
+  /// The parent of `node`; none for absent nodes and a well-formed root.
+  std::optional<NodeId> parent_of(NodeId node) const noexcept;
+  /// Index of `node` in nodes(), or -1 when the tree lacks it.
+  int index_of(NodeId node) const noexcept;
+  bool contains(NodeId node) const noexcept { return index_of(node) >= 0; }
+  /// Node indexes in breadth-first order from the root.
+  std::span<const int> order() const noexcept { return order_; }
+  /// Per position of order(), the position of the node's parent (-1 for
+  /// the root at position 0).
+  std::span<const int> order_parent() const noexcept { return order_parent_; }
 
-  /// Validates shape: exactly one root, no cycles, all parent edges exist in
-  /// `topo`. Throws std::invalid_argument with a description on failure.
+  /// Validates shape: the root has no parent, every edge exists in `topo`
+  /// and every node reaches the root. Throws std::invalid_argument with a
+  /// description on failure.
   void validate(const LogicalTopology& topo) const;
+
+ private:
+  friend Tree tree_of(NodeId root, std::span<const TreeEdge> edges);
+  Tree(NodeId root, std::vector<TreeEdge> edges);
+
+  std::vector<TreeEdge> edges_;
+  std::vector<NodeId> nodes_;
+  std::vector<std::size_t> child_begin_;  ///< children_ offsets by node index, plus the end
+  std::vector<NodeId> children_;  ///< grouped by parent index, ascending within a group
+  std::vector<int> order_;
+  std::vector<int> order_parent_;
 };
 
 /// One routed point-to-point flow (AllToAll): path[0] == src, back == dst.

@@ -131,8 +131,8 @@ class Executor::Invocation {
     const SubCollective* spec = nullptr;
     Bytes bytes = 0;  ///< S_m
     int chunks = 0;   ///< number of pipelined chunks
-    std::map<NodeId, NodeState> nodes;  ///< node addresses are stable
-    NodeState* root = nullptr;          ///< nodes[spec->tree.root]
+    std::vector<NodeState> nodes;  ///< by index in spec->tree.nodes(); sized once
+    NodeState* root = nullptr;     ///< nodes[0]
     std::vector<FlowState> flows;
     bool reduce_direction = false;     ///< Reduce / AllReduce / ReduceScatter
     bool broadcast_direction = false;  ///< Broadcast / AllReduce / AllGather
@@ -231,42 +231,42 @@ class Executor::Invocation {
     if constexpr (audit::kEnabled) {
       audit_behavior_tuples(*run.spec, strategy_.primitive, options_.active_ranks);
     }
-    // Node states with behavior tuples.
-    for (const NodeId node : tree.nodes()) {
-      NodeState state;
-      state.id = node;
+    const auto nodes = tree.nodes();
+    const std::vector<BehaviorTuple> behavior =
+        derive_behavior(*run.spec, strategy_.primitive, options_.active_ranks);
+    // Node states with behavior tuples, root first.
+    run.nodes.resize(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      NodeState& state = run.nodes[i];
+      state.id = nodes[i];
       state.run = &run;
-      state.behavior = derive_behavior(*run.spec, strategy_.primitive, node,
-                                       options_.active_ranks);
-      state.accumulates = state.behavior.has_kernel || node == tree.root;
+      state.behavior = behavior[i];
+      state.accumulates = state.behavior.has_kernel || i == 0;
       state.received.assign(static_cast<std::size_t>(run.chunks), 0);
       state.acc.assign(static_cast<std::size_t>(run.chunks), ChunkMessage{});
-      if (node.is_gpu() && run.reduce_direction) {
+      if (nodes[i].is_gpu() && run.reduce_direction) {
         streams_.push_back(std::make_unique<sim::GpuStream>(sim_));
         state.stream = streams_.back().get();
       }
-      run.nodes.emplace(node, std::move(state));
     }
-    run.root = &run.nodes.at(tree.root);
-    // inputs_per_chunk via post-order recursion.
-    compute_inputs(run, tree.root);
-    // Channels.
-    for (const NodeId node : tree.nodes()) {
-      NodeState& state = run.nodes.at(node);
-      if (node != tree.root) {
-        const NodeId parent = tree.parent.at(node);
-        if (run.reduce_direction && state.behavior.has_send) {
-          channels_.push_back(
-              std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(node, parent)));
-          state.up = channels_.back().get();
-          state.parent = &run.nodes.at(parent);
-        }
+    run.root = &run.nodes.front();
+    compute_inputs(run);
+    // Channels: per node its up channel, then its down channels.
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      NodeState& state = run.nodes[i];
+      if (i != 0 && run.reduce_direction && state.behavior.has_send) {
+        const NodeId parent = *tree.parent_of(nodes[i]);
+        channels_.push_back(
+            std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(nodes[i], parent)));
+        state.up = channels_.back().get();
+        // A parent outside a malformed tree has index -1, which at() rejects.
+        state.parent = &run.nodes.at(static_cast<std::size_t>(tree.index_of(parent)));
       }
       if (run.broadcast_direction) {
-        for (const NodeId child : tree.children_of(node)) {
+        for (const NodeId child : tree.children_of(nodes[i])) {
           channels_.push_back(
-              std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(node, child)));
-          state.down.emplace_back(&run.nodes.at(child), channels_.back().get());
+              std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(nodes[i], child)));
+          state.down.emplace_back(&run.nodes[tree.index_of(child)], channels_.back().get());
         }
       }
     }
@@ -275,31 +275,33 @@ class Executor::Invocation {
       outstanding_ += run.chunks;  // root completions
     }
     if (run.broadcast_direction) {
-      for (const NodeId node : tree.nodes()) {
-        if (node.is_gpu() && options_.active_ranks.contains(node.index) && node != tree.root) {
+      for (const NodeId node : nodes.subspan(1)) {
+        if (node.is_gpu() && options_.active_ranks.contains(node.index)) {
           outstanding_ += run.chunks;
         }
       }
     }
     if (run.reduce_direction || run.broadcast_direction) {
-      for (const NodeId node : tree.nodes()) {
+      for (const NodeId node : nodes) {
         if (node.is_gpu()) ensure_delivery_slots(node.index);
       }
     }
   }
 
-  int compute_inputs(SubRun& run, NodeId node) {
-    // Returns the number of reduce-direction messages this node emits per
-    // chunk (its "out" count); fills inputs_per_chunk along the way.
-    NodeState& state = run.nodes.at(node);
-    int inputs = state.behavior.is_active ? 1 : 0;
-    for (const NodeId child : run.spec->tree.children_of(node)) {
-      const int child_out = compute_inputs(run, child);
-      inputs += child_out;
+  /// Fills inputs_per_chunk, the reduce-direction messages a node receives
+  /// per chunk: its own contribution plus what each child emits (one
+  /// combined message from an accumulating child, else all it received).
+  /// One reverse sweep over the breadth-first order finishes every child
+  /// before its parent; nodes the root does not reach keep 0.
+  void compute_inputs(SubRun& run) {
+    const auto order = run.spec->tree.order();
+    const auto up = run.spec->tree.order_parent();
+    for (std::size_t i = order.size(); i-- > 0;) {
+      NodeState& state = run.nodes[order[i]];
+      if (state.behavior.is_active) ++state.inputs_per_chunk;
+      if (i == 0 || state.inputs_per_chunk == 0) continue;  // nothing flows through
+      run.nodes[order[up[i]]].inputs_per_chunk += state.accumulates ? 1 : state.inputs_per_chunk;
     }
-    state.inputs_per_chunk = inputs;
-    if (inputs == 0) return 0;  // nothing flows through this node
-    return state.accumulates ? 1 : inputs;
   }
 
   void build_alltoall_sub(SubRun& run) {
@@ -364,9 +366,15 @@ class Executor::Invocation {
     if (run.reduce_direction) {
       // Every active GPU contributes its local chunks at its ready time —
       // or progressively while its buffer fills (Sec. IV-C).
-      for (auto& [node, state] : run.nodes) {
+      // In ascending NodeId: the root (index 0) goes where it sorts among
+      // the others, at index `root_at`.
+      const auto nodes = run.spec->tree.nodes();
+      const auto root_at = static_cast<std::size_t>(
+          std::lower_bound(nodes.begin() + 1, nodes.end(), nodes.front()) - nodes.begin());
+      for (std::size_t k = 1; k <= nodes.size(); ++k) {
+        NodeState& state = run.nodes[k < root_at ? k : (k == root_at ? 0 : k - 1)];
         if (!state.behavior.is_active) continue;
-        const int rank = node.index;
+        const int rank = state.id.index;
         const Seconds dead = death_time(rank);
         const auto fill_it = options_.fill_start.find(rank);
         if (fill_it != options_.fill_start.end() && run.chunks > 0) {
@@ -389,8 +397,7 @@ class Executor::Invocation {
       }
     } else if (run.broadcast_direction) {
       // Pure broadcast: the root injects its own tensor.
-      const NodeId root = run.spec->tree.root;
-      const int rank = root.index;
+      const int rank = run.spec->tree.root().index;
       if (ready_time(rank) > death_time(rank)) return;  // dead root: watchdog territory
       op_events_.push_back(schedule_op(ready_time(rank), [this, &run, rank] {
         for (int c = 0; c < run.chunks; ++c) {
@@ -565,7 +572,7 @@ class Executor::Invocation {
     sub_result.root_values[static_cast<std::size_t>(chunk)] = message.value;
     sub_result.root_masks[static_cast<std::size_t>(chunk)] = message.mask;
 
-    const NodeId root = run.spec->tree.root;
+    const NodeId root = run.spec->tree.root();
     if (root.is_gpu()) {
       record_delivery(run, root.index, chunk, message);
       note_rank_activity(root.index);

@@ -89,92 +89,18 @@ SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, const SubColl
     plan_routes(topo, sub.flows);
     return;
   }
-  // Hash order of the parent map reaches nothing: children are sorted
-  // by plan_tree and loads are integer-valued sums.
-  const std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
-                                                     sub.tree.parent.end());
-  plan_tree(topo, sub.tree.root, edges, sub.aggregate_at, active);
-}
-
-SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, NodeId root,
-                 std::span<const std::pair<NodeId, NodeId>> edges,
-                 const std::unordered_map<NodeId, bool>& flags, std::span<const char> active)
-    : primitive_(primitive) {
-  if (primitive == Primitive::kAllToAll) {
-    throw std::invalid_argument("SubPlan: AllToAll sub-collectives have routes, not a tree");
-  }
-  plan_tree(topo, root, edges, flags, active);
-}
-
-SubPlan::SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes)
-    : primitive_(Primitive::kAllToAll) {
-  plan_routes(topo, routes);
-}
-
-void SubPlan::plan_tree(const LogicalTopology& topo, NodeId root,
-                        std::span<const std::pair<NodeId, NodeId>> edges,
-                        const std::unordered_map<NodeId, bool>& flags,
-                        std::span<const char> active) {
-  // Dense node ids: the topology's, then one id past them per tree node the
-  // topology lacks (its edges are missing, which throws only if timing
-  // visits them).
-  const std::size_t known = topo.nodes().size();
-  std::vector<NodeId> absent;
-  const auto id_of = [&](NodeId node) {
-    const int id = topo.node_id(node);
-    if (id >= 0) return static_cast<std::size_t>(id);
-    auto it = std::find(absent.begin(), absent.end(), node);
-    if (it == absent.end()) it = absent.insert(it, node);
-    return known + static_cast<std::size_t>(it - absent.begin());
-  };
-  const std::size_t root_id = id_of(root);
-  std::vector<std::pair<std::size_t, std::size_t>> ends;  // (child id, parent id) per edge
-  ends.reserve(edges.size());
-  for (const auto& [child, parent] : edges) ends.emplace_back(id_of(child), id_of(parent));
-  const std::size_t ids = known + absent.size();
-
-  // Children per parent as edge indexes, grouped by parent id and sorted by
-  // child within each group: the order Tree::children_of returns.
-  std::vector<std::size_t> first(ids + 1, 0);
-  for (const auto& end : ends) ++first[end.second + 1];
-  for (std::size_t i = 0; i < ids; ++i) first[i + 1] += first[i];
-  std::vector<std::size_t> kids(edges.size());
-  {
-    std::vector<std::size_t> next(first.begin(), first.end() - 1);
-    for (std::size_t k = 0; k < ends.size(); ++k) kids[next[ends[k].second]++] = k;
-  }
-  for (std::size_t i = 0; i < ids; ++i) {
-    if (first[i + 1] - first[i] < 2) continue;
-    std::sort(kids.begin() + static_cast<std::ptrdiff_t>(first[i]),
-              kids.begin() + static_cast<std::ptrdiff_t>(first[i + 1]),
-              [&](std::size_t a, std::size_t b) { return edges[a].first < edges[b].first; });
-  }
-
-  // Breadth-first from the root; `via` is the edge that reached each node.
-  std::vector<int> index(ids, -1);
-  std::vector<NodeId> order{root};
-  std::vector<std::size_t> order_id{root_id};
-  std::vector<std::size_t> via{0};
-  index[root_id] = 0;
-  parent_.push_back(-1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (std::size_t j = first[order_id[i]]; j < first[order_id[i] + 1]; ++j) {
-      const std::size_t k = kids[j];
-      int& at = index[ends[k].first];
-      if (at >= 0) continue;  // malformed cycle: visit once
-      at = static_cast<int>(order.size());
-      parent_.push_back(static_cast<int>(i));
-      order.push_back(edges[k].first);
-      order_id.push_back(ends[k].first);
-      via.push_back(k);
-    }
-  }
+  // The tree's breadth-first order and parent indexes are the plan's own;
+  // nodes the root does not reach carry no reduce traffic and are not timed.
+  const Tree& tree = sub.tree;
+  const auto nodes = tree.nodes();
+  const auto order = tree.order();
+  parent_.assign(tree.order_parent().begin(), tree.order_parent().end());
   const int n = static_cast<int>(order.size());
   std::vector<int> active_below(n, 0);  // active GPUs in the subtree
   std::vector<int> inputs(n, 0);        // reduce messages arriving per chunk
   std::vector<int> out(n, 0);           // reduce messages sent to the parent
   for (int i = 0; i < n; ++i) {
-    const NodeId node = order[i];
+    const NodeId node = nodes[order[i]];
     const int own = node.is_gpu() && node.index >= 0 &&
                             static_cast<std::size_t>(node.index) < active.size() &&
                             active[static_cast<std::size_t>(node.index)] != 0
@@ -188,8 +114,11 @@ void SubPlan::plan_tree(const LogicalTopology& topo, NodeId root,
   // an aggregating node forwards one combined message per chunk; any other
   // node forwards everything it received plus its own contribution.
   for (int i = n - 1; i >= 0; --i) {
-    out[i] = inputs[i] == 0 ? 0 : (collective::aggregates_at(flags, order[i], primitive_) ? 1
-                                                                                        : inputs[i]);
+    out[i] = inputs[i] == 0
+                 ? 0
+                 : (collective::aggregates_at(sub.aggregate_at, nodes[order[i]], primitive_)
+                        ? 1
+                        : inputs[i]);
     if (parent_[i] >= 0) {
       active_below[parent_[i]] += active_below[i];
       inputs[parent_[i]] += out[i];
@@ -204,28 +133,36 @@ void SubPlan::plan_tree(const LogicalTopology& topo, NodeId root,
   }
 
   // Loads per edge, and the edges timing reads for the nodes each edge
-  // reached: one lookup per edge and direction.
+  // reached: one lookup per edge and direction. `at` is the breadth-first
+  // position of each node, -1 where the root does not reach it.
+  std::vector<int> at(nodes.size(), -1);
+  for (int i = 0; i < n; ++i) at[order[i]] = i;
   const bool wants_up = reduces(primitive_);
   const bool wants_down = broadcasts(primitive_);
   if (wants_up) up_.resize(n);
   if (wants_down) down_.resize(n);
+  const auto edges = tree.edges();
   loads_.reserve((wants_up ? edges.size() : 0) + (wants_down ? edges.size() : 0));
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const auto& [child, parent] = edges[k];
-    const int at = index[ends[k].first];
-    const bool reached_here = at > 0 && via[at] == k;
+  std::size_t node = 0;  // nodes() lists the edges' children after the root, in edge order
+  for (const auto& [child, parent] : edges) {
+    const int i = at[child == tree.root() ? 0 : ++node];
     if (wants_up) {
       const int id = topo.edge_id(child, parent);
-      const int sent = at < 0 ? 0 : out[at];
+      const int sent = i < 0 ? 0 : out[i];
       if (sent > 0) add_load(topo, id, static_cast<double>(sent));
-      if (reached_here) up_[at] = make_edge(topo, child, parent, id);
+      if (i > 0) up_[i] = make_edge(topo, child, parent, id);
     }
     if (wants_down) {
       const int id = topo.edge_id(parent, child);
       add_load(topo, id, 1.0);
-      if (reached_here) down_[at] = make_edge(topo, parent, child, id);
+      if (i > 0) down_[i] = make_edge(topo, parent, child, id);
     }
   }
+}
+
+SubPlan::SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes)
+    : primitive_(Primitive::kAllToAll) {
+  plan_routes(topo, routes);
 }
 
 void SubPlan::plan_routes(const LogicalTopology& topo,
@@ -475,8 +412,7 @@ double max_network_beta(const Strategy& strategy, const LogicalTopology& topo) {
     }
   };
   for (const auto& sub : strategy.subs) {
-    // lint:ordered — max() accumulation is commutative.
-    for (const auto& [child, parent] : sub.tree.parent) consider(child, parent);
+    for (const auto& [child, parent] : sub.tree.edges()) consider(child, parent);
     for (const auto& flow : sub.flows) {
       for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
         consider(flow.path[i], flow.path[i + 1]);

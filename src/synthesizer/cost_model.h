@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <set>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "collective/comm_graph.h"
@@ -71,16 +69,10 @@ std::vector<char> rank_mask(const std::set<int>& ranks);
 /// it visits one.
 class SubPlan {
  public:
-  /// Plan of `sub` under `primitive`: its tree and aggregate_at flags, or
-  /// its routes for AllToAll. `active` is a rank_mask().
+  /// Plan of `sub` under `primitive`: its tree's layout and aggregate_at
+  /// flags, or its routes for AllToAll. `active` is a rank_mask().
   SubPlan(const LogicalTopology& topo, collective::Primitive primitive,
           const collective::SubCollective& sub, std::span<const char> active);
-  /// Plan of a tree given as its root and (child, parent) edges, each child
-  /// at most once and in any order (a Tree's parent map, flattened), under
-  /// the aggregate_at `flags`. `primitive` must not be AllToAll.
-  SubPlan(const LogicalTopology& topo, collective::Primitive primitive, NodeId root,
-          std::span<const std::pair<NodeId, NodeId>> edges,
-          const std::unordered_map<NodeId, bool>& flags, std::span<const char> active);
   /// Plan of AllToAll routes.
   SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes);
 
@@ -113,9 +105,6 @@ class SubPlan {
     double load = 0.0;
   };
 
-  void plan_tree(const LogicalTopology& topo, NodeId root,
-                 std::span<const std::pair<NodeId, NodeId>> edges,
-                 const std::unordered_map<NodeId, bool>& flags, std::span<const char> active);
   void plan_routes(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes);
   EdgeInfo make_edge(const LogicalTopology& topo, NodeId from, NodeId to, int id) const;
   void add_load(const LogicalTopology& topo, int id, double load);

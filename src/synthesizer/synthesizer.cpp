@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "collective/builders.h"
 #include "util/audit.h"
@@ -38,7 +37,7 @@ Synthesizer::Synthesizer(const topology::Cluster& cluster, const topology::Logic
   }
 }
 
-std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
+std::vector<collective::Tree> Synthesizer::candidate_trees(
     const std::vector<int>& participants, int forced_root_rank) const {
   // Everything the candidates share is computed once per solve: the ranks
   // of each instance, each instance's local chain (per head) and, per root,
@@ -67,25 +66,26 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
     NodeId head;
     BytesPerSecond bw;  ///< profiled bandwidth toward the root
   };
-  std::vector<CandidateTree> candidates;
+  std::vector<collective::Tree> candidates;
   // Appends the candidates rooted at `root_instance` for the first `joins`
   // head joins: star (every head straight to the root), chain (fastest head
   // nearest the root), binary tree over the heads.
   const auto add_rooted = [&](int root_instance, std::size_t joins, int forced_head) {
-    CandidateTree local;
+    NodeId root_gpu;
+    std::vector<collective::TreeEdge> local;  // every instance's chain
     std::vector<RemoteHead> remote;
     for (const auto& [inst, ranks] : by_instance) {
       const int head = inst == root_instance && forced_head >= 0 ? forced_head : ranks.front();
       if (inst == root_instance) {
-        local.root = NodeId::gpu(head);
+        root_gpu = NodeId::gpu(head);
       } else {
         remote.push_back({inst, NodeId::gpu(head), 0.0});
       }
       // Reduce direction: deeper chain members feed toward the head.
-      collective::append_chain_edges(local.edges, chain_from(inst, head));
+      collective::append_chain_edges(local, chain_from(inst, head));
     }
     if (remote.empty()) {  // single-instance collective
-      candidates.push_back(std::move(local));
+      candidates.push_back(collective::tree_of(root_gpu, local));
       return;
     }
     // Order the remote heads by descending profiled bandwidth toward the
@@ -93,7 +93,6 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
     // subtree). Bandwidth ties break by ring order relative to the root
     // instance, so the M rotated sub-collectives place every instance at a
     // different chain depth and port load spreads evenly (ring-style).
-    const NodeId root_gpu = local.root;
     for (auto& r : remote) r.bw = edge_bw(topo_, r.head, root_gpu);
     std::sort(remote.begin(), remote.end(), [&](const RemoteHead& a, const RemoteHead& b) {
       if (a.bw != b.bw) return a.bw > b.bw;
@@ -104,9 +103,9 @@ std::vector<Synthesizer::CandidateTree> Synthesizer::candidate_trees(
     for (const auto& r : remote) heads.push_back(r.head);
     constexpr HeadJoin kJoins[] = {HeadJoin::kStar, HeadJoin::kChain, HeadJoin::kBinary};
     for (std::size_t j = 0; j < joins; ++j) {
-      CandidateTree tree = local;
-      collective::append_head_join(tree.edges, heads, kJoins[j]);
-      candidates.push_back(std::move(tree));
+      std::vector<collective::TreeEdge> edges = local;
+      collective::append_head_join(edges, heads, kJoins[j]);
+      candidates.push_back(collective::tree_of(root_gpu, edges));
     }
   };
 
@@ -202,17 +201,19 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
       primitive == Primitive::kReduce || primitive == Primitive::kBroadcast;
   const int forced_root = rooted ? *std::min_element(participants.begin(), participants.end())
                                  : -1;
-  const auto trees = candidate_trees(participants, forced_root);
-  if (trees.empty()) throw std::invalid_argument("synthesize: no candidate trees");
+  // Synthesized strategies aggregate at every GPU (no aggregate_at flags).
+  std::vector<collective::SubCollective> candidates;
+  for (collective::Tree& tree : candidate_trees(participants, forced_root)) {
+    candidates.emplace_back().tree = std::move(tree);
+  }
+  if (candidates.empty()) throw std::invalid_argument("synthesize: no candidate trees");
 
   // One plan per candidate tree; every score below is composed from these.
-  // Synthesized strategies aggregate at every GPU (no aggregate_at flags).
   const std::vector<char> active_mask = rank_mask(active);
-  const std::unordered_map<NodeId, bool> no_flags;
   std::vector<SubPlan> plans;
-  plans.reserve(trees.size());
-  for (const auto& tree : trees) {
-    plans.emplace_back(topo_, primitive, tree.root, tree.edges, no_flags, active_mask);
+  plans.reserve(candidates.size());
+  for (const auto& candidate : candidates) {
+    plans.emplace_back(topo_, primitive, candidate, active_mask);
   }
 
   // The strategy an assignment of candidate indexes to sub-collectives
@@ -224,8 +225,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   const auto build_assignment = [&](const std::vector<std::size_t>& assignment, Bytes chunk) {
     std::vector<collective::Tree> subs;
     for (std::size_t m = 0; m < subs_of(assignment); ++m) {
-      const CandidateTree& tree = trees[assignment[m % assignment.size()]];
-      subs.push_back(collective::tree_of(tree.root, tree.edges));
+      subs.push_back(candidates[assignment[m % assignment.size()]].tree);
     }
     return collective::multi_tree_strategy(primitive, participants, std::move(subs), chunk);
   };
@@ -234,7 +234,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // (cost, index) sort is unambiguous.
   const Bytes probe_chunk = config_.chunk_candidates.front();
   std::vector<std::pair<Seconds, std::size_t>> ranked;
-  for (std::size_t i = 0; i < trees.size(); ++i) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     const SubPlan* plan = &plans[i];
     const Seconds cost =
         CostEvaluator({&plan, 1}, participants.size(), probe_chunk, topo_, tensor_bytes, ports)
@@ -242,7 +242,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
     audit_parity([&] { return build_assignment({i}, probe_chunk); }, cost);
     ranked.emplace_back(cost, i);
   }
-  report_.candidates_evaluated += static_cast<int>(trees.size());
+  report_.candidates_evaluated += static_cast<int>(candidates.size());
   std::sort(ranked.begin(), ranked.end());
 
   // The best candidate per root instance, in ascending model cost; rotating
@@ -253,7 +253,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   {
     std::set<int> seen_roots;
     for (const auto& [cost, index] : ranked) {
-      const int inst = cluster_.instance_of_rank(trees[index].root.index);
+      const int inst = cluster_.instance_of_rank(candidates[index].tree.root().index);
       if (seen_roots.insert(inst).second) best_per_root.push_back(index);
     }
   }
@@ -296,8 +296,8 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
       audit_parity([&] { return build_assignment(assignment, chunk); }, cost);
       ADAPCC_LOG(kDebug, "synth")
           << "assignment size=" << assignment.size() << " first-root="
-          << to_string(trees[assignment.front()].root) << " last-root="
-          << to_string(trees[assignment[(uses.size() - 1) % assignment.size()]].root)
+          << to_string(candidates[assignment.front()].tree.root()) << " last-root="
+          << to_string(candidates[assignment[(uses.size() - 1) % assignment.size()]].tree.root())
           << " chunk=" << chunk << " cost=" << cost;
       if (cost < best_cost) {
         best_cost = cost;

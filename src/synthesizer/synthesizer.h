@@ -66,22 +66,14 @@ class Synthesizer {
 
   const SynthesisReport& last_report() const noexcept { return report_; }
 
-  /// A candidate tree as its root and (child, parent) edges, in the order a
-  /// collective::Tree of it is filled. Solves plan these directly; only the
-  /// trees the returned strategy uses become collective::Trees.
-  struct CandidateTree {
-    NodeId root;
-    std::vector<std::pair<NodeId, NodeId>> edges;
-  };
-
   /// Candidate trees: hierarchical trees whose intra-instance chains feed
   /// an inter-instance star, chain or binary tree over the instance heads.
   /// For rooted primitives (Reduce/Broadcast) every candidate is rooted at
   /// `forced_root_rank`; otherwise (-1) roots rotate over instances so
   /// parallel sub-collectives can spread NIC load, and a single-instance
   /// job rotates its chain head over its four lowest ranks instead.
-  std::vector<CandidateTree> candidate_trees(const std::vector<int>& participants,
-                                             int forced_root_rank) const;
+  std::vector<collective::Tree> candidate_trees(const std::vector<int>& participants,
+                                                int forced_root_rank) const;
 
  private:
   const topology::Cluster& cluster_;

@@ -122,20 +122,18 @@ TEST(BehaviorAudit, EmptyActiveSetSilencesEveryNode) {
   const SubCollective sub = tree_sub(
       chain_tree({NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}));
   const std::set<int> active;  // nobody ready: nothing moves, no kernels
-  for (const NodeId node : sub.tree.nodes()) {
-    const BehaviorTuple tuple = derive_behavior(sub, Primitive::kReduce, node, active);
-    EXPECT_EQ(tuple, BehaviorTuple{}) << topology::to_string(node);
+  const std::vector<BehaviorTuple> tuples = derive_behavior(sub, Primitive::kReduce, active);
+  ASSERT_EQ(tuples.size(), sub.tree.nodes().size());
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(tuples[i], BehaviorTuple{}) << topology::to_string(sub.tree.nodes()[i]);
   }
   ScopedThrowMode guard;
   EXPECT_NO_THROW(collective::audit_behavior_tuples(sub, Primitive::kReduce, active));
 }
 
 TEST(BehaviorAudit, SingleRankSubHasNoTraffic) {
-  Tree tree;
-  tree.root = NodeId::gpu(3);
-  const SubCollective sub = tree_sub(tree);
-  const BehaviorTuple tuple =
-      derive_behavior(sub, Primitive::kReduce, NodeId::gpu(3), {3});
+  const SubCollective sub = tree_sub(collective::tree_of(NodeId::gpu(3), {}));
+  const BehaviorTuple tuple = derive_behavior(sub, Primitive::kReduce, {3}).at(0);
   EXPECT_TRUE(tuple.is_active);
   EXPECT_FALSE(tuple.has_recv);    // no predecessors at all
   EXPECT_FALSE(tuple.has_kernel);  // nothing to aggregate with
@@ -150,8 +148,8 @@ TEST(BehaviorAudit, RelayWithOneActivePrecedentForwardsWithoutKernel) {
   const SubCollective sub = tree_sub(
       chain_tree({NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}));
   const std::set<int> active{0, 2};
-  const BehaviorTuple relay =
-      derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const BehaviorTuple relay = derive_behavior(sub, Primitive::kReduce, active).at(
+      static_cast<std::size_t>(sub.tree.index_of(NodeId::gpu(1))));
   EXPECT_FALSE(relay.is_active);
   EXPECT_TRUE(relay.has_recv);
   EXPECT_FALSE(relay.has_kernel);
@@ -163,13 +161,13 @@ TEST(BehaviorAudit, RelayWithOneActivePrecedentForwardsWithoutKernel) {
 TEST(BehaviorAudit, RelayWithTwoActivePrecedentsAggregates) {
   // Star with an inactive center: two active leaves converge there, so the
   // relay must aggregate before forwarding — unless it is the root.
-  Tree tree = star_tree(NodeId::gpu(1), {NodeId::gpu(0), NodeId::gpu(2)});
-  tree.parent[NodeId::gpu(1)] = NodeId::gpu(3);
-  tree.root = NodeId::gpu(3);
-  const SubCollective sub = tree_sub(std::move(tree));
+  const Tree star = star_tree(NodeId::gpu(1), {NodeId::gpu(0), NodeId::gpu(2)});
+  std::vector<collective::TreeEdge> edges(star.edges().begin(), star.edges().end());
+  edges.emplace_back(NodeId::gpu(1), NodeId::gpu(3));
+  const SubCollective sub = tree_sub(collective::tree_of(NodeId::gpu(3), edges));
   const std::set<int> active{0, 2, 3};
-  const BehaviorTuple relay =
-      derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const BehaviorTuple relay = derive_behavior(sub, Primitive::kReduce, active).at(
+      static_cast<std::size_t>(sub.tree.index_of(NodeId::gpu(1))));
   EXPECT_FALSE(relay.is_active);
   EXPECT_TRUE(relay.has_recv);
   EXPECT_TRUE(relay.has_kernel);
@@ -187,11 +185,8 @@ TEST(BehaviorAudit, RelayWithTwoActivePrecedentsAggregates) {
 
 TEST(BehaviorAudit, RejectsCyclicParentChain) {
   if constexpr (!audit::kEnabled) GTEST_SKIP() << "requires -DADAPCC_AUDIT=ON";
-  Tree tree;
-  tree.root = NodeId::gpu(0);
-  tree.parent[NodeId::gpu(1)] = NodeId::gpu(2);
-  tree.parent[NodeId::gpu(2)] = NodeId::gpu(1);
-  const SubCollective sub = tree_sub(std::move(tree));
+  const SubCollective sub = tree_sub(collective::tree_of(
+      NodeId::gpu(0), {{{NodeId::gpu(1), NodeId::gpu(2)}, {NodeId::gpu(2), NodeId::gpu(1)}}}));
   ScopedThrowMode guard;
   EXPECT_THROW(collective::audit_behavior_tuples(sub, Primitive::kReduce, {0, 1, 2}),
                audit::AuditError);

@@ -4,7 +4,9 @@
 
 #include "baselines/backend.h"
 #include "collective/payload.h"
+#include "topology/detector.h"
 #include "topology/testbeds.h"
+#include "util/rng.h"
 
 namespace adapcc {
 namespace {
@@ -51,7 +53,7 @@ TEST_F(BaselinesTest, NcclReducesOntoNicProximalGpu) {
   const auto plan = nccl.plan(Primitive::kReduce, all_ranks(), megabytes(256));
   // Root = GPU on the NIC's PCIe switch of instance 0; NIC sits on switch 0,
   // whose GPUs are local ranks 0 and 1 -> global rank 0.
-  EXPECT_EQ(plan.subs[0].tree.root, NodeId::gpu(0));
+  EXPECT_EQ(plan.subs[0].tree.root(), NodeId::gpu(0));
 }
 
 TEST_F(BaselinesTest, NcclAllReduceIsCorrect) {
@@ -71,8 +73,12 @@ TEST_F(BaselinesTest, MscclUsesTwoChannels) {
   MscclBackend msccl(*cluster_);
   const auto plan = msccl.plan(Primitive::kAllReduce, all_ranks(), megabytes(256));
   EXPECT_EQ(plan.subs.size(), 2u);
-  EXPECT_NO_THROW(plan.subs[0].tree.depth_of(NodeId::gpu(15)));
-  EXPECT_NO_THROW(plan.subs[1].tree.depth_of(NodeId::gpu(15)));
+  topology::Detector detector(*cluster_, util::Rng(1));
+  const auto topo = topology::Detector::build_logical_topology(*cluster_, detector.detect());
+  for (const auto& sub : plan.subs) {
+    EXPECT_TRUE(sub.tree.contains(NodeId::gpu(15)));
+    EXPECT_NO_THROW(sub.tree.validate(topo));
+  }
 }
 
 TEST_F(BaselinesTest, BlinkRejectsAllToAll) {
@@ -98,7 +104,7 @@ TEST_F(BaselinesTest, BlinkFollowsNvlinkWiringOnFragmentedServer) {
   // Blink's chain on the fragmented server must keep NVLink pairs adjacent:
   // the chain starting at head 0 goes 0-1 (NVLink) rather than 0-...-PCIe.
   const auto& tree = blink_plan.subs[0].tree;
-  EXPECT_EQ(tree.parent.at(NodeId::gpu(1)), NodeId::gpu(0));
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(1)), NodeId::gpu(0));
   // NCCL's rank-order chain also picks 1->0 here, but on the fragmented box
   // the NCCL chain 3->2->1->0 crosses the missing 2-1 NVLink; Blink routes
   // 3->2 and 2 hangs off... (structure differs). At minimum the two plans

@@ -50,43 +50,77 @@ double expected_sum(std::initializer_list<int> ranks, int sub, int chunk) {
 
 // --- Tree / builders --------------------------------------------------------
 
+std::vector<NodeId> children(const Tree& tree, NodeId node) {
+  const auto kids = tree.children_of(node);
+  return {kids.begin(), kids.end()};
+}
+
+/// derive_behavior's tuple for one node.
+BehaviorTuple behavior_of(const SubCollective& sub, Primitive primitive, NodeId node,
+                          const std::set<int>& active) {
+  return derive_behavior(sub, primitive, active).at(
+      static_cast<std::size_t>(sub.tree.index_of(node)));
+}
+
 TEST(TreeTest, ChainShape) {
   const Tree tree = chain_tree({NodeId::gpu(0), NodeId::gpu(1), NodeId::gpu(2)});
-  EXPECT_EQ(tree.root, NodeId::gpu(2));
-  EXPECT_EQ(tree.parent.at(NodeId::gpu(0)), NodeId::gpu(1));
-  EXPECT_EQ(tree.depth_of(NodeId::gpu(0)), 2);
-  EXPECT_EQ(tree.children_of(NodeId::gpu(2)), (std::vector<NodeId>{NodeId::gpu(1)}));
+  EXPECT_EQ(tree.root(), NodeId::gpu(2));
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(0)), NodeId::gpu(1));
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(1)), NodeId::gpu(2));
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(2)), std::nullopt);
+  EXPECT_EQ(children(tree, NodeId::gpu(2)), (std::vector<NodeId>{NodeId::gpu(1)}));
+  // Breadth-first from the root: gpu2, gpu1, gpu0, each under the previous.
+  EXPECT_EQ(std::vector<int>(tree.order().begin(), tree.order().end()),
+            (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(std::vector<int>(tree.order_parent().begin(), tree.order_parent().end()),
+            (std::vector<int>{-1, 0, 1}));
 }
 
 TEST(TreeTest, KaryShape) {
   std::vector<NodeId> nodes;
   for (int i = 0; i < 7; ++i) nodes.push_back(NodeId::gpu(i));
   const Tree tree = kary_tree(nodes, 2);
-  EXPECT_EQ(tree.root, NodeId::gpu(0));
+  EXPECT_EQ(tree.root(), NodeId::gpu(0));
   EXPECT_EQ(tree.children_of(NodeId::gpu(0)).size(), 2u);
   EXPECT_EQ(tree.children_of(NodeId::gpu(1)).size(), 2u);
-  EXPECT_EQ(tree.parent.at(NodeId::gpu(6)), NodeId::gpu(2));
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(6)), NodeId::gpu(2));
 }
 
-TEST(TreeTest, DepthDetectsCycles) {
-  Tree tree;
-  tree.root = NodeId::gpu(0);
-  tree.parent[NodeId::gpu(1)] = NodeId::gpu(2);
-  tree.parent[NodeId::gpu(2)] = NodeId::gpu(1);
-  EXPECT_THROW(tree.depth_of(NodeId::gpu(1)), std::invalid_argument);
+TEST(TreeTest, ValidateDetectsCycles) {
+  // gpu1 and gpu2 point at each other: neither reaches the root.
+  const Tree tree = collective::tree_of(
+      NodeId::gpu(0), {{{NodeId::gpu(1), NodeId::gpu(2)}, {NodeId::gpu(2), NodeId::gpu(1)}}});
+  topology::LogicalTopology topo;  // every GPU pair of three, both ways
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      if (a != b) topo.add_edge({NodeId::gpu(a), NodeId::gpu(b)});
+    }
+  }
+  EXPECT_TRUE(tree.contains(NodeId::gpu(1)));
+  EXPECT_EQ(tree.order().size(), 1u);  // only the root is reachable
+  EXPECT_THROW(tree.validate(topo), std::invalid_argument);
+  EXPECT_NO_THROW(chain_tree({NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}).validate(topo));
+}
+
+TEST(TreeTest, RepeatedChildKeepsItsLastParent) {
+  const Tree tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::gpu(1), NodeId::gpu(0)},
+                                                          {NodeId::gpu(2), NodeId::gpu(0)},
+                                                          {NodeId::gpu(1), NodeId::gpu(2)}}});
+  EXPECT_EQ(tree.edges().size(), 2u);
+  EXPECT_EQ(tree.parent_of(NodeId::gpu(1)), NodeId::gpu(2));
+  EXPECT_EQ(children(tree, NodeId::gpu(0)), (std::vector<NodeId>{NodeId::gpu(2)}));
+  EXPECT_EQ(children(tree, NodeId::gpu(2)), (std::vector<NodeId>{NodeId::gpu(1)}));
 }
 
 TEST(TreeTest, NodesListsRootFirstThenAscending) {
   // Callers iterate nodes() to build channels; the order must not depend on
-  // hash-map iteration. Pin it: root first, everything else ascending by
-  // NodeId.
-  Tree tree;
-  tree.root = NodeId::gpu(2);
-  tree.parent[NodeId::nic(1)] = NodeId::gpu(2);
-  tree.parent[NodeId::gpu(5)] = NodeId::nic(1);
-  tree.parent[NodeId::gpu(0)] = NodeId::gpu(2);
-  tree.parent[NodeId::gpu(3)] = NodeId::gpu(0);
-  const std::vector<NodeId> nodes = tree.nodes();
+  // the order the edges were given in. Pin it: root first, everything else
+  // ascending by NodeId.
+  const Tree tree = collective::tree_of(NodeId::gpu(2), {{{NodeId::nic(1), NodeId::gpu(2)},
+                                                          {NodeId::gpu(5), NodeId::nic(1)},
+                                                          {NodeId::gpu(0), NodeId::gpu(2)},
+                                                          {NodeId::gpu(3), NodeId::gpu(0)}}});
+  const auto nodes = tree.nodes();
   ASSERT_EQ(nodes.size(), 5u);
   EXPECT_EQ(nodes.front(), NodeId::gpu(2));
   for (std::size_t i = 2; i < nodes.size(); ++i) {
@@ -101,10 +135,9 @@ class BehaviorTest : public ::testing::Test {
   // The 4-GPU reduce graph of Fig. 7: GPU3 -> GPU1, GPU2 -> GPU1, GPU1 -> GPU0.
   SubCollective make_sub() {
     SubCollective sub;
-    sub.tree.root = NodeId::gpu(0);
-    sub.tree.parent[NodeId::gpu(1)] = NodeId::gpu(0);
-    sub.tree.parent[NodeId::gpu(2)] = NodeId::gpu(1);
-    sub.tree.parent[NodeId::gpu(3)] = NodeId::gpu(1);
+    sub.tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::gpu(1), NodeId::gpu(0)},
+                                                     {NodeId::gpu(2), NodeId::gpu(1)},
+                                                     {NodeId::gpu(3), NodeId::gpu(1)}}});
     return sub;
   }
 };
@@ -112,11 +145,11 @@ class BehaviorTest : public ::testing::Test {
 TEST_F(BehaviorTest, AllActiveEveryoneAggregates) {
   const auto sub = make_sub();
   const std::set<int> active{0, 1, 2, 3};
-  const auto b0 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(0), active);
+  const auto b0 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(0), active);
   EXPECT_EQ(b0, (BehaviorTuple{true, true, true, false}));  // root never sends
-  const auto b1 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_EQ(b1, (BehaviorTuple{true, true, true, true}));
-  const auto b3 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(3), active);
+  const auto b3 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(3), active);
   EXPECT_EQ(b3, (BehaviorTuple{true, false, false, true}));  // leaf: nothing to recv
 }
 
@@ -124,7 +157,7 @@ TEST_F(BehaviorTest, RelayWithTwoActivePrecedentsKeepsKernel) {
   // Fig. 7(b): GPU1 relays for GPU2 and GPU3 -> <0,1,1,1>.
   const auto sub = make_sub();
   const std::set<int> active{0, 2, 3};
-  const auto b1 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_EQ(b1, (BehaviorTuple{false, true, true, true}));
 }
 
@@ -133,14 +166,14 @@ TEST_F(BehaviorTest, RelayWithOneActivePrecedentSkipsKernel) {
   // GPU3 to GPU0" — one active precedent, no aggregation kernel.
   const auto sub = make_sub();
   const std::set<int> active{0, 3};
-  const auto b1 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_EQ(b1, (BehaviorTuple{false, true, false, true}));
 }
 
 TEST_F(BehaviorTest, InactiveLeafNeitherSendsNorReceives) {
   const auto sub = make_sub();
   const std::set<int> active{0, 1, 3};
-  const auto b2 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(2), active);
+  const auto b2 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(2), active);
   EXPECT_EQ(b2, (BehaviorTuple{false, false, false, false}));
 }
 
@@ -148,7 +181,7 @@ TEST_F(BehaviorTest, SynthesizerCanDisableAggregation) {
   auto sub = make_sub();
   sub.aggregate_at[NodeId::gpu(1)] = false;
   const std::set<int> active{0, 1, 2, 3};
-  const auto b1 = derive_behavior(sub, Primitive::kReduce, NodeId::gpu(1), active);
+  const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_FALSE(b1.has_kernel);
   EXPECT_TRUE(b1.has_send);
 }
@@ -156,17 +189,16 @@ TEST_F(BehaviorTest, SynthesizerCanDisableAggregation) {
 TEST_F(BehaviorTest, BroadcastNeverLaunchesKernels) {
   const auto sub = make_sub();
   const std::set<int> active{0, 1, 2, 3};
-  EXPECT_FALSE(derive_behavior(sub, Primitive::kBroadcast, NodeId::gpu(1), active).has_kernel);
-  EXPECT_FALSE(derive_behavior(sub, Primitive::kAllToAll, NodeId::gpu(1), active).has_kernel);
+  EXPECT_FALSE(behavior_of(sub, Primitive::kBroadcast, NodeId::gpu(1), active).has_kernel);
+  EXPECT_FALSE(behavior_of(sub, Primitive::kAllToAll, NodeId::gpu(1), active).has_kernel);
 }
 
 TEST_F(BehaviorTest, NicNodesAreNeverActive) {
   SubCollective sub;
-  sub.tree.root = NodeId::gpu(0);
-  sub.tree.parent[NodeId::nic(0)] = NodeId::gpu(0);
-  sub.tree.parent[NodeId::gpu(1)] = NodeId::nic(0);
+  sub.tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::nic(0), NodeId::gpu(0)},
+                                                   {NodeId::gpu(1), NodeId::nic(0)}}});
   const std::set<int> active{0, 1};
-  const auto tuple = derive_behavior(sub, Primitive::kReduce, NodeId::nic(0), active);
+  const auto tuple = behavior_of(sub, Primitive::kReduce, NodeId::nic(0), active);
   EXPECT_FALSE(tuple.is_active);
   EXPECT_TRUE(tuple.has_recv);
   EXPECT_FALSE(tuple.has_kernel);  // single active precedent through the NIC
@@ -196,7 +228,7 @@ TEST(StrategyFingerprint, RenderingIsPinned) {
   root_only.id = 1;
   root_only.fraction = 2.0 / 3;
   root_only.chunk_bytes = 1_MiB;
-  root_only.tree.root = NodeId::gpu(2);
+  root_only.tree = collective::tree_of(NodeId::gpu(2), {});
   tree.subs.push_back(root_only);
   EXPECT_EQ(tree.fingerprint(),
             R"(<strategy origin="adapcc" participants="0 1 2" primitive="allreduce">
@@ -281,11 +313,9 @@ TEST_F(ExecutorTest, IntraServerReduceSumsAllRanks) {
 TEST_F(ExecutorTest, CrossServerReduceTraversesNics) {
   build(topology::heter_testbed());
   // GPUs 0 (instance 0) and 4 (instance 1): 4 -> nic1 -> nic0 -> 0.
-  Tree tree;
-  tree.root = NodeId::gpu(0);
-  tree.parent[NodeId::nic(0)] = NodeId::gpu(0);
-  tree.parent[NodeId::nic(1)] = NodeId::nic(0);
-  tree.parent[NodeId::gpu(4)] = NodeId::nic(1);
+  const Tree tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::nic(0), NodeId::gpu(0)},
+                                                          {NodeId::nic(1), NodeId::nic(0)},
+                                                          {NodeId::gpu(4), NodeId::nic(1)}}});
   Strategy strategy = single_tree_strategy(Primitive::kReduce, {0, 4}, tree, 4_MiB);
   Executor executor(*cluster_, strategy);
   const auto result = executor.run(megabytes(32));
@@ -425,11 +455,9 @@ TEST_F(ExecutorTest, AllToAllDeliversDistinctPayloads) {
 TEST_F(ExecutorTest, ChunkingPipelinesInterServerTransfer) {
   build(topology::homo_testbed());
   // Reduce gpu4 -> nic1 -> nic0 -> gpu0, 128 MB over a 100 Gbps link.
-  Tree tree;
-  tree.root = NodeId::gpu(0);
-  tree.parent[NodeId::nic(0)] = NodeId::gpu(0);
-  tree.parent[NodeId::nic(1)] = NodeId::nic(0);
-  tree.parent[NodeId::gpu(4)] = NodeId::nic(1);
+  const Tree tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::nic(0), NodeId::gpu(0)},
+                                                          {NodeId::nic(1), NodeId::nic(0)},
+                                                          {NodeId::gpu(4), NodeId::nic(1)}}});
 
   const auto run_with_chunk = [&](Bytes chunk) {
     Strategy strategy = single_tree_strategy(Primitive::kReduce, {0, 4}, tree, chunk);
@@ -451,11 +479,9 @@ TEST_F(ExecutorTest, ParallelSubCollectivesBeatSingleChannelOnTcp) {
   build(topology::homo_testbed(topology::NetworkStack::kTcp));
   // One TCP stream is capped at 20 Gbps; four parallel sub-collectives can
   // use 80 Gbps (Sec. VI-D's motivation for M parallel transmissions).
-  Tree tree;
-  tree.root = NodeId::gpu(0);
-  tree.parent[NodeId::nic(0)] = NodeId::gpu(0);
-  tree.parent[NodeId::nic(1)] = NodeId::nic(0);
-  tree.parent[NodeId::gpu(4)] = NodeId::nic(1);
+  const Tree tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::nic(0), NodeId::gpu(0)},
+                                                          {NodeId::nic(1), NodeId::nic(0)},
+                                                          {NodeId::gpu(4), NodeId::nic(1)}}});
 
   Strategy single = single_tree_strategy(Primitive::kReduce, {0, 4}, tree, 4_MiB);
   Executor single_exec(*cluster_, single);

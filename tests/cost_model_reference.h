@@ -115,9 +115,9 @@ inline LinkLoads link_loads(const Strategy& strategy, const std::set<int>& activ
       continue;
     }
     if (reduces(strategy.primitive)) {
-      add_reduce_loads(sub, strategy.primitive, sub.tree.root, active, loads);
+      add_reduce_loads(sub, strategy.primitive, sub.tree.root(), active, loads);
     }
-    if (broadcasts(strategy.primitive)) add_broadcast_loads(sub.tree, sub.tree.root, loads);
+    if (broadcasts(strategy.primitive)) add_broadcast_loads(sub.tree, sub.tree.root(), loads);
   }
   return loads;
 }
@@ -285,13 +285,13 @@ inline Seconds completion_time(const Strategy& strategy, const LogicalTopology& 
       const Tree& tree = sub.tree;
       if (reduces(strategy.primitive)) {
         Seconds bottleneck = 0.0;
-        const Seconds ready = reduce_ready(model, tree, tree.root, active, chunk, bottleneck);
+        const Seconds ready = reduce_ready(model, tree, tree.root(), active, chunk, bottleneck);
         total = ready + chunks * bottleneck;
       }
       if (broadcasts(strategy.primitive)) {
         Seconds bottleneck = 0.0;
         const Seconds last =
-            broadcast_last_arrival(model, tree, tree.root, 0.0, chunk, bottleneck);
+            broadcast_last_arrival(model, tree, tree.root(), 0.0, chunk, bottleneck);
         total = strategy.primitive == Primitive::kAllReduce ? total + last
                                                             : last + chunks * bottleneck;
       }

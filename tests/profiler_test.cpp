@@ -303,6 +303,47 @@ INSTANTIATE_TEST_SUITE_P(
                    false, true}),
     [](const ::testing::TestParamInfo<ReplayCase>& case_info) { return case_info.param.name; });
 
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+// The shaped profile, pinned. Both ProfilerReplayTest twins pass through the
+// replay gate, so a gate that ignored pending events would replay the shaped
+// rounds on both sides, identically wrong, and the twins would still agree.
+// The fitted costs, the clock and every link ledger of the heter_tcp_shaped
+// profile must hash to the value captured with the gate refusing rounds that
+// a shaper event would interleave with.
+TEST(ProfilerReplayPinTest, ShapedProfileMatchesPinnedHash) {
+  ProfiledTwin twin(
+      ReplayCase{"heter_tcp_shaped", topology::heter_testbed(topology::NetworkStack::kTcp),
+                 false, true});
+  twin.profile();
+  Fnv fnv;
+  fnv.add(bits(twin.report.wall_time));
+  fnv.add(bits(twin.sim.now()));
+  for (const auto& edge : twin.topo.edges()) {
+    fnv.add(bits(edge.alpha));
+    fnv.add(bits(edge.beta));
+    fnv.add(bits(edge.port_beta));
+  }
+  for (const sim::FlowLink* link : twin.links()) {
+    const auto& ledger = link->ledger();
+    fnv.add(bits(ledger.service));
+    fnv.add(bits(ledger.last_update));
+    fnv.add(bits(ledger.busy));
+    fnv.add(static_cast<std::uint64_t>(ledger.delivered));
+    fnv.add(ledger.next_sequence);
+  }
+  EXPECT_EQ(fnv.h, 0xae8cdc0c52d4fbdbull) << std::hex << fnv.h;
+}
+
 TEST(ProfilerReplayTelemetryTest, TelemetryKeepsRoundsEventedWithIdenticalCosts) {
   const ReplayCase c{"heter_tcp", topology::heter_testbed(topology::NetworkStack::kTcp)};
   ProfiledTwin replayed(c);

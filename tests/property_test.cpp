@@ -122,7 +122,7 @@ TEST_P(CollectiveCorrectness, DeliversExactAggregates) {
       EXPECT_DOUBLE_EQ(result.subs[0].root_values[0], full_sum_sub0);
       break;
     case Primitive::kBroadcast: {
-      const int root = strategy.subs[0].tree.root.index;
+      const int root = strategy.subs[0].tree.root().index;
       for (const int r : ranks) {
         EXPECT_DOUBLE_EQ(result.delivered.at(r)[0][0], collective::payload_value(root, 0, 0));
       }
@@ -162,27 +162,41 @@ INSTANTIATE_TEST_SUITE_P(
 // Behavior-tuple invariants on random trees / active sets.
 // ---------------------------------------------------------------------------
 
+/// Number of active GPUs in the subtree rooted at `node` (including `node`
+/// itself): a plain recursion over children_of, the reference the
+/// derivation's single sweep is held to.
+int active_in_subtree(const collective::Tree& tree, NodeId node, const std::set<int>& active) {
+  int count = node.is_gpu() && active.contains(node.index) ? 1 : 0;
+  for (const NodeId child : tree.children_of(node)) {
+    count += active_in_subtree(tree, child, active);
+  }
+  return count;
+}
+
 class BehaviorProperty : public ::testing::TestWithParam<int /*seed*/> {};
 
 TEST_P(BehaviorProperty, InvariantsHoldOnRandomTrees) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()));
   const int nodes = static_cast<int>(rng.uniform_int(2, 12));
-  collective::SubCollective sub;
-  sub.tree.root = NodeId::gpu(0);
+  std::vector<collective::TreeEdge> edges;
   for (int n = 1; n < nodes; ++n) {
     // Random parent among the already-inserted nodes: always a valid tree.
-    sub.tree.parent[NodeId::gpu(n)] = NodeId::gpu(static_cast<int>(rng.uniform_int(0, n - 1)));
+    edges.emplace_back(NodeId::gpu(n), NodeId::gpu(static_cast<int>(rng.uniform_int(0, n - 1))));
   }
+  collective::SubCollective sub;
+  sub.tree = collective::tree_of(NodeId::gpu(0), edges);
   std::set<int> active;
   for (int n = 0; n < nodes; ++n) {
     if (rng.bernoulli(0.6)) active.insert(n);
   }
 
+  const auto tuples = collective::derive_behavior(sub, Primitive::kReduce, active);
+  ASSERT_EQ(tuples.size(), static_cast<std::size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     const NodeId node = NodeId::gpu(n);
-    const auto tuple = collective::derive_behavior(sub, Primitive::kReduce, node, active);
+    const auto tuple = tuples[static_cast<std::size_t>(sub.tree.index_of(node))];
     // Root never sends.
-    if (node == sub.tree.root) {
+    if (node == sub.tree.root()) {
       EXPECT_FALSE(tuple.has_send);
     }
     // A rank with nothing local and nothing received does nothing.
@@ -200,12 +214,18 @@ TEST_P(BehaviorProperty, InvariantsHoldOnRandomTrees) {
     }
     // is_active mirrors the active set exactly.
     EXPECT_EQ(tuple.is_active, active.contains(n));
-    // hasRecv is exactly "some active rank below me".
+    // hasRecv is exactly "some active rank below me", and an inactive
+    // relay aggregates only where two children carry data.
     int below = 0;
+    int carrying = 0;
     for (const NodeId child : sub.tree.children_of(node)) {
-      below += collective::active_in_subtree(sub.tree, child, active);
+      const int count = active_in_subtree(sub.tree, child, active);
+      below += count;
+      if (count > 0) ++carrying;
     }
     EXPECT_EQ(tuple.has_recv, below > 0);
+    EXPECT_EQ(tuple.has_kernel, below > 0 && (tuple.is_active || carrying > 1));
+    EXPECT_EQ(tuple.has_send, node != sub.tree.root() && (tuple.is_active || below > 0));
   }
 }
 
@@ -225,21 +245,20 @@ TEST_P(ConservationProperty, ChainReduceMovesExactlyOneTensorPerInstance) {
   // tensor across its egress; the root sends nothing.
   std::vector<int> ranks;
   for (int r = 0; r < cluster.world_size(); ++r) ranks.push_back(r);
-  collective::Tree tree;
-  tree.root = NodeId::gpu(0);
+  std::vector<collective::TreeEdge> edges;
   for (int inst = 0; inst < instances; ++inst) {
     const auto on_instance = cluster.ranks_on_instance(inst);
     for (std::size_t i = 1; i < on_instance.size(); ++i) {
-      tree.parent[NodeId::gpu(on_instance[i])] = NodeId::gpu(on_instance[i - 1]);
+      edges.emplace_back(NodeId::gpu(on_instance[i]), NodeId::gpu(on_instance[i - 1]));
     }
     if (inst > 0) {
-      tree.parent[NodeId::gpu(cluster.ranks_on_instance(inst)[0])] =
-          NodeId::gpu(cluster.ranks_on_instance(inst - 1)[0]);
+      edges.emplace_back(NodeId::gpu(cluster.ranks_on_instance(inst)[0]),
+                         NodeId::gpu(cluster.ranks_on_instance(inst - 1)[0]));
     }
   }
   const Bytes tensor = megabytes(64);
-  Strategy strategy =
-      collective::single_tree_strategy(Primitive::kReduce, ranks, std::move(tree), 2_MiB);
+  Strategy strategy = collective::single_tree_strategy(
+      Primitive::kReduce, ranks, collective::tree_of(NodeId::gpu(0), edges), 2_MiB);
 
   std::vector<Bytes> egress_before, ingress_before;
   for (int inst = 0; inst < instances; ++inst) {
@@ -302,11 +321,12 @@ Strategy random_strategy(util::Rng& rng, Primitive primitive, const std::vector<
         }
       }
     } else {
-      sub.tree.root = gpu(0);
+      std::vector<collective::TreeEdge> edges;
       for (int n = 1; n < world; ++n) {
-        sub.tree.parent[gpu(n)] = gpu(static_cast<int>(rng.uniform_int(0, n - 1)));
+        edges.emplace_back(gpu(n), gpu(static_cast<int>(rng.uniform_int(0, n - 1))));
         if (rng.bernoulli(0.25)) sub.aggregate_at[gpu(n)] = rng.bernoulli(0.5);
       }
+      sub.tree = collective::tree_of(gpu(0), edges);
     }
     strategy.subs.push_back(std::move(sub));
   }
@@ -315,8 +335,9 @@ Strategy random_strategy(util::Rng& rng, Primitive primitive, const std::vector<
 
 // ---------------------------------------------------------------------------
 // Strategy fingerprint round-trip on randomized strategies. The fingerprint
-// is the strategy's canonical XML rendering; a copy rebuilt with its hash
-// maps filled in reverse key order and rehashed must render the same text.
+// is the strategy's canonical XML rendering; a copy rebuilt with its trees
+// filled from their edges and its aggregation maps in reverse key order,
+// rehashed, must render the same text.
 // ---------------------------------------------------------------------------
 
 class XmlRoundTripProperty : public ::testing::TestWithParam<int /*seed*/> {};
@@ -330,8 +351,9 @@ TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
   const Strategy strategy =
       random_strategy(rng, alltoall ? Primitive::kAllToAll : Primitive::kAllReduce, ranks);
 
-  // Rebuild every unordered map from its entries in descending key order
-  // into a table with a different bucket count, so iteration order differs.
+  // Rebuild every aggregation map from its entries in descending key order
+  // into a table with a different bucket count, so iteration order differs,
+  // and every tree from its edges in descending child order.
   auto rebuilt_map = [](const auto& original) {
     std::vector<std::pair<NodeId, typename std::decay_t<decltype(original)>::mapped_type>>
         entries(original.begin(), original.end());
@@ -343,7 +365,8 @@ TEST_P(XmlRoundTripProperty, FingerprintSurvivesRoundTrip) {
   };
   Strategy reloaded = strategy;
   for (auto& sub : reloaded.subs) {
-    sub.tree.parent = rebuilt_map(sub.tree.parent);
+    std::vector<collective::TreeEdge> edges(sub.tree.edges().rbegin(), sub.tree.edges().rend());
+    sub.tree = collective::tree_of(sub.tree.root(), edges);
     sub.aggregate_at = rebuilt_map(sub.aggregate_at);
   }
   EXPECT_EQ(reloaded.fingerprint(), strategy.fingerprint());
@@ -413,6 +436,13 @@ std::vector<std::pair<NodeId, NodeId>> strategy_edges(const Strategy& strategy) 
 
 std::size_t pick(util::Rng& rng, std::size_t n) {
   return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// `tree`'s edges in a random order.
+std::vector<collective::TreeEdge> shuffled_edges(util::Rng& rng, const collective::Tree& tree) {
+  std::vector<collective::TreeEdge> edges(tree.edges().begin(), tree.edges().end());
+  for (std::size_t i = edges.size(); i > 1; --i) std::swap(edges[i - 1], edges[pick(rng, i)]);
+  return edges;
 }
 
 /// A profiled testbed with a synthesizer: odd seeds paper_testbed, even
@@ -535,7 +565,7 @@ TEST_P(CostModelOracleProperty, AggregationOffNeverLowersCost) {
     for (std::size_t si = 0; si < t.strategy.subs.size(); ++si) {
       const auto& sub = t.strategy.subs[si];
       for (const NodeId node : sub.tree.nodes()) {
-        if (!node.is_gpu() || node == sub.tree.root) continue;
+        if (!node.is_gpu() || node == sub.tree.root()) continue;
         if (sub.tree.children_of(node).empty()) continue;
         if (!sub.aggregates_at(node, t.strategy.primitive)) continue;
         Strategy flipped = t.strategy;
@@ -585,7 +615,9 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
         sub.flows.push_back(route);
       } else {
         const auto nodes = sub.tree.nodes();
-        sub.tree.parent[stray] = nodes[pick(rng, nodes.size())];
+        std::vector<collective::TreeEdge> edges(sub.tree.edges().begin(), sub.tree.edges().end());
+        edges.emplace_back(stray, nodes[pick(rng, nodes.size())]);
+        sub.tree = collective::tree_of(sub.tree.root(), edges);
       }
       t.where += " stray";
     }
@@ -594,16 +626,13 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
                          : t.active);
     std::vector<synthesizer::SubPlan> plans;
     plans.reserve(shapes.subs.size());
-    for (const auto& sub : shapes.subs) {
+    for (auto& sub : shapes.subs) {
       if (shapes.primitive == Primitive::kAllToAll) {
         plans.emplace_back(t.topo, sub.flows);
         continue;
       }
-      std::vector<std::pair<NodeId, NodeId>> edges(sub.tree.parent.begin(),
-                                                   sub.tree.parent.end());
-      std::sort(edges.begin(), edges.end());
-      for (std::size_t i = edges.size(); i > 1; --i) std::swap(edges[i - 1], edges[pick(rng, i)]);
-      plans.emplace_back(t.topo, shapes.primitive, sub.tree.root, edges, sub.aggregate_at, active);
+      sub.tree = collective::tree_of(sub.tree.root(), shuffled_edges(rng, sub.tree));
+      plans.emplace_back(t.topo, shapes.primitive, sub, active);
     }
 
     // 1-6 sub-collectives, each on a random shape, so shapes repeat.
@@ -653,6 +682,56 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
     }
   }
   EXPECT_GT(evaluated, 0);
+}
+
+// A tree is its edge set: filled from its edges in any order it has the
+// same fingerprint, nodes, children and behavior tuples, and its plans cost
+// the same bits.
+TEST_P(CostModelOracleProperty, ShuffledEdgesBuildTheSameTree) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 4241);
+  ProfiledBed bed(seed);
+  int compared = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const OracleTrial t = random_trial(rng, bed, seed, trial);
+    if (t.strategy.primitive == Primitive::kAllToAll) continue;
+    Strategy shuffled = t.strategy;
+    for (auto& sub : shuffled.subs) {
+      sub.tree = collective::tree_of(sub.tree.root(), shuffled_edges(rng, sub.tree));
+    }
+    EXPECT_EQ(shuffled.fingerprint(), t.strategy.fingerprint()) << t.where;
+    const std::set<int> active =
+        t.active.empty()
+            ? std::set<int>(t.strategy.participants.begin(), t.strategy.participants.end())
+            : t.active;
+    for (std::size_t m = 0; m < shuffled.subs.size(); ++m) {
+      const collective::Tree& want = t.strategy.subs[m].tree;
+      const collective::Tree& got = shuffled.subs[m].tree;
+      EXPECT_TRUE(std::ranges::equal(got.nodes(), want.nodes())) << t.where;
+      for (const NodeId node : want.nodes()) {
+        EXPECT_TRUE(std::ranges::equal(got.children_of(node), want.children_of(node)))
+            << t.where << " at " << to_string(node);
+      }
+      EXPECT_EQ(collective::derive_behavior(shuffled.subs[m], shuffled.primitive, active),
+                collective::derive_behavior(t.strategy.subs[m], t.strategy.primitive, active))
+          << t.where;
+    }
+    synthesizer::CostEvaluator want(t.strategy, t.topo, t.tensor, t.active);
+    synthesizer::CostEvaluator got(shuffled, t.topo, t.tensor, t.active);
+    EXPECT_EQ(got.link_loads(), want.link_loads()) << t.where;
+    Seconds want_cost = 0.0;
+    try {
+      want_cost = want.completion_time();
+    } catch (const std::invalid_argument&) {
+      EXPECT_THROW(got.completion_time(), std::invalid_argument) << t.where;
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.completion_time()),
+              std::bit_cast<std::uint64_t>(want_cost))
+        << t.where;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostModelOracleProperty, ::testing::Range(1, 17));

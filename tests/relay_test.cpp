@@ -96,20 +96,19 @@ class RelayFixture : public ::testing::Test {
 
   // A simple hierarchical tree over the 16-GPU homogeneous testbed.
   collective::Tree paper_tree() {
-    collective::Tree tree;
-    tree.root = NodeId::gpu(0);
+    std::vector<collective::TreeEdge> edges;
     for (int inst = 0; inst < 4; ++inst) {
       const auto ranks = cluster_->ranks_on_instance(inst);
       for (std::size_t i = 1; i < ranks.size(); ++i) {
-        tree.parent[NodeId::gpu(ranks[i])] = NodeId::gpu(ranks[i - 1]);
+        edges.emplace_back(NodeId::gpu(ranks[i]), NodeId::gpu(ranks[i - 1]));
       }
       if (inst != 0) {
-        tree.parent[NodeId::gpu(ranks[0])] = NodeId::nic(inst);
-        tree.parent[NodeId::nic(inst)] = NodeId::nic(0);
+        edges.emplace_back(NodeId::gpu(ranks[0]), NodeId::nic(inst));
+        edges.emplace_back(NodeId::nic(inst), NodeId::nic(0));
       }
     }
-    tree.parent[NodeId::nic(0)] = NodeId::gpu(0);
-    return tree;
+    edges.emplace_back(NodeId::nic(0), NodeId::gpu(0));
+    return collective::tree_of(NodeId::gpu(0), edges);
   }
 
   /// Ready times relative to the current simulated time (detection and

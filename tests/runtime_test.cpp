@@ -136,7 +136,7 @@ TEST_F(RuntimeTest, ReprofileAdaptsToDegradedNic) {
   // i.e. its head moves to a chain endpoint. Note an AllReduce chain always
   // crosses every NIC twice for that instance's own data; only the transit
   // load is avoidable, so the root need not move.
-  const int root_instance = cluster_->instance_of_rank(before.subs[0].tree.root.index);
+  const int root_instance = cluster_->instance_of_rank(before.subs[0].tree.root().index);
   const int degraded = (root_instance + 1) % cluster_->instance_count();
   cluster_->set_nic_capacity_fraction(degraded, 0.25);  // 25 Gbps
   const auto report = adapcc.reprofile(megabytes(256));
@@ -154,9 +154,9 @@ TEST_F(RuntimeTest, ReprofileAdaptsToDegradedNic) {
           ++cross_children;
         }
       }
+      const auto parent = sub.tree.parent_of(node);
       const bool has_cross_parent =
-          sub.tree.parent.contains(node) &&
-          cluster_->instance_of_rank(sub.tree.parent.at(node).index) != degraded;
+          parent && cluster_->instance_of_rank(parent->index) != degraded;
       EXPECT_FALSE(cross_children > 0 && has_cross_parent)
           << to_string(node) << " relays transit traffic through the degraded NIC";
     }

@@ -5,7 +5,6 @@
 // assembled moves one of them.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -116,11 +115,11 @@ TEST(ShapeTest, CandidateTreesKeepTheirShape) {
   };
   for (const Case& c : cases) {
     Fnv1a fnv;
-    for (auto candidate : synth.candidate_trees(ranks_of(cluster, c.subset), c.forced_root)) {
-      std::sort(candidate.edges.begin(), candidate.edges.end());
+    for (const auto& candidate :
+         synth.candidate_trees(ranks_of(cluster, c.subset), c.forced_root)) {
       fnv.add("root=");
-      fnv.add(to_string(candidate.root));
-      for (const auto& [child, parent] : candidate.edges) {
+      fnv.add(to_string(candidate.root()));
+      for (const auto& [child, parent] : candidate.edges()) {  // ascending by child
         fnv.add(" ");
         fnv.add(to_string(child));
         fnv.add("->");

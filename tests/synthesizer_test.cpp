@@ -121,8 +121,9 @@ TEST_F(SynthesizerTest, CostModelRejectsUnprofiledTopology) {
                std::invalid_argument);
   // A malformed tree: two links between nodes the topology lacks, neither
   // reaching the root. Nothing visits them, so nothing throws.
-  strategy.subs[0].tree.parent = {{NodeId::gpu(20), NodeId::gpu(21)},
-                                  {NodeId::gpu(22), NodeId::gpu(23)}};
+  strategy.subs[0].tree =
+      collective::tree_of(strategy.subs[0].tree.root(), {{{NodeId::gpu(20), NodeId::gpu(21)},
+                                                          {NodeId::gpu(22), NodeId::gpu(23)}}});
   EXPECT_EQ(estimate_completion_time(strategy, topo_, megabytes(16), {}),
             cost_reference::completion_time(strategy, topo_, megabytes(16), {}));
 }
@@ -147,9 +148,9 @@ TEST_F(SynthesizerTest, RootAvoidsSlowNicOnHeterogeneousCluster) {
   const auto strategy = synth.synthesize(Primitive::kReduce, all_ranks(), megabytes(256));
   for (const auto& sub : strategy.subs) {
     // The root must live on an A100 (100 Gbps) server: instances 0-3.
-    ASSERT_TRUE(sub.tree.root.is_gpu());
-    EXPECT_LT(cluster_->instance_of_rank(sub.tree.root.index), 4)
-        << "root " << to_string(sub.tree.root) << " is on a V100 server";
+    ASSERT_TRUE(sub.tree.root().is_gpu());
+    EXPECT_LT(cluster_->instance_of_rank(sub.tree.root().index), 4)
+        << "root " << to_string(sub.tree.root()) << " is on a V100 server";
   }
 }
 
@@ -158,7 +159,7 @@ TEST_F(SynthesizerTest, RotatedRootsSpreadLoadAcrossSubs) {
   Synthesizer synth(*cluster_, topo_);
   const auto strategy = synth.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(256));
   std::set<NodeId> roots;
-  for (const auto& sub : strategy.subs) roots.insert(sub.tree.root);
+  for (const auto& sub : strategy.subs) roots.insert(sub.tree.root());
   // On a homogeneous cluster the synthesizer should not funnel all four
   // sub-collectives through one root NIC.
   EXPECT_GT(roots.size(), 1u);
@@ -309,19 +310,17 @@ TEST_F(SynthesizerTest, SingleInstanceRotationChainsEachHead) {
   };
   std::set<std::vector<std::pair<NodeId, NodeId>>> distinct;
   for (std::size_t h = 0; h < candidates.size(); ++h) {
-    const auto& candidate = candidates[h];
+    const Tree& tree = candidates[h];
     const std::string label = "head " + std::to_string(h);
-    EXPECT_EQ(candidate.root, NodeId::gpu(ranks[h])) << label;
-    Tree tree;
-    tree.root = candidate.root;
-    for (const auto& [child, parent] : candidate.edges) tree.parent[child] = parent;
-    ASSERT_EQ(tree.parent.size(), candidate.edges.size()) << label << ": a node has two parents";
+    EXPECT_EQ(tree.root(), NodeId::gpu(ranks[h])) << label;
+    // One edge per rank but the head: no rank was given two parents.
+    ASSERT_EQ(tree.edges().size(), ranks.size() - 1) << label << ": a node has two parents";
     ASSERT_NO_THROW(tree.validate(topo_)) << label;
     // Walk the chain from the head: one child per node, each the fastest
     // hop from the tail among the ranks not yet chained.
     std::set<int> remaining(ranks.begin(), ranks.end());
     remaining.erase(ranks[h]);
-    NodeId tail = candidate.root;
+    NodeId tail = tree.root();
     while (!remaining.empty()) {
       const auto kids = tree.children_of(tail);
       ASSERT_EQ(kids.size(), 1u) << label << " at " << to_string(tail);
@@ -335,7 +334,7 @@ TEST_F(SynthesizerTest, SingleInstanceRotationChainsEachHead) {
       tail = next;
     }
     EXPECT_TRUE(tree.children_of(tail).empty()) << label;
-    distinct.insert(candidate.edges);
+    distinct.insert({tree.edges().begin(), tree.edges().end()});
   }
   EXPECT_EQ(distinct.size(), candidates.size());
 }

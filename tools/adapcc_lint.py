@@ -56,11 +56,6 @@ here defend that promise at the source level:
                       src/ (other than its own .cpp), bench/, examples/ or
                       perfbench/. A header only tests reach is a module
                       nothing runs: delete it rather than keep it compiling.
-  tree-shape          No writes to a `Tree::parent` entry (`.parent[...] =`,
-                      `.parent.emplace/insert(...)`) in src/ or bench/
-                      outside src/collective/builders.cpp: every graph shape
-                      is assembled by the builders there, so each shape has
-                      one implementation. Tests are exempt.
 
 Usage:  python3 tools/adapcc_lint.py [--root DIR] [--list-rules]
 Exit status is non-zero when any finding is reported. A finding on line N can
@@ -125,13 +120,6 @@ THREAD_SYNC_RE = re.compile(
 # orphan-header rule: where a src/ header must be included from.
 ORPHAN_RULE_USER_DIRS = ("src", "bench", "examples", "perfbench")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(?P<path>[^"]+)"', re.MULTILINE)
-
-# tree-shape rule: only the builders fill a Tree's parent map.
-TREE_SHAPE_RULE_DIRS = ("src", "bench")
-TREE_SHAPE_ALLOWED = "src/collective/builders.cpp"
-PARENT_INDEX_RE = re.compile(r"(?:\.|->)parent\s*\[")
-PARENT_INSERT_RE = re.compile(
-    r"(?:\.|->)parent\s*\.\s*(?:emplace|emplace_hint|try_emplace|insert|insert_or_assign)\s*\(")
 
 # Parameter-name patterns that imply a unit, and the alias they require.
 UNITS_RULES = [
@@ -320,35 +308,6 @@ def check_threads(path: Path, lines: list[str]) -> list[Finding]:
     return findings
 
 
-def check_tree_shape(path: Path, lines: list[str], root: Path) -> list[Finding]:
-    if path.relative_to(root).as_posix() == TREE_SHAPE_ALLOWED:
-        return []
-    # Comments are blanked per line, so an assignment whose `=` sits on the
-    # next line is still seen and offsets still map back to line numbers.
-    text = "\n".join(strip_comment(l) for l in lines)
-    offsets = [m.start() for m in PARENT_INSERT_RE.finditer(text)]
-    for m in PARENT_INDEX_RE.finditer(text):
-        depth, i = 1, m.end()
-        while i < len(text) and depth > 0:
-            depth += {"[": 1, "]": -1}.get(text[i], 0)
-            i += 1
-        while i < len(text) and text[i].isspace():
-            i += 1
-        if text.startswith("=", i) and not text.startswith("==", i):
-            offsets.append(m.start())
-    findings = []
-    for offset in sorted(offsets):
-        line = text.count("\n", 0, offset) + 1
-        prev = lines[line - 2] if line >= 2 else ""
-        if waived(lines[line - 1], "tree-shape", prev):
-            continue
-        findings.append(Finding(
-            "tree-shape", path, line,
-            "write to a Tree's parent map outside src/collective/builders.cpp: assemble the "
-            "graph with the builders there (chain edges, head join, tree_of)"))
-    return findings
-
-
 def check_orphan_headers(root: Path) -> list[Finding]:
     src = root / "src"
     included_by: dict[str, set[Path]] = {}
@@ -378,7 +337,7 @@ def main() -> int:
 
     if args.list_rules:
         print("wall-clock unseeded-random unordered-iteration hot-path-function units-suffix "
-              "chaos threads orphan-header tree-shape")
+              "chaos threads orphan-header")
         return 0
 
     findings: list[Finding] = []
@@ -405,9 +364,6 @@ def main() -> int:
     for path in iter_sources(root, THREADS_RULE_DIRS):
         lines = path.read_text().splitlines()
         findings += check_threads(path, lines)
-
-    for path in iter_sources(root, TREE_SHAPE_RULE_DIRS):
-        findings += check_tree_shape(path, path.read_text().splitlines(), root)
 
     findings += check_orphan_headers(root)
 
