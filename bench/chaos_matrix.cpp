@@ -79,7 +79,7 @@ struct RunOutcome {
   bool terminated = false;
   bool ok = false;            ///< collective completed with usable values
   bool values_correct = false;
-  std::set<int> faulty;
+  collective::RankSet faulty;
   std::map<int, double> final_values;
   std::string detail;
 };

@@ -86,7 +86,7 @@ int main() {
     std::printf("iteration 4: worker 5 crashed mid-collective -> watchdog abort, "
                 "%d attempt(s), %zu excluded, recovered in %.0f ms\n",
                 report.attempts, report.excluded.size(), report.recovery_latency * 1e3);
-    loader.redistribute(report.excluded);
+    loader.redistribute(collective::RankSet(report.excluded));
     std::printf("  %zu workers remain, global batch still %d\n", loader.workers().size(),
                 loader.global_batch_size());
   }
@@ -104,7 +104,7 @@ int main() {
   // Workers 5 and 11 restart on spares: re-admit them and restore their
   // shards. The global batch never changed size through the whole episode.
   {
-    const std::set<int> recovered = {5, 11};
+    const collective::RankSet recovered = {5, 11};
     adapcc.include_workers(recovered);
     loader.readmit(recovered);
     std::printf("workers 5 and 11 re-admitted: %zu workers, global batch still %d "

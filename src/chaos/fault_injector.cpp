@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "collective/rank_set.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
@@ -98,12 +99,6 @@ std::map<int, Seconds> FaultInjector::dead_at() const {
   return out;
 }
 
-std::set<int> FaultInjector::crashed_ranks() const {
-  std::set<int> out;
-  for (const WorkerCrash& crash : schedule_.crashes) out.insert(crash.rank);
-  return out;
-}
-
 Seconds FaultInjector::adjusted_ready(int rank, Seconds nominal) const {
   Seconds ready = nominal;
   for (const WorkerPause& pause : schedule_.pauses) {
@@ -154,10 +149,11 @@ FaultSchedule random_schedule(std::uint64_t seed, const topology::Cluster& clust
   }
   // Distinct crash ranks, capped so at least two survivors remain.
   const int max_crashes = std::min(config.crashes, std::max(world - 2, 0));
-  std::set<int> crashed;
+  collective::RankSet crashed;
   while (static_cast<int>(crashed.size()) < max_crashes) {
     const int rank = static_cast<int>(rng.uniform_int(0, world - 1));
-    if (!crashed.insert(rank).second) continue;
+    if (crashed.contains(rank)) continue;
+    crashed.insert(rank);
     schedule.crashes.push_back({rank, rng.uniform(0.1 * config.horizon, 0.6 * config.horizon)});
   }
   for (int i = 0; i < config.pauses && world > 0; ++i) {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "relay/rpc.h"
@@ -99,7 +98,6 @@ class FaultInjector : public relay::RpcMessageFilter {
 
   /// Crash times keyed by rank, for CollectiveOptions::dead_at.
   std::map<int, Seconds> dead_at() const;
-  std::set<int> crashed_ranks() const;
 
   /// Pause-adjusted readiness: every pause that begins before the nominal
   /// ready time delays the rank by its full duration.

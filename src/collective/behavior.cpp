@@ -6,14 +6,8 @@
 
 namespace adapcc::collective {
 
-std::string to_string(const BehaviorTuple& tuple) {
-  const auto flag = [](bool b) { return b ? "1" : "0"; };
-  return std::string("<") + flag(tuple.is_active) + "," + flag(tuple.has_recv) + "," +
-         flag(tuple.has_kernel) + "," + flag(tuple.has_send) + ">";
-}
-
 std::vector<BehaviorTuple> derive_behavior(const SubCollective& sub, Primitive primitive,
-                                           const std::set<int>& active_ranks) {
+                                           const RankSet& active_ranks) {
   const Tree& tree = sub.tree;
   const auto nodes = tree.nodes();
   const auto order = tree.order();
@@ -67,7 +61,7 @@ std::vector<BehaviorTuple> derive_behavior(const SubCollective& sub, Primitive p
 }
 
 void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
-                           const std::set<int>& active_ranks) {
+                           const RankSet& active_ranks) {
   const Tree& tree = sub.tree;
   const NodeId root = tree.root();
   ADAPCC_AUDIT_CHECK("comm_graph", !tree.parent_of(root),
@@ -110,7 +104,7 @@ void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
     // claim activity.
     ADAPCC_AUDIT_CHECK("comm_graph",
                        t.is_active == (node.is_gpu() && active_ranks.contains(node.index)),
-                       where << " " << node.index << " tuple " << to_string(t)
+                       where << " " << node.index << " isActive=" << t.is_active
                              << " disagrees with active set");
     // hasRecv iff some predecessor subtree carries active data.
     ADAPCC_AUDIT_CHECK("comm_graph", t.has_recv == (active_precedents[i] > 0),
@@ -138,8 +132,9 @@ void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
       ADAPCC_AUDIT_CHECK("comm_graph", !t.has_send, "root sends upward");
     } else {
       ADAPCC_AUDIT_CHECK("comm_graph", t.has_send == (t.is_active || t.has_recv),
-                         where << " " << node.index << " tuple " << to_string(t)
-                               << " sends without data (or withholds with data)");
+                         where << " " << node.index << " hasSend=" << t.has_send
+                               << " isActive=" << t.is_active << " hasRecv=" << t.has_recv
+                               << ": sends without data (or withholds with data)");
     }
   }
 }

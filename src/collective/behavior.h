@@ -9,11 +9,10 @@
 // breadth-first order derives every node's tuple at once.
 #pragma once
 
-#include <set>
-#include <string>
 #include <vector>
 
 #include "collective/comm_graph.h"
+#include "collective/rank_set.h"
 
 namespace adapcc::collective {
 
@@ -25,8 +24,6 @@ struct BehaviorTuple {
 
   friend bool operator==(const BehaviorTuple&, const BehaviorTuple&) = default;
 };
-
-std::string to_string(const BehaviorTuple& tuple);
 
 /// Derives the behavior tuple of every node of `sub`'s tree, indexed like
 /// sub.tree.nodes(), for a reduce-direction execution of `sub` with the
@@ -42,7 +39,7 @@ std::string to_string(const BehaviorTuple& tuple);
 ///               nor anything received.
 /// Nodes the root does not reach (Tree::order() lacks them) receive nothing.
 std::vector<BehaviorTuple> derive_behavior(const SubCollective& sub, Primitive primitive,
-                                           const std::set<int>& active_ranks);
+                                           const RankSet& active_ranks);
 
 /// ADAPCC_AUDIT hook (no-op in regular builds): re-checks the structural
 /// invariants of `sub`'s tree (single root, acyclic parent chains) and holds
@@ -54,6 +51,6 @@ std::vector<BehaviorTuple> derive_behavior(const SubCollective& sub, Primitive p
 /// itself. Active precedents are counted independently of the sweep, by
 /// walking each active GPU's parent chain.
 void audit_behavior_tuples(const SubCollective& sub, Primitive primitive,
-                           const std::set<int>& active_ranks);
+                           const RankSet& active_ranks);
 
 }  // namespace adapcc::collective

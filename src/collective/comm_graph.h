@@ -15,7 +15,6 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>

@@ -47,11 +47,9 @@ class Executor::Invocation {
         options_(std::move(options)),
         on_complete_(std::move(on_complete)),
         on_idle_(std::move(on_idle)) {
-    if (options_.active_ranks.empty()) {
-      options_.active_ranks.insert(strategy_.participants.begin(), strategy_.participants.end());
-    }
+    if (options_.active_ranks.empty()) options_.active_ranks = RankSet(strategy_.participants);
     for (const int rank : options_.active_ranks) {
-      if (rank < 0 || rank >= kMaxRanks) throw std::invalid_argument("Invocation: rank out of range");
+      if (rank >= kMaxRanks) throw std::invalid_argument("Invocation: rank out of range");
     }
   }
 
@@ -654,8 +652,8 @@ class Executor::Invocation {
   /// Active ranks that have not finished contributing: crashed before their
   /// tensor was fully ready, or still not ready now. These are the abort's
   /// suspects — the set the recovery orchestrator excludes.
-  std::set<int> unfinished_ranks() const {
-    std::set<int> out;
+  RankSet unfinished_ranks() const {
+    RankSet out;
     for (const int rank : options_.active_ranks) {
       const auto it = options_.ready_at.find(rank);
       const Seconds ready =

@@ -16,13 +16,13 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "collective/behavior.h"
 #include "collective/comm_graph.h"
 #include "collective/payload.h"
+#include "collective/rank_set.h"
 #include "sim/simulator.h"
 #include "topology/cluster.h"
 #include "util/units.h"
@@ -31,7 +31,7 @@ namespace adapcc::collective {
 
 struct CollectiveOptions {
   /// Ranks contributing tensors. Empty means all strategy participants.
-  std::set<int> active_ranks;
+  RankSet active_ranks;
   /// Absolute simulated times at which each rank's tensor is ready; ranks
   /// not listed are ready immediately. Non-ready relay ranks simply never
   /// contribute (they are not in active_ranks).
@@ -73,7 +73,7 @@ struct CollectiveError {
   /// crashed ranks and ranks whose tensor never became ready. Empty when the
   /// stall has no rank-level culprit (e.g. a pure link blackout) — such a
   /// failure is retryable without excluding anyone.
-  std::set<int> suspects;
+  RankSet suspects;
   std::string detail;
   explicit operator bool() const noexcept { return code != CollectiveErrorCode::kNone; }
 };

@@ -12,8 +12,9 @@
 
 namespace adapcc::collective {
 
-/// Bitmask of contributing ranks; the library supports up to 64 workers,
-/// comfortably above the paper's 24-GPU testbed.
+/// Bitmask of the ranks aggregated into one chunk message: the per-message
+/// form, capped at 64 workers (comfortably above the paper's 24-GPU
+/// testbed). Sets of ranks anywhere else are a RankSet (rank_set.h).
 using ContributorMask = std::uint64_t;
 
 inline constexpr int kMaxRanks = 64;

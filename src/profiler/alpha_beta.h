@@ -28,8 +28,6 @@ class AlphaBetaEstimator {
   /// Records one probe: `bytes` transferred in `elapsed` seconds.
   void add_sample(Bytes bytes, Seconds elapsed);
 
-  std::size_t sample_count() const noexcept { return bytes_.size(); }
-
   /// Least-squares estimate. Requires >= 2 samples at distinct sizes.
   /// A negative fitted alpha (possible under noise) is clamped to zero.
   AlphaBeta estimate() const;

@@ -49,13 +49,13 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   const double net_beta = synthesizer::max_network_beta(strategy, topo_);
   // Every estimate of this decision shares the topology's port capacities.
   const std::vector<synthesizer::PortBetas> ports = synthesizer::port_betas(topo_);
-  const auto estimate = [&](const std::set<int>& active) {
+  const auto estimate = [&](const collective::RankSet& active) {
     return synthesizer::CostEvaluator(strategy, topo_, tensor_bytes, active, ports)
         .completion_time();
   };
   const Seconds full_estimate = estimate({});
   const auto ready_set = [&](Seconds t) {
-    std::set<int> ready;
+    collective::RankSet ready;
     for (const int rank : strategy.participants) {
       const auto it = ready_at.find(rank);
       if (it == ready_at.end() || it->second <= t) ready.insert(rank);

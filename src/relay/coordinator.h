@@ -6,11 +6,11 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "collective/comm_graph.h"
 #include "collective/primitive.h"
+#include "collective/rank_set.h"
 #include "topology/logical_topology.h"
 #include "util/units.h"
 
@@ -41,7 +41,7 @@ struct RelayDecision {
   /// When communication is triggered (absolute simulated time).
   Seconds trigger_time = 0.0;
   /// Workers contributing tensors in phase 1 (ready at trigger_time).
-  std::set<int> phase1_active;
+  collective::RankSet phase1_active;
   /// Non-ready workers assigned as relays.
   std::vector<int> relays;
   /// Time spent waiting before the trigger.

@@ -12,24 +12,19 @@ DataLoader::DataLoader(int global_batch_size, std::vector<int> workers)
   split();
 }
 
-void DataLoader::redistribute(const std::set<int>& failed) {
-  std::vector<int> remaining;
-  for (const int w : workers_) {
-    if (!failed.contains(w)) remaining.push_back(w);
-  }
+void DataLoader::redistribute(const collective::RankSet& failed) {
+  collective::RankSet remaining(workers_);
+  remaining -= failed;
   if (remaining.empty()) throw std::invalid_argument("DataLoader: all workers failed");
-  workers_ = std::move(remaining);
+  workers_.assign(remaining.begin(), remaining.end());
   split();
 }
 
-void DataLoader::readmit(const std::set<int>& recovered) {
-  std::vector<int> added;
-  for (const int w : recovered) {
-    if (!std::binary_search(workers_.begin(), workers_.end(), w)) added.push_back(w);
-  }
-  if (added.empty()) return;
-  workers_.insert(workers_.end(), added.begin(), added.end());
-  std::sort(workers_.begin(), workers_.end());
+void DataLoader::readmit(const collective::RankSet& recovered) {
+  collective::RankSet members(workers_);
+  members |= recovered;
+  if (members.size() == workers_.size()) return;
+  workers_.assign(members.begin(), members.end());
   split();
 }
 

@@ -7,9 +7,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <vector>
+
+#include "collective/rank_set.h"
 
 namespace adapcc::relay {
 
@@ -18,14 +19,14 @@ class DataLoader {
   DataLoader(int global_batch_size, std::vector<int> workers);
 
   /// Removes `failed` workers and re-splits the global batch among the rest.
-  void redistribute(const std::set<int>& failed);
+  void redistribute(const collective::RankSet& failed);
 
   /// Re-admission path (pairs with Adapcc::include_workers): adds
   /// `recovered` workers back and re-splits the same global batch across the
   /// enlarged group, so participants and loader shards cannot diverge after
   /// a recovery. Workers already present are ignored; the global batch size
   /// is preserved exactly.
-  void readmit(const std::set<int>& recovered);
+  void readmit(const collective::RankSet& recovered);
 
   int batch_of(int worker) const;
   int global_batch_size() const noexcept { return global_batch_; }

@@ -18,6 +18,7 @@ using collective::Executor;
 using collective::payload_value;
 using collective::Primitive;
 using collective::rank_bit;
+using collective::RankSet;
 using collective::Strategy;
 }  // namespace
 
@@ -46,7 +47,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
   // --- Joiner selection (Sec. IV-C): relays expected ready soon keep
   // contributing — their chunks enter the ongoing aggregation while their
   // gradient buffers fill, leaving no phase-2 work for them.
-  std::set<int> phase1_active = decision.phase1_active;
+  RankSet phase1_active = decision.phase1_active;
   std::vector<int> still_late;
   if (decision.partial) {
     // A relay whose gradient buffer is already filling at the trigger (its
@@ -126,12 +127,10 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
                                        static_cast<double>(phase1.error.suspects.size())));
     }
     if (!phase1.error.suspects.empty()) {
-      for (const int rank : phase1.error.suspects) {
-        result.faulty.insert(rank);
-        phase1_active.erase(rank);
-        options.active_ranks.erase(rank);
-        options.fill_start.erase(rank);
-      }
+      result.faulty |= phase1.error.suspects;
+      phase1_active -= phase1.error.suspects;
+      options.active_ranks -= phase1.error.suspects;
+      for (const int rank : phase1.error.suspects) options.fill_start.erase(rank);
       std::erase_if(result.joined, [&](int rank) { return phase1.error.suspects.contains(rank); });
       std::erase_if(still_late, [&](int rank) { return result.faulty.contains(rank); });
       if (phase1_active.size() < 2) break;  // nothing meaningful left to aggregate
@@ -148,7 +147,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     // Unrecovered within the attempt budget: report the structured error and
     // whatever suspects remain, rather than hanging or returning bogus data.
     result.error = phase1.error;
-    for (const int rank : phase1.error.suspects) result.faulty.insert(rank);
+    result.faulty |= phase1.error.suspects;
     result.phase1_finish = result.phase2_finish = phase1.finished;
     result.final_values.clear();
     result.final_mask = 0;
@@ -289,7 +288,6 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
       for (const int late : late_ok) value += payload_value(late, 0, 0);
       result.final_values[rank] = value;
     }
-    for (const int rank : result.faulty) result.final_values.erase(rank);
   }
 
   // Faulty ranks (fault detector or watchdog recovery) hold no usable final

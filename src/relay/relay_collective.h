@@ -10,7 +10,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "collective/executor.h"
@@ -24,7 +23,7 @@ struct RelayRunResult {
   std::vector<int> relays;
   /// Relays whose chunks joined the ongoing phase-1 aggregation.
   std::vector<int> joined;
-  std::set<int> faulty;
+  collective::RankSet faulty;
   /// Time the fastest worker spent waiting before communication triggered.
   Seconds wait_time = 0.0;
   /// Trigger -> final tensor available everywhere (includes phase 2).

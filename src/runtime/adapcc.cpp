@@ -220,13 +220,11 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
     const Strategy& strategy = strategy_for(primitive, tensor_bytes);
     CollectiveOptions run_options = options.collective;
     // Restrict the active set to the survivors.
+    const collective::RankSet survivors(participants_);
     if (run_options.active_ranks.empty()) {
-      run_options.active_ranks.insert(participants_.begin(), participants_.end());
+      run_options.active_ranks = survivors;
     } else {
-      std::erase_if(run_options.active_ranks, [this](int rank) {
-        return std::find(participants_.begin(), participants_.end(), rank) ==
-               participants_.end();
-      });
+      run_options.active_ranks &= survivors;
     }
     run_options.watchdog_timeout =
         options.watchdog_timeout > 0.0
@@ -257,7 +255,7 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
     }
     if (first_failure < 0.0) first_failure = report.result.error.at;
     if (auto* t = telemetry::get()) t->metrics().counter("runtime.watchdog_aborts").add(1.0);
-    const std::set<int> suspects = report.result.error.suspects;
+    const collective::RankSet suspects = report.result.error.suspects;
     if (!suspects.empty()) {
       try {
         exclude_workers(suspects);
@@ -334,13 +332,11 @@ ReconstructionReport Adapcc::reprofile(Bytes tensor_bytes) {
   return report;
 }
 
-void Adapcc::exclude_workers(const std::set<int>& failed) {
-  std::vector<int> remaining;
-  for (const int rank : participants_) {
-    if (!failed.contains(rank)) remaining.push_back(rank);
-  }
+void Adapcc::exclude_workers(const collective::RankSet& failed) {
+  collective::RankSet remaining(participants_);
+  remaining -= failed;
   if (remaining.size() < 2) throw std::invalid_argument("exclude_workers: < 2 workers remain");
-  participants_ = std::move(remaining);
+  participants_.assign(remaining.begin(), remaining.end());
   strategies_.clear();  // graphs must be rebuilt for the smaller group
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "exclude-workers",
@@ -351,14 +347,14 @@ void Adapcc::exclude_workers(const std::set<int>& failed) {
   }
 }
 
-void Adapcc::include_workers(const std::set<int>& recovered) {
-  std::set<int> members(participants_.begin(), participants_.end());
+void Adapcc::include_workers(const collective::RankSet& recovered) {
   for (const int rank : recovered) {
-    if (rank < 0 || rank >= cluster_.world_size()) {
+    if (rank >= cluster_.world_size()) {
       throw std::invalid_argument("include_workers: rank outside the cluster");
     }
-    members.insert(rank);
   }
+  collective::RankSet members(participants_);
+  members |= recovered;
   participants_.assign(members.begin(), members.end());
   strategies_.clear();  // graphs must be rebuilt for the larger group
   if (auto* t = telemetry::get()) {

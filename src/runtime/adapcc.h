@@ -81,6 +81,9 @@ struct ResilienceReport {
   std::string halt_reason;
   int attempts = 0;
   /// Ranks this call excluded from the participant set (crash suspects).
+  /// A std::set rather than a RankSet: perfbench/oracle.cpp compares it with
+  /// a std::set, and perfbench changes only with the benchmark itself.
+  /// run_resilient fills it from the executor's RankSet suspects.
   std::set<int> excluded;
   /// First abort -> successful completion; 0 when the first attempt
   /// succeeded (Fig. 19c: recovery without checkpoint/restart).
@@ -166,12 +169,12 @@ class Adapcc {
   ReconstructionReport reprofile(Bytes tensor_bytes = megabytes(256));
 
   /// Removes faulty workers from the participant set (fault recovery).
-  void exclude_workers(const std::set<int>& failed);
+  void exclude_workers(const collective::RankSet& failed);
 
   /// Re-admits previously excluded (recovered/replaced) workers — the
   /// elastic-scaling scenario of Sec. IV-A. Detection already covers the
   /// whole cluster, so only strategy regeneration is needed.
-  void include_workers(const std::set<int>& recovered);
+  void include_workers(const collective::RankSet& recovered);
 
   const topology::LogicalTopology& topology() const { return topo_; }
   const topology::DetectionResult& detection() const { return detection_; }

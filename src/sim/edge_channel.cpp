@@ -39,24 +39,6 @@ void EdgeChannel::abort() {
   chunks_.clear();
 }
 
-Seconds EdgeChannel::path_alpha() const noexcept {
-  Seconds alpha = 0;
-  for (const auto* link : path_) alpha += link->alpha();
-  return alpha;
-}
-
-BytesPerSecond EdgeChannel::path_bandwidth() const noexcept {
-  BytesPerSecond bw = 0;
-  bool first = true;
-  for (const auto* link : path_) {
-    BytesPerSecond effective = link->capacity();
-    if (link->per_transfer_cap() > 0) effective = std::min(effective, link->per_transfer_cap());
-    bw = first ? effective : std::min(bw, effective);
-    first = false;
-  }
-  return bw;
-}
-
 bool EdgeChannel::telemetry_ready() {
   telemetry::Telemetry* t = telemetry::get();
   if (t == nullptr) return false;

@@ -93,11 +93,6 @@ class EdgeChannel {
                                   std::span<const Bytes> groups, std::size_t streams,
                                   IsolatedTimeline* timeline = nullptr);
 
-  /// Sum of per-link alphas (the latency a lone chunk pays end to end).
-  Seconds path_alpha() const noexcept;
-  /// Bottleneck single-transfer bandwidth along the path.
-  BytesPerSecond path_bandwidth() const noexcept;
-
  private:
   struct Chunk {
     std::uint64_t id;

@@ -41,20 +41,6 @@ bool crosses_ports(const LogicalTopology& topo, const topology::LogicalEdge& edg
          topo.has_placement(edge.to);
 }
 
-/// rank_mask() of any range of ranks.
-template <typename Ranks>
-std::vector<char> mask_of(const Ranks& ranks) {
-  std::vector<char> mask;
-  for (const int rank : ranks) {
-    if (rank < 0) continue;
-    if (static_cast<std::size_t>(rank) >= mask.size()) {
-      mask.resize(static_cast<std::size_t>(rank) + 1, 0);
-    }
-    mask[static_cast<std::size_t>(rank)] = 1;
-  }
-  return mask;
-}
-
 }  // namespace
 
 std::vector<PortBetas> port_betas(const LogicalTopology& topo) {
@@ -76,14 +62,12 @@ std::vector<PortBetas> port_betas(const LogicalTopology& topo) {
 }
 
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
-                                 Bytes tensor_bytes, const std::set<int>& active_ranks) {
+                                 Bytes tensor_bytes, const RankSet& active_ranks) {
   return CostEvaluator(strategy, topo, tensor_bytes, active_ranks).completion_time();
 }
 
-std::vector<char> rank_mask(const std::set<int>& ranks) { return mask_of(ranks); }
-
 SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, const SubCollective& sub,
-                 std::span<const char> active)
+                 const RankSet& active)
     : primitive_(primitive) {
   if (primitive == Primitive::kAllToAll) {
     plan_routes(topo, sub.flows);
@@ -101,11 +85,7 @@ SubPlan::SubPlan(const LogicalTopology& topo, Primitive primitive, const SubColl
   std::vector<int> out(n, 0);           // reduce messages sent to the parent
   for (int i = 0; i < n; ++i) {
     const NodeId node = nodes[order[i]];
-    const int own = node.is_gpu() && node.index >= 0 &&
-                            static_cast<std::size_t>(node.index) < active.size() &&
-                            active[static_cast<std::size_t>(node.index)] != 0
-                        ? 1
-                        : 0;
+    const int own = node.is_gpu() && active.contains(node.index) ? 1 : 0;
     active_below[i] = own;
     inputs[i] = own;
   }
@@ -222,18 +202,17 @@ CostEvaluator::CostEvaluator(const LogicalTopology& topo, Bytes tensor_bytes,
 }
 
 CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
-                             Bytes tensor_bytes, const std::set<int>& active_ranks)
+                             Bytes tensor_bytes, const RankSet& active_ranks)
     : CostEvaluator(strategy, topo, tensor_bytes, active_ranks, port_betas(topo)) {}
 
 CostEvaluator::CostEvaluator(const Strategy& strategy, const LogicalTopology& topo,
-                             Bytes tensor_bytes, const std::set<int>& active_ranks,
+                             Bytes tensor_bytes, const RankSet& active_ranks,
                              std::span<const PortBetas> ports)
     : CostEvaluator(topo, tensor_bytes, ports) {
   strategy_ = &strategy;
   primitive_ = strategy.primitive;
   participants_ = strategy.participants.size();
-  const std::vector<char> active =
-      active_ranks.empty() ? mask_of(strategy.participants) : mask_of(active_ranks);
+  const RankSet active = active_ranks.empty() ? RankSet(strategy.participants) : active_ranks;
   owned_.reserve(strategy.subs.size());
   for (const auto& sub : strategy.subs) {
     owned_.emplace_back(topo, strategy.primitive, sub, active);

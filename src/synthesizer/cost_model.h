@@ -17,16 +17,17 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
 #include "collective/comm_graph.h"
+#include "collective/rank_set.h"
 #include "topology/logical_topology.h"
 #include "util/units.h"
 
 namespace adapcc::synthesizer {
 
+using collective::RankSet;
 using collective::Strategy;
 using topology::LogicalTopology;
 using topology::NodeId;
@@ -48,11 +49,7 @@ std::vector<PortBetas> port_betas(const LogicalTopology& topo);
 /// built CostEvaluator. Throws std::invalid_argument if the strategy
 /// references unprofiled edges.
 Seconds estimate_completion_time(const Strategy& strategy, const LogicalTopology& topo,
-                                 Bytes tensor_bytes, const std::set<int>& active_ranks);
-
-/// Membership of `ranks` as a dense vector indexed by rank (negative ranks
-/// are ignored): the form a SubPlan reads its active set in.
-std::vector<char> rank_mask(const std::set<int>& ranks);
+                                 Bytes tensor_bytes, const RankSet& active_ranks);
 
 /// Everything one sub-collective's shape contributes to the Eq. 4 objective
 /// under a fixed primitive and active set, independent of the chunk size,
@@ -70,9 +67,9 @@ std::vector<char> rank_mask(const std::set<int>& ranks);
 class SubPlan {
  public:
   /// Plan of `sub` under `primitive`: its tree's layout and aggregate_at
-  /// flags, or its routes for AllToAll. `active` is a rank_mask().
+  /// flags, or its routes for AllToAll.
   SubPlan(const LogicalTopology& topo, collective::Primitive primitive,
-          const collective::SubCollective& sub, std::span<const char> active);
+          const collective::SubCollective& sub, const RankSet& active);
   /// Plan of AllToAll routes.
   SubPlan(const LogicalTopology& topo, std::span<const collective::FlowRoute> routes);
 
@@ -138,11 +135,11 @@ class CostEvaluator {
   /// any other change (trees, flows, aggregate_at) needs a new evaluator.
   /// `active_ranks` empty means all participants.
   CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
-                const std::set<int>& active_ranks);
+                const RankSet& active_ranks);
   /// Same, with the port capacities precomputed: `ports` must be
   /// port_betas(topo).
   CostEvaluator(const Strategy& strategy, const LogicalTopology& topo, Bytes tensor_bytes,
-                const std::set<int>& active_ranks, std::span<const PortBetas> ports);
+                const RankSet& active_ranks, std::span<const PortBetas> ports);
   /// Composed from plans a solve shares: plans.size() sub-collectives, each
   /// carrying an equal share of the tensor at `chunk_bytes`, sub m timed on
   /// *plans[m] (a plan may repeat). The plans, all of one primitive and

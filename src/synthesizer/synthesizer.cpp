@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 #include <stdexcept>
 
 #include "collective/builders.h"
@@ -130,13 +131,12 @@ std::vector<collective::Tree> Synthesizer::candidate_trees(
 collective::Strategy Synthesizer::synthesize(Primitive primitive,
                                              const std::vector<int>& participants,
                                              Bytes tensor_bytes,
-                                             const std::set<int>& active_ranks) {
+                                             const RankSet& active_ranks) {
   // Host-side solve timing (Fig. 19c) — reporting only, never fed back into
   // the search; direct clock reads are banned here (lint rule wall-clock).
   const util::WallTimer solve_timer;
   report_ = SynthesisReport{};
-  std::set<int> active = active_ranks;
-  if (active.empty()) active.insert(participants.begin(), participants.end());
+  const RankSet active = active_ranks.empty() ? RankSet(participants) : active_ranks;
   // Every evaluator of this solve shares the topology's port capacities.
   const std::vector<PortBetas> ports = port_betas(topo_);
 
@@ -209,11 +209,10 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   if (candidates.empty()) throw std::invalid_argument("synthesize: no candidate trees");
 
   // One plan per candidate tree; every score below is composed from these.
-  const std::vector<char> active_mask = rank_mask(active);
   std::vector<SubPlan> plans;
   plans.reserve(candidates.size());
   for (const auto& candidate : candidates) {
-    plans.emplace_back(topo_, primitive, candidate, active_mask);
+    plans.emplace_back(topo_, primitive, candidate, active);
   }
 
   // The strategy an assignment of candidate indexes to sub-collectives

@@ -22,7 +22,6 @@
 // profiled topology and its arguments (DESIGN.md §10).
 #pragma once
 
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -62,7 +61,7 @@ class Synthesizer {
   /// `tensor_bytes` per GPU. `active_ranks` defaults to all participants.
   collective::Strategy synthesize(collective::Primitive primitive,
                                   const std::vector<int>& participants, Bytes tensor_bytes,
-                                  const std::set<int>& active_ranks = {});
+                                  const RankSet& active_ranks = {});
 
   const SynthesisReport& last_report() const noexcept { return report_; }
 

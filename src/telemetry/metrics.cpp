@@ -70,11 +70,4 @@ void MetricsRegistry::snapshot(std::string label, Seconds ts) {
   snapshots_.push_back(MetricsSnapshot{std::move(label), ts, current_rows()});
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  snapshots_.clear();
-}
-
 }  // namespace adapcc::telemetry

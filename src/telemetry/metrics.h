@@ -93,9 +93,6 @@ class MetricsRegistry {
     return counters_;
   }
   const std::map<std::string, Gauge, std::less<>>& gauges() const noexcept { return gauges_; }
-  const std::map<std::string, Histogram, std::less<>>& histograms() const noexcept {
-    return histograms_;
-  }
 
   /// Rows describing every metric's current value (histograms expanded into
   /// count/mean/min/max/p50/p95/p99).
@@ -104,8 +101,6 @@ class MetricsRegistry {
   /// Labels and stores the current value of every metric.
   void snapshot(std::string label, Seconds ts);
   const std::vector<MetricsSnapshot>& snapshots() const noexcept { return snapshots_; }
-
-  void clear();
 
  private:
   std::size_t histogram_reservoir_;

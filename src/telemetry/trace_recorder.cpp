@@ -29,22 +29,6 @@ std::string kv(std::string_view key, double value) {
   return out;
 }
 
-std::string kv(std::string_view key, std::string_view value) {
-  std::string out;
-  out.reserve(key.size() + value.size() + 6);
-  out += '"';
-  out += key;
-  out += "\":\"";
-  // Minimal escaping; full escaping happens for names in the exporter. Args
-  // values are library-generated identifiers (node names, primitives).
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
   buffer_.reserve(std::min<std::size_t>(capacity_, 4096));
 }

@@ -49,9 +49,8 @@ struct TraceEvent {
 /// a fraction, others with 9 significant digits, non-finite values as 0.
 std::string json_number(double value);
 
-/// Formats one numeric / string key-value pair for TraceEvent::args.
+/// Formats one numeric key-value pair for TraceEvent::args.
 std::string kv(std::string_view key, double value);
-std::string kv(std::string_view key, std::string_view value);
 
 class TraceRecorder {
  public:

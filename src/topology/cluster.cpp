@@ -171,13 +171,6 @@ std::vector<sim::FlowLink*> Cluster::edge_path(NodeId from, NodeId to) {
   return path;
 }
 
-Seconds Cluster::true_alpha(NodeId from, NodeId to) const {
-  auto* self = const_cast<Cluster*>(this);
-  Seconds alpha = 0;
-  for (const auto* link : self->edge_path(from, to)) alpha += link->alpha();
-  return alpha;
-}
-
 BytesPerSecond Cluster::true_bandwidth(NodeId from, NodeId to) const {
   auto* self = const_cast<Cluster*>(this);
   BytesPerSecond bw = 0;

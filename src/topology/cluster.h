@@ -54,10 +54,9 @@ class Cluster {
   /// The simulated links a chunk crosses when traversing the edge, in order.
   std::vector<sim::FlowLink*> edge_path(NodeId from, NodeId to);
 
-  /// Ground-truth cost of a logical edge: sum of link alphas and the
-  /// bottleneck bandwidth along the path. The Profiler must *recover* these
-  /// from probes; tests compare its estimates against these oracles.
-  Seconds true_alpha(NodeId from, NodeId to) const;
+  /// Ground-truth bandwidth of a logical edge: the bottleneck along its path.
+  /// The Profiler must *recover* it from probes; tests compare its estimates
+  /// against this oracle.
   BytesPerSecond true_bandwidth(NodeId from, NodeId to) const;
 
   /// All logical nodes / edges (used to seed the logical topology).

@@ -5,16 +5,6 @@
 
 namespace adapcc::topology {
 
-std::string to_string(GpuKind kind) {
-  switch (kind) {
-    case GpuKind::kV100: return "V100";
-    case GpuKind::kA100: return "A100";
-    case GpuKind::kH100: return "H100";
-    case GpuKind::kM40: return "M40";
-  }
-  return "?";
-}
-
 double compute_scale(GpuKind kind) {
   // Rough mixed-precision training throughput ratios, V100 = 1.
   switch (kind) {
@@ -61,10 +51,6 @@ BytesPerSecond pcie_bandwidth(PcieGen gen) {
 }
 
 Seconds pcie_alpha() { return microseconds(5); }
-
-std::string to_string(NetworkStack stack) {
-  return stack == NetworkStack::kRdma ? "RDMA" : "TCP";
-}
 
 BytesPerSecond tcp_per_stream_cap() { return gbps(20); }
 

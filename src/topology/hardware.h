@@ -14,8 +14,6 @@ namespace adapcc::topology {
 /// GPU generations used in the paper's testbed and motivation (Sec. II-A).
 enum class GpuKind { kV100, kA100, kH100, kM40 };
 
-std::string to_string(GpuKind kind);
-
 /// Relative compute throughput, normalized to V100 = 1.0. Drives the
 /// computation-time model in src/training (heterogeneous stragglers).
 double compute_scale(GpuKind kind);
@@ -41,8 +39,6 @@ BytesPerSecond pcie_bandwidth(PcieGen gen);
 Seconds pcie_alpha();
 
 enum class NetworkStack { kRdma, kTcp };
-
-std::string to_string(NetworkStack stack);
 
 /// Single-stream ceiling for TCP (Sec. VI-D observes ~20 Gbps per channel
 /// caused by kernel-space overhead). RDMA streams are uncapped.

@@ -3,7 +3,9 @@
 // rank) and NIC nodes (one per instance), G = G_gpu ∪ G_nic.
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -21,7 +23,15 @@ struct NodeId {
   bool is_nic() const noexcept { return kind == Kind::kNic; }
 
   friend bool operator==(const NodeId&, const NodeId&) = default;
-  friend auto operator<=>(const NodeId&, const NodeId&) = default;
+  /// (kind, index) order for every int index, as one packed-integer compare.
+  friend constexpr std::strong_ordering operator<=>(const NodeId& a, const NodeId& b) noexcept {
+    return a.key() <=> b.key();
+  }
+
+ private:
+  constexpr std::int64_t key() const noexcept {
+    return (static_cast<std::int64_t>(kind) << 32) + index;
+  }
 };
 
 inline std::string to_string(const NodeId& node) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "collective/rank_set.h"
+
 namespace adapcc::training {
 
 namespace {
@@ -172,8 +174,7 @@ AccuracyCurve train_synthetic_sgd(AggregationMode mode, const SgdConfig& config)
   for (int iteration = 0; iteration < config.iterations; ++iteration) {
     // Per-worker gradients.
     std::vector<std::vector<float>> gradients;
-    std::vector<bool> late(static_cast<std::size_t>(config.workers));
-    int late_count = 0;
+    collective::RankSet late;
     for (int w = 0; w < config.workers; ++w) {
       const auto& shard = shards[static_cast<std::size_t>(w)];
       std::vector<int> batch;
@@ -186,13 +187,9 @@ AccuracyCurve train_synthetic_sgd(AggregationMode mode, const SgdConfig& config)
           w < static_cast<int>(config.chronic_fraction * config.workers + 0.5);
       const double p =
           chronic ? config.straggler_probability : config.background_probability;
-      late[static_cast<std::size_t>(w)] = run_rng.bernoulli(p);
-      if (late[static_cast<std::size_t>(w)]) ++late_count;
+      if (run_rng.bernoulli(p)) late.insert(w);
     }
-    if (late_count == config.workers) {
-      late.assign(static_cast<std::size_t>(config.workers), false);  // someone must be ready
-      late_count = 0;
-    }
+    if (static_cast<int>(late.size()) == config.workers) late = {};  // someone must be ready
 
     // Aggregate according to the mode.
     std::vector<float> aggregate(model.size(), 0.0f);
@@ -209,15 +206,13 @@ AccuracyCurve train_synthetic_sgd(AggregationMode mode, const SgdConfig& config)
       case AggregationMode::kPhase1Phase2:
         // Phase 1: ready workers in rank order; phase 2: late ones after.
         for (int w = 0; w < config.workers; ++w) {
-          if (!late[static_cast<std::size_t>(w)]) add(w);
+          if (!late.contains(w)) add(w);
         }
-        for (int w = 0; w < config.workers; ++w) {
-          if (late[static_cast<std::size_t>(w)]) add(w);
-        }
+        for (const int w : late) add(w);
         break;
       case AggregationMode::kRelayAsync:
         for (int w = 0; w < config.workers; ++w) {
-          if (!late[static_cast<std::size_t>(w)]) add(w);
+          if (!late.contains(w)) add(w);
         }
         break;
       case AggregationMode::kShuffledOrder: {

@@ -43,17 +43,10 @@ void trace_iteration(int iteration, Seconds t0, Seconds end, const IterationStat
 /// trainer's own fault path release theirs — the global batch size is
 /// preserved either way.
 void reconcile_loader(relay::DataLoader& loader, const std::vector<int>& participants) {
-  const std::set<int> current(participants.begin(), participants.end());
-  const std::set<int> tracked(loader.workers().begin(), loader.workers().end());
-  std::set<int> removed;
-  std::set<int> added;
-  for (const int worker : tracked) {
-    if (current.count(worker) == 0) removed.insert(worker);
-  }
-  for (const int worker : current) {
-    if (tracked.count(worker) == 0) added.insert(worker);
-  }
-  if (!added.empty()) loader.readmit(added);
+  const collective::RankSet current(participants);
+  collective::RankSet removed(loader.workers());
+  removed -= current;
+  loader.readmit(current);  // ignores the workers it already tracks
   if (!removed.empty()) loader.redistribute(removed);
 }
 

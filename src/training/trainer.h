@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,7 @@ struct IterationStats {
   Seconds iteration_time = 0.0;
   bool partial = false;
   std::vector<int> relays;
-  std::set<int> faulty;
+  collective::RankSet faulty;
 };
 
 struct TrainingStats {

@@ -45,11 +45,6 @@ class Rng {
     return dist(engine_);
   }
 
-  double exponential(double rate) {
-    std::exponential_distribution<double> dist(rate);
-    return dist(engine_);
-  }
-
   bool bernoulli(double p) {
     std::bernoulli_distribution dist(p);
     return dist(engine_);

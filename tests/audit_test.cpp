@@ -121,7 +121,7 @@ TEST(AuditWiring, SimulatorCancelRunsHeapAudit) {
 TEST(BehaviorAudit, EmptyActiveSetSilencesEveryNode) {
   const SubCollective sub = tree_sub(
       chain_tree({NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}));
-  const std::set<int> active;  // nobody ready: nothing moves, no kernels
+  const collective::RankSet active;  // nobody ready: nothing moves, no kernels
   const std::vector<BehaviorTuple> tuples = derive_behavior(sub, Primitive::kReduce, active);
   ASSERT_EQ(tuples.size(), sub.tree.nodes().size());
   for (std::size_t i = 0; i < tuples.size(); ++i) {
@@ -147,7 +147,7 @@ TEST(BehaviorAudit, RelayWithOneActivePrecedentForwardsWithoutKernel) {
   // root without launching an aggregation kernel (rule 2 of hasKernel).
   const SubCollective sub = tree_sub(
       chain_tree({NodeId::gpu(2), NodeId::gpu(1), NodeId::gpu(0)}));
-  const std::set<int> active{0, 2};
+  const collective::RankSet active{0, 2};
   const BehaviorTuple relay = derive_behavior(sub, Primitive::kReduce, active).at(
       static_cast<std::size_t>(sub.tree.index_of(NodeId::gpu(1))));
   EXPECT_FALSE(relay.is_active);
@@ -165,7 +165,7 @@ TEST(BehaviorAudit, RelayWithTwoActivePrecedentsAggregates) {
   std::vector<collective::TreeEdge> edges(star.edges().begin(), star.edges().end());
   edges.emplace_back(NodeId::gpu(1), NodeId::gpu(3));
   const SubCollective sub = tree_sub(collective::tree_of(NodeId::gpu(3), edges));
-  const std::set<int> active{0, 2, 3};
+  const collective::RankSet active{0, 2, 3};
   const BehaviorTuple relay = derive_behavior(sub, Primitive::kReduce, active).at(
       static_cast<std::size_t>(sub.tree.index_of(NodeId::gpu(1))));
   EXPECT_FALSE(relay.is_active);

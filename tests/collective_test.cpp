@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "collective/behavior.h"
@@ -10,6 +11,7 @@
 #include "collective/comm_graph.h"
 #include "collective/executor.h"
 #include "collective/payload.h"
+#include "collective/rank_set.h"
 #include "sim/simulator.h"
 #include "topology/cluster.h"
 #include "topology/testbeds.h"
@@ -29,6 +31,7 @@ using collective::kary_tree;
 using collective::payload_value;
 using collective::Primitive;
 using collective::rank_bit;
+using collective::RankSet;
 using collective::single_tree_strategy;
 using collective::star_tree;
 using collective::Strategy;
@@ -57,9 +60,49 @@ std::vector<NodeId> children(const Tree& tree, NodeId node) {
 
 /// derive_behavior's tuple for one node.
 BehaviorTuple behavior_of(const SubCollective& sub, Primitive primitive, NodeId node,
-                          const std::set<int>& active) {
+                          const RankSet& active) {
   return derive_behavior(sub, primitive, active).at(
       static_cast<std::size_t>(sub.tree.index_of(node)));
+}
+
+TEST(RankSetTest, IteratesAscendingAcrossWordBoundaries) {
+  const RankSet ranks{127, 64, 3, 63};
+  EXPECT_EQ(std::vector<int>(ranks.begin(), ranks.end()), (std::vector<int>{3, 63, 64, 127}));
+  EXPECT_EQ(ranks.size(), 4u);
+  EXPECT_EQ(RankSet(std::vector<int>{64, 63, 127, 3, 64}), ranks);
+  const RankSet none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.begin() == none.end());
+}
+
+TEST(RankSetTest, OutOfRangeRanksAreNeverMembers) {
+  RankSet ranks{0, 70};
+  EXPECT_TRUE(ranks.contains(70));
+  EXPECT_FALSE(ranks.contains(-1));
+  EXPECT_FALSE(ranks.contains(10'000));
+  EXPECT_THROW(ranks.insert(-1), std::invalid_argument);
+  EXPECT_THROW((RankSet{2, -3}), std::invalid_argument);
+  ranks.erase(-1);
+  ranks.erase(10'000);
+  EXPECT_EQ(ranks.size(), 2u);
+}
+
+TEST(RankSetTest, EqualityIgnoresEmptiedTopWords) {
+  RankSet ranks{70};
+  ranks.erase(70);
+  EXPECT_EQ(ranks, RankSet{});
+  EXPECT_TRUE(ranks.empty());
+  EXPECT_EQ(ranks.size(), 0u);
+  RankSet mixed{1, 130};
+  mixed -= RankSet{130};
+  EXPECT_EQ(mixed, RankSet{1});
+  mixed |= RankSet{65, 1};
+  EXPECT_EQ(mixed, (RankSet{1, 65}));
+  mixed &= RankSet{1, 2};
+  EXPECT_EQ(mixed, RankSet{1});
+  mixed.insert(200);
+  mixed.insert(200);
+  EXPECT_EQ(mixed.size(), 2u);
 }
 
 TEST(TreeTest, ChainShape) {
@@ -144,7 +187,7 @@ class BehaviorTest : public ::testing::Test {
 
 TEST_F(BehaviorTest, AllActiveEveryoneAggregates) {
   const auto sub = make_sub();
-  const std::set<int> active{0, 1, 2, 3};
+  const RankSet active{0, 1, 2, 3};
   const auto b0 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(0), active);
   EXPECT_EQ(b0, (BehaviorTuple{true, true, true, false}));  // root never sends
   const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
@@ -156,7 +199,7 @@ TEST_F(BehaviorTest, AllActiveEveryoneAggregates) {
 TEST_F(BehaviorTest, RelayWithTwoActivePrecedentsKeepsKernel) {
   // Fig. 7(b): GPU1 relays for GPU2 and GPU3 -> <0,1,1,1>.
   const auto sub = make_sub();
-  const std::set<int> active{0, 2, 3};
+  const RankSet active{0, 2, 3};
   const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_EQ(b1, (BehaviorTuple{false, true, true, true}));
 }
@@ -165,14 +208,14 @@ TEST_F(BehaviorTest, RelayWithOneActivePrecedentSkipsKernel) {
   // Paper: "if GPU2 is not ready, GPU1 ... can directly relay traffic from
   // GPU3 to GPU0" — one active precedent, no aggregation kernel.
   const auto sub = make_sub();
-  const std::set<int> active{0, 3};
+  const RankSet active{0, 3};
   const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_EQ(b1, (BehaviorTuple{false, true, false, true}));
 }
 
 TEST_F(BehaviorTest, InactiveLeafNeitherSendsNorReceives) {
   const auto sub = make_sub();
-  const std::set<int> active{0, 1, 3};
+  const RankSet active{0, 1, 3};
   const auto b2 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(2), active);
   EXPECT_EQ(b2, (BehaviorTuple{false, false, false, false}));
 }
@@ -180,7 +223,7 @@ TEST_F(BehaviorTest, InactiveLeafNeitherSendsNorReceives) {
 TEST_F(BehaviorTest, SynthesizerCanDisableAggregation) {
   auto sub = make_sub();
   sub.aggregate_at[NodeId::gpu(1)] = false;
-  const std::set<int> active{0, 1, 2, 3};
+  const RankSet active{0, 1, 2, 3};
   const auto b1 = behavior_of(sub, Primitive::kReduce, NodeId::gpu(1), active);
   EXPECT_FALSE(b1.has_kernel);
   EXPECT_TRUE(b1.has_send);
@@ -188,7 +231,7 @@ TEST_F(BehaviorTest, SynthesizerCanDisableAggregation) {
 
 TEST_F(BehaviorTest, BroadcastNeverLaunchesKernels) {
   const auto sub = make_sub();
-  const std::set<int> active{0, 1, 2, 3};
+  const RankSet active{0, 1, 2, 3};
   EXPECT_FALSE(behavior_of(sub, Primitive::kBroadcast, NodeId::gpu(1), active).has_kernel);
   EXPECT_FALSE(behavior_of(sub, Primitive::kAllToAll, NodeId::gpu(1), active).has_kernel);
 }
@@ -197,7 +240,7 @@ TEST_F(BehaviorTest, NicNodesAreNeverActive) {
   SubCollective sub;
   sub.tree = collective::tree_of(NodeId::gpu(0), {{{NodeId::nic(0), NodeId::gpu(0)},
                                                    {NodeId::gpu(1), NodeId::nic(0)}}});
-  const std::set<int> active{0, 1};
+  const RankSet active{0, 1};
   const auto tuple = behavior_of(sub, Primitive::kReduce, NodeId::nic(0), active);
   EXPECT_FALSE(tuple.is_active);
   EXPECT_TRUE(tuple.has_recv);

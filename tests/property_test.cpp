@@ -165,7 +165,8 @@ INSTANTIATE_TEST_SUITE_P(
 /// Number of active GPUs in the subtree rooted at `node` (including `node`
 /// itself): a plain recursion over children_of, the reference the
 /// derivation's single sweep is held to.
-int active_in_subtree(const collective::Tree& tree, NodeId node, const std::set<int>& active) {
+int active_in_subtree(const collective::Tree& tree, NodeId node,
+                      const collective::RankSet& active) {
   int count = node.is_gpu() && active.contains(node.index) ? 1 : 0;
   for (const NodeId child : tree.children_of(node)) {
     count += active_in_subtree(tree, child, active);
@@ -185,7 +186,7 @@ TEST_P(BehaviorProperty, InvariantsHoldOnRandomTrees) {
   }
   collective::SubCollective sub;
   sub.tree = collective::tree_of(NodeId::gpu(0), edges);
-  std::set<int> active;
+  collective::RankSet active;
   for (int n = 0; n < nodes; ++n) {
     if (rng.bernoulli(0.6)) active.insert(n);
   }
@@ -396,13 +397,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripProperty, ::testing::Range(1, 25));
 /// the reference. Returns false when the reference rejects the strategy.
 bool expect_matches_reference(synthesizer::CostEvaluator& evaluator, const Strategy& strategy,
                               const topology::LogicalTopology& topo, Bytes tensor,
-                              const std::set<int>& active, const std::string& where) {
+                              const collective::RankSet& active, const std::string& where) {
+  const std::set<int> reference_active(active.begin(), active.end());
   EXPECT_EQ(cost_reference::by_endpoints(topo, evaluator.link_loads()),
-            cost_reference::link_loads(strategy, active))
+            cost_reference::link_loads(strategy, reference_active))
       << where;
   Seconds want = 0.0;
   try {
-    want = cost_reference::completion_time(strategy, topo, tensor, active);
+    want = cost_reference::completion_time(strategy, topo, tensor, reference_active);
   } catch (const std::invalid_argument&) {
     EXPECT_THROW(evaluator.completion_time(), std::invalid_argument) << where;
     EXPECT_THROW(synthesizer::estimate_completion_time(strategy, topo, tensor, active),
@@ -475,7 +477,7 @@ struct ProfiledBed {
 struct OracleTrial {
   Strategy strategy;
   Bytes tensor = 0;
-  std::set<int> active;
+  collective::RankSet active;
   topology::LogicalTopology topo;
   std::string where;
 };
@@ -621,9 +623,8 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
       }
       t.where += " stray";
     }
-    const std::vector<char> active = synthesizer::rank_mask(
-        t.active.empty() ? std::set<int>(shapes.participants.begin(), shapes.participants.end())
-                         : t.active);
+    const collective::RankSet active =
+        t.active.empty() ? collective::RankSet(shapes.participants) : t.active;
     std::vector<synthesizer::SubPlan> plans;
     plans.reserve(shapes.subs.size());
     for (auto& sub : shapes.subs) {
@@ -654,8 +655,9 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
                                         t.tensor, ports);
     // The reference keys loads by endpoints, so it also lists edges the
     // topology lacks; those carry no load state in an evaluator.
+    const std::set<int> reference_active(t.active.begin(), t.active.end());
     cost_reference::LinkLoads want_loads;
-    for (const auto& [edge, load] : cost_reference::link_loads(shared, t.active)) {
+    for (const auto& [edge, load] : cost_reference::link_loads(shared, reference_active)) {
       if (t.topo.has_edge(edge.from, edge.to)) want_loads[edge] = load;
     }
     EXPECT_EQ(cost_reference::by_endpoints(t.topo, composed.link_loads()), want_loads) << t.where;
@@ -667,7 +669,7 @@ TEST_P(CostModelOracleProperty, SharedPlansMatchFreshEvaluator) {
                                 std::to_string(chunk);
       Seconds want = 0.0;
       try {
-        want = cost_reference::completion_time(shared, t.topo, t.tensor, t.active);
+        want = cost_reference::completion_time(shared, t.topo, t.tensor, reference_active);
       } catch (const std::invalid_argument&) {
         EXPECT_THROW(composed.completion_time(chunk), std::invalid_argument) << where;
         EXPECT_THROW(synthesizer::estimate_completion_time(shared, t.topo, t.tensor, t.active),
@@ -700,10 +702,8 @@ TEST_P(CostModelOracleProperty, ShuffledEdgesBuildTheSameTree) {
       sub.tree = collective::tree_of(sub.tree.root(), shuffled_edges(rng, sub.tree));
     }
     EXPECT_EQ(shuffled.fingerprint(), t.strategy.fingerprint()) << t.where;
-    const std::set<int> active =
-        t.active.empty()
-            ? std::set<int>(t.strategy.participants.begin(), t.strategy.participants.end())
-            : t.active;
+    const collective::RankSet active =
+        t.active.empty() ? collective::RankSet(t.strategy.participants) : t.active;
     for (std::size_t m = 0; m < shuffled.subs.size(); ++m) {
       const collective::Tree& want = t.strategy.subs[m].tree;
       const collective::Tree& got = shuffled.subs[m].tree;

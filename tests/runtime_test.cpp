@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "collective/payload.h"
+#include "collective/rank_set.h"
+#include "relay/data_loader.h"
 #include "runtime/adapcc.h"
 #include "runtime/adapcc_backend.h"
 #include "synthesizer/cost_model.h"
@@ -184,10 +186,20 @@ TEST_F(RuntimeTest, ExcludedWorkerCanRejoin) {
   Adapcc adapcc(*cluster_);
   adapcc.init();
   adapcc.setup();
-  adapcc.exclude_workers({3});
-  EXPECT_EQ(adapcc.participants().size(), 15u);
-  adapcc.include_workers({3});
-  EXPECT_EQ(adapcc.participants().size(), 16u);
+  // Exclusion and re-admission round-trip the participants and, through
+  // the same RankSet, the data loader's shards.
+  const std::vector<int> everyone = adapcc.participants();
+  relay::DataLoader loader(64, everyone);
+  const collective::RankSet failed{3, 12};
+  adapcc.exclude_workers(failed);
+  loader.redistribute(failed);
+  EXPECT_EQ(adapcc.participants().size(), 14u);
+  EXPECT_EQ(loader.workers(), adapcc.participants());
+  adapcc.include_workers(failed);
+  loader.readmit(failed);
+  EXPECT_EQ(adapcc.participants(), everyone);
+  EXPECT_EQ(loader.workers(), everyone);
+  for (const int worker : everyone) EXPECT_EQ(loader.batch_of(worker), 4) << worker;
   const auto result = adapcc.allreduce(megabytes(32));
   double expected = 0.0;
   for (int r = 0; r < 16; ++r) expected += collective::payload_value(r, 0, 0);

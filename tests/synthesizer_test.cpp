@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <set>
 #include <string>
@@ -46,7 +47,7 @@ class SynthesizerTest : public ::testing::Test {
   }
 
   /// Link loads as the synthesizer sees them (CostEvaluator::link_loads).
-  cost_reference::LinkLoads loads_of(const Strategy& strategy, const std::set<int>& active) const {
+  cost_reference::LinkLoads loads_of(const Strategy& strategy, const collective::RankSet& active) const {
     return cost_reference::by_endpoints(
         topo_, synthesizer::CostEvaluator(strategy, topo_, megabytes(16), active).link_loads());
   }
@@ -283,14 +284,14 @@ TEST_F(SynthesizerTest, CostEvaluatorHonorsActiveSubset) {
   auto strategy = synth.synthesize(Primitive::kReduce, all_ranks(), megabytes(64));
   // Deactivate a couple of ranks: subtrees rooted at inactive nodes carry no
   // load and their (possibly unprofiled) edges must never be touched.
-  std::set<int> active;
+  collective::RankSet active;
   for (const int rank : all_ranks())
     if (rank != 3 && rank != 7) active.insert(rank);
   synthesizer::CostEvaluator evaluator(strategy, topo_, megabytes(64), active);
   EXPECT_EQ(evaluator.completion_time(),
             estimate_completion_time(strategy, topo_, megabytes(64), active));
   EXPECT_EQ(cost_reference::by_endpoints(topo_, evaluator.link_loads()),
-            cost_reference::link_loads(strategy, active));
+            cost_reference::link_loads(strategy, {active.begin(), active.end()}));
 }
 
 // A single-instance job rotates the chain head over its four lowest ranks.
@@ -419,6 +420,31 @@ TEST_F(SynthesizerTest, LargeFleetSolveIsReproducible) {
     expect_reproducible_solve(*cluster_, topo_, Primitive::kAllReduce, all_ranks(),
                               megabytes(256), std::to_string(4 * servers) + " ranks");
   }
+}
+
+// A 128-rank AllReduce among an active subset on both sides of rank 64,
+// pinned: the chosen strategy's fingerprint() and the model-cost bits must
+// hash (FNV-1a-64) to the value captured while the cost model still read
+// active sets through a per-rank byte vector, so a RankSet that lost every
+// word past the first would fail here.
+TEST_F(SynthesizerTest, LargeFleetActiveSubsetSolveMatchesPinnedHash) {
+  build(topology::a100_fleet(32));
+  collective::RankSet active;
+  for (int r = 0; r < cluster_->world_size(); ++r) {
+    if (r % 5 != 2) active.insert(r);
+  }
+  Synthesizer synth(*cluster_, topo_);
+  const Strategy strategy =
+      synth.synthesize(Primitive::kAllReduce, all_ranks(), megabytes(256), active);
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto add = [&hash](unsigned char byte) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  };
+  for (const char c : strategy.fingerprint()) add(static_cast<unsigned char>(c));
+  const auto cost_bits = std::bit_cast<std::uint64_t>(synth.last_report().model_cost);
+  for (int i = 0; i < 8; ++i) add(static_cast<unsigned char>(cost_bits >> (8 * i)));
+  EXPECT_EQ(hash, 0xb0bf61dbb11b15abull);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@ Default mode runs `python3 perfbench/run.py --workload W --seed S --seconds 0
 `digest:` lines exactly with tests/golden/perfbench_prefix.txt.
 
 `--figures BUILD_DIR` runs every bench/fig*, bench/ablation_* and
-`chaos_matrix --quick` binary of an existing CMake build and compares each
-stdout with tests/golden/figures/<name>.txt. The only fields masked are
-fig19c's host-time columns (solve(s), adapcc(s), saved), which measure the
-host, not the simulation. `--only NAME...` restricts the run to those golden
-names (e.g. fig11_reduce chaos_matrix_quick); ctest runs the fast ones this
-way, one entry each.
+`chaos_matrix --quick` binary of an existing CMake build, and the five
+examples (quickstart, fault_tolerance, heterogeneous_training, moe_alltoall,
+volatile_network), and compares each stdout with
+tests/golden/figures/<name>.txt (examples as example_<name>.txt). The only
+fields masked are host times, which measure the host, not the simulation:
+fig19c's columns solve(s), adapcc(s) and saved, and volatile_network's
+`solve N ms`. `--only NAME...` restricts the run to those golden names (e.g.
+fig11_reduce chaos_matrix_quick example_fault_tolerance); ctest runs the
+fast ones this way, one entry each.
 
 Any difference is a change in simulated behaviour (or in the work the solver
 does): either a bug, or an intended change whose new goldens belong in the
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -38,6 +42,10 @@ FIGURE_GOLDENS = ROOT / "tests" / "golden" / "figures"
 # Host wall-clock columns, per binary: replaced by "*" in every row under the
 # header that names them.
 MASKED_COLUMNS = {"fig19c_reconstruction": ["solve(s)", "adapcc(s)", "saved"]}
+# Host wall-clock fields inside a line, per binary: each match is replaced.
+MASKED_PATTERNS = {"example_volatile_network": [(re.compile(r"solve \d+\.\d+ ms"), "solve * ms")]}
+EXAMPLES = ["quickstart", "fault_tolerance", "heterogeneous_training", "moe_alltoall",
+            "volatile_network"]
 WORKLOADS = ["train-hetero", "collective-sweep", "elastic-recovery"]
 SEEDS = [1, 2, 3]
 HEADER = [
@@ -62,18 +70,24 @@ def prefix_lines(workload: str, seed: int) -> list[str]:
 
 
 def figure_runs(build_dir: pathlib.Path) -> list[tuple[str, list[str]]]:
-    """(golden name, command) for every figure, ablation and chaos binary."""
+    """(golden name, command) for every figure, ablation, chaos and example binary."""
     bench = build_dir / "bench"
     binaries = sorted(p for p in bench.iterdir()
                       if p.is_file() and p.name.startswith(("fig", "ablation_")))
-    if not binaries or not (bench / "chaos_matrix").is_file():
-        raise SystemExit(f"golden_check: no bench binaries under {bench}; build first")
+    examples = [build_dir / "examples" / name for name in EXAMPLES]
+    if (not binaries or not (bench / "chaos_matrix").is_file()
+            or not all(p.is_file() for p in examples)):
+        raise SystemExit(f"golden_check: no bench or example binaries under {build_dir}; "
+                         "build first")
     runs = [(p.name, [str(p)]) for p in binaries]
     runs.append(("chaos_matrix_quick", [str(bench / "chaos_matrix"), "--quick"]))
+    runs += [(f"example_{p.name}", [str(p)]) for p in examples]
     return runs
 
 
 def mask(name: str, text: str) -> str:
+    for pattern, replacement in MASKED_PATTERNS.get(name, []):
+        text = pattern.sub(replacement, text)
     columns = MASKED_COLUMNS.get(name)
     if not columns:
         return text
