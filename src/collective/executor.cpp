@@ -58,8 +58,7 @@ class Executor::Invocation {
     if (auto* t = telemetry::get()) {
       tel_span_ = t->trace().begin_span(
           t->trace().track("executor"), to_string(strategy_.primitive), sim_.now(),
-          telemetry::kv("tensor_bytes", static_cast<double>(tensor_bytes_)) + "," +
-              telemetry::kv("subs", static_cast<double>(strategy_.subs.size())));
+          {{"tensor_bytes", tensor_bytes_}, {"subs", strategy_.subs.size()}});
     }
     for (std::size_t s = 0; s < strategy_.subs.size(); ++s) build_sub(static_cast<int>(s));
     if (outstanding_ == 0) {
@@ -183,8 +182,7 @@ class Executor::Invocation {
     tel_chunks_sent_->add(1.0);
     return t->trace().begin_span(
         sub_track(run), "send " + topology::to_string(from) + "->" + topology::to_string(to),
-        sim_.now(),
-        telemetry::kv("bytes", static_cast<double>(bytes)) + "," + telemetry::kv("chunk", chunk));
+        sim_.now(), {{"bytes", bytes}, {"chunk", chunk}});
   }
 
   void end_send_span(telemetry::SpanId span) {
@@ -510,10 +508,8 @@ class Executor::Invocation {
             const SubRun& run = *state.run;
             const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
             const Seconds duration = kernel_seconds(state, chunk);
-            t->trace().complete(
-                stream_track(state), "reduce-kernel", sim_.now() - duration, duration,
-                telemetry::kv("bytes", static_cast<double>(bytes)) + "," +
-                    telemetry::kv("chunk", chunk));
+            t->trace().complete(stream_track(state), "reduce-kernel", sim_.now() - duration,
+                                duration, {{"bytes", bytes}, {"chunk", chunk}});
             if (tel_kernel_epoch_ != telemetry::epoch()) {
               tel_kernel_epoch_ = telemetry::epoch();
               tel_kernel_seconds_ = &t->metrics().counter("executor.kernel_seconds");
@@ -677,7 +673,7 @@ class Executor::Invocation {
     if (auto* t = telemetry::get()) {
       t->metrics().counter("executor.watchdog_fired").add(1.0);
       t->trace().instant(t->trace().track("executor"), "watchdog-abort", sim_.now(),
-                         telemetry::kv("suspects", static_cast<double>(error.suspects.size())));
+                         {{"suspects", error.suspects.size()}});
     }
     ADAPCC_LOG(kWarn, "executor") << error.detail;
     abort_invocation(std::move(error));

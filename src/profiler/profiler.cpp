@@ -198,8 +198,7 @@ ProfileReport Profiler::profile(LogicalTopology& topo) {
   const auto nvlink_costs = probe_edges_concurrently(nvlink_edges);
   if (auto* t = telemetry::get()) {
     t->trace().complete(t->trace().track("profiler"), "intra-instance probes", start,
-                        sim.now() - start,
-                        telemetry::kv("edges", static_cast<double>(nvlink_edges.size())));
+                        sim.now() - start, {{"edges", nvlink_edges.size()}});
   }
   for (std::size_t i = 0; i < nvlink_edges.size(); ++i) {
     auto& edge = topo.mutable_edge(nvlink_edges[i].first, nvlink_edges[i].second);
@@ -234,8 +233,7 @@ ProfileReport Profiler::profile(LogicalTopology& topo) {
     if (auto* t = telemetry::get()) {
       t->trace().complete(t->trace().track("profiler"),
                           "network round " + std::to_string(round), round_start,
-                          sim.now() - round_start,
-                          telemetry::kv("edges", static_cast<double>(round_edges.size())));
+                          sim.now() - round_start, {{"edges", round_edges.size()}});
     }
   }
 
@@ -268,8 +266,8 @@ ProfileReport Profiler::profile(LogicalTopology& topo) {
   report.wall_time = sim.now() - start;
   if (auto* t = telemetry::get()) {
     t->trace().complete(t->trace().track("profiler"), "profile", start, report.wall_time,
-                        telemetry::kv("edges", static_cast<double>(report.measurements.size())) +
-                            "," + telemetry::kv("rounds", report.inter_instance_rounds));
+                        {{"edges", report.measurements.size()},
+                         {"rounds", report.inter_instance_rounds}});
     t->metrics().counter("profiler.rounds_run").add(1.0);
     t->metrics().histogram("profiler.wall_seconds").observe(report.wall_time);
   }

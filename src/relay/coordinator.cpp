@@ -19,13 +19,13 @@ void trace_decision(const RelayDecision& decision, Seconds request_time) {
   if (t == nullptr) return;
   auto& trace = t->trace();
   const telemetry::TrackId track = trace.track("coordinator");
-  std::string args = telemetry::kv("waited", decision.waited) + "," +
-                     telemetry::kv("buy_cost", decision.buy_cost_estimate) + "," +
-                     telemetry::kv("ready", static_cast<double>(decision.phase1_active.size())) +
-                     "," + telemetry::kv("relays", static_cast<double>(decision.relays.size()));
+  const telemetry::TraceArgs args{{"waited", decision.waited},
+                                  {"buy_cost", decision.buy_cost_estimate},
+                                  {"ready", decision.phase1_active.size()},
+                                  {"relays", decision.relays.size()}};
   trace.complete(track, "decide", request_time, decision.waited, args);
   trace.instant(track, decision.partial ? "proceed-partial" : "wait-through",
-                decision.trigger_time, std::move(args));
+                decision.trigger_time, args);
   t->metrics().counter(decision.partial ? "coordinator.partial_decisions"
                                         : "coordinator.full_decisions")
       .add(1.0);

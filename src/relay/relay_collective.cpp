@@ -100,13 +100,11 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
   if (auto* t = telemetry::get()) {
     const telemetry::TrackId track = t->trace().track("relay");
     for (const int rank : decision.relays) {
-      t->trace().instant(track, "relay-assign", decision.trigger_time,
-                         telemetry::kv("rank", rank));
+      t->trace().instant(track, "relay-assign", decision.trigger_time, {{"rank", rank}});
       t->metrics().counter("relay.assignments").add(1.0);
     }
     for (const int rank : result.joined) {
-      t->trace().instant(track, "relay-join", decision.trigger_time,
-                         telemetry::kv("rank", rank));
+      t->trace().instant(track, "relay-join", decision.trigger_time, {{"rank", rank}});
     }
   }
 
@@ -123,8 +121,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     if (auto* t = telemetry::get()) {
       t->metrics().counter("relay.phase1_retries").add(1.0);
       t->trace().instant(t->trace().track("relay"), "phase1-retry", sim.now(),
-                         telemetry::kv("suspects",
-                                       static_cast<double>(phase1.error.suspects.size())));
+                         {{"suspects", phase1.error.suspects.size()}});
     }
     if (!phase1.error.suspects.empty()) {
       result.faulty |= phase1.error.suspects;
@@ -159,7 +156,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
   if (auto* t = telemetry::get()) {
     t->trace().complete(t->trace().track("relay"), decision.partial ? "phase1" : "full-collective",
                         decision.trigger_time, result.phase1_finish - decision.trigger_time,
-                        telemetry::kv("active", static_cast<double>(phase1_active.size())));
+                        {{"active", phase1_active.size()}});
   }
 
   // Collect phase-1 values of (sub 0, chunk 0) per participant.
@@ -196,8 +193,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
         result.faulty.insert(rank);
         if (auto* tel = telemetry::get()) {
           tel->trace().instant(tel->trace().track("relay"), "fault-exclude", deadline,
-                               telemetry::kv("rank", rank) + "," +
-                                   telemetry::kv("deadline", deadline));
+                               {{"rank", rank}, {"deadline", deadline}});
           tel->metrics().counter("relay.fault_exclusions").add(1.0);
         }
       }
@@ -300,7 +296,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     if (decision.partial && result.phase2_finish > result.phase1_finish) {
       t->trace().complete(t->trace().track("relay"), "phase2", result.phase1_finish,
                           result.phase2_finish - result.phase1_finish,
-                          telemetry::kv("late", static_cast<double>(still_late.size())));
+                          {{"late", still_late.size()}});
     }
     t->metrics().histogram("relay.comm_seconds").observe(result.comm_time);
   }

@@ -89,8 +89,7 @@ void Adapcc::init() {
   if (auto* t = telemetry::get()) {
     t->trace().complete(t->trace().track("runtime"), "init", start,
                         cluster_.simulator().now() - start,
-                        telemetry::kv("ranks", cluster_.world_size()) + "," +
-                            telemetry::kv("edges", static_cast<double>(topo_.edge_count())));
+                        {{"ranks", cluster_.world_size()}, {"edges", topo_.edge_count()}});
   }
   ADAPCC_LOG(kInfo, "adapcc") << "init complete: " << cluster_.world_size() << " ranks, "
                               << topo_.edge_count() << " logical edges";
@@ -244,8 +243,7 @@ ResilienceReport Adapcc::run_resilient(Primitive primitive, Bytes tensor_bytes,
           t->metrics().counter("runtime.recoveries").add(1.0);
           t->metrics().histogram("runtime.recovery_seconds").observe(report.recovery_latency);
           t->trace().instant(t->trace().track("runtime"), "recovery-complete", sim.now(),
-                             telemetry::kv("latency", report.recovery_latency) + "," +
-                                 telemetry::kv("attempts", report.attempts));
+                             {{"latency", report.recovery_latency}, {"attempts", report.attempts}});
         }
         ADAPCC_LOG(kInfo, "adapcc") << "recovered after " << report.attempts << " attempts ("
                                     << report.recovery_latency << "s, excluded "
@@ -325,8 +323,8 @@ ReconstructionReport Adapcc::reprofile(Bytes tensor_bytes) {
   }
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "reprofile", cluster_.simulator().now(),
-                       telemetry::kv("graph_changed", report.graph_changed ? 1.0 : 0.0) + "," +
-                           telemetry::kv("total_seconds", report.total()));
+                       {{"graph_changed", report.graph_changed},
+                        {"total_seconds", report.total()}});
     t->metrics().counter("runtime.reprofiles").add(1.0);
   }
   return report;
@@ -341,8 +339,7 @@ void Adapcc::exclude_workers(const collective::RankSet& failed) {
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "exclude-workers",
                        cluster_.simulator().now(),
-                       telemetry::kv("failed", static_cast<double>(failed.size())) + "," +
-                           telemetry::kv("remaining", static_cast<double>(participants_.size())));
+                       {{"failed", failed.size()}, {"remaining", participants_.size()}});
     t->metrics().counter("runtime.workers_excluded").add(static_cast<double>(failed.size()));
   }
 }
@@ -360,8 +357,7 @@ void Adapcc::include_workers(const collective::RankSet& recovered) {
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "include-workers",
                        cluster_.simulator().now(),
-                       telemetry::kv("recovered", static_cast<double>(recovered.size())) + "," +
-                           telemetry::kv("total", static_cast<double>(participants_.size())));
+                       {{"recovered", recovered.size()}, {"total", participants_.size()}});
   }
 }
 

@@ -137,8 +137,7 @@ std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback on_delive
       TransferKey{ledger_.service + static_cast<double>(bytes), transfer_id, slot});
   if (telemetry_ready()) {
     auto& trace = telemetry::get()->trace();
-    data.span = trace.begin_span(tel_track_, "xfer", sim_.now(),
-                                 telemetry::kv("bytes", static_cast<double>(bytes)));
+    data.span = trace.begin_span(tel_track_, "xfer", sim_.now(), {{"bytes", bytes}});
     trace.counter(tel_track_, "in_flight", sim_.now(),
                   static_cast<double>(transfers_.size()));
   }

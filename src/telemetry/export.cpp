@@ -1,6 +1,7 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -32,6 +33,33 @@ std::string escape_json(std::string_view s) {
     }
   }
   return out;
+}
+
+/// A number as trace and metrics exports print it: integral values without
+/// a fraction, others with 9 significant digits, non-finite values as 0.
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  // Integral values print without a trailing ".000000" so byte counts and
+  // ranks stay readable in the trace viewer.
+  char buf[48];
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9g", value);
+  }
+  return buf;
+}
+
+/// `,"args":{"key":number,...}`, or nothing for a record without args.
+void write_args(const TraceArgs& args, std::ostream& out) {
+  if (args.empty()) return;
+  out << ",\"args\":{";
+  const char* separator = "";
+  for (const TraceArg& arg : args) {
+    out << separator << '"' << arg.key() << "\":" << json_number(arg.value());
+    separator = ",";
+  }
+  out << '}';
 }
 
 /// Simulated seconds -> trace microseconds.
@@ -77,16 +105,15 @@ void write_chrome_trace(const TraceRecorder& recorder, std::ostream& out) {
     switch (event.kind) {
       case EventKind::kComplete:
         out << ",\"ph\":\"X\",\"dur\":" << format_ts(event.dur);
-        if (!event.args.empty()) out << ",\"args\":{" << event.args << "}";
         break;
       case EventKind::kInstant:
         out << ",\"ph\":\"i\",\"s\":\"t\"";
-        if (!event.args.empty()) out << ",\"args\":{" << event.args << "}";
         break;
       case EventKind::kCounter:
-        out << ",\"ph\":\"C\",\"args\":{\"value\":" << json_number(event.value) << "}";
+        out << ",\"ph\":\"C\"";
         break;
     }
+    write_args(event.args, out);
     out << "}";
   }
   out << "\n]}\n";

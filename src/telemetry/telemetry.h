@@ -11,9 +11,12 @@
 //   telemetry::write_chrome_trace(telemetry::get()->trace(), out);
 //
 // or, through the runtime: Adapcc::enable_telemetry({...}) which also
-// exports on shutdown. Instrumented objects that cache TrackIds / metric
-// pointers key their caches on epoch(), which advances on every enable() /
-// disable(), so stale handles from a previous session are never reused.
+// exports on shutdown. A site records typed args, `{{"bytes", b}}`, whose
+// keys are string literals (trace_recorder.h); the exporters (export.h) are
+// the only code that writes JSON. Instrumented objects that cache TrackIds /
+// metric pointers key their caches on epoch(), which advances on every
+// enable() / disable(), so stale handles from a previous session are never
+// reused.
 //
 // The simulation is single-threaded (one Simulator drives everything), so
 // the subsystem is deliberately lock-free and unsynchronized.

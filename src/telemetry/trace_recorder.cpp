@@ -1,33 +1,8 @@
 #include "telemetry/trace_recorder.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 namespace adapcc::telemetry {
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  // Integral values print without a trailing ".000000" so byte counts and
-  // ranks stay readable in the trace viewer.
-  char buf[48];
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-  }
-  return buf;
-}
-
-std::string kv(std::string_view key, double value) {
-  std::string out;
-  out.reserve(key.size() + 24);
-  out += '"';
-  out += key;
-  out += "\":";
-  out += json_number(value);
-  return out;
-}
 
 TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
   buffer_.reserve(std::min<std::size_t>(capacity_, 4096));
@@ -43,9 +18,9 @@ TrackId TraceRecorder::track(std::string_view name) {
 }
 
 SpanId TraceRecorder::begin_span(TrackId track, std::string_view name, Seconds ts,
-                                 std::string args) {
+                                 TraceArgs args) {
   const SpanId id = next_span_++;
-  open_.emplace(id, OpenSpan{track, ts, std::string(name), std::move(args)});
+  open_.emplace(id, OpenSpan{track, ts, std::string(name), args});
   return id;
 }
 
@@ -54,22 +29,21 @@ void TraceRecorder::end_span(SpanId span, Seconds ts) {
   if (it == open_.end()) return;
   OpenSpan open = std::move(it->second);
   open_.erase(it);
-  push(TraceEvent{EventKind::kComplete, open.track, open.ts, std::max(0.0, ts - open.ts), 0.0,
-                  std::move(open.name), std::move(open.args)});
+  push(TraceEvent{EventKind::kComplete, open.track, open.ts, std::max(0.0, ts - open.ts),
+                  std::move(open.name), open.args});
 }
 
 void TraceRecorder::complete(TrackId track, std::string_view name, Seconds ts, Seconds dur,
-                             std::string args) {
-  push(TraceEvent{EventKind::kComplete, track, ts, std::max(0.0, dur), 0.0, std::string(name),
-                  std::move(args)});
+                             TraceArgs args) {
+  push(TraceEvent{EventKind::kComplete, track, ts, std::max(0.0, dur), std::string(name), args});
 }
 
-void TraceRecorder::instant(TrackId track, std::string_view name, Seconds ts, std::string args) {
-  push(TraceEvent{EventKind::kInstant, track, ts, 0.0, 0.0, std::string(name), std::move(args)});
+void TraceRecorder::instant(TrackId track, std::string_view name, Seconds ts, TraceArgs args) {
+  push(TraceEvent{EventKind::kInstant, track, ts, 0.0, std::string(name), args});
 }
 
 void TraceRecorder::counter(TrackId track, std::string_view name, Seconds ts, double value) {
-  push(TraceEvent{EventKind::kCounter, track, ts, 0.0, value, std::string(name), {}});
+  push(TraceEvent{EventKind::kCounter, track, ts, 0.0, std::string(name), {{"value", value}}});
 }
 
 void TraceRecorder::push(TraceEvent event) {
@@ -90,13 +64,6 @@ std::vector<TraceEvent> TraceRecorder::events() const {
     out.push_back(buffer_[(next_ + i) % buffer_.size()]);
   }
   return out;
-}
-
-void TraceRecorder::clear() {
-  buffer_.clear();
-  next_ = 0;
-  dropped_ = 0;
-  open_.clear();
 }
 
 }  // namespace adapcc::telemetry

@@ -12,12 +12,20 @@
 // The ring buffer holds the *most recent* `capacity` events: long training
 // runs keep the interesting tail instead of aborting or growing without
 // bound. `dropped()` reports how many events were evicted.
+//
+// A record's args are typed: up to four {key, number} pairs, written
+// `{{"bytes", b}, {"chunk", c}}` at the call site. A key is a string literal
+// (ArgKey's constructor is consteval, so a key built at run time does not
+// compile). Recording formats nothing: the Chrome-trace exporter
+// (export.cpp) is the only code that writes args as JSON.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -33,24 +41,68 @@ enum class EventKind {
   kCounter,   ///< "C": a sampled numeric series
 };
 
+/// The key of a trace arg: a string literal. The constructor is consteval,
+/// so a key built at run time fails to compile.
+class ArgKey {
+ public:
+  template <std::size_t N>
+  consteval ArgKey(const char (&literal)[N]) noexcept : text_(literal) {}
+  constexpr const char* c_str() const noexcept { return text_; }
+
+ private:
+  const char* text_;
+};
+
+/// One numeric arg of a trace record. Any arithmetic value is stored as
+/// static_cast<double> of it; the exporter formats it.
+class TraceArg {
+ public:
+  constexpr TraceArg() noexcept = default;  ///< an unused slot of TraceArgs
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  constexpr TraceArg(ArgKey key, T value) noexcept
+      : key_(key.c_str()), value_(static_cast<double>(value)) {}
+
+  constexpr const char* key() const noexcept { return key_; }
+  constexpr double value() const noexcept { return value_; }
+
+ private:
+  const char* key_ = "";
+  double value_ = 0.0;
+};
+
+/// The args of one trace record, in call-site order. No constructor takes
+/// more than kMaxArgs, so a fifth arg fails to compile.
+class TraceArgs {
+ public:
+  static constexpr std::size_t kMaxArgs = 4;
+
+  constexpr TraceArgs() noexcept = default;
+  constexpr TraceArgs(TraceArg a) noexcept : args_{a}, size_(1) {}
+  constexpr TraceArgs(TraceArg a, TraceArg b) noexcept : args_{a, b}, size_(2) {}
+  constexpr TraceArgs(TraceArg a, TraceArg b, TraceArg c) noexcept
+      : args_{a, b, c}, size_(3) {}
+  constexpr TraceArgs(TraceArg a, TraceArg b, TraceArg c, TraceArg d) noexcept
+      : args_{a, b, c, d}, size_(4) {}
+
+  constexpr const TraceArg* begin() const noexcept { return args_.data(); }
+  constexpr const TraceArg* end() const noexcept { return args_.data() + size_; }
+  constexpr bool empty() const noexcept { return size_ == 0; }
+
+ private:
+  std::array<TraceArg, kMaxArgs> args_{};
+  std::uint8_t size_ = 0;
+};
+
 struct TraceEvent {
   EventKind kind = EventKind::kInstant;
   TrackId track = 0;
   Seconds ts = 0.0;
-  Seconds dur = 0.0;    ///< kComplete only
-  double value = 0.0;   ///< kCounter only
+  Seconds dur = 0.0;  ///< kComplete only
   std::string name;
-  /// Preformatted JSON object *body* (e.g. `"bytes":1024,"chunk":3`) or
-  /// empty; the exporter wraps it in `{...}` under "args".
-  std::string args;
+  /// Exported under "args"; a counter sample is one {"value", v} arg.
+  TraceArgs args;
 };
-
-/// A number as trace and metrics exports print it: integral values without
-/// a fraction, others with 9 significant digits, non-finite values as 0.
-std::string json_number(double value);
-
-/// Formats one numeric key-value pair for TraceEvent::args.
-std::string kv(std::string_view key, double value);
 
 class TraceRecorder {
  public:
@@ -65,18 +117,18 @@ class TraceRecorder {
   /// Opens a span on `track` starting at `ts`; end it with end_span(). Spans
   /// may nest and may close out of order (chunk pipelines complete spans
   /// opened earlier than still-running ones).
-  SpanId begin_span(TrackId track, std::string_view name, Seconds ts, std::string args = {});
+  SpanId begin_span(TrackId track, std::string_view name, Seconds ts, TraceArgs args = {});
 
-  /// Closes an open span, emitting a complete event. Unknown / already
-  /// closed ids are ignored (a span may be evicted by reset()).
+  /// Closes an open span, emitting a complete event with the args given at
+  /// begin_span. Unknown or already closed ids are ignored.
   void end_span(SpanId span, Seconds ts);
 
   /// Records a complete span whose begin and duration are already known.
   void complete(TrackId track, std::string_view name, Seconds ts, Seconds dur,
-                std::string args = {});
+                TraceArgs args = {});
 
   /// Records a point event.
-  void instant(TrackId track, std::string_view name, Seconds ts, std::string args = {});
+  void instant(TrackId track, std::string_view name, Seconds ts, TraceArgs args = {});
 
   /// Records a counter sample (rendered as a stacked series in Perfetto).
   void counter(TrackId track, std::string_view name, Seconds ts, double value);
@@ -91,15 +143,12 @@ class TraceRecorder {
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::size_t open_spans() const noexcept { return open_.size(); }
 
-  /// Drops all buffered events and open spans; keeps interned tracks.
-  void clear();
-
  private:
   struct OpenSpan {
     TrackId track = 0;
     Seconds ts = 0.0;
     std::string name;
-    std::string args;
+    TraceArgs args;
   };
 
   void push(TraceEvent event);

@@ -23,8 +23,7 @@ void trace_iteration(int iteration, Seconds t0, Seconds end, const IterationStat
   auto& trace = t->trace();
   const telemetry::TrackId track = trace.track("trainer");
   trace.complete(track, "iteration " + std::to_string(iteration), t0, end - t0,
-                 telemetry::kv("partial", iter.partial ? 1.0 : 0.0) + "," +
-                     telemetry::kv("relays", static_cast<double>(iter.relays.size())));
+                 {{"partial", iter.partial}, {"relays", iter.relays.size()}});
   const Seconds fastest = t0 + iter.compute_min;
   trace.complete(track, "compute", t0, iter.compute_min);
   if (iter.wait_time > 0) trace.complete(track, "wait", fastest, iter.wait_time);

@@ -16,6 +16,12 @@ fig19c's columns solve(s), adapcc(s) and saved, and volatile_network's
 fig11_reduce chaos_matrix_quick example_fault_tolerance); ctest runs the
 fast ones this way, one entry each.
 
+`--figures` also pins quickstart's telemetry exports: it runs quickstart with
+`--trace-out`, `--metrics-csv` and `--metrics-json` into a temporary
+directory and compares the SHA-256 of each file with
+tests/golden/figures/quickstart_exports.txt. The trace is ~12 MB, so only
+its hash is committed; a hash change means an exported byte moved.
+
 Any difference is a change in simulated behaviour (or in the work the solver
 does): either a bug, or an intended change whose new goldens belong in the
 same commit, with the diff explained in CHANGES.md.
@@ -24,6 +30,7 @@ Usage (from anywhere in the repository):
     python3 tools/golden_check.py                       # perfbench prefix
     python3 tools/golden_check.py --figures build       # figure outputs
     python3 tools/golden_check.py --figures build --only fig11_reduce
+    python3 tools/golden_check.py --figures build --only quickstart_exports
     python3 tools/golden_check.py [--figures build] --update   # rewrite goldens
 """
 
@@ -31,10 +38,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "perfbench_prefix.txt"
@@ -46,6 +55,13 @@ MASKED_COLUMNS = {"fig19c_reconstruction": ["solve(s)", "adapcc(s)", "saved"]}
 MASKED_PATTERNS = {"example_volatile_network": [(re.compile(r"solve \d+\.\d+ ms"), "solve * ms")]}
 EXAMPLES = ["quickstart", "fault_tolerance", "heterogeneous_training", "moe_alltoall",
             "volatile_network"]
+# Runs whose golden is the SHA-256 of the files they export, not their stdout:
+# golden name -> (example, [(flag, exported file name)]).
+EXPORT_RUNS = {
+    "quickstart_exports": ("quickstart", [("--trace-out", "trace.json"),
+                                          ("--metrics-csv", "metrics.csv"),
+                                          ("--metrics-json", "metrics.json")]),
+}
 WORKLOADS = ["train-hetero", "collective-sweep", "elastic-recovery"]
 SEEDS = [1, 2, 3]
 HEADER = [
@@ -82,7 +98,25 @@ def figure_runs(build_dir: pathlib.Path) -> list[tuple[str, list[str]]]:
     runs = [(p.name, [str(p)]) for p in binaries]
     runs.append(("chaos_matrix_quick", [str(bench / "chaos_matrix"), "--quick"]))
     runs += [(f"example_{p.name}", [str(p)]) for p in examples]
+    runs += [(name, [str(build_dir / "examples" / example)])
+             for name, (example, _) in EXPORT_RUNS.items()]
     return runs
+
+
+def export_hashes(name: str, cmd: list[str]) -> str:
+    """Runs `cmd` with the export flags of EXPORT_RUNS[name] into a temporary
+    directory; returns one `sha256  file` line per exported file."""
+    _, exports = EXPORT_RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = pathlib.Path(tmp)
+        flags = [arg for flag, file in exports for arg in (flag, str(out_dir / file))]
+        proc = subprocess.run(cmd + flags, capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout + proc.stderr)
+            raise SystemExit(f"golden_check: {' '.join(cmd + flags)} exited with "
+                             f"{proc.returncode}")
+        return "".join(f"{hashlib.sha256((out_dir / file).read_bytes()).hexdigest()}  {file}\n"
+                       for _, file in exports)
 
 
 def mask(name: str, text: str) -> str:
@@ -117,11 +151,14 @@ def check_figures(build_dir: pathlib.Path, update: bool, only: list[str] | None)
             raise SystemExit(f"golden_check: no figure run named {', '.join(unknown)}")
         runs = [(name, cmd) for name, cmd in runs if name in only]
     for name, cmd in runs:
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            raise SystemExit(f"golden_check: {' '.join(cmd)} exited with {proc.returncode}")
-        actual = mask(name, proc.stdout)
+        if name in EXPORT_RUNS:
+            actual = export_hashes(name, cmd)
+        else:
+            proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stdout + proc.stderr)
+                raise SystemExit(f"golden_check: {' '.join(cmd)} exited with {proc.returncode}")
+            actual = mask(name, proc.stdout)
         golden = FIGURE_GOLDENS / f"{name}.txt"
         if update:
             FIGURE_GOLDENS.mkdir(parents=True, exist_ok=True)
