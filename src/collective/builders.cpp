@@ -67,21 +67,6 @@ Tree tree_of(NodeId root, std::span<const TreeEdge> edges) {
   return Tree(root, std::vector<TreeEdge>(edges.begin(), edges.end()));
 }
 
-Tree chain_tree(const std::vector<NodeId>& order) {
-  if (order.empty()) throw std::invalid_argument("chain_tree: empty order");
-  std::vector<TreeEdge> edges;
-  for (std::size_t i = 0; i + 1 < order.size(); ++i) edges.emplace_back(order[i], order[i + 1]);
-  return tree_of(order.back(), edges);
-}
-
-Tree star_tree(NodeId root, const std::vector<NodeId>& leaves) {
-  std::vector<TreeEdge> edges;
-  for (const NodeId leaf : leaves) {
-    if (leaf != root) edges.emplace_back(leaf, root);
-  }
-  return tree_of(root, edges);
-}
-
 Tree kary_tree(const std::vector<NodeId>& nodes, int arity) {
   if (nodes.empty()) throw std::invalid_argument("kary_tree: empty nodes");
   if (arity < 1) throw std::invalid_argument("kary_tree: arity < 1");

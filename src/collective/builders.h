@@ -72,14 +72,6 @@ Tree hierarchical_tree(const std::vector<std::vector<int>>& chains, std::size_t 
 /// Tree: it computes the layout every reader shares (see Tree).
 Tree tree_of(NodeId root, std::span<const TreeEdge> edges);
 
-/// Chain a -> b -> ... -> root (the last element is the root). A chain is
-/// NCCL's ring in tree form: reducing along it pipelined gives ring-like
-/// bandwidth (Sec. VI-B baseline).
-Tree chain_tree(const std::vector<NodeId>& order);
-
-/// All leaves point directly at the root.
-Tree star_tree(NodeId root, const std::vector<NodeId>& leaves);
-
 /// Balanced k-ary tree; nodes[0] is the root, children filled level order.
 Tree kary_tree(const std::vector<NodeId>& nodes, int arity);
 

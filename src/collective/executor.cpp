@@ -81,8 +81,6 @@ class Executor::Invocation {
     for (const sim::EventId& id : op_events_) sim_.cancel(id);
   }
 
-  bool idle() const noexcept { return pending_ops_ == 0; }
-
  private:
   struct SubRun;
 

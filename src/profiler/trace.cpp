@@ -90,18 +90,6 @@ double BandwidthTrace::latency_factor_at(Seconds t) const {
   return samples_[sample_index_at(samples_, wrapped)].latency_factor;
 }
 
-double BandwidthTrace::min_bandwidth_fraction() const {
-  double min_fraction = 1.0;
-  for (const auto& s : samples_) min_fraction = std::min(min_fraction, s.bandwidth_fraction);
-  return min_fraction;
-}
-
-double BandwidthTrace::max_latency_factor() const {
-  double max_factor = 1.0;
-  for (const auto& s : samples_) max_factor = std::max(max_factor, s.latency_factor);
-  return max_factor;
-}
-
 TraceShaper::TraceShaper(topology::Cluster& cluster, std::vector<BandwidthTrace> traces)
     : cluster_(cluster), traces_(std::move(traces)) {
   if (static_cast<int>(traces_.size()) > cluster_.instance_count()) {

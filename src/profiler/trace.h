@@ -42,8 +42,6 @@ class BandwidthTrace {
 
   const std::vector<TraceSample>& samples() const noexcept { return samples_; }
   Seconds duration() const noexcept;
-  double min_bandwidth_fraction() const;
-  double max_latency_factor() const;
 
  private:
   std::vector<TraceSample> samples_;

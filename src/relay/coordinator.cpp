@@ -81,7 +81,7 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   // it changes size.
   std::size_t estimated_ready = 0;
   Seconds phase1_est = 0.0;
-  for (Seconds t = now;; t += config_.cycle) {
+  for (Seconds t = now;; t += kDecisionCycle) {
     const auto ready = ready_set(t);
     if (ready.size() == world) {
       decision.partial = false;
@@ -140,7 +140,7 @@ Seconds Coordinator::fault_deadline(Seconds phase1_finish, Seconds request_time)
   // (kAlwaysProceed, or everyone ready at request time) makes
   // phase1_finish - request_time collapse toward zero, which would set
   // T_fault ~ 0 and instantly flag mildly late workers as faulty.
-  const Seconds span = std::max(phase1_finish - request_time, config_.cycle);
+  const Seconds span = std::max(phase1_finish - request_time, kDecisionCycle);
   return phase1_finish + config_.fault_multiplier * span;
 }
 

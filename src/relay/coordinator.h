@@ -21,10 +21,11 @@ namespace adapcc::relay {
 /// libraries" and eager partial communication).
 enum class WaitPolicy { kBreakEven, kAlwaysWait, kAlwaysProceed };
 
+/// The coordinator's decision cycle (the paper's 5 ms).
+inline constexpr Seconds kDecisionCycle = milliseconds(5);
+
 struct CoordinatorConfig {
   WaitPolicy policy = WaitPolicy::kBreakEven;
-  /// Decision cycle (the paper uses 5 ms).
-  Seconds cycle = milliseconds(5);
   /// T_fault = fault_multiplier x (time since the fastest worker was ready).
   double fault_multiplier = 5.0;
   /// Per-collective watchdog for the phase-1 executor (see

@@ -68,8 +68,6 @@ class RelayCollectiveRunner {
                                const std::map<int, Seconds>& fill_start = {},
                                const std::map<int, Seconds>& dead_at = {});
 
-  const Coordinator& coordinator() const noexcept { return coordinator_; }
-
  private:
   topology::Cluster& cluster_;
   Coordinator coordinator_;

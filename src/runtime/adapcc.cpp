@@ -148,6 +148,9 @@ collective::Strategy Adapcc::synthesize_cached(Primitive primitive,
   }
   ++cache_misses_total_;
   Strategy strategy = synthesizer_->synthesize(primitive, participants, tensor_bytes);
+  // Validated once, before it is cached: a malformed solve throws here
+  // instead of reaching the executor.
+  strategy.validate(topo_);
   last_report_ = synthesizer_->last_report();
   last_report_.cache_hits = cache_hits_total_;
   last_report_.cache_misses = cache_misses_total_;
@@ -324,7 +327,8 @@ ReconstructionReport Adapcc::reprofile(Bytes tensor_bytes) {
   if (auto* t = telemetry::get()) {
     t->trace().instant(t->trace().track("runtime"), "reprofile", cluster_.simulator().now(),
                        {{"graph_changed", report.graph_changed},
-                        {"total_seconds", report.total()}});
+                        {"profiling_seconds", report.profiling_time},
+                        {"context_setup_seconds", report.context_setup_time}});
     t->metrics().counter("runtime.reprofiles").add(1.0);
   }
   return report;

@@ -177,7 +177,6 @@ class Adapcc {
   void include_workers(const collective::RankSet& recovered);
 
   const topology::LogicalTopology& topology() const { return topo_; }
-  const topology::DetectionResult& detection() const { return detection_; }
   const std::vector<int>& participants() const noexcept { return participants_; }
   /// Report of the most recent synthesis through this runtime, including the
   /// cumulative strategy-cache hit/miss counters. A cache hit reports the

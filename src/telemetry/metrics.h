@@ -51,7 +51,6 @@ class Histogram {
 
   std::size_t count() const noexcept { return stats_.count(); }
   double mean() const noexcept { return stats_.mean(); }
-  double stddev() const noexcept { return stats_.stddev(); }
   double min() const noexcept { return stats_.min(); }
   double max() const noexcept { return stats_.max(); }
   /// Percentile over the reservoir; `q` in [0, 1]. Throws when empty.

@@ -31,17 +31,18 @@
 
 namespace adapcc::telemetry {
 
+/// Per-histogram reservoir size for percentile estimation.
+inline constexpr std::size_t kHistogramReservoir = 2048;
+
 struct TelemetryConfig {
   /// Ring-buffer capacity of the trace recorder (most recent events kept).
   std::size_t trace_capacity = 1 << 17;
-  /// Per-histogram reservoir size for percentile estimation.
-  std::size_t histogram_reservoir = 2048;
 };
 
 class Telemetry {
  public:
   explicit Telemetry(TelemetryConfig config)
-      : config_(config), trace_(config.trace_capacity), metrics_(config.histogram_reservoir) {}
+      : trace_(config.trace_capacity), metrics_(kHistogramReservoir) {}
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
@@ -49,10 +50,8 @@ class Telemetry {
   const TraceRecorder& trace() const noexcept { return trace_; }
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
-  const TelemetryConfig& config() const noexcept { return config_; }
 
  private:
-  TelemetryConfig config_;
   TraceRecorder trace_;
   MetricsRegistry metrics_;
 };

@@ -184,34 +184,12 @@ BytesPerSecond Cluster::true_bandwidth(NodeId from, NodeId to) const {
   return bw;
 }
 
-std::vector<NodeId> Cluster::all_nodes() const {
-  std::vector<NodeId> nodes;
-  for (int r = 0; r < world_size_; ++r) nodes.push_back(NodeId::gpu(r));
-  for (int i = 0; i < instance_count(); ++i) nodes.push_back(NodeId::nic(i));
-  return nodes;
-}
-
-std::vector<std::pair<NodeId, NodeId>> Cluster::all_edges() const {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  const auto nodes = all_nodes();
-  for (const NodeId& a : nodes) {
-    for (const NodeId& b : nodes) {
-      if (has_edge(a, b)) edges.emplace_back(a, b);
-    }
-  }
-  return edges;
-}
-
 sim::FlowLink& Cluster::pcie_uplink(int inst, int switch_id) {
   return *links_.at(static_cast<std::size_t>(inst)).pcie_up.at(static_cast<std::size_t>(switch_id));
 }
 
 sim::FlowLink& Cluster::pcie_downlink(int inst, int switch_id) {
   return *links_.at(static_cast<std::size_t>(inst)).pcie_down.at(static_cast<std::size_t>(switch_id));
-}
-
-sim::FlowLink& Cluster::nic_egress(int inst) {
-  return *links_.at(static_cast<std::size_t>(inst)).nic_egress;
 }
 
 sim::FlowLink& Cluster::nic_ingress(int inst) {

@@ -59,17 +59,12 @@ class Cluster {
   /// against this oracle.
   BytesPerSecond true_bandwidth(NodeId from, NodeId to) const;
 
-  /// All logical nodes / edges (used to seed the logical topology).
-  std::vector<NodeId> all_nodes() const;
-  std::vector<std::pair<NodeId, NodeId>> all_edges() const;
-
   /// Raw link accessors used by the Detector's probes (Sec. IV-A): GPU->CPU
   /// copies ride the uplink of the GPU's switch; a CPU<->NIC socket loopback
   /// occupies both links of the switch the NIC hangs off.
   int pcie_switch_count(int index) const { return instance(index).pcie_switch_count(); }
   sim::FlowLink& pcie_uplink(int instance, int switch_id);
   sim::FlowLink& pcie_downlink(int instance, int switch_id);
-  sim::FlowLink& nic_egress(int instance);
   sim::FlowLink& nic_ingress(int instance);
 
   /// Synthesized measurement for detection probe (1): latency of a socket

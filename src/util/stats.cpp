@@ -14,16 +14,8 @@ void RunningStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-double RunningStats::variance() const noexcept {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) throw std::invalid_argument("percentile of empty sample set");

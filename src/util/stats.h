@@ -9,21 +9,18 @@
 
 namespace adapcc::util {
 
-/// Welford running mean/variance accumulator.
+/// Running count, mean, min and max.
 class RunningStats {
  public:
   void add(double x) noexcept;
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept { return mean_; }
-  double variance() const noexcept;  ///< Sample variance; 0 when count < 2.
-  double stddev() const noexcept;
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

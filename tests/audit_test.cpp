@@ -12,18 +12,19 @@
 #include "collective/builders.h"
 #include "collective/comm_graph.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "util/audit.h"
 
 namespace adapcc {
 namespace {
 
 using collective::BehaviorTuple;
-using collective::chain_tree;
 using collective::derive_behavior;
 using collective::Primitive;
-using collective::star_tree;
 using collective::SubCollective;
 using collective::Tree;
+using test_support::chain_tree;
+using test_support::star_tree;
 using topology::NodeId;
 
 /// Flips the process-wide failure mode to kThrow for one test and restores

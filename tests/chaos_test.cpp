@@ -24,6 +24,7 @@
 #include "runtime/adapcc.h"
 #include "sim/flow_link.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "topology/cluster.h"
 #include "topology/detector.h"
 #include "topology/testbeds.h"
@@ -37,7 +38,6 @@ namespace {
 
 using chaos::FaultInjector;
 using chaos::FaultSchedule;
-using collective::chain_tree;
 using collective::CollectiveErrorCode;
 using collective::CollectiveOptions;
 using collective::Executor;
@@ -48,6 +48,7 @@ using collective::Strategy;
 using relay::Coordinator;
 using relay::CoordinatorConfig;
 using relay::DataLoader;
+using test_support::chain_tree;
 using topology::NodeId;
 
 // --- FlowLink cancellation (the abort primitive) ---------------------------
@@ -356,7 +357,7 @@ TEST_F(DeadlineTest, ZeroSpanTriggerKeepsAFloor) {
   // barely-late worker was instantly declared faulty.
   const Seconds phase1_finish = 1.0;
   const Seconds deadline = coordinator.fault_deadline(phase1_finish, phase1_finish);
-  EXPECT_GE(deadline, phase1_finish + config.fault_multiplier * config.cycle - 1e-12);
+  EXPECT_GE(deadline, phase1_finish + config.fault_multiplier * relay::kDecisionCycle - 1e-12);
 }
 
 TEST_F(DeadlineTest, WideSpanIsUnchangedByFloor) {

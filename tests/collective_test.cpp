@@ -13,6 +13,7 @@
 #include "collective/payload.h"
 #include "collective/rank_set.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "topology/cluster.h"
 #include "topology/testbeds.h"
 
@@ -20,7 +21,6 @@ namespace adapcc {
 namespace {
 
 using collective::BehaviorTuple;
-using collective::chain_tree;
 using collective::CollectiveOptions;
 using collective::CollectiveResult;
 using collective::ContributorMask;
@@ -33,10 +33,11 @@ using collective::Primitive;
 using collective::rank_bit;
 using collective::RankSet;
 using collective::single_tree_strategy;
-using collective::star_tree;
 using collective::Strategy;
 using collective::SubCollective;
 using collective::Tree;
+using test_support::chain_tree;
+using test_support::star_tree;
 using topology::NodeId;
 
 ContributorMask mask_of(std::initializer_list<int> ranks) {

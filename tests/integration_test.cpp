@@ -15,6 +15,7 @@
 #include "runtime/adapcc.h"
 #include "runtime/adapcc_backend.h"
 #include "synthesizer/synthesizer.h"
+#include "test_support.h"
 #include "topology/detector.h"
 #include "topology/testbeds.h"
 #include "util/rng.h"
@@ -93,7 +94,7 @@ TEST_F(IntegrationTest, FillStartStreamsChunksBeforeReady) {
   build({topology::a100_server("s0")});
   Strategy strategy = collective::single_tree_strategy(
       Primitive::kReduce, {0, 1},
-      collective::chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 1_MiB);
+      test_support::chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 1_MiB);
   // Rank 1 fills 64 MB between t=0 and t=1; the pipeline streams during the
   // fill, so completion is just after the last chunk, not 1 s + transfer.
   collective::Executor executor(*cluster_, strategy);

@@ -261,16 +261,20 @@ TEST_P(ConservationProperty, ChainReduceMovesExactlyOneTensorPerInstance) {
   Strategy strategy = collective::single_tree_strategy(
       Primitive::kReduce, ranks, collective::tree_of(NodeId::gpu(0), edges), 2_MiB);
 
+  // A NIC's egress link is the first hop of its network edge to any peer.
+  const auto nic_egress = [&](int inst) -> const sim::FlowLink& {
+    return *cluster.edge_path(NodeId::nic(inst), NodeId::nic((inst + 1) % instances)).front();
+  };
   std::vector<Bytes> egress_before, ingress_before;
   for (int inst = 0; inst < instances; ++inst) {
-    egress_before.push_back(cluster.nic_egress(inst).bytes_delivered());
+    egress_before.push_back(nic_egress(inst).bytes_delivered());
     ingress_before.push_back(cluster.nic_ingress(inst).bytes_delivered());
   }
   collective::Executor executor(cluster, strategy);
   executor.run(tensor);
   for (int inst = 0; inst < instances; ++inst) {
     const Bytes egress =
-        cluster.nic_egress(inst).bytes_delivered() - egress_before[static_cast<std::size_t>(inst)];
+        nic_egress(inst).bytes_delivered() - egress_before[static_cast<std::size_t>(inst)];
     const Bytes ingress = cluster.nic_ingress(inst).bytes_delivered() -
                           ingress_before[static_cast<std::size_t>(inst)];
     if (inst == 0) {

@@ -148,7 +148,7 @@ TEST_F(RelayFixture, CoordinatorProceedsForSevereStragglers) {
   EXPECT_EQ(decision.phase1_active.size(), 15u);
   EXPECT_LT(decision.trigger_time, now + 1.0);
   // Trigger happens at a multiple of the 5 ms cycle once wait >= buy.
-  EXPECT_GE(decision.waited, decision.buy_cost_estimate - coordinator.config().cycle);
+  EXPECT_GE(decision.waited, decision.buy_cost_estimate - relay::kDecisionCycle);
 }
 
 TEST_F(RelayFixture, FaultDeadlineUsesMultiplier) {

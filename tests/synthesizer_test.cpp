@@ -11,6 +11,7 @@
 #include "profiler/profiler.h"
 #include "synthesizer/cost_model.h"
 #include "synthesizer/synthesizer.h"
+#include "test_support.h"
 #include "topology/detector.h"
 #include "topology/testbeds.h"
 #include "util/audit.h"
@@ -19,7 +20,6 @@
 namespace adapcc {
 namespace {
 
-using collective::chain_tree;
 using collective::Primitive;
 using collective::Strategy;
 using collective::SubCollective;
@@ -27,6 +27,7 @@ using collective::Tree;
 using cost_reference::EdgeKey;
 using synthesizer::estimate_completion_time;
 using synthesizer::Synthesizer;
+using test_support::chain_tree;
 using topology::NodeId;
 
 class SynthesizerTest : public ::testing::Test {

@@ -9,6 +9,7 @@
 
 #include "sim/flow_link.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 #include "topology/cluster.h"
 #include "topology/detector.h"
 #include "topology/hardware.h"
@@ -21,6 +22,8 @@
 namespace adapcc {
 namespace {
 
+using test_support::all_edges;
+using test_support::all_nodes;
 using topology::Cluster;
 using topology::DetectionResult;
 using topology::Detector;
@@ -138,7 +141,7 @@ TEST(ClusterTest, NicShapingAffectsCapacity) {
 TEST(ClusterTest, AllEdgesConsistentWithHasEdge) {
   sim::Simulator sim;
   Cluster cluster(sim, topology::heter_testbed());
-  const auto edges = cluster.all_edges();
+  const auto edges = all_edges(cluster);
   for (const auto& [a, b] : edges) EXPECT_TRUE(cluster.has_edge(a, b));
   // 4 instances x (4x3 intra GPU pairs + 4x2 GPU-NIC) + 4x3 NIC mesh
   // + 16x12 composite cross-instance GPU pairs.
@@ -299,7 +302,7 @@ TEST_F(DetectorTest, FindEdgeResolvesExactlyTheClusterEdges) {
   for (auto specs : {topology::heter_testbed(), topology::a100_fleet(4)}) {
     const auto result = detect(std::move(specs));
     const LogicalTopology topo = Detector::build_logical_topology(*cluster_, result);
-    const auto wired = cluster_->all_edges();
+    const auto wired = all_edges(*cluster_);
     EXPECT_EQ(topo.edge_count(), wired.size());
     for (const auto& [from, to] : wired) {
       const auto* edge = topo.find_edge(from, to);
@@ -308,7 +311,7 @@ TEST_F(DetectorTest, FindEdgeResolvesExactlyTheClusterEdges) {
       EXPECT_EQ(edge->to, to);
       EXPECT_EQ(&topo.edge(from, to), edge);
     }
-    std::vector<NodeId> probes = cluster_->all_nodes();
+    std::vector<NodeId> probes = all_nodes(*cluster_);
     probes.push_back(NodeId::gpu(cluster_->world_size()));
     probes.push_back(NodeId::nic(cluster_->instance_count()));
     probes.push_back(NodeId::gpu(-1));
@@ -356,7 +359,7 @@ struct DetectedTwin {
   /// Every link a detection probe or a logical edge can ride on, by name.
   std::vector<const sim::FlowLink*> links() {
     std::set<const sim::FlowLink*> unique;
-    for (const auto& [from, to] : cluster->all_edges()) {
+    for (const auto& [from, to] : all_edges(*cluster)) {
       for (const sim::FlowLink* link : cluster->edge_path(from, to)) unique.insert(link);
     }
     for (int i = 0; i < cluster->instance_count(); ++i) {

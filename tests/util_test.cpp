@@ -34,7 +34,6 @@ TEST(RunningStatsTest, MomentsMatchClosedForm) {
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
   EXPECT_EQ(stats.count(), 8u);
   EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
