@@ -56,9 +56,8 @@ class Executor::Invocation {
   void start() {
     result_.started = sim_.now();
     if (auto* t = telemetry::get()) {
-      tel_span_ = t->trace().begin_span(
-          t->trace().track("executor"), to_string(strategy_.primitive), sim_.now(),
-          {{"tensor_bytes", tensor_bytes_}, {"subs", strategy_.subs.size()}});
+      tel_session_ = telemetry::epoch();
+      t->trace().track("executor");  // interned at start: tracks keep first-use order
     }
     for (std::size_t s = 0; s < strategy_.subs.size(); ++s) build_sub(static_cast<int>(s));
     if (outstanding_ == 0) {
@@ -96,7 +95,7 @@ class Executor::Invocation {
     std::vector<int> received;
     std::vector<ChunkMessage> acc;
     sim::EdgeChannel* up = nullptr;  ///< toward parent (reduce direction)
-    NodeState* parent = nullptr;     ///< receiver of `up`; set with it
+    NodeState* parent = nullptr;     ///< tree parent; null at the root
     std::vector<std::pair<NodeState*, sim::EdgeChannel*>> down;  ///< per child
     sim::GpuStream* stream = nullptr;
     telemetry::TrackId tel_stream_track = telemetry::kInvalidTrack;  ///< lazy
@@ -166,26 +165,38 @@ class Executor::Invocation {
     return state.tel_stream_track;
   }
 
-  /// Opens a chunk-transmission span and counts the payload toward the
-  /// executor's reported bytes. Returns 0 when telemetry is disabled.
-  telemetry::SpanId begin_send_span(SubRun& run, NodeId from, NodeId to, int chunk, Bytes bytes) {
+  /// The recorder while telemetry stays in the session this invocation
+  /// started in, else null: no span (or cached track) crosses a toggle.
+  telemetry::TraceRecorder* session_trace() const {
     auto* t = telemetry::get();
-    if (t == nullptr) return 0;
-    if (tel_epoch_ != telemetry::epoch()) {
-      tel_epoch_ = telemetry::epoch();
-      tel_bytes_sent_ = &t->metrics().counter("executor.bytes_sent");
-      tel_chunks_sent_ = &t->metrics().counter("executor.chunks_sent");
-    }
-    tel_bytes_sent_->add(static_cast<double>(bytes));
-    tel_chunks_sent_->add(1.0);
-    return t->trace().begin_span(
-        sub_track(run), "send " + topology::to_string(from) + "->" + topology::to_string(to),
-        sim_.now(), {{"bytes", bytes}, {"chunk", chunk}});
+    return t != nullptr && telemetry::epoch() == tel_session_ ? &t->trace() : nullptr;
   }
 
-  void end_send_span(telemetry::SpanId span) {
-    if (span == 0) return;
-    if (auto* t = telemetry::get()) t->trace().end_span(span, sim_.now());
+  /// Counts a chunk toward the executor's reported bytes and, when traced,
+  /// interns the sub's track now (first-use order). Returns the start time.
+  Seconds begin_send(SubRun& run, Bytes bytes) {
+    if (auto* t = telemetry::get()) {
+      if (tel_epoch_ != telemetry::epoch()) {
+        tel_epoch_ = telemetry::epoch();
+        tel_bytes_sent_ = &t->metrics().counter("executor.bytes_sent");
+        tel_chunks_sent_ = &t->metrics().counter("executor.chunks_sent");
+      }
+      tel_bytes_sent_->add(static_cast<double>(bytes));
+      tel_chunks_sent_->add(1.0);
+      if (session_trace() != nullptr) sub_track(run);
+    }
+    return sim_.now();
+  }
+
+  /// Records the span of a send, begun at `start`, that just delivered
+  /// `chunk` of a `total`-byte stream.
+  void end_send(SubRun& run, NodeId from, NodeId to, int chunk, Bytes total, Seconds start) {
+    if (auto* trace = session_trace()) {
+      const Bytes bytes = bytes_of_chunk(total, run.spec->chunk_bytes, chunk);
+      trace->complete(sub_track(run),
+                      "send " + topology::to_string(from) + "->" + topology::to_string(to),
+                      start, sim_.now() - start, {{"bytes", bytes}, {"chunk", chunk}});
+    }
   }
 
   // --- construction --------------------------------------------------------
@@ -238,6 +249,8 @@ class Executor::Invocation {
       state.accumulates = state.behavior.has_kernel || i == 0;
       state.received.assign(static_cast<std::size_t>(run.chunks), 0);
       state.acc.assign(static_cast<std::size_t>(run.chunks), ChunkMessage{});
+      // A parent outside a malformed tree has index -1, which at() rejects.
+      if (i != 0) state.parent = &run.nodes.at(tree.index_of(*tree.parent_of(nodes[i])));
       if (nodes[i].is_gpu() && run.reduce_direction) {
         streams_.push_back(std::make_unique<sim::GpuStream>(sim_));
         state.stream = streams_.back().get();
@@ -249,12 +262,9 @@ class Executor::Invocation {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       NodeState& state = run.nodes[i];
       if (i != 0 && run.reduce_direction && state.behavior.has_send) {
-        const NodeId parent = *tree.parent_of(nodes[i]);
-        channels_.push_back(
-            std::make_unique<sim::EdgeChannel>(sim_, cluster_.edge_path(nodes[i], parent)));
+        channels_.push_back(std::make_unique<sim::EdgeChannel>(
+            sim_, cluster_.edge_path(nodes[i], state.parent->id)));
         state.up = channels_.back().get();
-        // A parent outside a malformed tree has index -1, which at() rejects.
-        state.parent = &run.nodes.at(static_cast<std::size_t>(tree.index_of(parent)));
       }
       if (run.broadcast_direction) {
         for (const NodeId child : tree.children_of(nodes[i])) {
@@ -462,11 +472,10 @@ class Executor::Invocation {
     for (int c = 0; c < flow.chunks; ++c) {
       const Bytes bytes = bytes_of_chunk(flow.bytes, run.spec->chunk_bytes, c);
       const double value = alltoall_value(src, dst, run.index, c);
-      const telemetry::SpanId span =
-          begin_send_span(run, flow.route->src, flow.route->dst, c, bytes);
+      const Seconds start = begin_send(run, bytes);
       ++pending_ops_;
-      auto on_delivered = [this, &run, &flow, c, value, span] {
-        end_send_span(span);
+      auto on_delivered = [this, &run, &flow, c, value, start] {
+        end_send(run, flow.route->src, flow.route->dst, c, flow.bytes, start);
         auto& received =
             result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
         received.resize(std::max<std::size_t>(received.size(), static_cast<std::size_t>(c) + 1),
@@ -506,8 +515,10 @@ class Executor::Invocation {
             const SubRun& run = *state.run;
             const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
             const Seconds duration = kernel_seconds(state, chunk);
-            t->trace().complete(stream_track(state), "reduce-kernel", sim_.now() - duration,
-                                duration, {{"bytes", bytes}, {"chunk", chunk}});
+            if (session_trace() != nullptr) {
+              t->trace().complete(stream_track(state), "reduce-kernel", sim_.now() - duration,
+                                  duration, {{"bytes", bytes}, {"chunk", chunk}});
+            }
             if (tel_kernel_epoch_ != telemetry::epoch()) {
               tel_kernel_epoch_ = telemetry::epoch();
               tel_kernel_seconds_ = &t->metrics().counter("executor.kernel_seconds");
@@ -543,13 +554,12 @@ class Executor::Invocation {
       return;
     }
     if (state.up == nullptr) return;  // behavior says no send
-    NodeState* parent = state.parent;
     const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
-    const telemetry::SpanId span = begin_send_span(run, state.id, parent->id, chunk, bytes);
+    const Seconds start = begin_send(run, bytes);
     ++pending_ops_;
-    auto on_delivered = [this, parent, chunk, message, span] {
-      end_send_span(span);
-      on_reduce_input(*parent, chunk, message);
+    auto on_delivered = [this, &state, chunk, message, start] {
+      end_send(*state.run, state.id, state.parent->id, chunk, state.run->bytes, start);
+      on_reduce_input(*state.parent, chunk, message);
       op_done();
     };
     static_assert(sim::InlineCallback::stores_inline<decltype(on_delivered)>());
@@ -588,10 +598,10 @@ class Executor::Invocation {
     SubRun& run = *state.run;
     const Bytes bytes = bytes_of_chunk(run.bytes, run.spec->chunk_bytes, chunk);
     for (auto& [child, channel] : state.down) {
-      const telemetry::SpanId span = begin_send_span(run, state.id, child->id, chunk, bytes);
+      const Seconds start = begin_send(run, bytes);
       ++pending_ops_;
-      auto on_delivered = [this, child = child, chunk, message, span] {
-        end_send_span(span);
+      auto on_delivered = [this, child = child, chunk, message, start] {
+        end_send(*child->run, child->parent->id, child->id, chunk, child->run->bytes, start);
         on_broadcast_arrival(*child, chunk, message);
         op_done();
       };
@@ -706,8 +716,12 @@ class Executor::Invocation {
     watchdog_event_ = sim::EventId{};
     result_.finished = sim_.now();
     result_.subs.resize(strategy_.subs.size());
+    if (auto* trace = session_trace()) {
+      trace->complete(trace->track("executor"), to_string(strategy_.primitive), result_.started,
+                      sim_.now() - result_.started,
+                      {{"tensor_bytes", tensor_bytes_}, {"subs", strategy_.subs.size()}});
+    }
     if (auto* t = telemetry::get()) {
-      t->trace().end_span(tel_span_, sim_.now());
       t->metrics().counter("executor.collectives").add(1.0);
       t->metrics().histogram("executor.collective_seconds").observe(result_.elapsed());
     }
@@ -760,7 +774,8 @@ class Executor::Invocation {
   /// The on_complete_ delivery event has run; only then may on_idle_ (which
   /// destroys the invocation) be scheduled — see finish().
   bool completion_delivered_ = false;
-  telemetry::SpanId tel_span_ = 0;  ///< whole-collective span
+  /// epoch() at start() with telemetry on, else 0: the session spans go to.
+  std::uint64_t tel_session_ = 0;
   /// Per-send metric handles, resolved once per telemetry epoch.
   std::uint64_t tel_epoch_ = 0;
   telemetry::Counter* tel_bytes_sent_ = nullptr;

@@ -74,11 +74,18 @@ bool FlowLink::telemetry_ready() {
   if (t == nullptr) return false;
   if (tel_epoch_ != telemetry::epoch()) {
     tel_epoch_ = telemetry::epoch();
+    tel_first_sequence_ = ledger_.next_sequence;
     tel_track_ = t->trace().track(tel_track_name_);
     tel_bytes_ = &t->metrics().counter(tel_bytes_name_);
     tel_busy_ = &t->metrics().gauge(tel_busy_name_);
   }
   return true;
+}
+
+void FlowLink::record_xfer(std::uint64_t sequence, const TransferData& data) {
+  if (sequence < tel_first_sequence_) return;  // began before this session
+  telemetry::get()->trace().complete(tel_track_, "xfer", data.start, sim_.now() - data.start,
+                                     {{"bytes", data.total_bytes}});
 }
 
 double FlowLink::share_rate(std::size_t transfers) const noexcept {
@@ -113,7 +120,6 @@ void FlowLink::release_slot(std::uint32_t slot) noexcept {
   TransferData& data = slab(slot);
   data.on_delivered = nullptr;
   data.on_served = nullptr;
-  data.span = 0;
   data.next_free = free_head_;
   free_head_ = slot;
 }
@@ -131,15 +137,16 @@ std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback on_delive
   data.total_bytes = bytes;
   data.on_delivered = std::move(on_delivered);
   data.on_served = std::move(on_served);
+  data.start = sim_.now();
   if constexpr (audit::kEnabled) data.audit_enqueue_service = ledger_.service;
+  // Before the sequence is taken: a session first seen here covers this transfer.
+  const bool traced = telemetry_ready();
   const std::uint64_t transfer_id = ledger_.next_sequence++;
   transfers_.push_back(
       TransferKey{ledger_.service + static_cast<double>(bytes), transfer_id, slot});
-  if (telemetry_ready()) {
-    auto& trace = telemetry::get()->trace();
-    data.span = trace.begin_span(tel_track_, "xfer", sim_.now(), {{"bytes", bytes}});
-    trace.counter(tel_track_, "in_flight", sim_.now(),
-                  static_cast<double>(transfers_.size()));
+  if (traced) {
+    telemetry::get()->trace().counter(tel_track_, "in_flight", sim_.now(),
+                                      static_cast<double>(transfers_.size()));
   }
   std::push_heap(transfers_.begin(), transfers_.end(), TargetLater{});
   // A new transfer only slows the others down (equal sharing), so a pending
@@ -165,7 +172,7 @@ bool FlowLink::cancel_transfer(std::uint64_t transfer_id) {
   const std::uint32_t slot = it->slot;
   if (telemetry_ready()) {
     auto& trace = telemetry::get()->trace();
-    trace.end_span(slab(slot).span, sim_.now());
+    record_xfer(transfer_id, slab(slot));
     trace.counter(tel_track_, "in_flight", sim_.now(),
                   static_cast<double>(transfers_.size() - 1));
   }
@@ -320,7 +327,7 @@ void FlowLink::on_completion_event() {
     auto& trace = telemetry::get()->trace();
     Bytes done_bytes = 0;
     for (const auto& [sequence, slot] : done) {
-      trace.end_span(slab(slot).span, sim_.now());
+      record_xfer(sequence, slab(slot));
       done_bytes += slab(slot).total_bytes;
     }
     trace.counter(tel_track_, "in_flight", sim_.now(), static_cast<double>(transfers_.size()));

@@ -149,7 +149,7 @@ class FlowLink {
     Bytes total_bytes = 0;
     CompletionCallback on_delivered;
     CompletionCallback on_served;
-    telemetry::SpanId span = 0;  ///< open "xfer" trace span, 0 when disabled
+    Seconds start = 0.0;  ///< begin of the "xfer" span recorded when the transfer ends
     std::uint32_t next_free = 0xffffffffu;
     /// Service counter reading at enqueue; written only under ADAPCC_AUDIT so
     /// the byte-conservation check can re-derive finish_target independently.
@@ -176,6 +176,9 @@ class FlowLink {
   /// returns false when telemetry is disabled. Keeps the per-event cost at
   /// one pointer load + one integer compare once resolved.
   bool telemetry_ready();
+  /// After telemetry_ready(): records the "xfer" span of transfer
+  /// `sequence`, ending now, if it began in the current telemetry session.
+  void record_xfer(std::uint64_t sequence, const TransferData& data);
 
   /// Per-transfer rate with `transfers` sharing the link equally, under the
   /// per-transfer cap.
@@ -235,6 +238,8 @@ class FlowLink {
   std::string tel_bytes_name_;
   std::string tel_busy_name_;
   std::uint64_t tel_epoch_ = 0;
+  /// First transfer sequence of tel_epoch_'s session (see record_xfer).
+  std::uint64_t tel_first_sequence_ = 0;
   telemetry::TrackId tel_track_ = telemetry::kInvalidTrack;
   telemetry::Counter* tel_bytes_ = nullptr;
   telemetry::Gauge* tel_busy_ = nullptr;

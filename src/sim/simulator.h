@@ -107,12 +107,10 @@ class Simulator {
   /// caller prove nothing can interrupt a window it computes in closed form.
   Seconds next_event_time() const noexcept;
 
-  /// Exact count of scheduled, not-yet-fired, not-cancelled events.
+  /// Exact count of scheduled, not-yet-fired, not-cancelled events, which is
+  /// also the count of live heap entries: cancelled events leave no dead
+  /// entries behind, and a fired root awaiting replacement is not live.
   std::size_t pending_events() const noexcept { return heap_size_ - (root_fired_ ? 1 : 0); }
-  /// Heap entries currently live — equals pending_events(): cancelled
-  /// events leave no dead entries behind (regression guard for the old
-  /// tombstone design), and a fired root awaiting replacement is not live.
-  std::size_t heap_size() const noexcept { return pending_events(); }
   /// Slab slots ever allocated; bounded by the peak number of concurrently
   /// pending events, not by the schedule/cancel count.
   std::size_t slot_capacity() const noexcept { return slot_count_; }

@@ -16,8 +16,6 @@ class Telemetry;
 
 /// Index into the recorder's track table ("pid/tid" in Chrome-trace terms).
 using TrackId = std::uint32_t;
-/// Handle of an open (begun, not yet ended) span. 0 is never issued.
-using SpanId = std::uint64_t;
 
 /// Sentinel for lazily resolved track caches.
 inline constexpr TrackId kInvalidTrack = 0xffffffffu;

@@ -16,7 +16,7 @@
 // the only code that writes JSON. Instrumented objects that cache TrackIds /
 // metric pointers key their caches on epoch(), which advances on every
 // enable() / disable(), so stale handles from a previous session are never
-// reused.
+// reused. A span is recorded only if one session spans its start and its end.
 //
 // The simulation is single-threaded (one Simulator drives everything), so
 // the subsystem is deliberately lock-free and unsynchronized.
@@ -63,7 +63,6 @@ extern Telemetry* g_instance;  // owned by telemetry.cpp
 /// The active instance, or nullptr when telemetry is disabled. This is THE
 /// hot-path gate: `if (auto* t = telemetry::get()) { ... }`.
 inline Telemetry* get() noexcept { return detail::g_instance; }
-inline bool enabled() noexcept { return detail::g_instance != nullptr; }
 
 /// (Re)creates the process-wide instance, discarding any previous data, and
 /// advances epoch(). Returns the fresh instance.

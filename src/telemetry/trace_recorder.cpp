@@ -17,22 +17,6 @@ TrackId TraceRecorder::track(std::string_view name) {
   return id;
 }
 
-SpanId TraceRecorder::begin_span(TrackId track, std::string_view name, Seconds ts,
-                                 TraceArgs args) {
-  const SpanId id = next_span_++;
-  open_.emplace(id, OpenSpan{track, ts, std::string(name), args});
-  return id;
-}
-
-void TraceRecorder::end_span(SpanId span, Seconds ts) {
-  const auto it = open_.find(span);
-  if (it == open_.end()) return;
-  OpenSpan open = std::move(it->second);
-  open_.erase(it);
-  push(TraceEvent{EventKind::kComplete, open.track, open.ts, std::max(0.0, ts - open.ts),
-                  std::move(open.name), open.args});
-}
-
 void TraceRecorder::complete(TrackId track, std::string_view name, Seconds ts, Seconds dur,
                              TraceArgs args) {
   push(TraceEvent{EventKind::kComplete, track, ts, std::max(0.0, dur), std::string(name), args});

@@ -1,13 +1,14 @@
 // TraceRecorder: structured tracing against *simulated* time.
 //
-// Records spans (begin/end or pre-timed complete events), instant events and
-// counter samples into a bounded ring buffer. Every event lives on a named
-// track (one per rank, link, stream, subsystem...) which the Chrome-trace
-// exporter maps onto a "thread" so Perfetto renders each track as its own
-// lane. All timestamps are explicit `Seconds` of simulated time supplied by
-// the caller — the recorder has no clock of its own, which keeps it usable
-// from pure decision code (e.g. the relay coordinator) that reasons about
-// times other than "now".
+// Records spans, instant events and counter samples into a bounded ring
+// buffer. A span is recorded once, when it ends, by the code that knows its
+// start; nothing is held open, so a span that never ends costs nothing.
+// Every event lives on a named track (one per rank, link, stream,
+// subsystem...) which the Chrome-trace exporter maps onto a "thread" so
+// Perfetto renders each track as its own lane. All timestamps are explicit
+// `Seconds` of simulated time supplied by the caller — the recorder has no
+// clock of its own, which keeps it usable from pure decision code (e.g. the
+// relay coordinator) that reasons about times other than "now".
 //
 // The ring buffer holds the *most recent* `capacity` events: long training
 // runs keep the interesting tail instead of aborting or growing without
@@ -114,16 +115,9 @@ class TraceRecorder {
   /// name return the same id.
   TrackId track(std::string_view name);
 
-  /// Opens a span on `track` starting at `ts`; end it with end_span(). Spans
-  /// may nest and may close out of order (chunk pipelines complete spans
-  /// opened earlier than still-running ones).
-  SpanId begin_span(TrackId track, std::string_view name, Seconds ts, TraceArgs args = {});
-
-  /// Closes an open span, emitting a complete event with the args given at
-  /// begin_span. Unknown or already closed ids are ignored.
-  void end_span(SpanId span, Seconds ts);
-
-  /// Records a complete span whose begin and duration are already known.
+  /// Records a span that began at `ts` and just ended, `dur` later (a
+  /// negative `dur` records 0). Spans enter the ring in the order they end,
+  /// so nested spans and spans that close out of order need no bookkeeping.
   void complete(TrackId track, std::string_view name, Seconds ts, Seconds dur,
                 TraceArgs args = {});
 
@@ -141,16 +135,8 @@ class TraceRecorder {
   std::size_t size() const noexcept { return buffer_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
-  std::size_t open_spans() const noexcept { return open_.size(); }
 
  private:
-  struct OpenSpan {
-    TrackId track = 0;
-    Seconds ts = 0.0;
-    std::string name;
-    TraceArgs args;
-  };
-
   void push(TraceEvent event);
 
   std::size_t capacity_;
@@ -159,8 +145,6 @@ class TraceRecorder {
   std::uint64_t dropped_ = 0;
   std::vector<std::string> track_names_;
   std::unordered_map<std::string, TrackId> track_ids_;
-  std::unordered_map<SpanId, OpenSpan> open_;
-  SpanId next_span_ = 1;
 };
 
 }  // namespace adapcc::telemetry

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "chaos/fault_injector.h"
@@ -24,6 +25,8 @@
 #include "runtime/adapcc.h"
 #include "sim/flow_link.h"
 #include "sim/simulator.h"
+#include "telemetry/export.h"
+#include "telemetry/telemetry.h"
 #include "test_support.h"
 #include "topology/cluster.h"
 #include "topology/detector.h"
@@ -49,6 +52,7 @@ using relay::Coordinator;
 using relay::CoordinatorConfig;
 using relay::DataLoader;
 using test_support::chain_tree;
+using test_support::Fnv;
 using topology::NodeId;
 
 // --- FlowLink cancellation (the abort primitive) ---------------------------
@@ -508,6 +512,38 @@ TEST_F(ResilienceTest, BlackoutHealsWithBackoffRetries) {
   EXPECT_TRUE(report.excluded.empty());
   EXPECT_GE(report.attempts, 2);
   EXPECT_EQ(adapcc_->participants().size(), 16u);
+}
+
+// The abort path's whole trace, pinned; quickstart's export pin never
+// reaches it. NIC 1 blacks out 2 ms into the collective, so two attempts
+// stall mid-transfer and the watchdog aborts them: cancel_transfer closes the
+// stalled transfers' link spans, and the chunks EdgeChannel::abort drops
+// record no send span. The third attempt runs once the NIC is back.
+TEST_F(ResilienceTest, BlackoutAbortTraceIsPinned) {
+  struct TelemetryGuard {
+    ~TelemetryGuard() { telemetry::disable(); }
+  } guard;
+  telemetry::enable({});
+  FaultSchedule schedule;
+  schedule.link_faults.push_back(
+      {1, sim_->now() + milliseconds(2), milliseconds(200), chaos::kBlackoutFraction, 0, 0.0});
+  FaultInjector injector(*cluster_, schedule, 9);
+  injector.arm();
+  runtime::ResilienceOptions options;
+  options.watchdog_timeout = milliseconds(60);
+  options.max_attempts = 6;
+  const auto report = adapcc_->run_resilient(Primitive::kAllReduce, megabytes(64), options);
+  ASSERT_TRUE(report.ok) << report.halt_reason;
+  EXPECT_EQ(report.attempts, 3);
+
+  const telemetry::TraceRecorder& trace = telemetry::get()->trace();
+  ASSERT_EQ(trace.dropped(), 0u);  // the hash covers every record
+  std::ostringstream out;
+  telemetry::write_chrome_trace(trace, out);
+  Fnv fnv;
+  fnv.add(out.str());
+  EXPECT_EQ(fnv.h, 0xa4a62c0f672942a3ull)
+      << std::hex << fnv.h << " over " << std::dec << trace.size() << " records";
 }
 
 // --- Determinism: one seed, one outcome ------------------------------------

@@ -30,6 +30,7 @@ using profiler::BandwidthTrace;
 using profiler::Profiler;
 using profiler::TraceSample;
 using profiler::TraceShaper;
+using test_support::Fnv;
 using topology::Cluster;
 using topology::Detector;
 using topology::GpuKind;
@@ -304,17 +305,6 @@ INSTANTIATE_TEST_SUITE_P(
         ReplayCase{"paper_tcp_shaped", topology::paper_testbed(topology::NetworkStack::kTcp),
                    false, true}),
     [](const ::testing::TestParamInfo<ReplayCase>& case_info) { return case_info.param.name; });
-
-/// FNV-1a over 64-bit words.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
-};
 
 // The shaped profile, pinned. Both ProfilerReplayTest twins pass through the
 // replay gate, so a gate that ignored pending events would replay the shaped

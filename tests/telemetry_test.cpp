@@ -7,13 +7,16 @@
 #include <type_traits>
 #include <vector>
 
+#include "collective/executor.h"
 #include "runtime/adapcc.h"
+#include "sim/flow_link.h"
 #include "telemetry/export.h"
 #include "telemetry/telemetry.h"
 #include "topology/cluster.h"
 #include "topology/testbeds.h"
 #include "training/trainer.h"
 #include "util/stats.h"
+#include "test_support.h"
 
 namespace adapcc {
 namespace {
@@ -51,12 +54,10 @@ TEST(TraceRecorderTest, InternsTracksStably) {
 TEST(TraceRecorderTest, SpansNestAndCloseOutOfOrder) {
   TraceRecorder rec(16);
   const auto track = rec.track("t");
-  const auto outer = rec.begin_span(track, "outer", 1.0);
-  const auto inner = rec.begin_span(track, "inner", 2.0);
-  EXPECT_EQ(rec.open_spans(), 2u);
-  rec.end_span(inner, 3.0);
-  rec.end_span(outer, 5.0);
-  EXPECT_EQ(rec.open_spans(), 0u);
+  // "outer" runs over [1, 5] and "inner" over [2, 3]. Each is recorded when
+  // it ends, so the inner span enters the ring first.
+  rec.complete(track, "inner", 2.0, 3.0 - 2.0);
+  rec.complete(track, "outer", 1.0, 5.0 - 1.0);
 
   const auto events = rec.events();
   ASSERT_EQ(events.size(), 2u);
@@ -67,10 +68,6 @@ TEST(TraceRecorderTest, SpansNestAndCloseOutOfOrder) {
   EXPECT_EQ(events[1].name, "outer");
   EXPECT_DOUBLE_EQ(events[1].ts, 1.0);
   EXPECT_DOUBLE_EQ(events[1].dur, 4.0);
-
-  rec.end_span(outer, 9.0);  // already closed: ignored
-  rec.end_span(12345, 9.0);  // never existed: ignored
-  EXPECT_EQ(rec.size(), 2u);
 }
 
 TEST(TraceRecorderTest, RingKeepsMostRecentEvents) {
@@ -166,7 +163,6 @@ TEST(TelemetryGlobal, EnableDisableAdvanceEpoch) {
   TelemetryGuard guard;
   telemetry::disable();
   EXPECT_EQ(telemetry::get(), nullptr);
-  EXPECT_FALSE(telemetry::enabled());
 
   const auto e0 = telemetry::epoch();
   telemetry::Telemetry& t = telemetry::enable({.trace_capacity = 128});
@@ -183,6 +179,83 @@ TEST(TelemetryGlobal, EnableDisableAdvanceEpoch) {
 
   telemetry::disable();
   EXPECT_EQ(telemetry::get(), nullptr);
+}
+
+/// The kComplete records of the active recorder, with their track names.
+std::vector<std::pair<std::string, telemetry::TraceEvent>> recorded_spans() {
+  const TraceRecorder& trace = telemetry::get()->trace();
+  std::vector<std::pair<std::string, telemetry::TraceEvent>> spans;
+  for (const auto& event : trace.events()) {
+    if (event.kind == EventKind::kComplete) spans.emplace_back(trace.tracks()[event.track], event);
+  }
+  return spans;
+}
+
+// A span is recorded only when telemetry was on, in one session, both when it
+// began and when it ends. Link a's 1 s transfer straddles a disable/enable
+// and stays out of the new session; link b's 5 s transfer, started in it,
+// records its own start and duration.
+TEST(TelemetrySession, LinkTransferStraddlingAToggleIsNotRecorded) {
+  TelemetryGuard guard;
+  sim::Simulator sim;
+  sim::FlowLink a(sim, "a", 0.0, gBps(1));
+  sim::FlowLink b(sim, "b", 0.0, gBps(1));
+  telemetry::enable({});
+  a.start_transfer(megabytes(1000), nullptr);
+  telemetry::disable();
+  telemetry::enable({});
+  b.start_transfer(megabytes(5000), nullptr);
+  sim.run();
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+
+  const auto spans = recorded_spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].first, "link/b");
+  EXPECT_EQ(spans[0].second.name, "xfer");
+  EXPECT_DOUBLE_EQ(spans[0].second.ts, 0.0);
+  EXPECT_DOUBLE_EQ(spans[0].second.dur, 5.0);
+}
+
+// The same rule for the executor. Invocation A starts, telemetry is toggled
+// while it runs, then B starts on the same links and finishes after A. The
+// new session holds no span that began before the toggle, and its one
+// whole-collective span is B's, with B's own duration.
+TEST(TelemetrySession, InvocationStraddlingAToggleIsNotRecorded) {
+  TelemetryGuard guard;
+  sim::Simulator sim;
+  topology::Cluster cluster(sim, {topology::a100_server("s0")});
+  const collective::Strategy strategy = collective::single_tree_strategy(
+      collective::Primitive::kAllReduce, {0, 1, 2, 3},
+      test_support::chain_tree({topology::NodeId::gpu(3), topology::NodeId::gpu(2),
+                                topology::NodeId::gpu(1), topology::NodeId::gpu(0)}),
+      4_MiB);
+  collective::Executor a(cluster, strategy);
+  collective::Executor b(cluster, strategy);
+  collective::CollectiveResult result_a;
+  collective::CollectiveResult result_b;
+  telemetry::enable({});
+  a.start(megabytes(64), {}, [&](const collective::CollectiveResult& r) { result_a = r; });
+  sim.run_until(sim.now() + microseconds(100));
+  ASSERT_TRUE(a.busy());
+  telemetry::disable();
+  telemetry::enable({});
+  const Seconds toggle = sim.now();
+  b.start(megabytes(64), {}, [&](const collective::CollectiveResult& r) { result_b = r; });
+  sim.run();
+  ASSERT_TRUE(result_a.ok());
+  ASSERT_TRUE(result_b.ok());
+  ASSERT_GT(result_a.finished, toggle);
+  ASSERT_LT(result_a.finished, result_b.finished);
+
+  int collectives = 0;
+  for (const auto& [track, span] : recorded_spans()) {
+    EXPECT_GE(span.ts, toggle) << span.name << " on " << track;
+    if (track != "executor") continue;
+    ++collectives;
+    EXPECT_DOUBLE_EQ(span.ts, result_b.started);
+    EXPECT_DOUBLE_EQ(span.dur, result_b.elapsed());
+  }
+  EXPECT_EQ(collectives, 1);
 }
 
 TEST(ChromeTraceExport, GoldenSmallTrace) {
@@ -251,14 +324,13 @@ TEST(ChromeTraceExport, ArgNumbersKeepTheirFormat) {
 TEST(ChromeTraceExport, EventsAreCompleteAndMonotonic) {
   TraceRecorder rec(256);
   const auto track = rec.track("t");
-  // Interleave spans that close out of order with instants and counters, so
-  // the recorder's completion order is far from timestamp order.
-  std::vector<telemetry::SpanId> open;
-  for (int i = 0; i < 20; ++i) {
-    open.push_back(rec.begin_span(track, "span" + std::to_string(i), 0.1 * i));
-    rec.counter(track, "depth", 0.1 * i + 0.01, i);
+  // Span i begins at 0.1 * i, next to a counter sample, and ends at 5 + i.
+  // The spans end in reverse order, after every sample, so the recorder's
+  // completion order is far from timestamp order.
+  for (int i = 0; i < 20; ++i) rec.counter(track, "depth", 0.1 * i + 0.01, i);
+  for (int i = 19; i >= 0; --i) {
+    rec.complete(track, "span" + std::to_string(i), 0.1 * i, (5.0 + i) - 0.1 * i);
   }
-  for (int i = 19; i >= 0; --i) rec.end_span(open[static_cast<std::size_t>(i)], 5.0 + i);
   rec.instant(track, "done", 30.0);
 
   std::ostringstream out;

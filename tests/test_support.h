@@ -1,9 +1,12 @@
 // Shapes tests build by hand: trees through collective::tree_of, like every
-// Tree the library makes, and the full edge list a cluster wires.
+// Tree the library makes, and the full edge list a cluster wires; and the
+// hash that pins a run's results.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,5 +58,22 @@ inline std::vector<std::pair<NodeId, NodeId>> all_edges(const topology::Cluster&
   }
   return edges;
 }
+
+/// FNV-1a, fed 64-bit words (least significant byte first) or text.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) add_byte((v >> (8 * i)) & 0xffu);
+  }
+  void add(std::string_view text) {
+    for (const char c : text) add_byte(static_cast<unsigned char>(c));
+  }
+
+ private:
+  void add_byte(std::uint64_t byte) {
+    h ^= byte;
+    h *= 0x100000001b3ull;
+  }
+};
 
 }  // namespace adapcc::test_support

@@ -24,6 +24,7 @@ namespace {
 
 using test_support::all_edges;
 using test_support::all_nodes;
+using test_support::Fnv;
 using topology::Cluster;
 using topology::DetectionResult;
 using topology::Detector;
@@ -509,17 +510,6 @@ class PcieShaper {
   std::vector<BytesPerSecond> base_;
   std::size_t ticks_ = 0;
   sim::EventId id_{};
-};
-
-/// FNV-1a over 64-bit words.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
 };
 
 // The evented fallback, pinned: on a finely shaped cluster no probe can
