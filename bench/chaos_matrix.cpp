@@ -107,7 +107,7 @@ RunOutcome run_relay_cell(std::uint64_t fault_seed, WaitPolicy policy,
   if (!schedule.rpc_loss.empty()) {
     util::Rng rpc_rng(fault_seed ^ 0xabcdULL);
     sim.run_until(schedule.rpc_loss.front().start + 1e-6);
-    relay::rpc_with_retry(cluster, 3, 0, rpc_rng, {}, &injector);
+    relay::rpc_with_retry(cluster, 3, 0, rpc_rng, &injector);
     if (coverage != nullptr) coverage->rpc_drops += injector.rpc_drops();
   }
 

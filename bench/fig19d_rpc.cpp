@@ -20,7 +20,7 @@ int run() {
   // worker (sampled round-robin to keep the bench quick).
   for (int iteration = 0; iteration < 1000; ++iteration) {
     const int rank = 1 + iteration % (world.cluster->world_size() - 1);
-    latencies_ms.push_back(relay::measure_rpc_latency(*world.cluster, rank, 0, rng) * 1e3);
+    latencies_ms.push_back(relay::rpc_with_retry(*world.cluster, rank, 0, rng).latency * 1e3);
   }
   for (const double q : {0.10, 0.25, 0.50, 0.75, 0.90, 0.99}) {
     std::printf("  p%-4.0f %8.3f ms\n", q * 100, util::percentile(latencies_ms, q));

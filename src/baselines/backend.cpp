@@ -66,6 +66,19 @@ Strategy with_origin(Strategy strategy, std::string origin) {
 
 }  // namespace
 
+// --- Backend ----------------------------------------------------------------
+
+CollectiveResult Backend::run(Primitive primitive, const std::vector<int>& participants,
+                              Bytes tensor_bytes, CollectiveOptions options) {
+  Executor executor(cluster(), plan(primitive, participants, tensor_bytes));
+  return executor.run(tensor_bytes, std::move(options));
+}
+
+topology::Cluster& Backend::cluster() const {
+  if (cluster_ == nullptr) throw std::logic_error(name() + ": backend has no cluster");
+  return *cluster_;
+}
+
 // --- NCCL -------------------------------------------------------------------
 
 Strategy NcclBackend::plan(Primitive primitive, const std::vector<int>& participants,
@@ -83,15 +96,9 @@ Strategy NcclBackend::plan(Primitive primitive, const std::vector<int>& particip
   }
   return with_origin(
       collective::single_tree_strategy(primitive, participants,
-                                       nic_headed_tree(cluster_, participants, false),
+                                       nic_headed_tree(cluster(), participants, false),
                                        kNcclSlice),
       "nccl");
-}
-
-CollectiveResult NcclBackend::run(Primitive primitive, const std::vector<int>& participants,
-                                  Bytes tensor_bytes, CollectiveOptions options) {
-  Executor executor(cluster_, plan(primitive, participants, tensor_bytes));
-  return executor.run(tensor_bytes, std::move(options));
 }
 
 // --- MSCCL ------------------------------------------------------------------
@@ -108,7 +115,7 @@ Strategy MscclBackend::plan(Primitive primitive, const std::vector<int>& partici
                                       /*subs=*/2, kMscclChunk, /*concurrency=*/2),
         "msccl");
   }
-  const auto by_instance = collective::ranks_by_instance(cluster_, participants);
+  const auto by_instance = collective::ranks_by_instance(cluster(), participants);
   // Two parallel channels (the pareto latency-bandwidth tradeoff), but the
   // sketch is rank-ordered and chunk size fixed: no link awareness. Channel
   // 0 is a binary tree over the heads; channel 1 reverses the local chains
@@ -128,12 +135,6 @@ Strategy MscclBackend::plan(Primitive primitive, const std::vector<int>& partici
                      "msccl");
 }
 
-CollectiveResult MscclBackend::run(Primitive primitive, const std::vector<int>& participants,
-                                   Bytes tensor_bytes, CollectiveOptions options) {
-  Executor executor(cluster_, plan(primitive, participants, tensor_bytes));
-  return executor.run(tensor_bytes, std::move(options));
-}
-
 // --- Blink -------------------------------------------------------------------
 
 bool BlinkBackend::supports(Primitive primitive) {
@@ -146,7 +147,7 @@ Strategy BlinkBackend::plan(Primitive primitive, const std::vector<int>& partici
   // For inspection only: the combined (unstaged) graph Blink would use.
   return with_origin(
       collective::single_tree_strategy(primitive, participants,
-                                       nic_headed_tree(cluster_, participants, true),
+                                       nic_headed_tree(cluster(), participants, true),
                                        kBlinkChunk),
       "blink");
 }
@@ -156,7 +157,7 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   if (!supports(primitive)) {
     throw std::invalid_argument("Blink does not support multi-server AllToAll");
   }
-  sim::Simulator& sim = cluster_.simulator();
+  sim::Simulator& sim = cluster().simulator();
   const Seconds started = sim.now();
 
   // The intra-server spanning trees, one per server with at least two GPUs:
@@ -164,8 +165,8 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   std::vector<int> heads;
   std::vector<Strategy> reduce_stage;
   std::vector<Strategy> broadcast_stage;
-  for (const auto& [inst, ranks] : collective::ranks_by_instance(cluster_, participants)) {
-    const std::vector<int> chain = nic_headed_chain(cluster_, inst, ranks, true);
+  for (const auto& [inst, ranks] : collective::ranks_by_instance(cluster(), participants)) {
+    const std::vector<int> chain = nic_headed_chain(cluster(), inst, ranks, true);
     heads.push_back(chain.front());
     if (ranks.size() < 2) continue;
     std::vector<collective::TreeEdge> edges;
@@ -181,7 +182,7 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   // Stage 1: intra-server reduce (skipped for pure broadcast).
   if (collective::requires_aggregation(primitive)) {
     const std::size_t n = reduce_stage.size();
-    collective::run_concurrently(cluster_, std::move(reduce_stage), tensor_bytes,
+    collective::run_concurrently(cluster(), std::move(reduce_stage), tensor_bytes,
                                  std::vector<CollectiveOptions>(n, options));
   }
 
@@ -190,7 +191,7 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   CollectiveResult inter_result;
   std::sort(heads.begin(), heads.end());
   if (heads.size() > 1) {
-    NcclBackend inter(cluster_);
+    NcclBackend inter(cluster());
     // Heads are ready immediately now; stage-1 stragglers already absorbed.
     inter_result = inter.run(primitive, heads, tensor_bytes, {});
   }
@@ -200,7 +201,7 @@ CollectiveResult BlinkBackend::run(Primitive primitive, const std::vector<int>& 
   if (primitive == Primitive::kAllReduce || primitive == Primitive::kBroadcast ||
       primitive == Primitive::kAllGather) {
     const std::size_t n = broadcast_stage.size();
-    collective::run_concurrently(cluster_, std::move(broadcast_stage), tensor_bytes,
+    collective::run_concurrently(cluster(), std::move(broadcast_stage), tensor_bytes,
                                  std::vector<CollectiveOptions>(n));
   }
 

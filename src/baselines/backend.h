@@ -4,6 +4,8 @@
 // through the same simulator and Executor, differing only in the strategies
 // it builds (and, for Blink, in its lack of cross-stage pipelining). Benches
 // iterate over Backend* to produce the per-system bars of Figs. 11-14.
+// Backend::run executes plan() on the backend's cluster; only the staged
+// BlinkBackend overrides it.
 #pragma once
 
 #include <memory>
@@ -23,17 +25,29 @@ class Backend {
   virtual std::string name() const = 0;
 
   /// Runs one collective among `participants` with `tensor_bytes` per GPU;
-  /// blocks (in simulated time) until completion.
+  /// blocks (in simulated time) until completion. Executes plan() on the
+  /// cluster the backend was built with.
   virtual collective::CollectiveResult run(collective::Primitive primitive,
                                            const std::vector<int>& participants,
                                            Bytes tensor_bytes,
-                                           collective::CollectiveOptions options = {}) = 0;
+                                           collective::CollectiveOptions options = {});
 
   /// The strategy the backend would execute (for inspection/ablation). May
   /// be empty for staged backends whose execution is not a single strategy.
   virtual collective::Strategy plan(collective::Primitive primitive,
                                     const std::vector<int>& participants,
                                     Bytes tensor_bytes) = 0;
+
+ protected:
+  explicit Backend(topology::Cluster& cluster) : cluster_(&cluster) {}
+  /// For a decorator that forwards run() to another backend and so holds no
+  /// cluster of its own; the base run() throws std::logic_error for it.
+  Backend() = default;
+
+  topology::Cluster& cluster() const;
+
+ private:
+  topology::Cluster* cluster_ = nullptr;
 };
 
 /// NCCL v2.14 model (Sec. VI-B/VI-C): rank-ordered intra-server chain onto
@@ -44,16 +58,10 @@ class Backend {
 /// bottleneck in heterogeneous settings.
 class NcclBackend : public Backend {
  public:
-  explicit NcclBackend(topology::Cluster& cluster) : cluster_(cluster) {}
+  explicit NcclBackend(topology::Cluster& cluster) : Backend(cluster) {}
   std::string name() const override { return "nccl"; }
-  collective::CollectiveResult run(collective::Primitive primitive,
-                                   const std::vector<int>& participants, Bytes tensor_bytes,
-                                   collective::CollectiveOptions options = {}) override;
   collective::Strategy plan(collective::Primitive primitive,
                             const std::vector<int>& participants, Bytes tensor_bytes) override;
-
- private:
-  topology::Cluster& cluster_;
 };
 
 /// MSCCL model: pareto-optimal SCCL-style algorithms with two parallel
@@ -61,16 +69,10 @@ class NcclBackend : public Backend {
 /// structure, fixed chunk size, no awareness of measured link properties.
 class MscclBackend : public Backend {
  public:
-  explicit MscclBackend(topology::Cluster& cluster) : cluster_(cluster) {}
+  explicit MscclBackend(topology::Cluster& cluster) : Backend(cluster) {}
   std::string name() const override { return "msccl"; }
-  collective::CollectiveResult run(collective::Primitive primitive,
-                                   const std::vector<int>& participants, Bytes tensor_bytes,
-                                   collective::CollectiveOptions options = {}) override;
   collective::Strategy plan(collective::Primitive primitive,
                             const std::vector<int>& participants, Bytes tensor_bytes) override;
-
- private:
-  topology::Cluster& cluster_;
 };
 
 /// Blink model: topology-aware intra-server spanning trees, NCCL-style
@@ -79,7 +81,7 @@ class MscclBackend : public Backend {
 /// stage runs to completion before the next starts.
 class BlinkBackend : public Backend {
  public:
-  explicit BlinkBackend(topology::Cluster& cluster) : cluster_(cluster) {}
+  explicit BlinkBackend(topology::Cluster& cluster) : Backend(cluster) {}
   std::string name() const override { return "blink"; }
   collective::CollectiveResult run(collective::Primitive primitive,
                                    const std::vector<int>& participants, Bytes tensor_bytes,
@@ -89,9 +91,6 @@ class BlinkBackend : public Backend {
 
   /// Blink does not support multi-server AllToAll (Sec. VI-C).
   static bool supports(collective::Primitive primitive);
-
- private:
-  topology::Cluster& cluster_;
 };
 
 }  // namespace adapcc::baselines

@@ -20,15 +20,4 @@ AlphaBeta AlphaBetaEstimator::estimate() const {
   return result;
 }
 
-std::vector<ProbeShape> default_probe_plan() {
-  // Mirrors the paper: the same payload sent as n small chunks and as one
-  // grouped chunk, over a spread of sizes so the regression separates the
-  // latency term from the bandwidth term.
-  return {
-      {256_KiB, 8}, {2_MiB, 1},   // 2 MiB total, split vs grouped
-      {1_MiB, 8},   {8_MiB, 1},   // 8 MiB total
-      {4_MiB, 8},   {32_MiB, 1},  // 32 MiB total
-  };
-}
-
 }  // namespace adapcc::profiler

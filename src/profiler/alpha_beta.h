@@ -37,14 +37,4 @@ class AlphaBetaEstimator {
   std::vector<double> times_;
 };
 
-/// Probe plan entry: send `count` chunks of `bytes` each, back to back.
-struct ProbeShape {
-  Bytes bytes;
-  int count;
-};
-
-/// The default probe shapes used by the Profiler: several sizes, each both
-/// as repeated small sends and one grouped send, per the paper's scheme.
-std::vector<ProbeShape> default_probe_plan();
-
 }  // namespace adapcc::profiler

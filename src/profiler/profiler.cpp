@@ -1,6 +1,7 @@
 #include "profiler/profiler.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 
@@ -22,35 +23,57 @@ using topology::NodeId;
 constexpr Seconds kPcieDefaultAlpha = microseconds(10);
 const double kPcieDefaultBeta = 1.0 / gBps(20);
 
-/// The wire pieces of one shape, in send order. Each probe message is
-/// packetized onto the wire (real NICs stream a large send; they do not
-/// store-and-forward it whole), so even a "grouped" single message measures
-/// the bottleneck streaming rate of a multi-link edge rather than the sum of
-/// per-link serializations.
-std::vector<Bytes> wire_pieces(const ProbeShape& shape) {
-  constexpr Bytes kWireGranularity = 512_KiB;
-  std::vector<Bytes> pieces;
-  for (int c = 0; c < shape.count; ++c) {
-    for (Bytes left = shape.bytes; left > 0;) {
-      const Bytes piece = std::min(left, kWireGranularity);
-      left -= piece;
-      pieces.push_back(piece);
-    }
-  }
-  return pieces;
+/// Probe plan entry: send `count` chunks of `bytes` each, back to back.
+struct ProbeShape {
+  Bytes bytes;
+  int count;
+};
+
+/// The shapes every probed edge runs, in order. Mirrors the paper: the same
+/// payload sent as n small chunks and as one grouped chunk, over a spread of
+/// sizes so the regression separates the latency term from the bandwidth
+/// term.
+constexpr std::array<ProbeShape, 6> kProbePlan{{
+    {256_KiB, 8}, {2_MiB, 1},   // 2 MiB total, split vs grouped
+    {1_MiB, 8},   {8_MiB, 1},   // 8 MiB total
+    {4_MiB, 8},   {32_MiB, 1},  // 32 MiB total
+}};
+
+/// Parallel streams of the port pass (see Profiler::profile).
+constexpr int kPortChannels = 4;
+
+/// Each probe message is packetized onto the wire in pieces of at most this
+/// size (real NICs stream a large send; they do not store-and-forward it
+/// whole), so even a "grouped" single message measures the bottleneck
+/// streaming rate of a multi-link edge rather than the sum of per-link
+/// serializations.
+constexpr Bytes kWireGranularity = 512_KiB;
+
+constexpr Bytes piece_bytes(const ProbeShape& shape) {
+  return std::min(shape.bytes, kWireGranularity);
 }
 
-/// The probe plan with every repetition spelled out: the shapes one edge
-/// runs, in order.
-std::vector<ProbeShape> probe_shapes(const ProfilerConfig& config) {
-  std::vector<ProbeShape> shapes;
-  for (int r = 0; r < config.repetitions; ++r) {
-    shapes.insert(shapes.end(), config.plan.begin(), config.plan.end());
-  }
-  return shapes;
+/// Wire pieces of one shape: `count` messages of `bytes`, each cut into
+/// pieces of piece_bytes(shape).
+constexpr std::size_t piece_count(const ProbeShape& shape) {
+  return static_cast<std::size_t>(shape.count) *
+         static_cast<std::size_t>((shape.bytes + kWireGranularity - 1) / kWireGranularity);
 }
 
-/// Drives the probe shapes over one edge: each ProbeShape becomes fresh
+/// Every shape's wire pieces are equal, and their number is a multiple of
+/// the port pass's channels. The round-robin channels of either pass then
+/// start, share and finish every piece together (lockstep), which is what
+/// lets replay_isolated_round replay a round in closed form.
+constexpr bool plan_runs_in_lockstep() {
+  for (const ProbeShape& shape : kProbePlan) {
+    if (shape.bytes % piece_bytes(shape) != 0) return false;
+    if (piece_count(shape) % kPortChannels != 0) return false;
+  }
+  return true;
+}
+static_assert(plan_runs_in_lockstep());
+
+/// Drives the probe plan over one edge: each ProbeShape becomes fresh
 /// EdgeChannels carrying its wire pieces; the elapsed time of the whole
 /// shape is one regression sample. Shapes run sequentially; `on_done` fires
 /// after the last one.
@@ -60,12 +83,10 @@ class EdgeProbe {
   /// channels > 1 the fitted beta measures the *port* rate reachable by
   /// concurrent streams rather than the single-stream rate (distinguishing
   /// TCP's per-stream kernel ceiling from the NIC capacity, Sec. VI-D).
-  EdgeProbe(sim::Simulator& sim, std::vector<sim::FlowLink*> path,
-            const std::vector<ProbeShape>& shapes, int channels, AlphaBetaEstimator& estimator,
-            std::function<void()> on_done)
+  EdgeProbe(sim::Simulator& sim, std::vector<sim::FlowLink*> path, int channels,
+            AlphaBetaEstimator& estimator, std::function<void()> on_done)
       : sim_(sim),
         path_(std::move(path)),
-        shapes_(shapes),
         channels_(channels),
         estimator_(estimator),
         on_done_(std::move(on_done)) {}
@@ -74,7 +95,7 @@ class EdgeProbe {
 
  private:
   void next_shape() {
-    if (shape_index_ >= shapes_.size()) {
+    if (shape_index_ >= kProbePlan.size()) {
       if (on_done_) on_done_();
       return;
     }
@@ -83,16 +104,18 @@ class EdgeProbe {
       channels_pool_.push_back(std::make_unique<sim::EdgeChannel>(sim_, path_));
     }
     started_at_ = sim_.now();
-    const std::vector<Bytes> pieces = wire_pieces(shapes_[shape_index_]);
-    remaining_ = pieces.size();
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      channels_pool_[i % channels_pool_.size()]->send(pieces[i], [this] { on_chunk_delivered(); });
+    const ProbeShape& shape = kProbePlan[shape_index_];
+    const std::size_t pieces = piece_count(shape);
+    remaining_ = pieces;
+    for (std::size_t i = 0; i < pieces; ++i) {
+      channels_pool_[i % channels_pool_.size()]->send(piece_bytes(shape),
+                                                      [this] { on_chunk_delivered(); });
     }
   }
 
   void on_chunk_delivered() {
     if (--remaining_ > 0) return;
-    const ProbeShape& shape = shapes_[shape_index_];
+    const ProbeShape& shape = kProbePlan[shape_index_];
     estimator_.add_sample(shape.bytes * static_cast<Bytes>(shape.count),
                           sim_.now() - started_at_);
     ++shape_index_;
@@ -101,7 +124,6 @@ class EdgeProbe {
 
   sim::Simulator& sim_;
   std::vector<sim::FlowLink*> path_;
-  const std::vector<ProbeShape>& shapes_;
   int channels_ = 1;
   AlphaBetaEstimator& estimator_;
   std::function<void()> on_done_;
@@ -113,37 +135,27 @@ class EdgeProbe {
 
 /// Replays a round in closed form through the isolated-replay gate
 /// (sim::IsolatedRound, DESIGN.md §7) and returns true, or returns false
-/// having touched nothing. Beyond the gate it needs the round's channels in
-/// lockstep: every shape's wire pieces split into consecutive groups of
-/// `channels` equal pieces, so the round-robin channels start, share and
-/// finish every piece together. Each probe's shapes then run back to back
-/// exactly as EdgeProbe runs them.
+/// having touched nothing. The plan runs in lockstep (plan_runs_in_lockstep),
+/// so each shape is piece_count / `channels` groups of one piece per channel,
+/// and each probe's shapes run back to back exactly as EdgeProbe runs them.
 bool replay_isolated_round(sim::Simulator& sim,
                            const std::vector<std::vector<sim::FlowLink*>>& paths,
-                           const std::vector<ProbeShape>& shapes, std::size_t channels,
-                           std::vector<AlphaBetaEstimator>& estimators) {
+                           std::size_t channels, std::vector<AlphaBetaEstimator>& estimators) {
   sim::IsolatedRound round(sim);
   for (const auto& path : paths) round.add_path(path, channels);
   if (!round.open()) return false;
   std::vector<std::vector<Bytes>> groups;  // per shape, one size per lockstep group
-  for (const ProbeShape& shape : shapes) {
-    const std::vector<Bytes> pieces = wire_pieces(shape);
-    if (pieces.size() % channels != 0) return false;
-    auto& shape_groups = groups.emplace_back();
-    const auto width = static_cast<std::ptrdiff_t>(channels);
-    for (auto group = pieces.begin(); group != pieces.end(); group += width) {
-      const auto group_end = group + width;
-      if (std::adjacent_find(group, group_end, std::not_equal_to<>{}) != group_end) return false;
-      shape_groups.push_back(*group);
-    }
+  for (const ProbeShape& shape : kProbePlan) {
+    groups.emplace_back(piece_count(shape) / channels, piece_bytes(shape));
   }
   std::vector<AlphaBetaEstimator> samples(paths.size());
   Seconds end = sim.now();
   for (std::size_t i = 0; i < paths.size(); ++i) {
     Seconds at = sim.now();
-    for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t s = 0; s < kProbePlan.size(); ++s) {
       const Seconds done = round.deliver(i, at, groups[s]);
-      samples[i].add_sample(shapes[s].bytes * static_cast<Bytes>(shapes[s].count), done - at);
+      const ProbeShape& shape = kProbePlan[s];
+      samples[i].add_sample(shape.bytes * static_cast<Bytes>(shape.count), done - at);
       at = done;
     }
     end = std::max(end, at);
@@ -161,16 +173,13 @@ std::vector<AlphaBeta> Profiler::probe_edges_concurrently(
   std::vector<std::vector<sim::FlowLink*>> paths;
   paths.reserve(edges.size());
   for (const auto& [from, to] : edges) paths.push_back(cluster_.edge_path(from, to));
-  const std::vector<ProbeShape> shapes = probe_shapes(config_);
   std::vector<AlphaBetaEstimator> estimators(edges.size());
-  if (!replay_isolated_round(sim, paths, shapes, static_cast<std::size_t>(channels),
-                             estimators)) {
+  if (!replay_isolated_round(sim, paths, static_cast<std::size_t>(channels), estimators)) {
     std::vector<std::unique_ptr<EdgeProbe>> probes;
     std::size_t outstanding = edges.size();
     probes.reserve(edges.size());
     for (std::size_t i = 0; i < edges.size(); ++i) {
-      probes.push_back(std::make_unique<EdgeProbe>(sim, paths[i], shapes, channels,
-                                                   estimators[i],
+      probes.push_back(std::make_unique<EdgeProbe>(sim, paths[i], channels, estimators[i],
                                                    [&outstanding] { --outstanding; }));
     }
     for (auto& probe : probes) probe->start();
@@ -220,7 +229,7 @@ ProfileReport Profiler::profile(LogicalTopology& topo) {
     const auto costs = probe_edges_concurrently(round_edges);  // barrier inside
     // A second pass with four parallel streams exposes the reachable port
     // rate (TCP per-stream ceilings disappear; RDMA measures the same).
-    const auto port_costs = probe_edges_concurrently(round_edges, /*channels=*/4);
+    const auto port_costs = probe_edges_concurrently(round_edges, kPortChannels);
     for (std::size_t i = 0; i < round_edges.size(); ++i) {
       auto& edge = topo.mutable_edge(round_edges[i].first, round_edges[i].second);
       edge.alpha = costs[i].alpha;

@@ -11,6 +11,8 @@
 //   3. PCIe edges are not probed (their movement overlaps with network
 //      transfers); they receive empirical default costs.
 //
+// Every probed edge runs the same fixed plan (kProbePlan in profiler.cpp):
+// 2, 8 and 32 MiB, each both as eight small sends and as one grouped send.
 // Training is blocked while profiling runs; the report's wall_time is the
 // simulated time the block lasted (compared in Fig. 19c).
 // Probe traffic stays strictly on the single simulated clock: concurrent
@@ -18,13 +20,12 @@
 // A round whose probes each own an idle, private path and that no other
 // event interrupts is replayed in closed form instead of event by event
 // (sim::IsolatedRound, the isolated-replay gate the Detector's probes go
-// through too), when its channels run in lockstep: the single-stream pass
-// always, and the four-stream port pass when every shape's wire pieces
-// split into groups of four equal pieces (the default plan's do), so the
-// four round-robin channels start and finish each group together. The replay advances the clock and the link ledgers bit for bit
-// as the events would. Every other round — plans that break lockstep,
-// shared, busy or stalled links, telemetry attached — runs evented
-// (DESIGN.md §7).
+// through too). Both passes qualify: every shape of the plan is a whole
+// number of equal wire pieces per channel of the four-stream port pass, a
+// compile-time check, so the round-robin channels start and finish each
+// piece together. The replay advances the clock and the link ledgers bit for
+// bit as the events would. Every other round — shared, busy or stalled
+// links, telemetry attached — runs evented (DESIGN.md §7).
 #pragma once
 
 #include <vector>
@@ -34,12 +35,6 @@
 #include "topology/logical_topology.h"
 
 namespace adapcc::profiler {
-
-struct ProfilerConfig {
-  std::vector<ProbeShape> plan = default_probe_plan();
-  /// Extra repetitions of the whole plan per link (more samples, more time).
-  int repetitions = 1;
-};
 
 struct EdgeMeasurement {
   topology::NodeId from;
@@ -55,8 +50,7 @@ struct ProfileReport {
 
 class Profiler {
  public:
-  Profiler(topology::Cluster& cluster, ProfilerConfig config = {})
-      : cluster_(cluster), config_(std::move(config)) {}
+  explicit Profiler(topology::Cluster& cluster) : cluster_(cluster) {}
 
   /// Probes every NVLink and network edge of `topo`, writes the estimated
   /// alpha/beta into the edges, assigns PCIe defaults, and returns the
@@ -70,7 +64,6 @@ class Profiler {
       const std::vector<std::pair<topology::NodeId, topology::NodeId>>& edges, int channels = 1);
 
   topology::Cluster& cluster_;
-  ProfilerConfig config_;
 };
 
 }  // namespace adapcc::profiler

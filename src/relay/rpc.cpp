@@ -11,6 +11,17 @@ namespace adapcc::relay {
 
 namespace {
 
+constexpr Bytes kMessageBytes = 256;
+/// Mean/stddev of per-endpoint host processing (serialization, syscall).
+constexpr Seconds kHostOverheadMean = microseconds(120);
+constexpr Seconds kHostOverheadStddev = microseconds(60);
+/// Exponential backoff between attempts: base * multiplier^k, scaled by
+/// uniform(1 - jitter, 1 + jitter) so synchronized retry storms decohere.
+/// All waiting happens on the simulated clock.
+constexpr Seconds kBackoffBase = milliseconds(1);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.25;
+
 /// One-way control message along the cluster path; returns on delivery.
 void send_control(topology::Cluster& cluster, int from_rank, int to_rank, Bytes bytes,
                   std::function<void()> on_done) {
@@ -45,33 +56,13 @@ void send_control(topology::Cluster& cluster, int from_rank, int to_rank, Bytes 
 
 }  // namespace
 
-Seconds measure_rpc_latency(topology::Cluster& cluster, int rank, int coordinator_rank,
-                            util::Rng& rng, const RpcConfig& config) {
-  sim::Simulator& sim = cluster.simulator();
-  const Seconds start = sim.now();
-  bool done = false;
-  // Request to the coordinator, then the relay-list response back.
-  send_control(cluster, rank, coordinator_rank, config.message_bytes, [&] {
-    send_control(cluster, coordinator_rank, rank, config.message_bytes, [&] { done = true; });
-  });
-  while (!done && sim.step()) {
-  }
-  Seconds host = 0.0;
-  for (int endpoint = 0; endpoint < 2; ++endpoint) {
-    host += rng.normal_at_least(config.host_overhead_mean, config.host_overhead_stddev,
-                                microseconds(20));
-  }
-  return (sim.now() - start) + host;
-}
-
 RpcExchangeResult rpc_with_retry(topology::Cluster& cluster, int rank, int coordinator_rank,
-                                 util::Rng& rng, const RpcRetryConfig& config,
-                                 RpcMessageFilter* filter) {
+                                 util::Rng& rng, RpcMessageFilter* filter) {
   sim::Simulator& sim = cluster.simulator();
   RpcExchangeResult result;
   const Seconds start = sim.now();
   auto* t = telemetry::get();
-  for (int attempt = 1; attempt <= config.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kRpcMaxAttempts; ++attempt) {
     result.attempts = attempt;
     // The round's state is shared with the in-flight message callbacks: a
     // straggler (request or response) that lands after the sender already
@@ -81,25 +72,24 @@ RpcExchangeResult rpc_with_retry(topology::Cluster& cluster, int rank, int coord
       int drops = 0;
     };
     auto round = std::make_shared<Round>();
-    const Bytes message_bytes = config.rpc.message_bytes;
     if (filter != nullptr && filter->should_drop(rank, coordinator_rank, sim.now())) {
       ++round->drops;  // request lost before reaching the coordinator
     } else {
-      send_control(cluster, rank, coordinator_rank, message_bytes,
-                   [&cluster, &sim, rank, coordinator_rank, message_bytes, filter, round] {
+      send_control(cluster, rank, coordinator_rank, kMessageBytes,
+                   [&cluster, &sim, rank, coordinator_rank, filter, round] {
                      if (filter != nullptr &&
                          filter->should_drop(coordinator_rank, rank, sim.now())) {
                        ++round->drops;  // response lost on the way back
                        return;
                      }
-                     send_control(cluster, coordinator_rank, rank, message_bytes,
+                     send_control(cluster, coordinator_rank, rank, kMessageBytes,
                                   [round] { round->ok = true; });
                    });
     }
     // Wait for the response or the retransmission timer, whichever first.
     bool timed_out = false;
     const sim::EventId timer =
-        sim.schedule_after(config.ack_timeout, [&timed_out] { timed_out = true; });
+        sim.schedule_after(kRpcAckTimeout, [&timed_out] { timed_out = true; });
     while (!round->ok && !timed_out && sim.step()) {
     }
     sim.cancel(timer);
@@ -111,13 +101,12 @@ RpcExchangeResult rpc_with_retry(topology::Cluster& cluster, int rank, int coord
       result.ok = true;
       break;
     }
-    if (attempt == config.max_attempts) break;
+    if (attempt == kRpcMaxAttempts) break;
     // Exponential backoff with jitter, on the simulated clock.
     double scale = 1.0;
-    for (int k = 1; k < attempt; ++k) scale *= config.backoff_multiplier;
-    const double jitter =
-        rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction);
-    const Seconds delay = std::max(config.backoff_base * scale * jitter, microseconds(1));
+    for (int k = 1; k < attempt; ++k) scale *= kBackoffMultiplier;
+    const double jitter = rng.uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
+    const Seconds delay = std::max(kBackoffBase * scale * jitter, microseconds(1));
     bool backed_off = false;
     sim.schedule_after(delay, [&backed_off] { backed_off = true; });
     while (!backed_off && sim.step()) {
@@ -127,8 +116,7 @@ RpcExchangeResult rpc_with_retry(topology::Cluster& cluster, int rank, int coord
   Seconds host = 0.0;
   if (result.ok) {
     for (int endpoint = 0; endpoint < 2; ++endpoint) {
-      host += rng.normal_at_least(config.rpc.host_overhead_mean, config.rpc.host_overhead_stddev,
-                                  microseconds(20));
+      host += rng.normal_at_least(kHostOverheadMean, kHostOverheadStddev, microseconds(20));
     }
   } else if (t != nullptr) {
     t->metrics().counter("rpc.failures").add(1.0);

@@ -1,9 +1,12 @@
 // Coordinator RPC modelling (Sec. IV-C / Fig. 19d).
 //
 // Workers exchange relay information with the rank-0 coordinator via small
-// control messages. We measure the negotiation latency by sending an actual
-// control-sized payload through the simulated network path (worker GPU ->
-// NIC -> coordinator NIC -> coordinator GPU) plus host processing jitter.
+// control messages. One exchange is a 256 B request and a 256 B response sent
+// through the simulated network path (worker GPU -> NIC -> coordinator NIC ->
+// coordinator GPU), plus host processing at both endpoints. A lost message is
+// retransmitted after an ack timeout, with jittered exponential backoff.
+// The message size, host overheads and backoff constants live in rpc.cpp;
+// the retry budget is below, where tests read it.
 #pragma once
 
 #include "topology/cluster.h"
@@ -12,18 +15,11 @@
 
 namespace adapcc::relay {
 
-struct RpcConfig {
-  Bytes message_bytes = 256;
-  /// Mean/stddev of per-endpoint host processing (serialization, syscall).
-  Seconds host_overhead_mean = microseconds(120);
-  Seconds host_overhead_stddev = microseconds(60);
-};
-
-/// Round-trip relay negotiation latency between `rank` and the coordinator
-/// (`coordinator_rank`): request + response, measured on the simulator.
-/// Advances simulated time by the measured amount.
-Seconds measure_rpc_latency(topology::Cluster& cluster, int rank, int coordinator_rank,
-                            util::Rng& rng, const RpcConfig& config = {});
+/// Rounds an exchange tries before it gives up.
+inline constexpr int kRpcMaxAttempts = 5;
+/// Sender-side retransmission timer: an exchange whose response has not
+/// arrived this long after the request was sent counts as lost.
+inline constexpr Seconds kRpcAckTimeout = milliseconds(5);
 
 /// Chaos hook: decides whether a control message from->to handed to the
 /// network at `now` is lost in flight. Implemented by the fault injector;
@@ -34,20 +30,6 @@ class RpcMessageFilter {
   virtual bool should_drop(int from_rank, int to_rank, Seconds now) = 0;
 };
 
-struct RpcRetryConfig {
-  RpcConfig rpc;
-  int max_attempts = 5;
-  /// Sender-side retransmission timer: an exchange whose response has not
-  /// arrived this long after the request was sent counts as lost.
-  Seconds ack_timeout = milliseconds(5);
-  /// Exponential backoff between attempts: base * multiplier^k, scaled by
-  /// uniform(1 - jitter, 1 + jitter) so synchronized retry storms decohere.
-  /// All waiting happens on the simulated clock.
-  Seconds backoff_base = milliseconds(1);
-  double backoff_multiplier = 2.0;
-  double jitter_fraction = 0.25;
-};
-
 struct RpcExchangeResult {
   bool ok = false;
   int attempts = 0;   ///< rounds tried (1 = first try succeeded)
@@ -55,11 +37,12 @@ struct RpcExchangeResult {
   Seconds latency = 0.0;  ///< total simulated time spent incl. timeouts/backoff
 };
 
-/// Round-trip request/response exchange with retransmission: retries dropped
-/// messages with exponential backoff + jitter until `max_attempts` rounds
-/// are exhausted. Advances simulated time (timeouts and backoff included).
+/// Round-trip relay negotiation between `rank` and the coordinator
+/// (`coordinator_rank`): request + response, measured on the simulator.
+/// Retries dropped messages with exponential backoff + jitter until
+/// kRpcMaxAttempts rounds are exhausted. Advances simulated time by the
+/// measured amount (timeouts and backoff included).
 RpcExchangeResult rpc_with_retry(topology::Cluster& cluster, int rank, int coordinator_rank,
-                                 util::Rng& rng, const RpcRetryConfig& config = {},
-                                 RpcMessageFilter* filter = nullptr);
+                                 util::Rng& rng, RpcMessageFilter* filter = nullptr);
 
 }  // namespace adapcc::relay

@@ -79,7 +79,7 @@ void Adapcc::init() {
   topology::Detector detector(cluster_, rng_.fork());
   detection_ = detector.detect();
   topo_ = topology::Detector::build_logical_topology(cluster_, detection_);
-  profiler::Profiler profiler(cluster_, config_.profiler);
+  profiler::Profiler profiler(cluster_);
   profiler.profile(topo_);
   port_betas_ = synthesizer::port_betas(topo_);
   synthesizer_ = std::make_unique<synthesizer::Synthesizer>(cluster_, topo_, config_.synthesizer);
@@ -294,7 +294,7 @@ ReconstructionReport Adapcc::reprofile(Bytes tensor_bytes) {
   // 1. Profiling on the fly (training blocked, no checkpoint). The profiled
   //    costs changed, so every cached strategy is stale: bump the epoch
   //    before re-solving.
-  profiler::Profiler profiler(cluster_, config_.profiler);
+  profiler::Profiler profiler(cluster_);
   report.profiling_time = profiler.profile(topo_).wall_time;
   port_betas_ = synthesizer::port_betas(topo_);
   invalidate_strategy_cache();

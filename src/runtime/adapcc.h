@@ -33,7 +33,6 @@ namespace adapcc::runtime {
 
 struct AdapccConfig {
   synthesizer::SynthesizerConfig synthesizer;
-  profiler::ProfilerConfig profiler;
   relay::CoordinatorConfig coordinator;
   /// The synthesizer is single-threaded: the constructor accepts 0 or 1 and
   /// throws std::invalid_argument for anything else. Kept only because the

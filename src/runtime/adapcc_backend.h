@@ -10,16 +10,9 @@ namespace adapcc::runtime {
 class AdapccBackend : public baselines::Backend {
  public:
   explicit AdapccBackend(topology::Cluster& cluster, AdapccConfig config = {})
-      : cluster_(cluster), adapcc_(cluster, std::move(config)) {}
+      : Backend(cluster), adapcc_(cluster, std::move(config)) {}
 
   std::string name() const override { return "adapcc"; }
-
-  collective::CollectiveResult run(collective::Primitive primitive,
-                                   const std::vector<int>& participants, Bytes tensor_bytes,
-                                   collective::CollectiveOptions options = {}) override {
-    collective::Executor executor(cluster_, plan(primitive, participants, tensor_bytes));
-    return executor.run(tensor_bytes, std::move(options));
-  }
 
   collective::Strategy plan(collective::Primitive primitive,
                             const std::vector<int>& participants, Bytes tensor_bytes) override {
@@ -40,7 +33,6 @@ class AdapccBackend : public baselines::Backend {
     }
   }
 
-  topology::Cluster& cluster_;
   Adapcc adapcc_;
 };
 

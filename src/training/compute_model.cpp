@@ -5,6 +5,15 @@
 
 namespace adapcc::training {
 
+namespace {
+
+/// Sigma of the log-normal run-to-run jitter (~1% relative; the large
+/// ready-time differences in practice come from hardware heterogeneity and
+/// interference, not iteration noise).
+constexpr double kJitterSigma = 0.012;
+
+}  // namespace
+
 Seconds ComputeModel::mean_iteration_time(int rank, int batch) const {
   if (batch <= 0) throw std::invalid_argument("ComputeModel: non-positive batch");
   const double scale = topology::compute_scale(cluster_.gpu_kind(rank));
@@ -13,8 +22,7 @@ Seconds ComputeModel::mean_iteration_time(int rank, int batch) const {
 }
 
 Seconds ComputeModel::sample_iteration_time(int rank, int batch) {
-  const double jitter =
-      rng_.lognormal(-0.5 * config_.jitter_sigma * config_.jitter_sigma, config_.jitter_sigma);
+  const double jitter = rng_.lognormal(-0.5 * kJitterSigma * kJitterSigma, kJitterSigma);
   return mean_iteration_time(rank, batch) * jitter * interference(rank);
 }
 

@@ -5,7 +5,8 @@
 // co-located CPU workloads in hybrid clusters. This model samples an
 // iteration's compute duration per rank:
 //   t = seconds_per_sample_v100 * batch / compute_scale(kind)
-//       * lognormal_jitter * interference_slowdown.
+//       * lognormal_jitter * interference_slowdown,
+// where the mean-one log-normal jitter has sigma 0.012 (compute_model.cpp).
 #pragma once
 
 #include <map>
@@ -17,18 +18,10 @@
 
 namespace adapcc::training {
 
-struct ComputeModelConfig {
-  /// Sigma of the log-normal run-to-run jitter (~1% relative; the large
-  /// ready-time differences in practice come from hardware heterogeneity
-  /// and interference, not iteration noise).
-  double jitter_sigma = 0.012;
-};
-
 class ComputeModel {
  public:
-  ComputeModel(const topology::Cluster& cluster, ModelSpec spec, util::Rng rng,
-               ComputeModelConfig config = {})
-      : cluster_(cluster), spec_(std::move(spec)), rng_(rng), config_(config) {}
+  ComputeModel(const topology::Cluster& cluster, ModelSpec spec, util::Rng rng)
+      : cluster_(cluster), spec_(std::move(spec)), rng_(rng) {}
 
   /// Samples the compute time of one iteration for `rank` at `batch`.
   Seconds sample_iteration_time(int rank, int batch);
@@ -48,7 +41,6 @@ class ComputeModel {
   const topology::Cluster& cluster_;
   ModelSpec spec_;
   util::Rng rng_;
-  ComputeModelConfig config_;
   std::map<int, double> interference_;
 };
 

@@ -173,8 +173,7 @@ class Ticker {
 struct ReplayCase {
   std::string name;
   std::vector<topology::InstanceSpec> specs;
-  bool custom_plan = false;  ///< pieces that are not 512 KiB, repetitions = 2
-  bool shaped = false;       ///< a TraceShaper changes NIC 0 every 20 ms
+  bool shaped = false;  ///< a TraceShaper changes NIC 0 every 20 ms
 };
 
 void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
@@ -197,14 +196,10 @@ struct ProfiledTwin {
       shaper->start();
     }
     sim.run_until(37.0);
-    if (c.custom_plan) {
-      config.plan = {{192_KiB, 3}, {1_MiB + 100_KiB, 2}, {3_MiB + 7, 1}, {700_KiB, 4}};
-      config.repetitions = 2;
-    }
   }
 
   void profile() {
-    Profiler profiler(*cluster, config);
+    Profiler profiler(*cluster);
     report = profiler.profile(topo);
   }
 
@@ -234,7 +229,6 @@ struct ProfiledTwin {
   std::unique_ptr<Cluster> cluster;
   LogicalTopology topo;
   std::unique_ptr<TraceShaper> shaper;
-  profiler::ProfilerConfig config;
   profiler::ProfileReport report;
 };
 
@@ -282,12 +276,8 @@ TEST_P(ProfilerReplayTest, ReplayedProfileIsBitIdenticalToEvented) {
   // twin's count includes its ticks, so compare against a lower bound).
   const std::uint64_t replayed_events = replayed.sim.events_processed() - replayed_before;
   EXPECT_LT(replayed_events, (evented.sim.events_processed() - evented_before) / 2);
-  if (GetParam().custom_plan) {
-    // The custom plan breaks lockstep ({192 KiB, 3} is three pieces for four
-    // channels), so its port pass still runs evented.
-    EXPECT_GT(replayed_events, 0u);
-  } else if (!GetParam().shaped) {
-    // Default plan, nothing else pending: both passes of every round replay.
+  if (!GetParam().shaped) {
+    // Nothing else pending: both passes of every round replay.
     EXPECT_EQ(replayed_events, 0u);
   }
   EXPECT_EQ(bits(replayed.allreduce_finish()), bits(evented.allreduce_finish()));
@@ -298,12 +288,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ReplayCase{"a100_fleet_rdma", topology::a100_fleet(4)},
         ReplayCase{"a100_fleet_tcp", topology::a100_fleet(4, 4, topology::NetworkStack::kTcp)},
-        ReplayCase{"heter_tcp_plan", topology::heter_testbed(topology::NetworkStack::kTcp), true},
-        ReplayCase{"paper_rdma_plan", topology::paper_testbed(), true},
+        ReplayCase{"heter_tcp", topology::heter_testbed(topology::NetworkStack::kTcp)},
+        ReplayCase{"paper_rdma", topology::paper_testbed()},
         ReplayCase{"heter_tcp_shaped", topology::heter_testbed(topology::NetworkStack::kTcp),
-                   false, true},
+                   true},
         ReplayCase{"paper_tcp_shaped", topology::paper_testbed(topology::NetworkStack::kTcp),
-                   false, true}),
+                   true}),
     [](const ::testing::TestParamInfo<ReplayCase>& case_info) { return case_info.param.name; });
 
 // The shaped profile, pinned. Both ProfilerReplayTest twins pass through the
@@ -315,7 +305,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ProfilerReplayPinTest, ShapedProfileMatchesPinnedHash) {
   ProfiledTwin twin(
       ReplayCase{"heter_tcp_shaped", topology::heter_testbed(topology::NetworkStack::kTcp),
-                 false, true});
+                 true});
   twin.profile();
   Fnv fnv;
   fnv.add(bits(twin.report.wall_time));
