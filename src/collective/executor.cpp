@@ -38,7 +38,7 @@ Bytes bytes_of_chunk(Bytes total, Bytes chunk, int index) {
 class Executor::Invocation {
  public:
   Invocation(topology::Cluster& cluster, const Strategy& strategy, Bytes tensor_bytes,
-             CollectiveOptions options, std::function<void(const CollectiveResult&)> on_complete,
+             CollectiveOptions options, std::function<void(CollectiveResult&&)> on_complete,
              std::function<void()> on_idle)
       : cluster_(cluster),
         sim_(cluster.simulator()),
@@ -60,6 +60,7 @@ class Executor::Invocation {
       t->trace().track("executor");  // interned at start: tracks keep first-use order
     }
     for (std::size_t s = 0; s < strategy_.subs.size(); ++s) build_sub(static_cast<int>(s));
+    for (const int rank : delivery_ranks_) ensure_delivery_slots(rank);
     if (outstanding_ == 0) {
       // Degenerate (e.g. zero-byte tensor): complete immediately.
       finish();
@@ -99,6 +100,14 @@ class Executor::Invocation {
     std::vector<std::pair<NodeState*, sim::EdgeChannel*>> down;  ///< per child
     sim::GpuStream* stream = nullptr;
     telemetry::TrackId tel_stream_track = telemetry::kInvalidTrack;  ///< lazy
+    /// This node's result slots: its sub's delivered values and masks and
+    /// its rank's finish time. Resolved on the node's first delivery (see
+    /// record_delivery, note_rank_activity), so rank_finish_time gains a
+    /// rank only once one reaches it; null again once the result is handed
+    /// over (deliver_result).
+    std::vector<double>* delivered = nullptr;
+    std::vector<ContributorMask>* delivered_masks = nullptr;
+    Seconds* finish_time = nullptr;
   };
 
   struct FlowState;
@@ -118,6 +127,10 @@ class Executor::Invocation {
     int chunks = 0;
     int remaining = 0;             ///< chunks not yet delivered once started
     SourceQueue* queue = nullptr;  ///< the source's queue; set at launch
+    /// alltoall_received[dst][src] and dst's finish time, resolved on the
+    /// flow's first delivery like NodeState's slots.
+    std::vector<double>* received = nullptr;
+    Seconds* finish_time = nullptr;
   };
 
   struct SubRun {
@@ -287,7 +300,7 @@ class Executor::Invocation {
     }
     if (run.reduce_direction || run.broadcast_direction) {
       for (const NodeId node : nodes) {
-        if (node.is_gpu()) ensure_delivery_slots(node.index);
+        if (node.is_gpu()) delivery_ranks_.insert(node.index);
       }
     }
   }
@@ -315,6 +328,7 @@ class Executor::Invocation {
     // `fraction` of every shard.
     const Bytes shard = tensor_bytes_ / static_cast<Bytes>(participants);
     run.bytes = static_cast<Bytes>(std::llround(run.spec->fraction * static_cast<double>(shard)));
+    run.flows.reserve(run.spec->flows.size());
     for (const auto& route : run.spec->flows) {
       FlowState flow;
       flow.route = &route;
@@ -329,8 +343,8 @@ class Executor::Invocation {
       flow.channel = std::make_unique<sim::EdgeChannel>(sim_, std::move(links));
       outstanding_ += flow.chunks;
       run.flows.push_back(std::move(flow));
-      ensure_delivery_slots(route.src.index);
-      ensure_delivery_slots(route.dst.index);
+      delivery_ranks_.insert(route.src.index);
+      delivery_ranks_.insert(route.dst.index);
     }
   }
 
@@ -476,12 +490,16 @@ class Executor::Invocation {
       ++pending_ops_;
       auto on_delivered = [this, &run, &flow, c, value, start] {
         end_send(run, flow.route->src, flow.route->dst, c, flow.bytes, start);
-        auto& received =
-            result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
-        received.resize(std::max<std::size_t>(received.size(), static_cast<std::size_t>(c) + 1),
-                        std::numeric_limits<double>::quiet_NaN());
+        if (flow.received == nullptr) {
+          flow.received = &result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
+        }
+        std::vector<double>& received = *flow.received;
+        if (received.size() <= static_cast<std::size_t>(c)) {
+          received.resize(static_cast<std::size_t>(c) + 1,
+                          std::numeric_limits<double>::quiet_NaN());
+        }
         received[static_cast<std::size_t>(c)] = value;
-        note_rank_activity(flow.route->dst.index);
+        note_rank_activity(flow.finish_time, flow.route->dst.index);
         complete_deliverable();
         if (--flow.remaining == 0) {
           --flow.queue->active;
@@ -574,10 +592,9 @@ class Executor::Invocation {
     sub_result.root_values[static_cast<std::size_t>(chunk)] = message.value;
     sub_result.root_masks[static_cast<std::size_t>(chunk)] = message.mask;
 
-    const NodeId root = run.spec->tree.root();
-    if (root.is_gpu()) {
-      record_delivery(run, root.index, chunk, message);
-      note_rank_activity(root.index);
+    if (run.root->id.is_gpu()) {
+      record_delivery(*run.root, chunk, message);
+      note_rank_activity(run.root->finish_time, run.root->id.index);
     }
     complete_deliverable();
     // Multi-stage parallelism: AllReduce broadcasts the chunk right away.
@@ -590,7 +607,7 @@ class Executor::Invocation {
     forward_broadcast(*run.root, chunk, message);
     if (strategy_.primitive == Primitive::kBroadcast ||
         strategy_.primitive == Primitive::kAllGather) {
-      record_delivery(run, run.root->id.index, chunk, message);
+      record_delivery(*run.root, chunk, message);
     }
   }
 
@@ -613,9 +630,9 @@ class Executor::Invocation {
   void on_broadcast_arrival(NodeState& state, int chunk, ChunkMessage message) {
     const NodeId node = state.id;
     if (node.is_gpu()) {
-      record_delivery(*state.run, node.index, chunk, message);
+      record_delivery(state, chunk, message);
       if (options_.active_ranks.contains(node.index)) {
-        note_rank_activity(node.index);
+        note_rank_activity(state.finish_time, node.index);
         complete_deliverable();
       }
     }
@@ -624,15 +641,43 @@ class Executor::Invocation {
 
   // --- bookkeeping -----------------------------------------------------------
 
-  void record_delivery(SubRun& run, int rank, int chunk, ChunkMessage message) {
-    auto& per_sub = result_.delivered[rank];
-    if (per_sub.empty()) ensure_delivery_slots(rank);
-    per_sub[static_cast<std::size_t>(run.index)][static_cast<std::size_t>(chunk)] = message.value;
-    result_.delivered_masks[rank][static_cast<std::size_t>(run.index)]
-                           [static_cast<std::size_t>(chunk)] = message.mask;
+  /// Files `message` as `chunk` of the GPU `state`'s sub at its rank.
+  void record_delivery(NodeState& state, int chunk, ChunkMessage message) {
+    if (state.delivered == nullptr) {
+      const int rank = state.id.index;
+      auto& per_sub = result_.delivered[rank];
+      if (per_sub.empty()) ensure_delivery_slots(rank);
+      const auto sub = static_cast<std::size_t>(state.run->index);
+      state.delivered = &per_sub[sub];
+      state.delivered_masks = &result_.delivered_masks[rank][sub];
+    }
+    (*state.delivered)[static_cast<std::size_t>(chunk)] = message.value;
+    (*state.delivered_masks)[static_cast<std::size_t>(chunk)] = message.mask;
   }
 
-  void note_rank_activity(int rank) { result_.rank_finish_time[rank] = sim_.now(); }
+  /// Stamps `rank`'s finish time now through the caller's cached `slot`.
+  void note_rank_activity(Seconds*& slot, int rank) {
+    if (slot == nullptr) slot = &result_.rank_finish_time[rank];
+    *slot = sim_.now();
+  }
+
+  /// Hands the result to on_complete_ and drops every cached slot into it:
+  /// a tail delivery after completion files into the moved-from result_,
+  /// which nobody reads, and never into the caller's.
+  void deliver_result() {
+    on_complete_(std::move(result_));
+    for (auto& sub : subs_) {
+      for (NodeState& state : sub->nodes) {
+        state.delivered = nullptr;
+        state.delivered_masks = nullptr;
+        state.finish_time = nullptr;
+      }
+      for (FlowState& flow : sub->flows) {
+        flow.received = nullptr;
+        flow.finish_time = nullptr;
+      }
+    }
+  }
 
   void complete_deliverable() {
     if (--outstanding_ == 0) finish();
@@ -641,9 +686,10 @@ class Executor::Invocation {
   /// Schedules one op of this invocation; `body` ends with op_done(), like
   /// every channel and stream callback. Callers keep the id in op_events_ so
   /// an abort can cancel it.
-  sim::EventId schedule_op(Seconds when, sim::InlineCallback body) {
+  template <typename F>
+  sim::EventId schedule_op(Seconds when, F&& body) {
     ++pending_ops_;
-    return sim_.schedule_at(std::max(when, sim_.now()), std::move(body));
+    return sim_.schedule_at(std::max(when, sim_.now()), std::forward<F>(body));
   }
 
   void op_done() {
@@ -734,7 +780,7 @@ class Executor::Invocation {
       // tie-shuffle harness the idle event could otherwise run first and
       // leave this event's `this` dangling.
       sim_.schedule_after(0, [this] {
-        on_complete_(result_);
+        deliver_result();
         completion_delivered_ = true;
         if (pending_ops_ == 0 && on_idle_) sim_.schedule_after(0, on_idle_);
       });
@@ -749,7 +795,7 @@ class Executor::Invocation {
   const Strategy& strategy_;
   Bytes tensor_bytes_;
   CollectiveOptions options_;
-  std::function<void(const CollectiveResult&)> on_complete_;
+  std::function<void(CollectiveResult&&)> on_complete_;
   std::function<void()> on_idle_;
 
   std::vector<std::unique_ptr<SubRun>> subs_;
@@ -757,6 +803,9 @@ class Executor::Invocation {
   std::vector<std::unique_ptr<sim::GpuStream>> streams_;
 
   CollectiveResult result_;
+  /// GPU ranks with delivery slots in result_, each filled once after the
+  /// subs are built.
+  RankSet delivery_ranks_;
   long outstanding_ = 0;
   long pending_ops_ = 0;
   bool finished_ = false;
@@ -800,7 +849,7 @@ Executor::~Executor() {
 }
 
 void Executor::start(Bytes tensor_bytes, CollectiveOptions options,
-                     std::function<void(const CollectiveResult&)> on_complete) {
+                     std::function<void(CollectiveResult&&)> on_complete) {
   if (invocation_ != nullptr) throw std::logic_error("Executor: invocation already in flight");
   sim::Simulator& sim = cluster_.simulator();
   owner_ = sim.acquire_owner();
@@ -817,8 +866,8 @@ void Executor::start(Bytes tensor_bytes, CollectiveOptions options,
 CollectiveResult Executor::run(Bytes tensor_bytes, CollectiveOptions options) {
   CollectiveResult result;
   bool done = false;
-  start(tensor_bytes, std::move(options), [&result, &done](const CollectiveResult& r) {
-    result = r;
+  start(tensor_bytes, std::move(options), [&result, &done](CollectiveResult&& r) {
+    result = std::move(r);
     done = true;
   });
   sim::Simulator& sim = cluster_.simulator();
@@ -844,8 +893,8 @@ std::vector<CollectiveResult> run_concurrently(topology::Cluster& cluster,
   for (std::size_t i = 0; i < strategies.size(); ++i) {
     executors.emplace_back(cluster, std::move(strategies[i]));
     executors.back().start(tensor_bytes, std::move(options[i]),
-                           [&results, &outstanding, i](const CollectiveResult& r) {
-                             results[i] = r;
+                           [&results, &outstanding, i](CollectiveResult&& r) {
+                             results[i] = std::move(r);
                              --outstanding;
                            });
   }

@@ -119,9 +119,10 @@ class Executor {
   const Strategy& strategy() const noexcept { return strategy_; }
 
   /// Starts the collective asynchronously; `on_complete` fires (in simulated
-  /// time) when every deliverable of the primitive has landed.
+  /// time) when every deliverable of the primitive has landed, and is handed
+  /// the result to keep: the invocation moves it out rather than copy it.
   void start(Bytes tensor_bytes, CollectiveOptions options,
-             std::function<void(const CollectiveResult&)> on_complete);
+             std::function<void(CollectiveResult&&)> on_complete);
 
   /// Convenience wrapper: starts and runs the simulator until completion.
   CollectiveResult run(Bytes tensor_bytes, CollectiveOptions options = {});

@@ -1,6 +1,7 @@
 #include "sim/edge_channel.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
@@ -37,6 +38,7 @@ void EdgeChannel::abort() {
   // Dropping the queue destroys the undelivered chunks' callbacks (and
   // whatever resources they own) without firing them.
   chunks_.clear();
+  head_ = 0;
 }
 
 bool EdgeChannel::telemetry_ready() {
@@ -50,15 +52,15 @@ bool EdgeChannel::telemetry_ready() {
   return true;
 }
 
-void EdgeChannel::send(Bytes bytes, DeliveryCallback on_delivered) {
+void EdgeChannel::send(Bytes bytes, DeliveryCallback&& on_delivered) {
   if (aborted_) throw std::logic_error("EdgeChannel: send after abort");
   if (telemetry_ready()) {
     // Queueing pressure: how many chunks of this channel are already waiting
     // or in flight when a new one is enqueued (pipeline depth).
-    tel_queue_depth_->observe(static_cast<double>(chunks_.size()));
+    tel_queue_depth_->observe(static_cast<double>(chunks_in_flight()));
     tel_bytes_enqueued_->add(static_cast<double>(bytes));
   }
-  chunks_.push_back(Chunk{next_chunk_id_++, bytes, std::move(on_delivered), 0});
+  chunks_.emplace_back(next_chunk_id_++, bytes, std::move(on_delivered));
   try_start(0);
 }
 
@@ -69,8 +71,18 @@ Seconds EdgeChannel::deliver_isolated(std::span<FlowLink* const> path,
   if (ledgers.size() != path.size()) {
     throw std::invalid_argument("EdgeChannel::deliver_isolated: one ledger per link");
   }
-  // served[j]: when link j served the previous group, so the next may enter.
-  std::vector<Seconds> served(path.size(), start);
+  if (path.size() > kMaxIsolatedPath) {
+    throw std::invalid_argument("EdgeChannel::deliver_isolated: path too long");
+  }
+  if (groups.empty()) return start;
+  // Per link, the rates every group is served at and served[j]: when link j
+  // served the previous group, so the next may enter.
+  std::array<FlowLink::IsolatedRates, kMaxIsolatedPath> rates;
+  std::array<Seconds, kMaxIsolatedPath> served;
+  for (std::size_t j = 0; j < path.size(); ++j) {
+    rates[j] = path[j]->isolated_rates(streams);
+    served[j] = start;
+  }
   Seconds delivered = start;
   for (const Bytes bytes : groups) {
     Seconds arrival = start;  // every group is queued at link 0 from the start
@@ -78,8 +90,8 @@ Seconds EdgeChannel::deliver_isolated(std::span<FlowLink* const> path,
       // try_start fires on whichever comes last: the group's one batched
       // delivery off link j-1 or the previous group's on_served on link j.
       // Either way all `streams` channels start at that one instant.
-      served[j] =
-          path[j]->serve_isolated(ledgers[j], std::max(arrival, served[j]), bytes, streams);
+      served[j] = path[j]->serve_isolated(ledgers[j], std::max(arrival, served[j]), bytes,
+                                          streams, rates[j]);
       arrival = served[j] + path[j]->alpha();  // the delivery event's now + alpha
       if (timeline != nullptr) timeline->served.push_back(served[j]);
     }
@@ -91,9 +103,20 @@ Seconds EdgeChannel::deliver_isolated(std::span<FlowLink* const> path,
 
 EdgeChannel::Chunk* EdgeChannel::find(std::uint64_t chunk_id) noexcept {
   // Ids are consecutive from the front: an O(1) index, not a scan.
-  if (chunks_.empty() || chunk_id < chunks_.front().id) return nullptr;
-  const std::uint64_t offset = chunk_id - chunks_.front().id;
-  return offset < chunks_.size() ? &chunks_[static_cast<std::size_t>(offset)] : nullptr;
+  const std::uint64_t in_flight = chunks_in_flight();
+  const std::uint64_t offset = chunk_id - (next_chunk_id_ - in_flight);
+  return offset < in_flight ? &chunks_[head_ + static_cast<std::size_t>(offset)] : nullptr;
+}
+
+void EdgeChannel::pop_front() noexcept {
+  if (++head_ == chunks_.size()) {
+    chunks_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= chunks_.size()) {
+    // Amortized O(1) per chunk; moves only the undelivered half.
+    chunks_.erase(chunks_.begin(), chunks_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void EdgeChannel::try_start(std::size_t link_index) {
@@ -143,12 +166,12 @@ void EdgeChannel::on_link_done(std::size_t link_index, std::uint64_t chunk_id) {
     // Fully delivered. The last link serializes the chunks and delivers them
     // in service order, so this is the front chunk — which is what keeps the
     // remaining ids consecutive from the front.
-    ADAPCC_AUDIT_CHECK("edge_channel", chunk == &chunks_.front(),
+    ADAPCC_AUDIT_CHECK("edge_channel", chunk == &chunks_[head_],
                        "chunk " << chunk_id << " delivered ahead of chunk "
-                                << chunks_.front().id);
+                                << chunks_[head_].id);
     DeliveryCallback callback = std::move(chunk->on_delivered);
     bytes_sent_ += chunk->bytes;
-    chunks_.pop_front();
+    pop_front();
     // The callback may destroy this channel: touch no member after it.
     if (callback) callback();
     return;

@@ -17,21 +17,23 @@
 // FlowLinks' processor sharing; a channel only serializes its own chunks.
 //
 // Because chunks enter every link in send order and leave the channel only
-// from the front, chunk bookkeeping is O(1): a chunk sits at deque index
-// `id - front.id`, and each link keeps a cursor naming the next chunk id to
-// enter it (DESIGN.md §7).
+// from the front, chunk bookkeeping is O(1): the undelivered chunks sit in
+// one flat vector from index `head_`, chunk `id` at `head_ + (id - front
+// id)`, and each link keeps a cursor naming the next chunk id to enter it.
+// Delivered chunks are dropped from the front once they are half the
+// vector, so its size follows the queue depth (DESIGN.md §7).
 //
 // deliver_isolated() is the closed form of the same two rules for k
 // lockstep channels on a path nothing else touches: k channels that are
 // sent equal pieces round-robin move as one, so each group of k equal
 // pieces enters link j at max(arrival at j, when group g-1 was served by
 // j), and each link serves the whole group through
-// FlowLink::serve_isolated(.., k). k = 1 is a lone channel.
+// FlowLink::serve_isolated(.., k, rates), with each link's rates taken once
+// per call. k = 1 is a lone channel.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -57,9 +59,9 @@ class EdgeChannel {
 
   /// Enqueues one chunk; `on_delivered` fires when it exits the last link.
   /// Chunks are delivered in the order they were sent.
-  void send(Bytes bytes, DeliveryCallback on_delivered);
+  void send(Bytes bytes, DeliveryCallback&& on_delivered);
 
-  std::size_t chunks_in_flight() const noexcept { return chunks_.size(); }
+  std::size_t chunks_in_flight() const noexcept { return chunks_.size() - head_; }
   Bytes bytes_sent() const noexcept { return bytes_sent_; }
 
   /// Abort path (chaos/watchdog recovery): cancels the in-service transfer
@@ -78,13 +80,18 @@ class EdgeChannel {
     std::vector<Seconds> delivered;  ///< when group g left the last link
   };
 
+  /// Longest path deliver_isolated() replays (a cross-instance GPU edge
+  /// has four links); IsolatedRound refuses longer ones.
+  static constexpr std::size_t kMaxIsolatedPath = 8;
+
   /// Closed form of `streams` fresh channels over `path` at `start`, sent
   /// round-robin pieces that come in groups of `streams` equal ones: each
   /// entry of `groups` is the size of one group's pieces, so channel c
   /// carries groups[0], groups[1], ... as its pieces 0, 1, .... Valid when
   /// every link is idle and not stalled(streams), no link repeats, and no
   /// other transfer or event touches the path until the last group is
-  /// delivered (the caller proves all three). Advances `ledgers[j]` (a copy
+  /// delivered (the caller proves all three), and the path has at most
+  /// kMaxIsolatedPath links. Advances `ledgers[j]` (a copy
   /// of path[j]'s ledger) exactly as the evented run advances the link, and
   /// returns when the last group is delivered (`start` for no groups).
   /// `timeline`, when given, receives every served and delivered time.
@@ -117,6 +124,9 @@ class EdgeChannel {
 
   /// The undelivered chunk with this id, or nullptr.
   Chunk* find(std::uint64_t chunk_id) noexcept;
+  /// Drops the delivered front chunk; compacts the vector once the dropped
+  /// prefix is half of it.
+  void pop_front() noexcept;
   void try_start(std::size_t link_index);
   void on_link_done(std::size_t link_index, std::uint64_t chunk_id);
   /// Re-resolves the cached metric handles when the telemetry epoch changed;
@@ -125,9 +135,11 @@ class EdgeChannel {
 
   Simulator& sim_;
   std::vector<FlowLink*> path_;
-  /// Chunks not yet delivered, in send order with consecutive ids. Front
+  /// Chunks not yet delivered, in send order with consecutive ids, from
+  /// index head_ on (entries before it were delivered and are empty). Front
   /// chunks are further along the path.
-  std::deque<Chunk> chunks_;
+  std::vector<Chunk> chunks_;
+  std::size_t head_ = 0;
   /// Indexed like path_.
   std::vector<LinkState> links_;
   /// Liveness token captured by every callback handed to the links.

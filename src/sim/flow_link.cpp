@@ -118,14 +118,14 @@ void FlowLink::release_slot(std::uint32_t slot) noexcept {
     if (audit_limbo_ > 0) --audit_limbo_;
   }
   TransferData& data = slab(slot);
-  data.on_delivered = nullptr;
-  data.on_served = nullptr;
+  data.on_delivered.reset();
+  data.on_served.reset();
   data.next_free = free_head_;
   free_head_ = slot;
 }
 
-std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback on_delivered,
-                                       CompletionCallback on_served) {
+std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback&& on_delivered,
+                                       CompletionCallback&& on_served) {
   if (bytes == 0) {
     if (on_served) on_served();
     if (on_delivered) sim_.schedule_after(alpha_, std::move(on_delivered));
@@ -144,6 +144,7 @@ std::uint64_t FlowLink::start_transfer(Bytes bytes, CompletionCallback on_delive
   const std::uint64_t transfer_id = ledger_.next_sequence++;
   transfers_.push_back(
       TransferKey{ledger_.service + static_cast<double>(bytes), transfer_id, slot});
+  update_rate();
   if (traced) {
     telemetry::get()->trace().counter(tel_track_, "in_flight", sim_.now(),
                                       static_cast<double>(transfers_.size()));
@@ -182,6 +183,7 @@ bool FlowLink::cancel_transfer(std::uint64_t transfer_id) {
   // never from steady-state pipelining.
   transfers_.erase(it);
   std::make_heap(transfers_.begin(), transfers_.end(), TargetLater{});
+  update_rate();
   release_slot(slot);
   reschedule_completion();
   if constexpr (audit::kEnabled) audit_verify();
@@ -192,6 +194,7 @@ void FlowLink::set_capacity(BytesPerSecond capacity) {
   if (capacity < 0) throw std::invalid_argument("FlowLink: negative capacity");
   advance_progress();
   capacity_ = capacity;
+  update_rate();
   reschedule_completion();
   if constexpr (audit::kEnabled) audit_verify();
 }
@@ -212,9 +215,13 @@ void FlowLink::advance_progress() {
   ledger_.last_update = now;
 }
 
-Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes,
-                                 std::size_t streams) const {
+FlowLink::IsolatedRates FlowLink::isolated_rates(std::size_t streams) const {
   if (stalled(streams)) throw std::logic_error("FlowLink::serve_isolated: stalled link " + name_);
+  return IsolatedRates{share_rate(1), share_rate(streams)};
+}
+
+Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std::size_t streams,
+                                 IsolatedRates rates) const {
   if (bytes == 0) return start;  // start_transfer serves it synchronously
   // start_transfer, `streams` times at one instant: the advance accrues
   // nothing on an idle link, and every stream takes the same fixed target.
@@ -224,8 +231,8 @@ Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes,
   const double enqueue_service = ledger.service;
   const double target = enqueue_service + static_cast<double>(bytes);
   ledger.next_sequence += streams;
-  Seconds at = start + completion_eta(target - ledger.service, share_rate(1));
-  const double rate = share_rate(streams);
+  Seconds at = start + completion_eta(target - ledger.service, rates.lone);
+  const double rate = rates.shared;
   for (;;) {
     // on_completion_event at `at`: accrue at the shared rate, then either
     // serve every stream at once (equal targets) or re-arm.
@@ -322,6 +329,7 @@ void FlowLink::on_completion_event() {
   // Both collection paths emit in (target, sequence) pop order, which for
   // same-event completions is almost always already sequence-sorted (heap
   // pushes with equal targets keep insertion order) — check before sorting.
+  update_rate();
   if (!std::is_sorted(done.begin(), done.end())) std::sort(done.begin(), done.end());
   if (!done.empty() && telemetry_ready()) {
     auto& trace = telemetry::get()->trace();
@@ -344,21 +352,20 @@ void FlowLink::on_completion_event() {
   std::vector<CompletionCallback> batch;
   for (const auto& [sequence, slot] : done) {
     TransferData& data = slab(slot);
-    CompletionCallback on_served = std::move(data.on_served);
-    CompletionCallback on_delivered = std::move(data.on_delivered);
-    release_slot(slot);  // before firing: the callback may start a transfer
-    if (on_served) on_served();
-    if (on_delivered) {
+    if (data.on_delivered) {
       if (!first_delivery && batch.empty()) {
-        first_delivery = std::move(on_delivered);
+        first_delivery = std::move(data.on_delivered);
       } else {
         if (batch.empty()) {
           batch.reserve(done.size());
           batch.push_back(std::move(first_delivery));
         }
-        batch.push_back(std::move(on_delivered));
+        batch.push_back(std::move(data.on_delivered));
       }
     }
+    CompletionCallback on_served = std::move(data.on_served);
+    release_slot(slot);  // before firing: the callback may start a transfer
+    if (on_served) on_served();
   }
   if (!batch.empty()) {
     sim_.schedule_after(alpha_, [batch = std::move(batch)]() mutable {
@@ -419,6 +426,9 @@ void FlowLink::audit_verify() {
                          name_ << ": overdue transfer with no completion event armed");
     }
   }
+  ADAPCC_AUDIT_CHECK("flow_link", rate_ == share_rate(transfers_.size()),
+                     name_ << ": cached rate " << rate_ << " is stale for "
+                           << transfers_.size() << " in flight");
   ADAPCC_AUDIT_CHECK("flow_link", ledger_.last_update <= sim_.now(),
                      name_ << ": progress clock " << ledger_.last_update << " ahead of now "
                            << sim_.now());

@@ -71,8 +71,8 @@ class FlowLink {
   /// Zero-byte transfers deliver after just the latency.
   /// Returns a transfer id usable with cancel_transfer(), or 0 for zero-byte
   /// transfers (which never enter the in-flight set and cannot be cancelled).
-  std::uint64_t start_transfer(Bytes bytes, CompletionCallback on_delivered,
-                               CompletionCallback on_served = nullptr);
+  std::uint64_t start_transfer(Bytes bytes, CompletionCallback&& on_delivered,
+                               CompletionCallback&& on_served = nullptr);
 
   /// Abort path (chaos/watchdog recovery): removes an in-flight transfer.
   /// Neither callback fires; the capacity share is released immediately.
@@ -101,18 +101,32 @@ class FlowLink {
 
   const Ledger& ledger() const noexcept { return ledger_; }
 
+  /// The per-transfer rates of `streams` equal transfers started at one
+  /// instant on an idle link: the first start arms the completion at the
+  /// lone rate, and then all of them share the link.
+  struct IsolatedRates {
+    double lone = 0.0;
+    double shared = 0.0;
+  };
+
+  /// The rates serve_isolated() runs `streams` transfers at. Throws
+  /// std::logic_error on a stalled link (zero streams read as stalled:
+  /// their share rate is 0).
+  IsolatedRates isolated_rates(std::size_t streams) const;
+
   /// Closed form of `streams` calls of start_transfer(bytes) at one instant
   /// `start` on this link, valid when the link is idle and not
   /// stalled(streams) and nothing else touches it until the transfers are
-  /// served. Replays the evented steps on `ledger`: the one shared finish
-  /// target, the first completion armed at the lone rate (the later starts
-  /// leave it armed), each later `at + eta` at the shared rate (kMinEta
-  /// re-arms included) and each service accrual, so the served time it
-  /// returns — when every stream finishes in one completion event — and the
-  /// ledger it leaves match the evented run bit for bit. Delivery follows
-  /// alpha() later, as `served + alpha()`. Throws std::logic_error on a
-  /// stalled link (zero streams read as stalled: their share rate is 0).
-  Seconds serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std::size_t streams) const;
+  /// served; `rates` is isolated_rates(streams), computed once by a caller
+  /// that serves many groups. Replays the evented steps on `ledger`: the one
+  /// shared finish target, the first completion armed at the lone rate (the
+  /// later starts leave it armed), each later `at + eta` at the shared rate
+  /// (kMinEta re-arms included) and each service accrual, so the served time
+  /// it returns — when every stream finishes in one completion event — and
+  /// the ledger it leaves match the evented run bit for bit. Delivery
+  /// follows alpha() later, as `served + alpha()`.
+  Seconds serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std::size_t streams,
+                         IsolatedRates rates) const;
 
   /// Installs a ledger advanced by serve_isolated(). The link must be idle
   /// and the simulated clock must have reached `ledger.last_update`.
@@ -184,7 +198,10 @@ class FlowLink {
   /// per-transfer cap.
   double share_rate(std::size_t transfers) const noexcept;
   /// Instantaneous per-transfer rate of the in-flight set.
-  double current_rate() const noexcept { return share_rate(transfers_.size()); }
+  double current_rate() const noexcept { return rate_; }
+  /// Recomputes the cached rate; called whenever the in-flight count or the
+  /// capacity changes, so advances and re-arms need not recompute the share.
+  void update_rate() noexcept { rate_ = share_rate(transfers_.size()); }
   /// Accrues service since `last_update_` onto the per-link counter — O(1)
   /// regardless of how many transfers share the link.
   void advance_progress();
@@ -218,6 +235,8 @@ class FlowLink {
   /// event loop and callbacks fire after the list is fully built).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> done_scratch_;
   Ledger ledger_;
+  /// share_rate(transfers_.size()) at the current capacity (update_rate).
+  double rate_ = 0.0;
   EventId completion_event_{};
   /// Slots popped off the heap but not yet released (completion in
   /// progress); maintained only under ADAPCC_AUDIT so the slab-coverage

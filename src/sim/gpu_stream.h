@@ -33,12 +33,12 @@ class GpuStream {
 
   /// Enqueues an operation taking `duration` seconds of stream time;
   /// `on_complete` fires when the operation retires.
-  void enqueue(Seconds duration, InlineCallback on_complete) {
+  void enqueue(Seconds duration, InlineCallback&& on_complete) {
     const Seconds start = std::max(sim_.now(), busy_until_);
     busy_until_ = start + duration;
     total_busy_ += duration;
     if (!on_complete) return;
-    queue_.push_back(Op{busy_until_, std::move(on_complete)});
+    queue_.emplace_back(busy_until_, std::move(on_complete));
     if (queue_.size() - head_ == 1) arm_head();
   }
 

@@ -43,17 +43,7 @@ class InlineCallback {
             typename = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
                                         std::is_invocable_r_v<void, D&>>>
   InlineCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>()) {
-      ::new (storage()) D(std::forward<F>(f));
-      if constexpr (std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>) {
-        ops_ = &kTrivialOps<D>;
-      } else {
-        ops_ = &kInlineOps<D>;
-      }
-    } else {
-      heap_ = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   InlineCallback(InlineCallback&& other) noexcept { steal(other); }
@@ -78,6 +68,25 @@ class InlineCallback {
     }
   }
 
+  /// Replaces the target with `f`, built in place: a callable is
+  /// constructed straight into this object's storage, with no temporary
+  /// InlineCallback to move through. An InlineCallback rvalue is moved in,
+  /// and nullptr empties the callback.
+  template <typename F>
+  void assign(F&& f) noexcept(assigns_nothrow<F>()) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "assign moves: pass std::move(callback)");
+      *this = std::move(f);
+    } else if constexpr (std::is_same_v<D, std::nullptr_t>) {
+      reset();
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>, "assign takes a void() callable");
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(InlineCallback&);
@@ -91,6 +100,18 @@ class InlineCallback {
     /// target), so reset() skips the indirect call on the hot path.
     void (*destroy)(InlineCallback&) noexcept;
   };
+
+  /// assign(F) cannot throw: it moves, resets, or builds an inline target
+  /// without throwing. Only a heap target or a throwing copy can.
+  template <typename F>
+  static constexpr bool assigns_nothrow() {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineCallback> || std::is_same_v<D, std::nullptr_t>) {
+      return true;
+    } else {
+      return fits_inline<D>() && std::is_nothrow_constructible_v<D, F>;
+    }
+  }
 
   template <typename D>
   static constexpr bool fits_inline() {
@@ -137,6 +158,22 @@ class InlineCallback {
       nullptr,
       [](InlineCallback& self) noexcept { delete static_cast<D*>(self.heap_); },
   };
+
+  /// Builds a D from `f` into this empty callback.
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (storage()) D(std::forward<F>(f));
+      if constexpr (std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>) {
+        ops_ = &kTrivialOps<D>;
+      } else {
+        ops_ = &kInlineOps<D>;
+      }
+    } else {
+      heap_ = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
 
   void steal(InlineCallback& other) noexcept {
     ops_ = other.ops_;

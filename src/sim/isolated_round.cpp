@@ -16,6 +16,7 @@ void IsolatedRound::begin() {
 
 void IsolatedRound::add_path(std::span<FlowLink* const> path, std::size_t streams) {
   paths_.push_back(Path{links_.size(), path.size(), streams});
+  if (path.size() > EdgeChannel::kMaxIsolatedPath) open_ = false;
   for (FlowLink* link : path) {
     if (link->active_transfers() != 0 || link->stalled(streams)) open_ = false;
     links_.push_back(link);

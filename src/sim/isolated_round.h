@@ -42,7 +42,8 @@ class IsolatedRound {
 
   /// Adds the next path (index = number of paths added before) for
   /// `streams` lockstep channels and copies its links' ledgers. Refuses the
-  /// round when a link has a transfer in flight or is stalled(streams).
+  /// round when a link has a transfer in flight or is stalled(streams), or
+  /// the path is longer than EdgeChannel::kMaxIsolatedPath.
   void add_path(std::span<FlowLink* const> path, std::size_t streams);
 
   /// False once the round is refused: deliver() then computes nothing and

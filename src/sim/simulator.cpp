@@ -156,7 +156,7 @@ void Simulator::heap_remove(std::uint32_t pos) noexcept {
   }
 }
 
-EventId Simulator::schedule_at(Seconds when, EventCallback callback) {
+Simulator::HeapEntry Simulator::claim(Seconds when) {
   if (!(when >= now_)) {
     throw std::invalid_argument(std::isnan(when) ? "schedule_at: NaN time"
                                              : "schedule_at: time in the past");
@@ -164,9 +164,10 @@ EventId Simulator::schedule_at(Seconds when, EventCallback callback) {
   if (when == 0.0) when = 0.0;  // -0.0 would order after every positive time
   const std::uint64_t tie = next_tie();
   const std::uint32_t index = acquire_slot();
-  Slot& s = slot(index);
-  const HeapEntry entry{when, (tie << kSlotBits) | index};
-  s.callback = std::move(callback);
+  return HeapEntry{when, (tie << kSlotBits) | index};
+}
+
+EventId Simulator::push(HeapEntry entry) {
   if (root_fired_) {
     // Replace-top: the entry step() just fired still sits at the root;
     // overwrite it and sink, instead of popping it and bubbling this one up.
@@ -176,15 +177,15 @@ EventId Simulator::schedule_at(Seconds when, EventCallback callback) {
     pad_heap();
     sift_up(heap_size_++, entry);
   }
-  return EventId{encode(index, s.generation)};
+  return EventId{encode(entry.slot(), slot(entry.slot()).generation)};
 }
 
-EventId Simulator::schedule_after(Seconds delay, EventCallback callback) {
+Seconds Simulator::after(Seconds delay) const {
   if (!(delay >= 0)) {
     throw std::invalid_argument(std::isnan(delay) ? "schedule_after: NaN delay"
                                                : "schedule_after: negative delay");
   }
-  return schedule_at(now_ + delay, std::move(callback));
+  return now_ + delay;
 }
 
 void Simulator::cancel(EventId id) noexcept {

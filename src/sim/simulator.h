@@ -62,10 +62,30 @@ class Simulator {
 
   /// Schedules `callback` at absolute time `when` (must be >= now(), not
   /// NaN). Throws std::length_error past kMaxPendingEvents or kMaxSchedules.
-  EventId schedule_at(Seconds when, EventCallback callback);
+  /// A callable is built straight into the event's slot (an InlineCallback
+  /// is moved there), so no by-value copy of it travels through the call.
+  template <typename F>
+  EventId schedule_at(Seconds when, F&& callback) {
+    const HeapEntry entry = claim(when);
+    Slot& s = slot(entry.slot());
+    if constexpr (noexcept(s.callback.assign(std::forward<F>(callback)))) {
+      s.callback.assign(std::forward<F>(callback));
+    } else {
+      try {  // a capture too large for the inline buffer allocates
+        s.callback.assign(std::forward<F>(callback));
+      } catch (...) {
+        release_slot(entry.slot());
+        throw;
+      }
+    }
+    return push(entry);
+  }
 
   /// Schedules `callback` `delay` seconds from now (delay must be >= 0).
-  EventId schedule_after(Seconds delay, EventCallback callback);
+  template <typename F>
+  EventId schedule_after(Seconds delay, F&& callback) {
+    return schedule_at(after(delay), std::forward<F>(callback));
+  }
 
   /// Cancels a pending event in place (O(log n)). Cancelling an
   /// already-fired or invalid id is a no-op, which keeps completion-event
@@ -174,6 +194,13 @@ class Simulator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
+  /// schedule_at before the callback: validates `when`, takes the tie-break
+  /// and a slot, and returns the heap entry to push.
+  HeapEntry claim(Seconds when);
+  /// schedule_at after the callback: inserts `entry` and returns its id.
+  EventId push(HeapEntry entry);
+  /// now() + delay, after checking the delay is >= 0 and not NaN.
+  Seconds after(Seconds delay) const;
   /// Index of the least of the (up to four) children of `pos`. Sentinel
   /// padding guarantees four readable entries, so the selection is a
   /// branch-free three-comparison tournament.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -37,6 +38,7 @@ using collective::Strategy;
 using collective::SubCollective;
 using collective::Tree;
 using test_support::chain_tree;
+using test_support::Fnv;
 using test_support::star_tree;
 using topology::NodeId;
 
@@ -640,6 +642,115 @@ TEST_F(ExecutorTest, ResultsInvariantUnderTieShuffle) {
     EXPECT_NEAR(elapsed[i], elapsed[0], 1e-12) << "tie-shuffle seed changed the finish time";
     EXPECT_EQ(root_value[i], root_value[0]);
   }
+}
+
+// --- Executor: pinned results ------------------------------------------------
+// FNV-1a over every field of a CollectiveResult, maps in key order. An
+// aborted run pins which map entries exist as well as their values, so a
+// change to how the executor files deliveries must leave both untouched.
+
+void hash_into(Fnv& fnv, const CollectiveResult& r) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  fnv.add(bits(r.started));
+  fnv.add(bits(r.finished));
+  fnv.add(r.subs.size());
+  for (const auto& sub : r.subs) {
+    fnv.add(sub.root_values.size());
+    for (const double v : sub.root_values) fnv.add(bits(v));
+    fnv.add(sub.root_masks.size());
+    for (const ContributorMask m : sub.root_masks) fnv.add(m);
+  }
+  fnv.add(r.delivered.size());
+  for (const auto& [rank, per_sub] : r.delivered) {
+    fnv.add(static_cast<std::uint64_t>(rank));
+    for (const auto& chunks : per_sub) {
+      fnv.add(chunks.size());
+      for (const double v : chunks) fnv.add(bits(v));
+    }
+  }
+  fnv.add(r.delivered_masks.size());
+  for (const auto& [rank, per_sub] : r.delivered_masks) {
+    fnv.add(static_cast<std::uint64_t>(rank));
+    for (const auto& chunks : per_sub) {
+      fnv.add(chunks.size());
+      for (const ContributorMask m : chunks) fnv.add(m);
+    }
+  }
+  fnv.add(r.alltoall_received.size());
+  for (const auto& [dst, by_src] : r.alltoall_received) {
+    fnv.add(static_cast<std::uint64_t>(dst));
+    for (const auto& [src, chunks] : by_src) {
+      fnv.add(static_cast<std::uint64_t>(src));
+      fnv.add(chunks.size());
+      for (const double v : chunks) fnv.add(bits(v));
+    }
+  }
+  fnv.add(r.rank_finish_time.size());
+  for (const auto& [rank, at] : r.rank_finish_time) {
+    fnv.add(static_cast<std::uint64_t>(rank));
+    fnv.add(bits(at));
+  }
+  fnv.add(static_cast<std::uint64_t>(r.error.code));
+  fnv.add(bits(r.error.at));
+  for (const int rank : r.error.suspects) fnv.add(static_cast<std::uint64_t>(rank));
+  fnv.add(r.error.detail);
+}
+
+TEST_F(ExecutorTest, AbortedAllReduceResultIsPinned) {
+  build(topology::a100_fleet(4));
+  std::vector<int> ranks(16);
+  for (int r = 0; r < 16; ++r) ranks[static_cast<std::size_t>(r)] = r;
+  // Two sub-collectives over hierarchical trees rooted on different servers.
+  const std::vector<std::vector<int>> chains{
+      {0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}};
+  const std::vector<std::vector<int>> rotated{
+      {1, 2, 3, 0}, {6, 7, 4, 5}, {11, 8, 9, 10}, {15, 12, 13, 14}};
+  Strategy strategy = collective::multi_tree_strategy(
+      Primitive::kAllReduce, ranks,
+      {collective::hierarchical_tree(chains, 0, collective::HeadJoin::kBinary),
+       collective::hierarchical_tree(rotated, 2, collective::HeadJoin::kChain)},
+      2_MiB);
+  Executor executor(*cluster_, strategy);
+  Fnv fnv;
+  {
+    // Rank 6 fills its buffer over 8 ms and dies at 4 ms: a mid-fill crash
+    // the watchdog aborts with partial deliveries everywhere.
+    CollectiveOptions options;
+    options.watchdog_timeout = milliseconds(40);
+    options.fill_start[6] = 0.0;
+    options.ready_at[6] = milliseconds(8);
+    options.dead_at[6] = milliseconds(4);
+    options.ready_at[11] = milliseconds(1);
+    const auto result = executor.run(megabytes(64), options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.error.suspects.contains(6));
+    hash_into(fnv, result);
+  }
+  {
+    // The same executor again, healthy, with rank 15 not contributing: it
+    // still receives the broadcast, after the collective has completed.
+    CollectiveOptions options;
+    options.active_ranks = RankSet(std::vector<int>(ranks.begin(), ranks.end() - 1));
+    const auto result = executor.run(megabytes(64), options);
+    ASSERT_TRUE(result.ok());
+    hash_into(fnv, result);
+  }
+  EXPECT_EQ(fnv.h, 0x1b3b30c769be6c47ull) << std::hex << fnv.h;
+}
+
+TEST_F(ExecutorTest, AllToAllResultIsPinned) {
+  build(topology::a100_fleet(6));
+  std::vector<int> ranks(24);
+  for (int r = 0; r < 24; ++r) ranks[static_cast<std::size_t>(r)] = r;
+  Strategy strategy = collective::alltoall_strategy(
+      ranks, collective::rotated_alltoall_routes(ranks), 2, 256_KiB, 4);
+  Executor executor(*cluster_, strategy);
+  CollectiveOptions options;
+  options.ready_at[5] = milliseconds(2);
+  options.ready_at[17] = milliseconds(1);
+  Fnv fnv;
+  hash_into(fnv, executor.run(megabytes(24), options));
+  EXPECT_EQ(fnv.h, 0x5f127ffb6f26e1f2ull) << std::hex << fnv.h;
 }
 
 }  // namespace

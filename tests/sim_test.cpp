@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -12,9 +13,11 @@
 #include "sim/edge_channel.h"
 #include "sim/flow_link.h"
 #include "sim/gpu_stream.h"
+#include "sim/inline_callback.h"
 #include "sim/isolated_round.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
+#include "test_support.h"
 #include "util/units.h"
 
 namespace adapcc {
@@ -23,8 +26,135 @@ namespace {
 using sim::EdgeChannel;
 using sim::FlowLink;
 using sim::GpuStream;
+using sim::InlineCallback;
 using sim::IsolatedRound;
 using sim::Simulator;
+using test_support::Fnv;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// --- InlineCallback -----------------------------------------------------------
+
+/// A non-trivial callable that counts its copies, moves, live destructions
+/// and calls. A moved-from Probe no longer owns the target, so `destroyed`
+/// counts each target once however often it travels.
+struct Probe {
+  struct Counts {
+    int copies = 0;
+    int moves = 0;
+    int destroyed = 0;
+    int calls = 0;
+  };
+  Counts* counts;
+  bool owns = true;
+
+  explicit Probe(Counts* c) : counts(c) {}
+  Probe(const Probe& other) : counts(other.counts), owns(other.owns) { ++counts->copies; }
+  Probe(Probe&& other) noexcept : counts(other.counts), owns(other.owns) {
+    other.owns = false;
+    ++counts->moves;
+  }
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (owns) ++counts->destroyed;
+  }
+  void operator()() const { ++counts->calls; }
+};
+
+TEST(InlineCallbackTest, ScheduleBuildsTheCallableInItsSlot) {
+  static_assert(InlineCallback::stores_inline<Probe>());
+  Simulator sim;
+  Probe::Counts counts;
+  sim.schedule_at(1.0, Probe(&counts));
+  // The temporary moves once, straight into the event slot: no by-value
+  // InlineCallback in between, and no copy.
+  EXPECT_EQ(counts.copies, 0);
+  EXPECT_EQ(counts.moves, 1);
+  EXPECT_EQ(counts.destroyed, 0);
+  int lambda_calls = 0;
+  const auto lambda = [&lambda_calls] { ++lambda_calls; };
+  sim.schedule_after(2.0, lambda);  // an lvalue is copied in place
+  sim.run();
+  EXPECT_EQ(counts.calls, 1);
+  EXPECT_EQ(counts.moves, 1);
+  EXPECT_EQ(counts.destroyed, 1);  // released with its slot after firing
+  EXPECT_EQ(lambda_calls, 1);
+}
+
+TEST(InlineCallbackTest, LargeCaptureFallsBackToTheHeap) {
+  std::array<std::uint64_t, 8> big{};  // 64 bytes: past the 48-byte buffer
+  big[7] = 41;
+  std::uint64_t seen = 0;
+  auto large = [big, &seen] { seen = big[7] + 1; };
+  static_assert(sizeof(large) > InlineCallback::kInlineBytes);
+  static_assert(!InlineCallback::stores_inline<decltype(large)>());
+  InlineCallback callback(large);
+  InlineCallback moved(std::move(callback));
+  EXPECT_FALSE(callback);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(moved);
+  moved();
+  EXPECT_EQ(seen, 42u);
+
+  Simulator sim;
+  seen = 0;
+  sim.schedule_at(0.5, large);
+  sim.run();
+  EXPECT_EQ(seen, 42u);
+}
+
+TEST(InlineCallbackTest, TargetIsDestroyedExactlyOnce) {
+  Probe::Counts counts;
+  {
+    InlineCallback callback;
+    callback.assign(Probe(&counts));
+    InlineCallback moved(std::move(callback));
+    InlineCallback assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(counts.destroyed, 0);
+    assigned();
+    assigned.reset();
+    EXPECT_EQ(counts.destroyed, 1);
+    EXPECT_FALSE(assigned);
+    assigned.reset();  // a second reset is a no-op
+  }
+  EXPECT_EQ(counts.destroyed, 1);
+  EXPECT_EQ(counts.calls, 1);
+  EXPECT_EQ(counts.copies, 0);
+
+  // The same through the heap: the target is held by pointer, never moved.
+  Probe::Counts heap_counts;
+  {
+    std::array<char, 64> pad{};
+    InlineCallback callback([probe = Probe(&heap_counts), pad] { probe(); });
+    InlineCallback moved(std::move(callback));
+    moved();
+  }
+  EXPECT_EQ(heap_counts.destroyed, 1);
+  EXPECT_EQ(heap_counts.calls, 1);
+}
+
+TEST(InlineCallbackTest, AssignReplacesAHeldTarget) {
+  Probe::Counts first;
+  Probe::Counts second;
+  InlineCallback callback{Probe(&first)};
+  callback.assign(Probe(&second));
+  EXPECT_EQ(first.destroyed, 1);  // the old target goes before the new one is built
+  EXPECT_EQ(second.destroyed, 0);
+  callback();
+  EXPECT_EQ(first.calls, 0);
+  EXPECT_EQ(second.calls, 1);
+
+  // Over a held target: an InlineCallback moves in, nullptr empties it.
+  Probe::Counts third;
+  callback.assign(InlineCallback(Probe(&third)));
+  EXPECT_EQ(second.destroyed, 1);
+  callback();
+  EXPECT_EQ(third.calls, 1);
+  callback.assign(nullptr);
+  EXPECT_FALSE(callback);
+  EXPECT_EQ(third.destroyed, 1);
+}
 
 TEST(SimulatorTest, FiresEventsInTimeOrder) {
   Simulator sim;
@@ -443,8 +573,8 @@ TEST(FlowLinkTest, OneStreamRunsWhereFourStall) {
   EXPECT_FALSE(link.stalled(1));
   EXPECT_TRUE(link.stalled(4));
   FlowLink::Ledger ledger = link.ledger();
-  EXPECT_THROW(link.serve_isolated(ledger, 0.0, 1, 4), std::logic_error);
-  EXPECT_EQ(link.serve_isolated(ledger, 0.0, 1, 1), 500.0);  // 1 byte alone
+  EXPECT_THROW(link.isolated_rates(4), std::logic_error);
+  EXPECT_EQ(link.serve_isolated(ledger, 0.0, 1, 1, link.isolated_rates(1)), 500.0);  // 1 byte alone
   std::vector<FlowLink::Ledger> ledgers{link.ledger()};
   const std::vector<Bytes> groups{1};
   FlowLink* const path[] = {&link};
@@ -808,6 +938,82 @@ TEST(EdgeChannelTest, TwoChannelsOnOneLinkShareBandwidth) {
   sim.run();
   EXPECT_NEAR(done1, 0.2, 1e-9);
   EXPECT_NEAR(done2, 0.2, 1e-9);
+}
+
+// --- Pinned timelines --------------------------------------------------------
+// The exact time bits of a link and a channel run. A change to the per-hop
+// plumbing (callback storage, rate caching, the chunk queue) must move no
+// event, tie or rounding, so these hashes stay fixed across such changes.
+
+TEST(FlowLinkTest, JoinLeaveAndCapacityTimelineIsPinned) {
+  Simulator sim;
+  FlowLink link(sim, "l", microseconds(2), gBps(10), gBps(4));
+  Fnv fnv;
+  int completions = 0;
+  std::vector<std::uint64_t> ids;
+  const auto start = [&](Bytes bytes) {
+    ids.push_back(link.start_transfer(
+        bytes,
+        [&] {
+          fnv.add(bits(sim.now()));
+          ++completions;
+        },
+        [&] { fnv.add(~bits(sim.now())); }));
+  };
+  // Joins at staggered times, one cancellation (a leave without delivery),
+  // a throttle, a stall and a restore while transfers are in flight.
+  sim.schedule_at(0.0, [&] { start(megabytes(3)); });
+  sim.schedule_at(microseconds(50), [&] { start(megabytes(1)); });
+  sim.schedule_at(microseconds(50), [&] { start(700000); });
+  sim.schedule_at(microseconds(120), [&] { start(megabytes(2)); });
+  sim.schedule_at(microseconds(200), [&] { link.set_capacity(gBps(3)); });  // lint:chaos
+  sim.schedule_at(microseconds(260), [&] { EXPECT_TRUE(link.cancel_transfer(ids[3])); });
+  sim.schedule_at(microseconds(300), [&] { start(333000); });
+  sim.schedule_at(microseconds(410), [&] { link.set_capacity(0.0); });  // lint:chaos
+  sim.schedule_at(microseconds(500), [&] { link.set_capacity(gBps(12)); });  // lint:chaos
+  sim.schedule_at(microseconds(520), [&] { start(1); });
+  sim.run();
+  EXPECT_EQ(completions, 5);
+  fnv.add(bits(link.busy_time()));
+  fnv.add(link.bytes_delivered());
+  EXPECT_EQ(fnv.h, 0x4ec6c6e13fa89b65ull) << std::hex << fnv.h;
+}
+
+TEST(EdgeChannelTest, ThousandChunkRunKeepsFifoAndDepthPinned) {
+  Simulator sim;
+  FlowLink egress(sim, "egress", microseconds(3), gBps(12));
+  FlowLink ingress(sim, "ingress", microseconds(5), gBps(9));
+  EdgeChannel channel(sim, {&egress, &ingress});
+  constexpr int kChunks = 1000;
+  Fnv fnv;
+  std::vector<int> order;
+  std::vector<std::size_t> depth;
+  int sent = 0;
+  const auto size_of = [](int i) { return static_cast<Bytes>(4096 + (i * 7919) % 65536); };
+  std::function<void(int)> send = [&](int i) {
+    ++sent;
+    channel.send(size_of(i), [&, i] {
+      order.push_back(i);
+      depth.push_back(channel.chunks_in_flight());
+      fnv.add(bits(sim.now()));
+      fnv.add(channel.chunks_in_flight());
+      // Refill in bursts from inside deliveries, so the queue drains,
+      // refills and wraps many times over.
+      if (i % 50 == 49) {
+        for (int k = 0; k < 80 && sent < kChunks; ++k) send(sent);
+      }
+    });
+  };
+  for (int i = 0; i < 200; ++i) send(i);
+  sim.schedule_at(milliseconds(1), [&] {
+    while (sent < 400) send(sent);
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kChunks));
+  for (int i = 0; i < kChunks; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(channel.chunks_in_flight(), 0u);
+  EXPECT_EQ(*std::max_element(depth.begin(), depth.end()), 499u);
+  EXPECT_EQ(fnv.h, 0xbc88aa80ac631f9bull) << std::hex << fnv.h;
 }
 
 }  // namespace
