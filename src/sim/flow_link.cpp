@@ -3,6 +3,7 @@
 #include "sim/flow_link.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -18,17 +19,18 @@ namespace {
 constexpr double kResidualEpsilonBytes = 1e-6;
 // A link throttled to (or below) this capacity is treated as stalled.
 constexpr BytesPerSecond kMinRate = 1e-3;
-// Completion events are scheduled at least this far in the future. Without
-// a floor, a sub-femtosecond eta can be absorbed by floating-point addition
-// (now + eta == now), so the event fires at the same timestamp, elapsed
-// time is zero, no progress accrues, and the link respawns the event
-// forever. One nanosecond is far below any modelled latency and large
-// enough to stay representable against simulated times up to ~10^6 s.
+// The exact ETA of a positive remainder is floored at this. Without a
+// floor, a sub-femtosecond eta can be absorbed by floating-point addition
+// (now + eta == now), so the event would fire at the same timestamp with
+// nothing accrued. One nanosecond is far below any modelled latency;
+// completion_time() then moves the arm up to the first served instant, so
+// the floor is a starting point, not a re-arm interval.
 constexpr Seconds kMinEta = 1e-9;
 
-// The three arithmetic steps a transfer's timeline is made of. The evented
-// path and serve_isolated() both call them, so the closed form cannot drift
-// from the events it replaces.
+// The arithmetic steps a transfer's timeline is made of: accrual, ETA, the
+// served test and the arm built on them. The evented path and
+// serve_isolated() both call them, so the closed form cannot drift from the
+// events it replaces.
 
 // Service accrual: `elapsed` seconds at `rate` bytes/s per transfer.
 void accrue(FlowLink::Ledger& ledger, Seconds elapsed, double rate) noexcept {
@@ -51,6 +53,23 @@ Seconds completion_eta(double remaining, double rate) noexcept {
 // Has the service counter reached the finish target?
 bool is_served(double finish_target, double service) noexcept {
   return finish_target - service <= kResidualEpsilonBytes;
+}
+
+// When a completion armed at `from` (the progress clock, with the counter
+// at `service`) should fire: the first instant from the exact ETA on at
+// which the accrual the event makes, `service + rate * (at - from)`, passes
+// is_served. The ETA alone can land a rounding error short once the clock
+// or the counter is large, and an event that serves nothing would re-arm
+// kMinEta later. The shortfall comes from rounding the ETA, `at` and the
+// product, each worth at most about one step of `at` at this rate, so the
+// loop below takes a few steps at most (one double at a time, by bit
+// increment: `at` is positive and finite).
+Seconds completion_time(double finish_target, double service, Seconds from, double rate) noexcept {
+  Seconds at = from + completion_eta(finish_target - service, rate);
+  while (!is_served(finish_target, service + rate * (at - from))) {
+    at = std::bit_cast<Seconds>(std::bit_cast<std::uint64_t>(at) + 1);
+  }
+  return at;
 }
 }  // namespace
 
@@ -231,7 +250,7 @@ Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std
   const double enqueue_service = ledger.service;
   const double target = enqueue_service + static_cast<double>(bytes);
   ledger.next_sequence += streams;
-  Seconds at = start + completion_eta(target - ledger.service, rates.lone);
+  Seconds at = completion_time(target, ledger.service, start, rates.lone);
   const double rate = rates.shared;
   for (;;) {
     // on_completion_event at `at`: accrue at the shared rate, then either
@@ -240,7 +259,7 @@ Seconds FlowLink::serve_isolated(Ledger& ledger, Seconds start, Bytes bytes, std
     if (elapsed > 0) accrue(ledger, elapsed, rate);
     ledger.last_update = at;
     if (is_served(target, ledger.service)) break;
-    at = at + completion_eta(target - ledger.service, rate);
+    at = completion_time(target, ledger.service, at, rate);
   }
   if constexpr (audit::kEnabled) {
     for (std::size_t s = 0; s < streams; ++s) {
@@ -271,17 +290,26 @@ void FlowLink::reschedule_completion() {
     completion_event_ = EventId{};
     return;
   }
-  const Seconds eta =
-      completion_eta(transfers_.front().finish_target - ledger_.service, rate);
+  // Every caller has just advanced the progress clock to now.
+  const Seconds at =
+      completion_time(transfers_.front().finish_target, ledger_.service, ledger_.last_update, rate);
+  if constexpr (audit::kEnabled) {
+    audit_armed_from_ = ledger_.last_update;
+    audit_armed_rate_ = rate;
+  }
   // Move the pending event in place when one exists; fall back to a fresh
   // event otherwise. Both orderings are identical to cancel + schedule.
-  if (!sim_.reschedule(completion_event_, sim_.now() + eta)) {
-    completion_event_ = sim_.schedule_after(eta, [this] { on_completion_event(); });
+  if (!sim_.reschedule(completion_event_, at)) {
+    completion_event_ = sim_.schedule_at(at, [this] { on_completion_event(); });
   }
 }
 
 void FlowLink::on_completion_event() {
   completion_event_ = EventId{};
+  // Whether this event makes the very accrual it was armed for: no join
+  // since lowered the rate or split the accrual at an earlier instant.
+  const bool accrues_as_armed = audit::kEnabled && ledger_.last_update == audit_armed_from_ &&
+                                current_rate() == audit_armed_rate_;
   advance_progress();
   // Collect completed transfers first: a completion callback may start a new
   // transfer on this very link, which must not observe a half-updated state.
@@ -326,6 +354,12 @@ void FlowLink::on_completion_event() {
       transfers_.pop_back();
     }
   }
+  // The event was armed where the front's accrual first counts it served,
+  // so it can fire empty only after a join changed that accrual
+  // (start_transfer leaves an armed event early on purpose).
+  ADAPCC_AUDIT_CHECK("flow_link", !done.empty() || !accrues_as_armed,
+                     name_ << ": completion event armed at " << audit_armed_from_ << " served "
+                           << "nothing at the rate " << audit_armed_rate_ << " it was armed for");
   // Both collection paths emit in (target, sequence) pop order, which for
   // same-event completions is almost always already sequence-sorted (heap
   // pushes with equal targets keep insertion order) — check before sorting.

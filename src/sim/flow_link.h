@@ -120,8 +120,8 @@ class FlowLink {
   /// served; `rates` is isolated_rates(streams), computed once by a caller
   /// that serves many groups. Replays the evented steps on `ledger`: the one
   /// shared finish target, the first completion armed at the lone rate (the
-  /// later starts leave it armed), each later `at + eta` at the shared rate
-  /// (kMinEta re-arms included) and each service accrual, so the served time
+  /// later starts leave it armed), each later arm at the shared rate (one
+  /// arm helper serves both paths) and each service accrual, so the served time
   /// it returns — when every stream finishes in one completion event — and
   /// the ledger it leaves match the evented run bit for bit. Delivery
   /// follows alpha() later, as `served + alpha()`.
@@ -248,6 +248,12 @@ class FlowLink {
   /// a kMinEta-clamped completion window (maintained only under
   /// ADAPCC_AUDIT, read by audit_verify).
   double audit_advance_rate_ = 0.0;
+  /// Progress clock and rate the pending completion event was armed at. A
+  /// join after arming (a lower rate, or an accrual split at the join) is
+  /// the one legal reason for that event to serve nothing (maintained only
+  /// under ADAPCC_AUDIT, read by on_completion_event).
+  Seconds audit_armed_from_ = 0.0;
+  double audit_armed_rate_ = 0.0;
 
   // Telemetry handles, resolved lazily per telemetry epoch (see
   // telemetry::epoch()); raw pointers stay valid for the epoch's lifetime.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "baselines/backend.h"
 #include "collective/payload.h"
@@ -145,6 +147,28 @@ TEST_F(BaselinesTest, HeterogeneityNeverSpeedsNcclUp) {
   NcclBackend heter_nccl(*cluster_);
   const auto heter = heter_nccl.run(Primitive::kAllReduce, all_ranks(), megabytes(256));
   EXPECT_GE(heter.elapsed(), homo.elapsed());
+}
+
+TEST_F(BaselinesTest, AllReduceDurationDoesNotDependOnStartTime) {
+  // At t = 1e4 s a clock ulp is worth ~0.02 bytes at NIC rates, far above
+  // the links' residual epsilon, so a completion armed at now + remaining /
+  // rate could land short of its target and re-arm a nanosecond later. The
+  // same collective must take the same time, and about as many events, at
+  // t = 0 and at t = 1e4 s.
+  const auto run_at = [this](Seconds start) {
+    build(topology::paper_testbed());
+    sim_->run_until(start);
+    NcclBackend nccl(*cluster_);
+    const std::uint64_t before = sim_->events_processed();
+    const auto result = nccl.run(Primitive::kAllReduce, all_ranks(), megabytes(256));
+    EXPECT_TRUE(result.ok());
+    return std::pair{result.elapsed(), sim_->events_processed() - before};
+  };
+  const auto [early, early_events] = run_at(0.0);
+  const auto [late, late_events] = run_at(1e4);
+  EXPECT_NEAR(late, early, 2e-9);
+  EXPECT_NEAR(static_cast<double>(late_events), static_cast<double>(early_events),
+              1e-3 * static_cast<double>(early_events));
 }
 
 }  // namespace

@@ -556,7 +556,7 @@ TEST_F(ResilienceTest, BlackoutAbortTraceIsPinned) {
   telemetry::write_chrome_trace(trace, out);
   Fnv fnv;
   fnv.add(out.str());
-  EXPECT_EQ(fnv.h, 0xa4a62c0f672942a3ull)
+  EXPECT_EQ(fnv.h, 0x084e90e0fcd06a5dull)
       << std::hex << fnv.h << " over " << std::dec << trace.size() << " records";
 }
 

@@ -588,6 +588,100 @@ TEST(FlowLinkTest, OneStreamRunsWhereFourStall) {
   EXPECT_EQ(link.active_transfers(), 4u);
 }
 
+/// A 100 GB/s link aged to a 1e12-byte service counter with the clock at
+/// 1e4 s. One ulp of the counter (~1.2e-4 bytes) and the service of one
+/// clock ulp (~0.18 bytes) both dwarf the 1e-6-byte residual epsilon, so a
+/// completion armed at now + remaining / rate can land short of its target.
+struct AgedLink {
+  static constexpr BytesPerSecond kRate = gBps(100);
+
+  AgedLink() {
+    link.start_transfer(1'000'000'000'000, nullptr);
+    sim.run();
+    sim.run_until(1e4);
+  }
+
+  /// now + remaining / rate for a `bytes` transfer started now.
+  Seconds naive_arm(Bytes bytes) const {
+    const double service = link.ledger().service;
+    return sim.now() + (service + static_cast<double>(bytes) - service) / kRate;
+  }
+
+  /// The first size from `from` up whose accrual at the naive arm falls
+  /// short of its target.
+  Bytes rounding_short_size(Bytes from) const {
+    const double service = link.ledger().service;
+    for (Bytes bytes = from; bytes < from + 1000; ++bytes) {
+      const double target = service + static_cast<double>(bytes);
+      if (target - (service + kRate * (naive_arm(bytes) - sim.now())) > 1e-6) return bytes;
+    }
+    ADD_FAILURE() << "no rounding-short size in [" << from << ", " << from + 1000 << ")";
+    return from;
+  }
+
+  Simulator sim;
+  FlowLink link{sim, "aged", 0.0, kRate};
+};
+
+TEST(FlowLinkTest, AgedLinkServesARoundingShortTransferInOneEvent) {
+  // Sizes whose naive arm falls short: the completion event must land at
+  // the first instant the model counts the transfer served, in one event
+  // (not an empty fire and a re-arm), and never before the crossing.
+  AgedLink aged;
+  ASSERT_GE(aged.link.ledger().service, 1e12);
+  Bytes bytes = megabytes(1);
+  for (int transfer = 0; transfer < 8; ++transfer) {
+    bytes = aged.rounding_short_size(bytes + 1);
+    const Seconds start = aged.sim.now();
+    const double service = aged.link.ledger().service;
+    const double target = service + static_cast<double>(bytes);
+    Seconds served_at = -1;
+    const std::uint64_t before = aged.sim.events_processed();
+    aged.link.start_transfer(bytes, nullptr, [&] { served_at = aged.sim.now(); });
+    aged.sim.run();
+    EXPECT_EQ(aged.sim.events_processed() - before, 1u) << bytes << " bytes";
+    const long double crossing =
+        (static_cast<long double>(target) - service) / static_cast<long double>(AgedLink::kRate);
+    EXPECT_GE(static_cast<long double>(served_at) - start, crossing) << bytes << " bytes";
+    EXPECT_GE(aged.link.ledger().service, target - 1e-6);
+  }
+}
+
+TEST(FlowLinkTest, JoinAtARoundingShortInstantIsTieOrderFree) {
+  // A burst of joins scheduled exactly where the front transfer's naive
+  // completion would fire short. A served tolerance wide enough to absorb
+  // that shortfall at the lone rate but not at the eighth share makes the
+  // outcome depend on which of the two same-time events pops first;
+  // arming at the first served instant must not.
+  const auto run = [](std::uint64_t tie_seed, Bytes bytes) {
+    AgedLink aged;
+    aged.sim.set_tie_shuffle_seed(tie_seed);
+    const Seconds naive_at = aged.naive_arm(bytes);
+    std::vector<std::uint64_t> times;
+    const auto start = [&] {
+      aged.link.start_transfer(
+          bytes, [&] { times.push_back(bits(aged.sim.now())); },
+          [&] { times.push_back(~bits(aged.sim.now())); });
+    };
+    start();
+    aged.sim.schedule_at(naive_at, [&] {
+      for (int join = 0; join < 7; ++join) start();
+    });
+    aged.sim.run();
+    return times;
+  };
+  Bytes bytes = megabytes(1);
+  for (int size = 0; size < 8; ++size) {  // shortfalls differ from size to size
+    bytes = AgedLink().rounding_short_size(bytes + 1);
+    const std::vector<std::uint64_t> fifo = run(0, bytes);
+    EXPECT_EQ(fifo.size(), 16u);
+    for (const std::uint64_t seed :
+         {0x9e3779b97f4a7c15ull, 0x123456789abcdefull, 0xa5a5a5a55a5a5a5aull, 1ull}) {
+      EXPECT_EQ(run(seed, bytes), fifo) << bytes << " bytes, tie seed " << std::hex << seed;
+    }
+  }
+}
+
 // --- IsolatedRound (the isolated-replay gate) -------------------------------
 
 /// Three aged links on one simulator, clock past their last transfer.
