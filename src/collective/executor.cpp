@@ -483,6 +483,7 @@ class Executor::Invocation {
     flow.remaining = flow.chunks;
     const int src = flow.route->src.index;
     const int dst = flow.route->dst.index;
+    flow.channel->reserve(static_cast<std::size_t>(flow.chunks));
     for (int c = 0; c < flow.chunks; ++c) {
       const Bytes bytes = bytes_of_chunk(flow.bytes, run.spec->chunk_bytes, c);
       const double value = alltoall_value(src, dst, run.index, c);

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Simulated-time determinism/race checker.
 
-Runs bench/determinism_probe (the Fig. 12 AllReduce scenario, then the same
-sweep with staggered ready times and incremental buffer fill) once as the
-FIFO baseline and again under N shuffled tie-breaking seeds combined with
+Runs bench/determinism_probe (the Fig. 12 AllReduce scenario, the same
+sweep with staggered ready times and incremental buffer fill, then the
+Fig. 13 AllToAll at 64 MB, whose equal-size flows join shared NIC links at
+one instant) once as the FIFO baseline and again under N shuffled tie-breaking seeds combined with
 randomized memory layout, then diffs every run's stdout — completion times
 and per-rank finish times printed at full double precision — and, when
 tracing is enabled, the exported Chrome traces byte-for-byte.
