@@ -556,7 +556,7 @@ TEST_F(ResilienceTest, BlackoutAbortTraceIsPinned) {
   telemetry::write_chrome_trace(trace, out);
   Fnv fnv;
   fnv.add(out.str());
-  EXPECT_EQ(fnv.h, 0x084e90e0fcd06a5dull)
+  EXPECT_EQ(fnv.h, 0x85f3a7acb43aa870ull)
       << std::hex << fnv.h << " over " << std::dec << trace.size() << " records";
 }
 

@@ -490,11 +490,11 @@ TEST(TelemetryIntegration, RecoveryInstantsExportTheirArgs) {
       "\"args\":{\"suspects\":1}}",
       "\"ts\":3852200.537,\"name\":\"exclude-workers\",\"ph\":\"i\",\"s\":\"t\","
       "\"args\":{\"failed\":1,\"remaining\":15}}",
-      "\"ts\":3860216.953,\"name\":\"recovery-complete\",\"ph\":\"i\",\"s\":\"t\","
-      "\"args\":{\"latency\":0.00801641566,\"attempts\":2}}",
-      "\"ts\":3860216.953,\"name\":\"include-workers\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":3860216.954,\"name\":\"recovery-complete\",\"ph\":\"i\",\"s\":\"t\","
+      "\"args\":{\"latency\":0.00801641639,\"attempts\":2}}",
+      "\"ts\":3860216.954,\"name\":\"include-workers\",\"ph\":\"i\",\"s\":\"t\","
       "\"args\":{\"recovered\":1,\"total\":16}}",
-      "\"ts\":3932555.439,\"name\":\"reprofile\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":3932555.440,\"name\":\"reprofile\",\"ph\":\"i\",\"s\":\"t\","
       "\"args\":{\"graph_changed\":1,\"profiling_seconds\":0.0463384864,"
       "\"context_setup_seconds\":0.026}}",
   };
