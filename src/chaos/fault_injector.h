@@ -73,10 +73,6 @@ struct FaultSchedule {
   std::vector<WorkerPause> pauses;
   std::vector<RpcLossWindow> rpc_loss;
 
-  bool empty() const noexcept {
-    return link_faults.empty() && crashes.empty() && pauses.empty() && rpc_loss.empty();
-  }
-
   /// Shifts every fault time by `offset`. Schedules are typically generated
   /// relative to t = 0; shift by Simulator::now() to aim them at a workload
   /// starting after detection/profiling has already advanced the clock.
@@ -108,7 +104,6 @@ class FaultInjector : public relay::RpcMessageFilter {
   /// loss window and the seeded coin says so.
   bool should_drop(int from_rank, int to_rank, Seconds now) override;
 
-  const FaultSchedule& schedule() const noexcept { return schedule_; }
   int faults_armed() const noexcept { return faults_armed_; }
   int rpc_drops() const noexcept { return rpc_drops_; }
 

@@ -116,8 +116,6 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  const Strategy& strategy() const noexcept { return strategy_; }
-
   /// Starts the collective asynchronously; `on_complete` fires (in simulated
   /// time) when every deliverable of the primitive has landed, and is handed
   /// the result to keep: the invocation moves it out rather than copy it.

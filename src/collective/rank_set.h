@@ -19,8 +19,8 @@ namespace adapcc::collective {
 /// grows to its largest member, so it spans any world size, and it never
 /// keeps a trailing zero word, so equal sets compare equal however they were
 /// built. A negative rank is never a member: insert() throws
-/// std::invalid_argument, while contains() and erase() treat it, like a rank
-/// past the last word, as absent.
+/// std::invalid_argument, while contains() treats it, like a rank past the
+/// last word, as absent.
 class RankSet {
  public:
   class iterator {
@@ -81,11 +81,6 @@ class RankSet {
     if (word >= words_.size()) words_.resize(word + 1, 0);
     words_[word] |= bit_of(rank);
   }
-  void erase(int rank) noexcept {
-    if (!contains(rank)) return;
-    words_[static_cast<std::size_t>(rank) / 64] &= ~bit_of(rank);
-    trim();
-  }
   bool contains(int rank) const noexcept {
     // A negative rank wraps to a word index past any real one.
     const std::size_t word = static_cast<std::size_t>(rank) / 64;
@@ -133,5 +128,9 @@ class RankSet {
 
   std::vector<std::uint64_t> words_;
 };
+
+// The iterator_concept above promises a forward iterator; postfix ++ is part
+// of that contract.
+static_assert(std::forward_iterator<RankSet::iterator>);
 
 }  // namespace adapcc::collective

@@ -19,8 +19,6 @@ struct AlphaBeta {
   Seconds alpha = 0.0;
   double beta = 0.0;  ///< seconds per byte (1/bandwidth)
   double r_squared = 0.0;
-
-  BytesPerSecond bandwidth() const noexcept { return beta > 0 ? 1.0 / beta : 0.0; }
 };
 
 class AlphaBetaEstimator {

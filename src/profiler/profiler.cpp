@@ -64,7 +64,7 @@ constexpr std::size_t piece_count(const ProbeShape& shape) {
 /// the port pass's channels. The round-robin channels of either pass then
 /// start, share and finish every piece together (lockstep), which is what
 /// lets replay_isolated_round replay a round in closed form.
-constexpr bool plan_runs_in_lockstep() {
+consteval bool plan_runs_in_lockstep() {
   for (const ProbeShape& shape : kProbePlan) {
     if (shape.bytes % piece_bytes(shape) != 0) return false;
     if (piece_count(shape) % kPortChannels != 0) return false;

@@ -1,7 +1,9 @@
 #include "relay/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "relay/ski_rental.h"
 #include "synthesizer/cost_model.h"
@@ -38,6 +40,13 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
                                   const collective::Strategy& strategy, Bytes tensor_bytes,
                                   const std::map<int, Seconds>& fill_start) const {
   if (strategy.participants.empty()) throw std::invalid_argument("decide: no participants");
+  for (const auto* times : {&ready_at, &fill_start}) {
+    for (const auto& [rank, t] : *times) {
+      if (!std::isfinite(t)) {
+        throw std::invalid_argument("decide: non-finite time for rank " + std::to_string(rank));
+      }
+    }
+  }
   Seconds all_ready = now;
   for (const int rank : strategy.participants) {
     const auto it = ready_at.find(rank);

@@ -66,6 +66,8 @@ class Coordinator {
   /// `fill_start` (optional) reports when each worker's gradient buffer
   /// began filling; a non-ready worker already filling will join phase 1 at
   /// no extra cost, so it does not contribute to the buying estimate.
+  /// Throws std::invalid_argument on a non-finite ready or fill time: the
+  /// decision cycles would never reach it.
   RelayDecision decide(const std::map<int, Seconds>& ready_at, Seconds now,
                        const collective::Strategy& strategy, Bytes tensor_bytes,
                        const std::map<int, Seconds>& fill_start = {}) const;

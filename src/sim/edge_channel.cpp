@@ -172,7 +172,6 @@ void EdgeChannel::on_link_done(std::size_t link_index, std::uint64_t chunk_id) {
                        "chunk " << chunk_id << " delivered ahead of chunk "
                                 << chunks_[head_].id);
     DeliveryCallback callback = std::move(chunk->on_delivered);
-    bytes_sent_ += chunk->bytes;
     pop_front();
     // The callback may destroy this channel: touch no member after it.
     if (callback) callback();

@@ -66,7 +66,6 @@ class EdgeChannel {
   void reserve(std::size_t chunks);
 
   std::size_t chunks_in_flight() const noexcept { return chunks_.size() - head_; }
-  Bytes bytes_sent() const noexcept { return bytes_sent_; }
 
   /// Abort path (chaos/watchdog recovery): cancels the in-service transfer
   /// on every link of the path, drops all queued/in-flight chunks without
@@ -74,7 +73,6 @@ class EdgeChannel {
   /// simulator (retiring the channel's owner token makes them no-ops).
   /// After abort() the channel accepts no further sends. Idempotent.
   void abort();
-  bool aborted() const noexcept { return aborted_; }
 
   /// Per-group times of a deliver_isolated() run.
   struct IsolatedTimeline {
@@ -152,7 +150,6 @@ class EdgeChannel {
   OwnerToken owner_;
   bool aborted_ = false;
   std::uint64_t next_chunk_id_ = 1;
-  Bytes bytes_sent_ = 0;
 
   std::uint64_t tel_epoch_ = 0;
   telemetry::Histogram* tel_queue_depth_ = nullptr;

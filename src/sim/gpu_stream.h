@@ -36,7 +36,6 @@ class GpuStream {
   void enqueue(Seconds duration, InlineCallback&& on_complete) {
     const Seconds start = std::max(sim_.now(), busy_until_);
     busy_until_ = start + duration;
-    total_busy_ += duration;
     if (!on_complete) return;
     queue_.emplace_back(busy_until_, std::move(on_complete));
     if (queue_.size() - head_ == 1) arm_head();
@@ -55,9 +54,6 @@ class GpuStream {
 
   /// Time at which the stream drains, given no further enqueues.
   Seconds busy_until() const noexcept { return busy_until_; }
-  /// Total stream-occupancy time enqueued so far (for utilization stats).
-  Seconds total_busy() const noexcept { return total_busy_; }
-  bool idle() const noexcept { return busy_until_ <= sim_.now(); }
 
  private:
   struct Op {
@@ -92,7 +88,6 @@ class GpuStream {
 
   Simulator& sim_;
   Seconds busy_until_ = 0.0;
-  Seconds total_busy_ = 0.0;
   /// Ops with a callback, oldest first from `head_`; retire_at never
   /// decreases. Only queue_[head_] has its retirement armed (head_event_).
   /// Entries before `head_` have retired.

@@ -32,7 +32,7 @@ class InlineCallback {
   /// paths static_assert this at the capture site, so a capture that
   /// outgrows the buffer fails to compile instead of silently allocating.
   template <typename F>
-  static constexpr bool stores_inline() {
+  static consteval bool stores_inline() {
     return fits_inline<std::decay_t<F>>();
   }
 
@@ -104,7 +104,7 @@ class InlineCallback {
   /// assign(F) cannot throw: it moves, resets, or builds an inline target
   /// without throwing. Only a heap target or a throwing copy can.
   template <typename F>
-  static constexpr bool assigns_nothrow() {
+  static consteval bool assigns_nothrow() {
     using D = std::decay_t<F>;
     if constexpr (std::is_same_v<D, InlineCallback> || std::is_same_v<D, std::nullptr_t>) {
       return true;
@@ -114,7 +114,7 @@ class InlineCallback {
   }
 
   template <typename D>
-  static constexpr bool fits_inline() {
+  static consteval bool fits_inline() {
     return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<D>;
   }

@@ -88,11 +88,6 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  const std::map<std::string, Counter, std::less<>>& counters() const noexcept {
-    return counters_;
-  }
-  const std::map<std::string, Gauge, std::less<>>& gauges() const noexcept { return gauges_; }
-
   /// Rows describing every metric's current value (histograms expanded into
   /// count/mean/min/max/p50/p95/p99).
   std::vector<MetricRow> current_rows() const;

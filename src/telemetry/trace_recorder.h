@@ -132,7 +132,6 @@ class TraceRecorder {
   /// Buffered events, oldest first (eviction already applied).
   std::vector<TraceEvent> events() const;
 
-  std::size_t size() const noexcept { return buffer_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 

@@ -62,7 +62,6 @@ class Cluster {
   /// Raw link accessors used by the Detector's probes (Sec. IV-A): GPU->CPU
   /// copies ride the uplink of the GPU's switch; a CPU<->NIC socket loopback
   /// occupies both links of the switch the NIC hangs off.
-  int pcie_switch_count(int index) const { return instance(index).pcie_switch_count(); }
   sim::FlowLink& pcie_uplink(int instance, int switch_id);
   sim::FlowLink& pcie_downlink(int instance, int switch_id);
   sim::FlowLink& nic_ingress(int instance);

@@ -34,10 +34,6 @@ struct LogicalEdge {
   double effective_port_beta() const noexcept { return port_beta > 0 ? port_beta : beta; }
 
   BytesPerSecond bandwidth() const noexcept { return beta > 0 ? 1.0 / beta : 0.0; }
-  /// Transfer time of `size` bytes under the alpha-beta model.
-  Seconds transfer_time(Bytes size) const noexcept {
-    return alpha + beta * static_cast<double>(size);
-  }
 };
 
 class LogicalTopology {

@@ -42,15 +42,6 @@ inline std::string to_string(const NodeId& node) {
 /// maps onto simulated FlowLinks.
 enum class EdgeType { kNvlink, kPcie, kNetwork };
 
-inline std::string to_string(EdgeType type) {
-  switch (type) {
-    case EdgeType::kNvlink: return "nvlink";
-    case EdgeType::kPcie: return "pcie";
-    case EdgeType::kNetwork: return "network";
-  }
-  return "?";
-}
-
 }  // namespace adapcc::topology
 
 template <>

@@ -17,9 +17,8 @@ using Seconds = double;
 using Bytes = std::uint64_t;
 using BytesPerSecond = double;
 
-inline constexpr Bytes operator""_KiB(unsigned long long v) { return v * 1024ull; }
-inline constexpr Bytes operator""_MiB(unsigned long long v) { return v * 1024ull * 1024ull; }
-inline constexpr Bytes operator""_GiB(unsigned long long v) { return v * 1024ull * 1024ull * 1024ull; }
+consteval Bytes operator""_KiB(unsigned long long v) { return v * 1024ull; }
+consteval Bytes operator""_MiB(unsigned long long v) { return v * 1024ull * 1024ull; }
 
 /// Decimal megabytes, matching how the paper quotes model sizes (528 MB etc.).
 inline constexpr Bytes megabytes(double mb) {

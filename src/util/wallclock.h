@@ -22,12 +22,10 @@ class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-  /// Host seconds elapsed since construction (or the last restart()).
+  /// Host seconds elapsed since construction.
   double elapsed_seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   }
-
-  void restart() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;

@@ -557,7 +557,7 @@ TEST_F(ResilienceTest, BlackoutAbortTraceIsPinned) {
   Fnv fnv;
   fnv.add(out.str());
   EXPECT_EQ(fnv.h, 0x85f3a7acb43aa870ull)
-      << std::hex << fnv.h << " over " << std::dec << trace.size() << " records";
+      << std::hex << fnv.h << " over " << std::dec << trace.events().size() << " records";
 }
 
 // --- Determinism: one seed, one outcome ------------------------------------

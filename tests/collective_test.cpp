@@ -85,14 +85,13 @@ TEST(RankSetTest, OutOfRangeRanksAreNeverMembers) {
   EXPECT_FALSE(ranks.contains(10'000));
   EXPECT_THROW(ranks.insert(-1), std::invalid_argument);
   EXPECT_THROW((RankSet{2, -3}), std::invalid_argument);
-  ranks.erase(-1);
-  ranks.erase(10'000);
+  ranks -= RankSet{10'000};
   EXPECT_EQ(ranks.size(), 2u);
 }
 
 TEST(RankSetTest, EqualityIgnoresEmptiedTopWords) {
   RankSet ranks{70};
-  ranks.erase(70);
+  ranks -= RankSet{70};
   EXPECT_EQ(ranks, RankSet{});
   EXPECT_TRUE(ranks.empty());
   EXPECT_EQ(ranks.size(), 0u);

@@ -47,7 +47,7 @@ TEST(AlphaBetaEstimatorTest, RecoversExactModel) {
   }
   const auto fit = est.estimate();
   EXPECT_NEAR(fit.alpha, alpha, 1e-9);
-  EXPECT_NEAR(fit.bandwidth(), 12.5e9, 1e3);
+  EXPECT_NEAR(1.0 / fit.beta, 12.5e9, 1e3);
   EXPECT_GT(fit.r_squared, 0.9999);
 }
 

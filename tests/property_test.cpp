@@ -970,7 +970,6 @@ TEST_P(EdgeChannelProperty, FifoAndConservation) {
   sim.run();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(chunks));
   for (int c = 0; c < chunks; ++c) EXPECT_EQ(order[static_cast<std::size_t>(c)], c);
-  EXPECT_EQ(channel.bytes_sent(), total);
   for (const auto& link : links) EXPECT_EQ(link->bytes_delivered(), total) << link->name();
   EXPECT_EQ(channel.chunks_in_flight(), 0u);
 }

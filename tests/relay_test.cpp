@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -149,6 +150,25 @@ TEST_F(RelayFixture, CoordinatorProceedsForSevereStragglers) {
   EXPECT_LT(decision.trigger_time, now + 1.0);
   // Trigger happens at a multiple of the 5 ms cycle once wait >= buy.
   EXPECT_GE(decision.waited, decision.buy_cost_estimate - relay::kDecisionCycle);
+}
+
+TEST_F(RelayFixture, CoordinatorRejectsNonFiniteReadyTimes) {
+  // Rank 0 alone is ready, so at most one rank would ever be ready and the
+  // decision cycles would never end: the times are refused up front.
+  Coordinator coordinator(topo_);
+  const Seconds now = sim_->now();
+  for (const Seconds bad :
+       {std::numeric_limits<Seconds>::infinity(), std::numeric_limits<Seconds>::quiet_NaN()}) {
+    std::map<int, Seconds> late;
+    for (int r = 1; r < 16; ++r) late[r] = bad;
+    EXPECT_THROW(coordinator.decide(ready_times(0.0, late), now, strategy_, megabytes(16)),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(coordinator.decide(ready_times(0.0, {}), now, strategy_, megabytes(16),
+                                    ready_times(0.0, late)),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST_F(RelayFixture, FaultDeadlineUsesMultiplier) {

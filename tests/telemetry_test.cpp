@@ -78,7 +78,6 @@ TEST(TraceRecorderTest, RingKeepsMostRecentEvents) {
     name += std::to_string(i);
     rec.instant(track, name, static_cast<Seconds>(i));
   }
-  EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);
   EXPECT_EQ(rec.dropped(), 6u);
   const auto events = rec.events();
@@ -133,8 +132,10 @@ TEST(MetricsRegistryTest, FindOrCreateReturnsStableReferences) {
   EXPECT_EQ(&registry.counter("bytes"), &bytes);
   registry.gauge("busy").set(0.25);
   EXPECT_DOUBLE_EQ(registry.gauge("busy").value(), 0.25);
-  EXPECT_EQ(registry.counters().size(), 1u);
-  EXPECT_EQ(registry.gauges().size(), 1u);
+  const auto rows = registry.current_rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].kind, "counter");
+  EXPECT_EQ(rows[1].kind, "gauge");
 }
 
 TEST(MetricsRegistryTest, SnapshotsFreezeValuesAtCallTime) {
@@ -427,8 +428,10 @@ TEST(TelemetryIntegration, LinkByteCountersMatchExecutorPayload) {
   const double executor_bytes = metrics.counter("executor.bytes_sent").value();
   EXPECT_GT(executor_bytes, 0.0);
   double link_bytes = 0.0;
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (name.starts_with("link.") && name.ends_with(".bytes")) link_bytes += counter.value();
+  for (const auto& row : metrics.current_rows()) {
+    if (row.kind == "counter" && row.name.starts_with("link.") && row.name.ends_with(".bytes")) {
+      link_bytes += row.value;
+    }
   }
   EXPECT_DOUBLE_EQ(link_bytes, executor_bytes);
 

