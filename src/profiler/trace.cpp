@@ -20,11 +20,15 @@ BandwidthTrace BandwidthTrace::synthetic_cloud(Seconds duration, Seconds period,
   if (duration <= 0 || period <= 0) throw std::invalid_argument("synthetic_cloud: bad params");
   util::Rng rng(seed);
   std::vector<TraceSample> samples;
+  samples.reserve(static_cast<std::size_t>(std::ceil(duration / period)));
   // Cross-traffic dips arrive sporadically and persist for a few samples.
   double dip_depth = 0.0;
   int dip_remaining = 0;
   double walk = 0.0;  // slow AR(1) jitter around the diurnal baseline
-  for (Seconds t = 0; t < duration; t += period) {
+  // Sample i sits at i * period: summing periods would drift past `duration`
+  // and add a sample when `period` is not exact in binary (0.1 s).
+  for (std::size_t i = 0; static_cast<double>(i) * period < duration; ++i) {
+    const Seconds t = static_cast<double>(i) * period;
     const double phase = 2.0 * 3.14159265358979 * t / duration;
     // Diurnal drift: up to ~18% drop at the trough.
     const double diurnal = 0.09 * (1.0 - std::cos(phase));

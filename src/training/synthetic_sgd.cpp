@@ -218,7 +218,7 @@ AccuracyCurve train_synthetic_sgd(AggregationMode mode, const SgdConfig& config)
       case AggregationMode::kShuffledOrder: {
         std::vector<int> order(static_cast<std::size_t>(config.workers));
         std::iota(order.begin(), order.end(), 0);
-        std::shuffle(order.begin(), order.end(), run_rng.engine());
+        run_rng.shuffle(order);
         for (const int w : order) add(w);
         break;
       }

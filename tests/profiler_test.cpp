@@ -371,6 +371,17 @@ TEST(BandwidthTraceTest, DeterministicForSeed) {
   }
 }
 
+TEST(BandwidthTraceTest, NonIntegerPeriodStopsBeforeDuration) {
+  // 0.1 is not exact in binary: summing it ten times stays below 1.0 and
+  // would add an eleventh sample. Sample i sits at i * period instead.
+  const auto trace = BandwidthTrace::synthetic_cloud(1.0, 0.1, 3);
+  ASSERT_EQ(trace.samples().size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(trace.samples()[i].time, static_cast<double>(i) * 0.1);
+  }
+  EXPECT_DOUBLE_EQ(trace.duration(), 1.0);
+}
+
 TEST(BandwidthTraceTest, AmplificationLowersMinimum) {
   const auto base = BandwidthTrace::synthetic_cloud(3600, 60, 3);
   const auto amp = base.amplified(0.4);

@@ -15,6 +15,13 @@ here defend that promise at the source level:
                       same directories: all stochastic behaviour draws from an
                       explicitly seeded `util::Rng` threaded through
                       constructors.
+  unspecified-random  No `std::*_distribution`, `std::generate_canonical`,
+                      `std::shuffle` or `std::sample` in src/, bench/ or
+                      examples/: the standard leaves their algorithms to the
+                      library, so a golden captured with one libstdc++ would
+                      not hold on another. `util::Rng` names its algorithms
+                      (src/util/rng.h), and tools/rng_reference.py models
+                      them.
   unordered-iteration No range-for over `std::unordered_map` /
                       `std::unordered_set` typed values in the same
                       directories: hash-order iteration feeding any
@@ -98,6 +105,11 @@ RANDOM_TOKENS = [
     "std::random_device",
     "random_device{",
 ]
+
+# unspecified-random rule: where outputs are produced, and what to look for.
+UNSPECIFIED_RANDOM_DIRS = ("src", "bench", "examples")
+UNSPECIFIED_RANDOM_RE = re.compile(
+    r"std::(?:\w+_distribution\b|generate_canonical\b|shuffle\s*\(|sample\s*\()")
 
 HOT_PATH_TAG = "adapcc-lint: hot-path"
 
@@ -308,6 +320,19 @@ def check_threads(path: Path, lines: list[str]) -> list[Finding]:
     return findings
 
 
+def check_unspecified_random(path: Path, lines: list[str]) -> list[Finding]:
+    findings = []
+    for i, raw in enumerate(lines, start=1):
+        if waived(raw, "unspecified-random"):
+            continue
+        m = UNSPECIFIED_RANDOM_RE.search(strip_comment(raw))
+        if m:
+            findings.append(Finding("unspecified-random", path, i,
+                                    f"`{m.group(0).rstrip('( ')}` has no specified algorithm; "
+                                    "draw through util::Rng"))
+    return findings
+
+
 def check_orphan_headers(root: Path) -> list[Finding]:
     src = root / "src"
     included_by: dict[str, set[Path]] = {}
@@ -336,8 +361,8 @@ def main() -> int:
     root = args.root.resolve()
 
     if args.list_rules:
-        print("wall-clock unseeded-random unordered-iteration hot-path-function units-suffix "
-              "chaos threads orphan-header")
+        print("wall-clock unseeded-random unspecified-random unordered-iteration "
+              "hot-path-function units-suffix chaos threads orphan-header")
         return 0
 
     findings: list[Finding] = []
@@ -356,6 +381,9 @@ def main() -> int:
         lines = path.read_text().splitlines()
         findings += check_hot_path(path, lines)
         findings += check_units(path, lines)
+
+    for path in iter_sources(root, UNSPECIFIED_RANDOM_DIRS):
+        findings += check_unspecified_random(path, path.read_text().splitlines())
 
     for path in iter_sources(root, CHAOS_RULE_DIRS):
         lines = path.read_text().splitlines()
