@@ -325,7 +325,7 @@ TEST_F(RpcRetryTest, CleanExchangeLatencyIsPinned) {
     fnv.add(std::bit_cast<std::uint64_t>(relay::rpc_with_retry(*cluster_, rank, 0, rng).latency));
   }
   fnv.add(std::bit_cast<std::uint64_t>(sim_->now()));
-  EXPECT_EQ(fnv.h, 0xa49b147516742f44ull) << std::hex << fnv.h;
+  EXPECT_EQ(fnv.h, 0xbb801f468814e39bull) << std::hex << fnv.h;
 }
 
 TEST_F(RpcRetryTest, RetriesThroughDroppedMessages) {
