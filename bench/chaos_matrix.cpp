@@ -16,7 +16,6 @@
 //   --quick  fewer seeds (CI smoke run; still >= 20 schedules)
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -80,7 +79,7 @@ struct RunOutcome {
   bool ok = false;            ///< collective completed with usable values
   bool values_correct = false;
   collective::RankSet faulty;
-  std::map<int, double> final_values;
+  collective::RankMap<double> final_values;
   std::string detail;
 };
 
@@ -123,7 +122,7 @@ RunOutcome run_relay_cell(std::uint64_t fault_seed, WaitPolicy policy,
   const collective::Strategy strategy = collective::single_tree_strategy(
       Primitive::kAllReduce, ranks, collective::kary_tree(nodes, 4), 4_MiB);
 
-  std::map<int, Seconds> ready;
+  collective::RankMap<Seconds> ready;
   util::Rng jitter(fault_seed ^ 0x5eedULL);
   for (const int r : ranks) {
     ready[r] = sim.now() + milliseconds(1) + milliseconds(4) * jitter.uniform(0.0, 1.0);

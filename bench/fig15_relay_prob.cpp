@@ -32,10 +32,7 @@ training::TrainingStats run_training(std::vector<topology::InstanceSpec> specs,
 void print_probabilities(const char* label, const training::TrainingStats& stats, int world) {
   std::printf("%s (relay probability per rank over %d iterations)\n", label, kIterations);
   for (int rank = 0; rank < world; ++rank) {
-    const auto it = stats.relay_count.find(rank);
-    const double p = it == stats.relay_count.end()
-                         ? 0.0
-                         : static_cast<double>(it->second) / kIterations;
+    const double p = static_cast<double>(stats.relay_count.value_or(rank, 0)) / kIterations;
     std::printf("  rank %2d: %5.2f %s\n", rank, p, rank >= 8 ? "(V100)" : "(A100)");
   }
 }
@@ -49,9 +46,7 @@ int run() {
   std::printf("homogeneous (all A100): relay probability per rank\n  ");
   double homo_total = 0;
   for (int rank = 0; rank < 16; ++rank) {
-    const auto it = homo.relay_count.find(rank);
-    const double p =
-        it == homo.relay_count.end() ? 0.0 : static_cast<double>(it->second) / kIterations;
+    const double p = static_cast<double>(homo.relay_count.value_or(rank, 0)) / kIterations;
     homo_total += p;
     std::printf("%4.2f ", p);
   }

@@ -43,8 +43,7 @@ int main() {
                 stats.partial_fraction() * 100);
     std::printf("         relay assignments per rank:");
     for (int rank = 0; rank < cluster.world_size(); ++rank) {
-      const auto it = stats.relay_count.find(rank);
-      std::printf(" %d", it == stats.relay_count.end() ? 0 : it->second);
+      std::printf(" %d", stats.relay_count.value_or(rank, 0));
     }
     std::printf("  (ranks 8-15 are the slower V100s)\n");
   }

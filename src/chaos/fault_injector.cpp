@@ -90,11 +90,10 @@ void FaultInjector::arm() {
   ADAPCC_LOG(kInfo, "chaos") << "armed " << faults_armed_ << " fault(s)";
 }
 
-std::map<int, Seconds> FaultInjector::dead_at() const {
-  std::map<int, Seconds> out;
+collective::RankMap<Seconds> FaultInjector::dead_at() const {
+  collective::RankMap<Seconds> out;
   for (const WorkerCrash& crash : schedule_.crashes) {
-    const auto it = out.find(crash.rank);
-    if (it == out.end() || crash.at < it->second) out[crash.rank] = crash.at;
+    if (!out.contains(crash.rank) || crash.at < out.at(crash.rank)) out[crash.rank] = crash.at;
   }
   return out;
 }
@@ -107,8 +106,9 @@ Seconds FaultInjector::adjusted_ready(int rank, Seconds nominal) const {
   return ready;
 }
 
-std::map<int, Seconds> FaultInjector::adjust_ready(const std::map<int, Seconds>& nominal) const {
-  std::map<int, Seconds> out;
+collective::RankMap<Seconds> FaultInjector::adjust_ready(
+    const collective::RankMap<Seconds>& nominal) const {
+  collective::RankMap<Seconds> out;
   for (const auto& [rank, ready] : nominal) out[rank] = adjusted_ready(rank, ready);
   return out;
 }

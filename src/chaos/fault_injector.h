@@ -14,9 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "collective/rank_map.h"
 #include "relay/rpc.h"
 #include "topology/cluster.h"
 #include "util/rng.h"
@@ -93,12 +93,12 @@ class FaultInjector : public relay::RpcMessageFilter {
   void arm();
 
   /// Crash times keyed by rank, for CollectiveOptions::dead_at.
-  std::map<int, Seconds> dead_at() const;
+  collective::RankMap<Seconds> dead_at() const;
 
   /// Pause-adjusted readiness: every pause that begins before the nominal
   /// ready time delays the rank by its full duration.
   Seconds adjusted_ready(int rank, Seconds nominal) const;
-  std::map<int, Seconds> adjust_ready(const std::map<int, Seconds>& nominal) const;
+  collective::RankMap<Seconds> adjust_ready(const collective::RankMap<Seconds>& nominal) const;
 
   /// relay::RpcMessageFilter: loses the message when `now` falls in an RPC
   /// loss window and the seeded coin says so.

@@ -26,9 +26,10 @@ FlowRoute make_route(int src, int dst) {
 
 }  // namespace
 
+// Keyed by instance, not rank. lint:rank-map
 std::map<int, std::vector<int>> ranks_by_instance(const topology::Cluster& cluster,
                                                   const std::vector<int>& participants) {
-  std::map<int, std::vector<int>> by_instance;
+  std::map<int, std::vector<int>> by_instance;  // lint:rank-map (instances)
   for (const int rank : participants) {
     by_instance[cluster.instance_of_rank(rank)].push_back(rank);
   }

@@ -19,7 +19,7 @@
 namespace adapcc::collective {
 
 /// Participants grouped by instance: instances ascending, ranks ascending
-/// within each.
+/// within each. Keyed by instance, not rank. lint:rank-map
 std::map<int, std::vector<int>> ranks_by_instance(const topology::Cluster& cluster,
                                                   const std::vector<int>& participants);
 

@@ -51,6 +51,14 @@ class Executor::Invocation {
     for (const int rank : options_.active_ranks) {
       if (rank >= kMaxRanks) throw std::invalid_argument("Invocation: rank out of range");
     }
+    // A NaN time would read as "ready now" and "never dies".
+    for (const auto* times : {&options_.ready_at, &options_.fill_start, &options_.dead_at}) {
+      for (const auto& [rank, t] : *times) {
+        if (std::isnan(t)) {
+          throw std::invalid_argument("Invocation: NaN time for rank " + std::to_string(rank));
+        }
+      }
+    }
   }
 
   void start() {
@@ -60,7 +68,6 @@ class Executor::Invocation {
       t->trace().track("executor");  // interned at start: tracks keep first-use order
     }
     for (std::size_t s = 0; s < strategy_.subs.size(); ++s) build_sub(static_cast<int>(s));
-    for (const int rank : delivery_ranks_) ensure_delivery_slots(rank);
     if (outstanding_ == 0) {
       // Degenerate (e.g. zero-byte tensor): complete immediately.
       finish();
@@ -100,14 +107,6 @@ class Executor::Invocation {
     std::vector<std::pair<NodeState*, sim::EdgeChannel*>> down;  ///< per child
     sim::GpuStream* stream = nullptr;
     telemetry::TrackId tel_stream_track = telemetry::kInvalidTrack;  ///< lazy
-    /// This node's result slots: its sub's delivered values and masks and
-    /// its rank's finish time. Resolved on the node's first delivery (see
-    /// record_delivery, note_rank_activity), so rank_finish_time gains a
-    /// rank only once one reaches it; null again once the result is handed
-    /// over (deliver_result).
-    std::vector<double>* delivered = nullptr;
-    std::vector<ContributorMask>* delivered_masks = nullptr;
-    Seconds* finish_time = nullptr;
   };
 
   struct FlowState;
@@ -127,10 +126,6 @@ class Executor::Invocation {
     int chunks = 0;
     int remaining = 0;             ///< chunks not yet delivered once started
     SourceQueue* queue = nullptr;  ///< the source's queue; set at launch
-    /// alltoall_received[dst][src] and dst's finish time, resolved on the
-    /// flow's first delivery like NodeState's slots.
-    std::vector<double>* received = nullptr;
-    Seconds* finish_time = nullptr;
   };
 
   struct SubRun {
@@ -300,7 +295,7 @@ class Executor::Invocation {
     }
     if (run.reduce_direction || run.broadcast_direction) {
       for (const NodeId node : nodes) {
-        if (node.is_gpu()) delivery_ranks_.insert(node.index);
+        if (node.is_gpu()) add_delivery_slots(node.index);
       }
     }
   }
@@ -343,15 +338,18 @@ class Executor::Invocation {
       flow.channel = std::make_unique<sim::EdgeChannel>(sim_, std::move(links));
       outstanding_ += flow.chunks;
       run.flows.push_back(std::move(flow));
-      delivery_ranks_.insert(route.src.index);
-      delivery_ranks_.insert(route.dst.index);
+      add_delivery_slots(route.src.index);
+      add_delivery_slots(route.dst.index);
     }
   }
 
-  void ensure_delivery_slots(int rank) {
+  /// Sizes `rank`'s delivered values and masks for every sub, NaN and 0 until
+  /// filed, unless an earlier sub already did.
+  void add_delivery_slots(int rank) {
+    if (result_.delivered.contains(rank)) return;
     auto& per_sub = result_.delivered[rank];
-    auto& per_sub_masks = result_.delivered_masks[rank];
     per_sub.resize(strategy_.subs.size());
+    auto& per_sub_masks = result_.delivered_masks[rank];
     per_sub_masks.resize(strategy_.subs.size());
     for (std::size_t s = 0; s < strategy_.subs.size(); ++s) {
       const auto& sub = strategy_.subs[s];
@@ -367,13 +365,11 @@ class Executor::Invocation {
   // --- launch ---------------------------------------------------------------
 
   Seconds ready_time(int rank) const {
-    const auto it = options_.ready_at.find(rank);
-    return it == options_.ready_at.end() ? sim_.now() : std::max(sim_.now(), it->second);
+    return std::max(sim_.now(), options_.ready_at.value_or(rank, sim_.now()));
   }
 
   Seconds death_time(int rank) const {
-    const auto it = options_.dead_at.find(rank);
-    return it == options_.dead_at.end() ? std::numeric_limits<Seconds>::infinity() : it->second;
+    return options_.dead_at.value_or(rank, std::numeric_limits<Seconds>::infinity());
   }
 
   void launch_sub(SubRun& run) {
@@ -394,10 +390,10 @@ class Executor::Invocation {
         if (!state.behavior.is_active) continue;
         const int rank = state.id.index;
         const Seconds dead = death_time(rank);
-        const auto fill_it = options_.fill_start.find(rank);
-        if (fill_it != options_.fill_start.end() && run.chunks > 0) {
+        if (options_.fill_start.contains(rank) && run.chunks > 0) {
           const Seconds end = ready_time(rank);
-          const Seconds begin = std::min(std::max(sim_.now(), fill_it->second), end);
+          const Seconds begin =
+              std::min(std::max(sim_.now(), options_.fill_start.at(rank)), end);
           fills_.push_back(FillChain{&state, begin, end, dead, 0, op_events_.size()});
           op_events_.emplace_back();
           arm_fill(fills_.back());
@@ -453,9 +449,9 @@ class Executor::Invocation {
   void launch_alltoall(SubRun& run) {
     // Per-source flow queues in listed order, bounded by the strategy's
     // per-source concurrency (NCCL's limited channels vs AdapCC's streams).
-    std::map<int, std::vector<FlowState*>> by_source;
+    RankMap<std::vector<FlowState*>> by_source;
     for (auto& flow : run.flows) by_source[flow.route->src.index].push_back(&flow);
-    for (auto& [src, flows] : by_source) {
+    for (const auto& [src, flows] : by_source) {
       if (ready_time(src) > death_time(src)) continue;  // crashed source sends nothing
       SourceQueue& queue = queues_.emplace_back();
       queue.flows = flows;
@@ -491,16 +487,7 @@ class Executor::Invocation {
       ++pending_ops_;
       auto on_delivered = [this, &run, &flow, c, value, start] {
         end_send(run, flow.route->src, flow.route->dst, c, flow.bytes, start);
-        if (flow.received == nullptr) {
-          flow.received = &result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
-        }
-        std::vector<double>& received = *flow.received;
-        if (received.size() <= static_cast<std::size_t>(c)) {
-          received.resize(static_cast<std::size_t>(c) + 1,
-                          std::numeric_limits<double>::quiet_NaN());
-        }
-        received[static_cast<std::size_t>(c)] = value;
-        note_rank_activity(flow.finish_time, flow.route->dst.index);
+        record_alltoall(flow, c, value);
         complete_deliverable();
         if (--flow.remaining == 0) {
           --flow.queue->active;
@@ -595,7 +582,7 @@ class Executor::Invocation {
 
     if (run.root->id.is_gpu()) {
       record_delivery(*run.root, chunk, message);
-      note_rank_activity(run.root->finish_time, run.root->id.index);
+      note_rank_activity(run.root->id.index);
     }
     complete_deliverable();
     // Multi-stage parallelism: AllReduce broadcasts the chunk right away.
@@ -633,7 +620,7 @@ class Executor::Invocation {
     if (node.is_gpu()) {
       record_delivery(state, chunk, message);
       if (options_.active_ranks.contains(node.index)) {
-        note_rank_activity(state.finish_time, node.index);
+        note_rank_activity(node.index);
         complete_deliverable();
       }
     }
@@ -642,42 +629,34 @@ class Executor::Invocation {
 
   // --- bookkeeping -----------------------------------------------------------
 
+  // Deliveries are filed into result_ until it is handed over; a tail
+  // delivery after that (relay-bound broadcast traffic) is dropped, so it
+  // never reaches the caller's result.
+
   /// Files `message` as `chunk` of the GPU `state`'s sub at its rank.
-  void record_delivery(NodeState& state, int chunk, ChunkMessage message) {
-    if (state.delivered == nullptr) {
-      const int rank = state.id.index;
-      auto& per_sub = result_.delivered[rank];
-      if (per_sub.empty()) ensure_delivery_slots(rank);
-      const auto sub = static_cast<std::size_t>(state.run->index);
-      state.delivered = &per_sub[sub];
-      state.delivered_masks = &result_.delivered_masks[rank][sub];
-    }
-    (*state.delivered)[static_cast<std::size_t>(chunk)] = message.value;
-    (*state.delivered_masks)[static_cast<std::size_t>(chunk)] = message.mask;
+  void record_delivery(const NodeState& state, int chunk, ChunkMessage message) {
+    if (completion_delivered_) return;
+    const int rank = state.id.index;
+    const auto sub = static_cast<std::size_t>(state.run->index);
+    result_.delivered.at(rank)[sub][static_cast<std::size_t>(chunk)] = message.value;
+    result_.delivered_masks.at(rank)[sub][static_cast<std::size_t>(chunk)] = message.mask;
   }
 
-  /// Stamps `rank`'s finish time now through the caller's cached `slot`.
-  void note_rank_activity(Seconds*& slot, int rank) {
-    if (slot == nullptr) slot = &result_.rank_finish_time[rank];
-    *slot = sim_.now();
+  /// Files `chunk` of `flow` at its destination and stamps the destination.
+  void record_alltoall(const FlowState& flow, int chunk, double value) {
+    if (completion_delivered_) return;
+    auto& received = result_.alltoall_received[flow.route->dst.index][flow.route->src.index];
+    if (received.size() <= static_cast<std::size_t>(chunk)) {
+      received.resize(static_cast<std::size_t>(chunk) + 1,
+                      std::numeric_limits<double>::quiet_NaN());
+    }
+    received[static_cast<std::size_t>(chunk)] = value;
+    note_rank_activity(flow.route->dst.index);
   }
 
-  /// Hands the result to on_complete_ and drops every cached slot into it:
-  /// a tail delivery after completion files into the moved-from result_,
-  /// which nobody reads, and never into the caller's.
-  void deliver_result() {
-    on_complete_(std::move(result_));
-    for (auto& sub : subs_) {
-      for (NodeState& state : sub->nodes) {
-        state.delivered = nullptr;
-        state.delivered_masks = nullptr;
-        state.finish_time = nullptr;
-      }
-      for (FlowState& flow : sub->flows) {
-        flow.received = nullptr;
-        flow.finish_time = nullptr;
-      }
-    }
+  /// Stamps `rank`'s finish time now.
+  void note_rank_activity(int rank) {
+    if (!completion_delivered_) result_.rank_finish_time[rank] = sim_.now();
   }
 
   void complete_deliverable() {
@@ -706,9 +685,8 @@ class Executor::Invocation {
   RankSet unfinished_ranks() const {
     RankSet out;
     for (const int rank : options_.active_ranks) {
-      const auto it = options_.ready_at.find(rank);
       const Seconds ready =
-          it == options_.ready_at.end() ? result_.started : std::max(result_.started, it->second);
+          std::max(result_.started, options_.ready_at.value_or(rank, result_.started));
       // Suspect anyone already dead (mid-collective crash: its undelivered
       // chunks are what stalled the aggregation) or still not ready.
       if (death_time(rank) <= sim_.now() || ready > sim_.now()) out.insert(rank);
@@ -781,7 +759,7 @@ class Executor::Invocation {
       // tie-shuffle harness the idle event could otherwise run first and
       // leave this event's `this` dangling.
       sim_.schedule_after(0, [this] {
-        deliver_result();
+        on_complete_(std::move(result_));
         completion_delivered_ = true;
         if (pending_ops_ == 0 && on_idle_) sim_.schedule_after(0, on_idle_);
       });
@@ -804,9 +782,6 @@ class Executor::Invocation {
   std::vector<std::unique_ptr<sim::GpuStream>> streams_;
 
   CollectiveResult result_;
-  /// GPU ranks with delivery slots in result_, each filled once after the
-  /// subs are built.
-  RankSet delivery_ranks_;
   long outstanding_ = 0;
   long pending_ops_ = 0;
   bool finished_ = false;
@@ -822,7 +797,8 @@ class Executor::Invocation {
   /// AllToAll source queues, stable for the same reason.
   std::list<SourceQueue> queues_;
   /// The on_complete_ delivery event has run; only then may on_idle_ (which
-  /// destroys the invocation) be scheduled — see finish().
+  /// destroys the invocation) be scheduled — see finish(). From then on
+  /// result_ is the caller's, and deliveries are no longer filed.
   bool completion_delivered_ = false;
   /// epoch() at start() with telemetry on, else 0: the session spans go to.
   std::uint64_t tel_session_ = 0;

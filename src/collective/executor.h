@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "collective/behavior.h"
 #include "collective/comm_graph.h"
 #include "collective/payload.h"
+#include "collective/rank_map.h"
 #include "collective/rank_set.h"
 #include "sim/simulator.h"
 #include "topology/cluster.h"
@@ -33,22 +33,24 @@ struct CollectiveOptions {
   /// Ranks contributing tensors. Empty means all strategy participants.
   RankSet active_ranks;
   /// Absolute simulated times at which each rank's tensor is ready; ranks
-  /// not listed are ready immediately. Non-ready relay ranks simply never
-  /// contribute (they are not in active_ranks).
-  std::map<int, Seconds> ready_at;
+  /// not listed are ready immediately, and +inf means never. Non-ready relay
+  /// ranks simply never contribute (they are not in active_ranks). A NaN
+  /// time here, in fill_start or in dead_at is rejected.
+  RankMap<Seconds> ready_at;
   /// Optional incremental buffer fill (Sec. IV-C): gradients are produced
   /// progressively during the backward pass, so chunk c of a rank listed
   /// here becomes available at
   ///   fill_start[r] + (c+1)/K * (ready_at[r] - fill_start[r])
   /// instead of all chunks appearing at ready_at[r]. This is what lets late
   /// workers' chunks "join the ongoing aggregation" of phase 1.
-  std::map<int, Seconds> fill_start;
+  RankMap<Seconds> fill_start;
   /// Crash model (chaos harness): a rank listed here stops contributing at
   /// the given absolute time. Chunks whose availability falls at or before
   /// the crash are still contributed (mid-collective partial contribution);
   /// everything later never appears, so aggregators waiting on the dead
-  /// rank's remaining chunks stall until the watchdog fires.
-  std::map<int, Seconds> dead_at;
+  /// rank's remaining chunks stall until the watchdog fires. +inf means the
+  /// rank never dies.
+  RankMap<Seconds> dead_at;
   /// Per-collective watchdog: when > 0, the invocation aborts this many
   /// simulated seconds after start if it has not completed — outstanding
   /// events are cancelled, channels and streams drained, and the result
@@ -93,12 +95,12 @@ struct CollectiveResult {
   std::vector<SubResult> subs;
   /// delivered[rank][sub][chunk]: value received by `rank` via broadcast
   /// stages (Broadcast/AllReduce/AllGather).
-  std::map<int, std::vector<std::vector<double>>> delivered;
-  std::map<int, std::vector<std::vector<ContributorMask>>> delivered_masks;
+  RankMap<std::vector<std::vector<double>>> delivered;
+  RankMap<std::vector<std::vector<ContributorMask>>> delivered_masks;
   /// alltoall_received[dst][src][chunk] for AllToAll.
-  std::map<int, std::map<int, std::vector<double>>> alltoall_received;
+  RankMap<RankMap<std::vector<double>>> alltoall_received;
   /// When each rank observed its last delivery (completion per worker).
-  std::map<int, Seconds> rank_finish_time;
+  RankMap<Seconds> rank_finish_time;
   /// Set when the collective was aborted (watchdog); partial results above
   /// reflect whatever had been delivered by then.
   CollectiveError error;

@@ -1,7 +1,8 @@
 // The set of ranks a collective depends on: the active set behavior tuples
 // are derived from (Sec. IV-C-3), the relay coordinator's ready set, the
 // suspects of an aborted collective and the faulty set fault recovery
-// excludes (Sec. IV-C-2), and the active set the cost model times.
+// excludes (Sec. IV-C-2), and the active set the cost model times. Per-rank
+// values keyed by such a set live in RankMap (collective/rank_map.h).
 #pragma once
 
 #include <bit>
@@ -54,6 +55,9 @@ class RankSet {
       if (word_ < words_->size()) bits_ = (*words_)[word_];
       settle();
     }
+    /// At the member whose bit is the lowest of the non-zero `bits`.
+    iterator(const std::vector<std::uint64_t>* words, std::size_t word, std::uint64_t bits)
+        : words_(words), word_(word), bits_(bits) {}
     /// Moves to the next word with a member, or to the end (word_ == size).
     void settle() noexcept {
       const std::size_t size = words_->size();
@@ -80,6 +84,12 @@ class RankSet {
     const std::size_t word = static_cast<std::size_t>(rank) / 64;
     if (word >= words_.size()) words_.resize(word + 1, 0);
     words_[word] |= bit_of(rank);
+  }
+  /// Removes `rank`; a non-member, negative ranks included, is a no-op.
+  void erase(int rank) noexcept {
+    if (!contains(rank)) return;
+    words_[static_cast<std::size_t>(rank) / 64] &= ~bit_of(rank);
+    trim();
   }
   bool contains(int rank) const noexcept {
     // A negative rank wraps to a word index past any real one.
@@ -115,6 +125,12 @@ class RankSet {
 
   iterator begin() const { return iterator(&words_, 0); }
   iterator end() const { return iterator(&words_, words_.size()); }
+  /// The iterator at `rank`, or end() when it is not a member.
+  iterator find(int rank) const {
+    if (!contains(rank)) return end();
+    const std::size_t word = static_cast<std::size_t>(rank) / 64;
+    return iterator(&words_, word, words_[word] & ~(bit_of(rank) - 1));
+  }
 
   friend bool operator==(const RankSet&, const RankSet&) = default;
 

@@ -36,9 +36,9 @@ void trace_decision(const RelayDecision& decision, Seconds request_time) {
 
 }  // namespace
 
-RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Seconds now,
+RelayDecision Coordinator::decide(const collective::RankMap<Seconds>& ready_at, Seconds now,
                                   const collective::Strategy& strategy, Bytes tensor_bytes,
-                                  const std::map<int, Seconds>& fill_start) const {
+                                  const collective::RankMap<Seconds>& fill_start) const {
   if (strategy.participants.empty()) throw std::invalid_argument("decide: no participants");
   for (const auto* times : {&ready_at, &fill_start}) {
     for (const auto& [rank, t] : *times) {
@@ -49,9 +49,7 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   }
   Seconds all_ready = now;
   for (const int rank : strategy.participants) {
-    const auto it = ready_at.find(rank);
-    const Seconds t = it == ready_at.end() ? now : it->second;
-    all_ready = std::max(all_ready, t);
+    all_ready = std::max(all_ready, ready_at.value_or(rank, now));
   }
 
   // Per-late-tensor phase-2 cost is bounded by the slowest network hop.
@@ -66,8 +64,7 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
   const auto ready_set = [&](Seconds t) {
     collective::RankSet ready;
     for (const int rank : strategy.participants) {
-      const auto it = ready_at.find(rank);
-      if (it == ready_at.end() || it->second <= t) ready.insert(rank);
+      if (ready_at.value_or(rank, now) <= t) ready.insert(rank);
     }
     return ready;
   };
@@ -117,8 +114,7 @@ RelayDecision Coordinator::decide(const std::map<int, Seconds>& ready_at, Second
     double phase2_late = 0.0;
     for (const int rank : strategy.participants) {
       if (ready.contains(rank)) continue;
-      const auto fill_it = fill_start.find(rank);
-      const bool filling = fill_it != fill_start.end() && fill_it->second <= t;
+      const bool filling = fill_start.contains(rank) && fill_start.at(rank) <= t;
       if (!filling) phase2_late += 1.0;
     }
     const Seconds phase2_est =

@@ -5,11 +5,11 @@
 // phase-1 completes are excluded from the training group.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "collective/comm_graph.h"
 #include "collective/primitive.h"
+#include "collective/rank_map.h"
 #include "collective/rank_set.h"
 #include "topology/logical_topology.h"
 #include "util/units.h"
@@ -68,9 +68,9 @@ class Coordinator {
   /// no extra cost, so it does not contribute to the buying estimate.
   /// Throws std::invalid_argument on a non-finite ready or fill time: the
   /// decision cycles would never reach it.
-  RelayDecision decide(const std::map<int, Seconds>& ready_at, Seconds now,
+  RelayDecision decide(const collective::RankMap<Seconds>& ready_at, Seconds now,
                        const collective::Strategy& strategy, Bytes tensor_bytes,
-                       const std::map<int, Seconds>& fill_start = {}) const;
+                       const collective::RankMap<Seconds>& fill_start = {}) const;
 
   /// Fault threshold: workers still not ready T_fault after phase-1
   /// completion are declared faulty, with T_fault = fault_multiplier x the

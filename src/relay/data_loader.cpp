@@ -28,11 +28,7 @@ void DataLoader::readmit(const collective::RankSet& recovered) {
   split();
 }
 
-int DataLoader::batch_of(int worker) const {
-  const auto it = batch_of_.find(worker);
-  if (it == batch_of_.end()) throw std::out_of_range("DataLoader: unknown worker");
-  return it->second;
-}
+int DataLoader::batch_of(int worker) const { return batch_of_.at(worker); }
 
 void DataLoader::split() {
   batch_of_.clear();

@@ -6,10 +6,10 @@
 // unchanged when workers are excluded.
 #pragma once
 
-#include <map>
 #include <stdexcept>
 #include <vector>
 
+#include "collective/rank_map.h"
 #include "collective/rank_set.h"
 
 namespace adapcc::relay {
@@ -37,7 +37,7 @@ class DataLoader {
 
   int global_batch_;
   std::vector<int> workers_;
-  std::map<int, int> batch_of_;
+  collective::RankMap<int> batch_of_;
 };
 
 }  // namespace adapcc::relay

@@ -18,22 +18,23 @@ using collective::Executor;
 using collective::payload_value;
 using collective::Primitive;
 using collective::rank_bit;
+using collective::RankMap;
 using collective::RankSet;
 using collective::Strategy;
 }  // namespace
 
 RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, Bytes tensor_bytes,
-                                                    const std::map<int, Seconds>& ready_at,
-                                                    const std::map<int, Seconds>& fill_start,
-                                                    const std::map<int, Seconds>& dead_at) {
+                                                    const RankMap<Seconds>& ready_at,
+                                                    const RankMap<Seconds>& fill_start,
+                                                    const RankMap<Seconds>& dead_at) {
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   sim::Simulator& sim = cluster_.simulator();
   RelayRunResult result;
   const Seconds request_time = sim.now();
 
-  Seconds fastest = std::numeric_limits<Seconds>::infinity();
+  Seconds fastest = kNever;
   for (const int rank : strategy.participants) {
-    const auto it = ready_at.find(rank);
-    fastest = std::min(fastest, it == ready_at.end() ? sim.now() : it->second);
+    fastest = std::min(fastest, ready_at.value_or(rank, sim.now()));
   }
   fastest = std::max(fastest, sim.now());
 
@@ -65,10 +66,9 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     const Seconds join_window =
         decision.trigger_time + kJoinHorizonFactor * decision.full_estimate;
     for (const int rank : decision.relays) {
-      const auto ready_it = ready_at.find(rank);
-      const Seconds ready = ready_it == ready_at.end() ? decision.trigger_time : ready_it->second;
-      const auto fill_it = fill_start.find(rank);
-      const bool filling = fill_it != fill_start.end() && fill_it->second <= decision.trigger_time;
+      const Seconds ready = ready_at.value_or(rank, decision.trigger_time);
+      const bool filling =
+          fill_start.contains(rank) && fill_start.at(rank) <= decision.trigger_time;
       if (filling || ready <= join_window) {
         phase1_active.insert(rank);
         result.joined.push_back(rank);
@@ -85,14 +85,13 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
   // trigger time only marks when the coordinator committed to partial mode.
   CollectiveOptions options;
   options.active_ranks = phase1_active;
-  for (const auto& [rank, t] : ready_at) options.ready_at[rank] = t;
+  options.ready_at = ready_at;
   // Incremental buffer filling applies to the joining relays only: ready
   // workers' tensors enter when their computation completes (the normal
   // communication request), while a joiner's chunks stream into the ongoing
   // aggregation as its backward pass produces them (Sec. IV-C).
   for (const int rank : result.joined) {
-    const auto it = fill_start.find(rank);
-    if (it != fill_start.end()) options.fill_start[rank] = it->second;
+    if (fill_start.contains(rank)) options.fill_start[rank] = fill_start.at(rank);
   }
   options.dead_at = dead_at;
   options.watchdog_timeout = coordinator_.config().watchdog_timeout;
@@ -179,14 +178,10 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
     const Seconds deadline = coordinator_.fault_deadline(result.phase1_finish, request_time);
     std::vector<int> late_ok;
     for (const int rank : still_late) {
-      const auto it = ready_at.find(rank);
-      Seconds t = it == ready_at.end() ? result.phase1_finish : it->second;
+      Seconds t = ready_at.value_or(rank, result.phase1_finish);
       // A rank that crashed before producing its tensor never becomes ready,
       // whatever its nominal compute-finish time said.
-      const auto dead_it = dead_at.find(rank);
-      if (dead_it != dead_at.end() && dead_it->second < t) {
-        t = std::numeric_limits<Seconds>::infinity();
-      }
+      if (dead_at.value_or(rank, kNever) < t) t = kNever;
       if (t <= deadline) {
         late_ok.push_back(rank);
       } else {
@@ -243,8 +238,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
         for (std::size_t i = 0; i < late_ok.size(); ++i) {
           const int late = late_ok[i];
           broadcasts.push_back(phase2_strategy(Primitive::kBroadcast, strategy.participants, late));
-          const auto it = ready_at.find(late);
-          if (it != ready_at.end()) broadcast_options[i].ready_at[late] = it->second;
+          if (ready_at.contains(late)) broadcast_options[i].ready_at[late] = ready_at.at(late);
         }
         for (const auto& broadcast :
              collective::run_concurrently(cluster_, std::move(broadcasts), tensor_bytes,
@@ -256,8 +250,7 @@ RelayRunResult RelayCollectiveRunner::run_allreduce(const Strategy& strategy, By
         Executor reduce_exec(cluster_, phase2_strategy(Primitive::kReduce, late_ok, phase2_root));
         CollectiveOptions reduce_options;
         for (const int late : late_ok) {
-          const auto it = ready_at.find(late);
-          if (it != ready_at.end()) reduce_options.ready_at[late] = it->second;
+          if (ready_at.contains(late)) reduce_options.ready_at[late] = ready_at.at(late);
         }
         const Seconds late_sum_ready = reduce_exec.run(tensor_bytes, reduce_options).finished;
 

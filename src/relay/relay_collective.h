@@ -9,7 +9,6 @@
 // group, and the data loader is redistributed (fault tolerance).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "collective/executor.h"
@@ -34,7 +33,7 @@ struct RelayRunResult {
   Seconds phase2_finish = 0.0;
   /// Final aggregated value of (sub 0, chunk 0) per rank after local
   /// combination — must equal the sum over all non-faulty contributors.
-  std::map<int, double> final_values;
+  collective::RankMap<double> final_values;
   /// Contributors reflected in final_values.
   collective::ContributorMask final_mask = 0;
   RelayDecision decision;
@@ -64,9 +63,9 @@ class RelayCollectiveRunner {
   /// mid-collective crashes abort phase 1, the suspects are folded into
   /// `faulty`, and phase 1 re-executes for the survivors.
   RelayRunResult run_allreduce(const collective::Strategy& strategy, Bytes tensor_bytes,
-                               const std::map<int, Seconds>& ready_at,
-                               const std::map<int, Seconds>& fill_start = {},
-                               const std::map<int, Seconds>& dead_at = {});
+                               const collective::RankMap<Seconds>& ready_at,
+                               const collective::RankMap<Seconds>& fill_start = {},
+                               const collective::RankMap<Seconds>& dead_at = {});
 
  private:
   topology::Cluster& cluster_;

@@ -192,9 +192,9 @@ CollectiveResult Adapcc::alltoall(Bytes tensor_bytes, CollectiveOptions options)
 }
 
 relay::RelayRunResult Adapcc::allreduce_adaptive(Bytes tensor_bytes,
-                                                 const std::map<int, Seconds>& ready_at,
-                                                 const std::map<int, Seconds>& fill_start,
-                                                 const std::map<int, Seconds>& dead_at) {
+                                                 const collective::RankMap<Seconds>& ready_at,
+                                                 const collective::RankMap<Seconds>& fill_start,
+                                                 const collective::RankMap<Seconds>& dead_at) {
   if (!set_up_) setup();
   const Strategy& strategy = strategy_for(Primitive::kAllReduce, tensor_bytes);
   return relay_runner_->run_allreduce(strategy, tensor_bytes, ready_at, fill_start, dead_at);

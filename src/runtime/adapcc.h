@@ -82,7 +82,7 @@ struct ResilienceReport {
   /// Ranks this call excluded from the participant set (crash suspects).
   /// A std::set rather than a RankSet: perfbench/oracle.cpp compares it with
   /// a std::set, and perfbench changes only with the benchmark itself.
-  /// run_resilient fills it from the executor's RankSet suspects.
+  /// run_resilient fills it from the executor's RankSet suspects. lint:rank-map
   std::set<int> excluded;
   /// First abort -> successful completion; 0 when the first attempt
   /// succeeded (Fig. 19c: recovery without checkpoint/restart).
@@ -148,9 +148,9 @@ class Adapcc {
   /// `dead_at` (chaos harness) marks mid-collective crashes — see
   /// RelayCollectiveRunner::run_allreduce.
   relay::RelayRunResult allreduce_adaptive(Bytes tensor_bytes,
-                                           const std::map<int, Seconds>& ready_at,
-                                           const std::map<int, Seconds>& fill_start = {},
-                                           const std::map<int, Seconds>& dead_at = {});
+                                           const collective::RankMap<Seconds>& ready_at,
+                                           const collective::RankMap<Seconds>& fill_start = {},
+                                           const collective::RankMap<Seconds>& dead_at = {});
 
   /// Recovery orchestrator (Sec. IV-C-2): runs a collective under a
   /// watchdog and, on a mid-collective failure, excludes the crashed ranks,

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <stdexcept>
 
 #include "collective/builders.h"
+#include "collective/rank_map.h"
 #include "util/audit.h"
 #include "util/logging.h"
 #include "util/wallclock.h"
@@ -49,16 +49,15 @@ std::vector<collective::Tree> Synthesizer::candidate_trees(
   // GPU-GPU edges (keeps NVLink chains intact on fragmented topologies).
   // chain.front() is the head, closest to the root side. Chains are keyed
   // by head: the single-instance rotation starts one instance's chain at
-  // several heads.
-  std::map<int, std::vector<int>> chains;
+  // several heads. The returned chain is valid until the next call.
+  collective::RankMap<std::vector<int>> chains;
   const auto chain_from = [&](int inst, int head) -> const std::vector<int>& {
-    auto [it, fresh] = chains.try_emplace(head);
-    if (fresh) {
-      it->second = collective::greedy_chain(by_instance.at(inst), head, [&](int member, int tail) {
+    if (!chains.contains(head)) {
+      chains[head] = collective::greedy_chain(by_instance.at(inst), head, [&](int member, int tail) {
         return edge_bw(topo_, NodeId::gpu(member), NodeId::gpu(tail));
       });
     }
-    return it->second;
+    return chains.at(head);
   };
 
   const int total_instances = cluster_.instance_count();
@@ -250,7 +249,7 @@ collective::Strategy Synthesizer::synthesize(Primitive primitive,
   // a degraded NIC simply stops being included.
   std::vector<std::size_t> best_per_root;
   {
-    std::set<int> seen_roots;
+    std::set<int> seen_roots;  // lint:rank-map (instances)
     for (const auto& [cost, index] : ranked) {
       const int inst = cluster_.instance_of_rank(candidates[index].tree.root().index);
       if (seen_roots.insert(inst).second) best_per_root.push_back(index);

@@ -34,8 +34,7 @@ void ComputeModel::set_interference(int rank, double slowdown) {
 void ComputeModel::clear_interference() { interference_.clear(); }
 
 double ComputeModel::interference(int rank) const {
-  const auto it = interference_.find(rank);
-  return it == interference_.end() ? 1.0 : it->second;
+  return interference_.value_or(rank, 1.0);
 }
 
 double interference_slowdown(double cpu_interference_percent) {

@@ -9,9 +9,9 @@
 // where the mean-one log-normal jitter has sigma 0.012 (compute_model.cpp).
 #pragma once
 
-#include <map>
 #include <vector>
 
+#include "collective/rank_map.h"
 #include "topology/cluster.h"
 #include "training/model_spec.h"
 #include "util/rng.h"
@@ -41,7 +41,7 @@ class ComputeModel {
   const topology::Cluster& cluster_;
   ModelSpec spec_;
   util::Rng rng_;
-  std::map<int, double> interference_;
+  collective::RankMap<double> interference_;
 };
 
 /// Maps the paper's "CPU interference level" (0-400 %) to a GPU-side

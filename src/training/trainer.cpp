@@ -85,10 +85,11 @@ double TrainingStats::partial_fraction() const {
   return static_cast<double>(partial) / static_cast<double>(iterations.size());
 }
 
-std::map<int, Seconds> Trainer::sample_ready_times(const std::vector<int>& participants,
-                                                   const relay::DataLoader& loader, Seconds now,
-                                                   Seconds* min_compute, Seconds* max_compute) {
-  std::map<int, Seconds> ready_at;
+collective::RankMap<Seconds> Trainer::sample_ready_times(const std::vector<int>& participants,
+                                                         const relay::DataLoader& loader,
+                                                         Seconds now, Seconds* min_compute,
+                                                         Seconds* max_compute) {
+  collective::RankMap<Seconds> ready_at;
   *min_compute = std::numeric_limits<double>::infinity();
   *max_compute = 0.0;
   for (const int rank : participants) {
@@ -132,11 +133,11 @@ TrainingStats Trainer::train_with_adapcc(runtime::Adapcc& adapcc) {
       // Gradients are produced progressively during the backward pass
       // (roughly the second half of the iteration), so a late worker's
       // chunks can join the ongoing phase-1 aggregation (Sec. IV-C).
-      std::map<int, Seconds> fill_start;
+      collective::RankMap<Seconds> fill_start;
       for (const auto& [rank, ready] : ready_at) {
         fill_start[rank] = t0 + 0.5 * (ready - t0);
       }
-      std::map<int, Seconds> dead_at;
+      collective::RankMap<Seconds> dead_at;
       if (config_.crash_schedule) dead_at = config_.crash_schedule(iteration, t0);
       const auto result =
           adapcc.allreduce_adaptive(spec.tensor_bytes, ready_at, fill_start, dead_at);

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "baselines/backend.h"
+#include "collective/rank_map.h"
 #include "relay/data_loader.h"
 #include "runtime/adapcc.h"
 #include "training/compute_model.h"
@@ -35,7 +35,7 @@ struct IterationStats {
 struct TrainingStats {
   std::vector<IterationStats> iterations;
   Seconds makespan = 0.0;
-  std::map<int, int> relay_count;  ///< times each rank served as a relay
+  collective::RankMap<int> relay_count;  ///< times each rank served as a relay
   /// Terminal halt: a mass failure left fewer than 2 survivors, so the run
   /// stopped gracefully instead of throwing out of the training loop. The
   /// iterations recorded so far stay valid.
@@ -63,7 +63,7 @@ struct TrainerConfig {
   /// Chaos hook: absolute crash times per rank for this iteration's
   /// AllReduce (see collective::CollectiveOptions::dead_at), given the
   /// iteration index and its start time. Null = no crashes.
-  std::function<std::map<int, Seconds>(int iteration, Seconds t0)> crash_schedule;
+  std::function<collective::RankMap<Seconds>(int iteration, Seconds t0)> crash_schedule;
 };
 
 class Trainer {
@@ -83,9 +83,9 @@ class Trainer {
   ComputeModel& compute_model() noexcept { return compute_; }
 
  private:
-  std::map<int, Seconds> sample_ready_times(const std::vector<int>& participants,
-                                            const relay::DataLoader& loader, Seconds now,
-                                            Seconds* min_compute, Seconds* max_compute);
+  collective::RankMap<Seconds> sample_ready_times(const std::vector<int>& participants,
+                                                  const relay::DataLoader& loader, Seconds now,
+                                                  Seconds* min_compute, Seconds* max_compute);
 
   topology::Cluster& cluster_;
   ComputeModel compute_;

@@ -563,7 +563,7 @@ TEST_F(ResilienceTest, BlackoutAbortTraceIsPinned) {
 // --- Determinism: one seed, one outcome ------------------------------------
 
 struct ChaosOutcome {
-  std::map<int, double> final_values;
+  collective::RankMap<double> final_values;
   collective::RankSet faulty;
   Seconds comm_time = 0.0;
   Seconds phase2_finish = 0.0;
@@ -602,7 +602,7 @@ ChaosOutcome run_chaos_scenario(std::uint64_t fault_seed, std::uint64_t shuffle_
         return nodes;
       }(), 4),
       4_MiB);
-  std::map<int, Seconds> ready;
+  collective::RankMap<Seconds> ready;
   for (const int r : ranks) ready[r] = sim.now() + milliseconds(1) + 1e-4 * r;
   ready = injector.adjust_ready(ready);
   // Crashed ranks die before their tensor is ready, so their chunks are the

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "collective/comm_graph.h"
 #include "collective/executor.h"
 #include "collective/payload.h"
+#include "collective/rank_map.h"
 #include "collective/rank_set.h"
 #include "sim/simulator.h"
 #include "test_support.h"
@@ -32,6 +35,7 @@ using collective::kary_tree;
 using collective::payload_value;
 using collective::Primitive;
 using collective::rank_bit;
+using collective::RankMap;
 using collective::RankSet;
 using collective::single_tree_strategy;
 using collective::Strategy;
@@ -76,6 +80,12 @@ TEST(RankSetTest, IteratesAscendingAcrossWordBoundaries) {
   const RankSet none;
   EXPECT_TRUE(none.empty());
   EXPECT_TRUE(none.begin() == none.end());
+  // find() starts the ascending walk at a member and is end() elsewhere.
+  EXPECT_EQ(std::vector<int>(ranks.find(63), ranks.end()), (std::vector<int>{63, 64, 127}));
+  EXPECT_EQ(std::vector<int>(ranks.find(127), ranks.end()), (std::vector<int>{127}));
+  EXPECT_TRUE(ranks.find(65) == ranks.end());
+  EXPECT_TRUE(ranks.find(-1) == ranks.end());
+  EXPECT_TRUE(none.find(0) == none.end());
 }
 
 TEST(RankSetTest, OutOfRangeRanksAreNeverMembers) {
@@ -87,6 +97,10 @@ TEST(RankSetTest, OutOfRangeRanksAreNeverMembers) {
   EXPECT_THROW((RankSet{2, -3}), std::invalid_argument);
   ranks -= RankSet{10'000};
   EXPECT_EQ(ranks.size(), 2u);
+  ranks.erase(-1);
+  ranks.erase(10'000);
+  ranks.erase(5);
+  EXPECT_EQ(ranks, (RankSet{0, 70}));
 }
 
 TEST(RankSetTest, EqualityIgnoresEmptiedTopWords) {
@@ -105,6 +119,100 @@ TEST(RankSetTest, EqualityIgnoresEmptiedTopWords) {
   mixed.insert(200);
   mixed.insert(200);
   EXPECT_EQ(mixed.size(), 2u);
+  mixed.erase(200);
+  EXPECT_EQ(mixed, RankSet{1});
+  mixed.erase(1);
+  EXPECT_EQ(mixed, RankSet{});
+  EXPECT_TRUE(mixed.empty());
+}
+
+// --- RankMap ------------------------------------------------------------------
+
+std::vector<int> ranks_of(const RankMap<double>& map) {
+  std::vector<int> ranks;
+  for (const auto& [rank, value] : map) ranks.push_back(rank);
+  return ranks;
+}
+
+TEST(RankMapTest, IteratesAscendingAcrossWordBoundaries) {
+  RankMap<double> map;
+  for (const int rank : {130, 3, 64, 63}) map[rank] = 0.5 * rank;
+  EXPECT_EQ(ranks_of(map), (std::vector<int>{3, 63, 64, 130}));
+  EXPECT_EQ(map.size(), 4u);
+  for (const auto& [rank, value] : map) EXPECT_EQ(value, 0.5 * rank);
+  const auto it = map.find(64);
+  ASSERT_TRUE(it != map.end());
+  EXPECT_EQ(it->second, 32.0);
+  EXPECT_TRUE(map.find(65) == map.end());
+  const RankMap<double> none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.begin() == none.end());
+}
+
+TEST(RankMapTest, EraseRemovesPresenceAndReinsertStartsFromDefault) {
+  RankMap<std::vector<int>> map;
+  map[70] = {1, 2, 3};
+  map[2].push_back(9);
+  map.erase(70);
+  map.erase(5);  // absent: a no-op
+  EXPECT_FALSE(map.contains(70));
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_TRUE(map.find(70) == map.end());
+  EXPECT_TRUE(map[70].empty());
+  EXPECT_EQ(map.at(2), (std::vector<int>{9}));
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_TRUE(map[2].empty());
+}
+
+TEST(RankMapTest, EqualityIgnoresInsertionHistoryAndErasedTopRanks) {
+  RankMap<double> a;
+  a[1] = 1.0;
+  a[66] = 2.0;
+  RankMap<double> b;
+  b[66] = 2.0;
+  b[200] = 3.0;
+  b[1] = 1.0;
+  EXPECT_FALSE(a == b);
+  b.erase(200);
+  EXPECT_EQ(a, b);
+  b[66] = 2.5;
+  EXPECT_FALSE(a == b);
+  RankMap<double> c = a;
+  c[5] = 0.0;  // present with the default value is still present
+  EXPECT_FALSE(a == c);
+  c = b;
+  EXPECT_EQ(c, b);
+}
+
+TEST(RankMapTest, AbsentAndNegativeRanks) {
+  RankMap<double> map;
+  map[4] = 1.0;
+  EXPECT_THROW(map.at(3), std::out_of_range);
+  EXPECT_THROW(map.at(400), std::out_of_range);
+  EXPECT_THROW(map.at(-1), std::out_of_range);
+  const RankMap<double>& view = map;
+  EXPECT_THROW(view.at(3), std::out_of_range);
+  EXPECT_EQ(view.value_or(3, 7.0), 7.0);
+  EXPECT_EQ(view.value_or(4, 7.0), 1.0);
+  EXPECT_EQ(view.value_or(-1, 7.0), 7.0);
+  EXPECT_FALSE(map.contains(-1));
+  EXPECT_THROW(map[-1], std::invalid_argument);
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(RankMapTest, ConvertsFromStdMapKeepingEveryEntry) {
+  const std::map<int, double> source{{0, 0.25}, {63, -1.0}, {64, 2.0}, {129, 8.0}};
+  const RankMap<double> map = source;
+  ASSERT_EQ(map.size(), source.size());
+  auto it = map.begin();
+  for (const auto& [rank, value] : source) {
+    EXPECT_EQ(it->first, rank);
+    EXPECT_EQ(it->second, value);
+    ++it;
+  }
+  EXPECT_TRUE(it == map.end());
+  EXPECT_THROW((RankMap<double>(std::map<int, double>{{-2, 1.0}})), std::invalid_argument);
 }
 
 TEST(TreeTest, ChainShape) {
@@ -569,6 +677,26 @@ TEST_F(ExecutorTest, RejectsConcurrentInvocations) {
   executor.start(megabytes(16), {}, nullptr);
   EXPECT_THROW(executor.start(megabytes(16), {}, nullptr), std::logic_error);
   sim_->run();
+}
+
+TEST_F(ExecutorTest, RejectsNanOptionTimes) {
+  build({topology::a100_server("s0")});
+  Strategy strategy = single_tree_strategy(
+      Primitive::kAllReduce, {0, 1}, chain_tree({NodeId::gpu(1), NodeId::gpu(0)}), 4_MiB);
+  Executor executor(*cluster_, strategy);
+  const Seconds nan = std::numeric_limits<Seconds>::quiet_NaN();
+  for (auto times : {&CollectiveOptions::ready_at, &CollectiveOptions::fill_start,
+                     &CollectiveOptions::dead_at}) {
+    CollectiveOptions options;
+    (options.*times)[1] = nan;
+    EXPECT_THROW(executor.start(megabytes(16), options, nullptr), std::invalid_argument);
+    EXPECT_EQ(sim_->pending_events(), 0u);
+    EXPECT_FALSE(executor.busy());
+  }
+  // +inf keeps its meaning: a rank that never dies completes normally.
+  CollectiveOptions options;
+  options.dead_at[1] = std::numeric_limits<Seconds>::infinity();
+  EXPECT_TRUE(executor.run(megabytes(16), options).ok());
 }
 
 TEST_F(ExecutorTest, IncrementalFillKeepsOnePendingEventPerRankAndSub) {

@@ -59,6 +59,13 @@ here defend that promise at the source level:
                       is a read and stays legal; a deliberate raw thread or
                       lock carries a `// lint:threads` waiver with a
                       justification.
+  rank-map            No `std::map<int, ...>` or `std::set<int>` in src/: a
+                      value per rank lives in `collective::RankMap` and a set
+                      of ranks in `collective::RankSet`, so lookup, ascending
+                      iteration and negative-rank handling have one
+                      implementation. A container keyed by something other
+                      than a rank (an instance) carries a `// lint:rank-map`
+                      waiver with the reason.
   orphan-header       Every src/**/*.h must be #included by some file under
                       src/ (other than its own .cpp), bench/, examples/ or
                       perfbench/. A header only tests reach is a module
@@ -128,6 +135,9 @@ THREAD_DETACH_RE = re.compile(r"(?:\.|->)detach\s*\(")
 THREAD_SYNC_RE = re.compile(
     r"std::(?:(?:recursive_|shared_|timed_|recursive_timed_|shared_timed_)?mutex|lock_guard"
     r"|unique_lock|scoped_lock|atomic|condition_variable(?:_any)?)\b")
+
+# rank-map rule: containers that would key a value or a set by rank.
+RANK_CONTAINER_RE = re.compile(r"std::(?:map\s*<\s*int\s*,|set\s*<\s*int\s*>)")
 
 # orphan-header rule: where a src/ header must be included from.
 ORPHAN_RULE_USER_DIRS = ("src", "bench", "examples", "perfbench")
@@ -333,6 +343,22 @@ def check_unspecified_random(path: Path, lines: list[str]) -> list[Finding]:
     return findings
 
 
+def check_rank_map(path: Path, lines: list[str]) -> list[Finding]:
+    findings = []
+    for i, raw in enumerate(lines, start=1):
+        prev = lines[i - 2] if i >= 2 else ""
+        if waived(raw, "rank-map", prev):
+            continue
+        m = RANK_CONTAINER_RE.search(strip_comment(raw))
+        if m:
+            findings.append(Finding(
+                "rank-map", path, i,
+                f"`{m.group(0)}`: keep a value per rank in collective::RankMap and a set of "
+                "ranks in collective::RankSet; waive a container keyed by something else "
+                "with `// lint:rank-map` + reason"))
+    return findings
+
+
 def check_orphan_headers(root: Path) -> list[Finding]:
     src = root / "src"
     included_by: dict[str, set[Path]] = {}
@@ -362,7 +388,7 @@ def main() -> int:
 
     if args.list_rules:
         print("wall-clock unseeded-random unspecified-random unordered-iteration "
-              "hot-path-function units-suffix chaos threads orphan-header")
+              "hot-path-function units-suffix chaos threads rank-map orphan-header")
         return 0
 
     findings: list[Finding] = []
@@ -381,6 +407,7 @@ def main() -> int:
         lines = path.read_text().splitlines()
         findings += check_hot_path(path, lines)
         findings += check_units(path, lines)
+        findings += check_rank_map(path, lines)
 
     for path in iter_sources(root, UNSPECIFIED_RANDOM_DIRS):
         findings += check_unspecified_random(path, path.read_text().splitlines())
